@@ -66,7 +66,6 @@ from .characteristic import (
     middle_component,
     purity_indices,
     regularity_report,
-    u3_form,
 )
 from .documents import (
     MalformedDocumentError,

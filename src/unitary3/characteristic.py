@@ -9,6 +9,12 @@ half-projector onto the top-two eigenspace, Ru_hat = I/3, and the purity
 indices are P1 = l1 - l2, P2 = l1 + l2 - 2*l3 in terms of the normalized
 eigenvalues.  R is regular when Rm_hat is a real matrix, which happens
 exactly when the ellipticity angle chi_m of its intrinsic form vanishes.
+
+characteristic_decomposition and regularity_report each diagonalize R
+once.  The kernel of Rm_hat is the third eigenvector of R, so chi_m is read
+off that eigenvector, and the spectrum of Re(Rm_hat) follows in closed form
+as (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), because Rm_hat =
+Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from .linalg import (
     is_unitary,
     outer_product,
 )
-from .parametrization import normalize_global_phase, recover_first_column
+from .parametrization import NotUnitaryError, normalize_global_phase, recover_first_column
 
 REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
@@ -37,10 +43,6 @@ class ZeroTraceError(ValueError):
 
 class NotPositiveSemidefiniteError(ValueError):
     """Coherency matrix has a significantly negative eigenvalue."""
-
-
-class NotUnitaryInputError(ValueError):
-    """Matrix expected to be unitary."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class CharacteristicComponents:
 
     ``coefficients`` holds (P1, P2 - P1, 1 - P2); the convex combination of
     the three hatted components scaled by ``traceR`` reassembles the input.
+    ``eigen`` is the eigendecomposition of the input the components are
+    built from.
     """
 
     traceR: float
@@ -65,6 +69,7 @@ class CharacteristicComponents:
     Ru_hat: np.ndarray
     purity: PurityIndices
     coefficients: tuple[float, float, float]
+    eigen: EigenDecomposition
 
     def reconstruct(self) -> np.ndarray:
         c1, c2, c3 = self.coefficients
@@ -118,6 +123,7 @@ def characteristic_decomposition(
         Ru_hat=ru,
         purity=p,
         coefficients=(p.P1, p.P2 - p.P1, 1.0 - p.P2),
+        eigen=e,
     )
 
 
@@ -125,34 +131,17 @@ def middle_component(u) -> np.ndarray:
     """Half-projector onto the span of the first two columns of a unitary."""
     u = as_matrix3(u)
     if not is_unitary(u):
-        raise NotUnitaryInputError("middle_component expects a unitary matrix")
+        raise NotUnitaryError("middle_component expects a unitary matrix")
     return 0.5 * (outer_product(u[:, 0]) + outer_product(u[:, 1]))
 
 
-def u3_form(
-    chi: float,
-    mu: float,
-    alpha1: float = 0.0,
-    alpha2: float = 0.0,
-    alpha3: float = 0.0,
-    beta2: float = 0.0,
-) -> np.ndarray:
-    """Unitary with the pure state as its third column.
+def intrinsic_middle(chi: float) -> np.ndarray:
+    """Middle component in the intrinsic frame; depends on chi alone.
 
-    Columns are (v2, v3, n1): the two completion vectors first, then the
-    intrinsic state.  This is the column ordering whose middle component
-    is intrinsic_middle(chi) for every (mu, alpha2, alpha3, beta2), since
+    It equals middle_component of the core matrix with its columns ordered
+    (v2, v3, n1), for every (mu, alpha2, alpha3, beta2), since
     v2 v2† + v3 v3† = I - n1 n1†.
     """
-    from .jones import CompletionParams, completion_v2, completion_v3
-
-    c = CompletionParams(mu=mu, alpha2=alpha2, alpha3=alpha3, beta2=beta2)
-    n1 = np.exp(1j * alpha1) * np.array([np.cos(chi), 1j * np.sin(chi), 0.0])
-    return np.column_stack([completion_v2(chi, c), completion_v3(chi, c), n1])
-
-
-def intrinsic_middle(chi: float) -> np.ndarray:
-    """Middle component in the intrinsic frame; depends on chi alone."""
     c, s = np.cos(chi), np.sin(chi)
     return 0.5 * np.array(
         [
@@ -163,29 +152,24 @@ def intrinsic_middle(chi: float) -> np.ndarray:
     )
 
 
-def _middle_chi(rm: np.ndarray) -> float:
-    """Ellipticity angle of a middle component, sign included.
-
-    The kernel of Rm_hat is spanned by the rotated intrinsic state
-    (cos chi, i sin chi, 0), so the first-column recovery machinery reads
-    chi straight off the null eigenvector.
-    """
-    kernel = eig_hermitian3(rm).vectors[:, 2]
-    _, eps, circular = normalize_global_phase(kernel)
-    chi, _, _ = recover_first_column(eps, circular=circular)
-    return chi
-
-
 def regularity_report(r, gate: float = REGULARITY_GATE) -> RegularityReport:
-    """Regularity analysis of the middle component of a coherency matrix."""
-    rm = characteristic_decomposition(r).Rm_hat
-    spectrum = eig_hermitian3(rm.real.astype(complex)).values
-    chi_m = _middle_chi(rm)
+    """Regularity analysis of the middle component of a coherency matrix.
+
+    The kernel of Rm_hat is the rotated intrinsic state (cos chi_m,
+    i sin chi_m, 0), and it is the third eigenvector of R, so the
+    first-column recovery reads chi_m, sign included, straight off the
+    decomposition's single eigensolve.  The spectrum of Re(Rm_hat) is its
+    closed form (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing
+    since |chi_m| <= pi/4.
+    """
+    c = characteristic_decomposition(r)
+    _, eps, circular = normalize_global_phase(c.eigen.vectors[:, 2])
+    chi_m, _, _ = recover_first_column(eps, circular=circular)
     return RegularityReport(
-        m1_hat=float(spectrum[0]),
-        m2_hat=float(spectrum[1]),
-        m3_hat=float(spectrum[2]),
+        m1_hat=0.5,
+        m2_hat=float(np.cos(chi_m) ** 2 / 2),
+        m3_hat=float(np.sin(chi_m) ** 2 / 2),
         chi_m=chi_m,
         regular=abs(chi_m) <= gate,
-        im_norm=float(np.linalg.norm(rm.imag)),
+        im_norm=float(np.linalg.norm(c.Rm_hat.imag)),
     )

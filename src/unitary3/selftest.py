@@ -13,10 +13,9 @@ from .characteristic import (
     intrinsic_middle,
     middle_component,
     regularity_report,
-    u3_form,
 )
 from .linalg import eig_hermitian3, unitarity_distance
-from .parametrization import compose_unitary, params_distance, recover_params
+from .parametrization import compose_core, compose_unitary, params_distance, recover_params
 from .rotations import RotationAngles, compose_rotation, extract_rotation_angles
 from .sampling import (
     SeededGenerator,
@@ -107,9 +106,8 @@ def _check_chi_only_dependence(n=500):
     worst = 0.0
     for _ in range(n):
         p = random_params(g)
-        rm = middle_component(
-            u3_form(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
-        )
+        u = compose_core(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
+        rm = middle_component(u[:, [1, 2, 0]])
         worst = max(worst, float(np.linalg.norm(rm - intrinsic_middle(p.chi))))
     return worst <= 1e-13, f"worst middle-component spread {worst:.2e}"
 

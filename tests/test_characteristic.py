@@ -9,11 +9,13 @@ from unitary3.characteristic import (
     middle_component,
     purity_indices,
     regularity_report,
-    u3_form,
 )
 from unitary3.linalg import eig_hermitian3
+from unitary3.parametrization import NotUnitaryError, compose_core
 from unitary3.rotations import RotationAngles, compose_rotation
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
+
+from oracles import lapack_eigenvalues
 
 
 def test_purity_indices_pure():
@@ -79,6 +81,11 @@ def test_middle_component_identity():
     assert np.allclose(m, np.diag([0.5, 0.5, 0.0]))
 
 
+def test_middle_component_rejects_non_unitary():
+    with pytest.raises(NotUnitaryError):
+        middle_component(np.eye(3) * 2.0)
+
+
 def test_middle_component_spectrum():
     g = SeededGenerator(53)
     target = np.array([0.5, 0.5, 0.0])
@@ -98,14 +105,14 @@ def test_u3_form_middle_is_intrinsic():
     g = SeededGenerator(54)
     for _ in range(300):
         chi = -np.pi / 4 + np.pi / 2 * g.uniform()
-        u = u3_form(
+        u = compose_core(
             chi,
             mu=np.pi / 2 * g.uniform(),
             alpha1=-np.pi + 2 * np.pi * g.uniform(),
             alpha2=-np.pi + 2 * np.pi * g.uniform(),
             alpha3=-np.pi + 2 * np.pi * g.uniform(),
             beta2=-np.pi + 2 * np.pi * g.uniform(),
-        )
+        )[:, [1, 2, 0]]
         assert np.linalg.norm(middle_component(u) - intrinsic_middle(chi)) <= 1e-13
 
 
@@ -120,7 +127,7 @@ def test_rotation_covariance():
                 np.pi * g.uniform(),
             )
         )
-        u = q @ u3_form(chi, mu=np.pi / 2 * g.uniform())
+        u = q @ compose_core(chi, np.pi / 2 * g.uniform(), 0.0, 0.0, 0.0, 0.0)[:, [1, 2, 0]]
         want = q @ intrinsic_middle(chi) @ q.T
         assert np.linalg.norm(middle_component(u) - want) <= 1e-12
 
@@ -152,6 +159,8 @@ def test_regularity_report_chi_values():
         assert rep.m1_hat == pytest.approx(0.5, abs=1e-10)
         assert rep.m2_hat == pytest.approx(np.cos(chi) ** 2 / 2, abs=1e-10)
         assert rep.m3_hat == pytest.approx(np.sin(chi) ** 2 / 2, abs=1e-10)
+        oracle = lapack_eigenvalues(characteristic_decomposition(intrinsic_middle(chi)).Rm_hat.real)
+        assert np.max(np.abs(np.array([rep.m1_hat, rep.m2_hat, rep.m3_hat]) - oracle)) <= 1e-10
         assert abs(rep.chi_m) == pytest.approx(chi, abs=1e-8)
         assert rep.regular == (chi == 0.0)
     assert rep.m2_hat == pytest.approx(0.25)  # maximal nonregularity

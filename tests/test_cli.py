@@ -1,14 +1,18 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import unitary3.characteristic
+from unitary3.characteristic import characteristic_decomposition, regularity_report
 from unitary3.cli import main
 from unitary3.documents import parse_matrix, serialize_matrix, serialize_params
 from unitary3.parametrization import UnitaryParams
 from unitary3.rotations import RotationAngles
+from unitary3.sampling import SeededGenerator, random_psd_hermitian
 
 
 def run_cli(argv):
@@ -70,6 +74,10 @@ def test_roundtrip_exit_codes(tmp_path):
     code, out, _ = run_cli(["roundtrip", "--matrix", str(mpath)])
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-10
+    code, out, err = run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", "1e-30"])
+    assert code == 3
+    assert out == ""
+    assert "tolerance failure" in err
 
 
 def test_chardecomp(tmp_path):
@@ -81,6 +89,32 @@ def test_chardecomp(tmp_path):
     assert doc["P1"] == pytest.approx(0.0, abs=1e-14)
     assert doc["P2"] == pytest.approx(1.0, abs=1e-14)
     assert doc["regularity"]["regular"] is True
+
+
+def test_coherency_solve_count(tmp_path, monkeypatch):
+    # One eigensolve per coherency call: the regularity analysis reuses the
+    # decomposition's eigenvectors, and the CLI its eigenvalues.
+    solve = unitary3.characteristic.eig_hermitian3
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unitary3") and getattr(module, "eig_hermitian3", None) is solve:
+            monkeypatch.setattr(module, "eig_hermitian3", counted)
+    r = random_psd_hermitian(SeededGenerator(58))
+    mpath = tmp_path / "r.json"
+    mpath.write_text(serialize_matrix(r, kind="hermitian"))
+    for run, want in (
+        (lambda: characteristic_decomposition(r), 1),
+        (lambda: regularity_report(r), 1),
+        (lambda: run_cli(["chardecomp", "--matrix", str(mpath)]), 2),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == want
 
 
 def test_gen_determinism():
