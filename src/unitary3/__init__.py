@@ -7,13 +7,10 @@ spectrum.
 """
 from .linalg import (
     EigenDecomposition,
-    NoConvergenceError,
     NotHermitianError,
     eig_hermitian3,
     hermiticity_distance,
-    is_hermitian,
     is_unitary,
-    matrix_norms_and_checks,
     outer_product,
     unitarity_distance,
 )
@@ -22,8 +19,6 @@ from .rotations import (
     RotationAngles,
     compose_rotation,
     extract_rotation_angles,
-    rot_y,
-    rot_z,
     wrap_angle,
 )
 from .jones import (

@@ -2,7 +2,8 @@
 
 Everything operates on plain numpy arrays (shape (3,) complex vectors and
 (3, 3) complex matrices). All functions are pure; nothing here mutates its
-inputs.
+inputs.  The eigensolver is LAPACK's (``numpy.linalg.eigh``) behind a fixed
+contract: nonincreasing eigenvalues and a deterministic eigenvector phase.
 """
 from __future__ import annotations
 
@@ -15,16 +16,9 @@ UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 DEGENERACY_GATE = 1e-10
 
-_JACOBI_OFF_TARGET = 1e-14
-_JACOBI_MAX_SWEEPS = 100
-
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the off-diagonal target."""
 
 
 def as_vector3(v) -> np.ndarray:
@@ -57,30 +51,6 @@ def is_unitary(m, tol: float = UNITARITY_TOL) -> bool:
     return unitarity_distance(m) <= tol
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_distance(m) <= tol
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Diagnostic distances and scalar invariants of a 3x3 complex matrix."""
-
-    unitarity_distance: float
-    hermiticity_distance: float
-    determinant: complex
-    trace: complex
-
-
-def matrix_norms_and_checks(m) -> StructureReport:
-    m = as_matrix3(m)
-    return StructureReport(
-        unitarity_distance=unitarity_distance(m),
-        hermiticity_distance=hermiticity_distance(m),
-        determinant=complex(np.linalg.det(m)),
-        trace=complex(np.trace(m)),
-    )
-
-
 def outer_product(v) -> np.ndarray:
     """Conjugate outer product v v†, a Hermitian PSD matrix of rank <= 1."""
     v = as_vector3(v)
@@ -100,28 +70,6 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _jacobi_rotate(a, v, p, q):
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    phase = apq / r
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    if tau != 0.0:
-        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-    else:
-        t = 1.0
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    j = np.eye(3, dtype=complex)
-    j[p, p] = c
-    j[q, q] = c
-    j[p, q] = s * phase
-    j[q, p] = -s * np.conj(phase)
-    a[:] = j.conj().T @ a @ j
-    v[:] = v @ j
-
-
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude component real and positive."""
     out = vectors.copy()
@@ -135,38 +83,23 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian3(r, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Diagonalize a 3x3 Hermitian matrix with cyclic complex Jacobi sweeps.
+    """Diagonalize a 3x3 Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues come out sorted nonincreasing; eigenvectors are orthonormal
     with a deterministic phase (largest component real positive).
 
-    Raises NotHermitianError if ``r`` fails the Hermiticity gate and
-    NoConvergenceError if the off-diagonal norm does not reach
-    1e-14 * ||r||_F within 100 sweeps.
+    Raises NotHermitianError if ``r`` fails the Hermiticity gate.  A LAPACK
+    non-convergence surfaces as ``numpy.linalg.LinAlgError``, a ValueError,
+    so the CLI reports it as a precondition failure (exit 2).
     """
     r = as_matrix3(r)
     if hermiticity_distance(r) > tol:
         raise NotHermitianError(
             f"matrix is not Hermitian: ||R - R'|| = {hermiticity_distance(r):.3e}"
         )
-    a = 0.5 * (r + r.conj().T)
-    scale = float(np.linalg.norm(a))
-    vec = np.eye(3, dtype=complex)
-    if scale > 0.0:
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            off = np.sqrt(2.0) * np.sqrt(
-                abs(a[0, 1]) ** 2 + abs(a[0, 2]) ** 2 + abs(a[1, 2]) ** 2
-            )
-            if off <= _JACOBI_OFF_TARGET * scale:
-                break
-            for p, q in ((0, 1), (0, 2), (1, 2)):
-                _jacobi_rotate(a, vec, p, q)
-        else:
-            raise NoConvergenceError("Jacobi sweeps did not converge")
-    values = a.diagonal().real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vec = _fix_column_phases(vec[:, order])
+    values, vec = np.linalg.eigh(0.5 * (r + r.conj().T))
+    values = values[::-1]
+    vec = _fix_column_phases(vec[:, ::-1])
     trace = float(np.trace(r).real)
     if abs(trace) > np.finfo(float).tiny:
         normalized = values / trace

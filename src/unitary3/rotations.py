@@ -8,9 +8,10 @@ entries (the form every downstream trigonometric identity assumes):
          [ -st cv,             st sv,              ct   ]]
 
 with cf = cos(phi), st = sin(theta), cv = cos(varphi) and so on.  In terms
-of elementary factors this equals rot_z(-phi) @ rot_y(-theta) @ rot_z(varphi);
-note the sign flips on the two leftmost factors relative to the naive
-product reading.
+of elementary factors this equals a rotation about Z by -phi, times a
+rotation about Y by -theta (with -sin in the (1,3) slot), times a rotation
+about Z by varphi; note the sign flips on the two leftmost factors relative
+to the naive product reading.
 """
 from __future__ import annotations
 
@@ -56,18 +57,6 @@ class RotationAngles:
             theta = -theta
             phi = phi + np.pi
         return RotationAngles(wrap_angle(phi), float(theta), float(varphi))
-
-
-def rot_z(angle: float) -> np.ndarray:
-    """Rotation about the Z axis (the printed Q_phi / Q_varphi factor)."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    """Rotation about the Y axis with -sin in the (1,3) slot."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
 def compose_rotation(angles: RotationAngles) -> np.ndarray:

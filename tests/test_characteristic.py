@@ -66,6 +66,19 @@ def test_decomposition_random_reconstruction():
         assert -1e-12 <= c.purity.P1 <= c.purity.P2 <= 1.0 + 1e-12
 
 
+def test_purity_small_scale_invariance():
+    # P1 and P2 depend on the normalized spectrum only, so scaling R down
+    # toward the underflow threshold must not move them.
+    g = SeededGenerator(32)
+    for _ in range(50):
+        r = random_psd_hermitian(g)
+        p = characteristic_decomposition(r).purity
+        for scale in (1e-250, 1e-200, 1e-100, 1e-10):
+            q = characteristic_decomposition(r * scale).purity
+            assert abs(q.P1 - p.P1) <= 1e-12
+            assert abs(q.P2 - p.P2) <= 1e-12
+
+
 def test_decomposition_rejects_zero_trace():
     with pytest.raises(ZeroTraceError):
         characteristic_decomposition(np.zeros((3, 3)))

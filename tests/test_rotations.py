@@ -6,8 +6,6 @@ from unitary3.rotations import (
     RotationAngles,
     compose_rotation,
     extract_rotation_angles,
-    rot_y,
-    rot_z,
     wrap_angle,
 )
 from unitary3.sampling import SeededGenerator
@@ -21,13 +19,6 @@ def test_wrap_angle_ranges():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert wrap_angle(3.0 * np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-0.1) == pytest.approx(-0.1)
-
-
-def test_elementary_factors_are_rotations():
-    for a in (0.0, 0.3, -1.2, np.pi):
-        for r in (rot_z(a), rot_y(a)):
-            assert np.allclose(r.T @ r, np.eye(3), atol=1e-15)
-            assert np.linalg.det(r) == pytest.approx(1.0)
 
 
 def test_compose_matches_factor_product():
