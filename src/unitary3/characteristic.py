@@ -24,8 +24,6 @@ import numpy as np
 
 from .linalg import (
     EigenDecomposition,
-    HERMITICITY_TOL,
-    NotHermitianError,
     as_matrix3,
     eig_hermitian3,
     is_unitary,
@@ -94,16 +92,14 @@ def purity_indices(e: EigenDecomposition) -> PurityIndices:
     return PurityIndices(P1=float(l1 - l2), P2=float(l1 + l2 - 2.0 * l3))
 
 
-def characteristic_decomposition(
-    r, tol: float = HERMITICITY_TOL
-) -> CharacteristicComponents:
+def characteristic_decomposition(r) -> CharacteristicComponents:
     """Split a Hermitian PSD matrix into pure, middle and unpolarized parts.
 
     Raises NotHermitianError, ZeroTraceError or
     NotPositiveSemidefiniteError when the preconditions fail.
     """
     r = as_matrix3(r)
-    e = eig_hermitian3(r, tol=tol)
+    e = eig_hermitian3(r)
     trace = float(np.trace(r).real)
     if trace <= np.finfo(float).tiny:
         raise ZeroTraceError(f"trace {trace:.3e} is not positive")
@@ -152,7 +148,7 @@ def intrinsic_middle(chi: float) -> np.ndarray:
     )
 
 
-def regularity_report(r, gate: float = REGULARITY_GATE) -> RegularityReport:
+def regularity_report(r) -> RegularityReport:
     """Regularity analysis of the middle component of a coherency matrix.
 
     The kernel of Rm_hat is the rotated intrinsic state (cos chi_m,
@@ -170,6 +166,6 @@ def regularity_report(r, gate: float = REGULARITY_GATE) -> RegularityReport:
         m2_hat=float(np.cos(chi_m) ** 2 / 2),
         m3_hat=float(np.sin(chi_m) ** 2 / 2),
         chi_m=chi_m,
-        regular=abs(chi_m) <= gate,
+        regular=abs(chi_m) <= REGULARITY_GATE,
         im_norm=float(np.linalg.norm(c.Rm_hat.imag)),
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default gates, overridable per call.
+# Gates shared by every module.
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 DEGENERACY_GATE = 1e-10
@@ -47,8 +47,8 @@ def hermiticity_distance(m) -> float:
     return float(np.linalg.norm(m - m.conj().T))
 
 
-def is_unitary(m, tol: float = UNITARITY_TOL) -> bool:
-    return unitarity_distance(m) <= tol
+def is_unitary(m) -> bool:
+    return unitarity_distance(m) <= UNITARITY_TOL
 
 
 def outer_product(v) -> np.ndarray:
@@ -82,7 +82,7 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian3(r, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def eig_hermitian3(r) -> EigenDecomposition:
     """Diagonalize a 3x3 Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues come out sorted nonincreasing; eigenvectors are orthonormal
@@ -93,7 +93,7 @@ def eig_hermitian3(r, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     so the CLI reports it as a precondition failure (exit 2).
     """
     r = as_matrix3(r)
-    if hermiticity_distance(r) > tol:
+    if hermiticity_distance(r) > HERMITICITY_TOL:
         raise NotHermitianError(
             f"matrix is not Hermitian: ||R - R'|| = {hermiticity_distance(r):.3e}"
         )

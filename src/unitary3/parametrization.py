@@ -39,7 +39,8 @@ from .rotations import RotationAngles, compose_rotation, extract_rotation_angles
 RECOVERY_TOL = 1e-10
 
 # Gate below which the imaginary part of the normalized first column is
-# treated as zero (linear polarization, chi = 0).
+# treated as zero (linear polarization, chi = 0); recover_first_column is
+# the one place that decides it.
 _LINEAR_GATE = 1e-12
 # Gate on the chart-orientation invariant a1*b2 - a2*b1 = cos(chi) sin(chi)
 # cos(theta); below it the gimbal sign conventions apply.
@@ -141,9 +142,7 @@ def compose_unitary(p: UnitaryParams) -> np.ndarray:
     return q @ compose_core(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
 
 
-def normalize_global_phase(
-    u1, tol: float = 1e-10, gate: float = DEGENERACY_GATE
-) -> tuple[float, np.ndarray, bool]:
+def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
     """Split a unit column into global phase alpha1 and a normalized column.
 
     alpha1 is half the argument of the unconjugated self-product u1.u1,
@@ -151,16 +150,17 @@ def normalize_global_phase(
     cos(2 chi).  The residual pi ambiguity is resolved by making the first
     significant component of the normalized column nonnegative.
 
-    For circular states (|u1.u1| < gate, chi = +-pi/4) the self-product
-    vanishes and alpha1 is fixed by making the first significant component
-    real and nonnegative instead; the returned flag is then True.
+    For circular states (|u1.u1| < DEGENERACY_GATE, chi = +-pi/4) the
+    self-product vanishes and alpha1 is fixed by making the first
+    significant component real and nonnegative instead; the returned flag
+    is then True.
     """
     u1 = as_vector3(u1)
     norm = float(np.linalg.norm(u1))
-    if abs(norm - 1.0) > tol:
-        raise NotUnitError(f"column norm {norm} is not 1 within {tol}")
+    if abs(norm - 1.0) > RECOVERY_TOL:
+        raise NotUnitError(f"column norm {norm} is not 1 within {RECOVERY_TOL}")
     w = complex(np.sum(u1 * u1))
-    circular = abs(w) < gate
+    circular = abs(w) < DEGENERACY_GATE
     if circular:
         k = next(i for i in range(3) if abs(u1[i]) > 1e-9)
         alpha1 = float(np.angle(u1[k]))
@@ -182,36 +182,35 @@ def _gimbal_sign_table(a3: float, b3: float) -> float:
     return 1.0 if a3 * b3 < 0.0 else -1.0
 
 
-def sign_of_chi(d: ColumnDecomposition, gate: float = DEGENERACY_GATE) -> tuple[float, str]:
+def sign_of_chi(d: ColumnDecomposition) -> tuple[float, str]:
     """Sign of the ellipticity angle and the zero-pattern branch label.
 
-    Returns (sign, branch) with sign in {-1.0, 0.0, +1.0}.  The governing
+    Returns (sign, branch) with sign -1.0 or +1.0.  Expects a column that
+    is not linear (b != 0): recover_first_column decides linear
+    polarization, branches b1 and d1, before it gets here.  The governing
     invariant is a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta): its sign is
     the sign of chi everywhere inside the chart.  When it vanishes (gimbal
     orientations) the per-branch sign tables take over as conventions:
     (a3, b3) signs in branch a, a1*b2 in branches b2/c/d2.
     """
-    a3_zero = abs(d.a3) <= gate
-    b3_zero = abs(d.b3) <= gate
-    linear = np.hypot(np.hypot(d.b1, d.b2), d.b3) <= _LINEAR_GATE
+    a3_zero = abs(d.a3) <= DEGENERACY_GATE
+    b3_zero = abs(d.b3) <= DEGENERACY_GATE
     if a3_zero and b3_zero:
-        branch = "b1" if linear else "b2"
+        branch = "b2"
     elif a3_zero:
         branch = "c"
     elif b3_zero:
-        branch = "d1" if linear else "d2"
+        branch = "d2"
     else:
         branch = "a"
-    if linear:
-        return 0.0, branch
     cross = d.a1 * d.b2 - d.a2 * d.b1
     if abs(cross) > _SIGN_GATE:
         return float(np.sign(cross)), branch
     if branch == "a":
         return _gimbal_sign_table(d.a3, d.b3), branch
-    if abs(d.a1 * d.b2) > gate:
+    if abs(d.a1 * d.b2) > DEGENERACY_GATE:
         return float(np.sign(d.a1 * d.b2)), branch
-    if abs(d.a2 * d.b1) > gate:
+    if abs(d.a2 * d.b1) > DEGENERACY_GATE:
         return float(-np.sign(d.a2 * d.b1)), branch
     return 1.0, branch
 
@@ -251,8 +250,6 @@ def recover_first_column(
     sign, branch = sign_of_chi(ColumnDecomposition.from_column(eps))
     if circular:
         branch = "circular-fallback"
-    if sign == 0.0:
-        sign = 1.0
     q1 = a / ca
     q2 = sign * b / sb
     q2 = q2 - (q1 @ q2) * q1
@@ -262,9 +259,7 @@ def recover_first_column(
     return sign * chi_mag, rot, branch
 
 
-def extract_core_params(
-    v1, chi: float, gate: float = DEGENERACY_GATE, structure_tol: float = _STRUCTURE_TOL
-) -> tuple[float, float, float, float, float]:
+def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, float]:
     """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix entries.
 
     Degenerate parameters take canonical zeros: alpha3 = 0 when mu = 0
@@ -272,7 +267,7 @@ def extract_core_params(
     reproduced exactly) and alpha2 = 0 when mu = pi/2.
     """
     v1 = as_matrix3(v1)
-    if abs(v1[2, 0]) > structure_tol:
+    if abs(v1[2, 0]) > _STRUCTURE_TOL:
         raise StructureViolationError(
             f"expected structural zero at (3,1), got |v31| = {abs(v1[2, 0]):.3e}"
         )
@@ -280,13 +275,13 @@ def extract_core_params(
     alpha1 = float(np.angle(v1[0, 0]))
     sm = abs(v1[2, 1])
     cm = abs(v1[2, 2])
-    if abs(np.hypot(sm, cm) - 1.0) > structure_tol:
+    if abs(np.hypot(sm, cm) - 1.0) > _STRUCTURE_TOL:
         raise StructureViolationError("third-row moduli do not form a unit pair")
-    if abs(abs(v1[1, 2]) - sm * cx) > structure_tol:
+    if abs(abs(v1[1, 2]) - sm * cx) > _STRUCTURE_TOL:
         raise StructureViolationError("|v23| disagrees with sin(mu) cos(chi)")
     mu = float(np.arctan2(sm, cm))
-    alpha2 = float(np.angle(v1[1, 1])) if cm > gate else 0.0
-    if sm > gate:
+    alpha2 = float(np.angle(v1[1, 1])) if cm > DEGENERACY_GATE else 0.0
+    if sm > DEGENERACY_GATE:
         alpha3 = float(np.angle(v1[1, 2]))
         beta2 = float(np.angle(v1[2, 1]))
     else:
@@ -295,9 +290,7 @@ def extract_core_params(
     return mu, alpha1, alpha2, alpha3, beta2
 
 
-def recover_params(
-    u, tolerance: float = RECOVERY_TOL, unitarity_tol: float = UNITARITY_TOL
-) -> RecoveryReport:
+def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     """Recover the nine parameters of a unitary matrix.
 
     Pipeline: phase-normalize the first column, recover (chi, rotation),
@@ -307,9 +300,9 @@ def recover_params(
     """
     u = as_matrix3(u)
     dist = unitarity_distance(u)
-    if dist > unitarity_tol:
-        raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {unitarity_tol}")
-    alpha1_hint, eps, circular = normalize_global_phase(u[:, 0])
+    if dist > UNITARITY_TOL:
+        raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
+    _, eps, circular = normalize_global_phase(u[:, 0])
     chi, rot, branch = recover_first_column(eps, circular=circular)
     q = compose_rotation(rot)
     v1 = q.T @ u

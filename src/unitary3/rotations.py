@@ -73,30 +73,26 @@ def compose_rotation(angles: RotationAngles) -> np.ndarray:
     )
 
 
-def _check_proper_orthogonal(q: np.ndarray, tol: float):
-    if np.linalg.norm(q.T @ q - np.eye(3)) > tol:
+def _check_proper_orthogonal(q: np.ndarray):
+    if np.linalg.norm(q.T @ q - np.eye(3)) > ORTHOGONALITY_TOL:
         raise NotOrthogonalError("matrix is not orthogonal within tolerance")
     if np.linalg.det(q) < 0.0:
         raise NotOrthogonalError("matrix is orthogonal but not proper (det < 0)")
 
 
-def extract_rotation_angles(
-    q,
-    tol: float = ORTHOGONALITY_TOL,
-    gimbal_gate: float = DEGENERACY_GATE,
-) -> tuple[RotationAngles, bool]:
+def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     """Invert compose_rotation.
 
     Returns (angles, gimbal_degenerate).  theta is read from Q[2,2],
     varphi from row 3 and phi from column 3.  At gimbal lock
-    (|sin theta| <= gate) the in-plane rotation is absorbed into phi and
-    varphi is set to 0; the flag reports that convention fired.
+    (|sin theta| <= DEGENERACY_GATE) the in-plane rotation is absorbed into
+    phi and varphi is set to 0; the flag reports that convention fired.
     """
     q = np.asarray(q, dtype=float).reshape(3, 3)
-    _check_proper_orthogonal(q, tol)
+    _check_proper_orthogonal(q)
     ct = q[2, 2]
     st = float(np.hypot(q[0, 2], q[1, 2]))
-    gimbal = st <= gimbal_gate
+    gimbal = st <= DEGENERACY_GATE
     if not gimbal:
         theta = float(np.arctan2(st, ct))
         phi = float(np.arctan2(-q[1, 2], q[0, 2]))

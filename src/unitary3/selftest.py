@@ -1,10 +1,13 @@
-"""Built-in invariant suite, runnable via the CLI `selftest` subcommand.
+"""Invariant registry behind the CLI `selftest` subcommand and the acceptance suite.
 
-Each check exercises one documented property with seeded random sampling
-and prints a PASS/FAIL line.  The suite is sized to finish well under two
-minutes on ordinary hardware.
+Each property is implemented once, as a measure ``measure(g, n) -> float``
+returning the worst gap over ``n`` draws from ``g``; it holds no bound.
+``CHECKS`` runs each measure at the selftest's seed, size and bound; the
+acceptance tests call the same measures at their own.
 """
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -17,144 +20,144 @@ from .characteristic import (
 from .linalg import eig_hermitian3, unitarity_distance
 from .parametrization import compose_core, compose_unitary, params_distance, recover_params
 from .rotations import RotationAngles, compose_rotation, extract_rotation_angles
-from .sampling import (
-    SeededGenerator,
-    generate_haar_unitary,
-    random_params,
-    random_psd_hermitian,
-)
+from .sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
+
+# Middle ellipticity angles, regular to maximally nonregular, of regularity_spectrum.
+REGULARITY_CHI_VALUES = (0.0, np.pi / 12, np.pi / 6, np.pi / 4)
 
 
-def _check_composition_unitarity(n=2000):
-    g = SeededGenerator(101)
-    worst = 0.0
-    for _ in range(n):
-        worst = max(worst, unitarity_distance(compose_unitary(random_params(g))))
-    return worst <= 1e-13, f"worst unitarity distance {worst:.2e}"
+def _worst(gaps) -> float:
+    """Largest of the gaps; NaN if any gap is NaN, so NaN never passes a bound."""
+    return float(np.max(list(gaps)))
 
 
-def _check_haar_roundtrip(n=2000):
-    g = SeededGenerator(202)
-    worst = 0.0
-    for _ in range(n):
-        worst = max(worst, recover_params(generate_haar_unitary(g)).residual)
-    return worst <= 1e-10, f"worst recovery residual {worst:.2e}"
+def composition_unitarity(g: SeededGenerator, n: int) -> float:
+    """Unitarity distance of matrices composed from random parameters."""
+    return _worst(unitarity_distance(compose_unitary(random_params(g))) for _ in range(n))
 
 
-def _check_param_roundtrip(n=2000):
-    g = SeededGenerator(303)
-    worst = 0.0
-    for _ in range(n):
+def haar_roundtrip(g: SeededGenerator, n: int) -> float:
+    """Recomposition residual of the recovery of Haar unitaries."""
+    return _worst(recover_params(generate_haar_unitary(g)).residual for _ in range(n))
+
+
+def param_roundtrip(g: SeededGenerator, n: int) -> float:
+    """Fieldwise gap of compose-then-recover on parameters 1e-3 inside the chart."""
+
+    def gap():
         p = random_params(g, margin=1e-3)
-        r = recover_params(compose_unitary(p))
-        worst = max(worst, params_distance(p, r.params))
-    return worst <= 1e-9, f"worst fieldwise parameter gap {worst:.2e}"
+        return params_distance(p, recover_params(compose_unitary(p)).params)
+
+    return _worst(gap() for _ in range(n))
 
 
-def _check_rotation_roundtrip(n=2000):
-    g = SeededGenerator(404)
-    worst = 0.0
-    for _ in range(n):
-        a = RotationAngles(
-            phi=-np.pi + 2 * np.pi * g.uniform(),
-            theta=-np.pi / 2 + np.pi * g.uniform(),
-            varphi=np.pi * g.uniform(),
-        )
-        q = compose_rotation(a)
-        b, _ = extract_rotation_angles(q)
-        worst = max(worst, float(np.linalg.norm(compose_rotation(b) - q)))
-    return worst <= 1e-12, f"worst rotation recomposition gap {worst:.2e}"
+def rotation_roundtrip(g: SeededGenerator, n: int) -> float:
+    """Frobenius gap of compose-extract-compose on random rotation triples."""
+
+    def gap():
+        phi, theta = -np.pi + 2 * np.pi * g.uniform(), -np.pi / 2 + np.pi * g.uniform()
+        q = compose_rotation(RotationAngles(phi, theta, np.pi * g.uniform()))
+        return np.linalg.norm(compose_rotation(extract_rotation_angles(q)[0]) - q)
+
+    return _worst(gap() for _ in range(n))
 
 
-def _check_eigensolver(n=500):
-    g = SeededGenerator(505)
-    worst = 0.0
-    for _ in range(n):
+def eigensolver_residual(g: SeededGenerator, n: int) -> float:
+    """Frobenius norm of R V - V diag(values) on random PSD matrices."""
+
+    def gap():
         r = random_psd_hermitian(g)
         e = eig_hermitian3(r)
-        res = r @ e.vectors - e.vectors * e.values
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst <= 1e-12, f"worst eigen-residual {worst:.2e}"
+        return np.linalg.norm(r @ e.vectors - e.vectors * e.values)
+
+    return _worst(gap() for _ in range(n))
 
 
-def _check_characteristic_reconstruction(n=500):
-    g = SeededGenerator(606)
-    worst = 0.0
-    for _ in range(n):
+def characteristic_reconstruction(g: SeededGenerator, n: int) -> float:
+    """Relative reconstruction gap of the characteristic decomposition and
+    violation max(-P1, P1 - P2, P2 - 1) of 0 <= P1 <= P2 <= 1, on PSD draws."""
+
+    def gaps():
         r = random_psd_hermitian(g)
         c = characteristic_decomposition(r)
-        gap = float(np.linalg.norm(c.reconstruct() - r)) / c.traceR
-        worst = max(worst, gap)
         p = c.purity
-        if not (-1e-12 <= p.P1 <= p.P2 + 1e-12 and p.P2 <= 1.0 + 1e-12):
-            return False, f"purity ordering violated: P1={p.P1}, P2={p.P2}"
-    return worst <= 1e-12, f"worst relative reconstruction gap {worst:.2e}"
+        rel = np.linalg.norm(c.reconstruct() - r) / c.traceR
+        return rel, -p.P1, p.P1 - p.P2, p.P2 - 1.0
+
+    return _worst(gaps() for _ in range(n))
 
 
-def _check_middle_spectrum(n=500):
-    g = SeededGenerator(707)
+def middle_spectrum(g: SeededGenerator, n: int) -> float:
+    """Gap of the middle component's spectrum from (1/2, 1/2, 0) on Haar unitaries."""
     target = np.array([0.5, 0.5, 0.0])
-    worst = 0.0
-    for _ in range(n):
-        e = eig_hermitian3(middle_component(generate_haar_unitary(g)))
-        worst = max(worst, float(np.max(np.abs(e.values - target))))
-    return worst <= 1e-12, f"worst middle-spectrum gap {worst:.2e}"
+    return _worst(
+        np.abs(eig_hermitian3(middle_component(generate_haar_unitary(g))).values - target)
+        for _ in range(n)
+    )
 
 
-def _check_chi_only_dependence(n=500):
-    g = SeededGenerator(808)
-    worst = 0.0
-    for _ in range(n):
-        p = random_params(g)
-        u = compose_core(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
-        rm = middle_component(u[:, [1, 2, 0]])
-        worst = max(worst, float(np.linalg.norm(rm - intrinsic_middle(p.chi))))
-    return worst <= 1e-13, f"worst middle-component spread {worst:.2e}"
+def chi_only_dependence(g: SeededGenerator, n: int) -> float:
+    """Gap of middle_component(V1 with columns (v2, v3, n1)) from its chi-only
+    form, over n draws of (mu, alpha2, alpha3, beta2) at chi = 0.1, -0.3, 0.7."""
+
+    def gap(chi):
+        u = compose_core(
+            chi,
+            mu=np.pi / 2 * g.uniform(),
+            alpha1=0.0,
+            alpha2=-np.pi + 2 * np.pi * g.uniform(),
+            alpha3=-np.pi + 2 * np.pi * g.uniform(),
+            beta2=-np.pi + 2 * np.pi * g.uniform(),
+        )[:, [1, 2, 0]]
+        return np.linalg.norm(middle_component(u) - intrinsic_middle(chi))
+
+    return _worst(gap(chi) for chi in (0.1, -0.3, 0.7) for _ in range(n))
 
 
-def _check_regularity_spectrum():
-    worst = 0.0
-    for chi in (0.0, np.pi / 12, np.pi / 6, np.pi / 4):
+def regularity_spectrum(g: SeededGenerator, n: int) -> float:
+    """Gap of the Re(Rm_hat) spectrum from (1/2, cos^2 chi/2, sin^2 chi/2) at
+    REGULARITY_CHI_VALUES; inf if a regular flag is wrong.  Ignores g and n."""
+    gaps = []
+    for chi in REGULARITY_CHI_VALUES:
         rep = regularity_report(intrinsic_middle(chi))
+        if rep.regular != (chi == 0.0):
+            return float("inf")
         want = (0.5, np.cos(chi) ** 2 / 2, np.sin(chi) ** 2 / 2)
-        got = (rep.m1_hat, rep.m2_hat, rep.m3_hat)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-        if (chi == 0.0) != rep.regular:
-            return False, f"regular flag wrong at chi={chi}"
-    return worst <= 1e-10, f"worst regularity-spectrum gap {worst:.2e}"
+        gaps.append(np.abs(np.subtract((rep.m1_hat, rep.m2_hat, rep.m3_hat), want)))
+    return _worst(gaps)
 
 
-def _check_haar_moment(n=4000):
-    g = SeededGenerator(909)
-    acc = 0.0
-    for _ in range(n):
-        acc += abs(generate_haar_unitary(g)[0, 0]) ** 2
-    mean = acc / n
-    return abs(mean - 1.0 / 3.0) <= 0.02, f"mean |u11|^2 = {mean:.4f}"
+def haar_moment(g: SeededGenerator, n: int) -> float:
+    """|mean |u11|^2 - 1/3| over Haar unitaries (the exact mean is 1/3)."""
+    return abs(sum(abs(generate_haar_unitary(g)[0, 0]) ** 2 for _ in range(n)) / n - 1.0 / 3.0)
 
 
+# (name, measure, seed, sample size, bound)
 CHECKS = [
-    ("composition-unitarity", _check_composition_unitarity),
-    ("haar-roundtrip", _check_haar_roundtrip),
-    ("param-roundtrip", _check_param_roundtrip),
-    ("rotation-roundtrip", _check_rotation_roundtrip),
-    ("eigensolver-residual", _check_eigensolver),
-    ("characteristic-reconstruction", _check_characteristic_reconstruction),
-    ("middle-spectrum", _check_middle_spectrum),
-    ("chi-only-dependence", _check_chi_only_dependence),
-    ("regularity-spectrum", _check_regularity_spectrum),
-    ("haar-moment", _check_haar_moment),
+    ("composition-unitarity", composition_unitarity, 101, 2000, 1e-13),
+    ("haar-roundtrip", haar_roundtrip, 202, 2000, 1e-10),
+    ("param-roundtrip", param_roundtrip, 303, 2000, 1e-9),
+    ("rotation-roundtrip", rotation_roundtrip, 404, 2000, 1e-12),
+    ("eigensolver-residual", eigensolver_residual, 505, 500, 1e-12),
+    ("characteristic-reconstruction", characteristic_reconstruction, 606, 500, 1e-12),
+    ("middle-spectrum", middle_spectrum, 707, 500, 1e-12),
+    ("chi-only-dependence", chi_only_dependence, 808, 167, 1e-13),
+    ("regularity-spectrum", regularity_spectrum, 0, 0, 1e-10),
+    ("haar-moment", haar_moment, 909, 4000, 0.02),
 ]
 
 
 def run_selftest(write=print) -> bool:
-    """Run every check; print one PASS/FAIL line each; True iff all pass."""
+    """Run every check, print one PASS/FAIL line each (a raise is a FAIL and
+    the later checks still run); True iff all pass."""
     all_ok = True
-    for name, check in CHECKS:
+    for name, measure, seed, n, bound in CHECKS:
+        t0 = time.perf_counter()
         try:
-            ok, detail = check()
+            worst = measure(SeededGenerator(seed), n)
+            ok, detail = worst <= bound, f"worst {worst:.2e} (bound {bound:g})"
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
-        write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail} in {time.perf_counter() - t0:.2f}s")
     return all_ok

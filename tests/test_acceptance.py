@@ -1,5 +1,11 @@
 """Acceptance suite: eleven criteria, each printing one pass/fail line.
 
+Criteria 1, 2, 3, 6, 7, 8 and 9 call the invariant registry's measures
+(``unitary3.selftest``, the same code the ``selftest`` subcommand runs) at
+this suite's seeds, sample sizes and bounds; criterion 8 adds a LAPACK
+oracle.  Criteria 4, 5 and 10 check the library against the independent
+oracles in ``oracles.py``, and criterion 11 runs the CLI.
+
 Run with ``pytest -v tests/test_acceptance.py`` (add -s to see the lines on
 success; pytest shows them automatically on failure).
 """
@@ -9,27 +15,20 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from unitary3.characteristic import (
-    characteristic_decomposition,
-    intrinsic_middle,
-    middle_component,
-    regularity_report,
-)
+from unitary3.characteristic import characteristic_decomposition, intrinsic_middle, regularity_report
 from unitary3.cli import main
-from unitary3.linalg import eig_hermitian3, unitarity_distance
-from unitary3.parametrization import (
-    compose_core,
-    compose_unitary,
-    normalize_global_phase,
-    params_distance,
-    recover_first_column,
-    recover_params,
-)
-from unitary3.sampling import (
-    SeededGenerator,
-    generate_haar_unitary,
-    random_params,
-    random_psd_hermitian,
+from unitary3.linalg import eig_hermitian3
+from unitary3.parametrization import normalize_global_phase, recover_first_column
+from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
+from unitary3.selftest import (
+    REGULARITY_CHI_VALUES,
+    characteristic_reconstruction,
+    chi_only_dependence,
+    composition_unitarity,
+    haar_roundtrip,
+    middle_spectrum,
+    param_roundtrip,
+    regularity_spectrum,
 )
 
 from oracles import cubic_eigenvalues, first_column_oracle, lapack_eigenvalues
@@ -41,11 +40,8 @@ def _report(number, name, ok, detail):
 
 
 def test_criterion_01_composition_unitarity():
-    g = SeededGenerator(1001)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(10_000):
-        worst = max(worst, unitarity_distance(compose_unitary(random_params(g))))
+    worst = composition_unitarity(SeededGenerator(1001), 10_000)
     elapsed = time.perf_counter() - t0
     _report(
         1, "composition unitarity",
@@ -55,11 +51,8 @@ def test_criterion_01_composition_unitarity():
 
 
 def test_criterion_02_matrix_roundtrip():
-    g = SeededGenerator(1002)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(10_000):
-        worst = max(worst, recover_params(generate_haar_unitary(g)).residual)
+    worst = haar_roundtrip(SeededGenerator(1002), 10_000)
     elapsed = time.perf_counter() - t0
     _report(
         2, "Haar matrix round-trip",
@@ -69,11 +62,7 @@ def test_criterion_02_matrix_roundtrip():
 
 
 def test_criterion_03_parameter_roundtrip():
-    g = SeededGenerator(1003)
-    worst = 0.0
-    for _ in range(10_000):
-        p = random_params(g, margin=1e-3)
-        worst = max(worst, params_distance(p, recover_params(compose_unitary(p)).params))
+    worst = param_roundtrip(SeededGenerator(1003), 10_000)
     _report(
         3, "parameter round-trip",
         worst <= 1e-9,
@@ -134,29 +123,19 @@ def test_criterion_05_eq17_identity():
 
 
 def test_criterion_06_characteristic_reconstruction():
-    g = SeededGenerator(1006)
-    worst = 0.0
-    ordered = True
-    for _ in range(1000):
-        r = random_psd_hermitian(g)
-        c = characteristic_decomposition(r)
-        worst = max(worst, float(np.linalg.norm(c.reconstruct() - r)) / c.traceR)
-        p = c.purity
-        ordered = ordered and (-1e-12 <= p.P1 <= p.P2 + 1e-12 <= 1.0 + 2e-12)
+    # The measure folds the purity-ordering violation max(-P1, P1 - P2,
+    # P2 - 1) into the relative reconstruction gap, so the one bound covers
+    # -1e-12 <= P1 <= P2 + 1e-12 <= 1 + 2e-12 as well.
+    worst = characteristic_reconstruction(SeededGenerator(1006), 1000)
     _report(
         6, "characteristic reconstruction",
-        worst <= 1e-12 and ordered,
-        f"worst relative gap {worst:.2e}, purity ordering {'held' if ordered else 'broken'}",
+        worst <= 1e-12,
+        f"worst reconstruction gap or ordering violation {worst:.2e} over 1000 matrices",
     )
 
 
 def test_criterion_07_middle_spectrum():
-    g = SeededGenerator(1007)
-    target = np.array([0.5, 0.5, 0.0])
-    worst = 0.0
-    for _ in range(1000):
-        e = eig_hermitian3(middle_component(generate_haar_unitary(g)))
-        worst = max(worst, float(np.max(np.abs(e.values - target))))
+    worst = middle_spectrum(SeededGenerator(1007), 1000)
     _report(
         7, "middle-component spectrum",
         worst <= 1e-12,
@@ -165,44 +144,29 @@ def test_criterion_07_middle_spectrum():
 
 
 def test_criterion_08_regularity_spectrum():
-    worst = 0.0
-    flags_ok = True
-    max_nonreg = None
-    for chi in (0.0, np.pi / 12, np.pi / 6, np.pi / 4):
+    # The measure checks the closed form and the regular flags (inf if a
+    # flag is wrong); the library takes the spectrum from its closed form
+    # in chi_m, so the LAPACK solve of Re(Rm_hat) checks it by a separate
+    # route.
+    closed_form = regularity_spectrum(SeededGenerator(1008), 0)
+    oracle_gap = 0.0
+    for chi in REGULARITY_CHI_VALUES:
         rep = regularity_report(intrinsic_middle(chi))
-        want = (0.5, np.cos(chi) ** 2 / 2, np.sin(chi) ** 2 / 2)
         got = (rep.m1_hat, rep.m2_hat, rep.m3_hat)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-        # The library takes the spectrum from its closed form in chi_m; the
-        # LAPACK solve of Re(Rm_hat) checks it by a separate route.
         oracle = lapack_eigenvalues(characteristic_decomposition(intrinsic_middle(chi)).Rm_hat.real)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, oracle)))
-        flags_ok = flags_ok and (rep.regular == (chi == 0.0))
-        if chi == np.pi / 4:
-            max_nonreg = abs(rep.m2_hat - 0.25) + abs(rep.m3_hat - 0.25)
+        oracle_gap = max(oracle_gap, max(abs(a - b) for a, b in zip(got, oracle)))
+    # rep is the report at chi = pi/4, where m2_hat = m3_hat = 1/4.
+    max_nonreg = abs(rep.m2_hat - 0.25) + abs(rep.m3_hat - 0.25)
     _report(
         8, "regularity spectrum",
-        worst <= 1e-10 and flags_ok and max_nonreg <= 1e-10,
-        f"worst spectrum gap {worst:.2e}; regular flags "
-        f"{'correct' if flags_ok else 'wrong'}; maximal-nonregularity gap {max_nonreg:.2e}",
+        closed_form <= 1e-10 and oracle_gap <= 1e-10 and max_nonreg <= 1e-10,
+        f"closed-form gap {closed_form:.2e} (inf: a regular flag is wrong); "
+        f"LAPACK gap {oracle_gap:.2e}; maximal-nonregularity gap {max_nonreg:.2e}",
     )
 
 
 def test_criterion_09_chi_only_dependence():
-    g = SeededGenerator(1009)
-    worst = 0.0
-    for chi in (0.1, -0.3, 0.7):
-        ref = intrinsic_middle(chi)
-        for _ in range(334):
-            u = compose_core(
-                chi,
-                mu=np.pi / 2 * g.uniform(),
-                alpha1=0.0,
-                alpha2=-np.pi + 2 * np.pi * g.uniform(),
-                alpha3=-np.pi + 2 * np.pi * g.uniform(),
-                beta2=-np.pi + 2 * np.pi * g.uniform(),
-            )[:, [1, 2, 0]]
-            worst = max(worst, float(np.linalg.norm(middle_component(u) - ref)))
+    worst = chi_only_dependence(SeededGenerator(1009), 334)
     _report(
         9, "chi-only dependence of the middle component",
         worst <= 1e-13,

@@ -14,6 +14,7 @@ from unitary3.linalg import eig_hermitian3
 from unitary3.parametrization import NotUnitaryError, compose_core
 from unitary3.rotations import RotationAngles, compose_rotation
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
+from unitary3.selftest import middle_spectrum
 
 from oracles import lapack_eigenvalues
 
@@ -100,11 +101,7 @@ def test_middle_component_rejects_non_unitary():
 
 
 def test_middle_component_spectrum():
-    g = SeededGenerator(53)
-    target = np.array([0.5, 0.5, 0.0])
-    for _ in range(300):
-        e = eig_hermitian3(middle_component(generate_haar_unitary(g)))
-        assert np.max(np.abs(e.values - target)) <= 1e-13
+    assert middle_spectrum(SeededGenerator(53), 300) <= 1e-13
 
 
 def test_intrinsic_middle_values():

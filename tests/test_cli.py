@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import unitary3.characteristic
+import unitary3.selftest
 from unitary3.characteristic import characteristic_decomposition, regularity_report
 from unitary3.cli import main
 from unitary3.documents import parse_matrix, serialize_matrix, serialize_params
@@ -161,6 +162,26 @@ def test_chardecomp_non_hermitian_exit_2(tmp_path):
     mpath.write_text(serialize_matrix(m, kind="general"))
     code, _, err = run_cli(["chardecomp", "--matrix", str(mpath)])
     assert code == 2
+
+
+def test_selftest_failure_paths(monkeypatch):
+    # A check over its bound and a check that raises both print FAIL and
+    # make the exit code 3; the raise does not stop the checks after it.
+    def raises(g, n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(unitary3.selftest, "CHECKS", [
+        ("over-bound", lambda g, n: 2e-10, 1, 1, 1e-10),
+        ("raises", raises, 2, 1, 1.0),
+        ("passes", lambda g, n: 0.0, 3, 1, 1.0),
+    ])
+    code, out, _ = run_cli(["selftest"])
+    lines = out.splitlines()
+    assert code == 3
+    assert len(lines) == 3
+    assert lines[0].startswith("FAIL  over-bound: worst 2.00e-10 (bound 1e-10) in ")
+    assert lines[1].startswith("FAIL  raises: raised RuntimeError: boom in ")
+    assert lines[2].startswith("PASS  passes: worst 0.00e+00 (bound 1) in ")
 
 
 def test_missing_file_exit_1(tmp_path):

@@ -21,7 +21,8 @@ from unitary3.parametrization import (
     sign_of_chi,
 )
 from unitary3.rotations import RotationAngles, compose_rotation
-from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
+from unitary3.sampling import SeededGenerator, random_params
+from unitary3.selftest import haar_roundtrip, param_roundtrip
 
 from oracles import first_column_oracle
 
@@ -171,19 +172,11 @@ def test_recover_params_rejects_non_unitary():
 
 
 def test_recover_params_haar():
-    g = SeededGenerator(43)
-    for _ in range(1000):
-        u = generate_haar_unitary(g)
-        rep = recover_params(u)
-        assert rep.residual <= 1e-10
+    assert haar_roundtrip(SeededGenerator(43), 1000) <= 1e-10
 
 
 def test_recover_params_interior_roundtrip():
-    g = SeededGenerator(44)
-    for _ in range(1000):
-        p = random_params(g, margin=1e-3)
-        rep = recover_params(compose_unitary(p))
-        assert params_distance(p, rep.params) <= 1e-9
+    assert param_roundtrip(SeededGenerator(44), 1000) <= 1e-9
 
 
 def test_recover_params_degenerate_mu_zero():

@@ -8,6 +8,7 @@ from unitary3.sampling import (
     random_params,
     random_psd_hermitian,
 )
+from unitary3.selftest import haar_moment
 
 
 def test_stream_is_deterministic():
@@ -51,9 +52,7 @@ def test_haar_unitary_is_unitary():
 
 
 def test_haar_moment():
-    g = SeededGenerator(10)
-    acc = sum(abs(generate_haar_unitary(g)[0, 0]) ** 2 for _ in range(10000))
-    assert abs(acc / 10000 - 1.0 / 3.0) <= 0.02
+    assert haar_moment(SeededGenerator(10), 10_000) <= 0.02
 
 
 def test_haar_golden_seed_42():
