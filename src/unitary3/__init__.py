@@ -31,7 +31,6 @@ from .jones import (
     jones_in_frame,
 )
 from .parametrization import (
-    ColumnDecomposition,
     InconsistentColumnError,
     NotUnitaryError,
     NotUnitError,

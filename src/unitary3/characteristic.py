@@ -159,8 +159,8 @@ def regularity_report(r) -> RegularityReport:
     since |chi_m| <= pi/4.
     """
     c = characteristic_decomposition(r)
-    _, eps, circular = normalize_global_phase(c.eigen.vectors[:, 2])
-    chi_m, _, _ = recover_first_column(eps, circular=circular)
+    _, eps, _ = normalize_global_phase(c.eigen.vectors[:, 2])
+    chi_m, _, _ = recover_first_column(eps)
     return RegularityReport(
         m1_hat=0.5,
         m2_hat=float(np.cos(chi_m) ** 2 / 2),

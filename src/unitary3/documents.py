@@ -116,9 +116,8 @@ def parse_params(text: str) -> UnitaryParams:
     )
 
 
-def serialize_params(p: UnitaryParams, core_only: bool = False) -> str:
+def serialize_params(p: UnitaryParams) -> str:
     """Serialize a parameter tuple; round-trips bit-exactly."""
     d = p.as_dict()
-    fields = CORE_FIELDS if core_only else PARAM_FIELDS
-    body = ",\n".join(f'  "{k}": {_fmt(d[k])}' for k in fields)
+    body = ",\n".join(f'  "{k}": {_fmt(d[k])}' for k in PARAM_FIELDS)
     return "{\n" + body + "\n}\n"

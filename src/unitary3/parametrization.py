@@ -97,24 +97,6 @@ class UnitaryParams:
 
 
 @dataclass(frozen=True)
-class ColumnDecomposition:
-    """Real and imaginary parts of a phase-normalized unit column."""
-
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-    b3: float
-
-    @classmethod
-    def from_column(cls, eps) -> "ColumnDecomposition":
-        eps = as_vector3(eps)
-        a, b = eps.real, eps.imag
-        return cls(a[0], a[1], a[2], b[0], b[1], b[2])
-
-
-@dataclass(frozen=True)
 class RecoveryReport:
     params: UnitaryParams
     residual: float
@@ -177,24 +159,29 @@ def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
     return alpha1, eps, circular
 
 
-def _gimbal_sign_table(a3: float, b3: float) -> float:
-    # Opposite signs of (a3, b3) mean positive chi; equal signs negative.
-    return 1.0 if a3 * b3 < 0.0 else -1.0
-
-
-def sign_of_chi(d: ColumnDecomposition) -> tuple[float, str]:
+def sign_of_chi(eps) -> tuple[float, str]:
     """Sign of the ellipticity angle and the zero-pattern branch label.
 
-    Returns (sign, branch) with sign -1.0 or +1.0.  Expects a column that
-    is not linear (b != 0): recover_first_column decides linear
-    polarization, branches b1 and d1, before it gets here.  The governing
-    invariant is a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta): its sign is
-    the sign of chi everywhere inside the chart.  When it vanishes (gimbal
-    orientations) the per-branch sign tables take over as conventions:
-    (a3, b3) signs in branch a, a1*b2 in branches b2/c/d2.
+    Takes the phase-normalized column eps = a + i b and returns (sign,
+    branch) with sign -1.0 or +1.0.  Expects a column that is not linear
+    (b != 0): recover_first_column decides linear polarization, branches b1
+    and d1, before it gets here.  The governing invariant is
+    a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta): its sign is the sign of
+    chi everywhere inside the chart.  When it vanishes (gimbal
+    orientations) a convention decides: in branch a the (a3, b3) signs,
+    opposite meaning positive chi; in branches b2, c and d2 always +1.
+
+    Why a constant in b2, c and d2: there |a3*b3| <= DEGENERACY_GATE, and
+    the normalized column has |a.b| <= 5e-11 (normalize_global_phase
+    leaves eps.eps real, or below the circular gate), so AM-GM on
+    a1*a2*b1*b2 = (a1*b1)*(a2*b2) bounds |a1*b2| and |a2*b1| by
+    (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.77e-10 at a gimbal: no
+    product of entries is left above DEGENERACY_GATE to carry a sign.
     """
-    a3_zero = abs(d.a3) <= DEGENERACY_GATE
-    b3_zero = abs(d.b3) <= DEGENERACY_GATE
+    a1, a2, a3 = eps.real.tolist()
+    b1, b2, b3 = eps.imag.tolist()
+    a3_zero = abs(a3) <= DEGENERACY_GATE
+    b3_zero = abs(b3) <= DEGENERACY_GATE
     if a3_zero and b3_zero:
         branch = "b2"
     elif a3_zero:
@@ -203,21 +190,15 @@ def sign_of_chi(d: ColumnDecomposition) -> tuple[float, str]:
         branch = "d2"
     else:
         branch = "a"
-    cross = d.a1 * d.b2 - d.a2 * d.b1
+    cross = a1 * b2 - a2 * b1
     if abs(cross) > _SIGN_GATE:
-        return float(np.sign(cross)), branch
+        return (1.0 if cross > 0.0 else -1.0), branch
     if branch == "a":
-        return _gimbal_sign_table(d.a3, d.b3), branch
-    if abs(d.a1 * d.b2) > DEGENERACY_GATE:
-        return float(np.sign(d.a1 * d.b2)), branch
-    if abs(d.a2 * d.b1) > DEGENERACY_GATE:
-        return float(-np.sign(d.a2 * d.b1)), branch
+        return (1.0 if a3 * b3 < 0.0 else -1.0), branch
     return 1.0, branch
 
 
-def recover_first_column(
-    eps, circular: bool = False
-) -> tuple[float, RotationAngles, str]:
+def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     """Recover (chi, rotation, branch) from a phase-normalized unit column.
 
     The column decomposes as cos(chi) q1 + i sin(chi) q2 with q1, q2 real
@@ -247,9 +228,7 @@ def recover_first_column(
         branch = "b1" if abs(a[2]) <= DEGENERACY_GATE else "d1"
         return 0.0, rot, branch
 
-    sign, branch = sign_of_chi(ColumnDecomposition.from_column(eps))
-    if circular:
-        branch = "circular-fallback"
+    sign, branch = sign_of_chi(eps)
     q1 = a / ca
     q2 = sign * b / sb
     q2 = q2 - (q1 @ q2) * q1
@@ -303,7 +282,9 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     if dist > UNITARITY_TOL:
         raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
     _, eps, circular = normalize_global_phase(u[:, 0])
-    chi, rot, branch = recover_first_column(eps, circular=circular)
+    chi, rot, branch = recover_first_column(eps)
+    if circular:
+        branch = "circular-fallback"
     q = compose_rotation(rot)
     v1 = q.T @ u
     mu, alpha1, alpha2, alpha3, beta2 = extract_core_params(v1, chi)
@@ -360,20 +341,17 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
 
     Phase-like fields are compared on the circle; theta, chi and mu
     directly.  Zero (up to float noise) iff the tuples compose to the same
-    unitary through the same branch conventions.
+    unitary through the same branch conventions; NaN if any field is NaN,
+    so a NaN never passes a bound.
     """
 
     def gap(x: UnitaryParams, y: UnitaryParams) -> float:
         dx, dy = x.as_dict(), y.as_dict()
-        worst = 0.0
-        for k in dx:
-            d = dx[k] - dy[k]
-            if k in _PHASE_FIELDS:
-                d = wrap_angle(d)
-            worst = max(worst, abs(d))
-        return worst
+        return np.max(
+            [abs(wrap_angle(dx[k] - dy[k]) if k in _PHASE_FIELDS else dx[k] - dy[k]) for k in dx]
+        )
 
-    return min(gap(p, q), gap(flip_equivalent(p), q))
+    return float(np.min([gap(p, q), gap(flip_equivalent(p), q)]))
 
 
 def canonicalize_params(p: UnitaryParams) -> UnitaryParams:

@@ -147,7 +147,7 @@ CHECKS = [
 ]
 
 
-def run_selftest(write=print) -> bool:
+def run_selftest() -> bool:
     """Run every check, print one PASS/FAIL line each (a raise is a FAIL and
     the later checks still run); True iff all pass."""
     all_ok = True
@@ -159,5 +159,5 @@ def run_selftest(write=print) -> bool:
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
-        write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail} in {time.perf_counter() - t0:.2f}s")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail} in {time.perf_counter() - t0:.2f}s")
     return all_ok

@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from unitary3.linalg import unitarity_distance
 from unitary3.parametrization import (
-    ColumnDecomposition,
     InconsistentColumnError,
     NotUnitError,
     NotUnitaryError,
@@ -126,7 +127,7 @@ def test_recover_first_column_rejects_garbage():
 def test_sign_of_chi_generic_columns():
     for chi0, theta in ((0.3, 0.5), (-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
         eps = first_column_oracle(chi0, 0.7, theta, 0.6)
-        sign, branch = sign_of_chi(ColumnDecomposition.from_column(eps))
+        sign, branch = sign_of_chi(eps)
         assert branch == "a"
         assert sign == np.sign(chi0)
 
@@ -135,9 +136,22 @@ def test_sign_of_chi_gimbal_fallback():
     # cross-term invariant vanishes at theta = pi/2; the (a3, b3) sign
     # table decides: opposite signs mean positive chi
     eps = first_column_oracle(0.3, 0.7, np.pi / 2, 0.6)
-    sign, branch = sign_of_chi(ColumnDecomposition.from_column(eps))
+    sign, branch = sign_of_chi(eps)
     assert branch == "a"
     assert sign == 1.0
+    # in branches c (varphi = pi/2) and d2 (varphi = 0) the convention is
+    # +1 whatever the composing signs of chi and theta, and the recovery
+    # reports the same branch
+    for chi in (0.3, -0.3):
+        for theta in (np.pi / 2, -np.pi / 2):
+            for varphi, want in ((np.pi / 2, "c"), (0.0, "d2")):
+                eps = first_column_oracle(chi, 0.7, theta, varphi)
+                assert sign_of_chi(eps) == (1.0, want)
+                p = make_params(phi=0.7, theta=theta, varphi=varphi, chi=chi,
+                                mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)
+                rep = recover_params(compose_unitary(p))
+                assert rep.branch == want
+                assert rep.residual <= 1e-10
 
 
 def test_extract_core_params_identity():
@@ -219,6 +233,15 @@ def test_flip_equivalent_composes_same_matrix():
         p = random_params(g)
         q = flip_equivalent(p)
         assert np.linalg.norm(compose_unitary(p) - compose_unitary(q)) < 1e-13
+
+
+def test_params_distance_propagates_nan():
+    # a NaN field must fail every bound the distance is held to
+    p = make_params(phi=0.4, theta=-0.3, varphi=1.0, chi=0.2,
+                    mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)
+    assert np.isnan(params_distance(p, replace(p, chi=np.nan)))
+    assert np.isnan(params_distance(p, replace(p, alpha2=np.nan)))
+    assert np.isnan(params_distance(replace(p, rotation=RotationAngles(0.4, np.nan, 1.0)), p))
 
 
 def test_canonicalize_idempotent():
