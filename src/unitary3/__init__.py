@@ -38,16 +38,15 @@ from .parametrization import (
     RecoveryToleranceError,
     StructureViolationError,
     UnitaryParams,
-    canonicalize_params,
     compose_core,
     compose_unitary,
+    ellipticity,
     extract_core_params,
     flip_equivalent,
     normalize_global_phase,
     params_distance,
     recover_first_column,
     recover_params,
-    sign_of_chi,
 )
 from .characteristic import (
     CharacteristicComponents,

@@ -10,10 +10,11 @@ indices are P1 = l1 - l2, P2 = l1 + l2 - 2*l3 in terms of the normalized
 eigenvalues.  R is regular when Rm_hat is a real matrix, which happens
 exactly when the ellipticity angle chi_m of its intrinsic form vanishes.
 
-characteristic_decomposition and regularity_report each diagonalize R
-once.  The kernel of Rm_hat is the third eigenvector of R, so chi_m is read
-off that eigenvector, and the spectrum of Re(Rm_hat) follows in closed form
-as (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), because Rm_hat =
+characteristic_decomposition diagonalizes R once, and regularity_report
+reuses that solve and returns the components with its verdict.  The kernel
+of Rm_hat is the third eigenvector of R, so chi_m is read off that
+eigenvector, and the spectrum of Re(Rm_hat) follows in closed form as
+(1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), because Rm_hat =
 Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
 """
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .linalg import (
     is_unitary,
     outer_product,
 )
-from .parametrization import NotUnitaryError, normalize_global_phase, recover_first_column
+from .parametrization import NotUnitaryError, ellipticity, normalize_global_phase
 
 REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
@@ -76,7 +77,8 @@ class CharacteristicComponents:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Spectrum of Re(Rm_hat), the middle ellipticity angle, and the verdict."""
+    """Spectrum of Re(Rm_hat), the middle ellipticity angle, the verdict, and
+    the characteristic decomposition (``components``) they are read from."""
 
     m1_hat: float
     m2_hat: float
@@ -84,6 +86,7 @@ class RegularityReport:
     chi_m: float
     regular: bool
     im_norm: float
+    components: CharacteristicComponents
 
 
 def purity_indices(e: EigenDecomposition) -> PurityIndices:
@@ -152,15 +155,14 @@ def regularity_report(r) -> RegularityReport:
     """Regularity analysis of the middle component of a coherency matrix.
 
     The kernel of Rm_hat is the rotated intrinsic state (cos chi_m,
-    i sin chi_m, 0), and it is the third eigenvector of R, so the
-    first-column recovery reads chi_m, sign included, straight off the
-    decomposition's single eigensolve.  The spectrum of Re(Rm_hat) is its
-    closed form (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing
-    since |chi_m| <= pi/4.
+    i sin chi_m, 0), and it is the third eigenvector of R, so ellipticity
+    reads chi_m, sign included, straight off the decomposition's single
+    eigensolve.  The spectrum of Re(Rm_hat) is its closed form
+    (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
+    |chi_m| <= pi/4.
     """
     c = characteristic_decomposition(r)
-    _, eps, _ = normalize_global_phase(c.eigen.vectors[:, 2])
-    chi_m, _, _ = recover_first_column(eps)
+    chi_m, _ = ellipticity(normalize_global_phase(c.eigen.vectors[:, 2])[1])
     return RegularityReport(
         m1_hat=0.5,
         m2_hat=float(np.cos(chi_m) ** 2 / 2),
@@ -168,4 +170,5 @@ def regularity_report(r) -> RegularityReport:
         chi_m=chi_m,
         regular=abs(chi_m) <= REGULARITY_GATE,
         im_norm=float(np.linalg.norm(c.Rm_hat.imag)),
+        components=c,
     )

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .characteristic import characteristic_decomposition, regularity_report
+from .characteristic import regularity_report
 from .parametrization import RECOVERY_TOL, compose_core, compose_unitary, recover_params
 from .documents import (
     MalformedDocumentError,
@@ -81,8 +81,8 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_chardecomp(args) -> int:
     r = parse_matrix(_read_text(args.matrix))
-    c = characteristic_decomposition(r)
     rep = regularity_report(r)
+    c = rep.components
     doc = {
         "trace": c.traceR,
         "eigenvalues": [float(x) for x in c.eigen.values],

@@ -20,11 +20,12 @@ parametrizations exist by reordering the columns of V1; only this ordering
 is implemented.
 
 Recovery: the first column u1 determines alpha1, chi and the rotation; the
-core parameters then come from the entries of V1 = Q.T @ U.  The sign of
-chi is fixed by the requirement that the rotation stays inside the chart
-(Q[2,2] = cos theta >= 0), which reduces to sign(a1*b2 - a2*b1) on the real
-and imaginary parts of the phase-normalized first column; the zero-pattern
-branches (a, b1, b2, c, d1, d2) are reported alongside.
+core parameters then come from the entries of V1 = Q.T @ U.  ellipticity
+holds every convention of chi: its magnitude, its sign (fixed by the
+requirement that the rotation stays inside the chart, Q[2,2] = cos theta
+>= 0, which reduces to sign(a1*b2 - a2*b1) on the real and imaginary parts
+of the phase-normalized first column) and the zero-pattern branch (a, b1,
+b2, c, d1, d2) reported alongside.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from .rotations import RotationAngles, compose_rotation, extract_rotation_angles
 RECOVERY_TOL = 1e-10
 
 # Gate below which the imaginary part of the normalized first column is
-# treated as zero (linear polarization, chi = 0); recover_first_column is
-# the one place that decides it.
+# treated as zero (linear polarization, chi = 0); ellipticity is the one
+# place that decides it.
 _LINEAR_GATE = 1e-12
 # Gate on the chart-orientation invariant a1*b2 - a2*b1 = cos(chi) sin(chi)
 # cos(theta); below it the gimbal sign conventions apply.
@@ -159,17 +160,23 @@ def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
     return alpha1, eps, circular
 
 
-def sign_of_chi(eps) -> tuple[float, str]:
-    """Sign of the ellipticity angle and the zero-pattern branch label.
+def ellipticity(eps) -> tuple[float, str]:
+    """Ellipticity angle chi and zero-pattern branch of a normalized column.
 
-    Takes the phase-normalized column eps = a + i b and returns (sign,
-    branch) with sign -1.0 or +1.0.  Expects a column that is not linear
-    (b != 0): recover_first_column decides linear polarization, branches b1
-    and d1, before it gets here.  The governing invariant is
-    a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta): its sign is the sign of
-    chi everywhere inside the chart.  When it vanishes (gimbal
-    orientations) a convention decides: in branch a the (a3, b3) signs,
-    opposite meaning positive chi; in branches b2, c and d2 always +1.
+    Takes the phase-normalized column eps = a + i b, which is
+    cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
+    |chi| = arctan2(|b|, |a|).  Raises InconsistentColumnError when the
+    cos^2 + sin^2 = 1 or orthogonality checks fail (input was not unit or
+    not phase-normalized).  Every convention of chi lives here:
+
+    - Linear polarization, |b| <= _LINEAR_GATE: chi = 0, branch b1 when
+      a3 = 0, else d1.
+    - Otherwise the branch is a, b2 (a3 = b3 = 0), c (a3 = 0) or d2
+      (b3 = 0), and the sign of chi is the sign of the invariant
+      a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta) everywhere inside the
+      chart.  When it vanishes (gimbal orientations) a convention decides:
+      in branch a the (a3, b3) signs, opposite meaning positive chi; in
+      branches b2, c and d2 always +1.
 
     Why a constant in b2, c and d2: there |a3*b3| <= DEGENERACY_GATE, and
     the normalized column has |a.b| <= 5e-11 (normalize_global_phase
@@ -178,9 +185,19 @@ def sign_of_chi(eps) -> tuple[float, str]:
     (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.77e-10 at a gimbal: no
     product of entries is left above DEGENERACY_GATE to carry a sign.
     """
-    a1, a2, a3 = eps.real.tolist()
-    b1, b2, b3 = eps.imag.tolist()
+    eps = as_vector3(eps)
+    a, b = eps.real, eps.imag
+    ca = float(np.linalg.norm(a))
+    sb = float(np.linalg.norm(b))
+    if abs(ca * ca + sb * sb - 1.0) > RECOVERY_TOL or abs(a @ b) > RECOVERY_TOL:
+        raise InconsistentColumnError(
+            "column is not a phase-normalized unit vector"
+        )
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
     a3_zero = abs(a3) <= DEGENERACY_GATE
+    if sb <= _LINEAR_GATE:
+        return 0.0, "b1" if a3_zero else "d1"
     b3_zero = abs(b3) <= DEGENERACY_GATE
     if a3_zero and b3_zero:
         branch = "b2"
@@ -192,50 +209,39 @@ def sign_of_chi(eps) -> tuple[float, str]:
         branch = "a"
     cross = a1 * b2 - a2 * b1
     if abs(cross) > _SIGN_GATE:
-        return (1.0 if cross > 0.0 else -1.0), branch
-    if branch == "a":
-        return (1.0 if a3 * b3 < 0.0 else -1.0), branch
-    return 1.0, branch
+        sign = 1.0 if cross > 0.0 else -1.0
+    elif branch == "a":
+        sign = 1.0 if a3 * b3 < 0.0 else -1.0
+    else:
+        sign = 1.0
+    return sign * float(np.arctan2(sb, ca)), branch
 
 
 def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     """Recover (chi, rotation, branch) from a phase-normalized unit column.
 
-    The column decomposes as cos(chi) q1 + i sin(chi) q2 with q1, q2 real
-    orthonormal; q1, q2 and q3 = q1 x q2 are the columns of the rotation.
-    Raises InconsistentColumnError when the real/imaginary split fails the
-    cos^2 + sin^2 = 1 or orthogonality checks (input was not unit or not
-    phase-normalized).
+    chi and the branch come from ellipticity; the rotation has columns
+    q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2.
     """
     eps = as_vector3(eps)
+    chi, branch = ellipticity(eps)
     a, b = eps.real, eps.imag
-    ca = float(np.linalg.norm(a))
-    sb = float(np.linalg.norm(b))
-    if abs(ca * ca + sb * sb - 1.0) > RECOVERY_TOL or abs(a @ b) > RECOVERY_TOL:
-        raise InconsistentColumnError(
-            "column is not a phase-normalized unit vector"
-        )
-    chi_mag = 0.5 * float(np.arccos(np.clip(ca * ca - sb * sb, -1.0, 1.0)))
-
-    if sb <= _LINEAR_GATE:
-        # Linear polarization: only the first rotation column is fixed;
-        # take the varphi = 0 representative.
-        q1 = a / ca
+    q1 = a / np.linalg.norm(a)
+    if chi == 0.0:
+        # Linear polarization, the only case ellipticity returns exactly 0
+        # for: only the first rotation column is fixed; take the varphi = 0
+        # representative.
         st = float(np.clip(-q1[2], -1.0, 1.0))
         ct = float(np.sqrt(max(0.0, 1.0 - st * st)))
         phi = float(np.arctan2(-q1[1], q1[0])) if ct > DEGENERACY_GATE else 0.0
         rot = RotationAngles(phi, float(np.arcsin(st)), 0.0).canonical()
-        branch = "b1" if abs(a[2]) <= DEGENERACY_GATE else "d1"
-        return 0.0, rot, branch
-
-    sign, branch = sign_of_chi(eps)
-    q1 = a / ca
-    q2 = sign * b / sb
+        return chi, rot, branch
+    q2 = np.copysign(1.0, chi) * b / np.linalg.norm(b)
     q2 = q2 - (q1 @ q2) * q1
     q2 = q2 / np.linalg.norm(q2)
     q3 = np.cross(q1, q2)
     rot, _ = extract_rotation_angles(np.column_stack([q1, q2, q3]))
-    return sign * chi_mag, rot, branch
+    return chi, rot, branch
 
 
 def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, float]:
@@ -353,14 +359,3 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
 
     return float(np.min([gap(p, q), gap(flip_equivalent(p), q)]))
 
-
-def canonicalize_params(p: UnitaryParams) -> UnitaryParams:
-    """Map a parameter tuple to the unique representative the recovery emits.
-
-    Implemented by running the recovery on the (exactly) recomposed matrix,
-    so every convention (angle ranges, chi sign, first-column phase,
-    degeneracy folds) is applied identically in one place.  Idempotent up
-    to floating-point noise; the recomposed matrix is preserved to machine
-    precision.
-    """
-    return recover_params(compose_unitary(p), tolerance=1e-8).params

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from unitary3.characteristic import (
+    REGULARITY_GATE,
     NotPositiveSemidefiniteError,
     ZeroTraceError,
     characteristic_decomposition,
@@ -11,9 +14,9 @@ from unitary3.characteristic import (
     regularity_report,
 )
 from unitary3.linalg import eig_hermitian3
-from unitary3.parametrization import NotUnitaryError, compose_core
+from unitary3.parametrization import NotUnitaryError, compose_core, compose_unitary
 from unitary3.rotations import RotationAngles, compose_rotation
-from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
+from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
 from unitary3.selftest import middle_spectrum
 
 from oracles import lapack_eigenvalues
@@ -174,6 +177,19 @@ def test_regularity_report_chi_values():
         assert abs(rep.chi_m) == pytest.approx(chi, abs=1e-8)
         assert rep.regular == (chi == 0.0)
     assert rep.m2_hat == pytest.approx(0.25)  # maximal nonregularity
+
+
+def test_regularity_verdict_at_gate():
+    # third eigenvector e^{i alpha1} Q (cos chi_m, i sin chi_m, 0), with
+    # |chi_m| on both sides of REGULARITY_GATE
+    g = SeededGenerator(59)
+    for chi_m in (3e-9, 5e-9, 8e-9, 9.5e-9, 1.05e-8, 1.2e-8, 2e-8):
+        for i in range(50):
+            p = replace(random_params(g), chi=(-1) ** i * chi_m)
+            u = compose_unitary(p)[:, [1, 2, 0]]
+            rep = regularity_report(u @ np.diag([0.6, 0.3, 0.1]) @ u.conj().T)
+            assert rep.regular == (chi_m <= REGULARITY_GATE)
+            assert abs(abs(rep.chi_m) - chi_m) <= 1e-6 * chi_m
 
 
 def test_regularity_spectrum_sums():

@@ -10,16 +10,15 @@ from unitary3.parametrization import (
     NotUnitaryError,
     StructureViolationError,
     UnitaryParams,
-    canonicalize_params,
     compose_core,
     compose_unitary,
+    ellipticity,
     extract_core_params,
     flip_equivalent,
     normalize_global_phase,
     params_distance,
     recover_first_column,
     recover_params,
-    sign_of_chi,
 )
 from unitary3.rotations import RotationAngles, compose_rotation
 from unitary3.sampling import SeededGenerator, random_params
@@ -127,18 +126,18 @@ def test_recover_first_column_rejects_garbage():
 def test_sign_of_chi_generic_columns():
     for chi0, theta in ((0.3, 0.5), (-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
         eps = first_column_oracle(chi0, 0.7, theta, 0.6)
-        sign, branch = sign_of_chi(eps)
+        chi, branch = ellipticity(eps)
         assert branch == "a"
-        assert sign == np.sign(chi0)
+        assert np.sign(chi) == np.sign(chi0)
 
 
 def test_sign_of_chi_gimbal_fallback():
     # cross-term invariant vanishes at theta = pi/2; the (a3, b3) sign
     # table decides: opposite signs mean positive chi
     eps = first_column_oracle(0.3, 0.7, np.pi / 2, 0.6)
-    sign, branch = sign_of_chi(eps)
+    chi, branch = ellipticity(eps)
     assert branch == "a"
-    assert sign == 1.0
+    assert np.sign(chi) == 1.0
     # in branches c (varphi = pi/2) and d2 (varphi = 0) the convention is
     # +1 whatever the composing signs of chi and theta, and the recovery
     # reports the same branch
@@ -146,7 +145,8 @@ def test_sign_of_chi_gimbal_fallback():
         for theta in (np.pi / 2, -np.pi / 2):
             for varphi, want in ((np.pi / 2, "c"), (0.0, "d2")):
                 eps = first_column_oracle(chi, 0.7, theta, varphi)
-                assert sign_of_chi(eps) == (1.0, want)
+                got, branch = ellipticity(eps)
+                assert (np.sign(got), branch) == (1.0, want)
                 p = make_params(phi=0.7, theta=theta, varphi=varphi, chi=chi,
                                 mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)
                 rep = recover_params(compose_unitary(p))
@@ -227,6 +227,18 @@ def test_recover_params_linear_first_column():
     assert rep.params.chi == 0.0
 
 
+def test_recover_params_chi_zero_face():
+    # chi within 1e-4 ... 1e-13 of the linear face, and on it, with every
+    # other parameter 0.05 clear of its faces
+    g = SeededGenerator(47)
+    for offset in [10.0 ** -k for k in range(4, 14)] + [0.0]:
+        residuals = []
+        for i in range(30):
+            p = replace(random_params(g, margin=0.05), chi=(-1) ** i * offset)
+            residuals.append(recover_params(compose_unitary(p), tolerance=1.0).residual)
+        assert np.max(residuals) <= 1e-10, offset
+
+
 def test_flip_equivalent_composes_same_matrix():
     g = SeededGenerator(45)
     for _ in range(200):
@@ -248,14 +260,14 @@ def test_canonicalize_idempotent():
     g = SeededGenerator(46)
     for _ in range(200):
         p = random_params(g, margin=1e-3)
-        c = canonicalize_params(p)
-        c2 = canonicalize_params(c)
+        c = recover_params(compose_unitary(p), tolerance=1e-8).params
+        c2 = recover_params(compose_unitary(c), tolerance=1e-8).params
         assert params_distance(c, c2) < 1e-11
         assert np.linalg.norm(compose_unitary(c) - compose_unitary(p)) < 1e-12
 
 
 def test_canonicalize_folds_mu_zero():
     p = make_params(mu=0.0, alpha3=0.7, beta2=0.2, alpha2=0.1, chi=0.1)
-    c = canonicalize_params(p)
+    c = recover_params(compose_unitary(p), tolerance=1e-8).params
     assert c.alpha3 == 0.0
     assert np.linalg.norm(compose_unitary(c) - compose_unitary(p)) < 1e-13

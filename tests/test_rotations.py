@@ -71,6 +71,15 @@ def test_extract_gimbal_lock():
     assert np.linalg.norm(compose_rotation(b) - q) < 1e-13
 
 
+def test_extract_gimbal_theta_pi():
+    # Q[2,2] = -1: the gimbal lies outside the chart, at theta = pi
+    for q in (np.diag([-1.0, 1.0, -1.0]), compose_rotation(RotationAngles(0.7, np.pi, 0.0))):
+        a, gimbal = extract_rotation_angles(q)
+        assert gimbal
+        assert a.theta == np.pi
+        assert np.linalg.norm(compose_rotation(a) - q) < 1e-13
+
+
 def test_extract_lower_hemisphere():
     # Q with Q[2,2] < 0 lies outside the canonical chart; the recomposed
     # matrix must still match even though |theta| exceeds pi/2.
