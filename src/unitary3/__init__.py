@@ -21,15 +21,6 @@ from .rotations import (
     extract_rotation_angles,
     wrap_angle,
 )
-from .jones import (
-    CompletionParams,
-    EllipseParams,
-    canonical_basis,
-    completion_v2,
-    completion_v3,
-    intrinsic_jones,
-    jones_in_frame,
-)
 from .parametrization import (
     InconsistentColumnError,
     NotUnitaryError,
@@ -38,6 +29,7 @@ from .parametrization import (
     RecoveryToleranceError,
     StructureViolationError,
     UnitaryParams,
+    canonical_basis,
     compose_core,
     compose_unitary,
     ellipticity,
@@ -70,7 +62,6 @@ from .documents import (
 from .sampling import (
     SeededGenerator,
     generate_haar_unitary,
-    random_hermitian,
     random_params,
     random_psd_hermitian,
 )

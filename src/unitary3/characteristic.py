@@ -30,7 +30,12 @@ from .linalg import (
     is_unitary,
     outer_product,
 )
-from .parametrization import NotUnitaryError, ellipticity, normalize_global_phase
+from .parametrization import (
+    NotUnitaryError,
+    canonical_basis,
+    ellipticity,
+    normalize_global_phase,
+)
 
 REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
@@ -135,20 +140,15 @@ def middle_component(u) -> np.ndarray:
 
 
 def intrinsic_middle(chi: float) -> np.ndarray:
-    """Middle component in the intrinsic frame; depends on chi alone.
+    """Middle component in the intrinsic frame, (n2 n2† + n3 n3†)/2 from
+    canonical_basis(chi); it depends on chi alone.
 
     It equals middle_component of the core matrix with its columns ordered
     (v2, v3, n1), for every (mu, alpha2, alpha3, beta2), since
     v2 v2† + v3 v3† = I - n1 n1†.
     """
-    c, s = np.cos(chi), np.sin(chi)
-    return 0.5 * np.array(
-        [
-            [s * s, 1j * c * s, 0.0],
-            [-1j * c * s, c * c, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    _, n2, n3 = canonical_basis(chi).T
+    return 0.5 * (outer_product(n2) + outer_product(n3))
 
 
 def regularity_report(r) -> RegularityReport:

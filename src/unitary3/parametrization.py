@@ -1,15 +1,19 @@
 """Nine-parameter chart on U(3) built from orthonormal Jones-vector triples.
 
-Composition: the core matrix V1(chi, mu, alpha1, alpha2, alpha3, beta2) has
-columns (n1, v2, v3) expressed in the intrinsic frame of its first column,
+Composition: canonical_basis(chi) is the unitary N(chi) whose columns are
+the paper's orthonormal Jones vectors in the intrinsic frame of the first:
+n1 = (cos chi, i sin chi, 0) the intrinsic state, n2 = (i sin chi,
+cos chi, 0) the coplanar state of opposite ellipticity and n3 = (0, 0, 1)
+linear along the normal of the polarization plane.  The core matrix is
 
-    V1 = [[ e^{i a1} cx,  i e^{i a2} cm sx,  i e^{i a3} sm sx ],
-          [ i e^{i a1} sx,  e^{i a2} cm cx,    e^{i a3} sm cx ],
-          [ 0,              e^{i b2} sm,      -e^{i d} cm     ]]
+    V1 = N(chi) diag(e^{i a1}, W),  W = [[ cm e^{i a2},  sm e^{i a3} ],
+                                         [ sm e^{i b2}, -cm e^{i d}  ]]
 
-with cx = cos chi, sm = sin mu, d = beta2 - alpha2 + alpha3.  A general
-unitary is obtained by re-expressing those three column vectors in an
-arbitrary frame through the composed rotation Q(phi, theta, varphi):
+with cm = cos mu, sm = sin mu, d = beta2 - alpha2 + alpha3: its columns
+are e^{i a1} n1 and the two combinations of n2 and n3 that W sets.
+
+A general unitary is obtained by re-expressing those three column vectors
+in an arbitrary frame through the composed rotation Q(phi, theta, varphi):
 
     U = Q @ V1
 
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jones import CompletionParams, completion_v2, completion_v3
 from .linalg import DEGENERACY_GATE, UNITARITY_TOL, as_matrix3, as_vector3, unitarity_distance
 from .rotations import RotationAngles, compose_rotation, extract_rotation_angles, wrap_angle
 
@@ -105,6 +108,12 @@ class RecoveryReport:
     global_phase_alpha1_degenerate: bool
 
 
+def canonical_basis(chi: float) -> np.ndarray:
+    """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
+    c, s = np.cos(chi), np.sin(chi)
+    return np.array([[c, 1j * s, 0.0], [1j * s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def compose_core(
     chi: float,
     mu: float,
@@ -113,10 +122,20 @@ def compose_core(
     alpha3: float,
     beta2: float,
 ) -> np.ndarray:
-    """Core matrix V1 with columns (n1, v2, v3)."""
-    c = CompletionParams(mu=mu, alpha2=alpha2, alpha3=alpha3, beta2=beta2)
-    n1 = np.exp(1j * alpha1) * np.array([np.cos(chi), 1j * np.sin(chi), 0.0])
-    return np.column_stack([n1, completion_v2(chi, c), completion_v3(chi, c)])
+    """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises ValueError for mu
+    outside [0, pi/2]."""
+    if not -1e-12 <= mu <= np.pi / 2 + 1e-12:
+        raise ValueError("mu must lie in [0, pi/2]")
+    n1, n2, n3 = canonical_basis(chi).T
+    cm, sm = np.cos(mu), np.sin(mu)
+    delta = beta2 - alpha2 + alpha3
+    return np.column_stack(
+        [
+            np.exp(1j * alpha1) * n1,
+            cm * np.exp(1j * alpha2) * n2 + sm * np.exp(1j * beta2) * n3,
+            sm * np.exp(1j * alpha3) * n2 - cm * np.exp(1j * delta) * n3,
+        ]
+    )
 
 
 def compose_unitary(p: UnitaryParams) -> np.ndarray:

@@ -106,9 +106,3 @@ def random_psd_hermitian(g: SeededGenerator) -> np.ndarray:
     """Hermitian positive semidefinite matrix A A† from a Gaussian A."""
     a = g.complex_gauss_matrix()
     return a @ a.conj().T
-
-
-def random_hermitian(g: SeededGenerator) -> np.ndarray:
-    """Hermitian (not necessarily PSD) matrix (A + A†)/2."""
-    a = g.complex_gauss_matrix()
-    return 0.5 * (a + a.conj().T)

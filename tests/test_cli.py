@@ -50,6 +50,83 @@ def test_compose_core_only(tmp_path):
     assert parse_matrix(core)[2, 0] == 0.0
 
 
+# stdout of `compose` and `compose --core-only` for three interior parameter
+# documents, byte for byte.
+COMPOSE_GOLDEN = [
+    (
+        dict(phi=0.3, theta=0.4, varphi=0.5, chi=0.2, mu=0.7, alpha1=0.1, alpha2=0.2, alpha3=0.3, beta2=0.4),
+        '{\n'
+        '  "kind": "unitary",\n'
+        '  "re": [[0.89441698139030923, 0.073766384275026811, -0.38229835613234797],\n'
+        '         [0.19448376551251395, 0.63689332028963841, 0.6533626628738316],\n'
+        '         [-0.33696420661614906, 0.69399868291355615, -0.49269026779967856]],\n'
+        '  "im": [[0.05729232634373535, 0.20522561778058696, -0.054998054500501915],\n'
+        '         [0.21296716637813823, 0.14805229127368216, 0.24977129414408042],\n'
+        '         [0.0034680252679784168, 0.20797647004136754, -0.34468973338228764]]\n'
+        '}\n',
+        '{\n'
+        '  "kind": "unitary",\n'
+        '  "re": [[0.97517032720181596, -0.030187941004448365, -0.03782253688306763],\n'
+        '         [-0.019833838076209875, 0.73465424628004017, 0.60317674526421139],\n'
+        '         [0, 0.5933637833613874, -0.67121216615895773]],\n'
+        '  "im": [[0.09784339500725571, 0.14892178835002395, 0.12226997945051378],\n'
+        '         [0.19767681165408388, 0.14892178835002395, 0.18658443223177018],\n'
+        '         [0, 0.25087018385001431, -0.36668487758608259]]\n'
+        '}\n',
+    ),
+    (
+        dict(phi=-2.1, theta=-1.2, varphi=2.9, chi=-0.6, mu=1.3, alpha1=2.5, alpha2=-1.7, alpha3=3.0, beta2=-0.8),
+        '{\n'
+        '  "kind": "unitary",\n'
+        '  "re": [[0.31712567558136917, 0.29512138984838021, -0.60517318755063276],\n'
+        '         [0.42103455201119599, -0.48833879874191799, -0.51582797791300383],\n'
+        '         [0.52302467262739338, 0.38514878903668348, 0.1764423168865811]],\n'
+        '  "im": [[0.3846643642056759, -0.51888518522318994, 0.16997522077340102],\n'
+        '         [-0.021785706462001207, 0.45691700570990418, -0.33004371490040596],\n'
+        '         [-0.54787326420167159, -0.21925785652931148, -0.4457965787906597]]\n'
+        '}\n',
+        '{\n'
+        '  "kind": "unitary",\n'
+        '  "re": [[-0.66121235856839145, -0.14978224319150082, 0.076778580957781034],\n'
+        '         [0.33792279170488804, -0.028445812041502778, -0.78730033144274536],\n'
+        '         [-0, 0.6713174526265383, 0.19418604103428511]],\n'
+        '  "im": [[0.4939403750603526, 0.019460827060761389, 0.53862113595959626],\n'
+        '         [0.45235971262706198, -0.21893609781728343, 0.11222694060839648],\n'
+        '         [0, -0.69121433324511505, 0.18397664194934446]]\n'
+        '}\n',
+    ),
+    (
+        dict(phi=1.0, theta=0.05, varphi=0.1, chi=0.75, mu=0.2, alpha1=-3.0, alpha2=0.9, alpha3=-2.2, beta2=1.9),
+        '{\n'
+        '  "kind": "unitary",\n'
+        '  "re": [[-0.37442980929278435, 0.022532041517708771, -0.0086222583421320144],\n'
+        '         [0.62644215789680502, 0.68911197548709702, -0.1238819836590014],\n'
+        '         [0.036502333125777393, -0.035899731757087057, -0.36056248261796697]],\n'
+        '  "im": [[-0.59276355447432805, 0.70298560580139691, -0.11688835785525531],\n'
+        '         [-0.33862717516733115, 0.016353782693921296, -0.049115702218027295],\n'
+        '         [0.0017678020512777988, 0.16991760777720233, 0.91569556431583343]]\n'
+        '}\n',
+        '{\n'
+        '  "kind": "unitary",\n'
+        '  "re": [[-0.72436649003114983, -0.52330261267487288, 0.10948716212945325],\n'
+        '         [0.096192867308410798, 0.44575887394629965, -0.085546957580286964],\n'
+        '         [0, -0.064227721901797402, -0.35513472438419014]],\n'
+        '  "im": [[-0.10325593907278872, 0.41526738895702875, -0.079695242840781055],\n'
+        '         [-0.67481725781513247, 0.56172670804941538, -0.11752638276022025],\n'
+        '         [-0, 0.18800080515216638, 0.91346035739817844]]\n'
+        '}\n',
+    ),
+]
+
+
+def test_compose_golden(tmp_path):
+    path = tmp_path / "p.json"
+    for params, full, core in COMPOSE_GOLDEN:
+        path.write_text(json.dumps(params), encoding="utf-8")
+        assert run_cli(["compose", "--params", str(path)]) == (0, full, "")
+        assert run_cli(["compose", "--params", str(path), "--core-only"]) == (0, core, "")
+
+
 def test_recover_pipeline(tmp_path):
     code, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "7"])
     assert code == 0
@@ -151,6 +228,9 @@ def test_precondition_exit_2(tmp_path):
     code, _, err = run_cli(["recover", "--matrix", str(mpath)])
     assert code == 2
     assert "precondition" in err
+    code, out, err = run_cli(["compose", "--params", str(write_params(tmp_path, mu=2.0))])
+    assert (code, out) == (2, "")
+    assert "mu must lie in [0, pi/2]" in err
     code, _, err = run_cli(["chardecomp", "--matrix", str(mpath).replace(
         "notunitary", "nonexistent")])
     assert code == 1  # unreadable file counts as malformed input

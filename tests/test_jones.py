@@ -1,88 +1,63 @@
+"""The paper's Jones vectors on the code path: the basis N(chi) and the
+columns of the core matrix built from it."""
 import numpy as np
 import pytest
 
-from unitary3.jones import (
-    CompletionParams,
-    EllipseParams,
-    canonical_basis,
-    completion_v2,
-    completion_v3,
-    intrinsic_jones,
-    jones_in_frame,
-)
-from unitary3.rotations import RotationAngles
-from unitary3.sampling import SeededGenerator
+from unitary3.linalg import unitarity_distance
+from unitary3.parametrization import canonical_basis, compose_core, compose_unitary
+from unitary3.sampling import SeededGenerator, random_params
 
 
 def test_intrinsic_jones_linear():
-    v = intrinsic_jones(EllipseParams())
-    assert np.allclose(v, [1.0, 0.0, 0.0])
+    assert np.array_equal(canonical_basis(0.0), np.eye(3))
 
 
 def test_intrinsic_jones_circular():
-    v = intrinsic_jones(EllipseParams(chi=np.pi / 4))
-    assert np.allclose(v, [np.sqrt(0.5), 1j * np.sqrt(0.5), 0.0])
-
-
-def test_intrinsic_jones_intensity_and_phase():
-    v = intrinsic_jones(EllipseParams(intensity=4.0, gamma=np.pi / 2, chi=0.0))
-    assert np.allclose(v, [2.0j, 0.0, 0.0])
-
-
-def test_ellipse_params_validation():
-    with pytest.raises(ValueError):
-        EllipseParams(intensity=-1.0)
-    with pytest.raises(ValueError):
-        EllipseParams(chi=1.0)
-    with pytest.raises(ValueError):
-        CompletionParams(mu=2.0)
+    n1, n2, _ = canonical_basis(np.pi / 4).T
+    s = np.sqrt(0.5)
+    assert np.allclose(n1, [s, 1j * s, 0.0])
+    assert np.allclose(n2, [1j * s, s, 0.0])
 
 
 def test_jones_in_frame_preserves_norm():
+    # The first column of U is n1 re-expressed in the lab frame; its
+    # rotation-invariant self-product u1.u1 = e^{2i alpha1} cos(2 chi) is
+    # what normalize_global_phase reads alpha1 from.
     g = SeededGenerator(31)
     for _ in range(200):
-        p = EllipseParams(chi=-np.pi / 4 + np.pi / 2 * g.uniform())
-        r = RotationAngles(
-            -np.pi + 2 * np.pi * g.uniform(),
-            -np.pi / 2 + np.pi * g.uniform(),
-            np.pi * g.uniform(),
-        )
-        v = jones_in_frame(p, r)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        # rotation-invariant self-product carries chi and gamma
-        w = np.sum(v * v)
-        assert abs(w) == pytest.approx(abs(np.cos(2 * p.chi)), abs=1e-12)
+        p = random_params(g)
+        u1 = compose_unitary(p)[:, 0]
+        assert np.linalg.norm(u1) == pytest.approx(1.0)
+        assert abs(np.sum(u1 * u1)) == pytest.approx(np.cos(2 * p.chi), abs=1e-12)
 
 
 def test_canonical_basis_orthonormal():
-    n1, n2, n3 = canonical_basis(0.37, gammas=(0.1, -0.5, 2.0))
-    b = np.column_stack([n1, n2, n3])
-    assert np.linalg.norm(b.conj().T @ b - np.eye(3)) < 1e-14
+    g = SeededGenerator(32)
+    chis = [0.0, 0.37, np.pi / 4, -np.pi / 4]
+    chis += [-np.pi / 4 + np.pi / 2 * g.uniform() for _ in range(100)]
+    for chi in chis:
+        assert unitarity_distance(canonical_basis(chi)) < 1e-15
 
 
 def test_completion_vectors_orthonormal():
-    g = SeededGenerator(32)
-    for _ in range(300):
-        chi = -np.pi / 4 + np.pi / 2 * g.uniform()
-        c = CompletionParams(
-            mu=np.pi / 2 * g.uniform(),
-            alpha2=-np.pi + 2 * np.pi * g.uniform(),
-            alpha3=-np.pi + 2 * np.pi * g.uniform(),
-            beta2=-np.pi + 2 * np.pi * g.uniform(),
-        )
-        n1 = np.array([np.cos(chi), 1j * np.sin(chi), 0.0])
-        v2 = completion_v2(chi, c)
-        v3 = completion_v3(chi, c)
-        b = np.column_stack([n1, v2, v3])
-        assert np.linalg.norm(b.conj().T @ b - np.eye(3)) < 1e-14
+    # Columns (e^{i alpha1} n1, v2, v3) of the core matrix on and off the
+    # chi and mu faces; random interior draws are test_compose_core_unitary's.
+    for chi in (0.0, 0.37, np.pi / 4, -np.pi / 4):
+        for mu in (0.0, 0.7, np.pi / 2):
+            v = compose_core(chi, mu, 0.1, -2.0, 3.0, 0.4)
+            assert unitarity_distance(v) < 1e-15
+            assert np.allclose(v[:, 0], np.exp(0.1j) * canonical_basis(chi)[:, 0])
 
 
 def test_completion_degenerate_mu():
-    # mu = 0: v2 lies in the polarization plane, v3 along the normal
-    v2 = completion_v2(0.3, CompletionParams(mu=0.0))
-    assert v2[2] == 0.0
-    v3 = completion_v3(0.3, CompletionParams(mu=0.0, beta2=np.pi))
-    assert np.allclose(v3, [0.0, 0.0, 1.0])
-    # mu = pi/2: roles swap
-    v2 = completion_v2(0.3, CompletionParams(mu=np.pi / 2))
-    assert np.allclose(np.abs(v2), [0.0, 0.0, 1.0])
+    # mu = 0: v2 lies in the polarization plane (along n2), v3 along the
+    # normal n3; mu = pi/2: the roles swap.
+    nonzero = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+    v = compose_core(0.3, 0.0, 0.1, 0.2, 0.3, 0.4)
+    assert np.array_equal(v != 0, nonzero)
+    assert np.allclose(v[2, 2], -np.exp(1j * (0.4 - 0.2 + 0.3)))
+    v = compose_core(0.3, np.pi / 2, 0.1, 0.2, 0.3, 0.4)
+    assert np.all(np.abs(v[:2, 1]) < 1e-16) and np.all(np.abs(v[2, 2]) < 1e-16)
+    assert np.allclose(np.abs(v), np.abs(canonical_basis(0.3))[:, [0, 2, 1]])
+    with pytest.raises(ValueError, match="mu must lie"):
+        compose_core(0.3, 2.0, 0.1, 0.2, 0.3, 0.4)

@@ -12,11 +12,16 @@ from unitary3.linalg import (
 from unitary3.sampling import (
     SeededGenerator,
     generate_haar_unitary,
-    random_hermitian,
     random_psd_hermitian,
 )
 
 from oracles import cubic_eigenvalues
+
+
+def gaussian_hermitian(g):
+    """Hermitian (not necessarily PSD) matrix (A + A†)/2 from a Gaussian A."""
+    a = g.complex_gauss_matrix()
+    return 0.5 * (a + a.conj().T)
 
 
 def test_unitarity_distance_identity():
@@ -56,7 +61,7 @@ def test_eig_rejects_non_hermitian():
 def test_eig_residual_and_orthonormality():
     g = SeededGenerator(11)
     for _ in range(300):
-        h = random_hermitian(g)
+        h = gaussian_hermitian(g)
         e = eig_hermitian3(h)
         assert np.all(np.diff(e.values) <= 1e-13)
         assert np.linalg.norm(e.vectors.conj().T @ e.vectors - np.eye(3)) < 1e-13
@@ -66,7 +71,7 @@ def test_eig_residual_and_orthonormality():
 def test_eig_matches_cubic_oracle():
     g = SeededGenerator(12)
     for _ in range(300):
-        h = random_hermitian(g)
+        h = gaussian_hermitian(g)
         assert np.allclose(eig_hermitian3(h).values, cubic_eigenvalues(h), atol=1e-12)
 
 
@@ -96,7 +101,7 @@ def test_eig_vector_phase_contract():
     # orthonormal columns, each with its largest-magnitude component real
     # (to rounding) and nonnegative; checked on generic and repeated spectra.
     g = SeededGenerator(14)
-    mats = [random_hermitian(g) for _ in range(200)]
+    mats = [gaussian_hermitian(g) for _ in range(200)]
     for spectrum in ([0.5, 0.5, 0.1], [0.7, 0.2, 0.2], [1.0, 0.0, 0.0], [0.4, 0.4, 0.4]):
         for _ in range(25):
             u = generate_haar_unitary(g)

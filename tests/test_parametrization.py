@@ -168,8 +168,17 @@ def test_extract_core_params_roundtrip():
 
 def test_extract_core_params_structure_violation():
     bad = compose_rotation(RotationAngles(0.0, 0.9, 0.0)).astype(complex)
-    with pytest.raises(StructureViolationError):
+    with pytest.raises(StructureViolationError, match="structural zero"):
         extract_core_params(bad, 0.0)
+    # (3,1) zero kept, but the third-row moduli are not (sin mu, cos mu)
+    v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
+    v[2, 1:] *= 1.1
+    with pytest.raises(StructureViolationError, match="unit pair"):
+        extract_core_params(v, 0.2)
+    # a consistent core matrix read with the wrong chi: |v23| != sin(mu) cos(chi)
+    v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
+    with pytest.raises(StructureViolationError, match="disagrees"):
+        extract_core_params(v, 0.5)
 
 
 def test_recover_params_identity():

@@ -1,12 +1,10 @@
 import numpy as np
 
-from unitary3.linalg import hermiticity_distance, unitarity_distance
+from unitary3.linalg import unitarity_distance
 from unitary3.sampling import (
     SeededGenerator,
     generate_haar_unitary,
-    random_hermitian,
     random_params,
-    random_psd_hermitian,
 )
 from unitary3.selftest import haar_moment
 
@@ -83,11 +81,3 @@ def test_random_params_ranges():
         assert 1e-3 <= p.rotation.varphi <= np.pi - 1e-3
         assert -np.pi <= p.alpha1 <= np.pi
 
-
-def test_random_hermitian_shapes():
-    g = SeededGenerator(12)
-    h = random_hermitian(g)
-    assert hermiticity_distance(h) == 0.0
-    r = random_psd_hermitian(g)
-    assert hermiticity_distance(r) < 1e-13
-    assert np.all(np.linalg.eigvalsh(r) > -1e-12)
