@@ -9,7 +9,6 @@ from .linalg import (
     EigenDecomposition,
     NotHermitianError,
     eig_hermitian3,
-    hermiticity_distance,
     is_unitary,
     outer_product,
     unitarity_distance,

@@ -11,10 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Gates shared by every module.
+# Gates shared by every module.  DEGENERACY_GATE only labels branches (the
+# circular column, a3 = 0, b3 = 0).  FOLD_GATE is the one gate of every fold:
+# below it a quantity is rounding noise and a convention decides (linear
+# column and pole, chi sign, rotation gimbal, mu = 0 and mu = pi/2).
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 DEGENERACY_GATE = 1e-10
+FOLD_GATE = 1e-12
 
 
 class NotHermitianError(ValueError):
@@ -39,12 +43,6 @@ def unitarity_distance(m) -> float:
     """Frobenius norm of M†M - I."""
     m = as_matrix3(m)
     return float(np.linalg.norm(m.conj().T @ m - np.eye(3)))
-
-
-def hermiticity_distance(m) -> float:
-    """Frobenius norm of M - M†."""
-    m = as_matrix3(m)
-    return float(np.linalg.norm(m - m.conj().T))
 
 
 def is_unitary(m) -> bool:
@@ -88,14 +86,18 @@ def eig_hermitian3(r) -> EigenDecomposition:
     Eigenvalues come out sorted nonincreasing; eigenvectors are orthonormal
     with a deterministic phase (largest component real positive).
 
-    Raises NotHermitianError if ``r`` fails the Hermiticity gate.  A LAPACK
-    non-convergence surfaces as ``numpy.linalg.LinAlgError``, a ValueError,
-    so the CLI reports it as a precondition failure (exit 2).
+    Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
+    max|R|, a gate that holds at any scale (moduli are hypot, so nothing
+    overflows).  A LAPACK non-convergence surfaces as
+    ``numpy.linalg.LinAlgError``, a ValueError, so the CLI reports it as a
+    precondition failure (exit 2).
     """
     r = as_matrix3(r)
-    if hermiticity_distance(r) > HERMITICITY_TOL:
+    skew = float(np.abs(r - r.conj().T).max())
+    scale = float(np.abs(r).max())
+    if skew > HERMITICITY_TOL * scale:
         raise NotHermitianError(
-            f"matrix is not Hermitian: ||R - R'|| = {hermiticity_distance(r):.3e}"
+            f"matrix is not Hermitian: max|R - R'| = {skew:.3e}, max|R| = {scale:.3e}"
         )
     values, vec = np.linalg.eigh(0.5 * (r + r.conj().T))
     values = values[::-1]

@@ -29,7 +29,10 @@ holds every convention of chi: its magnitude, its sign (fixed by the
 requirement that the rotation stays inside the chart, Q[2,2] = cos theta
 >= 0, which reduces to sign(a1*b2 - a2*b1) on the real and imaginary parts
 of the phase-normalized first column) and the zero-pattern branch (a, b1,
-b2, c, d1, d2) reported alongside.
+b2, c, d1, d2) reported alongside.  Each stage has one rule and every fold
+one gate, linalg.FOLD_GATE: below it chi is 0 (linear column, whose frame
+takes varphi = 0), the chi sign and the rotation gimbal take their
+conventions, and alpha2 (mu = pi/2) or alpha3 (mu = 0) is 0.
 """
 from __future__ import annotations
 
@@ -37,18 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_GATE, UNITARITY_TOL, as_matrix3, as_vector3, unitarity_distance
+from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, as_matrix3, as_vector3,
+                     unitarity_distance)
 from .rotations import RotationAngles, compose_rotation, extract_rotation_angles, wrap_angle
 
 RECOVERY_TOL = 1e-10
-
-# Gate below which the imaginary part of the normalized first column is
-# treated as zero (linear polarization, chi = 0); ellipticity is the one
-# place that decides it.
-_LINEAR_GATE = 1e-12
-# Gate on the chart-orientation invariant a1*b2 - a2*b1 = cos(chi) sin(chi)
-# cos(theta); below it the gimbal sign conventions apply.
-_SIGN_GATE = 1e-12
 _STRUCTURE_TOL = 1e-8
 
 
@@ -188,14 +184,14 @@ def ellipticity(eps) -> tuple[float, str]:
     cos^2 + sin^2 = 1 or orthogonality checks fail (input was not unit or
     not phase-normalized).  Every convention of chi lives here:
 
-    - Linear polarization, |b| <= _LINEAR_GATE: chi = 0, branch b1 when
+    - Linear polarization, |b| <= FOLD_GATE: chi = 0, branch b1 when
       a3 = 0, else d1.
     - Otherwise the branch is a, b2 (a3 = b3 = 0), c (a3 = 0) or d2
       (b3 = 0), and the sign of chi is the sign of the invariant
       a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta) everywhere inside the
-      chart.  When it vanishes (gimbal orientations) a convention decides:
-      in branch a the (a3, b3) signs, opposite meaning positive chi; in
-      branches b2, c and d2 always +1.
+      chart.  At or below FOLD_GATE (gimbal orientations) a convention
+      decides: in branch a the (a3, b3) signs, opposite meaning positive
+      chi; in branches b2, c and d2 always +1.
 
     Why a constant in b2, c and d2: there |a3*b3| <= DEGENERACY_GATE, and
     the normalized column has |a.b| <= 5e-11 (normalize_global_phase
@@ -215,7 +211,7 @@ def ellipticity(eps) -> tuple[float, str]:
     a1, a2, a3 = a.tolist()
     b1, b2, b3 = b.tolist()
     a3_zero = abs(a3) <= DEGENERACY_GATE
-    if sb <= _LINEAR_GATE:
+    if sb <= FOLD_GATE:
         return 0.0, "b1" if a3_zero else "d1"
     b3_zero = abs(b3) <= DEGENERACY_GATE
     if a3_zero and b3_zero:
@@ -227,7 +223,7 @@ def ellipticity(eps) -> tuple[float, str]:
     else:
         branch = "a"
     cross = a1 * b2 - a2 * b1
-    if abs(cross) > _SIGN_GATE:
+    if abs(cross) > FOLD_GATE:
         sign = 1.0 if cross > 0.0 else -1.0
     elif branch == "a":
         sign = 1.0 if a3 * b3 < 0.0 else -1.0
@@ -240,23 +236,22 @@ def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     """Recover (chi, rotation, branch) from a phase-normalized unit column.
 
     chi and the branch come from ellipticity; the rotation has columns
-    q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2.
+    q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2.  A linear column
+    (chi = 0) fixes q1 only; the frame takes the varphi = 0 representative
+    q2 = e_z x q1 / |e_z x q1|, or e_y projected off q1 where that norm is
+    below FOLD_GATE (the poles q1 = +-e_z).
     """
     eps = as_vector3(eps)
     chi, branch = ellipticity(eps)
     a, b = eps.real, eps.imag
     q1 = a / np.linalg.norm(a)
     if chi == 0.0:
-        # Linear polarization, the only case ellipticity returns exactly 0
-        # for: only the first rotation column is fixed; take the varphi = 0
-        # representative.
-        st = float(np.clip(-q1[2], -1.0, 1.0))
-        ct = float(np.sqrt(max(0.0, 1.0 - st * st)))
-        phi = float(np.arctan2(-q1[1], q1[0])) if ct > DEGENERACY_GATE else 0.0
-        rot = RotationAngles(phi, float(np.arcsin(st)), 0.0).canonical()
-        return chi, rot, branch
-    q2 = np.copysign(1.0, chi) * b / np.linalg.norm(b)
-    q2 = q2 - (q1 @ q2) * q1
+        q2 = np.array([-q1[1], q1[0], 0.0])
+        if np.linalg.norm(q2) < FOLD_GATE:
+            q2 = np.array([0.0, 1.0, 0.0]) - q1[1] * q1
+    else:
+        q2 = np.copysign(1.0, chi) * b / np.linalg.norm(b)
+        q2 = q2 - (q1 @ q2) * q1
     q2 = q2 / np.linalg.norm(q2)
     q3 = np.cross(q1, q2)
     rot, _ = extract_rotation_angles(np.column_stack([q1, q2, q3]))
@@ -266,9 +261,11 @@ def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
 def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, float]:
     """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix entries.
 
-    Degenerate parameters take canonical zeros: alpha3 = 0 when mu = 0
-    (with beta2 carrying the surviving combination so the (3,3) entry is
-    reproduced exactly) and alpha2 = 0 when mu = pi/2.
+    alpha2 is the phase of v22 and alpha3 that of v23, each folded to 0
+    when that entry's modulus is below FOLD_GATE (mu = pi/2 and mu = 0).
+    beta2 is read from the larger of the two entries that carry it: v32
+    when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
+    delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
     """
     v1 = as_matrix3(v1)
     if abs(v1[2, 0]) > _STRUCTURE_TOL:
@@ -284,13 +281,12 @@ def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, flo
     if abs(abs(v1[1, 2]) - sm * cx) > _STRUCTURE_TOL:
         raise StructureViolationError("|v23| disagrees with sin(mu) cos(chi)")
     mu = float(np.arctan2(sm, cm))
-    alpha2 = float(np.angle(v1[1, 1])) if cm > DEGENERACY_GATE else 0.0
-    if sm > DEGENERACY_GATE:
-        alpha3 = float(np.angle(v1[1, 2]))
+    alpha2 = float(np.angle(v1[1, 1])) if abs(v1[1, 1]) >= FOLD_GATE else 0.0
+    alpha3 = float(np.angle(v1[1, 2])) if abs(v1[1, 2]) >= FOLD_GATE else 0.0
+    if sm >= cm:
         beta2 = float(np.angle(v1[2, 1]))
     else:
-        alpha3 = 0.0
-        beta2 = wrap_angle(float(np.angle(-v1[2, 2])) + alpha2)
+        beta2 = wrap_angle(float(np.angle(-v1[2, 2])) + alpha2 - alpha3)
     return mu, alpha1, alpha2, alpha3, beta2
 
 
@@ -322,7 +318,7 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
         alpha3=alpha3,
         beta2=beta2,
     )
-    residual = float(np.linalg.norm(compose_unitary(params) - u))
+    residual = float(np.linalg.norm(q @ compose_core(chi, mu, alpha1, alpha2, alpha3, beta2) - u))
     if residual > tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_GATE
+from .linalg import FOLD_GATE
 
 ORTHOGONALITY_TOL = 1e-12
 
@@ -85,14 +85,14 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
 
     Returns (angles, gimbal_degenerate).  theta is read from Q[2,2],
     varphi from row 3 and phi from column 3.  At gimbal lock
-    (|sin theta| <= DEGENERACY_GATE) the in-plane rotation is absorbed into
-    phi and varphi is set to 0; the flag reports that convention fired.
+    (|sin theta| <= FOLD_GATE) the in-plane rotation is absorbed into phi
+    and varphi is set to 0; the flag reports that convention fired.
     """
     q = np.asarray(q, dtype=float).reshape(3, 3)
     _check_proper_orthogonal(q)
     ct = q[2, 2]
     st = float(np.hypot(q[0, 2], q[1, 2]))
-    gimbal = st <= DEGENERACY_GATE
+    gimbal = st <= FOLD_GATE
     if not gimbal:
         theta = float(np.arctan2(st, ct))
         phi = float(np.arctan2(-q[1, 2], q[0, 2]))

@@ -72,12 +72,12 @@ def test_decomposition_random_reconstruction():
 
 def test_purity_small_scale_invariance():
     # P1 and P2 depend on the normalized spectrum only, so scaling R down
-    # toward the underflow threshold must not move them.
+    # toward underflow or up toward overflow must not move them.
     g = SeededGenerator(32)
     for _ in range(50):
         r = random_psd_hermitian(g)
         p = characteristic_decomposition(r).purity
-        for scale in (1e-250, 1e-200, 1e-100, 1e-10):
+        for scale in (1e-250, 1e-200, 1e-100, 1e-10, 1e3, 1e6, 1e100, 1e250):
             q = characteristic_decomposition(r * scale).purity
             assert abs(q.P1 - p.P1) <= 1e-12
             assert abs(q.P2 - p.P2) <= 1e-12

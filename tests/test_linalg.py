@@ -4,7 +4,6 @@ import pytest
 from unitary3.linalg import (
     NotHermitianError,
     eig_hermitian3,
-    hermiticity_distance,
     is_unitary,
     outer_product,
     unitarity_distance,
@@ -33,16 +32,10 @@ def test_unitarity_distance_scaled():
     assert unitarity_distance(2.0 * np.eye(3)) == pytest.approx(3.0 * np.sqrt(3.0))
 
 
-def test_hermiticity_distance():
-    h = np.array([[1.0, 2.0j, 0.0], [-2.0j, 3.0, 1.0], [0.0, 1.0, -1.0]])
-    assert hermiticity_distance(h) == 0.0
-    assert hermiticity_distance(h + np.diag([1j, 0, 0])) == pytest.approx(2.0)
-
-
 def test_outer_product_is_rank_one_projector():
     v = np.array([0.6, 0.8j, 0.0])
     p = outer_product(v)
-    assert hermiticity_distance(p) == 0.0
+    assert np.array_equal(p, p.conj().T)
     assert np.allclose(p @ p, p)
     assert np.trace(p).real == pytest.approx(1.0)
 
@@ -54,8 +47,11 @@ def test_eig_diagonal():
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        eig_hermitian3(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    h = np.array([[1.0, 2.0j, 0.0], [-2.0j, 3.0, 1.0], [0.0, 1.0, -1.0]])
+    for r in (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+              h + np.diag([1j, 0, 0])):
+        with pytest.raises(NotHermitianError):
+            eig_hermitian3(r)
 
 
 def test_eig_residual_and_orthonormality():

@@ -98,10 +98,18 @@ def test_recover_first_column_trivial():
 
 
 def test_recover_first_column_pole():
-    chi, rot, _ = recover_first_column(np.array([0.0, 0.0, 1.0]))
-    assert chi == 0.0
-    q = compose_rotation(rot)
-    assert np.allclose(q[:, 0], [0.0, 0.0, 1.0], atol=1e-12)
+    # a linear column fixes q1 only: recovery takes the varphi = 0
+    # representative, at the poles +-e_z and everywhere else
+    g = SeededGenerator(48)
+    columns = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    for _ in range(500):
+        a = np.array([g.gauss(), g.gauss(), g.gauss()])
+        columns.append(a / np.linalg.norm(a))
+    for a in columns:
+        chi, rot, _ = recover_first_column(a)
+        assert chi == 0.0
+        assert rot.varphi == 0.0
+        assert np.linalg.norm(compose_rotation(rot)[:, 0] - a) <= 1e-14
 
 
 def test_recover_first_column_roundtrip():
@@ -229,23 +237,45 @@ def test_recover_params_circular_first_column():
 
 
 def test_recover_params_linear_first_column():
-    p = make_params(phi=0.4, theta=-0.3, varphi=0.0, chi=0.0,
-                    mu=0.6, alpha1=0.0, alpha2=0.8, alpha3=0.7, beta2=0.2)
-    rep = recover_params(compose_unitary(p))
-    assert rep.residual <= 1e-10
-    assert rep.params.chi == 0.0
+    # the second puts the column within 1e-12 of the pole -e_z, where the
+    # frame is completed from e_y
+    for phi, theta in ((0.4, -0.3), (np.pi / 2, np.pi / 2 - 8e-13)):
+        p = make_params(phi=phi, theta=theta, varphi=0.0, chi=0.0,
+                        mu=0.6, alpha1=0.0, alpha2=0.8, alpha3=0.7, beta2=0.2)
+        rep = recover_params(compose_unitary(p))
+        assert rep.residual <= 1e-10
+        assert rep.params.chi == 0.0
 
 
-def test_recover_params_chi_zero_face():
-    # chi within 1e-4 ... 1e-13 of the linear face, and on it, with every
-    # other parameter 0.05 clear of its faces
+def _tilt(p, theta):
+    return replace(p, rotation=replace(p.rotation, theta=theta))
+
+
+# Each chart face as a map (params, sign, offset) -> params that sits
+# offset away from it; sign alternates the side of the two-sided faces.
+_FACES = {
+    "chi@0": lambda p, s, d: replace(p, chi=s * d),
+    "chi@+pi/4": lambda p, s, d: replace(p, chi=np.pi / 4 - d),
+    "chi@-pi/4": lambda p, s, d: replace(p, chi=-np.pi / 4 + d),
+    "mu@0": lambda p, s, d: replace(p, mu=d),
+    "mu@pi/2": lambda p, s, d: replace(p, mu=np.pi / 2 - d),
+    "theta@0": lambda p, s, d: _tilt(p, s * d),
+    "theta@+pi/2": lambda p, s, d: _tilt(p, np.pi / 2 - d),
+    "theta@-pi/2": lambda p, s, d: _tilt(p, -np.pi / 2 + d),
+}
+
+
+def test_recover_params_faces():
+    # within 1e-4 ... 1e-13 of each chart face, and on it, with every other
+    # parameter drawn 0.05 clear of its faces: no raise, residual <= 1e-10
     g = SeededGenerator(47)
-    for offset in [10.0 ** -k for k in range(4, 14)] + [0.0]:
-        residuals = []
-        for i in range(30):
-            p = replace(random_params(g, margin=0.05), chi=(-1) ** i * offset)
-            residuals.append(recover_params(compose_unitary(p), tolerance=1.0).residual)
-        assert np.max(residuals) <= 1e-10, offset
+    for face, place in _FACES.items():
+        for offset in [10.0 ** -k for k in range(4, 14)] + [0.0]:
+            residuals = []
+            for i in range(30):
+                p = place(random_params(g, margin=0.05), (-1) ** i, offset)
+                residuals.append(recover_params(compose_unitary(p), tolerance=1.0).residual)
+            assert np.max(residuals) <= 1e-10, (face, offset)
 
 
 def test_flip_equivalent_composes_same_matrix():
