@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (
     EigenDecomposition,
+    _norm,
     as_matrix3,
     eig_hermitian3,
     is_unitary,
@@ -169,6 +170,6 @@ def regularity_report(r) -> RegularityReport:
         m3_hat=float(np.sin(chi_m) ** 2 / 2),
         chi_m=chi_m,
         regular=abs(chi_m) <= REGULARITY_GATE,
-        im_norm=float(np.linalg.norm(c.Rm_hat.imag)),
+        im_norm=_norm(c.Rm_hat.imag),
         components=c,
     )

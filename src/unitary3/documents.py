@@ -9,6 +9,7 @@ bit-exact and a second serialize reproduces identical text.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -33,6 +34,8 @@ def _load_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's int digit limit
+        raise MalformedDocumentError(f"unreadable number: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top-level value must be an object")
     return doc
@@ -48,9 +51,17 @@ def _check_grid(doc: dict, field: str) -> list:
         if not (isinstance(row, list) and len(row) == 3):
             raise MalformedDocumentError(f"field '{field}' row {i} must have 3 entries")
         for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
+            # json.loads yields exact types, so a bool is neither int nor float here.
+            if type(x) is int:
+                try:
+                    float(x)
+                except OverflowError:
+                    raise MalformedDocumentError(
+                        f"field '{field}' entry ({i},{j}) is too large for a float"
+                    ) from None
+            elif type(x) is not float:
                 raise MalformedDocumentError(f"field '{field}' entry ({i},{j}) is not numeric")
-            if not np.isfinite(x):
+            elif not math.isfinite(x):
                 raise MalformedDocumentError(f"field '{field}' entry ({i},{j}) is not finite")
     return grid
 
@@ -95,9 +106,15 @@ def parse_params(text: str) -> UnitaryParams:
     for field in PARAM_FIELDS:
         if field in doc:
             x = doc[field]
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not np.isfinite(x):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise MalformedDocumentError(f"field '{field}' is not a finite number")
-            values[field] = float(x)
+            try:
+                x = float(x)
+            except OverflowError:
+                raise MalformedDocumentError(f"field '{field}' is too large for a float") from None
+            if not math.isfinite(x):
+                raise MalformedDocumentError(f"field '{field}' is not a finite number")
+            values[field] = x
         elif field in CORE_FIELDS:
             raise MalformedDocumentError(f"missing field '{field}'")
         else:

@@ -4,9 +4,20 @@ Everything operates on plain numpy arrays (shape (3,) complex vectors and
 (3, 3) complex matrices). All functions are pure; nothing here mutates its
 inputs.  The eigensolver is LAPACK's (``numpy.linalg.eigh``) behind a fixed
 contract: nonincreasing eigenvalues and a deterministic eigenvector phase.
+
+Arithmetic rule of the recovery path: Python scalars for 3x3 reads; numpy
+for arctan2, hypot, complex products and dot norms, because their rounding
+is part of the output.  Each function validates its 3-vector or 3x3 input
+once (as_vector3, as_matrix3) and reads the entries it needs with one
+``tolist()``: numpy's per-call overhead on such small arrays costs more than
+their arithmetic.  But math.atan2, math.hypot, Python's complex product and
+a Python-summed norm each differ from numpy's arctan2, hypot,
+``(u * u).sum()`` and ``dot`` in the last bit on a share of inputs, so those
+four stay numpy and recovered parameters do not drift.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,28 +32,46 @@ DEGENERACY_GATE = 1e-10
 FOLD_GATE = 1e-12
 
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
 def as_vector3(v) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=complex).reshape(3)
-    if not np.all(np.isfinite(v.view(float))):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
 
 def as_matrix3(m) -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=complex).reshape(3, 3)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm of a real or complex array, bit-identical
+    to numpy.linalg.norm(x): its own arithmetic without its dispatch.
+
+    The ravel matters: it copies a strided view such as ``eps.real``, and
+    ``dot`` on the strided view rounds differently in the last bit.
+    """
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def unitarity_distance(m) -> float:
     """Frobenius norm of M†M - I."""
     m = as_matrix3(m)
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(3)))
+    return _norm(m.conj().T @ m - _EYE3)
 
 
 def is_unitary(m) -> bool:

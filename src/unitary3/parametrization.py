@@ -36,11 +36,12 @@ conventions, and alpha2 (mu = pi/2) or alpha3 (mu = 0) is 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, as_matrix3, as_vector3,
+from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, _norm, as_matrix3, as_vector3,
                      unitarity_distance)
 from .rotations import RotationAngles, compose_rotation, extract_rotation_angles, wrap_angle
 
@@ -104,6 +105,11 @@ class RecoveryReport:
     global_phase_alpha1_degenerate: bool
 
 
+def _phase(z: complex) -> float:
+    """Argument of z, exactly as numpy.angle computes it."""
+    return float(np.arctan2(z.imag, z.real))
+
+
 def canonical_basis(chi: float) -> np.ndarray:
     """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
     c, s = np.cos(chi), np.sin(chi)
@@ -154,19 +160,18 @@ def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
     is then True.
     """
     u1 = as_vector3(u1)
-    norm = float(np.linalg.norm(u1))
+    norm = _norm(u1)
     if abs(norm - 1.0) > RECOVERY_TOL:
         raise NotUnitError(f"column norm {norm} is not 1 within {RECOVERY_TOL}")
-    w = complex(np.sum(u1 * u1))
+    w = complex((u1 * u1).sum())
     circular = abs(w) < DEGENERACY_GATE
     if circular:
-        k = next(i for i in range(3) if abs(u1[i]) > 1e-9)
-        alpha1 = float(np.angle(u1[k]))
+        alpha1 = _phase(next(z for z in u1.tolist() if abs(z) > 1e-9))
     else:
-        alpha1 = 0.5 * float(np.angle(w))
+        alpha1 = 0.5 * _phase(w)
     eps = np.exp(-1j * alpha1) * u1
     if not circular:
-        for x in np.concatenate([eps.real, eps.imag]):
+        for x in eps.real.tolist() + eps.imag.tolist():
             if abs(x) > 1e-9:
                 if x < 0.0:
                     alpha1 = wrap_angle(alpha1 + np.pi)
@@ -202,14 +207,15 @@ def ellipticity(eps) -> tuple[float, str]:
     """
     eps = as_vector3(eps)
     a, b = eps.real, eps.imag
-    ca = float(np.linalg.norm(a))
-    sb = float(np.linalg.norm(b))
-    if abs(ca * ca + sb * sb - 1.0) > RECOVERY_TOL or abs(a @ b) > RECOVERY_TOL:
+    ca = _norm(a)
+    sb = _norm(b)
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    a_dot_b = a1 * b1 + a2 * b2 + a3 * b3
+    if abs(ca * ca + sb * sb - 1.0) > RECOVERY_TOL or abs(a_dot_b) > RECOVERY_TOL:
         raise InconsistentColumnError(
             "column is not a phase-normalized unit vector"
         )
-    a1, a2, a3 = a.tolist()
-    b1, b2, b3 = b.tolist()
     a3_zero = abs(a3) <= DEGENERACY_GATE
     if sb <= FOLD_GATE:
         return 0.0, "b1" if a3_zero else "d1"
@@ -244,17 +250,26 @@ def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     eps = as_vector3(eps)
     chi, branch = ellipticity(eps)
     a, b = eps.real, eps.imag
-    q1 = a / np.linalg.norm(a)
+    q1 = a / _norm(a)
     if chi == 0.0:
         q2 = np.array([-q1[1], q1[0], 0.0])
-        if np.linalg.norm(q2) < FOLD_GATE:
+        if _norm(q2) < FOLD_GATE:
             q2 = np.array([0.0, 1.0, 0.0]) - q1[1] * q1
     else:
-        q2 = np.copysign(1.0, chi) * b / np.linalg.norm(b)
+        q2 = math.copysign(1.0, chi) * b / _norm(b)
         q2 = q2 - (q1 @ q2) * q1
-    q2 = q2 / np.linalg.norm(q2)
-    q3 = np.cross(q1, q2)
-    rot, _ = extract_rotation_angles(np.column_stack([q1, q2, q3]))
+    q2 = q2 / _norm(q2)
+    x1, y1, z1 = q1.tolist()
+    x2, y2, z2 = q2.tolist()
+    # Columns q1, q2 and q3 = q1 x q2.
+    q = np.array(
+        [
+            [x1, x2, y1 * z2 - z1 * y2],
+            [y1, y2, z1 * x2 - x1 * z2],
+            [z1, z2, x1 * y2 - y1 * x2],
+        ]
+    )
+    rot, _ = extract_rotation_angles(q)
     return chi, rot, branch
 
 
@@ -267,26 +282,26 @@ def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, flo
     when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
     delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
     """
-    v1 = as_matrix3(v1)
-    if abs(v1[2, 0]) > _STRUCTURE_TOL:
+    (v11, _, _), (_, v22, v23), (v31, v32, v33) = as_matrix3(v1).tolist()
+    if abs(v31) > _STRUCTURE_TOL:
         raise StructureViolationError(
-            f"expected structural zero at (3,1), got |v31| = {abs(v1[2, 0]):.3e}"
+            f"expected structural zero at (3,1), got |v31| = {abs(v31):.3e}"
         )
     cx = np.cos(chi)
-    alpha1 = float(np.angle(v1[0, 0]))
-    sm = abs(v1[2, 1])
-    cm = abs(v1[2, 2])
+    alpha1 = _phase(v11)
+    sm = abs(v32)
+    cm = abs(v33)
     if abs(np.hypot(sm, cm) - 1.0) > _STRUCTURE_TOL:
         raise StructureViolationError("third-row moduli do not form a unit pair")
-    if abs(abs(v1[1, 2]) - sm * cx) > _STRUCTURE_TOL:
+    if abs(abs(v23) - sm * cx) > _STRUCTURE_TOL:
         raise StructureViolationError("|v23| disagrees with sin(mu) cos(chi)")
     mu = float(np.arctan2(sm, cm))
-    alpha2 = float(np.angle(v1[1, 1])) if abs(v1[1, 1]) >= FOLD_GATE else 0.0
-    alpha3 = float(np.angle(v1[1, 2])) if abs(v1[1, 2]) >= FOLD_GATE else 0.0
+    alpha2 = _phase(v22) if abs(v22) >= FOLD_GATE else 0.0
+    alpha3 = _phase(v23) if abs(v23) >= FOLD_GATE else 0.0
     if sm >= cm:
-        beta2 = float(np.angle(v1[2, 1]))
+        beta2 = _phase(v32)
     else:
-        beta2 = wrap_angle(float(np.angle(-v1[2, 2])) + alpha2 - alpha3)
+        beta2 = wrap_angle(_phase(-v33) + alpha2 - alpha3)
     return mu, alpha1, alpha2, alpha3, beta2
 
 
@@ -318,7 +333,7 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
         alpha3=alpha3,
         beta2=beta2,
     )
-    residual = float(np.linalg.norm(q @ compose_core(chi, mu, alpha1, alpha2, alpha3, beta2) - u))
+    residual = _norm(q @ compose_core(chi, mu, alpha1, alpha2, alpha3, beta2) - u)
     if residual > tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "

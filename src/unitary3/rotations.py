@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FOLD_GATE
+from .linalg import _EYE3, FOLD_GATE, _norm
 
 ORTHOGONALITY_TOL = 1e-12
 
@@ -73,10 +73,21 @@ def compose_rotation(angles: RotationAngles) -> np.ndarray:
     )
 
 
-def _check_proper_orthogonal(q: np.ndarray):
-    if np.linalg.norm(q.T @ q - np.eye(3)) > ORTHOGONALITY_TOL:
+def _check_proper_orthogonal(q: np.ndarray, rows: list):
+    """Raise unless Q (with ``rows`` = Q.tolist()) is proper orthogonal.
+
+    Once Q^T Q = I holds, det Q = +-1, so the sign of the determinant,
+    expanded along the first row in scalars, decides properness.
+    """
+    if _norm(q.T @ q - _EYE3) > ORTHOGONALITY_TOL:
         raise NotOrthogonalError("matrix is not orthogonal within tolerance")
-    if np.linalg.det(q) < 0.0:
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = rows
+    det = (
+        q00 * (q11 * q22 - q12 * q21)
+        - q01 * (q10 * q22 - q12 * q20)
+        + q02 * (q10 * q21 - q11 * q20)
+    )
+    if det < 0.0:
         raise NotOrthogonalError("matrix is orthogonal but not proper (det < 0)")
 
 
@@ -89,20 +100,21 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     and varphi is set to 0; the flag reports that convention fired.
     """
     q = np.asarray(q, dtype=float).reshape(3, 3)
-    _check_proper_orthogonal(q)
-    ct = q[2, 2]
-    st = float(np.hypot(q[0, 2], q[1, 2]))
+    rows = q.tolist()
+    _check_proper_orthogonal(q, rows)
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, ct) = rows
+    st = float(np.hypot(q02, q12))
     gimbal = st <= FOLD_GATE
     if not gimbal:
         theta = float(np.arctan2(st, ct))
-        phi = float(np.arctan2(-q[1, 2], q[0, 2]))
-        varphi = float(np.arctan2(q[2, 1], -q[2, 0]))
+        phi = float(np.arctan2(-q12, q02))
+        varphi = float(np.arctan2(q21, -q20))
     else:
         varphi = 0.0
         if ct >= 0.0:
             theta = 0.0
-            phi = float(np.arctan2(q[0, 1], q[0, 0]))
+            phi = float(np.arctan2(q01, q00))
         else:
             theta = np.pi
-            phi = float(np.arctan2(q[0, 1], -q[0, 0]))
+            phi = float(np.arctan2(q01, -q00))
     return RotationAngles(phi, theta, varphi).canonical(), gimbal

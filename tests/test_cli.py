@@ -127,6 +127,113 @@ def test_compose_golden(tmp_path):
         assert run_cli(["compose", "--params", str(path), "--core-only"]) == (0, core, "")
 
 
+# stdout of `recover` and `roundtrip` for the documents of `gen --haar 3 --seed 7`
+# and two face documents, composed from the first parameters of
+# COMPOSE_GOLDEN with chi, then mu, 1e-10 from its face; byte for byte.
+RECOVER_FACE_PARAMS = [dict(COMPOSE_GOLDEN[0][0], chi=1e-10), dict(COMPOSE_GOLDEN[0][0], mu=1e-10)]
+RECOVER_GOLDEN = [
+    (
+        '{\n'
+        '  "phi": 1.2753512703049767,\n'
+        '  "theta": -0.2912447422339084,\n'
+        '  "varphi": 0.5789648949013997,\n'
+        '  "chi": 0.5788409496335282,\n'
+        '  "mu": 0.5092596075349444,\n'
+        '  "alpha1": -0.40471801406030367,\n'
+        '  "alpha2": 3.0175267042602356,\n'
+        '  "alpha3": 0.4233371320945333,\n'
+        '  "beta2": 2.981921664029693,\n'
+        '  "residual": 4.175461749503335e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 4.175461749503335e-16, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 1.3080896932715063,\n'
+        '  "theta": 0.5055324201362938,\n'
+        '  "varphi": 1.4507845321611657,\n'
+        '  "chi": 0.45809629339024516,\n'
+        '  "mu": 0.47776061788272217,\n'
+        '  "alpha1": -1.4698538311136817,\n'
+        '  "alpha2": 2.373562740440425,\n'
+        '  "alpha3": 2.279350605774197,\n'
+        '  "beta2": 0.7469176237563224,\n'
+        '  "residual": 3.770699910419652e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 3.770699910419652e-16, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 1.258451239584221,\n'
+        '  "theta": -0.5453486117069466,\n'
+        '  "varphi": 1.7689488695919247,\n'
+        '  "chi": 0.38407207763527745,\n'
+        '  "mu": 1.303556299497781,\n'
+        '  "alpha1": -0.2059797789602764,\n'
+        '  "alpha2": 1.3655974651813318,\n'
+        '  "alpha3": -1.8843078186872813,\n'
+        '  "beta2": 2.2353428274649922,\n'
+        '  "residual": 4.787396807380367e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 4.787396807380367e-16, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.29999991579011853,\n'
+        '  "theta": 0.39999998208517423,\n'
+        '  "varphi": 0.4999999224375627,\n'
+        '  "chi": 9.999999981875182e-11,\n'
+        '  "mu": 0.7000000366224196,\n'
+        '  "alpha1": 0.1,\n'
+        '  "alpha2": 0.19999999374707658,\n'
+        '  "alpha3": 0.3000000088137647,\n'
+        '  "beta2": 0.3999999911862351,\n'
+        '  "residual": 2.924231343973887e-16,\n'
+        '  "branch": "d2",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 2.924231343973887e-16, "branch": "d2"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.2999999999999998,\n'
+        '  "theta": 0.39999999999999997,\n'
+        '  "varphi": 0.49999999999999994,\n'
+        '  "chi": 0.19999999999999998,\n'
+        '  "mu": 1.0000008376210421e-10,\n'
+        '  "alpha1": 0.10000000000000002,\n'
+        '  "alpha2": 0.19999999999999996,\n'
+        '  "alpha3": 0.30000004332860575,\n'
+        '  "beta2": 0.3999999566713943,\n'
+        '  "residual": 3.124311747751477e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 3.124311747751477e-16, "branch": "a"}\n',
+    ),
+]
+
+
+def test_recover_golden(tmp_path):
+    assert run_cli(["gen", "--haar", "3", "--seed", "7", "--out-dir", str(tmp_path)])[0] == 0
+    paths = sorted(tmp_path.glob("haar_7_*.json"))
+    for i, params in enumerate(RECOVER_FACE_PARAMS):
+        p, m = tmp_path / f"p{i}.json", tmp_path / f"face{i}.json"
+        p.write_text(json.dumps(params), encoding="utf-8")
+        assert run_cli(["compose", "--params", str(p), "--out", str(m)]) == (0, "", "")
+        paths.append(m)
+    assert len(paths) == len(RECOVER_GOLDEN)
+    for path, (recovered, residual) in zip(paths, RECOVER_GOLDEN):
+        assert run_cli(["recover", "--matrix", str(path)]) == (0, recovered, "")
+        assert run_cli(["roundtrip", "--matrix", str(path)]) == (0, residual, "")
+
+
 def test_recover_pipeline(tmp_path):
     code, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "7"])
     assert code == 0
@@ -220,6 +327,22 @@ def test_malformed_input_exit_1(tmp_path):
     code, _, err = run_cli(["recover", "--matrix", str(mpath)])
     assert code == 1
     assert "malformed" in err
+
+
+def test_huge_integer_exit_1(tmp_path):
+    # JSON integers beyond the float range, or beyond Python's int digit
+    # limit, are malformed input, not a crash.
+    mpath, ppath = tmp_path / "m.json", tmp_path / "p.json"
+    for digits in ("1" + "0" * 400, "1" + "0" * 5000):
+        mpath.write_text('{"kind": "unitary", "re": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]], '
+                         '"im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}' % digits)
+        ppath.write_text('{"chi": -%s, "mu": 0, "alpha1": 0, "alpha2": 0, "alpha3": 0, '
+                         '"beta2": 0}' % digits)
+        for argv in (["recover", "--matrix", str(mpath)], ["roundtrip", "--matrix", str(mpath)],
+                     ["chardecomp", "--matrix", str(mpath)], ["compose", "--params", str(ppath)]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: malformed input"), err
 
 
 def test_precondition_exit_2(tmp_path):

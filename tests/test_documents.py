@@ -93,3 +93,21 @@ def test_params_non_finite():
     text = json.dumps(doc).replace('"chi": 0.0', '"chi": NaN')
     with pytest.raises(MalformedDocumentError):
         parse_params(text)
+
+
+def test_huge_integer_entries():
+    huge = 10**400
+    doc = {"kind": "general", "re": [[0, 0, 0], [0, huge, 0], [0, 0, 0]],
+           "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
+    with pytest.raises(MalformedDocumentError, match=r"'re' entry \(1,1\) is too large"):
+        parse_matrix(json.dumps(doc))
+    doc["re"][1][1], doc["im"][2][0] = 0, -huge
+    with pytest.raises(MalformedDocumentError, match=r"'im' entry \(2,0\) is too large"):
+        parse_matrix(json.dumps(doc))
+    params = {k: 0 for k in ("chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")}
+    with pytest.raises(MalformedDocumentError, match="'mu' is too large"):
+        parse_params(json.dumps(dict(params, mu=huge)))
+    with pytest.raises(MalformedDocumentError, match="unreadable number"):
+        parse_params(json.dumps(params).replace('"mu": 0', '"mu": 1' + "0" * 5000))
+    # Integers within the float range still parse, to the nearest float.
+    assert parse_params(json.dumps(dict(params, mu=10**300))).mu == 1e300

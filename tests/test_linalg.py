@@ -8,6 +8,7 @@ from unitary3.linalg import (
     outer_product,
     unitarity_distance,
 )
+from unitary3.parametrization import ellipticity, normalize_global_phase, recover_params
 from unitary3.sampling import (
     SeededGenerator,
     generate_haar_unitary,
@@ -111,3 +112,28 @@ def test_eig_vector_phase_contract():
             lead = col[np.argmax(np.abs(col))]
             assert abs(lead.imag) <= 1e-15
             assert lead.real >= 0.0
+
+
+NON_FINITE = {
+    "re-nan": complex(np.nan, 0.0),
+    "re-inf": complex(np.inf, 0.0),
+    "re-minf": complex(-np.inf, 0.0),
+    "im-nan": complex(0.0, np.nan),
+    "im-inf": complex(0.0, np.inf),
+    "im-minf": complex(0.0, -np.inf),
+}
+
+
+@pytest.mark.parametrize("z", list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_non_finite_input_rejected(z):
+    # A NaN or infinity in either part of any entry raises ValueError before
+    # any arithmetic, at every public entry point of both pipelines.
+    for k in range(3):
+        col = np.array([1.0, 0.0, 0.0], dtype=complex)
+        col[k] = z
+        mat = np.eye(3, dtype=complex)
+        mat[k, (k + 1) % 3] = z
+        for fn, arg in ((normalize_global_phase, col), (ellipticity, col),
+                        (recover_params, mat), (eig_hermitian3, mat)):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(arg)
