@@ -7,7 +7,9 @@ spectrum.
 """
 from .linalg import (
     EigenDecomposition,
+    NonFiniteError,
     NotHermitianError,
+    Unitary3Error,
     eig_hermitian3,
     is_unitary,
     outer_product,
@@ -24,6 +26,7 @@ from .parametrization import (
     InconsistentColumnError,
     NotUnitaryError,
     NotUnitError,
+    ParameterRangeError,
     RecoveryReport,
     RecoveryToleranceError,
     StructureViolationError,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (
     EigenDecomposition,
+    Unitary3Error,
     _norm,
     as_matrix3,
     eig_hermitian3,
@@ -42,11 +43,11 @@ REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
 
 
-class ZeroTraceError(ValueError):
+class ZeroTraceError(Unitary3Error, ValueError):
     """Coherency matrix has (numerically) zero trace: nothing to decompose."""
 
 
-class NotPositiveSemidefiniteError(ValueError):
+class NotPositiveSemidefiniteError(Unitary3Error, ValueError):
     """Coherency matrix has a significantly negative eigenvalue."""
 
 

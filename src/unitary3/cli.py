@@ -2,8 +2,8 @@
 
 Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 malformed input, 2 precondition violation, 3 tolerance
-failure.
+0 success, else the Unitary3Error class's (1 malformed input, 2 precondition
+violated, 3 tolerance failure); any other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 from .characteristic import regularity_report
-from .parametrization import RECOVERY_TOL, compose_core, compose_unitary, recover_params
+from .linalg import Unitary3Error
+from .parametrization import (RECOVERY_TOL, RecoveryToleranceError, compose_core, compose_unitary,
+                              recover_params)
 from .documents import (
     MalformedDocumentError,
     parse_matrix,
@@ -23,11 +25,6 @@ from .documents import (
 )
 from .sampling import ALGORITHM, SeededGenerator, generate_haar_unitary
 from .selftest import run_selftest
-
-EXIT_OK = 0
-EXIT_MALFORMED = 1
-EXIT_PRECONDITION = 2
-EXIT_TOLERANCE = 3
 
 
 def _read_text(path: str) -> str:
@@ -58,7 +55,7 @@ def _cmd_compose(args) -> int:
     else:
         m = compose_unitary(p)
     _emit(serialize_matrix(m, kind="unitary"), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_recover(args) -> int:
@@ -69,14 +66,14 @@ def _cmd_recover(args) -> int:
     doc["branch"] = report.branch
     doc["global_phase_alpha1_degenerate"] = report.global_phase_alpha1_degenerate
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_roundtrip(args) -> int:
     u = parse_matrix(_read_text(args.matrix))
     report = recover_params(u, tolerance=args.tolerance)
     sys.stdout.write(json.dumps({"residual": report.residual, "branch": report.branch}) + "\n")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_chardecomp(args) -> int:
@@ -100,7 +97,7 @@ def _cmd_chardecomp(args) -> int:
         },
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -113,12 +110,11 @@ def _cmd_gen(args) -> int:
             (path / f"haar_{args.seed}_{i:04d}.json").write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_selftest(args) -> int:
-    ok = run_selftest()
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return 0 if run_selftest() else RecoveryToleranceError.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,15 +162,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MalformedDocumentError as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except ValueError as exc:
-        print(f"error: precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except RuntimeError as exc:
-        print(f"error: tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+    except Unitary3Error as exc:
+        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

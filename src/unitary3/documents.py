@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .linalg import Unitary3Error
 from .parametrization import UnitaryParams
 from .rotations import RotationAngles
 
@@ -21,8 +22,11 @@ PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alph
 CORE_FIELDS = PARAM_FIELDS[3:]
 
 
-class MalformedDocumentError(ValueError):
+class MalformedDocumentError(Unitary3Error, ValueError):
     """Document fails to parse or violates the layout contract."""
+
+    exit_code = 1
+    kind = "malformed input"
 
 
 def _fmt(x: float) -> str:
@@ -41,6 +45,24 @@ def _load_json(text: str) -> dict:
     return doc
 
 
+def _finite(x, field: str, *entry: int) -> float:
+    """A JSON number as a finite float; ``field`` and grid ``entry`` name it in errors."""
+    # json.loads yields exact types, so a bool is neither int nor float here.
+    if type(x) is float:
+        if math.isfinite(x):
+            return x
+        problem = "is not finite"
+    elif type(x) is int:
+        try:
+            return float(x)
+        except OverflowError:
+            problem = "is too large for a float"
+    else:
+        problem = "is not numeric"
+    where = " entry (%d,%d)" % entry if entry else ""
+    raise MalformedDocumentError(f"field '{field}'{where} {problem}")
+
+
 def _check_grid(doc: dict, field: str) -> list:
     if field not in doc:
         raise MalformedDocumentError(f"missing field '{field}'")
@@ -50,20 +72,7 @@ def _check_grid(doc: dict, field: str) -> list:
     for i, row in enumerate(grid):
         if not (isinstance(row, list) and len(row) == 3):
             raise MalformedDocumentError(f"field '{field}' row {i} must have 3 entries")
-        for j, x in enumerate(row):
-            # json.loads yields exact types, so a bool is neither int nor float here.
-            if type(x) is int:
-                try:
-                    float(x)
-                except OverflowError:
-                    raise MalformedDocumentError(
-                        f"field '{field}' entry ({i},{j}) is too large for a float"
-                    ) from None
-            elif type(x) is not float:
-                raise MalformedDocumentError(f"field '{field}' entry ({i},{j}) is not numeric")
-            elif not math.isfinite(x):
-                raise MalformedDocumentError(f"field '{field}' entry ({i},{j}) is not finite")
-    return grid
+    return [[_finite(x, field, i, j) for j, x in enumerate(row)] for i, row in enumerate(grid)]
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -84,12 +93,10 @@ def serialize_matrix(m, kind: str = "general") -> str:
     if kind not in MATRIX_KINDS:
         raise MalformedDocumentError(f"unknown matrix kind {kind!r}")
     m = np.asarray(m, dtype=complex).reshape(3, 3)
-    rows_re = [
-        "[" + ", ".join(_fmt(m[i, j].real) for j in range(3)) + "]" for i in range(3)
-    ]
-    rows_im = [
-        "[" + ", ".join(_fmt(m[i, j].imag) for j in range(3)) + "]" for i in range(3)
-    ]
+    rows_re, rows_im = (
+        ["[" + ", ".join(map(_fmt, row)) + "]" for row in part.tolist()]
+        for part in (m.real, m.imag)
+    )
     return (
         "{\n"
         f'  "kind": "{kind}",\n'
@@ -104,21 +111,9 @@ def parse_params(text: str) -> UnitaryParams:
     doc = _load_json(text)
     values = {}
     for field in PARAM_FIELDS:
-        if field in doc:
-            x = doc[field]
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise MalformedDocumentError(f"field '{field}' is not a finite number")
-            try:
-                x = float(x)
-            except OverflowError:
-                raise MalformedDocumentError(f"field '{field}' is too large for a float") from None
-            if not math.isfinite(x):
-                raise MalformedDocumentError(f"field '{field}' is not a finite number")
-            values[field] = x
-        elif field in CORE_FIELDS:
+        if field in CORE_FIELDS and field not in doc:
             raise MalformedDocumentError(f"missing field '{field}'")
-        else:
-            values[field] = 0.0
+        values[field] = _finite(doc.get(field, 0.0), field)
     unknown = set(doc) - set(PARAM_FIELDS)
     if unknown:
         raise MalformedDocumentError(f"unknown fields: {sorted(unknown)}")

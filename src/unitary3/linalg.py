@@ -36,21 +36,33 @@ _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
 
-class NotHermitianError(ValueError):
+class Unitary3Error(Exception):
+    """Base of every library error: the CLI prints ``kind`` and exits with
+    ``exit_code``.  Each subclass also keeps a ValueError or RuntimeError parent."""
+
+    exit_code = 2
+    kind = "precondition violated"
+
+
+class NonFiniteError(Unitary3Error, ValueError):
+    """Input has a NaN or infinite entry."""
+
+
+class NotHermitianError(Unitary3Error, ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
 def as_vector3(v) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=complex).reshape(3)
     if not np.isfinite(v).all():
-        raise ValueError("vector has non-finite entries")
+        raise NonFiniteError("vector has non-finite entries")
     return v
 
 
 def as_matrix3(m) -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=complex).reshape(3, 3)
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteError("matrix has non-finite entries")
     return m
 
 
@@ -117,9 +129,9 @@ def eig_hermitian3(r) -> EigenDecomposition:
 
     Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
     max|R|, a gate that holds at any scale (moduli are hypot, so nothing
-    overflows).  A LAPACK non-convergence surfaces as
-    ``numpy.linalg.LinAlgError``, a ValueError, so the CLI reports it as a
-    precondition failure (exit 2).
+    overflows).  No finite Hermitian input is known to make LAPACK fail to
+    converge; if one did, ``numpy.linalg.LinAlgError`` would propagate
+    untyped, and the CLI reports it as a bug with its traceback.
     """
     r = as_matrix3(r)
     skew = float(np.abs(r - r.conj().T).max())

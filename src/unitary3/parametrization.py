@@ -41,34 +41,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, _norm, as_matrix3, as_vector3,
-                     unitarity_distance)
+from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, Unitary3Error, _norm, as_matrix3,
+                     as_vector3, unitarity_distance)
 from .rotations import RotationAngles, compose_rotation, extract_rotation_angles, wrap_angle
 
 RECOVERY_TOL = 1e-10
 _STRUCTURE_TOL = 1e-8
 
 
-class NotUnitError(ValueError):
+class NotUnitError(Unitary3Error, ValueError):
     """Vector expected to have unit Euclidean norm."""
 
 
-class NotUnitaryError(ValueError):
+class NotUnitaryError(Unitary3Error, ValueError):
     """Matrix expected to pass the unitarity gate."""
 
 
-class InconsistentColumnError(ValueError):
+class ParameterRangeError(Unitary3Error, ValueError):
+    """A parameter lies outside its chart range (mu outside [0, pi/2])."""
+
+
+class InconsistentColumnError(Unitary3Error, ValueError):
     """The two ellipticity magnitudes disagree: input was not a
     phase-normalized unit column."""
 
 
-class StructureViolationError(ValueError):
+class StructureViolationError(Unitary3Error, ValueError):
     """Core matrix lacks the structural zero at (3,1): rotation recovery
     failed upstream."""
 
 
-class RecoveryToleranceError(RuntimeError):
+class RecoveryToleranceError(Unitary3Error, RuntimeError):
     """Recomposed matrix misses the input beyond the recovery tolerance."""
+
+    exit_code = 3
+    kind = "tolerance failure"
 
 
 @dataclass(frozen=True)
@@ -124,10 +131,10 @@ def compose_core(
     alpha3: float,
     beta2: float,
 ) -> np.ndarray:
-    """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises ValueError for mu
-    outside [0, pi/2]."""
+    """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises
+    ParameterRangeError for mu outside [0, pi/2]."""
     if not -1e-12 <= mu <= np.pi / 2 + 1e-12:
-        raise ValueError("mu must lie in [0, pi/2]")
+        raise ParameterRangeError("mu must lie in [0, pi/2]")
     n1, n2, n3 = canonical_basis(chi).T
     cm, sm = np.cos(mu), np.sin(mu)
     delta = beta2 - alpha2 + alpha3
@@ -315,7 +322,7 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     """
     u = as_matrix3(u)
     dist = unitarity_distance(u)
-    if dist > UNITARITY_TOL:
+    if not dist <= UNITARITY_TOL:
         raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
     _, eps, circular = normalize_global_phase(u[:, 0])
     chi, rot, branch = recover_first_column(eps)
@@ -334,7 +341,7 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
         beta2=beta2,
     )
     residual = _norm(q @ compose_core(chi, mu, alpha1, alpha2, alpha3, beta2) - u)
-    if residual > tolerance:
+    if not residual <= tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "
             f"(branch {branch})"

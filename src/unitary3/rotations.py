@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _EYE3, FOLD_GATE, _norm
+from .linalg import _EYE3, FOLD_GATE, NonFiniteError, Unitary3Error, _norm
 
 ORTHOGONALITY_TOL = 1e-12
 
 
-class NotOrthogonalError(ValueError):
+class NotOrthogonalError(Unitary3Error, ValueError):
     """Input is not a proper orthogonal matrix within tolerance."""
 
 
@@ -73,24 +73,6 @@ def compose_rotation(angles: RotationAngles) -> np.ndarray:
     )
 
 
-def _check_proper_orthogonal(q: np.ndarray, rows: list):
-    """Raise unless Q (with ``rows`` = Q.tolist()) is proper orthogonal.
-
-    Once Q^T Q = I holds, det Q = +-1, so the sign of the determinant,
-    expanded along the first row in scalars, decides properness.
-    """
-    if _norm(q.T @ q - _EYE3) > ORTHOGONALITY_TOL:
-        raise NotOrthogonalError("matrix is not orthogonal within tolerance")
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = rows
-    det = (
-        q00 * (q11 * q22 - q12 * q21)
-        - q01 * (q10 * q22 - q12 * q20)
-        + q02 * (q10 * q21 - q11 * q20)
-    )
-    if det < 0.0:
-        raise NotOrthogonalError("matrix is orthogonal but not proper (det < 0)")
-
-
 def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     """Invert compose_rotation.
 
@@ -100,9 +82,19 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     and varphi is set to 0; the flag reports that convention fired.
     """
     q = np.asarray(q, dtype=float).reshape(3, 3)
-    rows = q.tolist()
-    _check_proper_orthogonal(q, rows)
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, ct) = rows
+    if not np.isfinite(q).all():
+        raise NonFiniteError("matrix has non-finite entries")
+    if _norm(q.T @ q - _EYE3) > ORTHOGONALITY_TOL:
+        raise NotOrthogonalError("matrix is not orthogonal within tolerance")
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, ct) = q.tolist()
+    # Once Q^T Q = I, det Q = +-1: its sign, expanded along row 1, decides properness.
+    det = (
+        q00 * (q11 * ct - q12 * q21)
+        - q01 * (q10 * ct - q12 * q20)
+        + q02 * (q10 * q21 - q11 * q20)
+    )
+    if det < 0.0:
+        raise NotOrthogonalError("matrix is orthogonal but not proper (det < 0)")
     st = float(np.hypot(q02, q12))
     gimbal = st <= FOLD_GATE
     if not gimbal:

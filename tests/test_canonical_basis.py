@@ -8,18 +8,18 @@ from unitary3.parametrization import canonical_basis, compose_core, compose_unit
 from unitary3.sampling import SeededGenerator, random_params
 
 
-def test_intrinsic_jones_linear():
+def test_canonical_basis_linear():
     assert np.array_equal(canonical_basis(0.0), np.eye(3))
 
 
-def test_intrinsic_jones_circular():
+def test_canonical_basis_circular():
     n1, n2, _ = canonical_basis(np.pi / 4).T
     s = np.sqrt(0.5)
     assert np.allclose(n1, [s, 1j * s, 0.0])
     assert np.allclose(n2, [1j * s, s, 0.0])
 
 
-def test_jones_in_frame_preserves_norm():
+def test_canonical_basis_in_frame_self_product():
     # The first column of U is n1 re-expressed in the lab frame; its
     # rotation-invariant self-product u1.u1 = e^{2i alpha1} cos(2 chi) is
     # what normalize_global_phase reads alpha1 from.
@@ -39,7 +39,7 @@ def test_canonical_basis_orthonormal():
         assert unitarity_distance(canonical_basis(chi)) < 1e-15
 
 
-def test_completion_vectors_orthonormal():
+def test_compose_core_columns_orthonormal():
     # Columns (e^{i alpha1} n1, v2, v3) of the core matrix on and off the
     # chi and mu faces; random interior draws are test_compose_core_unitary's.
     for chi in (0.0, 0.37, np.pi / 4, -np.pi / 4):
@@ -49,7 +49,7 @@ def test_completion_vectors_orthonormal():
             assert np.allclose(v[:, 0], np.exp(0.1j) * canonical_basis(chi)[:, 0])
 
 
-def test_completion_degenerate_mu():
+def test_compose_core_degenerate_mu():
     # mu = 0: v2 lies in the polarization plane (along n2), v3 along the
     # normal n3; mu = pi/2: the roles swap.
     nonzero = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)

@@ -6,7 +6,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import unitary3
 import unitary3.characteristic
+import unitary3.cli
 import unitary3.selftest
 from unitary3.characteristic import characteristic_decomposition, regularity_report
 from unitary3.cli import main
@@ -259,10 +261,11 @@ def test_roundtrip_exit_codes(tmp_path):
     code, out, _ = run_cli(["roundtrip", "--matrix", str(mpath)])
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-10
-    code, out, err = run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", "1e-30"])
-    assert code == 3
-    assert out == ""
-    assert "tolerance failure" in err
+    for tolerance in ("1e-30", "nan"):
+        code, out, err = run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", tolerance])
+        assert code == 3
+        assert out == ""
+        assert "tolerance failure" in err
 
 
 def test_chardecomp(tmp_path):
@@ -391,3 +394,45 @@ def test_selftest_failure_paths(monkeypatch):
 def test_missing_file_exit_1(tmp_path):
     code, _, err = run_cli(["compose", "--params", str(tmp_path / "absent.json")])
     assert code == 1
+
+
+# Exit code of every exported error class, as the README's table documents it.
+EXIT_CODES = {
+    "MalformedDocumentError": 1,
+    "RecoveryToleranceError": 3,
+    **dict.fromkeys([
+        "Unitary3Error", "NonFiniteError", "NotHermitianError", "NotOrthogonalError",
+        "NotUnitError", "NotUnitaryError", "ParameterRangeError", "InconsistentColumnError",
+        "StructureViolationError", "ZeroTraceError", "NotPositiveSemidefiniteError",
+    ], 2),
+}
+
+
+def test_exported_errors_documented():
+    exported = {name for name, v in vars(unitary3).items()
+                if isinstance(v, type) and issubclass(v, BaseException)}
+    assert exported == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_exit_code(name):
+    cls = getattr(unitary3, name)
+    assert issubclass(cls, unitary3.Unitary3Error)
+    assert cls.exit_code == EXIT_CODES[name]
+    if cls is not unitary3.Unitary3Error:  # each subclass keeps its builtin parent
+        assert issubclass(cls, RuntimeError if cls.exit_code == 3 else ValueError)
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_untyped_error_propagates(tmp_path, monkeypatch, error):
+    # Only library errors map to exit codes; anything else is a bug and
+    # keeps its traceback instead of exiting 2 or 3.
+    def broken(u, tolerance):
+        raise error("bug")
+
+    monkeypatch.setattr(unitary3.cli, "recover_params", broken)
+    _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
+    mpath = tmp_path / "m.json"
+    mpath.write_text(gen_out, encoding="utf-8")
+    with pytest.raises(error, match="bug"):
+        run_cli(["recover", "--matrix", str(mpath)])

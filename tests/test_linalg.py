@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
+from unitary3.characteristic import characteristic_decomposition, regularity_report
 from unitary3.linalg import (
+    NonFiniteError,
     NotHermitianError,
     eig_hermitian3,
     is_unitary,
     outer_product,
     unitarity_distance,
 )
-from unitary3.parametrization import ellipticity, normalize_global_phase, recover_params
+from unitary3.parametrization import (
+    ellipticity,
+    extract_core_params,
+    normalize_global_phase,
+    recover_first_column,
+    recover_params,
+)
+from unitary3.rotations import extract_rotation_angles
 from unitary3.sampling import (
     SeededGenerator,
     generate_haar_unitary,
@@ -126,14 +135,19 @@ NON_FINITE = {
 
 @pytest.mark.parametrize("z", list(NON_FINITE.values()), ids=list(NON_FINITE))
 def test_non_finite_input_rejected(z):
-    # A NaN or infinity in either part of any entry raises ValueError before
-    # any arithmetic, at every public entry point of both pipelines.
+    # A NaN or infinity in either part of any entry raises NonFiniteError
+    # before any arithmetic, at every public entry point of both pipelines.
     for k in range(3):
         col = np.array([1.0, 0.0, 0.0], dtype=complex)
         col[k] = z
         mat = np.eye(3, dtype=complex)
         mat[k, (k + 1) % 3] = z
+        # The rotation is real: the non-finite part moves to the real entry.
+        rot = mat.real + mat.imag
         for fn, arg in ((normalize_global_phase, col), (ellipticity, col),
-                        (recover_params, mat), (eig_hermitian3, mat)):
-            with pytest.raises(ValueError, match="non-finite"):
+                        (recover_first_column, col), (recover_params, mat),
+                        (lambda m: extract_core_params(m, 0.3), mat), (eig_hermitian3, mat),
+                        (characteristic_decomposition, mat), (regularity_report, mat),
+                        (extract_rotation_angles, rot)):
+            with pytest.raises(NonFiniteError, match="non-finite"):
                 fn(arg)

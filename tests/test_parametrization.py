@@ -202,6 +202,18 @@ def test_recover_params_rejects_non_unitary():
         recover_params(np.eye(3) * 1.5)
 
 
+def test_recover_params_rejects_nan_unitarity_distance():
+    # Entries of 1e200 overflow M^H M to inf - inf = NaN; the unitarity gate
+    # still rejects the matrix instead of passing it on.
+    u = np.eye(3, dtype=complex)
+    u[1, 1] = u[2, 1] = u[1, 2] = 1e200
+    u[2, 2] = -1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(unitarity_distance(u))
+        with pytest.raises(NotUnitaryError):
+            recover_params(u)
+
+
 def test_recover_params_haar():
     assert haar_roundtrip(SeededGenerator(43), 1000) <= 1e-10
 
