@@ -7,6 +7,7 @@ spectrum.
 """
 from .linalg import (
     EigenDecomposition,
+    FloatRangeError,
     NonFiniteError,
     NotHermitianError,
     Unitary3Error,

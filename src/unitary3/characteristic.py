@@ -24,23 +24,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _TINY,
     EigenDecomposition,
     Unitary3Error,
+    _eig,
     _norm,
+    _outer,
     as_matrix3,
-    eig_hermitian3,
     is_unitary,
     outer_product,
 )
 from .parametrization import (
     NotUnitaryError,
+    _ellipticity,
+    _normalize_global_phase,
     canonical_basis,
-    ellipticity,
-    normalize_global_phase,
 )
 
 REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
+
+_RU_HAT = np.eye(3, dtype=complex) / 3.0
+_RU_HAT.flags.writeable = False
 
 
 class ZeroTraceError(Unitary3Error, ValueError):
@@ -98,35 +103,36 @@ class RegularityReport:
 
 def purity_indices(e: EigenDecomposition) -> PurityIndices:
     """P1 and P2 from a normalized, nonincreasing eigenvalue triple."""
-    l1, l2, l3 = e.normalized
-    return PurityIndices(P1=float(l1 - l2), P2=float(l1 + l2 - 2.0 * l3))
+    l1, l2, l3 = e.normalized.tolist()
+    return PurityIndices(P1=l1 - l2, P2=l1 + l2 - 2.0 * l3)
 
 
 def characteristic_decomposition(r) -> CharacteristicComponents:
     """Split a Hermitian PSD matrix into pure, middle and unpolarized parts.
 
     Raises NotHermitianError, ZeroTraceError or
-    NotPositiveSemidefiniteError when the preconditions fail.
+    NotPositiveSemidefiniteError when the preconditions fail.  ``Ru_hat``
+    is one shared read-only I/3.
     """
-    r = as_matrix3(r)
-    e = eig_hermitian3(r)
-    trace = float(np.trace(r).real)
-    if trace <= np.finfo(float).tiny:
+    return _decompose(as_matrix3(r))
+
+
+def _decompose(r: np.ndarray) -> CharacteristicComponents:
+    e = _eig(r)
+    trace = e.trace
+    if trace <= _TINY:
         raise ZeroTraceError(f"trace {trace:.3e} is not positive")
-    if e.values[2] < -_PSD_TOL * trace:
-        raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {e.values[2]:.3e} is negative"
-        )
-    u1, u2 = e.vectors[:, 0], e.vectors[:, 1]
-    rp = outer_product(u1)
-    rm = 0.5 * (rp + outer_product(u2))
-    ru = np.eye(3, dtype=complex) / 3.0
+    smallest = e.values[2]
+    if smallest < -_PSD_TOL * trace:
+        raise NotPositiveSemidefiniteError(f"smallest eigenvalue {smallest:.3e} is negative")
+    rp = _outer(np.ascontiguousarray(e.vectors[:, 0]))
+    rm = 0.5 * (rp + _outer(np.ascontiguousarray(e.vectors[:, 1])))
     p = purity_indices(e)
     return CharacteristicComponents(
         traceR=trace,
         Rp_hat=rp,
         Rm_hat=rm,
-        Ru_hat=ru,
+        Ru_hat=_RU_HAT,
         purity=p,
         coefficients=(p.P1, p.P2 - p.P1, 1.0 - p.P2),
         eigen=e,
@@ -163,8 +169,13 @@ def regularity_report(r) -> RegularityReport:
     (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
     |chi_m| <= pi/4.
     """
-    c = characteristic_decomposition(r)
-    chi_m, _ = ellipticity(normalize_global_phase(c.eigen.vectors[:, 2])[1])
+    return _regularity(as_matrix3(r))
+
+
+def _regularity(r: np.ndarray) -> RegularityReport:
+    c = _decompose(r)
+    u3 = np.ascontiguousarray(c.eigen.vectors[:, 2])
+    chi_m, _ = _ellipticity(_normalize_global_phase(u3)[1])
     return RegularityReport(
         m1_hat=0.5,
         m2_hat=float(np.cos(chi_m) ** 2 / 2),

@@ -5,19 +5,34 @@ Everything operates on plain numpy arrays (shape (3,) complex vectors and
 inputs.  The eigensolver is LAPACK's (``numpy.linalg.eigh``) behind a fixed
 contract: nonincreasing eigenvalues and a deterministic eigenvector phase.
 
-Arithmetic rule of the recovery path: Python scalars for 3x3 reads; numpy
-for arctan2, hypot, complex products and dot norms, because their rounding
-is part of the output.  Each function validates its 3-vector or 3x3 input
-once (as_vector3, as_matrix3) and reads the entries it needs with one
-``tolist()``: numpy's per-call overhead on such small arrays costs more than
-their arithmetic.  But math.atan2, math.hypot, Python's complex product and
-a Python-summed norm each differ from numpy's arctan2, hypot,
-``(u * u).sum()`` and ``dot`` in the last bit on a share of inputs, so those
-four stay numpy and recovered parameters do not drift.
+Validation rule of both pipelines: public functions validate, ``_kernels``
+trust.  Each public stage function checks its input once (as_vector3,
+as_matrix3: shape, complex dtype, finite entries, C-contiguous copy) and
+calls its private kernel; pipelines call the kernels directly, so one
+recovery or one coherency report validates its matrix once.
+
+Arithmetic rule of both pipelines: Python scalars for 3x3 reads; numpy for
+arctan2, hypot, complex products and dot norms, because their rounding is
+part of the output.  Kernels read the entries they need with one
+``tolist()``: numpy's per-call overhead on such small arrays costs more
+than their arithmetic.  But math.atan2, math.hypot, Python's complex
+product and a Python-summed norm each differ from numpy's arctan2, hypot,
+complex multiply (``(u * u).sum()``, ``np.outer``, a column times its phase)
+and ``dot`` in the last bit on a share of inputs, so those stay numpy and
+no output drifts.  Two more details keep the coherency path bit-identical:
+
+- numpy rounds a strided view differently from a contiguous one in its SIMD
+  loops, so an eigenvector column is copied contiguous
+  (``np.ascontiguousarray(vectors[:, i])``) before any arithmetic on it;
+- the eigenvector phase conj(z)/|z| is numpy's complex-by-real division,
+  Smith's algorithm with the divisor (|z|, 0): it multiplies by 1/|z|, and
+  its ``+-x*0.0`` terms decide the signs of zeros (_unit_phase writes it
+  out; a plain ``z.conjugate() / abs(z)`` rounds differently).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +46,10 @@ HERMITICITY_TOL = 1e-12
 DEGENERACY_GATE = 1e-10
 FOLD_GATE = 1e-12
 
+_TINY = sys.float_info.min
+# Exponent above which the symmetrization R + R' or the largest eigenvalue
+# (at most 3 max|R|) of a 3x3 Hermitian R could overflow.
+_MAX_EXPONENT = 1022
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
@@ -50,6 +69,11 @@ class NonFiniteError(Unitary3Error, ValueError):
 
 class NotHermitianError(Unitary3Error, ValueError):
     """Input matrix is not Hermitian within tolerance."""
+
+
+class FloatRangeError(Unitary3Error, ValueError):
+    """A finite input whose trace, eigenvalue or entry modulus lies beyond
+    the largest float."""
 
 
 def as_vector3(v) -> np.ndarray:
@@ -82,7 +106,10 @@ def _norm(x: np.ndarray) -> float:
 
 def unitarity_distance(m) -> float:
     """Frobenius norm of M†M - I."""
-    m = as_matrix3(m)
+    return _unitarity_distance(as_matrix3(m))
+
+
+def _unitarity_distance(m: np.ndarray) -> float:
     return _norm(m.conj().T @ m - _EYE3)
 
 
@@ -92,7 +119,10 @@ def is_unitary(m) -> bool:
 
 def outer_product(v) -> np.ndarray:
     """Conjugate outer product v v†, a Hermitian PSD matrix of rank <= 1."""
-    v = as_vector3(v)
+    return _outer(as_vector3(v))
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
@@ -100,25 +130,29 @@ def outer_product(v) -> np.ndarray:
 class EigenDecomposition:
     """Eigenvalues (nonincreasing) and matching orthonormal eigenvectors.
 
-    ``values[i]`` pairs with column ``vectors[:, i]``.  ``normalized`` holds
-    values divided by the input trace (all-zero for a zero-trace input).
+    ``values[i]`` pairs with column ``vectors[:, i]``.  ``trace`` is the
+    input's trace (its real diagonal summed in order) and ``normalized``
+    holds values divided by it (all-zero for a zero-trace input).
     """
 
     values: np.ndarray
     normalized: np.ndarray
     vectors: np.ndarray
+    trace: float
+
+
+def _unit_phase(z: complex) -> complex:
+    """conj(z)/|z| exactly as numpy divides a complex by a real: Smith's
+    algorithm with the divisor (|z|, 0)."""
+    s = 1.0 / abs(z)
+    return complex((z.real - z.imag * 0.0) * s, (-z.imag - z.real * 0.0) * s)
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude component real and positive."""
-    out = vectors.copy()
-    for i in range(3):
-        col = out[:, i]
-        k = int(np.argmax(np.abs(col)))
-        z = col[k]
-        if abs(z) > 0.0:
-            out[:, i] = col * (np.conj(z) / abs(z))
-    return out
+    """Make each column's largest-magnitude component (the first of equal
+    ones) real and positive.  Columns are unit vectors, so it is nonzero."""
+    phases = [_unit_phase(max(col, key=abs)) for col in vectors.T.tolist()]
+    return vectors * np.array(phases)
 
 
 def eig_hermitian3(r) -> EigenDecomposition:
@@ -128,24 +162,53 @@ def eig_hermitian3(r) -> EigenDecomposition:
     with a deterministic phase (largest component real positive).
 
     Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
-    max|R|, a gate that holds at any scale (moduli are hypot, so nothing
-    overflows).  No finite Hermitian input is known to make LAPACK fail to
-    converge; if one did, ``numpy.linalg.LinAlgError`` would propagate
-    untyped, and the CLI reports it as a bug with its traceback.
+    max|R|, a gate that holds at any scale (moduli are hypot, so no square
+    overflows).  Entries of 2**1022 or more are divided by a power of two
+    before the solve, and the eigenvalues multiplied back, so no finite
+    input overflows inside; a trace or eigenvalue beyond the largest float
+    raises FloatRangeError.  No finite Hermitian input is known to make
+    LAPACK fail to converge; if one did, ``numpy.linalg.LinAlgError`` would
+    propagate untyped, and the CLI reports it as a bug with its traceback.
     """
-    r = as_matrix3(r)
-    skew = float(np.abs(r - r.conj().T).max())
-    scale = float(np.abs(r).max())
+    return _eig(as_matrix3(r))
+
+
+def _eig(r: np.ndarray) -> EigenDecomposition:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    try:
+        scale = max(map(abs, (r00, r01, r02, r10, r11, r12, r20, r21, r22)))
+        skew = max(
+            abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()), abs(r02 - r20.conjugate()),
+            abs(r11 - r11.conjugate()), abs(r12 - r21.conjugate()), abs(r22 - r22.conjugate()),
+        )
+    except OverflowError:
+        raise FloatRangeError("an entry of R or R - R' has a modulus beyond the largest float") from None
     if skew > HERMITICITY_TOL * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max|R - R'| = {skew:.3e}, max|R| = {scale:.3e}"
         )
-    values, vec = np.linalg.eigh(0.5 * (r + r.conj().T))
-    values = values[::-1]
-    vec = _fix_column_phases(vec[:, ::-1])
-    trace = float(np.trace(r).real)
-    if abs(trace) > np.finfo(float).tiny:
-        normalized = values / trace
+    trace = r00.real + r11.real + r22.real
+    if math.isinf(trace):
+        raise FloatRangeError("trace is beyond the largest float")
+    # Only entries of 2**1022 or more are divided by a power of two, which is
+    # exact.  eigh is not scale-equivariant beyond about 1e+-120, where
+    # LAPACK's own thresholds switch, so rescaling every matrix would move
+    # the last bits that the solve on R itself gives.
+    k = max(math.frexp(scale)[1] - _MAX_EXPONENT, 0)
+    if k:
+        r = np.ldexp(r.view(float), -k).view(complex)
+    w, vec = np.linalg.eigh(0.5 * (r + r.conj().T))
+    try:
+        values = [math.ldexp(x, k) for x in reversed(w.tolist())]
+    except OverflowError:
+        raise FloatRangeError("an eigenvalue is beyond the largest float") from None
+    if abs(trace) > _TINY:
+        normalized = [x / trace for x in values]
     else:
-        normalized = np.zeros(3)
-    return EigenDecomposition(values=values, normalized=normalized, vectors=vec)
+        normalized = [0.0, 0.0, 0.0]
+    return EigenDecomposition(
+        values=np.array(values),
+        normalized=np.array(normalized),
+        vectors=_fix_column_phases(vec[:, ::-1]),
+        trace=trace,
+    )

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, Unitary3Error, _norm, as_matrix3,
-                     as_vector3, unitarity_distance)
-from .rotations import RotationAngles, compose_rotation, extract_rotation_angles, wrap_angle
+from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, Unitary3Error, _norm,
+                     _unitarity_distance, as_matrix3, as_vector3)
+from .rotations import RotationAngles, _rotation_angles, compose_rotation, wrap_angle
 
 RECOVERY_TOL = 1e-10
 _STRUCTURE_TOL = 1e-8
@@ -164,12 +164,18 @@ def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
     For circular states (|u1.u1| < DEGENERACY_GATE, chi = +-pi/4) the
     self-product vanishes and alpha1 is fixed by making the first
     significant component real and nonnegative instead; the returned flag
-    is then True.
+    is then True.  Raises NotUnitError unless |u1| = 1 within RECOVERY_TOL;
+    the columns recover_params and regularity_report pass are unit by
+    their own gates.
     """
     u1 = as_vector3(u1)
     norm = _norm(u1)
     if abs(norm - 1.0) > RECOVERY_TOL:
         raise NotUnitError(f"column norm {norm} is not 1 within {RECOVERY_TOL}")
+    return _normalize_global_phase(u1)
+
+
+def _normalize_global_phase(u1: np.ndarray) -> tuple[float, np.ndarray, bool]:
     w = complex((u1 * u1).sum())
     circular = abs(w) < DEGENERACY_GATE
     if circular:
@@ -212,7 +218,10 @@ def ellipticity(eps) -> tuple[float, str]:
     (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.77e-10 at a gimbal: no
     product of entries is left above DEGENERACY_GATE to carry a sign.
     """
-    eps = as_vector3(eps)
+    return _ellipticity(as_vector3(eps))
+
+
+def _ellipticity(eps: np.ndarray) -> tuple[float, str]:
     a, b = eps.real, eps.imag
     ca = _norm(a)
     sb = _norm(b)
@@ -254,8 +263,11 @@ def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     q2 = e_z x q1 / |e_z x q1|, or e_y projected off q1 where that norm is
     below FOLD_GATE (the poles q1 = +-e_z).
     """
-    eps = as_vector3(eps)
-    chi, branch = ellipticity(eps)
+    return _recover_first_column(as_vector3(eps))
+
+
+def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
+    chi, branch = _ellipticity(eps)
     a, b = eps.real, eps.imag
     q1 = a / _norm(a)
     if chi == 0.0:
@@ -268,15 +280,14 @@ def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     q2 = q2 / _norm(q2)
     x1, y1, z1 = q1.tolist()
     x2, y2, z2 = q2.tolist()
-    # Columns q1, q2 and q3 = q1 x q2.
-    q = np.array(
-        [
-            [x1, x2, y1 * z2 - z1 * y2],
-            [y1, y2, z1 * x2 - x1 * z2],
-            [z1, z2, x1 * y2 - y1 * x2],
-        ]
+    # Rows of the rotation with columns q1, q2 and q3 = q1 x q2.
+    rot, _ = _rotation_angles(
+        (
+            (x1, x2, y1 * z2 - z1 * y2),
+            (y1, y2, z1 * x2 - x1 * z2),
+            (z1, z2, x1 * y2 - y1 * x2),
+        )
     )
-    rot, _ = extract_rotation_angles(q)
     return chi, rot, branch
 
 
@@ -289,7 +300,11 @@ def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, flo
     when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
     delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
     """
-    (v11, _, _), (_, v22, v23), (v31, v32, v33) = as_matrix3(v1).tolist()
+    return _extract_core_params(as_matrix3(v1), chi)
+
+
+def _extract_core_params(v1: np.ndarray, chi: float) -> tuple[float, float, float, float, float]:
+    (v11, _, _), (_, v22, v23), (v31, v32, v33) = v1.tolist()
     if abs(v31) > _STRUCTURE_TOL:
         raise StructureViolationError(
             f"expected structural zero at (3,1), got |v31| = {abs(v31):.3e}"
@@ -319,18 +334,25 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     form V1 = Q.T @ U and read the core parameters off its entries.  The
     report carries the Frobenius residual of the recomposition and the
     sign-determination branch that fired.
+
+    Raises NotUnitaryError for an entry of modulus above 2 (every entry of
+    a unitary has modulus at most 1), before M†M could overflow, or for a
+    unitarity distance above UNITARITY_TOL.
     """
     u = as_matrix3(u)
-    dist = unitarity_distance(u)
+    peak = max(math.hypot(z.real, z.imag) for z in u.ravel().tolist())
+    if peak > 2.0:
+        raise NotUnitaryError(f"entry modulus {peak:.3e} exceeds 2")
+    dist = _unitarity_distance(u)
     if not dist <= UNITARITY_TOL:
         raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
-    _, eps, circular = normalize_global_phase(u[:, 0])
-    chi, rot, branch = recover_first_column(eps)
+    _, eps, circular = _normalize_global_phase(np.ascontiguousarray(u[:, 0]))
+    chi, rot, branch = _recover_first_column(eps)
     if circular:
         branch = "circular-fallback"
     q = compose_rotation(rot)
     v1 = q.T @ u
-    mu, alpha1, alpha2, alpha3, beta2 = extract_core_params(v1, chi)
+    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(v1, chi)
     params = UnitaryParams(
         rotation=rot,
         chi=chi,
@@ -395,4 +417,3 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
         )
 
     return float(np.min([gap(p, q), gap(flip_equivalent(p), q)]))
-

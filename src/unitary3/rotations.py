@@ -86,7 +86,8 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
         raise NonFiniteError("matrix has non-finite entries")
     if _norm(q.T @ q - _EYE3) > ORTHOGONALITY_TOL:
         raise NotOrthogonalError("matrix is not orthogonal within tolerance")
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, ct) = q.tolist()
+    rows = q.tolist()
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, ct) = rows
     # Once Q^T Q = I, det Q = +-1: its sign, expanded along row 1, decides properness.
     det = (
         q00 * (q11 * ct - q12 * q21)
@@ -95,6 +96,13 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     )
     if det < 0.0:
         raise NotOrthogonalError("matrix is orthogonal but not proper (det < 0)")
+    return _rotation_angles(rows)
+
+
+def _rotation_angles(rows) -> tuple[RotationAngles, bool]:
+    """extract_rotation_angles on the rows of a proper orthogonal matrix,
+    already read into Python floats."""
+    (q00, q01, q02), (_, _, q12), (q20, q21, ct) = rows
     st = float(np.hypot(q02, q12))
     gimbal = st <= FOLD_GATE
     if not gimbal:

@@ -13,7 +13,7 @@ from unitary3.characteristic import (
     purity_indices,
     regularity_report,
 )
-from unitary3.linalg import eig_hermitian3
+from unitary3.linalg import FloatRangeError, eig_hermitian3
 from unitary3.parametrization import NotUnitaryError, compose_core, compose_unitary
 from unitary3.rotations import RotationAngles, compose_rotation
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
@@ -81,6 +81,38 @@ def test_purity_small_scale_invariance():
             q = characteristic_decomposition(r * scale).purity
             assert abs(q.P1 - p.P1) <= 1e-12
             assert abs(q.P2 - p.P2) <= 1e-12
+
+
+def test_decomposition_near_float_max():
+    # Entries up to the largest float: the solve runs on R divided by a
+    # power of two, so nothing overflows and no warning is raised
+    # (RuntimeWarnings are errors under the test configuration).
+    for d in ([1.5e308, 1.0, 1.0], [1e308, 5e307, 1e307]):
+        rep = regularity_report(np.diag(d))
+        c = rep.components
+        assert c.eigen.values.tolist() == pytest.approx(d, rel=1e-15)
+        assert c.traceR == sum(d)
+        assert c.purity.P1 == pytest.approx((d[0] - d[1]) / sum(d), rel=1e-15)
+        assert c.purity.P2 == pytest.approx((d[0] + d[1] - 2.0 * d[2]) / sum(d), rel=1e-15)
+        for m in (c.Rp_hat, c.Rm_hat, c.eigen.vectors, c.eigen.normalized):
+            assert np.isfinite(m).all()
+        assert (rep.chi_m, rep.regular) == (0.0, True)
+
+
+def test_float_range_rejected():
+    # A finite input whose trace, eigenvalue or entry modulus lies beyond the
+    # largest float raises the typed error instead of returning NaN.
+    a = 1e308
+    indefinite = np.array([[0.0, a, a], [a, 0.0, a], [a, a, 0.0]])  # eigenvalue 2e308
+    huge_entry = np.diag([1.0, 1.0, 1.0]).astype(complex)
+    huge_entry[0, 1] = complex(1.5e308, 1.5e308)
+    huge_entry[1, 0] = huge_entry[0, 1].conjugate()
+    for r, fns in ((np.diag([1e308, 1e308, 1.0]), (eig_hermitian3, characteristic_decomposition,
+                                                   regularity_report)),
+                   (indefinite, (eig_hermitian3,)), (huge_entry, (eig_hermitian3,))):
+        for fn in fns:
+            with pytest.raises(FloatRangeError, match="beyond the largest float"):
+                fn(r)
 
 
 def test_decomposition_rejects_zero_trace():

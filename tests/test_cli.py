@@ -1,21 +1,24 @@
 import io
 import json
+import math
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import unitary3
-import unitary3.characteristic
 import unitary3.cli
+import unitary3.linalg
 import unitary3.selftest
 from unitary3.characteristic import characteristic_decomposition, regularity_report
 from unitary3.cli import main
 from unitary3.documents import parse_matrix, serialize_matrix, serialize_params
-from unitary3.parametrization import UnitaryParams
+from unitary3.parametrization import UnitaryParams, recover_params
 from unitary3.rotations import RotationAngles
-from unitary3.sampling import SeededGenerator, random_psd_hermitian
+from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
 
 
 def run_cli(argv):
@@ -130,9 +133,17 @@ def test_compose_golden(tmp_path):
 
 
 # stdout of `recover` and `roundtrip` for the documents of `gen --haar 3 --seed 7`
-# and two face documents, composed from the first parameters of
-# COMPOSE_GOLDEN with chi, then mu, 1e-10 from its face; byte for byte.
-RECOVER_FACE_PARAMS = [dict(COMPOSE_GOLDEN[0][0], chi=1e-10), dict(COMPOSE_GOLDEN[0][0], mu=1e-10)]
+# and ten face documents, composed from the first parameters of
+# COMPOSE_GOLDEN with chi, then mu, 1e-10 from its face, then with each of
+# the eight chart faces 1e-13 away; byte for byte.
+_BASE = COMPOSE_GOLDEN[0][0]
+_D = 1e-13
+RECOVER_FACE_PARAMS = [
+    dict(_BASE, chi=1e-10), dict(_BASE, mu=1e-10),
+    dict(_BASE, chi=_D), dict(_BASE, chi=math.pi / 4 - _D), dict(_BASE, chi=-math.pi / 4 + _D),
+    dict(_BASE, mu=_D), dict(_BASE, mu=math.pi / 2 - _D), dict(_BASE, theta=_D),
+    dict(_BASE, theta=math.pi / 2 - _D), dict(_BASE, theta=-math.pi / 2 + _D),
+]
 RECOVER_GOLDEN = [
     (
         '{\n'
@@ -219,6 +230,142 @@ RECOVER_GOLDEN = [
         '}\n',
         '{"residual": 3.124311747751477e-16, "branch": "a"}\n',
     ),
+    (
+        '{\n'
+        '  "phi": -0.23534756181146133,\n'
+        '  "theta": 0.34877492296252366,\n'
+        '  "varphi": 0,\n'
+        '  "chi": 0,\n'
+        '  "mu": 0.8960646413550064,\n'
+        '  "alpha1": 0.09999999999999999,\n'
+        '  "alpha2": 0.159287647170505,\n'
+        '  "alpha3": 0.3386665462511311,\n'
+        '  "beta2": 0.36133345374886894,\n'
+        '  "residual": 1.414180100452215e-13,\n'
+        '  "branch": "d1",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 1.414180100452215e-13, "branch": "d1"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.2999999999999998,\n'
+        '  "theta": 0.39999999999999997,\n'
+        '  "varphi": 0.32401180728410756,\n'
+        '  "chi": 0.7853981633973545,\n'
+        '  "mu": 0.6999999999999998,\n'
+        '  "alpha1": -0.07598819271585772,\n'
+        '  "alpha2": 0.3759881927158578,\n'
+        '  "alpha3": 0.47598819271585785,\n'
+        '  "beta2": 0.3999999999999999,\n'
+        '  "residual": 6.898230974955869e-14,\n'
+        '  "branch": "circular-fallback",\n'
+        '  "global_phase_alpha1_degenerate": true\n'
+        '}\n',
+        '{"residual": 6.898230974955869e-14, "branch": "circular-fallback"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.2999999999999998,\n'
+        '  "theta": 0.4000000000000001,\n'
+        '  "varphi": 0.32401180728410767,\n'
+        '  "chi": -0.7853981633973544,\n'
+        '  "mu": 0.7,\n'
+        '  "alpha1": 0.27598819271585756,\n'
+        '  "alpha2": 0.024011807284142376,\n'
+        '  "alpha3": 0.12401180728414238,\n'
+        '  "beta2": 0.3999999999999999,\n'
+        '  "residual": 6.900365589947214e-14,\n'
+        '  "branch": "circular-fallback",\n'
+        '  "global_phase_alpha1_degenerate": true\n'
+        '}\n',
+        '{"residual": 6.900365589947214e-14, "branch": "circular-fallback"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.2999999999999998,\n'
+        '  "theta": 0.39999999999999997,\n'
+        '  "varphi": 0.49999999999999994,\n'
+        '  "chi": 0.19999999999999998,\n'
+        '  "mu": 1.0009300333942662e-13,\n'
+        '  "alpha1": 0.10000000000000002,\n'
+        '  "alpha2": 0.19999999999999996,\n'
+        '  "alpha3": 0,\n'
+        '  "beta2": 0.7000000000000002,\n'
+        '  "residual": 4.233788595745639e-14,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 4.233788595745639e-14, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.2999999999999998,\n'
+        '  "theta": 0.39999999999999997,\n'
+        '  "varphi": 0.49999999999999994,\n'
+        '  "chi": 0.19999999999999998,\n'
+        '  "mu": 1.5707963267947966,\n'
+        '  "alpha1": 0.10000000000000002,\n'
+        '  "alpha2": 0,\n'
+        '  "alpha3": 0.2999999999999999,\n'
+        '  "beta2": 0.39999999999999997,\n'
+        '  "residual": 2.8197106086307043e-14,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 2.8197106086307043e-14, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": -0.20000000000000018,\n'
+        '  "theta": 0,\n'
+        '  "varphi": 0,\n'
+        '  "chi": 0.20000000000000007,\n'
+        '  "mu": 0.7000000000000424,\n'
+        '  "alpha1": 0.10000000000000003,\n'
+        '  "alpha2": 0.19999999999999174,\n'
+        '  "alpha3": 0.3000000000000114,\n'
+        '  "beta2": 0.4000000000000026,\n'
+        '  "residual": 1.2543964280399065e-13,\n'
+        '  "branch": "b2",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 1.2543964280399065e-13, "branch": "b2"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.2999999999999998,\n'
+        '  "theta": 1.5707963267947966,\n'
+        '  "varphi": 0.49999999999999994,\n'
+        '  "chi": 0.2,\n'
+        '  "mu": 0.7000000000000002,\n'
+        '  "alpha1": 0.09999999999999996,\n'
+        '  "alpha2": 0.19999999999999998,\n'
+        '  "alpha3": 0.3,\n'
+        '  "beta2": 0.3999999999999999,\n'
+        '  "residual": 2.7620807360039165e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 2.7620807360039165e-16, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 0.2999999999999998,\n'
+        '  "theta": -1.5707963267947966,\n'
+        '  "varphi": 0.5,\n'
+        '  "chi": 0.2,\n'
+        '  "mu": 0.6999999999999997,\n'
+        '  "alpha1": 0.09999999999999998,\n'
+        '  "alpha2": 0.20000000000000004,\n'
+        '  "alpha3": 0.2999999999999999,\n'
+        '  "beta2": 0.40000000000000036,\n'
+        '  "residual": 3.0839070684161707e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 3.0839070684161707e-16, "branch": "a"}\n',
+    ),
 ]
 
 
@@ -279,20 +426,53 @@ def test_chardecomp(tmp_path):
     assert doc["regularity"]["regular"] is True
 
 
-def test_coherency_solve_count(tmp_path, monkeypatch):
-    # One eigensolve per coherency call: the regularity analysis reuses the
-    # decomposition's eigenvectors, and the CLI prints the decomposition
-    # the regularity report carries.
-    solve = unitary3.characteristic.eig_hermitian3
+def count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name``, patched in ``owner`` and in every
+    library module that binds it."""
     calls = []
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("unitary3") and getattr(module, "eig_hermitian3", None) is solve:
-            monkeypatch.setattr(module, "eig_hermitian3", counted)
+    for module_name, module in list(sys.modules.items()):
+        if (module is owner or module_name.startswith("unitary3")) and (
+                getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# stdout of `chardecomp` byte for byte, with the document it reads: full
+# rank, rank 2, rank 1, I, diag(.4, .4, .2), and full-rank matrices at
+# scales 1e-100 and 1e100.  Kept small: numpy's SIMD dispatch may round
+# differently on another host.
+CHARDECOMP_GOLDEN = Path(__file__).with_name("chardecomp_golden.json")
+
+
+def test_chardecomp_golden(tmp_path):
+    cases = json.loads(CHARDECOMP_GOLDEN.read_text(encoding="utf-8"))
+    assert [c["name"] for c in cases] == [
+        "full", "rank2", "rank1", "eye", "diag(.4,.4,.2)", "scale1e-100", "scale1e+100"]
+    path = tmp_path / "r.json"
+    for case in cases:
+        path.write_text(case["matrix"], encoding="utf-8")
+        assert run_cli(["chardecomp", "--matrix", str(path)]) == (0, case["stdout"], ""), case["name"]
+
+
+def test_chardecomp_float_range_exit_2(tmp_path):
+    mpath = tmp_path / "r.json"
+    mpath.write_text(serialize_matrix(np.diag([1e308, 1e308, 1.0]), kind="hermitian"))
+    assert run_cli(["chardecomp", "--matrix", str(mpath)]) == (
+        2, "", "error: precondition violated: trace is beyond the largest float\n")
+
+
+def test_coherency_solve_count(tmp_path, monkeypatch):
+    # One eigensolve per coherency call: the regularity analysis reuses the
+    # decomposition's eigenvectors, and the CLI prints the decomposition
+    # the regularity report carries.  LAPACK's own entry point is counted,
+    # so no wrapper or kernel around it can hide a second solve.
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
     r = random_psd_hermitian(SeededGenerator(58))
     mpath = tmp_path / "r.json"
     mpath.write_text(serialize_matrix(r, kind="hermitian"))
@@ -304,6 +484,21 @@ def test_coherency_solve_count(tmp_path, monkeypatch):
         calls.clear()
         run()
         assert len(calls) == want
+
+
+def test_validation_count(monkeypatch):
+    # Each pipeline validates its input once, at the public entry point;
+    # the stages behind it trust the validated array.
+    matrix_checks = count_calls(monkeypatch, unitary3.linalg, "as_matrix3")
+    vector_checks = count_calls(monkeypatch, unitary3.linalg, "as_vector3")
+    u = generate_haar_unitary(SeededGenerator(59))
+    r = random_psd_hermitian(SeededGenerator(60))
+    for run in (lambda: recover_params(u), lambda: regularity_report(r),
+                lambda: characteristic_decomposition(r)):
+        matrix_checks.clear()
+        vector_checks.clear()
+        run()
+        assert (len(matrix_checks), len(vector_checks)) == (1, 0)
 
 
 def test_gen_determinism():
@@ -362,6 +557,21 @@ def test_precondition_exit_2(tmp_path):
     assert code == 1  # unreadable file counts as malformed input
 
 
+def test_recover_huge_entries_exit_2(tmp_path):
+    # Entries of 1e200 would overflow M^H M: recovery rejects them before
+    # that product, so no numpy warning reaches stderr.
+    u = np.eye(3, dtype=complex)
+    u[1, 1] = u[2, 1] = u[1, 2] = 1e200
+    u[2, 2] = -1e200
+    mpath = tmp_path / "huge.json"
+    mpath.write_text(serialize_matrix(u, kind="general"))
+    for command in ("recover", "roundtrip"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([command, "--matrix", str(mpath)]) == (
+                2, "", "error: precondition violated: entry modulus 1.000e+200 exceeds 2\n")
+
+
 def test_chardecomp_non_hermitian_exit_2(tmp_path):
     m = np.eye(3, dtype=complex)
     m[0, 1] = 1.0
@@ -401,9 +611,10 @@ EXIT_CODES = {
     "MalformedDocumentError": 1,
     "RecoveryToleranceError": 3,
     **dict.fromkeys([
-        "Unitary3Error", "NonFiniteError", "NotHermitianError", "NotOrthogonalError",
-        "NotUnitError", "NotUnitaryError", "ParameterRangeError", "InconsistentColumnError",
-        "StructureViolationError", "ZeroTraceError", "NotPositiveSemidefiniteError",
+        "Unitary3Error", "NonFiniteError", "NotHermitianError", "FloatRangeError",
+        "NotOrthogonalError", "NotUnitError", "NotUnitaryError", "ParameterRangeError",
+        "InconsistentColumnError", "StructureViolationError", "ZeroTraceError",
+        "NotPositiveSemidefiniteError",
     ], 2),
 }
 

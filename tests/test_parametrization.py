@@ -203,15 +203,16 @@ def test_recover_params_rejects_non_unitary():
 
 
 def test_recover_params_rejects_nan_unitarity_distance():
-    # Entries of 1e200 overflow M^H M to inf - inf = NaN; the unitarity gate
-    # still rejects the matrix instead of passing it on.
+    # Entries of 1e200 overflow M^H M to inf - inf = NaN; recovery rejects
+    # any entry of modulus above 2 before forming that product, so it raises
+    # without a RuntimeWarning (an error under the test configuration).
     u = np.eye(3, dtype=complex)
     u[1, 1] = u[2, 1] = u[1, 2] = 1e200
     u[2, 2] = -1e200
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(unitarity_distance(u))
-        with pytest.raises(NotUnitaryError):
-            recover_params(u)
+    with pytest.raises(NotUnitaryError, match="entry modulus 1.000e[+]200 exceeds 2"):
+        recover_params(u)
 
 
 def test_recover_params_haar():
