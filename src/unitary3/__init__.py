@@ -10,9 +10,9 @@ from .linalg import (
     FloatRangeError,
     NonFiniteError,
     NotHermitianError,
+    NotUnitaryError,
     Unitary3Error,
     eig_hermitian3,
-    is_unitary,
     outer_product,
     unitarity_distance,
 )
@@ -25,7 +25,6 @@ from .rotations import (
 )
 from .parametrization import (
     InconsistentColumnError,
-    NotUnitaryError,
     NotUnitError,
     ParameterRangeError,
     RecoveryReport,

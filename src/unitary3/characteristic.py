@@ -27,15 +27,14 @@ from .linalg import (
     _TINY,
     EigenDecomposition,
     Unitary3Error,
+    _check_unitary,
     _eig,
     _norm,
     _outer,
     as_matrix3,
-    is_unitary,
     outer_product,
 )
 from .parametrization import (
-    NotUnitaryError,
     _ellipticity,
     _normalize_global_phase,
     canonical_basis,
@@ -140,10 +139,10 @@ def _decompose(r: np.ndarray) -> CharacteristicComponents:
 
 
 def middle_component(u) -> np.ndarray:
-    """Half-projector onto the span of the first two columns of a unitary."""
+    """Half-projector onto the span of the first two columns of a unitary;
+    raises NotUnitaryError where the input fails the unitarity gate."""
     u = as_matrix3(u)
-    if not is_unitary(u):
-        raise NotUnitaryError("middle_component expects a unitary matrix")
+    _check_unitary(u)
     return 0.5 * (outer_product(u[:, 0]) + outer_product(u[:, 1]))
 
 

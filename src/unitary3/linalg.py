@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Gates shared by every module.  DEGENERACY_GATE only labels branches (the
-# circular column, a3 = 0, b3 = 0).  FOLD_GATE is the one gate of every fold:
-# below it a quantity is rounding noise and a convention decides (linear
-# column and pole, chi sign, rotation gimbal, mu = 0 and mu = pi/2).
+# Gates shared by every module.  DEGENERACY_GATE only labels (the circular
+# column, a3 = 0, b3 = 0) and folds nothing.  FOLD_GATE is the one gate of
+# every fold: below it a quantity is rounding noise and a convention decides
+# (linear column and pole, chi sign, rotation gimbal, mu = 0 and mu = pi/2).
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 DEGENERACY_GATE = 1e-10
@@ -76,6 +76,10 @@ class FloatRangeError(Unitary3Error, ValueError):
     the largest float."""
 
 
+class NotUnitaryError(Unitary3Error, ValueError):
+    """Matrix expected to pass the unitarity gate."""
+
+
 def as_vector3(v) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=complex).reshape(3)
     if not np.isfinite(v).all():
@@ -105,16 +109,30 @@ def _norm(x: np.ndarray) -> float:
 
 
 def unitarity_distance(m) -> float:
-    """Frobenius norm of M†M - I."""
-    return _unitarity_distance(as_matrix3(m))
+    """Frobenius norm of M†M - I; raises FloatRangeError where that
+    overflows (entries of modulus above about 1e77)."""
+    m = as_matrix3(m)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _unitarity_distance(m)
+    except FloatingPointError:
+        raise FloatRangeError("unitarity distance is beyond the largest float") from None
 
 
 def _unitarity_distance(m: np.ndarray) -> float:
     return _norm(m.conj().T @ m - _EYE3)
 
 
-def is_unitary(m) -> bool:
-    return unitarity_distance(m) <= UNITARITY_TOL
+def _check_unitary(m: np.ndarray) -> None:
+    """The unitarity gate: NotUnitaryError for an entry of modulus above 2
+    (every entry of a unitary has modulus at most 1), checked before M†M
+    could overflow, or for a unitarity distance above UNITARITY_TOL."""
+    peak = max(math.hypot(z.real, z.imag) for z in m.ravel().tolist())
+    if peak > 2.0:
+        raise NotUnitaryError(f"entry modulus {peak:.3e} exceeds 2")
+    dist = _unitarity_distance(m)
+    if not dist <= UNITARITY_TOL:
+        raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
 
 
 def outer_product(v) -> np.ndarray:

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEGENERACY_GATE, FOLD_GATE, UNITARITY_TOL, Unitary3Error, _norm,
-                     _unitarity_distance, as_matrix3, as_vector3)
+# NotUnitaryError stays importable from here, the module whose recovery raises it.
+from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
+                     _norm, as_matrix3, as_vector3)
 from .rotations import RotationAngles, _rotation_angles, compose_rotation, wrap_angle
 
 RECOVERY_TOL = 1e-10
@@ -51,10 +52,6 @@ _STRUCTURE_TOL = 1e-8
 
 class NotUnitError(Unitary3Error, ValueError):
     """Vector expected to have unit Euclidean norm."""
-
-
-class NotUnitaryError(Unitary3Error, ValueError):
-    """Matrix expected to pass the unitarity gate."""
 
 
 class ParameterRangeError(Unitary3Error, ValueError):
@@ -159,14 +156,11 @@ def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
     alpha1 is half the argument of the unconjugated self-product u1.u1,
     which is invariant under frame rotations and equals e^{2i alpha1}
     cos(2 chi).  The residual pi ambiguity is resolved by making the first
-    significant component of the normalized column nonnegative.
-
-    For circular states (|u1.u1| < DEGENERACY_GATE, chi = +-pi/4) the
-    self-product vanishes and alpha1 is fixed by making the first
-    significant component real and nonnegative instead; the returned flag
-    is then True.  Raises NotUnitError unless |u1| = 1 within RECOVERY_TOL;
-    the columns recover_params and regularity_report pass are unit by
-    their own gates.
+    significant component of the normalized column nonnegative.  The flag
+    is True when |u1.u1| < DEGENERACY_GATE (circular, chi = +-pi/4); it
+    labels the column only.  Raises NotUnitError unless |u1| = 1 within
+    RECOVERY_TOL; the columns recover_params and regularity_report pass
+    are unit by their own gates.
     """
     u1 = as_vector3(u1)
     norm = _norm(u1)
@@ -177,20 +171,15 @@ def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
 
 def _normalize_global_phase(u1: np.ndarray) -> tuple[float, np.ndarray, bool]:
     w = complex((u1 * u1).sum())
-    circular = abs(w) < DEGENERACY_GATE
-    if circular:
-        alpha1 = _phase(next(z for z in u1.tolist() if abs(z) > 1e-9))
-    else:
-        alpha1 = 0.5 * _phase(w)
+    alpha1 = 0.5 * _phase(w)
     eps = np.exp(-1j * alpha1) * u1
-    if not circular:
-        for x in eps.real.tolist() + eps.imag.tolist():
-            if abs(x) > 1e-9:
-                if x < 0.0:
-                    alpha1 = wrap_angle(alpha1 + np.pi)
-                    eps = -eps
-                break
-    return alpha1, eps, circular
+    for x in eps.real.tolist() + eps.imag.tolist():
+        if abs(x) > 1e-9:
+            if x < 0.0:
+                alpha1 = wrap_angle(alpha1 + np.pi)
+                eps = -eps
+            break
+    return alpha1, eps, abs(w) < DEGENERACY_GATE
 
 
 def ellipticity(eps) -> tuple[float, str]:
@@ -212,10 +201,10 @@ def ellipticity(eps) -> tuple[float, str]:
       chi; in branches b2, c and d2 always +1.
 
     Why a constant in b2, c and d2: there |a3*b3| <= DEGENERACY_GATE, and
-    the normalized column has |a.b| <= 5e-11 (normalize_global_phase
-    leaves eps.eps real, or below the circular gate), so AM-GM on
+    the normalized column has |a.b| at rounding level (normalize_global_phase
+    leaves eps.eps real; measured <= 2.1e-16), so AM-GM on
     a1*a2*b1*b2 = (a1*b1)*(a2*b2) bounds |a1*b2| and |a2*b1| by
-    (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.77e-10 at a gimbal: no
+    (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.51e-10 at a gimbal: no
     product of entries is left above DEGENERACY_GATE to carry a sign.
     """
     return _ellipticity(as_vector3(eps))
@@ -335,17 +324,10 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     report carries the Frobenius residual of the recomposition and the
     sign-determination branch that fired.
 
-    Raises NotUnitaryError for an entry of modulus above 2 (every entry of
-    a unitary has modulus at most 1), before M†M could overflow, or for a
-    unitarity distance above UNITARITY_TOL.
+    Raises NotUnitaryError where the input fails linalg's unitarity gate.
     """
     u = as_matrix3(u)
-    peak = max(math.hypot(z.real, z.imag) for z in u.ravel().tolist())
-    if peak > 2.0:
-        raise NotUnitaryError(f"entry modulus {peak:.3e} exceeds 2")
-    dist = _unitarity_distance(u)
-    if not dist <= UNITARITY_TOL:
-        raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
+    _check_unitary(u)
     _, eps, circular = _normalize_global_phase(np.ascontiguousarray(u[:, 0]))
     chi, rot, branch = _recover_first_column(eps)
     if circular:

@@ -133,6 +133,13 @@ def test_middle_component_identity():
 def test_middle_component_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         middle_component(np.eye(3) * 2.0)
+    # entries whose M^H M or its norm overflow: the same error, no warning
+    for big in (1e100, 1e200):
+        u = np.eye(3, dtype=complex)
+        u[1, 1] = u[2, 1] = u[1, 2] = big
+        u[2, 2] = -big
+        with pytest.raises(NotUnitaryError):
+            middle_component(u)
 
 
 def test_middle_component_spectrum():

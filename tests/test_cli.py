@@ -250,36 +250,36 @@ RECOVER_GOLDEN = [
     (
         '{\n'
         '  "phi": 0.2999999999999998,\n'
-        '  "theta": 0.39999999999999997,\n'
-        '  "varphi": 0.32401180728410756,\n'
-        '  "chi": 0.7853981633973545,\n'
+        '  "theta": 0.4,\n'
+        '  "varphi": 0.5000260732514508,\n'
+        '  "chi": 0.7853981633973482,\n'
         '  "mu": 0.6999999999999998,\n'
-        '  "alpha1": -0.07598819271585772,\n'
-        '  "alpha2": 0.3759881927158578,\n'
-        '  "alpha3": 0.47598819271585785,\n'
+        '  "alpha1": 0.10002607325145092,\n'
+        '  "alpha2": 0.1999739267485491,\n'
+        '  "alpha3": 0.29997392674854906,\n'
         '  "beta2": 0.3999999999999999,\n'
-        '  "residual": 6.898230974955869e-14,\n'
+        '  "residual": 2.6449840307621206e-16,\n'
         '  "branch": "circular-fallback",\n'
         '  "global_phase_alpha1_degenerate": true\n'
         '}\n',
-        '{"residual": 6.898230974955869e-14, "branch": "circular-fallback"}\n',
+        '{"residual": 2.6449840307621206e-16, "branch": "circular-fallback"}\n',
     ),
     (
         '{\n'
         '  "phi": 0.2999999999999998,\n'
-        '  "theta": 0.4000000000000001,\n'
-        '  "varphi": 0.32401180728410767,\n'
-        '  "chi": -0.7853981633973544,\n'
+        '  "theta": 0.4,\n'
+        '  "varphi": 0.5001725107618264,\n'
+        '  "chi": -0.7853981633973482,\n'
         '  "mu": 0.7,\n'
-        '  "alpha1": 0.27598819271585756,\n'
-        '  "alpha2": 0.024011807284142376,\n'
-        '  "alpha3": 0.12401180728414238,\n'
+        '  "alpha1": 0.09982748923817336,\n'
+        '  "alpha2": 0.20017251076182657,\n'
+        '  "alpha3": 0.3001725107618266,\n'
         '  "beta2": 0.3999999999999999,\n'
-        '  "residual": 6.900365589947214e-14,\n'
+        '  "residual": 2.3273757686693183e-16,\n'
         '  "branch": "circular-fallback",\n'
         '  "global_phase_alpha1_degenerate": true\n'
         '}\n',
-        '{"residual": 6.900365589947214e-14, "branch": "circular-fallback"}\n',
+        '{"residual": 2.3273757686693183e-16, "branch": "circular-fallback"}\n',
     ),
     (
         '{\n'
