@@ -13,7 +13,6 @@ from .linalg import (
     NotUnitaryError,
     Unitary3Error,
     eig_hermitian3,
-    outer_product,
     unitarity_distance,
 )
 from .rotations import (
@@ -25,7 +24,6 @@ from .rotations import (
 )
 from .parametrization import (
     InconsistentColumnError,
-    NotUnitError,
     ParameterRangeError,
     RecoveryReport,
     RecoveryToleranceError,
@@ -34,12 +32,8 @@ from .parametrization import (
     canonical_basis,
     compose_core,
     compose_unitary,
-    ellipticity,
-    extract_core_params,
     flip_equivalent,
-    normalize_global_phase,
     params_distance,
-    recover_first_column,
     recover_params,
 )
 from .characteristic import (

@@ -32,7 +32,6 @@ from .linalg import (
     _norm,
     _outer,
     as_matrix3,
-    outer_product,
 )
 from .parametrization import (
     _ellipticity,
@@ -143,7 +142,7 @@ def middle_component(u) -> np.ndarray:
     raises NotUnitaryError where the input fails the unitarity gate."""
     u = as_matrix3(u)
     _check_unitary(u)
-    return 0.5 * (outer_product(u[:, 0]) + outer_product(u[:, 1]))
+    return 0.5 * (_outer(np.ascontiguousarray(u[:, 0])) + _outer(np.ascontiguousarray(u[:, 1])))
 
 
 def intrinsic_middle(chi: float) -> np.ndarray:
@@ -155,14 +154,14 @@ def intrinsic_middle(chi: float) -> np.ndarray:
     v2 v2† + v3 v3† = I - n1 n1†.
     """
     _, n2, n3 = canonical_basis(chi).T
-    return 0.5 * (outer_product(n2) + outer_product(n3))
+    return 0.5 * (_outer(np.ascontiguousarray(n2)) + _outer(np.ascontiguousarray(n3)))
 
 
 def regularity_report(r) -> RegularityReport:
     """Regularity analysis of the middle component of a coherency matrix.
 
     The kernel of Rm_hat is the rotated intrinsic state (cos chi_m,
-    i sin chi_m, 0), and it is the third eigenvector of R, so ellipticity
+    i sin chi_m, 0), and it is the third eigenvector of R, so _ellipticity
     reads chi_m, sign included, straight off the decomposition's single
     eigensolve.  The spectrum of Re(Rm_hat) is its closed form
     (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
@@ -174,7 +173,7 @@ def regularity_report(r) -> RegularityReport:
 def _regularity(r: np.ndarray) -> RegularityReport:
     c = _decompose(r)
     u3 = np.ascontiguousarray(c.eigen.vectors[:, 2])
-    chi_m, _ = _ellipticity(_normalize_global_phase(u3)[1])
+    chi_m, _ = _ellipticity(_normalize_global_phase(u3)[0])
     return RegularityReport(
         m1_hat=0.5,
         m2_hat=float(np.cos(chi_m) ** 2 / 2),

@@ -30,7 +30,7 @@ from .selftest import run_selftest
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDocumentError(f"cannot read {path}: {exc}") from exc
 
 
@@ -42,10 +42,7 @@ def _emit(text: str, out: str | None):
 
 
 def _grid(m) -> dict:
-    return {
-        "re": [[float(m[i, j].real) for j in range(3)] for i in range(3)],
-        "im": [[float(m[i, j].imag) for j in range(3)] for i in range(3)],
-    }
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _cmd_compose(args) -> int:

@@ -40,6 +40,8 @@ def _load_json(text: str) -> dict:
         raise MalformedDocumentError(f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     except ValueError as exc:  # an integer literal beyond Python's int digit limit
         raise MalformedDocumentError(f"unreadable number: {exc}") from exc
+    except RecursionError:
+        raise MalformedDocumentError("nested too deeply") from None
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top-level value must be an object")
     return doc

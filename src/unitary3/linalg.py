@@ -5,11 +5,13 @@ Everything operates on plain numpy arrays (shape (3,) complex vectors and
 inputs.  The eigensolver is LAPACK's (``numpy.linalg.eigh``) behind a fixed
 contract: nonincreasing eigenvalues and a deterministic eigenvector phase.
 
-Validation rule of both pipelines: public functions validate, ``_kernels``
-trust.  Each public stage function checks its input once (as_vector3,
-as_matrix3: shape, complex dtype, finite entries, C-contiguous copy) and
-calls its private kernel; pipelines call the kernels directly, so one
-recovery or one coherency report validates its matrix once.
+Validation rule of both pipelines: public operations validate once; stages
+are private kernels.  Each public operation (recover_params,
+regularity_report, characteristic_decomposition, middle_component,
+eig_hermitian3, unitarity_distance; extract_rotation_angles on its real
+input) checks its input once (as_matrix3: shape, complex dtype, finite
+entries, C-contiguous copy) and runs private ``_kernels`` that trust it,
+so one recovery or one coherency report validates its matrix once.
 
 Arithmetic rule of both pipelines: Python scalars for 3x3 reads; numpy for
 arctan2, hypot, complex products and dot norms, because their rounding is
@@ -80,13 +82,6 @@ class NotUnitaryError(Unitary3Error, ValueError):
     """Matrix expected to pass the unitarity gate."""
 
 
-def as_vector3(v) -> np.ndarray:
-    v = np.ascontiguousarray(v, dtype=complex).reshape(3)
-    if not np.isfinite(v).all():
-        raise NonFiniteError("vector has non-finite entries")
-    return v
-
-
 def as_matrix3(m) -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=complex).reshape(3, 3)
     if not np.isfinite(m).all():
@@ -135,12 +130,8 @@ def _check_unitary(m: np.ndarray) -> None:
         raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
 
 
-def outer_product(v) -> np.ndarray:
-    """Conjugate outer product v v†, a Hermitian PSD matrix of rank <= 1."""
-    return _outer(as_vector3(v))
-
-
 def _outer(v: np.ndarray) -> np.ndarray:
+    """Conjugate outer product v v†, a Hermitian PSD matrix of rank <= 1."""
     return np.outer(v, v.conj())
 
 

@@ -24,7 +24,7 @@ parametrizations exist by reordering the columns of V1; only this ordering
 is implemented.
 
 Recovery: the first column u1 determines alpha1, chi and the rotation; the
-core parameters then come from the entries of V1 = Q.T @ U.  ellipticity
+core parameters then come from the entries of V1 = Q.T @ U.  _ellipticity
 holds every convention of chi: its magnitude, its sign (fixed by the
 requirement that the rotation stays inside the chart, Q[2,2] = cos theta
 >= 0, which reduces to sign(a1*b2 - a2*b1) on the real and imaginary parts
@@ -43,15 +43,11 @@ import numpy as np
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
-                     _norm, as_matrix3, as_vector3)
+                     _norm, as_matrix3)
 from .rotations import RotationAngles, _rotation_angles, compose_rotation, wrap_angle
 
 RECOVERY_TOL = 1e-10
 _STRUCTURE_TOL = 1e-8
-
-
-class NotUnitError(Unitary3Error, ValueError):
-    """Vector expected to have unit Euclidean norm."""
 
 
 class ParameterRangeError(Unitary3Error, ValueError):
@@ -150,39 +146,30 @@ def compose_unitary(p: UnitaryParams) -> np.ndarray:
     return q @ compose_core(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
 
 
-def normalize_global_phase(u1) -> tuple[float, np.ndarray, bool]:
-    """Split a unit column into global phase alpha1 and a normalized column.
+def _normalize_global_phase(u1: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Phase-normalize a unit column: eps = e^{-i alpha1} u1.
 
     alpha1 is half the argument of the unconjugated self-product u1.u1,
     which is invariant under frame rotations and equals e^{2i alpha1}
     cos(2 chi).  The residual pi ambiguity is resolved by making the first
     significant component of the normalized column nonnegative.  The flag
     is True when |u1.u1| < DEGENERACY_GATE (circular, chi = +-pi/4); it
-    labels the column only.  Raises NotUnitError unless |u1| = 1 within
-    RECOVERY_TOL; the columns recover_params and regularity_report pass
-    are unit by their own gates.
+    labels the column only.  The column must be unit: recover_params and
+    regularity_report pass columns that are unit by their own gates.
+    Recovery reads alpha1 itself off V1[0, 0], so only eps is returned.
     """
-    u1 = as_vector3(u1)
-    norm = _norm(u1)
-    if abs(norm - 1.0) > RECOVERY_TOL:
-        raise NotUnitError(f"column norm {norm} is not 1 within {RECOVERY_TOL}")
-    return _normalize_global_phase(u1)
-
-
-def _normalize_global_phase(u1: np.ndarray) -> tuple[float, np.ndarray, bool]:
     w = complex((u1 * u1).sum())
     alpha1 = 0.5 * _phase(w)
     eps = np.exp(-1j * alpha1) * u1
     for x in eps.real.tolist() + eps.imag.tolist():
         if abs(x) > 1e-9:
             if x < 0.0:
-                alpha1 = wrap_angle(alpha1 + np.pi)
                 eps = -eps
             break
-    return alpha1, eps, abs(w) < DEGENERACY_GATE
+    return eps, abs(w) < DEGENERACY_GATE
 
 
-def ellipticity(eps) -> tuple[float, str]:
+def _ellipticity(eps: np.ndarray) -> tuple[float, str]:
     """Ellipticity angle chi and zero-pattern branch of a normalized column.
 
     Takes the phase-normalized column eps = a + i b, which is
@@ -201,16 +188,12 @@ def ellipticity(eps) -> tuple[float, str]:
       chi; in branches b2, c and d2 always +1.
 
     Why a constant in b2, c and d2: there |a3*b3| <= DEGENERACY_GATE, and
-    the normalized column has |a.b| at rounding level (normalize_global_phase
-    leaves eps.eps real; measured <= 2.1e-16), so AM-GM on
-    a1*a2*b1*b2 = (a1*b1)*(a2*b2) bounds |a1*b2| and |a2*b1| by
+    the normalized column has |a.b| at rounding level
+    (_normalize_global_phase leaves eps.eps real; measured <= 2.1e-16), so
+    AM-GM on a1*a2*b1*b2 = (a1*b1)*(a2*b2) bounds |a1*b2| and |a2*b1| by
     (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.51e-10 at a gimbal: no
     product of entries is left above DEGENERACY_GATE to carry a sign.
     """
-    return _ellipticity(as_vector3(eps))
-
-
-def _ellipticity(eps: np.ndarray) -> tuple[float, str]:
     a, b = eps.real, eps.imag
     ca = _norm(a)
     sb = _norm(b)
@@ -243,19 +226,15 @@ def _ellipticity(eps: np.ndarray) -> tuple[float, str]:
     return sign * float(np.arctan2(sb, ca)), branch
 
 
-def recover_first_column(eps) -> tuple[float, RotationAngles, str]:
+def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
     """Recover (chi, rotation, branch) from a phase-normalized unit column.
 
-    chi and the branch come from ellipticity; the rotation has columns
+    chi and the branch come from _ellipticity; the rotation has columns
     q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2.  A linear column
     (chi = 0) fixes q1 only; the frame takes the varphi = 0 representative
     q2 = e_z x q1 / |e_z x q1|, or e_y projected off q1 where that norm is
     below FOLD_GATE (the poles q1 = +-e_z).
     """
-    return _recover_first_column(as_vector3(eps))
-
-
-def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
     chi, branch = _ellipticity(eps)
     a, b = eps.real, eps.imag
     q1 = a / _norm(a)
@@ -280,7 +259,7 @@ def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
     return chi, rot, branch
 
 
-def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, float]:
+def _extract_core_params(v1: np.ndarray, chi: float) -> tuple[float, float, float, float, float]:
     """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix entries.
 
     alpha2 is the phase of v22 and alpha3 that of v23, each folded to 0
@@ -289,10 +268,6 @@ def extract_core_params(v1, chi: float) -> tuple[float, float, float, float, flo
     when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
     delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
     """
-    return _extract_core_params(as_matrix3(v1), chi)
-
-
-def _extract_core_params(v1: np.ndarray, chi: float) -> tuple[float, float, float, float, float]:
     (v11, _, _), (_, v22, v23), (v31, v32, v33) = v1.tolist()
     if abs(v31) > _STRUCTURE_TOL:
         raise StructureViolationError(
@@ -328,7 +303,7 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     """
     u = as_matrix3(u)
     _check_unitary(u)
-    _, eps, circular = _normalize_global_phase(np.ascontiguousarray(u[:, 0]))
+    eps, circular = _normalize_global_phase(np.ascontiguousarray(u[:, 0]))
     chi, rot, branch = _recover_first_column(eps)
     if circular:
         branch = "circular-fallback"

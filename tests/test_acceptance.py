@@ -18,7 +18,7 @@ import numpy as np
 from unitary3.characteristic import characteristic_decomposition, intrinsic_middle, regularity_report
 from unitary3.cli import main
 from unitary3.linalg import eig_hermitian3
-from unitary3.parametrization import normalize_global_phase, recover_first_column
+from unitary3.parametrization import _normalize_global_phase, _recover_first_column
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
 from unitary3.selftest import (
     REGULARITY_CHI_VALUES,
@@ -95,7 +95,7 @@ def test_criterion_04_branch_coverage():
     failures = []
     for chi0, phi0, theta0, varphi0, want_branch in cases:
         eps = first_column_oracle(chi0, phi0, theta0, varphi0)
-        chi, _, branch = recover_first_column(eps)
+        chi, _, branch = _recover_first_column(np.asarray(eps, dtype=complex))
         if branch != want_branch or np.sign(chi) != np.sign(chi0):
             failures.append((want_branch, branch, chi0, chi))
     _report(
@@ -111,7 +111,7 @@ def test_criterion_05_eq17_identity():
     gaps = []
     for _ in range(1000):
         u = generate_haar_unitary(g)
-        _, eps, _ = normalize_global_phase(u[:, 0])
+        eps, _ = _normalize_global_phase(np.ascontiguousarray(u[:, 0], dtype=complex))
         ca = np.linalg.norm(eps.real)
         sb = np.linalg.norm(eps.imag)
         gaps.append(abs(ca * ca + sb * sb - 1.0))

@@ -22,7 +22,7 @@ def test_canonical_basis_circular():
 def test_canonical_basis_in_frame_self_product():
     # The first column of U is n1 re-expressed in the lab frame; its
     # rotation-invariant self-product u1.u1 = e^{2i alpha1} cos(2 chi) is
-    # what normalize_global_phase reads alpha1 from.
+    # what _normalize_global_phase reads alpha1 from.
     g = SeededGenerator(31)
     for _ in range(200):
         p = random_params(g)

@@ -13,7 +13,7 @@ import unitary3
 import unitary3.cli
 import unitary3.linalg
 import unitary3.selftest
-from unitary3.characteristic import characteristic_decomposition, regularity_report
+from unitary3.characteristic import characteristic_decomposition, middle_component, regularity_report
 from unitary3.cli import main
 from unitary3.documents import parse_matrix, serialize_matrix, serialize_params
 from unitary3.parametrization import UnitaryParams, recover_params
@@ -487,18 +487,16 @@ def test_coherency_solve_count(tmp_path, monkeypatch):
 
 
 def test_validation_count(monkeypatch):
-    # Each pipeline validates its input once, at the public entry point;
-    # the stages behind it trust the validated array.
+    # Each public operation validates its input once; the stages behind it
+    # are private kernels that trust the validated array.
     matrix_checks = count_calls(monkeypatch, unitary3.linalg, "as_matrix3")
-    vector_checks = count_calls(monkeypatch, unitary3.linalg, "as_vector3")
     u = generate_haar_unitary(SeededGenerator(59))
     r = random_psd_hermitian(SeededGenerator(60))
     for run in (lambda: recover_params(u), lambda: regularity_report(r),
-                lambda: characteristic_decomposition(r)):
+                lambda: characteristic_decomposition(r), lambda: middle_component(u)):
         matrix_checks.clear()
-        vector_checks.clear()
         run()
-        assert (len(matrix_checks), len(vector_checks)) == (1, 0)
+        assert len(matrix_checks) == 1
 
 
 def test_gen_determinism():
@@ -525,6 +523,21 @@ def test_malformed_input_exit_1(tmp_path):
     code, _, err = run_cli(["recover", "--matrix", str(mpath)])
     assert code == 1
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_document_exit_1(tmp_path, content):
+    # A file that is not UTF-8 text, or JSON nested beyond the parser's
+    # recursion limit, is malformed input, not a traceback.
+    mpath, ppath = tmp_path / "m.json", tmp_path / "p.json"
+    mpath.write_bytes(content)
+    ppath.write_bytes(content)
+    for argv in (["recover", "--matrix", str(mpath)], ["chardecomp", "--matrix", str(mpath)],
+                 ["compose", "--params", str(ppath)]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: malformed input"), err
 
 
 def test_huge_integer_exit_1(tmp_path):
@@ -612,7 +625,7 @@ EXIT_CODES = {
     "RecoveryToleranceError": 3,
     **dict.fromkeys([
         "Unitary3Error", "NonFiniteError", "NotHermitianError", "FloatRangeError",
-        "NotOrthogonalError", "NotUnitError", "NotUnitaryError", "ParameterRangeError",
+        "NotOrthogonalError", "NotUnitaryError", "ParameterRangeError",
         "InconsistentColumnError", "StructureViolationError", "ZeroTraceError",
         "NotPositiveSemidefiniteError",
     ], 2),

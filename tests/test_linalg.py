@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from unitary3.characteristic import characteristic_decomposition, regularity_report
+from unitary3.characteristic import characteristic_decomposition, middle_component, regularity_report
 from unitary3.linalg import (
     NonFiniteError,
     NotHermitianError,
+    _outer,
     eig_hermitian3,
-    outer_product,
     unitarity_distance,
 )
-from unitary3.parametrization import (
-    ellipticity,
-    extract_core_params,
-    normalize_global_phase,
-    recover_first_column,
-    recover_params,
-)
+from unitary3.parametrization import recover_params
 from unitary3.rotations import extract_rotation_angles
 from unitary3.sampling import (
     SeededGenerator,
@@ -42,7 +36,7 @@ def test_unitarity_distance_scaled():
 
 def test_outer_product_is_rank_one_projector():
     v = np.array([0.6, 0.8j, 0.0])
-    p = outer_product(v)
+    p = _outer(v)
     assert np.array_equal(p, p.conj().T)
     assert np.allclose(p @ p, p)
     assert np.trace(p).real == pytest.approx(1.0)
@@ -134,18 +128,14 @@ NON_FINITE = {
 @pytest.mark.parametrize("z", list(NON_FINITE.values()), ids=list(NON_FINITE))
 def test_non_finite_input_rejected(z):
     # A NaN or infinity in either part of any entry raises NonFiniteError
-    # before any arithmetic, at every public entry point of both pipelines.
+    # before any arithmetic, at every public operation of both pipelines.
     for k in range(3):
-        col = np.array([1.0, 0.0, 0.0], dtype=complex)
-        col[k] = z
         mat = np.eye(3, dtype=complex)
         mat[k, (k + 1) % 3] = z
         # The rotation is real: the non-finite part moves to the real entry.
         rot = mat.real + mat.imag
-        for fn, arg in ((normalize_global_phase, col), (ellipticity, col),
-                        (recover_first_column, col), (recover_params, mat),
-                        (lambda m: extract_core_params(m, 0.3), mat), (eig_hermitian3, mat),
-                        (characteristic_decomposition, mat), (regularity_report, mat),
-                        (extract_rotation_angles, rot)):
+        for fn, arg in ((recover_params, mat), (unitarity_distance, mat), (middle_component, mat),
+                        (eig_hermitian3, mat), (characteristic_decomposition, mat),
+                        (regularity_report, mat), (extract_rotation_angles, rot)):
             with pytest.raises(NonFiniteError, match="non-finite"):
                 fn(arg)

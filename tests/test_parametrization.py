@@ -6,18 +6,17 @@ import pytest
 from unitary3.linalg import FloatRangeError, unitarity_distance
 from unitary3.parametrization import (
     InconsistentColumnError,
-    NotUnitError,
     NotUnitaryError,
     StructureViolationError,
     UnitaryParams,
+    _ellipticity,
+    _extract_core_params,
+    _normalize_global_phase,
+    _recover_first_column,
     compose_core,
     compose_unitary,
-    ellipticity,
-    extract_core_params,
     flip_equivalent,
-    normalize_global_phase,
     params_distance,
-    recover_first_column,
     recover_params,
 )
 from unitary3.rotations import RotationAngles, compose_rotation
@@ -65,24 +64,30 @@ def test_compose_unitary_all_zero():
     assert np.allclose(compose_unitary(make_params()), np.eye(3))
 
 
+def column(v) -> np.ndarray:
+    """A stage kernel's input: a complex array, as the pipelines pass it."""
+    return np.asarray(v, dtype=complex)
+
+
 def test_normalize_global_phase_trivial():
-    alpha1, eps, circular = normalize_global_phase([1.0, 0.0, 0.0])
-    assert alpha1 == 0.0
+    u1 = column([1.0, 0.0, 0.0])
+    eps, circular = _normalize_global_phase(u1)
+    assert np.array_equal(eps, u1)  # alpha1 = 0
     assert not circular
     assert np.allclose(eps, [1.0, 0.0, 0.0])
 
 
 def test_normalize_global_phase_generic():
     u1 = np.exp(1j * np.pi / 3) * np.array([np.cos(0.2), 1j * np.sin(0.2), 0.0])
-    alpha1, eps, circular = normalize_global_phase(u1)
+    eps, circular = _normalize_global_phase(u1)
     assert not circular
-    assert alpha1 == pytest.approx(np.pi / 3)
+    assert np.linalg.norm(u1 - np.exp(1j * np.pi / 3) * eps) <= 1e-15  # alpha1 = pi/3
     assert np.allclose(eps, [np.cos(0.2), 1j * np.sin(0.2), 0.0])
 
 
 def test_normalize_global_phase_circular_flag():
     s = np.sqrt(0.5)
-    _, _, circular = normalize_global_phase([s, 1j * s, 0.0])
+    _, circular = _normalize_global_phase(column([s, 1j * s, 0.0]))
     assert circular
     # phased, rotated columns at and near chi = pi/4: flagged, and still
     # phase-normalized (a.b = 0) by the one alpha1 rule
@@ -90,18 +95,13 @@ def test_normalize_global_phase_circular_flag():
         for phase, angles in ((0.5, (0.4, -0.3, 1.0)), (-2.0, (2.1, 0.7, -1.3))):
             q = compose_rotation(RotationAngles(*angles))
             u1 = np.exp(1j * phase) * (q @ [np.cos(chi), 1j * np.sin(chi), 0.0])
-            _, eps, circular = normalize_global_phase(u1)
+            eps, circular = _normalize_global_phase(u1)
             assert circular
             assert abs(eps.real @ eps.imag) <= 1e-15, (chi, phase)
 
 
-def test_normalize_global_phase_rejects_non_unit():
-    with pytest.raises(NotUnitError):
-        normalize_global_phase([1.0, 1.0, 0.0])
-
-
 def test_recover_first_column_trivial():
-    chi, rot, _ = recover_first_column(np.array([1.0, 0.0, 0.0]))
+    chi, rot, _ = _recover_first_column(column([1.0, 0.0, 0.0]))
     assert chi == 0.0
     assert (rot.phi, rot.theta, rot.varphi) == (0.0, 0.0, 0.0)
 
@@ -115,7 +115,7 @@ def test_recover_first_column_pole():
         a = np.array([g.gauss(), g.gauss(), g.gauss()])
         columns.append(a / np.linalg.norm(a))
     for a in columns:
-        chi, rot, _ = recover_first_column(a)
+        chi, rot, _ = _recover_first_column(column(a))
         assert chi == 0.0
         assert rot.varphi == 0.0
         assert np.linalg.norm(compose_rotation(rot)[:, 0] - a) <= 1e-14
@@ -129,7 +129,7 @@ def test_recover_first_column_roundtrip():
         theta0 = -np.pi / 2 + np.pi * g.uniform()
         varphi0 = np.pi * g.uniform()
         eps = first_column_oracle(chi0, phi0, theta0, varphi0)
-        chi, rot, _ = recover_first_column(eps)
+        chi, rot, _ = _recover_first_column(column(eps))
         q = compose_rotation(rot)
         back = np.cos(chi) * q[:, 0] + 1j * np.sin(chi) * q[:, 1]
         assert np.linalg.norm(back - eps) < 1e-11
@@ -137,13 +137,13 @@ def test_recover_first_column_roundtrip():
 
 def test_recover_first_column_rejects_garbage():
     with pytest.raises(InconsistentColumnError):
-        recover_first_column(np.array([0.8, 0.1 + 0.2j, 0.0]))
+        _recover_first_column(column([0.8, 0.1 + 0.2j, 0.0]))
 
 
 def test_sign_of_chi_generic_columns():
     for chi0, theta in ((0.3, 0.5), (-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
         eps = first_column_oracle(chi0, 0.7, theta, 0.6)
-        chi, branch = ellipticity(eps)
+        chi, branch = _ellipticity(column(eps))
         assert branch == "a"
         assert np.sign(chi) == np.sign(chi0)
 
@@ -152,7 +152,7 @@ def test_sign_of_chi_gimbal_fallback():
     # cross-term invariant vanishes at theta = pi/2; the (a3, b3) sign
     # table decides: opposite signs mean positive chi
     eps = first_column_oracle(0.3, 0.7, np.pi / 2, 0.6)
-    chi, branch = ellipticity(eps)
+    chi, branch = _ellipticity(column(eps))
     assert branch == "a"
     assert np.sign(chi) == 1.0
     # in branches c (varphi = pi/2) and d2 (varphi = 0) the convention is
@@ -162,7 +162,7 @@ def test_sign_of_chi_gimbal_fallback():
         for theta in (np.pi / 2, -np.pi / 2):
             for varphi, want in ((np.pi / 2, "c"), (0.0, "d2")):
                 eps = first_column_oracle(chi, 0.7, theta, varphi)
-                got, branch = ellipticity(eps)
+                got, branch = _ellipticity(column(eps))
                 assert (np.sign(got), branch) == (1.0, want)
                 p = make_params(phi=0.7, theta=theta, varphi=varphi, chi=chi,
                                 mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)
@@ -172,30 +172,30 @@ def test_sign_of_chi_gimbal_fallback():
 
 
 def test_extract_core_params_identity():
-    mu, a1, a2, a3, b2 = extract_core_params(np.eye(3), 0.0)
+    mu, a1, a2, a3, b2 = _extract_core_params(column(np.eye(3)), 0.0)
     assert (mu, a1, a2, a3) == (0.0, 0.0, 0.0, 0.0)
     assert b2 == pytest.approx(np.pi)
 
 
 def test_extract_core_params_roundtrip():
     v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
-    mu, a1, a2, a3, b2 = extract_core_params(v, 0.2)
+    mu, a1, a2, a3, b2 = _extract_core_params(v, 0.2)
     assert (mu, a1, a2, a3, b2) == pytest.approx((0.8, 0.1, -0.4, 0.9, 1.3))
 
 
 def test_extract_core_params_structure_violation():
     bad = compose_rotation(RotationAngles(0.0, 0.9, 0.0)).astype(complex)
     with pytest.raises(StructureViolationError, match="structural zero"):
-        extract_core_params(bad, 0.0)
+        _extract_core_params(column(bad), 0.0)
     # (3,1) zero kept, but the third-row moduli are not (sin mu, cos mu)
     v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
     v[2, 1:] *= 1.1
     with pytest.raises(StructureViolationError, match="unit pair"):
-        extract_core_params(v, 0.2)
+        _extract_core_params(v, 0.2)
     # a consistent core matrix read with the wrong chi: |v23| != sin(mu) cos(chi)
     v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
     with pytest.raises(StructureViolationError, match="disagrees"):
-        extract_core_params(v, 0.5)
+        _extract_core_params(v, 0.5)
 
 
 def test_recover_params_identity():
