@@ -50,6 +50,7 @@ from .characteristic import (
 )
 from .documents import (
     MalformedDocumentError,
+    OutputWriteError,
     parse_matrix,
     parse_params,
     serialize_matrix,

@@ -173,7 +173,7 @@ def regularity_report(r) -> RegularityReport:
 def _regularity(r: np.ndarray) -> RegularityReport:
     c = _decompose(r)
     u3 = np.ascontiguousarray(c.eigen.vectors[:, 2])
-    chi_m, _ = _ellipticity(_normalize_global_phase(u3)[0])
+    chi_m = _ellipticity(_normalize_global_phase(u3)[0])[0]
     return RegularityReport(
         m1_hat=0.5,
         m2_hat=float(np.cos(chi_m) ** 2 / 2),

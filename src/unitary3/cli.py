@@ -3,7 +3,8 @@
 Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, else the Unitary3Error class's (1 malformed input, 2 precondition
-violated, 3 tolerance failure); any other exception is a bug and propagates.
+violated or an output that cannot be written, 3 tolerance failure); any other
+exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .parametrization import (RECOVERY_TOL, RecoveryToleranceError, compose_core
                               recover_params)
 from .documents import (
     MalformedDocumentError,
+    OutputWriteError,
     parse_matrix,
     parse_params,
     serialize_matrix,
@@ -34,9 +36,12 @@ def _read_text(path: str) -> str:
         raise MalformedDocumentError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | Path | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputWriteError(str(exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -103,8 +108,11 @@ def _cmd_gen(args) -> int:
         text = serialize_matrix(generate_haar_unitary(g), kind="unitary")
         if args.out_dir:
             path = Path(args.out_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            (path / f"haar_{args.seed}_{i:04d}.json").write_text(text, encoding="utf-8")
+            try:
+                path.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise OutputWriteError(str(exc)) from exc
+            _emit(text, path / f"haar_{args.seed}_{i:04d}.json")
         else:
             sys.stdout.write(text)
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .rotations import RotationAngles
 MATRIX_KINDS = ("unitary", "hermitian", "general")
 PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")
 CORE_FIELDS = PARAM_FIELDS[3:]
+# A ParamsDocument with one %.17g per field (the format of _fmt), filled in
+# field order from a parameter dict.
+_PARAMS_TEMPLATE = "{\n" + ",\n".join(f'  "{k}": %.17g' for k in PARAM_FIELDS) + "\n}\n"
+_param_values = itemgetter(*PARAM_FIELDS)
 
 
 class MalformedDocumentError(Unitary3Error, ValueError):
@@ -27,6 +32,13 @@ class MalformedDocumentError(Unitary3Error, ValueError):
 
     exit_code = 1
     kind = "malformed input"
+
+
+class OutputWriteError(Unitary3Error, ValueError):
+    """An output document could not be written (a missing directory, a
+    path that is a file, no permission)."""
+
+    kind = "cannot write output"
 
 
 def _fmt(x: float) -> str:
@@ -77,17 +89,37 @@ def _check_grid(doc: dict, field: str) -> list:
     return [[_finite(x, field, i, j) for j, x in enumerate(row)] for i, row in enumerate(grid)]
 
 
+def _is_float_grid(grid) -> bool:
+    """True for a 3x3 list of finite floats, the grid serialize_matrix writes;
+    any other grid goes through _check_grid, which names what is wrong."""
+    if type(grid) is not list or len(grid) != 3:
+        return False
+    for row in grid:
+        if type(row) is not list or len(row) != 3:
+            return False
+        for x in row:
+            if type(x) is not float or not math.isfinite(x):
+                return False
+    return True
+
+
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse a MatrixDocument into a complex 3x3 array."""
+    """Parse a MatrixDocument into a complex 3x3 array.
+
+    Entry (i, j) is complex(a + (0.0*b - 0.0), 0.0 + (0.0 + b)) for
+    a = re[i][j] and b = im[i][j]: numpy's re + 1j*im, signs of zero included.
+    """
     doc = _load_json(text)
     kind = doc.get("kind")
     if kind not in MATRIX_KINDS:
         raise MalformedDocumentError(
             f"field 'kind' must be one of {MATRIX_KINDS}, got {kind!r}"
         )
-    re = _check_grid(doc, "re")
-    im = _check_grid(doc, "im")
-    return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    re, im = doc.get("re"), doc.get("im")
+    if not (_is_float_grid(re) and _is_float_grid(im)):
+        re, im = _check_grid(doc, "re"), _check_grid(doc, "im")
+    entries = zip(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
+    return np.array([complex(a + (0.0 * b - 0.0), 0.0 + (0.0 + b)) for a, b in entries]).reshape(3, 3)
 
 
 def serialize_matrix(m, kind: str = "general") -> str:
@@ -132,6 +164,4 @@ def parse_params(text: str) -> UnitaryParams:
 
 def serialize_params(p: UnitaryParams) -> str:
     """Serialize a parameter tuple; round-trips bit-exactly."""
-    d = p.as_dict()
-    body = ",\n".join(f'  "{k}": {_fmt(d[k])}' for k in PARAM_FIELDS)
-    return "{\n" + body + "\n}\n"
+    return _PARAMS_TEMPLATE % _param_values(p.as_dict())

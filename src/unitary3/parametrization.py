@@ -110,10 +110,21 @@ def _phase(z: complex) -> float:
     return float(np.arctan2(z.imag, z.real))
 
 
+def _jones_columns(chi: float) -> tuple:
+    """Columns (n1, n2, n3) of N(chi) as Python complex scalars.
+
+    Every entry is complex, so a product with it is the textbook complex
+    product, as numpy's is, on every Python version (3.14 multiplies a
+    complex by a float without promoting the float).
+    """
+    c, i_s = complex(np.cos(chi)), 1j * float(np.sin(chi))
+    return (c, i_s, 0j), (i_s, c, 0j), (0j, 0j, 1 + 0j)
+
+
 def canonical_basis(chi: float) -> np.ndarray:
     """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
-    c, s = np.cos(chi), np.sin(chi)
-    return np.array([[c, 1j * s, 0.0], [1j * s, c, 0.0], [0.0, 0.0, 1.0]])
+    # N(chi) is symmetric: its columns are also its rows.
+    return np.array(_jones_columns(chi))
 
 
 def compose_core(
@@ -125,18 +136,25 @@ def compose_core(
     beta2: float,
 ) -> np.ndarray:
     """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises
-    ParameterRangeError for mu outside [0, pi/2]."""
+    ParameterRangeError for mu outside [0, pi/2].
+
+    cos, sin and e^{ix} are numpy's; the products and sums are Python
+    complex, entry by entry as numpy forms the columns e^{i a1} n1,
+    W11 n2 + W21 n3 and W12 n2 + W22 n3.  Each product has a factor with an
+    exactly zero real or imaginary part, so it rounds as numpy's does
+    (linalg's arithmetic rule).
+    """
     if not -1e-12 <= mu <= np.pi / 2 + 1e-12:
         raise ParameterRangeError("mu must lie in [0, pi/2]")
-    n1, n2, n3 = canonical_basis(chi).T
-    cm, sm = np.cos(mu), np.sin(mu)
+    n1, n2, n3 = _jones_columns(chi)
+    cm, sm = complex(np.cos(mu)), complex(np.sin(mu))
     delta = beta2 - alpha2 + alpha3
-    return np.column_stack(
-        [
-            np.exp(1j * alpha1) * n1,
-            cm * np.exp(1j * alpha2) * n2 + sm * np.exp(1j * beta2) * n3,
-            sm * np.exp(1j * alpha3) * n2 - cm * np.exp(1j * delta) * n3,
-        ]
+    e1 = complex(np.exp(1j * alpha1))
+    w11, w21 = cm * complex(np.exp(1j * alpha2)), sm * complex(np.exp(1j * beta2))
+    # W22 = -cm e^{i delta} enters as a subtraction, as in numpy's column.
+    w12, cm_ed = sm * complex(np.exp(1j * alpha3)), cm * complex(np.exp(1j * delta))
+    return np.array(
+        [[e1 * x1, w11 * x2 + w21 * x3, w12 * x2 - cm_ed * x3] for x1, x2, x3 in zip(n1, n2, n3)]
     )
 
 
@@ -169,12 +187,14 @@ def _normalize_global_phase(u1: np.ndarray) -> tuple[np.ndarray, bool]:
     return eps, abs(w) < DEGENERACY_GATE
 
 
-def _ellipticity(eps: np.ndarray) -> tuple[float, str]:
-    """Ellipticity angle chi and zero-pattern branch of a normalized column.
+def _ellipticity(eps: np.ndarray) -> tuple[float, str, float, float]:
+    """Ellipticity angle chi, zero-pattern branch and the norms |a|, |b| of
+    a normalized column.
 
     Takes the phase-normalized column eps = a + i b, which is
     cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
-    |chi| = arctan2(|b|, |a|).  Raises InconsistentColumnError when the
+    |chi| = arctan2(|b|, |a|); _recover_first_column reuses the two norms
+    for q1 and q2.  Raises InconsistentColumnError when the
     cos^2 + sin^2 = 1 or orthogonality checks fail (input was not unit or
     not phase-normalized).  Every convention of chi lives here:
 
@@ -206,7 +226,7 @@ def _ellipticity(eps: np.ndarray) -> tuple[float, str]:
         )
     a3_zero = abs(a3) <= DEGENERACY_GATE
     if sb <= FOLD_GATE:
-        return 0.0, "b1" if a3_zero else "d1"
+        return 0.0, "b1" if a3_zero else "d1", ca, sb
     b3_zero = abs(b3) <= DEGENERACY_GATE
     if a3_zero and b3_zero:
         branch = "b2"
@@ -223,7 +243,7 @@ def _ellipticity(eps: np.ndarray) -> tuple[float, str]:
         sign = 1.0 if a3 * b3 < 0.0 else -1.0
     else:
         sign = 1.0
-    return sign * float(np.arctan2(sb, ca)), branch
+    return sign * float(np.arctan2(sb, ca)), branch, ca, sb
 
 
 def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
@@ -235,15 +255,15 @@ def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
     q2 = e_z x q1 / |e_z x q1|, or e_y projected off q1 where that norm is
     below FOLD_GATE (the poles q1 = +-e_z).
     """
-    chi, branch = _ellipticity(eps)
+    chi, branch, ca, sb = _ellipticity(eps)
     a, b = eps.real, eps.imag
-    q1 = a / _norm(a)
+    q1 = a / ca
     if chi == 0.0:
         q2 = np.array([-q1[1], q1[0], 0.0])
         if _norm(q2) < FOLD_GATE:
             q2 = np.array([0.0, 1.0, 0.0]) - q1[1] * q1
     else:
-        q2 = math.copysign(1.0, chi) * b / _norm(b)
+        q2 = math.copysign(1.0, chi) * b / sb
         q2 = q2 - (q1 @ q2) * q1
     q2 = q2 / _norm(q2)
     x1, y1, z1 = q1.tolist()

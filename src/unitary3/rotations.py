@@ -60,10 +60,11 @@ class RotationAngles:
 
 
 def compose_rotation(angles: RotationAngles) -> np.ndarray:
-    """Composed rotation Q from the closed-form entries above."""
-    cf, sf = np.cos(angles.phi), np.sin(angles.phi)
-    ct, st = np.cos(angles.theta), np.sin(angles.theta)
-    cv, sv = np.cos(angles.varphi), np.sin(angles.varphi)
+    """Composed rotation Q from the closed-form entries above: numpy's
+    cos and sin, products and sums in Python floats."""
+    cf, sf = float(np.cos(angles.phi)), float(np.sin(angles.phi))
+    ct, st = float(np.cos(angles.theta)), float(np.sin(angles.theta))
+    cv, sv = float(np.cos(angles.varphi)), float(np.sin(angles.varphi))
     return np.array(
         [
             [cf * ct * cv + sf * sv, -cf * ct * sv + sf * cv, st * cf],

@@ -61,3 +61,42 @@ def test_compose_core_degenerate_mu():
     assert np.allclose(np.abs(v), np.abs(canonical_basis(0.3))[:, [0, 2, 1]])
     with pytest.raises(ValueError, match="mu must lie"):
         compose_core(0.3, 2.0, 0.1, 0.2, 0.3, 0.4)
+
+
+def numpy_basis(chi):
+    c, s = np.cos(chi), np.sin(chi)
+    return np.array([[c, 1j * s, 0.0], [1j * s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def numpy_compose_core(chi, mu, alpha1, alpha2, alpha3, beta2):
+    """V1 in numpy array arithmetic, column by column."""
+    n1, n2, n3 = numpy_basis(chi).T
+    cm, sm = np.cos(mu), np.sin(mu)
+    delta = beta2 - alpha2 + alpha3
+    return np.column_stack(
+        [
+            np.exp(1j * alpha1) * n1,
+            cm * np.exp(1j * alpha2) * n2 + sm * np.exp(1j * beta2) * n3,
+            sm * np.exp(1j * alpha3) * n2 - cm * np.exp(1j * delta) * n3,
+        ]
+    )
+
+
+def test_compose_core_bits():
+    # Python-complex composition must equal numpy's column arithmetic bit for
+    # bit, signs of zero included, inside the chart and on its exact faces.
+    g = SeededGenerator(33)
+    tuples = []
+    for _ in range(2000):
+        p = random_params(g)
+        tuples.append((p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2))
+    for chi in (0.0, -0.0, np.pi / 4, -np.pi / 4):
+        for mu in (0.0, np.pi / 2):
+            for phases in ((0.0, 0.0, 0.0, 0.0), (-0.0, np.pi, -0.0, -np.pi)):
+                tuples.append((chi, mu) + phases)
+            for _ in range(50):
+                p = random_params(g)
+                tuples.append((chi, mu, p.alpha1, p.alpha2, p.alpha3, p.beta2))
+    for t in tuples:
+        assert compose_core(*t).tobytes() == numpy_compose_core(*t).tobytes(), t
+        assert canonical_basis(t[0]).tobytes() == numpy_basis(t[0]).tobytes(), t

@@ -619,6 +619,29 @@ def test_missing_file_exit_1(tmp_path):
     assert code == 1
 
 
+def test_recover_out_unwritable_exit_2(tmp_path):
+    # --out into a directory that does not exist is an error line, not a
+    # traceback, and nothing reaches stdout.
+    _, text, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
+    mpath = tmp_path / "m.json"
+    mpath.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run_cli(["recover", "--matrix", str(mpath), "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: "), err
+    assert str(out_path) in err
+
+
+def test_gen_out_dir_is_a_file_exit_2(tmp_path):
+    # --out-dir naming an existing file cannot hold the documents.
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run_cli(["gen", "--haar", "1", "--out-dir", str(blocker)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: "), err
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 # Exit code of every exported error class, as the README's table documents it.
 EXIT_CODES = {
     "MalformedDocumentError": 1,
@@ -627,7 +650,7 @@ EXIT_CODES = {
         "Unitary3Error", "NonFiniteError", "NotHermitianError", "FloatRangeError",
         "NotOrthogonalError", "NotUnitaryError", "ParameterRangeError",
         "InconsistentColumnError", "StructureViolationError", "ZeroTraceError",
-        "NotPositiveSemidefiniteError",
+        "NotPositiveSemidefiniteError", "OutputWriteError",
     ], 2),
 }
 

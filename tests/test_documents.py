@@ -1,15 +1,19 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from unitary3.documents import (
+    PARAM_FIELDS,
     MalformedDocumentError,
     parse_matrix,
     parse_params,
     serialize_matrix,
     serialize_params,
 )
+from unitary3.parametrization import UnitaryParams
+from unitary3.rotations import RotationAngles
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 
 
@@ -27,6 +31,25 @@ def test_matrix_roundtrip_bit_exact():
         again = parse_matrix(text)
         assert np.array_equal(m, again)
         assert serialize_matrix(again, kind="unitary") == text
+
+
+def test_parse_matrix_bits():
+    # parse_matrix must give numpy's re + 1j*im bit for bit: array_equal
+    # would not see a sign of zero.
+    grids = []
+    for re0, im0 in itertools.product([0.0, -0.0, 0.5, -0.5], repeat=2):
+        grids.append(([[re0, -0.0, 0.0], [0.0, re0, -0.0], [1.0, -1.0, re0]],
+                      [[im0, 0.0, -0.0], [-0.0, im0, 0.0], [-1.0, 1.0, im0]]))
+    grids.append(([[1, 0, -2], [0, 1, 0], [3, 0, 1]], [[0, -1, 0], [2, 0, 0], [0, 0, -3]]))
+    grids.append(([[1, -0.0, 0.25], [0, 1, 0], [0.0, 0, 1]], [[-0.0, 0, 0.0], [0, 1, -0.0], [0, 0, 0]]))
+    g = SeededGenerator(63)
+    for _ in range(100):
+        u = generate_haar_unitary(g)
+        grids.append((u.real.tolist(), u.imag.tolist()))
+    for re, im in grids:
+        text = json.dumps({"kind": "general", "re": re, "im": im})
+        want = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        assert parse_matrix(text).tobytes() == want.tobytes(), text
 
 
 def test_matrix_wrong_shape():
@@ -65,6 +88,15 @@ def test_params_roundtrip_bit_exact():
         q = parse_params(text)
         assert p == q
         assert serialize_params(q) == text
+
+
+def test_serialize_params_bytes():
+    # One %.17g per field, as float() of the field formats it.
+    values = [-0.0, 1.0, np.float64(-2.5), np.float64(1e-300), 0.1, np.float64(-0.0),
+              np.pi, -1.0, 2.0]
+    p = UnitaryParams(RotationAngles(*values[:3]), *values[3:])
+    body = ",\n".join('  "%s": %s' % (k, "%.17g" % float(v)) for k, v in zip(PARAM_FIELDS, values))
+    assert serialize_params(p) == "{\n" + body + "\n}\n"
 
 
 def test_params_core_only():

@@ -34,7 +34,7 @@ def test_unitarity_distance_scaled():
     assert unitarity_distance(2.0 * np.eye(3)) == pytest.approx(3.0 * np.sqrt(3.0))
 
 
-def test_outer_product_is_rank_one_projector():
+def test_outer_is_rank_one_projector():
     v = np.array([0.6, 0.8j, 0.0])
     p = _outer(v)
     assert np.array_equal(p, p.conj().T)

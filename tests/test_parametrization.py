@@ -140,19 +140,19 @@ def test_recover_first_column_rejects_garbage():
         _recover_first_column(column([0.8, 0.1 + 0.2j, 0.0]))
 
 
-def test_sign_of_chi_generic_columns():
+def test_ellipticity_sign_generic_columns():
     for chi0, theta in ((0.3, 0.5), (-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
         eps = first_column_oracle(chi0, 0.7, theta, 0.6)
-        chi, branch = _ellipticity(column(eps))
+        chi, branch, _, _ = _ellipticity(column(eps))
         assert branch == "a"
         assert np.sign(chi) == np.sign(chi0)
 
 
-def test_sign_of_chi_gimbal_fallback():
+def test_ellipticity_sign_gimbal_fallback():
     # cross-term invariant vanishes at theta = pi/2; the (a3, b3) sign
     # table decides: opposite signs mean positive chi
     eps = first_column_oracle(0.3, 0.7, np.pi / 2, 0.6)
-    chi, branch = _ellipticity(column(eps))
+    chi, branch, _, _ = _ellipticity(column(eps))
     assert branch == "a"
     assert np.sign(chi) == 1.0
     # in branches c (varphi = pi/2) and d2 (varphi = 0) the convention is
@@ -162,7 +162,7 @@ def test_sign_of_chi_gimbal_fallback():
         for theta in (np.pi / 2, -np.pi / 2):
             for varphi, want in ((np.pi / 2, "c"), (0.0, "d2")):
                 eps = first_column_oracle(chi, 0.7, theta, varphi)
-                got, branch = _ellipticity(column(eps))
+                got, branch, _, _ = _ellipticity(column(eps))
                 assert (np.sign(got), branch) == (1.0, want)
                 p = make_params(phi=0.7, theta=theta, varphi=varphi, chi=chi,
                                 mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)

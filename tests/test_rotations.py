@@ -37,6 +37,33 @@ def test_compose_simple_values():
     assert np.allclose(compose_rotation(RotationAngles(0.0, 0.0, 0.0)), np.eye(3))
 
 
+def numpy_compose_rotation(phi, theta, varphi):
+    """Q from the closed-form entries in numpy float64 scalars."""
+    cf, sf = np.cos(phi), np.sin(phi)
+    ct, st = np.cos(theta), np.sin(theta)
+    cv, sv = np.cos(varphi), np.sin(varphi)
+    return np.array(
+        [
+            [cf * ct * cv + sf * sv, -cf * ct * sv + sf * cv, st * cf],
+            [-sf * ct * cv + cf * sv, sf * ct * sv + cf * cv, -sf * st],
+            [-st * cv, st * sv, ct],
+        ]
+    )
+
+
+def test_compose_rotation_bits():
+    # Python-float composition must equal the numpy scalar arithmetic bit for
+    # bit, signs of zero included, inside the chart and at theta = 0, +-pi/2.
+    g = SeededGenerator(22)
+    triples = []
+    for theta in [-np.pi / 2 + np.pi * g.uniform() for _ in range(1000)] + [0.0, -0.0,
+                                                                            np.pi / 2, -np.pi / 2] * 50:
+        triples.append((-np.pi + 2 * np.pi * g.uniform(), theta, np.pi * g.uniform()))
+    triples += [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (np.pi, np.pi / 2, 0.0), (-np.pi, -np.pi / 2, -0.0)]
+    for t in triples:
+        assert compose_rotation(RotationAngles(*t)).tobytes() == numpy_compose_rotation(*t).tobytes(), t
+
+
 def test_extract_rejects_bad_input():
     with pytest.raises(NotOrthogonalError):
         extract_rotation_angles(np.eye(3) * 2.0)
