@@ -21,7 +21,21 @@ than their arithmetic.  But math.atan2, math.hypot, Python's complex
 product and a Python-summed norm each differ from numpy's arctan2, hypot,
 complex multiply (``(u * u).sum()``, ``np.outer``, a column times its phase)
 and ``dot`` in the last bit on a share of inputs, so those stay numpy and
-no output drifts.  Two more details keep the coherency path bit-identical:
+no output drifts.  Two rules say where Python arithmetic is numpy's:
+
+- a complex product with a factor whose real or imaginary part is exactly
+  zero rounds the same in Python and in numpy: its zero terms are exact
+  +-0, so no fused multiply-add in numpy's loops can round it differently.
+  compose_core forms V1 in Python complex on that ground, every factor a
+  complex (Python 3.14 multiplies a complex by a float without promoting
+  the float), and compose_rotation its real entries in Python floats;
+- numpy's ``re + 1j*im`` is complex(a + (0.0*b - 0.0), 0.0 + (0.0 + b))
+  entry by entry, which parse_matrix builds: numpy promotes both parts to
+  complex, and those zero terms decide the signs of zero (a real part -0.0
+  stays -0.0 only beside an imaginary part with its sign bit set, and an
+  imaginary part -0.0 becomes +0.0).
+
+Two more details keep the coherency path bit-identical:
 
 - numpy rounds a strided view differently from a contiguous one in its SIMD
   loops, so an eigenvector column is copied contiguous

@@ -67,11 +67,11 @@ def compose_rotation(angles: RotationAngles) -> np.ndarray:
     cv, sv = float(np.cos(angles.varphi)), float(np.sin(angles.varphi))
     return np.array(
         [
-            [cf * ct * cv + sf * sv, -cf * ct * sv + sf * cv, st * cf],
-            [-sf * ct * cv + cf * sv, sf * ct * sv + cf * cv, -sf * st],
-            [-st * cv, st * sv, ct],
+            cf * ct * cv + sf * sv, -cf * ct * sv + sf * cv, st * cf,
+            -sf * ct * cv + cf * sv, sf * ct * sv + cf * cv, -sf * st,
+            -st * cv, st * sv, ct,
         ]
-    )
+    ).reshape(3, 3)
 
 
 def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
