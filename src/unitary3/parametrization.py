@@ -111,12 +111,8 @@ def _phase(z: complex) -> float:
 
 
 def _jones_columns(chi: float) -> tuple:
-    """Columns (n1, n2, n3) of N(chi) as Python complex scalars.
-
-    Every entry is complex, so a product with it is the textbook complex
-    product, as numpy's is, on every Python version (3.14 multiplies a
-    complex by a float without promoting the float).
-    """
+    """Columns (n1, n2, n3) of N(chi) as Python complex scalars; every entry
+    is a complex, as linalg's arithmetic rule asks of a factor."""
     c, i_s = complex(np.cos(chi)), 1j * float(np.sin(chi))
     return (c, i_s, 0j), (i_s, c, 0j), (0j, 0j, 1 + 0j)
 

@@ -55,10 +55,9 @@ def test_compose_rotation_bits():
     # Python-float composition must equal the numpy scalar arithmetic bit for
     # bit, signs of zero included, inside the chart and at theta = 0, +-pi/2.
     g = SeededGenerator(22)
-    triples = []
-    for theta in [-np.pi / 2 + np.pi * g.uniform() for _ in range(1000)] + [0.0, -0.0,
-                                                                            np.pi / 2, -np.pi / 2] * 50:
-        triples.append((-np.pi + 2 * np.pi * g.uniform(), theta, np.pi * g.uniform()))
+    thetas = [-np.pi / 2 + np.pi * g.uniform() for _ in range(1000)]
+    thetas += [0.0, -0.0, np.pi / 2, -np.pi / 2] * 50
+    triples = [(-np.pi + 2 * np.pi * g.uniform(), theta, np.pi * g.uniform()) for theta in thetas]
     triples += [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (np.pi, np.pi / 2, 0.0), (-np.pi, -np.pi / 2, -0.0)]
     for t in triples:
         assert compose_rotation(RotationAngles(*t)).tobytes() == numpy_compose_rotation(*t).tobytes(), t
