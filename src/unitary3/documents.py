@@ -78,6 +78,7 @@ def _finite(x, field: str, *entry: int) -> float:
 
 
 def _check_grid(doc: dict, field: str) -> list:
+    """The nine entries of the 3x3 grid ``doc[field]``, row-major, as finite floats."""
     if field not in doc:
         raise MalformedDocumentError(f"missing field '{field}'")
     grid = doc[field]
@@ -86,21 +87,11 @@ def _check_grid(doc: dict, field: str) -> list:
     for i, row in enumerate(grid):
         if not (isinstance(row, list) and len(row) == 3):
             raise MalformedDocumentError(f"field '{field}' row {i} must have 3 entries")
-    return [[_finite(x, field, i, j) for j, x in enumerate(row)] for i, row in enumerate(grid)]
-
-
-def _is_float_grid(grid) -> bool:
-    """True for a 3x3 list of finite floats, the grid serialize_matrix writes;
-    any other grid goes through _check_grid, which names what is wrong."""
-    if type(grid) is not list or len(grid) != 3:
-        return False
-    for row in grid:
-        if type(row) is not list or len(row) != 3:
-            return False
-        for x in row:
-            if type(x) is not float or not math.isfinite(x):
-                return False
-    return True
+    # A finite float, what serialize_matrix writes, is kept without a call.
+    return [
+        x if type(x) is float and math.isfinite(x) else _finite(x, field, *divmod(k, 3))
+        for k, x in enumerate(grid[0] + grid[1] + grid[2])
+    ]
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -115,10 +106,7 @@ def parse_matrix(text: str) -> np.ndarray:
         raise MalformedDocumentError(
             f"field 'kind' must be one of {MATRIX_KINDS}, got {kind!r}"
         )
-    re, im = doc.get("re"), doc.get("im")
-    if not (_is_float_grid(re) and _is_float_grid(im)):
-        re, im = _check_grid(doc, "re"), _check_grid(doc, "im")
-    entries = zip(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
+    entries = zip(_check_grid(doc, "re"), _check_grid(doc, "im"))
     return np.array([complex(a + (0.0 * b - 0.0), 0.0 + (0.0 + b)) for a, b in entries]).reshape(3, 3)
 
 
