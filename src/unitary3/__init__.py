@@ -23,11 +23,9 @@ from .rotations import (
     wrap_angle,
 )
 from .parametrization import (
-    InconsistentColumnError,
     ParameterRangeError,
     RecoveryReport,
     RecoveryToleranceError,
-    StructureViolationError,
     UnitaryParams,
     canonical_basis,
     compose_core,

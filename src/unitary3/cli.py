@@ -4,12 +4,14 @@ Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, else the Unitary3Error class's (1 malformed input, 2 precondition
 violated or an output that cannot be written, 3 tolerance failure); any other
-exception is a bug and propagates.
+exception is a bug and propagates.  A reader that closes stdout early (as
+``| head -1`` does) chose to stop, so that exits 0 with nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -166,10 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except Unitary3Error as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The interpreter flushes stdout once more at exit; on devnull that cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

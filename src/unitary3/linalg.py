@@ -12,6 +12,9 @@ eig_hermitian3, unitarity_distance; extract_rotation_angles on its real
 input) checks its input once (as_matrix3: shape, complex dtype, finite
 entries, C-contiguous copy) and runs private ``_kernels`` that trust it,
 so one recovery or one coherency report validates its matrix once.
+Kernels re-check nothing the operation's gate (such as the unitarity gate
+_check_unitary) already holds; recovery's exit gate is its recomposition
+residual.
 
 Arithmetic rule of both pipelines: Python scalars for 3x3 reads; numpy for
 arctan2, hypot, complex products and dot norms, because their rounding is

@@ -47,21 +47,10 @@ from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error,
 from .rotations import RotationAngles, _rotation_angles, compose_rotation, wrap_angle
 
 RECOVERY_TOL = 1e-10
-_STRUCTURE_TOL = 1e-8
 
 
 class ParameterRangeError(Unitary3Error, ValueError):
     """A parameter lies outside its chart range (mu outside [0, pi/2])."""
-
-
-class InconsistentColumnError(Unitary3Error, ValueError):
-    """The two ellipticity magnitudes disagree: input was not a
-    phase-normalized unit column."""
-
-
-class StructureViolationError(Unitary3Error, ValueError):
-    """Core matrix lacks the structural zero at (3,1): rotation recovery
-    failed upstream."""
 
 
 class RecoveryToleranceError(Unitary3Error, RuntimeError):
@@ -140,7 +129,7 @@ def compose_core(
     exactly zero real or imaginary part, so it rounds as numpy's does
     (linalg's arithmetic rule).
     """
-    if not -1e-12 <= mu <= np.pi / 2 + 1e-12:
+    if not -FOLD_GATE <= mu <= np.pi / 2 + FOLD_GATE:
         raise ParameterRangeError("mu must lie in [0, pi/2]")
     n1, n2, n3 = _jones_columns(chi)
     cm, sm = complex(np.cos(mu)), complex(np.sin(mu))
@@ -190,9 +179,11 @@ def _ellipticity(eps: np.ndarray) -> tuple[float, str, float, float]:
     Takes the phase-normalized column eps = a + i b, which is
     cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
     |chi| = arctan2(|b|, |a|); _recover_first_column reuses the two norms
-    for q1 and q2.  Raises InconsistentColumnError when the
-    cos^2 + sin^2 = 1 or orthogonality checks fail (input was not unit or
-    not phase-normalized).  Every convention of chi lives here:
+    for q1 and q2.  Like every kernel it trusts the operation's gate and
+    re-checks nothing: recover_params passes the first column of a matrix
+    that passed the unitarity gate, _regularity a LAPACK eigenvector, and
+    the recomposition residual is recovery's exit gate.  Every convention
+    of chi lives here:
 
     - Linear polarization, |b| <= FOLD_GATE: chi = 0, branch b1 when
       a3 = 0, else d1.
@@ -215,11 +206,6 @@ def _ellipticity(eps: np.ndarray) -> tuple[float, str, float, float]:
     sb = _norm(b)
     a1, a2, a3 = a.tolist()
     b1, b2, b3 = b.tolist()
-    a_dot_b = a1 * b1 + a2 * b2 + a3 * b3
-    if abs(ca * ca + sb * sb - 1.0) > RECOVERY_TOL or abs(a_dot_b) > RECOVERY_TOL:
-        raise InconsistentColumnError(
-            "column is not a phase-normalized unit vector"
-        )
     a3_zero = abs(a3) <= DEGENERACY_GATE
     if sb <= FOLD_GATE:
         return 0.0, "b1" if a3_zero else "d1", ca, sb
@@ -275,7 +261,7 @@ def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
     return chi, rot, branch
 
 
-def _extract_core_params(v1: np.ndarray, chi: float) -> tuple[float, float, float, float, float]:
+def _extract_core_params(v1: np.ndarray) -> tuple[float, float, float, float, float]:
     """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix entries.
 
     alpha2 is the phase of v22 and alpha3 that of v23, each folded to 0
@@ -283,20 +269,15 @@ def _extract_core_params(v1: np.ndarray, chi: float) -> tuple[float, float, floa
     beta2 is read from the larger of the two entries that carry it: v32
     when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
     delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
+    The structure of V1 (the zero at (3,1), |v23| = sin mu cos chi) is not
+    re-checked here: compose_core puts an exact zero at (3,1), so the
+    recomposition residual in recover_params bounds |v31| and every other
+    departure from that structure.
     """
-    (v11, _, _), (_, v22, v23), (v31, v32, v33) = v1.tolist()
-    if abs(v31) > _STRUCTURE_TOL:
-        raise StructureViolationError(
-            f"expected structural zero at (3,1), got |v31| = {abs(v31):.3e}"
-        )
-    cx = np.cos(chi)
+    (v11, _, _), (_, v22, v23), (_, v32, v33) = v1.tolist()
     alpha1 = _phase(v11)
     sm = abs(v32)
     cm = abs(v33)
-    if abs(np.hypot(sm, cm) - 1.0) > _STRUCTURE_TOL:
-        raise StructureViolationError("third-row moduli do not form a unit pair")
-    if abs(abs(v23) - sm * cx) > _STRUCTURE_TOL:
-        raise StructureViolationError("|v23| disagrees with sin(mu) cos(chi)")
     mu = float(np.arctan2(sm, cm))
     alpha2 = _phase(v22) if abs(v22) >= FOLD_GATE else 0.0
     alpha3 = _phase(v23) if abs(v23) >= FOLD_GATE else 0.0
@@ -325,7 +306,7 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
         branch = "circular-fallback"
     q = compose_rotation(rot)
     v1 = q.T @ u
-    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(v1, chi)
+    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(v1)
     params = UnitaryParams(
         rotation=rot,
         chi=chi,

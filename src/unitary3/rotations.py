@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _EYE3, FOLD_GATE, NonFiniteError, Unitary3Error, _norm
-
-ORTHOGONALITY_TOL = 1e-12
+from .linalg import FOLD_GATE, NonFiniteError, NotUnitaryError, Unitary3Error, _check_unitary
 
 
 class NotOrthogonalError(Unitary3Error, ValueError):
@@ -81,12 +79,18 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     varphi from row 3 and phi from column 3.  At gimbal lock
     (|sin theta| <= FOLD_GATE) the in-plane rotation is absorbed into phi
     and varphi is set to 0; the flag reports that convention fired.
+
+    A real matrix is orthogonal exactly when it is unitary, so the input
+    passes linalg's unitarity gate, whose entry-modulus check runs before
+    Q^T Q could overflow; NotOrthogonalError carries the gate's message.
     """
     q = np.asarray(q, dtype=float).reshape(3, 3)
     if not np.isfinite(q).all():
         raise NonFiniteError("matrix has non-finite entries")
-    if _norm(q.T @ q - _EYE3) > ORTHOGONALITY_TOL:
-        raise NotOrthogonalError("matrix is not orthogonal within tolerance")
+    try:
+        _check_unitary(q)
+    except NotUnitaryError as exc:
+        raise NotOrthogonalError(f"matrix is not orthogonal: {exc}") from None
     rows = q.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, ct) = rows
     # Once Q^T Q = I, det Q = +-1: its sign, expanded along row 1, decides properness.

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -642,17 +645,18 @@ def test_gen_out_dir_is_a_file_exit_2(tmp_path):
     assert blocker.read_text(encoding="utf-8") == ""
 
 
-# Exit code of every exported error class, as the README's table documents it.
-EXIT_CODES = {
-    "MalformedDocumentError": 1,
-    "RecoveryToleranceError": 3,
-    **dict.fromkeys([
-        "Unitary3Error", "NonFiniteError", "NotHermitianError", "FloatRangeError",
-        "NotOrthogonalError", "NotUnitaryError", "ParameterRangeError",
-        "InconsistentColumnError", "StructureViolationError", "ZeroTraceError",
-        "NotPositiveSemidefiniteError", "OutputWriteError",
-    ], 2),
-}
+def _documented_exit_codes() -> dict:
+    """Exit code of every error class that the README's exit table names,
+    and Unitary3Error's default of 2: the README is the one list."""
+    codes = {"Unitary3Error": 2}
+    for line in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = line.split("|")
+        if len(cells) == 5 and cells[1].strip().isdigit():
+            codes.update(dict.fromkeys(re.findall(r"`(\w+Error)`", cells[3]), int(cells[1])))
+    return codes
+
+
+EXIT_CODES = _documented_exit_codes()
 
 
 def test_exported_errors_documented():
@@ -683,3 +687,18 @@ def test_untyped_error_propagates(tmp_path, monkeypatch, error):
     mpath.write_text(gen_out, encoding="utf-8")
     with pytest.raises(error, match="bug"):
         run_cli(["recover", "--matrix", str(mpath)])
+
+
+def test_closed_pipe_exits_0():
+    # A reader that stops early, as `| head -1` does, chose to stop: the
+    # writer exits 0 with nothing on stderr instead of a BrokenPipeError
+    # traceback.
+    src = str(Path(unitary3.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "unitary3.cli", "gen", "--haar", "2000", "--seed", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")

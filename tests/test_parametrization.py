@@ -5,9 +5,7 @@ import pytest
 
 from unitary3.linalg import FloatRangeError, unitarity_distance
 from unitary3.parametrization import (
-    InconsistentColumnError,
     NotUnitaryError,
-    StructureViolationError,
     UnitaryParams,
     _ellipticity,
     _extract_core_params,
@@ -20,7 +18,7 @@ from unitary3.parametrization import (
     recover_params,
 )
 from unitary3.rotations import RotationAngles, compose_rotation
-from unitary3.sampling import SeededGenerator, random_params
+from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 from unitary3.selftest import haar_roundtrip, param_roundtrip
 
 from oracles import first_column_oracle
@@ -135,11 +133,6 @@ def test_recover_first_column_roundtrip():
         assert np.linalg.norm(back - eps) < 1e-11
 
 
-def test_recover_first_column_rejects_garbage():
-    with pytest.raises(InconsistentColumnError):
-        _recover_first_column(column([0.8, 0.1 + 0.2j, 0.0]))
-
-
 def test_ellipticity_sign_generic_columns():
     for chi0, theta in ((0.3, 0.5), (-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
         eps = first_column_oracle(chi0, 0.7, theta, 0.6)
@@ -172,30 +165,15 @@ def test_ellipticity_sign_gimbal_fallback():
 
 
 def test_extract_core_params_identity():
-    mu, a1, a2, a3, b2 = _extract_core_params(column(np.eye(3)), 0.0)
+    mu, a1, a2, a3, b2 = _extract_core_params(column(np.eye(3)))
     assert (mu, a1, a2, a3) == (0.0, 0.0, 0.0, 0.0)
     assert b2 == pytest.approx(np.pi)
 
 
 def test_extract_core_params_roundtrip():
     v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
-    mu, a1, a2, a3, b2 = _extract_core_params(v, 0.2)
+    mu, a1, a2, a3, b2 = _extract_core_params(v)
     assert (mu, a1, a2, a3, b2) == pytest.approx((0.8, 0.1, -0.4, 0.9, 1.3))
-
-
-def test_extract_core_params_structure_violation():
-    bad = compose_rotation(RotationAngles(0.0, 0.9, 0.0)).astype(complex)
-    with pytest.raises(StructureViolationError, match="structural zero"):
-        _extract_core_params(column(bad), 0.0)
-    # (3,1) zero kept, but the third-row moduli are not (sin mu, cos mu)
-    v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
-    v[2, 1:] *= 1.1
-    with pytest.raises(StructureViolationError, match="unit pair"):
-        _extract_core_params(v, 0.2)
-    # a consistent core matrix read with the wrong chi: |v23| != sin(mu) cos(chi)
-    v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
-    with pytest.raises(StructureViolationError, match="disagrees"):
-        _extract_core_params(v, 0.5)
 
 
 def test_recover_params_identity():
@@ -300,6 +278,28 @@ def test_recover_params_faces():
                 p = place(random_params(g, margin=0.05), (-1) ** i, offset)
                 residuals.append(recover_params(compose_unitary(p), tolerance=1.0).residual)
             assert np.max(residuals) <= (1e-14 if "pi/4" in face else 1e-10), (face, offset)
+
+
+def test_recover_params_gate_edge():
+    # The stages trust the unitarity gate and re-check nothing, so inputs
+    # that only just pass it must still recover within the residual bound:
+    # U (I + tH), H Hermitian of unit norm, has U^H U - I = 2tH + t^2 H^2,
+    # a unitarity distance of about 2t just under the gate's 1e-12.
+    g = SeededGenerator(48)
+
+    def edge(u):
+        h = g.complex_gauss_matrix()
+        h = h + h.conj().T
+        w = u @ (np.eye(3) + 0.49e-12 * h / np.linalg.norm(h))
+        assert 0.95e-12 < unitarity_distance(w) < 1e-12
+        return w
+
+    unitaries = [generate_haar_unitary(g) for _ in range(300)]
+    for place in _FACES.values():
+        for offset in (1e-4, 1e-8, 1e-12, 1e-13, 0.0):
+            unitaries += [compose_unitary(place(random_params(g, margin=0.05), (-1) ** i, offset))
+                          for i in range(20)]
+    assert max(recover_params(edge(u)).residual for u in unitaries) <= 1e-10
 
 
 def test_flip_equivalent_composes_same_matrix():

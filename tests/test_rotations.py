@@ -64,10 +64,13 @@ def test_compose_rotation_bits():
 
 
 def test_extract_rejects_bad_input():
-    with pytest.raises(NotOrthogonalError):
-        extract_rotation_angles(np.eye(3) * 2.0)
-    with pytest.raises(NotOrthogonalError):
-        extract_rotation_angles(np.diag([1.0, 1.0, -1.0]))
+    # Entries of 1e100 would overflow Q^T Q's norm and 1e200 Q^T Q itself;
+    # the unitarity gate rejects them first, without a warning (a warning
+    # is an error under the test configuration).
+    for q in (np.eye(3) * 2.0, np.diag([1.0, 1.0, -1.0]), np.full((3, 3), 1e100),
+              np.full((3, 3), 1e200)):
+        with pytest.raises(NotOrthogonalError):
+            extract_rotation_angles(q)
 
 
 def test_extract_roundtrip_generic():
