@@ -141,7 +141,7 @@ def middle_component(u) -> np.ndarray:
     """Half-projector onto the span of the first two columns of a unitary;
     raises NotUnitaryError where the input fails the unitarity gate."""
     u = as_matrix3(u)
-    _check_unitary(u)
+    _check_unitary(u.tolist())
     return 0.5 * (_outer(np.ascontiguousarray(u[:, 0])) + _outer(np.ascontiguousarray(u[:, 1])))
 
 
@@ -172,8 +172,7 @@ def regularity_report(r) -> RegularityReport:
 
 def _regularity(r: np.ndarray) -> RegularityReport:
     c = _decompose(r)
-    u3 = np.ascontiguousarray(c.eigen.vectors[:, 2])
-    chi_m = _ellipticity(_normalize_global_phase(u3)[0])[0]
+    chi_m = _ellipticity(_normalize_global_phase(c.eigen.vectors[:, 2].tolist())[0])[0]
     return RegularityReport(
         m1_hat=0.5,
         m2_hat=float(np.cos(chi_m) ** 2 / 2),

@@ -1,9 +1,11 @@
 """Fixed-size complex linear algebra: 3x3 Hermitian eigensolver and helpers.
 
-Everything operates on plain numpy arrays (shape (3,) complex vectors and
-(3, 3) complex matrices). All functions are pure; nothing here mutates its
-inputs.  The eigensolver is LAPACK's (``numpy.linalg.eigh``) behind a fixed
-contract: nonincreasing eigenvalues and a deterministic eigenvector phase.
+Public functions take and return plain numpy arrays (shape (3,) complex
+vectors and (3, 3) complex matrices); the unitarity gate's kernels take a
+matrix as rows of Python scalars.  All functions are pure; nothing here
+mutates its inputs.  The eigensolver is LAPACK's (``numpy.linalg.eigh``)
+behind a fixed contract: nonincreasing eigenvalues and a deterministic
+eigenvector phase.
 
 Validation rule of both pipelines: public operations validate once; stages
 are private kernels.  Each public operation (recover_params,
@@ -16,29 +18,26 @@ Kernels re-check nothing the operation's gate (such as the unitarity gate
 _check_unitary) already holds; recovery's exit gate is its recomposition
 residual.
 
-Arithmetic rule of both pipelines: Python scalars for 3x3 reads; numpy for
-arctan2, hypot, complex products and dot norms, because their rounding is
-part of the output.  Kernels read the entries they need with one
-``tolist()``: numpy's per-call overhead on such small arrays costs more
-than their arithmetic.  But math.atan2, math.hypot, Python's complex
-product and a Python-summed norm each differ from numpy's arctan2, hypot,
-complex multiply (``(u * u).sum()``, ``np.outer``, a column times its phase)
-and ``dot`` in the last bit on a share of inputs, so those stay numpy and
-no output drifts.  Two rules say where Python arithmetic is numpy's:
+Arithmetic rule: recovery, composition (compose_core, compose_rotation,
+compose_unitary) and the unitarity gate (_check_unitary,
+unitarity_distance) run on Python floats and complex, one code path with
+no numpy arithmetic, so their bytes do not depend on numpy's SIMD targets
+or on the BLAS kernels of the host.  A matrix is read with one
+``tolist()``; elementary functions are math's and cmath's (cos, sin,
+atan2, phase); a modulus is math.hypot(re, im); a vector or Frobenius
+norm squares each real and imaginary part, sums the squares with
+math.fsum (exact, rounded once) and takes math.sqrt; every 3x3 product is
+written out with each sum taken left to right.  A complex times a real or
+a purely imaginary factor is written as two float products, so Python's
+promotion of a float operand (which Python 3.14 no longer does) decides
+no sign of zero.  One dependence remains: glibc picks an FMA variant of
+atan2, sin, cos and exp by CPU, and those can differ in the last bit
+between hosts; hypot, fsum, sqrt and + - * / cannot.
 
-- a complex product with a factor whose real or imaginary part is exactly
-  zero rounds the same in Python and in numpy: its zero terms are exact
-  +-0, so no fused multiply-add in numpy's loops can round it differently.
-  compose_core forms V1 in Python complex on that ground, every factor a
-  complex (Python 3.14 multiplies a complex by a float without promoting
-  the float), and compose_rotation its real entries in Python floats;
-- numpy's ``re + 1j*im`` is complex(a + (0.0*b - 0.0), 0.0 + (0.0 + b))
-  entry by entry, which parse_matrix builds: numpy promotes both parts to
-  complex, and those zero terms decide the signs of zero (a real part -0.0
-  stays -0.0 only beside an imaginary part with its sign bit set, and an
-  imaginary part -0.0 becomes +0.0).
-
-Two more details keep the coherency path bit-identical:
+The coherency path keeps LAPACK's eigh and numpy arithmetic (outer
+products, the norm of Im Rm_hat, the closed-form spectrum), so its bytes
+stay bound to the host's numpy and BLAS.  Two details keep it
+bit-identical on one host:
 
 - numpy rounds a strided view differently from a contiguous one in its SIMD
   loops, so an eigenvector column is copied contiguous
@@ -69,10 +68,6 @@ _TINY = sys.float_info.min
 # Exponent above which the symmetrization R + R' or the largest eigenvalue
 # (at most 3 max|R|) of a 3x3 Hermitian R could overflow.
 _MAX_EXPONENT = 1022
-
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
-
 
 class Unitary3Error(Exception):
     """Base of every library error: the CLI prints ``kind`` and exits with
@@ -120,30 +115,61 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _fsum_norm(parts) -> float:
+    """Euclidean norm of real numbers (the real and imaginary parts of a
+    complex vector or matrix): math.sqrt of the math.fsum of their squares,
+    a sum that is exact and rounded once.  A square beyond the float range
+    gives inf, a sum beyond it OverflowError."""
+    return math.sqrt(math.fsum([x * x for x in parts]))
+
+
 def unitarity_distance(m) -> float:
     """Frobenius norm of M†M - I; raises FloatRangeError where that
     overflows (entries of modulus above about 1e77)."""
-    m = as_matrix3(m)
+    dist = _unitarity_distance(as_matrix3(m).tolist())
+    if not math.isfinite(dist):
+        raise FloatRangeError("unitarity distance is beyond the largest float")
+    return dist
+
+
+def _unitarity_distance(rows) -> float:
+    """unitarity_distance of M given as rows of Python scalars; inf or NaN
+    where it overflows.
+
+    Entry (j, k) of M†M is conj(m0j) m0k + conj(m1j) m1k + conj(m2j) m2k.
+    Formed so, it is exactly the conjugate of entry (k, j), and the diagonal
+    exactly real, so each entry above the diagonal is formed once and
+    counted twice.
+    """
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    x0, y0, z0 = a0.conjugate(), b0.conjugate(), c0.conjugate()
+    x1, y1, z1 = a1.conjugate(), b1.conjugate(), c1.conjugate()
+    x2, y2, z2 = a2.conjugate(), b2.conjugate(), c2.conjugate()
+    g01 = x0 * a1 + y0 * b1 + z0 * c1
+    g02 = x0 * a2 + y0 * b2 + z0 * c2
+    g12 = x1 * a2 + y1 * b2 + z1 * c2
+    r01, i01, r02, i02, r12, i12 = g01.real, g01.imag, g02.real, g02.imag, g12.real, g12.imag
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _unitarity_distance(m)
-    except FloatingPointError:
-        raise FloatRangeError("unitarity distance is beyond the largest float") from None
+        return _fsum_norm((
+            (x0 * a0 + y0 * b0 + z0 * c0).real - 1.0,
+            (x1 * a1 + y1 * b1 + z1 * c1).real - 1.0,
+            (x2 * a2 + y2 * b2 + z2 * c2).real - 1.0,
+            r01, i01, r01, i01, r02, i02, r02, i02, r12, i12, r12, i12,
+        ))
+    except OverflowError:  # finite squares whose sum is beyond the float range
+        return math.inf
 
 
-def _unitarity_distance(m: np.ndarray) -> float:
-    return _norm(m.conj().T @ m - _EYE3)
-
-
-def _check_unitary(m: np.ndarray) -> None:
-    """The unitarity gate: NotUnitaryError for an entry of modulus above 2
-    (every entry of a unitary has modulus at most 1), checked before M†M
-    could overflow, or for a unitarity distance above UNITARITY_TOL."""
-    peak = max(math.hypot(z.real, z.imag) for z in m.ravel().tolist())
-    if peak > 2.0:
-        raise NotUnitaryError(f"entry modulus {peak:.3e} exceeds 2")
-    dist = _unitarity_distance(m)
+def _check_unitary(rows) -> None:
+    """The unitarity gate on M given as rows of Python scalars:
+    NotUnitaryError for a unitarity distance above UNITARITY_TOL, named as
+    an entry of modulus above 2 (every entry of a unitary has modulus at
+    most 1) where there is one, since M†M may then have overflowed."""
+    dist = _unitarity_distance(rows)
     if not dist <= UNITARITY_TOL:
+        peak = max(math.hypot(z.real, z.imag) for row in rows for z in row)
+        if peak > 2.0:
+            raise NotUnitaryError(f"entry modulus {peak:.3e} exceeds 2")
         raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
 
 

@@ -36,6 +36,7 @@ conventions, and alpha2 (mu = pi/2) or alpha3 (mu = 0) is 0.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,8 +44,8 @@ import numpy as np
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
-                     _norm, as_matrix3)
-from .rotations import RotationAngles, _rotation_angles, compose_rotation, wrap_angle
+                     _fsum_norm, as_matrix3)
+from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
 
 RECOVERY_TOL = 1e-10
 
@@ -94,22 +95,11 @@ class RecoveryReport:
     global_phase_alpha1_degenerate: bool
 
 
-def _phase(z: complex) -> float:
-    """Argument of z, exactly as numpy.angle computes it."""
-    return float(np.arctan2(z.imag, z.real))
-
-
-def _jones_columns(chi: float) -> tuple:
-    """Columns (n1, n2, n3) of N(chi) as Python complex scalars; every entry
-    is a complex, as linalg's arithmetic rule asks of a factor."""
-    c, i_s = complex(np.cos(chi)), 1j * float(np.sin(chi))
-    return (c, i_s, 0j), (i_s, c, 0j), (0j, 0j, 1 + 0j)
-
-
 def canonical_basis(chi: float) -> np.ndarray:
     """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
+    c, i_s = complex(math.cos(chi)), complex(0.0, math.sin(chi))
     # N(chi) is symmetric: its columns are also its rows.
-    return np.array(_jones_columns(chi))
+    return np.array([[c, i_s, 0j], [i_s, c, 0j], [0j, 0j, 1 + 0j]])
 
 
 def compose_core(
@@ -121,36 +111,57 @@ def compose_core(
     beta2: float,
 ) -> np.ndarray:
     """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises
-    ParameterRangeError for mu outside [0, pi/2].
+    ParameterRangeError for mu outside [0, pi/2]."""
+    return np.array(_core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
 
-    cos, sin and e^{ix} are numpy's; the products and sums are Python
-    complex, entry by entry as numpy forms the columns e^{i a1} n1,
-    W11 n2 + W21 n3 and W12 n2 + W22 n3.  Each product has a factor with an
-    exactly zero real or imaginary part, so it rounds as numpy's does
-    (linalg's arithmetic rule).
+
+def _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2) -> list:
+    """Rows of V1 as Python complex, in linalg's arithmetic.
+
+    Its columns are e^{i a1} n1, W11 n2 + W21 n3 and W12 n2 + W22 n3; each
+    entry is one factor of W (or e^{i a1}) times cos chi, i sin chi, 1 or
+    exactly 0, so it is written as two float products.
     """
-    if not -FOLD_GATE <= mu <= np.pi / 2 + FOLD_GATE:
+    if not -FOLD_GATE <= mu <= math.pi / 2 + FOLD_GATE:
         raise ParameterRangeError("mu must lie in [0, pi/2]")
-    n1, n2, n3 = _jones_columns(chi)
-    cm, sm = complex(np.cos(mu)), complex(np.sin(mu))
+    c, s = math.cos(chi), math.sin(chi)
+    cm, sm = math.cos(mu), math.sin(mu)
     delta = beta2 - alpha2 + alpha3
-    e1 = complex(np.exp(1j * alpha1))
-    w11, w21 = cm * complex(np.exp(1j * alpha2)), sm * complex(np.exp(1j * beta2))
-    # W22 = -cm e^{i delta} enters as a subtraction, as in numpy's column.
-    w12, cm_ed = sm * complex(np.exp(1j * alpha3)), cm * complex(np.exp(1j * delta))
-    return np.array(
-        [[e1 * x1, w11 * x2 + w21 * x3, w12 * x2 - cm_ed * x3] for x1, x2, x3 in zip(n1, n2, n3)]
-    )
+    x1, y1 = math.cos(alpha1), math.sin(alpha1)
+    x2, y2 = cm * math.cos(alpha2), cm * math.sin(alpha2)
+    x3, y3 = sm * math.cos(alpha3), sm * math.sin(alpha3)
+    return [
+        [complex(x1 * c, y1 * c), complex(-y2 * s, x2 * s), complex(-y3 * s, x3 * s)],
+        [complex(-y1 * s, x1 * s), complex(x2 * c, y2 * c), complex(x3 * c, y3 * c)],
+        [0j, complex(sm * math.cos(beta2), sm * math.sin(beta2)),
+         complex(-cm * math.cos(delta), -cm * math.sin(delta))],
+    ]
+
+
+def _rotate(q, v) -> list:
+    """Rows of Q V for a real Q and a complex V, both given as rows of Python
+    scalars: the real and the imaginary part of each entry summed left to
+    right in floats."""
+    (v0, v1, v2), (w0, w1, w2), (u0, u1, u2) = v
+    a0, a1, a2, d0, d1, d2 = v0.real, v1.real, v2.real, v0.imag, v1.imag, v2.imag
+    b0, b1, b2, e0, e1, e2 = w0.real, w1.real, w2.real, w0.imag, w1.imag, w2.imag
+    c0, c1, c2, f0, f1, f2 = u0.real, u1.real, u2.real, u0.imag, u1.imag, u2.imag
+    return [
+        [complex(x * a0 + y * b0 + z * c0, x * d0 + y * e0 + z * f0),
+         complex(x * a1 + y * b1 + z * c1, x * d1 + y * e1 + z * f1),
+         complex(x * a2 + y * b2 + z * c2, x * d2 + y * e2 + z * f2)]
+        for x, y, z in q
+    ]
 
 
 def compose_unitary(p: UnitaryParams) -> np.ndarray:
     """Unitary matrix with columns Q n1, Q v2, Q v3."""
-    q = compose_rotation(p.rotation)
-    return q @ compose_core(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
+    q = _rotation_rows(p.rotation)
+    return np.array(_rotate(q, _core_rows(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)))
 
 
-def _normalize_global_phase(u1: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Phase-normalize a unit column: eps = e^{-i alpha1} u1.
+def _normalize_global_phase(u1) -> tuple[tuple, bool]:
+    """Phase-normalize a unit column, three Python complex: eps = e^{-i alpha1} u1.
 
     alpha1 is half the argument of the unconjugated self-product u1.u1,
     which is invariant under frame rotations and equals e^{2i alpha1}
@@ -161,23 +172,25 @@ def _normalize_global_phase(u1: np.ndarray) -> tuple[np.ndarray, bool]:
     regularity_report pass columns that are unit by their own gates.
     Recovery reads alpha1 itself off V1[0, 0], so only eps is returned.
     """
-    w = complex((u1 * u1).sum())
-    alpha1 = 0.5 * _phase(w)
-    eps = np.exp(-1j * alpha1) * u1
-    for x in eps.real.tolist() + eps.imag.tolist():
-        if abs(x) > 1e-9:
-            if x < 0.0:
-                eps = -eps
+    x, y, z = u1
+    w = x * x + y * y + z * z
+    alpha1 = 0.5 * cmath.phase(w)
+    e = complex(math.cos(alpha1), -math.sin(alpha1))
+    eps = (e * x, e * y, e * z)
+    for t in [v.real for v in eps] + [v.imag for v in eps]:
+        if abs(t) > 1e-9:
+            if t < 0.0:
+                eps = (-eps[0], -eps[1], -eps[2])
             break
-    return eps, abs(w) < DEGENERACY_GATE
+    return eps, math.hypot(w.real, w.imag) < DEGENERACY_GATE
 
 
-def _ellipticity(eps: np.ndarray) -> tuple[float, str, float, float]:
+def _ellipticity(eps) -> tuple[float, str, float, float]:
     """Ellipticity angle chi, zero-pattern branch and the norms |a|, |b| of
     a normalized column.
 
-    Takes the phase-normalized column eps = a + i b, which is
-    cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
+    Takes the phase-normalized column eps = a + i b (three Python complex),
+    which is cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
     |chi| = arctan2(|b|, |a|); _recover_first_column reuses the two norms
     for q1 and q2.  Like every kernel it trusts the operation's gate and
     re-checks nothing: recover_params passes the first column of a matrix
@@ -201,11 +214,11 @@ def _ellipticity(eps: np.ndarray) -> tuple[float, str, float, float]:
     (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.51e-10 at a gimbal: no
     product of entries is left above DEGENERACY_GATE to carry a sign.
     """
-    a, b = eps.real, eps.imag
-    ca = _norm(a)
-    sb = _norm(b)
-    a1, a2, a3 = a.tolist()
-    b1, b2, b3 = b.tolist()
+    e1, e2, e3 = eps
+    a1, a2, a3 = e1.real, e2.real, e3.real
+    b1, b2, b3 = e1.imag, e2.imag, e3.imag
+    ca = _fsum_norm((a1, a2, a3))
+    sb = _fsum_norm((b1, b2, b3))
     a3_zero = abs(a3) <= DEGENERACY_GATE
     if sb <= FOLD_GATE:
         return 0.0, "b1" if a3_zero else "d1", ca, sb
@@ -225,10 +238,10 @@ def _ellipticity(eps: np.ndarray) -> tuple[float, str, float, float]:
         sign = 1.0 if a3 * b3 < 0.0 else -1.0
     else:
         sign = 1.0
-    return sign * float(np.arctan2(sb, ca)), branch, ca, sb
+    return sign * math.atan2(sb, ca), branch, ca, sb
 
 
-def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
+def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     """Recover (chi, rotation, branch) from a phase-normalized unit column.
 
     chi and the branch come from _ellipticity; the rotation has columns
@@ -238,18 +251,19 @@ def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
     below FOLD_GATE (the poles q1 = +-e_z).
     """
     chi, branch, ca, sb = _ellipticity(eps)
-    a, b = eps.real, eps.imag
-    q1 = a / ca
+    e1, e2, e3 = eps
+    x1, y1, z1 = e1.real / ca, e2.real / ca, e3.real / ca
     if chi == 0.0:
-        q2 = np.array([-q1[1], q1[0], 0.0])
-        if _norm(q2) < FOLD_GATE:
-            q2 = np.array([0.0, 1.0, 0.0]) - q1[1] * q1
+        x2, y2, z2 = -y1, x1, 0.0
+        if _fsum_norm((x2, y2, z2)) < FOLD_GATE:
+            x2, y2, z2 = 0.0 - y1 * x1, 1.0 - y1 * y1, 0.0 - y1 * z1
     else:
-        q2 = math.copysign(1.0, chi) * b / sb
-        q2 = q2 - (q1 @ q2) * q1
-    q2 = q2 / _norm(q2)
-    x1, y1, z1 = q1.tolist()
-    x2, y2, z2 = q2.tolist()
+        s = math.copysign(1.0, chi)
+        x2, y2, z2 = s * e1.imag / sb, s * e2.imag / sb, s * e3.imag / sb
+        d = x1 * x2 + y1 * y2 + z1 * z2
+        x2, y2, z2 = x2 - d * x1, y2 - d * y1, z2 - d * z1
+    n = _fsum_norm((x2, y2, z2))
+    x2, y2, z2 = x2 / n, y2 / n, z2 / n
     # Rows of the rotation with columns q1, q2 and q3 = q1 x q2.
     rot, _ = _rotation_angles(
         (
@@ -261,8 +275,9 @@ def _recover_first_column(eps: np.ndarray) -> tuple[float, RotationAngles, str]:
     return chi, rot, branch
 
 
-def _extract_core_params(v1: np.ndarray) -> tuple[float, float, float, float, float]:
-    """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix entries.
+def _extract_core_params(v1) -> tuple[float, float, float, float, float]:
+    """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix entries,
+    given as rows of Python complex.
 
     alpha2 is the phase of v22 and alpha3 that of v23, each folded to 0
     when that entry's modulus is below FOLD_GATE (mu = pi/2 and mu = 0).
@@ -274,17 +289,17 @@ def _extract_core_params(v1: np.ndarray) -> tuple[float, float, float, float, fl
     recomposition residual in recover_params bounds |v31| and every other
     departure from that structure.
     """
-    (v11, _, _), (_, v22, v23), (_, v32, v33) = v1.tolist()
-    alpha1 = _phase(v11)
-    sm = abs(v32)
-    cm = abs(v33)
-    mu = float(np.arctan2(sm, cm))
-    alpha2 = _phase(v22) if abs(v22) >= FOLD_GATE else 0.0
-    alpha3 = _phase(v23) if abs(v23) >= FOLD_GATE else 0.0
+    (v11, _, _), (_, v22, v23), (_, v32, v33) = v1
+    alpha1 = cmath.phase(v11)
+    sm = math.hypot(v32.real, v32.imag)
+    cm = math.hypot(v33.real, v33.imag)
+    mu = math.atan2(sm, cm)
+    alpha2 = cmath.phase(v22) if math.hypot(v22.real, v22.imag) >= FOLD_GATE else 0.0
+    alpha3 = cmath.phase(v23) if math.hypot(v23.real, v23.imag) >= FOLD_GATE else 0.0
     if sm >= cm:
-        beta2 = _phase(v32)
+        beta2 = cmath.phase(v32)
     else:
-        beta2 = wrap_angle(_phase(-v33) + alpha2 - alpha3)
+        beta2 = wrap_angle(cmath.phase(-v33) + alpha2 - alpha3)
     return mu, alpha1, alpha2, alpha3, beta2
 
 
@@ -298,15 +313,14 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
 
     Raises NotUnitaryError where the input fails linalg's unitarity gate.
     """
-    u = as_matrix3(u)
-    _check_unitary(u)
-    eps, circular = _normalize_global_phase(np.ascontiguousarray(u[:, 0]))
+    rows = as_matrix3(u).tolist()
+    _check_unitary(rows)
+    eps, circular = _normalize_global_phase([row[0] for row in rows])
     chi, rot, branch = _recover_first_column(eps)
     if circular:
         branch = "circular-fallback"
-    q = compose_rotation(rot)
-    v1 = q.T @ u
-    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(v1)
+    q = _rotation_rows(rot)
+    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(_rotate(zip(*q), rows))
     params = UnitaryParams(
         rotation=rot,
         chi=chi,
@@ -316,7 +330,9 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
         alpha3=alpha3,
         beta2=beta2,
     )
-    residual = _norm(q @ compose_core(chi, mu, alpha1, alpha2, alpha3, beta2) - u)
+    w = _rotate(q, _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
+    d = [x - y for w_row, u_row in zip(w, rows) for x, y in zip(w_row, u_row)]
+    residual = _fsum_norm([z.real for z in d] + [z.imag for z in d])
     if not residual <= tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "
@@ -341,13 +357,13 @@ def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
     """
     return UnitaryParams(
         rotation=RotationAngles(
-            wrap_angle(p.rotation.phi + np.pi), -p.rotation.theta, p.rotation.varphi
+            wrap_angle(p.rotation.phi + math.pi), -p.rotation.theta, p.rotation.varphi
         ),
         chi=p.chi,
         mu=p.mu,
-        alpha1=wrap_angle(p.alpha1 + np.pi),
-        alpha2=wrap_angle(p.alpha2 + np.pi),
-        alpha3=wrap_angle(p.alpha3 + np.pi),
+        alpha1=wrap_angle(p.alpha1 + math.pi),
+        alpha2=wrap_angle(p.alpha2 + math.pi),
+        alpha3=wrap_angle(p.alpha3 + math.pi),
         beta2=p.beta2,
     )
 
@@ -364,10 +380,11 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
     so a NaN never passes a bound.
     """
 
-    def gap(x: UnitaryParams, y: UnitaryParams) -> float:
-        dx, dy = x.as_dict(), y.as_dict()
-        return np.max(
-            [abs(wrap_angle(dx[k] - dy[k]) if k in _PHASE_FIELDS else dx[k] - dy[k]) for k in dx]
-        )
+    def gaps(x: UnitaryParams) -> list:
+        dx, dy = x.as_dict(), q.as_dict()
+        return [abs(wrap_angle(dx[k] - dy[k]) if k in _PHASE_FIELDS else dx[k] - dy[k]) for k in dx]
 
-    return float(np.min([gap(p, q), gap(flip_equivalent(p), q)]))
+    near, flipped = gaps(p), gaps(flip_equivalent(p))
+    if any(map(math.isnan, near + flipped)):
+        return math.nan
+    return min(max(near), max(flipped))

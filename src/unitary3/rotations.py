@@ -15,7 +15,9 @@ to the naive product reading.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +30,7 @@ class NotOrthogonalError(Unitary3Error, ValueError):
 
 def wrap_angle(x: float) -> float:
     """Wrap an angle into (-pi, pi]."""
-    return float(-((np.pi - x) % (2.0 * np.pi) - np.pi))
+    return float(-((math.pi - x) % (2.0 * math.pi) - math.pi))
 
 
 @dataclass(frozen=True)
@@ -48,28 +50,34 @@ class RotationAngles:
     def canonical(self) -> "RotationAngles":
         """Wrap into canonical ranges, using the Q-preserving equivalence
         (varphi, theta, phi) -> (varphi - pi, -theta, phi + pi)."""
-        phi, theta, varphi = self.phi, self.theta, self.varphi
-        varphi = varphi % (2.0 * np.pi)
-        if varphi >= np.pi:
-            varphi -= np.pi
-            theta = -theta
-            phi = phi + np.pi
-        return RotationAngles(wrap_angle(phi), float(theta), float(varphi))
+        return _canonical(self.phi, self.theta, self.varphi)
+
+
+def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
+    varphi = varphi % (2.0 * math.pi)
+    if varphi >= math.pi:
+        varphi -= math.pi
+        theta = -theta
+        phi = phi + math.pi
+    return RotationAngles(wrap_angle(phi), float(theta), float(varphi))
 
 
 def compose_rotation(angles: RotationAngles) -> np.ndarray:
-    """Composed rotation Q from the closed-form entries above: numpy's
-    cos and sin, products and sums in Python floats."""
-    cf, sf = float(np.cos(angles.phi)), float(np.sin(angles.phi))
-    ct, st = float(np.cos(angles.theta)), float(np.sin(angles.theta))
-    cv, sv = float(np.cos(angles.varphi)), float(np.sin(angles.varphi))
-    return np.array(
-        [
-            cf * ct * cv + sf * sv, -cf * ct * sv + sf * cv, st * cf,
-            -sf * ct * cv + cf * sv, sf * ct * sv + cf * cv, -sf * st,
-            -st * cv, st * sv, ct,
-        ]
-    ).reshape(3, 3)
+    """Composed rotation Q from the closed-form entries above."""
+    return np.array(_rotation_rows(angles))
+
+
+def _rotation_rows(angles: RotationAngles) -> list:
+    """Rows of Q as Python floats: math's cos and sin, each entry's products
+    and sums left to right as written above."""
+    cf, sf = math.cos(angles.phi), math.sin(angles.phi)
+    ct, st = math.cos(angles.theta), math.sin(angles.theta)
+    cv, sv = math.cos(angles.varphi), math.sin(angles.varphi)
+    return [
+        [cf * ct * cv + sf * sv, -cf * ct * sv + sf * cv, st * cf],
+        [-sf * ct * cv + cf * sv, sf * ct * sv + cf * cv, -sf * st],
+        [-st * cv, st * sv, ct],
+    ]
 
 
 def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
@@ -81,17 +89,16 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     and varphi is set to 0; the flag reports that convention fired.
 
     A real matrix is orthogonal exactly when it is unitary, so the input
-    passes linalg's unitarity gate, whose entry-modulus check runs before
-    Q^T Q could overflow; NotOrthogonalError carries the gate's message.
+    passes linalg's unitarity gate; NotOrthogonalError carries the gate's
+    message.
     """
-    q = np.asarray(q, dtype=float).reshape(3, 3)
-    if not np.isfinite(q).all():
+    rows = np.asarray(q, dtype=float).reshape(3, 3).tolist()
+    if not all(map(math.isfinite, chain(*rows))):
         raise NonFiniteError("matrix has non-finite entries")
     try:
-        _check_unitary(q)
+        _check_unitary(rows)
     except NotUnitaryError as exc:
         raise NotOrthogonalError(f"matrix is not orthogonal: {exc}") from None
-    rows = q.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, ct) = rows
     # Once Q^T Q = I, det Q = +-1: its sign, expanded along row 1, decides properness.
     det = (
@@ -108,18 +115,18 @@ def _rotation_angles(rows) -> tuple[RotationAngles, bool]:
     """extract_rotation_angles on the rows of a proper orthogonal matrix,
     already read into Python floats."""
     (q00, q01, q02), (_, _, q12), (q20, q21, ct) = rows
-    st = float(np.hypot(q02, q12))
+    st = math.hypot(q02, q12)
     gimbal = st <= FOLD_GATE
     if not gimbal:
-        theta = float(np.arctan2(st, ct))
-        phi = float(np.arctan2(-q12, q02))
-        varphi = float(np.arctan2(q21, -q20))
+        theta = math.atan2(st, ct)
+        phi = math.atan2(-q12, q02)
+        varphi = math.atan2(q21, -q20)
     else:
         varphi = 0.0
         if ct >= 0.0:
             theta = 0.0
-            phi = float(np.arctan2(q01, q00))
+            phi = math.atan2(q01, q00)
         else:
-            theta = np.pi
-            phi = float(np.arctan2(q01, -q00))
-    return RotationAngles(phi, theta, varphi).canonical(), gimbal
+            theta = math.pi
+            phi = math.atan2(q01, -q00)
+    return _canonical(phi, theta, varphi), gimbal

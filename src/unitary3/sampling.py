@@ -1,9 +1,12 @@
 """Deterministic random sampling: SplitMix64 stream, Gaussians, Haar unitaries.
 
 The generator is a plain SplitMix64 counter PRNG (64-bit state, golden-ratio
-increment) feeding Box-Muller for standard normals.  Both pieces use only
-integer arithmetic and libm calls, so a fixed seed yields the identical
-sample stream on every platform; golden files generated once stay valid.
+increment) feeding Box-Muller for standard normals.  The algorithm is
+frozen, and the integer stream and its uniforms (so random_params) are
+exact on every platform.  The Gaussians are not: Box-Muller calls numpy's
+log, sin and cos, whose SIMD loops round differently on other CPUs, and
+the Haar QR and A A† are LAPACK and BLAS.  So a seed fixes the Haar and
+coherency samples on one host only, and `gen --haar` bytes are host-bound.
 """
 from __future__ import annotations
 

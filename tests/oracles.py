@@ -58,3 +58,34 @@ def first_column_oracle(chi, phi, theta, varphi) -> np.ndarray:
     """Phase-normalized first column built directly from the rotation."""
     q = rotation_product(phi, theta, varphi)
     return np.cos(chi) * q[:, 0] + 1j * np.sin(chi) * q[:, 1]
+
+
+def mp_compose(p, dps=60):
+    """U = Q V1 in mpmath at ``dps`` digits from a dict of the nine fields,
+    as rows of mpc: Q = Rz(-phi) Ry(-theta) Rz(varphi) from its elementary
+    factors, V1 = N(chi) diag(e^{i alpha1}, W) as that product.  Shares no
+    code or arithmetic with the library."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        f = {k: mpmath.mpf(v) for k, v in p.items()}
+        c, s = mpmath.cos(f["chi"]), mpmath.sin(f["chi"])
+        cm, sm = mpmath.cos(f["mu"]), mpmath.sin(f["mu"])
+        delta = f["beta2"] - f["alpha2"] + f["alpha3"]
+        e = lambda a: mpmath.expj(a)  # noqa: E731
+        basis = mpmath.matrix([[c, 1j * s, 0], [1j * s, c, 0], [0, 0, 1]])
+        core = mpmath.matrix([
+            [e(f["alpha1"]), 0, 0],
+            [0, cm * e(f["alpha2"]), sm * e(f["alpha3"])],
+            [0, sm * e(f["beta2"]), -cm * e(delta)],
+        ])
+
+        def rz(a):
+            return mpmath.matrix([[mpmath.cos(a), -mpmath.sin(a), 0], [mpmath.sin(a), mpmath.cos(a), 0], [0, 0, 1]])
+
+        def ry(a):
+            return mpmath.matrix([[mpmath.cos(a), 0, -mpmath.sin(a)], [0, 1, 0], [mpmath.sin(a), 0, mpmath.cos(a)]])
+
+        q = rz(-f.get("phi", 0)) * ry(-f.get("theta", 0)) * rz(f.get("varphi", 0))
+        u = q * basis * core
+        return [[u[i, j] for j in range(3)] for i in range(3)]

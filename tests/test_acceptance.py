@@ -95,7 +95,7 @@ def test_criterion_04_branch_coverage():
     failures = []
     for chi0, phi0, theta0, varphi0, want_branch in cases:
         eps = first_column_oracle(chi0, phi0, theta0, varphi0)
-        chi, _, branch = _recover_first_column(np.asarray(eps, dtype=complex))
+        chi, _, branch = _recover_first_column(np.asarray(eps, dtype=complex).tolist())
         if branch != want_branch or np.sign(chi) != np.sign(chi0):
             failures.append((want_branch, branch, chi0, chi))
     _report(
@@ -111,7 +111,8 @@ def test_criterion_05_eq17_identity():
     gaps = []
     for _ in range(1000):
         u = generate_haar_unitary(g)
-        eps, _ = _normalize_global_phase(np.ascontiguousarray(u[:, 0], dtype=complex))
+        eps, _ = _normalize_global_phase(u[:, 0].tolist())
+        eps = np.array(eps)
         ca = np.linalg.norm(eps.real)
         sb = np.linalg.norm(eps.imag)
         gaps.append(abs(ca * ca + sb * sb - 1.0))

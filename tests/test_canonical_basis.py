@@ -1,5 +1,7 @@
 """The paper's Jones vectors on the code path: the basis N(chi) and the
 columns of the core matrix built from it."""
+import math
+
 import numpy as np
 import pytest
 
@@ -63,28 +65,41 @@ def test_compose_core_degenerate_mu():
         compose_core(0.3, 2.0, 0.1, 0.2, 0.3, 0.4)
 
 
-def numpy_basis(chi):
-    c, s = np.cos(chi), np.sin(chi)
-    return np.array([[c, 1j * s, 0.0], [1j * s, c, 0.0], [0.0, 0.0, 1.0]])
+def float_basis(chi):
+    """N(chi) from math's cos and sin; i sin chi has the real part +0."""
+    c, i_s = math.cos(chi), complex(0.0, math.sin(chi))
+    return np.array([[c, i_s, 0.0], [i_s, c, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
 
 
-def numpy_compose_core(chi, mu, alpha1, alpha2, alpha3, beta2):
-    """V1 in numpy array arithmetic, column by column."""
-    n1, n2, n3 = numpy_basis(chi).T
-    cm, sm = np.cos(mu), np.sin(mu)
-    delta = beta2 - alpha2 + alpha3
-    return np.column_stack(
-        [
-            np.exp(1j * alpha1) * n1,
-            cm * np.exp(1j * alpha2) * n2 + sm * np.exp(1j * beta2) * n3,
-            sm * np.exp(1j * alpha3) * n2 - cm * np.exp(1j * delta) * n3,
-        ]
-    )
+def float_compose_core(chi, mu, alpha1, alpha2, alpha3, beta2):
+    """V1 column by column in the README's arithmetic: a factor r e^{ia}
+    (math's cos and sin, times r) times cos chi or i sin chi is two float
+    products, and the zeros of N(chi) are exact."""
+    c, s = math.cos(chi), math.sin(chi)
+    cm, sm = math.cos(mu), math.sin(mu)
+
+    def factor(r, a):
+        return r * math.cos(a), r * math.sin(a)
+
+    def times_cos(f):
+        return complex(f[0] * c, f[1] * c)
+
+    def times_i_sin(f):
+        return complex(-f[1] * s, f[0] * s)
+
+    e1, w11, w12 = factor(1.0, alpha1), factor(cm, alpha2), factor(sm, alpha3)
+    w21, w22 = factor(sm, beta2), factor(-cm, beta2 - alpha2 + alpha3)
+    columns = [
+        (times_cos(e1), times_i_sin(e1), 0j),
+        (times_i_sin(w11), times_cos(w11), complex(*w21)),
+        (times_i_sin(w12), times_cos(w12), complex(*w22)),
+    ]
+    return np.array(columns).T
 
 
 def test_compose_core_bits():
-    # Python-complex composition must equal numpy's column arithmetic bit for
-    # bit, signs of zero included, inside the chart and on its exact faces.
+    # The composition is its documented float arithmetic bit for bit, signs
+    # of zero included, inside the chart and on its exact faces.
     g = SeededGenerator(33)
     tuples = []
     for _ in range(2000):
@@ -98,5 +113,5 @@ def test_compose_core_bits():
                 p = random_params(g)
                 tuples.append((chi, mu, p.alpha1, p.alpha2, p.alpha3, p.beta2))
     for t in tuples:
-        assert compose_core(*t).tobytes() == numpy_compose_core(*t).tobytes(), t
-        assert canonical_basis(t[0]).tobytes() == numpy_basis(t[0]).tobytes(), t
+        assert compose_core(*t).tobytes() == float_compose_core(*t).tobytes(), t
+        assert canonical_basis(t[0]).tobytes() == float_basis(t[0]).tobytes(), t

@@ -62,9 +62,9 @@ def test_compose_unitary_all_zero():
     assert np.allclose(compose_unitary(make_params()), np.eye(3))
 
 
-def column(v) -> np.ndarray:
-    """A stage kernel's input: a complex array, as the pipelines pass it."""
-    return np.asarray(v, dtype=complex)
+def column(v) -> list:
+    """A stage kernel's input: Python complex entries, as the pipelines pass it."""
+    return np.asarray(v, dtype=complex).tolist()
 
 
 def test_normalize_global_phase_trivial():
@@ -77,9 +77,9 @@ def test_normalize_global_phase_trivial():
 
 def test_normalize_global_phase_generic():
     u1 = np.exp(1j * np.pi / 3) * np.array([np.cos(0.2), 1j * np.sin(0.2), 0.0])
-    eps, circular = _normalize_global_phase(u1)
+    eps, circular = _normalize_global_phase(column(u1))
     assert not circular
-    assert np.linalg.norm(u1 - np.exp(1j * np.pi / 3) * eps) <= 1e-15  # alpha1 = pi/3
+    assert np.linalg.norm(u1 - np.exp(1j * np.pi / 3) * np.array(eps)) <= 1e-15  # alpha1 = pi/3
     assert np.allclose(eps, [np.cos(0.2), 1j * np.sin(0.2), 0.0])
 
 
@@ -93,8 +93,9 @@ def test_normalize_global_phase_circular_flag():
         for phase, angles in ((0.5, (0.4, -0.3, 1.0)), (-2.0, (2.1, 0.7, -1.3))):
             q = compose_rotation(RotationAngles(*angles))
             u1 = np.exp(1j * phase) * (q @ [np.cos(chi), 1j * np.sin(chi), 0.0])
-            eps, circular = _normalize_global_phase(u1)
+            eps, circular = _normalize_global_phase(column(u1))
             assert circular
+            eps = np.array(eps)
             assert abs(eps.real @ eps.imag) <= 1e-15, (chi, phase)
 
 
@@ -172,7 +173,7 @@ def test_extract_core_params_identity():
 
 def test_extract_core_params_roundtrip():
     v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
-    mu, a1, a2, a3, b2 = _extract_core_params(v)
+    mu, a1, a2, a3, b2 = _extract_core_params(v.tolist())
     assert (mu, a1, a2, a3, b2) == pytest.approx((0.8, 0.1, -0.4, 0.9, 1.3))
 
 
