@@ -20,8 +20,8 @@ Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .linalg import (
     _TINY,
@@ -39,11 +39,21 @@ from .parametrization import (
     canonical_basis,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
 
-_RU_HAT = np.eye(3, dtype=complex) / 3.0
-_RU_HAT.flags.writeable = False
+
+@cache
+def _ru_hat() -> np.ndarray:
+    """The one read-only I/3 that every decomposition shares, built on first use."""
+    import numpy as np
+
+    ru = np.eye(3, dtype=complex) / 3.0
+    ru.flags.writeable = False
+    return ru
 
 
 class ZeroTraceError(Unitary3Error, ValueError):
@@ -123,14 +133,14 @@ def _decompose(r: np.ndarray) -> CharacteristicComponents:
     smallest = e.values[2]
     if smallest < -_PSD_TOL * trace:
         raise NotPositiveSemidefiniteError(f"smallest eigenvalue {smallest:.3e} is negative")
-    rp = _outer(np.ascontiguousarray(e.vectors[:, 0]))
-    rm = 0.5 * (rp + _outer(np.ascontiguousarray(e.vectors[:, 1])))
+    rp = _outer(e.vectors[:, 0].copy())
+    rm = 0.5 * (rp + _outer(e.vectors[:, 1].copy()))
     p = purity_indices(e)
     return CharacteristicComponents(
         traceR=trace,
         Rp_hat=rp,
         Rm_hat=rm,
-        Ru_hat=_RU_HAT,
+        Ru_hat=_ru_hat(),
         purity=p,
         coefficients=(p.P1, p.P2 - p.P1, 1.0 - p.P2),
         eigen=e,
@@ -142,7 +152,7 @@ def middle_component(u) -> np.ndarray:
     raises NotUnitaryError where the input fails the unitarity gate."""
     u = as_matrix3(u)
     _check_unitary(u.tolist())
-    return 0.5 * (_outer(np.ascontiguousarray(u[:, 0])) + _outer(np.ascontiguousarray(u[:, 1])))
+    return 0.5 * (_outer(u[:, 0].copy()) + _outer(u[:, 1].copy()))
 
 
 def intrinsic_middle(chi: float) -> np.ndarray:
@@ -154,7 +164,7 @@ def intrinsic_middle(chi: float) -> np.ndarray:
     v2 v2† + v3 v3† = I - n1 n1†.
     """
     _, n2, n3 = canonical_basis(chi).T
-    return 0.5 * (_outer(np.ascontiguousarray(n2)) + _outer(np.ascontiguousarray(n3)))
+    return 0.5 * (_outer(n2.copy()) + _outer(n3.copy()))
 
 
 def regularity_report(r) -> RegularityReport:
@@ -171,6 +181,8 @@ def regularity_report(r) -> RegularityReport:
 
 
 def _regularity(r: np.ndarray) -> RegularityReport:
+    import numpy as np
+
     c = _decompose(r)
     chi_m = _ellipticity(_normalize_global_phase(c.eigen.vectors[:, 2].tolist())[0])[0]
     return RegularityReport(

@@ -4,24 +4,29 @@ Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, else the Unitary3Error class's (1 malformed input, 2 precondition
 violated or an output that cannot be written, 3 tolerance failure); any other
-exception is a bug and propagates.  A reader that closes stdout early (as
-``| head -1`` does) chose to stop, so that exits 0 with nothing on stderr.
+exception is a bug and propagates.  A usage error (argparse) exits 2 with a
+usage message.  A reader that closes stdout early (as ``| head -1`` does)
+chose to stop, so that exits 0 with nothing on stderr.  ``recover`` and
+``roundtrip`` run on Python scalars from document to output and never load
+numpy (the import rule in unitary3.linalg).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .characteristic import regularity_report
 from .linalg import Unitary3Error
-from .parametrization import (RECOVERY_TOL, RecoveryToleranceError, compose_core, compose_unitary,
-                              recover_params)
+from .parametrization import (RECOVERY_TOL, RecoveryToleranceError, _recover_rows, compose_core,
+                              compose_unitary)
 from .documents import (
     MalformedDocumentError,
     OutputWriteError,
+    _parse_rows,
     parse_matrix,
     parse_params,
     serialize_matrix,
@@ -63,8 +68,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    u = parse_matrix(_read_text(args.matrix))
-    report = recover_params(u, tolerance=args.tolerance)
+    report = _recover_rows(_parse_rows(_read_text(args.matrix)), args.tolerance)
     doc = json.loads(serialize_params(report.params))
     doc["residual"] = report.residual
     doc["branch"] = report.branch
@@ -74,8 +78,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    u = parse_matrix(_read_text(args.matrix))
-    report = recover_params(u, tolerance=args.tolerance)
+    report = _recover_rows(_parse_rows(_read_text(args.matrix)), args.tolerance)
     sys.stdout.write(json.dumps({"residual": report.residual, "branch": report.branch}) + "\n")
     return 0
 
@@ -124,6 +127,29 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest() else RecoveryToleranceError.exit_code
 
 
+def _tolerance(text: str) -> float:
+    """A --tolerance: a finite float >= 0.  NaN or a negative value fails
+    every recovery, and inf passes every one."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A --haar count: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitary3",
@@ -140,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recover", help="matrix document to params document")
     r.add_argument("--matrix", required=True)
-    r.add_argument("--tolerance", type=float, default=RECOVERY_TOL)
+    r.add_argument("--tolerance", type=_tolerance, default=RECOVERY_TOL)
     r.add_argument("--out")
     r.set_defaults(func=_cmd_recover)
 
     t = sub.add_parser("roundtrip", help="recover then recompose; print residual")
     t.add_argument("--matrix", required=True)
-    t.add_argument("--tolerance", type=float, default=RECOVERY_TOL)
+    t.add_argument("--tolerance", type=_tolerance, default=RECOVERY_TOL)
     t.set_defaults(func=_cmd_roundtrip)
 
     d = sub.add_parser("chardecomp", help="characteristic decomposition report")
@@ -155,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_chardecomp)
 
     g = sub.add_parser("gen", help=f"emit Haar-random unitaries ({ALGORITHM})")
-    g.add_argument("--haar", type=int, required=True)
+    g.add_argument("--haar", type=_count, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out-dir")
     g.set_defaults(func=_cmd_gen)

@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .linalg import Unitary3Error
 from .parametrization import UnitaryParams
 from .rotations import RotationAngles
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MATRIX_KINDS = ("unitary", "hermitian", "general")
 PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")
@@ -100,6 +102,22 @@ def parse_matrix(text: str) -> np.ndarray:
     Entry (i, j) is complex(a + (0.0*b - 0.0), 0.0 + (0.0 + b)) for
     a = re[i][j] and b = im[i][j]: numpy's re + 1j*im, signs of zero included.
     """
+    import numpy as np
+
+    # A flat list and a reshape: numpy reads it faster than nested rows.
+    return np.array(_parse_entries(text)).reshape(3, 3)
+
+
+def _parse_rows(text: str) -> list:
+    """parse_matrix without the array: three rows of three Python complex,
+    exactly what as_matrix3(parse_matrix(text)).tolist() would give."""
+    z = _parse_entries(text)
+    return [z[0:3], z[3:6], z[6:9]]
+
+
+def _parse_entries(text: str) -> list:
+    """parse_matrix's validation and its nine entries, row-major, as Python
+    complex."""
     doc = _load_json(text)
     kind = doc.get("kind")
     if kind not in MATRIX_KINDS:
@@ -107,11 +125,13 @@ def parse_matrix(text: str) -> np.ndarray:
             f"field 'kind' must be one of {MATRIX_KINDS}, got {kind!r}"
         )
     entries = zip(_check_grid(doc, "re"), _check_grid(doc, "im"))
-    return np.array([complex(a + (0.0 * b - 0.0), 0.0 + (0.0 + b)) for a, b in entries]).reshape(3, 3)
+    return [complex(a + (0.0 * b - 0.0), 0.0 + (0.0 + b)) for a, b in entries]
 
 
 def serialize_matrix(m, kind: str = "general") -> str:
     """Serialize a 3x3 complex matrix; round-trips bit-exactly."""
+    import numpy as np
+
     if kind not in MATRIX_KINDS:
         raise MalformedDocumentError(f"unknown matrix kind {kind!r}")
     m = np.asarray(m, dtype=complex).reshape(3, 3)

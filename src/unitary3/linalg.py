@@ -18,6 +18,16 @@ Kernels re-check nothing the operation's gate (such as the unitarity gate
 _check_unitary) already holds; recovery's exit gate is its recomposition
 residual.
 
+Import rule: no module of the package imports numpy when it is imported.
+Each function that builds or reads an array imports numpy itself, so
+``import unitary3`` does not load it and the first such call does.  The
+recovery CLI (``recover``, ``roundtrip``) stays on Python scalars from the
+document to the output (documents._parse_rows, then
+parametrization._recover_rows) and never loads numpy; ``compose``,
+``chardecomp``, ``gen`` and ``selftest`` do.  Array methods and operators
+(``.tolist()``, ``.copy()``, ``@``) need no import, so the kernels of the
+coherency path import numpy only where they call it.
+
 Arithmetic rule: recovery, composition (compose_core, compose_rotation,
 compose_unitary) and the unitarity gate (_check_unitary,
 unitarity_distance) run on Python floats and complex, one code path with
@@ -41,7 +51,7 @@ bit-identical on one host:
 
 - numpy rounds a strided view differently from a contiguous one in its SIMD
   loops, so an eigenvector column is copied contiguous
-  (``np.ascontiguousarray(vectors[:, i])``) before any arithmetic on it;
+  (``vectors[:, i].copy()``) before any arithmetic on it;
 - the eigenvector phase conj(z)/|z| is numpy's complex-by-real division,
   Smith's algorithm with the divisor (|z|, 0): it multiplies by 1/|z|, and
   its ``+-x*0.0`` terms decide the signs of zeros (_unit_phase writes it
@@ -52,8 +62,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Gates shared by every module.  DEGENERACY_GATE only labels (the circular
 # column, a3 = 0, b3 = 0) and folds nothing.  FOLD_GATE is the one gate of
@@ -95,6 +107,8 @@ class NotUnitaryError(Unitary3Error, ValueError):
 
 
 def as_matrix3(m) -> np.ndarray:
+    import numpy as np
+
     m = np.ascontiguousarray(m, dtype=complex).reshape(3, 3)
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has non-finite entries")
@@ -174,8 +188,9 @@ def _check_unitary(rows) -> None:
 
 
 def _outer(v: np.ndarray) -> np.ndarray:
-    """Conjugate outer product v v†, a Hermitian PSD matrix of rank <= 1."""
-    return np.outer(v, v.conj())
+    """Conjugate outer product v v†, a Hermitian PSD matrix of rank <= 1:
+    the one multiply that numpy.outer(v, v.conj()) runs."""
+    return v[:, None] * v.conj()[None, :]
 
 
 @dataclass(frozen=True)
@@ -200,13 +215,6 @@ def _unit_phase(z: complex) -> complex:
     return complex((z.real - z.imag * 0.0) * s, (-z.imag - z.real * 0.0) * s)
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude component (the first of equal
-    ones) real and positive.  Columns are unit vectors, so it is nonzero."""
-    phases = [_unit_phase(max(col, key=abs)) for col in vectors.T.tolist()]
-    return vectors * np.array(phases)
-
-
 def eig_hermitian3(r) -> EigenDecomposition:
     """Diagonalize a 3x3 Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
@@ -226,6 +234,8 @@ def eig_hermitian3(r) -> EigenDecomposition:
 
 
 def _eig(r: np.ndarray) -> EigenDecomposition:
+    import numpy as np
+
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
     try:
         scale = max(map(abs, (r00, r01, r02, r10, r11, r12, r20, r21, r22)))
@@ -258,9 +268,13 @@ def _eig(r: np.ndarray) -> EigenDecomposition:
         normalized = [x / trace for x in values]
     else:
         normalized = [0.0, 0.0, 0.0]
+    # Each column's largest-magnitude component (the first of equal ones)
+    # is made real and positive; a unit column has a nonzero one.
+    vec = vec[:, ::-1]
+    phases = [_unit_phase(max(col, key=abs)) for col in vec.T.tolist()]
     return EigenDecomposition(
         values=np.array(values),
         normalized=np.array(normalized),
-        vectors=_fix_column_phases(vec[:, ::-1]),
+        vectors=vec * np.array(phases),
         trace=trace,
     )

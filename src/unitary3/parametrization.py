@@ -39,13 +39,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
                      _fsum_norm, as_matrix3)
 from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RECOVERY_TOL = 1e-10
 
@@ -97,6 +99,8 @@ class RecoveryReport:
 
 def canonical_basis(chi: float) -> np.ndarray:
     """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
+    import numpy as np
+
     c, i_s = complex(math.cos(chi)), complex(0.0, math.sin(chi))
     # N(chi) is symmetric: its columns are also its rows.
     return np.array([[c, i_s, 0j], [i_s, c, 0j], [0j, 0j, 1 + 0j]])
@@ -112,6 +116,8 @@ def compose_core(
 ) -> np.ndarray:
     """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises
     ParameterRangeError for mu outside [0, pi/2]."""
+    import numpy as np
+
     return np.array(_core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
 
 
@@ -156,6 +162,8 @@ def _rotate(q, v) -> list:
 
 def compose_unitary(p: UnitaryParams) -> np.ndarray:
     """Unitary matrix with columns Q n1, Q v2, Q v3."""
+    import numpy as np
+
     q = _rotation_rows(p.rotation)
     return np.array(_rotate(q, _core_rows(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)))
 
@@ -313,7 +321,11 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
 
     Raises NotUnitaryError where the input fails linalg's unitarity gate.
     """
-    rows = as_matrix3(u).tolist()
+    return _recover_rows(as_matrix3(u).tolist(), tolerance)
+
+
+def _recover_rows(rows, tolerance: float) -> RecoveryReport:
+    """recover_params on a finite matrix given as rows of Python complex."""
     _check_unitary(rows)
     eps, circular = _normalize_global_phase([row[0] for row in rows])
     chi, rot, branch = _recover_first_column(eps)

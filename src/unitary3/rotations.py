@@ -18,10 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .linalg import FOLD_GATE, NonFiniteError, NotUnitaryError, Unitary3Error, _check_unitary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotOrthogonalError(Unitary3Error, ValueError):
@@ -64,6 +66,8 @@ def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
 
 def compose_rotation(angles: RotationAngles) -> np.ndarray:
     """Composed rotation Q from the closed-form entries above."""
+    import numpy as np
+
     return np.array(_rotation_rows(angles))
 
 
@@ -92,6 +96,8 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     passes linalg's unitarity gate; NotOrthogonalError carries the gate's
     message.
     """
+    import numpy as np
+
     rows = np.asarray(q, dtype=float).reshape(3, 3).tolist()
     if not all(map(math.isfinite, chain(*rows))):
         raise NonFiniteError("matrix has non-finite entries")

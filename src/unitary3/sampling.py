@@ -10,10 +10,14 @@ coherency samples on one host only, and `gen --haar` bytes are host-bound.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
 
 from .parametrization import UnitaryParams
 from .rotations import RotationAngles
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ALGORITHM = "splitmix64+box-muller"
 
@@ -44,6 +48,8 @@ class SeededGenerator:
         if self._spare is not None:
             x, self._spare = self._spare, None
             return x
+        import numpy as np
+
         u1 = self.uniform()
         while u1 <= 0.0:
             u1 = self.uniform()
@@ -53,6 +59,8 @@ class SeededGenerator:
         return float(r * np.cos(2.0 * np.pi * u2))
 
     def complex_gauss_matrix(self) -> np.ndarray:
+        import numpy as np
+
         m = np.empty((3, 3), dtype=complex)
         for i in range(3):
             for j in range(3):
@@ -67,6 +75,8 @@ def generate_haar_unitary(g: SeededGenerator) -> np.ndarray:
     the triangular factor's diagonal so it is real positive; without that
     fix the QR convention would bias the distribution.
     """
+    import numpy as np
+
     q, r = np.linalg.qr(g.complex_gauss_matrix())
     d = r.diagonal().copy()
     d = d / np.abs(d)
@@ -84,20 +94,20 @@ def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
         return lo + margin + (hi - lo - 2.0 * margin) * g.uniform()
 
     def phase():
-        return -np.pi + 2.0 * np.pi * g.uniform()
+        return -math.pi + 2.0 * math.pi * g.uniform()
 
-    half = np.pi / 4
+    half = math.pi / 4
     chi = spread(-half, half)
     while abs(chi) < margin:
         chi = spread(-half, half)
     return UnitaryParams(
         rotation=RotationAngles(
             phi=phase(),
-            theta=spread(-np.pi / 2, np.pi / 2),
-            varphi=spread(0.0, np.pi),
+            theta=spread(-math.pi / 2, math.pi / 2),
+            varphi=spread(0.0, math.pi),
         ),
         chi=float(chi),
-        mu=spread(0.0, np.pi / 2),
+        mu=spread(0.0, math.pi / 2),
         alpha1=phase(),
         alpha2=phase(),
         alpha3=phase(),

@@ -7,9 +7,8 @@ acceptance tests call the same measures at their own.
 """
 from __future__ import annotations
 
+import math
 import time
-
-import numpy as np
 
 from .characteristic import (
     characteristic_decomposition,
@@ -23,11 +22,13 @@ from .rotations import RotationAngles, compose_rotation, extract_rotation_angles
 from .sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
 
 # Middle ellipticity angles, regular to maximally nonregular, of regularity_spectrum.
-REGULARITY_CHI_VALUES = (0.0, np.pi / 12, np.pi / 6, np.pi / 4)
+REGULARITY_CHI_VALUES = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
 
 
 def _worst(gaps) -> float:
     """Largest of the gaps; NaN if any gap is NaN, so NaN never passes a bound."""
+    import numpy as np
+
     return float(np.max(list(gaps)))
 
 
@@ -53,10 +54,11 @@ def param_roundtrip(g: SeededGenerator, n: int) -> float:
 
 def rotation_roundtrip(g: SeededGenerator, n: int) -> float:
     """Frobenius gap of compose-extract-compose on random rotation triples."""
+    import numpy as np
 
     def gap():
-        phi, theta = -np.pi + 2 * np.pi * g.uniform(), -np.pi / 2 + np.pi * g.uniform()
-        q = compose_rotation(RotationAngles(phi, theta, np.pi * g.uniform()))
+        phi, theta = -math.pi + 2 * math.pi * g.uniform(), -math.pi / 2 + math.pi * g.uniform()
+        q = compose_rotation(RotationAngles(phi, theta, math.pi * g.uniform()))
         return np.linalg.norm(compose_rotation(extract_rotation_angles(q)[0]) - q)
 
     return _worst(gap() for _ in range(n))
@@ -64,6 +66,7 @@ def rotation_roundtrip(g: SeededGenerator, n: int) -> float:
 
 def eigensolver_residual(g: SeededGenerator, n: int) -> float:
     """Frobenius norm of R V - V diag(values) on random PSD matrices."""
+    import numpy as np
 
     def gap():
         r = random_psd_hermitian(g)
@@ -76,6 +79,7 @@ def eigensolver_residual(g: SeededGenerator, n: int) -> float:
 def characteristic_reconstruction(g: SeededGenerator, n: int) -> float:
     """Relative reconstruction gap of the characteristic decomposition and
     violation max(-P1, P1 - P2, P2 - 1) of 0 <= P1 <= P2 <= 1, on PSD draws."""
+    import numpy as np
 
     def gaps():
         r = random_psd_hermitian(g)
@@ -89,6 +93,8 @@ def characteristic_reconstruction(g: SeededGenerator, n: int) -> float:
 
 def middle_spectrum(g: SeededGenerator, n: int) -> float:
     """Gap of the middle component's spectrum from (1/2, 1/2, 0) on Haar unitaries."""
+    import numpy as np
+
     target = np.array([0.5, 0.5, 0.0])
     return _worst(
         np.abs(eig_hermitian3(middle_component(generate_haar_unitary(g))).values - target)
@@ -99,15 +105,16 @@ def middle_spectrum(g: SeededGenerator, n: int) -> float:
 def chi_only_dependence(g: SeededGenerator, n: int) -> float:
     """Gap of middle_component(V1 with columns (v2, v3, n1)) from its chi-only
     form, over n draws of (mu, alpha2, alpha3, beta2) at chi = 0.1, -0.3, 0.7."""
+    import numpy as np
 
     def gap(chi):
         u = compose_core(
             chi,
-            mu=np.pi / 2 * g.uniform(),
+            mu=math.pi / 2 * g.uniform(),
             alpha1=0.0,
-            alpha2=-np.pi + 2 * np.pi * g.uniform(),
-            alpha3=-np.pi + 2 * np.pi * g.uniform(),
-            beta2=-np.pi + 2 * np.pi * g.uniform(),
+            alpha2=-math.pi + 2 * math.pi * g.uniform(),
+            alpha3=-math.pi + 2 * math.pi * g.uniform(),
+            beta2=-math.pi + 2 * math.pi * g.uniform(),
         )[:, [1, 2, 0]]
         return np.linalg.norm(middle_component(u) - intrinsic_middle(chi))
 
@@ -117,6 +124,8 @@ def chi_only_dependence(g: SeededGenerator, n: int) -> float:
 def regularity_spectrum(g: SeededGenerator, n: int) -> float:
     """Gap of the Re(Rm_hat) spectrum from (1/2, cos^2 chi/2, sin^2 chi/2) at
     REGULARITY_CHI_VALUES; inf if a regular flag is wrong.  Ignores g and n."""
+    import numpy as np
+
     gaps = []
     for chi in REGULARITY_CHI_VALUES:
         rep = regularity_report(intrinsic_middle(chi))

@@ -498,11 +498,83 @@ def test_roundtrip_exit_codes(tmp_path):
     code, out, _ = run_cli(["roundtrip", "--matrix", str(mpath)])
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-10
-    for tolerance in ("1e-30", "nan"):
-        code, out, err = run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", tolerance])
-        assert code == 3
-        assert out == ""
-        assert "tolerance failure" in err
+    code, out, err = run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", "1e-30"])
+    assert code == 3
+    assert out == ""
+    assert "tolerance failure" in err
+
+
+def run_usage_error(argv):
+    """run_cli for an argument list that argparse rejects: its exit code
+    (SystemExit), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
+def test_bad_tolerance_is_usage_error(tmp_path, tolerance):
+    # NaN or a negative tolerance would fail a perfect recovery with exit 3,
+    # inf would switch the residual gate off: each is rejected at argument
+    # parsing, as a tolerance that is not a number is.
+    _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
+    mpath = tmp_path / "m.json"
+    mpath.write_text(gen_out, encoding="utf-8")
+    for command in ("recover", "roundtrip"):
+        # The = form: argparse would read "-inf" alone as an option string.
+        code, out, err = run_usage_error([command, "--matrix", str(mpath), f"--tolerance={tolerance}"])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("usage: ") and "argument --tolerance: " in err, err
+        assert repr(tolerance) in err, err
+
+
+def test_zero_tolerance_reaches_the_gate(tmp_path):
+    # 0 is the strictest tolerance, not a usage error: the residual gate judges it.
+    mpath = tmp_path / "eye.json"
+    mpath.write_text(serialize_matrix(np.eye(3), kind="unitary"), encoding="utf-8")
+    code, out, err = run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", "0"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: tolerance failure: recomposition residual ") and " exceeds 0.0 " in err, err
+
+
+@pytest.mark.parametrize("count", ["-3", "-1", "x"])
+def test_bad_gen_count_is_usage_error(count):
+    # A negative count used to exit 0 with nothing written.
+    code, out, err = run_usage_error(["gen", "--haar", count])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and "argument --haar: " in err and repr(count) in err, err
+
+
+def test_recovery_cli_never_loads_numpy(tmp_path):
+    # recover and roundtrip run on Python scalars from document to output,
+    # success and error exits alike; chardecomp, run last in the same
+    # interpreter, shows that the probe sees numpy once it is loaded.
+    _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
+    (tmp_path / "u.json").write_text(gen_out, encoding="utf-8")
+    (tmp_path / "big.json").write_text(serialize_matrix(2.0 * np.eye(3)), encoding="utf-8")
+    (tmp_path / "r.json").write_text(serialize_matrix(np.diag([0.5, 0.3, 0.2]), kind="hermitian"),
+                                     encoding="utf-8")
+    probe = """if True:
+        import sys
+        import unitary3
+        from unitary3.cli import main
+        assert "numpy" not in sys.modules, "import unitary3"
+        for argv, code in ((["recover", "--matrix", "u.json"], 0), (["roundtrip", "--matrix", "u.json"], 0),
+                           (["recover", "--matrix", "big.json"], 2), (["roundtrip", "--matrix", "u.json",
+                           "--tolerance", "1e-30"], 3), (["recover", "--matrix", "absent.json"], 1)):
+            assert main(argv) == code, argv
+            assert "numpy" not in sys.modules, argv
+        assert main(["chardecomp", "--matrix", "r.json"]) == 0
+        assert "numpy" in sys.modules, "chardecomp"
+        print("ok")
+    """
+    src = str(Path(unitary3.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n"), proc.stdout
 
 
 def test_chardecomp(tmp_path):
@@ -765,10 +837,10 @@ def test_error_exit_code(name):
 def test_untyped_error_propagates(tmp_path, monkeypatch, error):
     # Only library errors map to exit codes; anything else is a bug and
     # keeps its traceback instead of exiting 2 or 3.
-    def broken(u, tolerance):
+    def broken(rows, tolerance):
         raise error("bug")
 
-    monkeypatch.setattr(unitary3.cli, "recover_params", broken)
+    monkeypatch.setattr(unitary3.cli, "_recover_rows", broken)
     _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
     mpath = tmp_path / "m.json"
     mpath.write_text(gen_out, encoding="utf-8")
