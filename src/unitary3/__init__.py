@@ -6,6 +6,7 @@ coherency matrices via the characteristic decomposition and its regularity
 spectrum.
 """
 from .linalg import (
+    ConvergenceError,
     EigenDecomposition,
     FloatRangeError,
     NonFiniteError,

@@ -19,8 +19,8 @@ Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache
 from typing import TYPE_CHECKING
 
 from .linalg import (
@@ -29,31 +29,24 @@ from .linalg import (
     Unitary3Error,
     _check_unitary,
     _eig,
-    _norm,
-    _outer,
+    _eigen,
+    _fsum_norm,
     as_matrix3,
 )
-from .parametrization import (
-    _ellipticity,
-    _normalize_global_phase,
-    canonical_basis,
-)
+from .parametrization import _basis_rows, _ellipticity, _normalize_global_phase
 
 if TYPE_CHECKING:
     import numpy as np
 
 REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
-
-
-@cache
-def _ru_hat() -> np.ndarray:
-    """The one read-only I/3 that every decomposition shares, built on first use."""
-    import numpy as np
-
-    ru = np.eye(3, dtype=complex) / 3.0
-    ru.flags.writeable = False
-    return ru
+_HALF = complex(0.5, 0.0)
+# Rows of Ru_hat = I/3.
+_RU_HAT = (
+    (complex(1 / 3), 0j, 0j),
+    (0j, complex(1 / 3), 0j),
+    (0j, 0j, complex(1 / 3)),
+)
 
 
 class ZeroTraceError(Unitary3Error, ValueError):
@@ -111,48 +104,98 @@ class RegularityReport:
 
 def purity_indices(e: EigenDecomposition) -> PurityIndices:
     """P1 and P2 from a normalized, nonincreasing eigenvalue triple."""
-    l1, l2, l3 = e.normalized.tolist()
-    return PurityIndices(P1=l1 - l2, P2=l1 + l2 - 2.0 * l3)
+    return PurityIndices(*_purity(e.normalized.tolist()))
+
+
+def _purity(normalized) -> tuple[float, float]:
+    l1, l2, l3 = normalized
+    return l1 - l2, l1 + l2 - 2.0 * l3
+
+
+def _projector(x) -> list:
+    """Rows of x x† for a column x of three Python complex.  Each entry
+    above the diagonal is formed once and conjugated below it; complex
+    multiplication makes each x_j conj(x_j) exactly real."""
+    x0, x1, x2 = x
+    c0, c1, c2 = x0.conjugate(), x1.conjugate(), x2.conjugate()
+    p01, p02, p12 = x0 * c1, x0 * c2, x1 * c2
+    return [
+        [x0 * c0, p01, p02],
+        [p01.conjugate(), x1 * c1, p12],
+        [p02.conjugate(), p12.conjugate(), x2 * c2],
+    ]
+
+
+def _middle(x, y) -> list:
+    """Rows of (x x† + y y†)/2 for two columns of Python complex, written
+    out as _projector.  A product with complex(0.5, 0.0) halves each part
+    exactly (a zero part may change sign), so (x_j/2) conj(x_k) +
+    (y_j/2) conj(y_k) is the halved sum, rounded as its parts are."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    c0, c1, c2 = x0.conjugate(), x1.conjugate(), x2.conjugate()
+    d0, d1, d2 = y0.conjugate(), y1.conjugate(), y2.conjugate()
+    h0, h1, h2 = _HALF * x0, _HALF * x1, _HALF * x2
+    k0, k1, k2 = _HALF * y0, _HALF * y1, _HALF * y2
+    m01, m02, m12 = h0 * c1 + k0 * d1, h0 * c2 + k0 * d2, h1 * c2 + k1 * d2
+    return [
+        [h0 * c0 + k0 * d0, m01, m02],
+        [m01.conjugate(), h1 * c1 + k1 * d1, m12],
+        [m02.conjugate(), m12.conjugate(), h2 * c2 + k2 * d2],
+    ]
 
 
 def characteristic_decomposition(r) -> CharacteristicComponents:
     """Split a Hermitian PSD matrix into pure, middle and unpolarized parts.
 
     Raises NotHermitianError, ZeroTraceError or
-    NotPositiveSemidefiniteError when the preconditions fail.  ``Ru_hat``
-    is one shared read-only I/3.
+    NotPositiveSemidefiniteError when the preconditions fail.
     """
-    return _decompose(as_matrix3(r))
+    return _components(_decompose(as_matrix3(r).tolist()))
 
 
-def _decompose(r: np.ndarray) -> CharacteristicComponents:
-    e = _eig(r)
-    trace = e.trace
+def _decompose(rows) -> tuple:
+    """characteristic_decomposition on R given as rows of Python complex:
+    (eigen, Rp_hat, Rm_hat, (P1, P2), coefficients), with ``eigen`` the
+    _eig result and the two components as rows of Python complex."""
+    e = _eig(rows)
+    values, normalized, vectors, trace = e
     if trace <= _TINY:
         raise ZeroTraceError(f"trace {trace:.3e} is not positive")
-    smallest = e.values[2]
+    smallest = values[2]
     if smallest < -_PSD_TOL * trace:
         raise NotPositiveSemidefiniteError(f"smallest eigenvalue {smallest:.3e} is negative")
-    rp = _outer(e.vectors[:, 0].copy())
-    rm = 0.5 * (rp + _outer(e.vectors[:, 1].copy()))
-    p = purity_indices(e)
+    p1, p2 = _purity(normalized)
+    return (e, _projector(vectors[0]), _middle(vectors[0], vectors[1]), (p1, p2),
+            (p1, p2 - p1, 1.0 - p2))
+
+
+def _components(c) -> CharacteristicComponents:
+    """The CharacteristicComponents of a _decompose result: one array per
+    array field."""
+    import numpy as np
+
+    e, rp, rm, purity, coefficients = c
     return CharacteristicComponents(
-        traceR=trace,
-        Rp_hat=rp,
-        Rm_hat=rm,
-        Ru_hat=_ru_hat(),
-        purity=p,
-        coefficients=(p.P1, p.P2 - p.P1, 1.0 - p.P2),
-        eigen=e,
+        traceR=e[3],
+        Rp_hat=np.array(rp, dtype=complex),
+        Rm_hat=np.array(rm, dtype=complex),
+        Ru_hat=np.array(_RU_HAT, dtype=complex),
+        purity=PurityIndices(*purity),
+        coefficients=coefficients,
+        eigen=_eigen(e),
     )
 
 
 def middle_component(u) -> np.ndarray:
     """Half-projector onto the span of the first two columns of a unitary;
     raises NotUnitaryError where the input fails the unitarity gate."""
-    u = as_matrix3(u)
-    _check_unitary(u.tolist())
-    return 0.5 * (_outer(u[:, 0].copy()) + _outer(u[:, 1].copy()))
+    import numpy as np
+
+    rows = as_matrix3(u).tolist()
+    _check_unitary(rows)
+    (u00, u01, _), (u10, u11, _), (u20, u21, _) = rows
+    return np.array(_middle((u00, u10, u20), (u01, u11, u21)))
 
 
 def intrinsic_middle(chi: float) -> np.ndarray:
@@ -163,8 +206,10 @@ def intrinsic_middle(chi: float) -> np.ndarray:
     (v2, v3, n1), for every (mu, alpha2, alpha3, beta2), since
     v2 v2† + v3 v3† = I - n1 n1†.
     """
-    _, n2, n3 = canonical_basis(chi).T
-    return 0.5 * (_outer(n2.copy()) + _outer(n3.copy()))
+    import numpy as np
+
+    _, n2, n3 = _basis_rows(chi)  # N(chi) is symmetric: its rows are its columns
+    return np.array(_middle(n2, n3))
 
 
 def regularity_report(r) -> RegularityReport:
@@ -177,20 +222,24 @@ def regularity_report(r) -> RegularityReport:
     (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
     |chi_m| <= pi/4.
     """
-    return _regularity(as_matrix3(r))
-
-
-def _regularity(r: np.ndarray) -> RegularityReport:
-    import numpy as np
-
-    c = _decompose(r)
-    chi_m = _ellipticity(_normalize_global_phase(c.eigen.vectors[:, 2].tolist())[0])[0]
+    c, (m1, m2, m3), chi_m, regular, im_norm = _regularity(as_matrix3(r).tolist())
     return RegularityReport(
-        m1_hat=0.5,
-        m2_hat=float(np.cos(chi_m) ** 2 / 2),
-        m3_hat=float(np.sin(chi_m) ** 2 / 2),
+        m1_hat=m1,
+        m2_hat=m2,
+        m3_hat=m3,
         chi_m=chi_m,
-        regular=abs(chi_m) <= REGULARITY_GATE,
-        im_norm=_norm(c.Rm_hat.imag),
-        components=c,
+        regular=regular,
+        im_norm=im_norm,
+        components=_components(c),
     )
+
+
+def _regularity(rows) -> tuple:
+    """regularity_report on R given as rows of Python complex:
+    (decomposition, (m1_hat, m2_hat, m3_hat), chi_m, regular, im_norm),
+    with ``decomposition`` the _decompose result."""
+    c = _decompose(rows)
+    chi_m = _ellipticity(_normalize_global_phase(c[0][2][2])[0])[0]
+    cm, sm = math.cos(chi_m), math.sin(chi_m)
+    im_norm = _fsum_norm([z.imag for row in c[2] for z in row])
+    return c, (0.5, cm * cm / 2, sm * sm / 2), chi_m, abs(chi_m) <= REGULARITY_GATE, im_norm

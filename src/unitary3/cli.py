@@ -6,9 +6,9 @@ Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 violated or an output that cannot be written, 3 tolerance failure); any other
 exception is a bug and propagates.  A usage error (argparse) exits 2 with a
 usage message.  A reader that closes stdout early (as ``| head -1`` does)
-chose to stop, so that exits 0 with nothing on stderr.  ``recover`` and
-``roundtrip`` run on Python scalars from document to output and never load
-numpy (the import rule in unitary3.linalg).
+chose to stop, so that exits 0 with nothing on stderr.  ``recover``,
+``roundtrip`` and ``chardecomp`` run on Python scalars from document to
+output and never load numpy (the import rule in unitary3.linalg).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .characteristic import regularity_report
+from .characteristic import _RU_HAT, _regularity
 from .linalg import Unitary3Error
 from .parametrization import (RECOVERY_TOL, RecoveryToleranceError, _recover_rows, compose_core,
                               compose_unitary)
@@ -27,7 +27,6 @@ from .documents import (
     MalformedDocumentError,
     OutputWriteError,
     _parse_rows,
-    parse_matrix,
     parse_params,
     serialize_matrix,
     serialize_params,
@@ -53,8 +52,8 @@ def _emit(text: str, out: str | Path | None):
         sys.stdout.write(text)
 
 
-def _grid(m) -> dict:
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+def _grid(rows) -> dict:
+    return {"re": [[z.real for z in row] for row in rows], "im": [[z.imag for z in row] for row in rows]}
 
 
 def _cmd_compose(args) -> int:
@@ -84,23 +83,22 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_chardecomp(args) -> int:
-    r = parse_matrix(_read_text(args.matrix))
-    rep = regularity_report(r)
-    c = rep.components
+    c, m_hat, chi_m, regular, im_norm = _regularity(_parse_rows(_read_text(args.matrix)))
+    (values, _, _, trace), rp, rm, (p1, p2), coefficients = c
     doc = {
-        "trace": c.traceR,
-        "eigenvalues": [float(x) for x in c.eigen.values],
-        "P1": c.purity.P1,
-        "P2": c.purity.P2,
-        "coefficients": list(c.coefficients),
-        "Rp_hat": _grid(c.Rp_hat),
-        "Rm_hat": _grid(c.Rm_hat),
-        "Ru_hat": _grid(c.Ru_hat),
+        "trace": trace,
+        "eigenvalues": values,
+        "P1": p1,
+        "P2": p2,
+        "coefficients": list(coefficients),
+        "Rp_hat": _grid(rp),
+        "Rm_hat": _grid(rm),
+        "Ru_hat": _grid(_RU_HAT),
         "regularity": {
-            "m_hat": [rep.m1_hat, rep.m2_hat, rep.m3_hat],
-            "chi_m": rep.chi_m,
-            "regular": rep.regular,
-            "im_norm": rep.im_norm,
+            "m_hat": list(m_hat),
+            "chi_m": chi_m,
+            "regular": regular,
+            "im_norm": im_norm,
         },
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -150,6 +148,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed: an int in [0, 2**64), the generator's state space."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitary3",
@@ -182,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help=f"emit Haar-random unitaries ({ALGORITHM})")
     g.add_argument("--haar", type=_count, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out-dir")
     g.set_defaults(func=_cmd_gen)
 

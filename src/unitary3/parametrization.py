@@ -101,9 +101,14 @@ def canonical_basis(chi: float) -> np.ndarray:
     """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
     import numpy as np
 
+    return np.array(_basis_rows(chi))
+
+
+def _basis_rows(chi: float) -> list:
+    """Rows of N(chi) as Python complex; N(chi) is symmetric, so they are
+    also its columns n1, n2, n3."""
     c, i_s = complex(math.cos(chi)), complex(0.0, math.sin(chi))
-    # N(chi) is symmetric: its columns are also its rows.
-    return np.array([[c, i_s, 0j], [i_s, c, 0j], [0j, 0j, 1 + 0j]])
+    return [[c, i_s, 0j], [i_s, c, 0j], [0j, 0j, 1 + 0j]]
 
 
 def compose_core(
@@ -202,7 +207,7 @@ def _ellipticity(eps) -> tuple[float, str, float, float]:
     |chi| = arctan2(|b|, |a|); _recover_first_column reuses the two norms
     for q1 and q2.  Like every kernel it trusts the operation's gate and
     re-checks nothing: recover_params passes the first column of a matrix
-    that passed the unitarity gate, _regularity a LAPACK eigenvector, and
+    that passed the unitarity gate, _regularity a Jacobi eigenvector, and
     the recomposition residual is recovery's exit gate.  Every convention
     of chi lives here:
 

@@ -25,10 +25,15 @@ _MASK = (1 << 64) - 1
 
 
 class SeededGenerator:
-    """SplitMix64 stream with Box-Muller Gaussian output."""
+    """SplitMix64 stream with Box-Muller Gaussian output.  The seed is the
+    initial 64-bit state: an int in [0, 2**64); any other raises
+    ValueError rather than aliasing the seed that it equals modulo 2**64."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
+        seed = int(seed)
+        if not 0 <= seed <= _MASK:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        self.seed = seed
         self._state = self.seed
         self._spare = None
 

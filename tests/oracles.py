@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is computed by a different route than the library under
-test: eigenvalues come from the characteristic cubic in closed form or
-from LAPACK, the composed rotation from an explicit product of elementary
-factors built locally.
+test: eigenvalues come from the characteristic cubic in closed form, from
+LAPACK or from mpmath's 50-digit eighe, the composed rotation from an
+explicit product of elementary factors built locally.
 """
 import numpy as np
 
@@ -89,3 +89,20 @@ def mp_compose(p, dps=60):
         q = rz(-f.get("phi", 0)) * ry(-f.get("theta", 0)) * rz(f.get("varphi", 0))
         u = q * basis * core
         return [[u[i, j] for j in range(3)] for i in range(3)]
+
+
+def mp_eigh(h, dps=50):
+    """Eigenvalues (nonincreasing) and matching unit eigenvectors of the
+    Hermitian part (H + H†)/2 of a 3x3 matrix given as rows of complex,
+    from mpmath's eighe at ``dps`` digits: eigenvalues as mpf, each
+    eigenvector a list of three mpc.  Shares no code with the library."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.matrix(3, 3)
+        for i in range(3):
+            for j in range(3):
+                a[i, j] = (mpmath.mpc(h[i][j]) + mpmath.conj(mpmath.mpc(h[j][i]))) / 2
+        values, vectors = mpmath.eighe(a)  # ascending
+        return ([values[k] for k in (2, 1, 0)],
+                [[vectors[i, k] for i in range(3)] for k in (2, 1, 0)])

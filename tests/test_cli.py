@@ -546,15 +546,39 @@ def test_bad_gen_count_is_usage_error(count):
     assert err.startswith("usage: ") and "argument --haar: " in err and repr(count) in err, err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "x"])
+def test_bad_gen_seed_is_usage_error(seed):
+    # A seed outside [0, 2**64) used to print the stream of the seed it
+    # equals modulo 2**64 (-1 that of 2**64 - 1, 2**64 that of 0).
+    code, out, err = run_usage_error(["gen", "--haar", "1", f"--seed={seed}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and "argument --seed: " in err and repr(seed) in err, err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_gen_seed_bounds(seed):
+    # Both ends of the seed range are accepted, each with its own stream.
+    code, out, err = run_cli(["gen", "--haar", "1", f"--seed={seed}"])
+    assert (code, err) == (0, "")
+    assert out == serialize_matrix(generate_haar_unitary(SeededGenerator(seed)), kind="unitary")
+
+
 def test_recovery_cli_never_loads_numpy(tmp_path):
-    # recover and roundtrip run on Python scalars from document to output,
-    # success and error exits alike; chardecomp, run last in the same
-    # interpreter, shows that the probe sees numpy once it is loaded.
+    # recover, roundtrip and chardecomp run on Python scalars from document
+    # to output, success and error exits alike; compose, run last in the
+    # same interpreter, shows that the probe sees numpy once it is loaded.
     _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
     (tmp_path / "u.json").write_text(gen_out, encoding="utf-8")
     (tmp_path / "big.json").write_text(serialize_matrix(2.0 * np.eye(3)), encoding="utf-8")
     (tmp_path / "r.json").write_text(serialize_matrix(np.diag([0.5, 0.3, 0.2]), kind="hermitian"),
                                      encoding="utf-8")
+    not_hermitian = np.eye(3)
+    not_hermitian[0, 1] = 1.0
+    (tmp_path / "nh.json").write_text(serialize_matrix(not_hermitian), encoding="utf-8")
+    (tmp_path / "huge.json").write_text(serialize_matrix(np.diag([1e308, 1e308, 1.0])),
+                                        encoding="utf-8")
+    (tmp_path / "bad.json").write_text('{"kind": "hermitian", "re": [[1, 0, 0]]}', encoding="utf-8")
+    write_params(tmp_path)
     probe = """if True:
         import sys
         import unitary3
@@ -562,11 +586,13 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
         assert "numpy" not in sys.modules, "import unitary3"
         for argv, code in ((["recover", "--matrix", "u.json"], 0), (["roundtrip", "--matrix", "u.json"], 0),
                            (["recover", "--matrix", "big.json"], 2), (["roundtrip", "--matrix", "u.json",
-                           "--tolerance", "1e-30"], 3), (["recover", "--matrix", "absent.json"], 1)):
+                           "--tolerance", "1e-30"], 3), (["recover", "--matrix", "absent.json"], 1),
+                           (["chardecomp", "--matrix", "r.json"], 0), (["chardecomp", "--matrix", "nh.json"], 2),
+                           (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1)):
             assert main(argv) == code, argv
             assert "numpy" not in sys.modules, argv
-        assert main(["chardecomp", "--matrix", "r.json"]) == 0
-        assert "numpy" in sys.modules, "chardecomp"
+        assert main(["compose", "--params", "p.json"]) == 0
+        assert "numpy" in sys.modules, "compose"
         print("ok")
     """
     src = str(Path(unitary3.__file__).parents[1])
@@ -575,6 +601,9 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n"), proc.stdout
+    assert "error: precondition violated: matrix is not Hermitian" in proc.stderr
+    assert "error: precondition violated: trace is beyond the largest float" in proc.stderr
+    assert "error: malformed input: field 're' must be a 3x3 array" in proc.stderr
 
 
 def test_chardecomp(tmp_path):
@@ -607,8 +636,11 @@ def count_calls(monkeypatch, owner, name):
 
 # stdout of `chardecomp` byte for byte, with the document it reads: full
 # rank, rank 2, rank 1, I, diag(.4, .4, .2), and full-rank matrices at
-# scales 1e-100 and 1e100.  Kept small: numpy's SIMD dispatch may round
-# differently on another host.
+# scales 1e-100 and 1e100.  Coherency runs in Python floats, so these hold
+# on every host with the same libm (see the README's Arithmetic convention);
+# test_chardecomp_golden_oracle checks every number against mpmath.  The
+# first input is also the committed document chardecomp_full.json, which
+# CI runs through the installed console script.
 CHARDECOMP_GOLDEN = Path(__file__).with_name("chardecomp_golden.json")
 
 
@@ -620,6 +652,95 @@ def test_chardecomp_golden(tmp_path):
     for case in cases:
         path.write_text(case["matrix"], encoding="utf-8")
         assert run_cli(["chardecomp", "--matrix", str(path)]) == (0, case["stdout"], ""), case["name"]
+    fixture = CHARDECOMP_GOLDEN.with_name("chardecomp_full.json")
+    assert fixture.read_text(encoding="utf-8") == cases[0]["matrix"]
+
+
+def test_chardecomp_golden_oracle(tmp_path):
+    # Every number that chardecomp prints for the golden inputs against a
+    # 50-digit mpmath eigendecomposition of the input (oracles.mp_eigh), so
+    # a host whose libm moves the golden bytes still checks every number.
+    # Exempt are the fields that a degenerate pair leaves to the basis:
+    # Rp_hat when l1 = l2, and Rm_hat, chi_m, m_hat and im_norm when
+    # l2 = l3 (relative gap below 1e-8).
+    #
+    # The bound is derived, not fitted.  Each Jacobi rotation is a unitary
+    # similarity whose float rounding adds at most about 3 ulp of ||R||_F
+    # (two products and a sum per entry, coefficients good to 1.5 ulp), and
+    # these inputs take at most 13 rotations (one complex, then at most four
+    # sweeps of three real ones), so the result is the exact decomposition
+    # of R + E with ||E||_F <= e_ulp ulp of ||R||_F, e_ulp = 40.
+    # Then (Weyl) each eigenvalue is within ||E||, each normalized quantity
+    # (P1, P2, coefficients) within 4 ||E|| / tr R, and (Davis-Kahan) each
+    # spectral projector within 2 ||E|| / gap, gap the distance to the rest
+    # of the spectrum; m_hat, im_norm and chi_m are read off Rm_hat and its
+    # kernel with a Lipschitz constant of at most 3.  The largest measured
+    # error is 3.0 ulp (an Rp_hat entry of scale1e+100).
+    import mpmath
+
+    from oracles import mp_eigh
+
+    ulp = 2.0 ** -52
+    e_ulp = 40
+    cases = json.loads(CHARDECOMP_GOLDEN.read_text(encoding="utf-8"))
+    path = tmp_path / "r.json"
+    with mpmath.workdps(50):
+        for case in cases:
+            path.write_text(case["matrix"], encoding="utf-8")
+            code, stdout, _ = run_cli(["chardecomp", "--matrix", str(path)])
+            assert code == 0, case["name"]
+            doc, out = json.loads(case["matrix"]), json.loads(stdout)
+            rows = [[complex(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(doc["re"], doc["im"])]
+            values, vectors = mp_eigh(rows)
+            norm = mpmath.sqrt(sum(abs(mpmath.mpc(z)) ** 2 for row in rows for z in row))
+            trace = sum(mpmath.mpf(rows[i][i].real) for i in range(3))
+            err = e_ulp * ulp * norm
+
+            def near(got, want, bound, field):
+                assert abs(mpmath.mpf(got) - want) <= bound, (case["name"], field, got, want)
+
+            def near_grid(grid, want, bound, field):
+                for i in range(3):
+                    for j in range(3):
+                        got = mpmath.mpc(grid["re"][i][j], grid["im"][i][j])
+                        assert abs(got - want[i][j]) <= bound, (case["name"], field, i, j)
+
+            def projector(vs, weight):
+                return [[weight * sum(v[i] * mpmath.conj(v[j]) for v in vs) for j in range(3)]
+                        for i in range(3)]
+
+            near(out["trace"], trace, 2 * ulp * abs(trace), "trace")
+            for k in range(3):
+                near(out["eigenvalues"][k], values[k], err, "eigenvalues")
+            lam = [v / trace for v in values]
+            p1, p2 = lam[0] - lam[1], lam[0] + lam[1] - 2 * lam[2]
+            for got, want in zip([out["P1"], out["P2"]] + out["coefficients"], (p1, p2, p1, p2 - p1, 1 - p2)):
+                near(got, want, 4 * err / trace, "purity")
+            assert out["Ru_hat"] == {"re": [[1 / 3 if i == j else 0.0 for j in range(3)] for i in range(3)],
+                                     "im": [[0.0] * 3] * 3}
+            gap1, gap2 = values[0] - values[1], values[1] - values[2]
+            if gap1 > 1e-8 * norm:
+                near_grid(out["Rp_hat"], projector(vectors[:1], 1), 2 * err / gap1, "Rp_hat")
+            if gap2 <= 1e-8 * norm:
+                continue
+            bound = 2 * err / gap2
+            rm = projector(vectors[:2], mpmath.mpf(1) / 2)
+            near_grid(out["Rm_hat"], rm, bound, "Rm_hat")
+            m_hat = sorted(mpmath.eigsy(mpmath.matrix([[mpmath.re(x) for x in row] for row in rm]))[0],
+                           reverse=True)
+            for k in range(3):
+                near(out["regularity"]["m_hat"][k], m_hat[k], 3 * bound, "m_hat")
+            im_norm = mpmath.sqrt(sum(mpmath.im(x) ** 2 for row in rm for x in row))
+            near(out["regularity"]["im_norm"], im_norm, 3 * bound, "im_norm")
+            # chi_m of the third eigenvector v: e^{-i alpha} v = a + i b with
+            # alpha = arg(v.v)/2, |chi| = atan2(|b|, |a|), signed by a1 b2 - a2 b1.
+            v = vectors[2]
+            w = mpmath.expj(-mpmath.arg(sum(z * z for z in v)) / 2)
+            a, b = [mpmath.re(z * w) for z in v], [mpmath.im(z * w) for z in v]
+            chi = mpmath.atan2(mpmath.norm(b), mpmath.norm(a))
+            near(out["regularity"]["chi_m"], chi if a[0] * b[1] - a[1] * b[0] >= 0 else -chi, 3 * bound,
+                 "chi_m")
+            assert out["regularity"]["regular"] is (chi <= 1e-8), case["name"]
 
 
 def test_chardecomp_float_range_exit_2(tmp_path):
@@ -632,9 +753,9 @@ def test_chardecomp_float_range_exit_2(tmp_path):
 def test_coherency_solve_count(tmp_path, monkeypatch):
     # One eigensolve per coherency call: the regularity analysis reuses the
     # decomposition's eigenvectors, and the CLI prints the decomposition
-    # the regularity report carries.  LAPACK's own entry point is counted,
-    # so no wrapper or kernel around it can hide a second solve.
-    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    # the regularity report carries.  The Jacobi kernel itself is counted,
+    # so no wrapper around it can hide a second solve.
+    calls = count_calls(monkeypatch, unitary3.linalg, "_jacobi")
     r = random_psd_hermitian(SeededGenerator(58))
     mpath = tmp_path / "r.json"
     mpath.write_text(serialize_matrix(r, kind="hermitian"))

@@ -1,5 +1,5 @@
-"""Recovery and composition give the same bytes whatever SIMD targets numpy
-dispatches to and whatever kernels OpenBLAS selects.
+"""Recovery, composition and coherency give the same bytes whatever SIMD
+targets numpy dispatches to and whatever kernels OpenBLAS selects.
 
 Each setting is an environment variable that one subprocess reads when it
 starts (NPY_DISABLE_CPU_FEATURES, OPENBLAS_CORETYPE); nothing outside that
@@ -22,17 +22,20 @@ import unitary3
 from unitary3 import compose_unitary, generate_haar_unitary, random_params, serialize_matrix
 from unitary3.sampling import SeededGenerator
 
-from test_cli import HAAR_7, RECOVER_FACE_PARAMS
+from test_cli import CHARDECOMP_GOLDEN, HAAR_7, RECOVER_FACE_PARAMS
+from test_linalg import chardecomp_pool
 from test_parametrization import _FACES
 
 
-def output_hash(texts) -> str:
-    """sha256 over the recover and compose output of every document: the
-    serialized tuple, residual, branch and flag, and the recomposed matrix."""
+def output_hash(texts, coherency_texts) -> str:
+    """sha256 over the recover and compose output of every document of
+    ``texts`` (the serialized tuple, residual, branch and flag, and the
+    recomposed matrix) and over every field of the regularity report of
+    every document of ``coherency_texts``, which chardecomp prints."""
     import hashlib
 
-    from unitary3 import (compose_unitary, parse_matrix, recover_params, serialize_matrix,
-                          serialize_params)
+    from unitary3 import (compose_unitary, parse_matrix, recover_params, regularity_report,
+                          serialize_matrix, serialize_params)
 
     h = hashlib.sha256()
     for text in texts:
@@ -40,13 +43,21 @@ def output_hash(texts) -> str:
         h.update(serialize_params(rep.params).encode())
         h.update(repr((rep.residual, rep.branch, rep.global_phase_alpha1_degenerate)).encode())
         h.update(serialize_matrix(compose_unitary(rep.params)).encode())
+    for text in coherency_texts:
+        rep = regularity_report(parse_matrix(text))
+        c = rep.components
+        h.update(repr((c.traceR, c.eigen.values.tolist(), c.eigen.vectors.tolist(), c.purity,
+                       c.coefficients, c.Rp_hat.tolist(), c.Rm_hat.tolist(), rep.m1_hat, rep.m2_hat,
+                       rep.m3_hat, rep.chi_m, rep.regular, rep.im_norm)).encode())
     return h.hexdigest()
 
 
 @functools.cache
-def documents() -> list:
+def documents() -> tuple:
     """The recover goldens' inputs, 300 Haar draws and 176 documents on and
-    near the eight chart faces."""
+    near the eight chart faces; and the chardecomp goldens' inputs plus the
+    benchmark's chardecomp pool at seed 7 (200 matrices of full rank,
+    rank 2, rank 1 and scales 1e-250 to 1e250)."""
     texts = list(HAAR_7)
     params = [unitary3.parse_params(json.dumps(p)) for p in RECOVER_FACE_PARAMS]
     g = SeededGenerator(62)
@@ -55,12 +66,14 @@ def documents() -> list:
             params += [place(random_params(g, margin=0.05), (-1) ** i, offset) for i in range(2)]
     texts += [serialize_matrix(compose_unitary(p), kind="unitary") for p in params]
     texts += [serialize_matrix(generate_haar_unitary(g), kind="unitary") for _ in range(300)]
-    return texts
+    coherency = [case["matrix"] for case in json.loads(CHARDECOMP_GOLDEN.read_text(encoding="utf-8"))]
+    coherency += [serialize_matrix(r, kind="hermitian") for r in chardecomp_pool(7)]
+    return texts, coherency
 
 
 @functools.cache
 def in_process_hash() -> str:
-    return output_hash(documents())
+    return output_hash(*documents())
 
 
 def settings() -> list:
@@ -80,13 +93,12 @@ def settings() -> list:
 
 @pytest.mark.parametrize("setting", settings(), ids=lambda s: " ".join(f"{k}={v}" for k, v in s.items()))
 def test_same_bytes_under_setting(setting):
-    texts = documents()
     want = in_process_hash()
     src = str(Path(unitary3.__file__).resolve().parent.parent)
     env = dict(os.environ, **setting)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = inspect.getsource(output_hash) + "\nimport json, sys\nprint(output_hash(json.load(sys.stdin)))\n"
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(texts), env=env,
+    code = inspect.getsource(output_hash) + "\nimport json, sys\nprint(output_hash(*json.load(sys.stdin)))\n"
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(documents()), env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == want

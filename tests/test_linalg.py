@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from unitary3.characteristic import characteristic_decomposition, middle_component, regularity_report
+import unitary3.linalg
+from unitary3.characteristic import (_projector, characteristic_decomposition, middle_component,
+                                     regularity_report)
+from unitary3.documents import serialize_matrix
 from unitary3.linalg import (
+    ConvergenceError,
     NonFiniteError,
     NotHermitianError,
-    _outer,
     eig_hermitian3,
     unitarity_distance,
 )
@@ -18,6 +21,7 @@ from unitary3.sampling import (
 )
 
 from oracles import cubic_eigenvalues
+from test_cli import run_cli
 
 
 def gaussian_hermitian(g):
@@ -35,8 +39,7 @@ def test_unitarity_distance_scaled():
 
 
 def test_outer_is_rank_one_projector():
-    v = np.array([0.6, 0.8j, 0.0])
-    p = _outer(v)
+    p = np.array(_projector([0.6 + 0j, 0.8j, 0j]))
     assert np.array_equal(p, p.conj().T)
     assert np.allclose(p @ p, p)
     assert np.trace(p).real == pytest.approx(1.0)
@@ -139,3 +142,52 @@ def test_non_finite_input_rejected(z):
                         (regularity_report, mat), (extract_rotation_angles, rot)):
             with pytest.raises(NonFiniteError, match="non-finite"):
                 fn(arg)
+
+
+def chardecomp_pool(seed, n=200) -> list:
+    """The benchmark's chardecomp pool (bench/workloads.py): full rank twice
+    in five, rank 2, rank 1, and full rank scaled by the next of eight
+    decades from 1e-250 to 1e250."""
+    scales = (1e-250, 1e-200, 1e-100, 1e-10, 1e3, 1e6, 1e100, 1e250)
+    g = SeededGenerator(seed)
+    pool = []
+    for i in range(n):
+        slot = i % 5
+        if slot <= 1:
+            pool.append(random_psd_hermitian(g))
+        elif slot <= 3:
+            a = g.complex_gauss_matrix()
+            a[:, 4 - slot:] = 0.0
+            pool.append(a @ a.conj().T)
+        else:
+            pool.append(random_psd_hermitian(g) * scales[(i // 5) % len(scales)])
+    return pool
+
+
+def test_jacobi_sweep_cap(tmp_path, monkeypatch):
+    # Jacobi converges quadratically: over the benchmark's chardecomp pools
+    # at seeds 7, 11 and 12 and the degenerate, graded and scaled cases
+    # below, no solve takes more than 6 sweeps, convergence check included,
+    # a third of the cap.  A cap the solve cannot meet raises the typed
+    # error, which the CLI reports as exit 3.
+    g = SeededGenerator(5)
+    mats = chardecomp_pool(7) + chardecomp_pool(11) + chardecomp_pool(12)
+    for spectrum in ([1, 0, 0], [0.6, 0.4, 0], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2], [1, 1, 1],
+                     [1e300, 1.0, 1e-300], [1e150, 1.0, 1e-150]):
+        for _ in range(20):
+            u = generate_haar_unitary(g)
+            mats.append(u @ np.diag(spectrum) @ u.conj().T)
+    mats += [r * scale for r in mats[:20] for scale in (1e-250, 1e250)]
+    mats += [np.zeros((3, 3)), np.array([[1e300, 1e150, 0], [1e150, 1, 1e-150], [0, 1e-150, 1e-300]])]
+    assert unitary3.linalg._MAX_SWEEPS >= 3 * 6
+    monkeypatch.setattr(unitary3.linalg, "_MAX_SWEEPS", 6)
+    for r in mats:
+        eig_hermitian3(r)
+    monkeypatch.setattr(unitary3.linalg, "_MAX_SWEEPS", 2)
+    with pytest.raises(ConvergenceError, match="still rotating after 2 sweeps"):
+        for r in mats:
+            eig_hermitian3(r)
+    mpath = tmp_path / "r.json"
+    mpath.write_text(serialize_matrix(mats[0], kind="hermitian"), encoding="utf-8")
+    assert run_cli(["chardecomp", "--matrix", str(mpath)]) == (
+        3, "", "error: tolerance failure: Jacobi eigensolver still rotating after 2 sweeps\n")

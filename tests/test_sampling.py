@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from unitary3.linalg import unitarity_distance
 from unitary3.sampling import (
@@ -27,6 +28,22 @@ def test_splitmix64_known_values():
     assert g.next_uint64() == 0xE220A8397B1DCDAF
     assert g.next_uint64() == 0x6E789E6AA1B965F4
     assert g.next_uint64() == 0x06C45D188009454F
+
+
+def test_splitmix64_top_seed():
+    # 2**64 - 1, the largest seed, is its own state: it is not reduced or
+    # rejected (seed 0, the smallest, is pinned above).
+    g = SeededGenerator(2**64 - 1)
+    assert g.next_uint64() == 0xE4D971771B652C20
+    assert g.next_uint64() == 0xE99FF867DBF682C9
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_state_space_rejected(seed):
+    # -1 and 2**64 used to alias 2**64 - 1 and 0, the seeds they equal
+    # modulo 2**64.
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        SeededGenerator(seed)
 
 
 def test_uniform_range():
