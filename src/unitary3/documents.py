@@ -13,7 +13,7 @@ import math
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .linalg import Unitary3Error
+from .linalg import NonFiniteError, Unitary3Error, as_matrix3
 from .parametrization import UnitaryParams
 from .rotations import RotationAngles
 
@@ -129,12 +129,11 @@ def _parse_entries(text: str) -> list:
 
 
 def serialize_matrix(m, kind: str = "general") -> str:
-    """Serialize a 3x3 complex matrix; round-trips bit-exactly."""
-    import numpy as np
-
+    """Serialize a 3x3 complex matrix; round-trips bit-exactly.  Raises
+    NonFiniteError for a NaN or infinite entry, which JSON cannot hold."""
     if kind not in MATRIX_KINDS:
         raise MalformedDocumentError(f"unknown matrix kind {kind!r}")
-    m = np.asarray(m, dtype=complex).reshape(3, 3)
+    m = as_matrix3(m)
     rows_re, rows_im = (
         ["[" + ", ".join(map(_fmt, row)) + "]" for row in part.tolist()]
         for part in (m.real, m.imag)
@@ -171,5 +170,9 @@ def parse_params(text: str) -> UnitaryParams:
 
 
 def serialize_params(p: UnitaryParams) -> str:
-    """Serialize a parameter tuple; round-trips bit-exactly."""
-    return _PARAMS_TEMPLATE % _param_values(p.as_dict())
+    """Serialize a parameter tuple; round-trips bit-exactly.  Raises
+    NonFiniteError for a NaN or infinite field, which JSON cannot hold."""
+    values = _param_values(p.as_dict())
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteError("parameter tuple has non-finite fields")
+    return _PARAMS_TEMPLATE % values

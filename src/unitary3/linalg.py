@@ -10,10 +10,10 @@ eigenvector phase.
 Validation rule of both pipelines: public operations validate once; stages
 are private kernels.  Each public operation (recover_params,
 regularity_report, characteristic_decomposition, middle_component,
-eig_hermitian3, unitarity_distance; extract_rotation_angles on its real
-input) checks its input once (as_matrix3: shape, complex dtype, finite
-entries, C-contiguous copy) and runs private ``_kernels`` that trust it,
-so one recovery or one coherency report validates its matrix once.
+eig_hermitian3, unitarity_distance, extract_rotation_angles) checks its
+input once (as_matrix3: shape, complex dtype, finite entries, C-contiguous
+copy) and runs private ``_kernels`` that trust it, so one recovery or one
+coherency report validates its matrix once.
 Kernels re-check nothing the operation's gate (such as the unitarity gate
 _check_unitary) already holds; recovery's exit gate is its recomposition
 residual.

@@ -178,10 +178,12 @@ def _normalize_global_phase(u1) -> tuple[tuple, bool]:
 
     alpha1 is half the argument of the unconjugated self-product u1.u1,
     which is invariant under frame rotations and equals e^{2i alpha1}
-    cos(2 chi).  The residual pi ambiguity is resolved by making the first
-    significant component of the normalized column nonnegative.  The flag
-    is True when |u1.u1| < DEGENERACY_GATE (circular, chi = +-pi/4); it
-    labels the column only.  The column must be unit: recover_params and
+    cos(2 chi).  That product fixes alpha1 only modulo pi; the range of
+    cmath.phase picks the representative, alpha1 in [-pi/2, pi/2] (-pi/2
+    only when u1.u1 is a negative real with a -0.0 imaginary part), and
+    flip_equivalent gives the other.  The flag is True when
+    |u1.u1| < DEGENERACY_GATE (circular, chi = +-pi/4); it labels the
+    column only.  The column must be unit: recover_params and
     regularity_report pass columns that are unit by their own gates.
     Recovery reads alpha1 itself off V1[0, 0], so only eps is returned.
     """
@@ -189,13 +191,7 @@ def _normalize_global_phase(u1) -> tuple[tuple, bool]:
     w = x * x + y * y + z * z
     alpha1 = 0.5 * cmath.phase(w)
     e = complex(math.cos(alpha1), -math.sin(alpha1))
-    eps = (e * x, e * y, e * z)
-    for t in [v.real for v in eps] + [v.imag for v in eps]:
-        if abs(t) > 1e-9:
-            if t < 0.0:
-                eps = (-eps[0], -eps[1], -eps[2])
-            break
-    return eps, math.hypot(w.real, w.imag) < DEGENERACY_GATE
+    return (e * x, e * y, e * z), math.hypot(w.real, w.imag) < DEGENERACY_GATE
 
 
 def _ellipticity(eps) -> tuple[float, str, float, float]:
@@ -368,9 +364,8 @@ def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
 
     Negating the first two rotation columns (Q -> Q diag(-1, -1, 1)) is
     undone by advancing alpha1, alpha2, alpha3 by pi, so each generic
-    unitary has exactly two representatives; recovery always returns the
-    one whose phase-normalized first column leads with a nonnegative
-    component.
+    unitary has exactly two representatives; recovery returns the one
+    with alpha1 in [-pi/2, pi/2] (see _normalize_global_phase).
     """
     return UnitaryParams(
         rotation=RotationAngles(

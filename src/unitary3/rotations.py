@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
-from .linalg import FOLD_GATE, NonFiniteError, NotUnitaryError, Unitary3Error, _check_unitary
+from .linalg import FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary, as_matrix3
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,15 +91,15 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     (|sin theta| <= FOLD_GATE) the in-plane rotation is absorbed into phi
     and varphi is set to 0; the flag reports that convention fired.
 
-    A real matrix is orthogonal exactly when it is unitary, so the input
-    passes linalg's unitarity gate; NotOrthogonalError carries the gate's
-    message.
+    The input is read as every public operation reads it (as_matrix3); an
+    entry with a nonzero imaginary part raises NotOrthogonalError.  A real
+    matrix is orthogonal exactly when it is unitary, so the real parts pass
+    linalg's unitarity gate; NotOrthogonalError carries the gate's message.
     """
-    import numpy as np
-
-    rows = np.asarray(q, dtype=float).reshape(3, 3).tolist()
-    if not all(map(math.isfinite, chain(*rows))):
-        raise NonFiniteError("matrix has non-finite entries")
+    rows = as_matrix3(q).tolist()
+    if any(z.imag for row in rows for z in row):
+        raise NotOrthogonalError("matrix has an entry with a nonzero imaginary part")
+    rows = [[z.real for z in row] for row in rows]
     try:
         _check_unitary(rows)
     except NotUnitaryError as exc:

@@ -174,16 +174,52 @@ HAAR_7 = [
 ]
 
 
+# Documents 3, 4 and 7 of `gen --haar 8 --seed 7` (its first three are
+# HAAR_7), stored verbatim for the same reason.  Their flip-equivalent tuples
+# (parametrization.flip_equivalent) have |alpha1| > pi/2, so the recover
+# goldens of these three pin recovery's representative rule, alpha1 in
+# [-pi/2, pi/2].
+HAAR_7_FLIPPED = [
+    '{\n'
+    '  "kind": "unitary",\n'
+    '  "re": [[0.096328387269669177, -0.51829315188214253, -0.00040573055193954038],\n'
+    '         [-0.51850555404210219, 0.46991037697304577, 0.11580243805939376],\n'
+    '         [0.061606474164808238, -0.11078408709406296, 0.80967810793525807]],\n'
+    '  "im": [[0.54449623134449465, 0.62252030394783042, -0.19515432643208777],\n'
+    '         [0.54808522042378804, 0.12544747383666799, 0.42519589113848338],\n'
+    '         [-0.34814353330077535, 0.30824460230887946, 0.33486450287599717]]\n'
+    '}\n',
+    '{\n'
+    '  "kind": "unitary",\n'
+    '  "re": [[-0.33717268198946287, 0.55809947012605021, -0.5536862729358738],\n'
+    '         [-0.087891026627381796, -0.34801599415825873, 0.12489612930183801],\n'
+    '         [0.4714392486242599, 0.069365898221319652, -0.14759729604689178]],\n'
+    '  "im": [[0.048724485881625187, -0.1100752473636324, 0.50376625484528215],\n'
+    '         [-0.32842601212841327, 0.59641983689843514, 0.62608364045494258],\n'
+    '         [0.73898380486179038, 0.44132192273995358, 0.1014216046081426]]\n'
+    '}\n',
+    '{\n'
+    '  "kind": "unitary",\n'
+    '  "re": [[-0.13738832431227355, -0.62718898352641816, -0.44009082715192499],\n'
+    '         [-0.25650006405784603, 0.43797741396246892, -0.33311578610431813],\n'
+    '         [0.055266248484284769, 0.23101196340840166, -0.55754052884309291]],\n'
+    '  "im": [[-0.15407000702498311, 0.43412327981058252, 0.42647145508735079],\n'
+    '         [-0.73339661542757184, 0.18947159754516432, -0.24009850738444077],\n'
+    '         [0.59217366090882795, 0.3702441467656542, -0.3807588480254161]]\n'
+    '}\n',
+]
+
+
 def test_gen_golden():
     # host-bound by design (see HAAR_7); a failure elsewhere means the
     # sampler's numpy or LAPACK rounds differently, not that recovery moved
     assert run_cli(["gen", "--haar", "3", "--seed", "7"]) == (0, "".join(HAAR_7), "")
 
 
-# stdout of `recover` and `roundtrip` for the three HAAR_7 documents and ten
-# face documents, composed from the first parameters of COMPOSE_GOLDEN with
-# chi, then mu, 1e-10 from its face, then with each of the eight chart faces
-# 1e-13 away; byte for byte.  Recovery and composition run in Python floats
+# stdout of `recover` and `roundtrip` for the three HAAR_7 documents, the
+# three HAAR_7_FLIPPED documents and ten face documents, composed from the
+# first parameters of COMPOSE_GOLDEN with chi, then mu, 1e-10 from its face,
+# then with each of the eight chart faces 1e-13 away; byte for byte.  Recovery and composition run in Python floats
 # only, so these hold on every host with the same libm (see the README's
 # Arithmetic convention).
 _BASE = COMPOSE_GOLDEN[0][0]
@@ -245,6 +281,57 @@ RECOVER_GOLDEN = [
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
         '{"residual": 4.442043913938138e-16, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": 2.7128402624441166,\n'
+        '  "theta": -0.4487217816057729,\n'
+        '  "varphi": 0.5285531554859579,\n'
+        '  "chi": 0.4194314839699608,\n'
+        '  "mu": 0.6291544640021048,\n'
+        '  "alpha1": -1.1409198082916483,\n'
+        '  "alpha2": 2.6654412301439105,\n'
+        '  "alpha3": -2.0473005986890676,\n'
+        '  "beta2": 1.953151071608037,\n'
+        '  "residual": 5.964062126890571e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 5.964062126890571e-16, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": -1.2517901237997222,\n'
+        '  "theta": 1.1891455239292925,\n'
+        '  "varphi": 3.103694410407382,\n'
+        '  "chi": 0.3328616308122234,\n'
+        '  "mu": 0.7321707665006589,\n'
+        '  "alpha1": 0.9898265354143873,\n'
+        '  "alpha2": -0.4149169348754748,\n'
+        '  "alpha3": 2.691711846401429,\n'
+        '  "beta2": 1.748862581257561,\n'
+        '  "residual": 7.125132513437735e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 7.125132513437735e-16, "branch": "a"}\n',
+    ),
+    (
+        '{\n'
+        '  "phi": -2.5623281848734827,\n'
+        '  "theta": 1.1394738827610686,\n'
+        '  "varphi": 2.2812843920590558,\n'
+        '  "chi": 0.14866537254840925,\n'
+        '  "mu": 0.9195247668179011,\n'
+        '  "alpha1": 1.3053899437068455,\n'
+        '  "alpha2": 1.6846567860029626,\n'
+        '  "alpha3": -3.0317472421116793,\n'
+        '  "beta2": -0.10205024461256818,\n'
+        '  "residual": 8.654444842808786e-16,\n'
+        '  "branch": "a",\n'
+        '  "global_phase_alpha1_degenerate": false\n'
+        '}\n',
+        '{"residual": 8.654444842808786e-16, "branch": "a"}\n',
     ),
     (
         '{\n'
@@ -420,10 +507,10 @@ RECOVER_GOLDEN = [
 
 
 def recover_golden_inputs(tmp_path) -> list:
-    """Paths of the RECOVER_GOLDEN input documents: HAAR_7, then the face
-    documents as `compose` writes them."""
+    """Paths of the RECOVER_GOLDEN input documents: HAAR_7 and
+    HAAR_7_FLIPPED, then the face documents as `compose` writes them."""
     paths = []
-    for i, doc in enumerate(HAAR_7):
+    for i, doc in enumerate(HAAR_7 + HAAR_7_FLIPPED):
         paths.append(tmp_path / f"haar{i}.json")
         paths[-1].write_text(doc, encoding="utf-8")
     for i, params in enumerate(RECOVER_FACE_PARAMS):

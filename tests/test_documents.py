@@ -12,6 +12,7 @@ from unitary3.documents import (
     serialize_matrix,
     serialize_params,
 )
+from unitary3.linalg import NonFiniteError
 from unitary3.parametrization import UnitaryParams
 from unitary3.rotations import RotationAngles
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
@@ -97,6 +98,27 @@ def test_serialize_params_bytes():
     p = UnitaryParams(RotationAngles(*values[:3]), *values[3:])
     body = ",\n".join('  "%s": %s' % (k, "%.17g" % float(v)) for k, v in zip(PARAM_FIELDS, values))
     assert serialize_params(p) == "{\n" + body + "\n}\n"
+
+
+def test_serialize_matrix_rejects_non_finite():
+    # JSON has no inf or NaN, so writing one would give a document that
+    # parse_matrix rejects as not valid JSON.
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            serialize_matrix(m)
+
+
+def test_serialize_params_rejects_non_finite():
+    p = random_params(SeededGenerator(64))
+    for field in ("chi", "alpha3"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError):
+                serialize_params(UnitaryParams(**dict(vars(p), **{field: bad})))
+    rotation = RotationAngles(p.rotation.phi, -np.inf, p.rotation.varphi)
+    with pytest.raises(NonFiniteError):
+        serialize_params(UnitaryParams(**dict(vars(p), rotation=rotation)))
 
 
 def test_params_core_only():

@@ -11,6 +11,7 @@ it is the one dependence the arithmetic keeps (README, Arithmetic).
 import functools
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,10 +20,11 @@ from pathlib import Path
 import pytest
 
 import unitary3
-from unitary3 import compose_unitary, generate_haar_unitary, random_params, serialize_matrix
+from unitary3 import (compose_unitary, generate_haar_unitary, parse_matrix, random_params,
+                      recover_params, serialize_matrix)
 from unitary3.sampling import SeededGenerator
 
-from test_cli import CHARDECOMP_GOLDEN, HAAR_7, RECOVER_FACE_PARAMS
+from test_cli import CHARDECOMP_GOLDEN, HAAR_7, HAAR_7_FLIPPED, RECOVER_FACE_PARAMS
 from test_linalg import chardecomp_pool
 from test_parametrization import _FACES
 
@@ -58,7 +60,7 @@ def documents() -> tuple:
     near the eight chart faces; and the chardecomp goldens' inputs plus the
     benchmark's chardecomp pool at seed 7 (200 matrices of full rank,
     rank 2, rank 1 and scales 1e-250 to 1e250)."""
-    texts = list(HAAR_7)
+    texts = HAAR_7 + HAAR_7_FLIPPED
     params = [unitary3.parse_params(json.dumps(p)) for p in RECOVER_FACE_PARAMS]
     g = SeededGenerator(62)
     for place in _FACES.values():
@@ -102,3 +104,12 @@ def test_same_bytes_under_setting(setting):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == want
+
+
+def test_recovered_alpha1_in_range():
+    # The representative rule: recovery returns the tuple with alpha1 in
+    # [-pi/2, pi/2], the range of half the phase of u1.u1.  alpha1 is read
+    # off V1[0, 0] and carries its rounding, hence the 1e-15.
+    for text in documents()[0]:
+        alpha1 = recover_params(parse_matrix(text)).params.alpha1
+        assert abs(alpha1) <= math.pi / 2 + 1e-15, (alpha1, text)

@@ -311,6 +311,27 @@ def test_flip_equivalent_composes_same_matrix():
         assert np.linalg.norm(compose_unitary(p) - compose_unitary(q)) < 1e-13
 
 
+def ks_uniform(xs, lo, hi) -> float:
+    """Kolmogorov-Smirnov distance of a sample to the uniform law on [lo, hi]."""
+    xs = sorted(xs)
+    n = len(xs)
+    cdf = [(x - lo) / (hi - lo) for x in xs]
+    return max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
+
+
+def test_representative_is_haar_uniform_in_phi_and_alpha1():
+    # Under Haar measure phi is uniform on (-pi, pi] and alpha1 on
+    # [-pi/2, pi/2] when the representative is picked by alpha1's range; a
+    # rule that reads the sign of a component skews both.  Bound: the 0.1 %
+    # critical value of the KS statistic, 1.95/sqrt(n).
+    g = SeededGenerator(3)
+    n = 2000
+    params = [recover_params(generate_haar_unitary(g)).params for _ in range(n)]
+    bound = 1.95 / np.sqrt(n)
+    assert ks_uniform([p.rotation.phi for p in params], -np.pi, np.pi) < bound
+    assert ks_uniform([p.alpha1 for p in params], -np.pi / 2, np.pi / 2) < bound
+
+
 def test_params_distance_propagates_nan():
     # a NaN field must fail every bound the distance is held to
     p = make_params(phi=0.4, theta=-0.3, varphi=1.0, chi=0.2,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from unitary3.linalg import NonFiniteError
 from unitary3.rotations import (
     NotOrthogonalError,
     RotationAngles,
@@ -74,6 +75,19 @@ def test_extract_rejects_bad_input():
               np.full((3, 3), 1e200)):
         with pytest.raises(NotOrthogonalError):
             extract_rotation_angles(q)
+
+
+def test_extract_rejects_complex_input():
+    # A rotation is real: an imaginary part is rejected, not dropped with a
+    # numpy ComplexWarning (an error under the test configuration).  An
+    # imaginary part of -0.0 is zero and passes, and a non-finite entry
+    # raises NonFiniteError, as in every other public operation.
+    for q in (np.eye(3) + 1e-3j, np.eye(3) + 1e-300j):
+        with pytest.raises(NotOrthogonalError, match="imaginary"):
+            extract_rotation_angles(q)
+    assert extract_rotation_angles(np.eye(3) - 0.0j) == extract_rotation_angles(np.eye(3))
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        extract_rotation_angles(np.full((3, 3), np.nan))
 
 
 def test_extract_roundtrip_generic():
