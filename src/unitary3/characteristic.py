@@ -20,8 +20,7 @@ Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .linalg import (
     _TINY,
@@ -57,22 +56,26 @@ class NotPositiveSemidefiniteError(Unitary3Error, ValueError):
     """Coherency matrix has a significantly negative eigenvalue."""
 
 
-@dataclass(frozen=True)
-class PurityIndices:
-    """Indices of polarimetric purity, 0 <= P1 <= P2 <= 1."""
+class PurityIndices(NamedTuple):
+    """Indices of polarimetric purity, 0 <= P1 <= P2 <= 1.
+
+    P2 = 1 - 3 l3 exceeds 1 where the smallest normalized eigenvalue l3 is
+    negative, which the PSD gate admits down to -_PSD_TOL: P2 - 1 is at
+    most 3 * _PSD_TOL plus rounding.
+    """
 
     P1: float
     P2: float
 
 
-@dataclass(frozen=True)
-class CharacteristicComponents:
+class CharacteristicComponents(NamedTuple):
     """Trace-1 components of the characteristic decomposition.
 
     ``coefficients`` holds (P1, P2 - P1, 1 - P2); the convex combination of
     the three hatted components scaled by ``traceR`` reassembles the input.
-    ``eigen`` is the eigendecomposition of the input the components are
-    built from.
+    It is convex up to the PSD gate: 1 - P2 may be negative, down to
+    -3 * _PSD_TOL plus rounding (see PurityIndices).  ``eigen`` is the
+    eigendecomposition of the input the components are built from.
     """
 
     traceR: float
@@ -88,8 +91,7 @@ class CharacteristicComponents:
         return self.traceR * (c1 * self.Rp_hat + c2 * self.Rm_hat + c3 * self.Ru_hat)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Spectrum of Re(Rm_hat), the middle ellipticity angle, the verdict, and
     the characteristic decomposition (``components``) they are read from."""
 
@@ -154,36 +156,32 @@ def characteristic_decomposition(r) -> CharacteristicComponents:
     return _components(_decompose(as_matrix3(r).tolist()))
 
 
-def _decompose(rows) -> tuple:
-    """characteristic_decomposition on R given as rows of Python complex:
-    (eigen, Rp_hat, Rm_hat, (P1, P2), coefficients), with ``eigen`` the
-    _eig result and the two components as rows of Python complex."""
+def _decompose(rows) -> CharacteristicComponents:
+    """characteristic_decomposition on R given as rows of Python complex,
+    as CharacteristicComponents of Python scalars: the three hatted
+    components are rows of Python complex (``Ru_hat`` is _RU_HAT) and
+    ``eigen`` is the _eig result."""
     e = _eig(rows)
-    values, normalized, vectors, trace = e
+    trace, vectors = e.trace, e.vectors
     if trace <= _TINY:
         raise ZeroTraceError(f"trace {trace:.3e} is not positive")
-    smallest = values[2]
+    smallest = e.values[2]
     if smallest < -_PSD_TOL * trace:
         raise NotPositiveSemidefiniteError(f"smallest eigenvalue {smallest:.3e} is negative")
-    p1, p2 = _purity(normalized)
-    return (e, _projector(vectors[0]), _middle(vectors[0], vectors[1]), (p1, p2),
-            (p1, p2 - p1, 1.0 - p2))
+    p1, p2 = _purity(e.normalized)
+    return CharacteristicComponents(trace, _projector(vectors[0]), _middle(vectors[0], vectors[1]),
+                                    _RU_HAT, PurityIndices(p1, p2), (p1, p2 - p1, 1.0 - p2), e)
 
 
-def _components(c) -> CharacteristicComponents:
-    """The CharacteristicComponents of a _decompose result: one array per
-    array field."""
+def _components(c: CharacteristicComponents) -> CharacteristicComponents:
+    """A _decompose result with its four array fields replaced by arrays."""
     import numpy as np
 
-    e, rp, rm, purity, coefficients = c
-    return CharacteristicComponents(
-        traceR=e[3],
-        Rp_hat=np.array(rp, dtype=complex),
-        Rm_hat=np.array(rm, dtype=complex),
-        Ru_hat=np.array(_RU_HAT, dtype=complex),
-        purity=PurityIndices(*purity),
-        coefficients=coefficients,
-        eigen=_eigen(e),
+    return c._replace(
+        Rp_hat=np.array(c.Rp_hat, dtype=complex),
+        Rm_hat=np.array(c.Rm_hat, dtype=complex),
+        Ru_hat=np.array(c.Ru_hat, dtype=complex),
+        eigen=_eigen(c.eigen),
     )
 
 
@@ -222,24 +220,16 @@ def regularity_report(r) -> RegularityReport:
     (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
     |chi_m| <= pi/4.
     """
-    c, (m1, m2, m3), chi_m, regular, im_norm = _regularity(as_matrix3(r).tolist())
-    return RegularityReport(
-        m1_hat=m1,
-        m2_hat=m2,
-        m3_hat=m3,
-        chi_m=chi_m,
-        regular=regular,
-        im_norm=im_norm,
-        components=_components(c),
-    )
+    rep = _regularity(as_matrix3(r).tolist())
+    return rep._replace(components=_components(rep.components))
 
 
-def _regularity(rows) -> tuple:
-    """regularity_report on R given as rows of Python complex:
-    (decomposition, (m1_hat, m2_hat, m3_hat), chi_m, regular, im_norm),
-    with ``decomposition`` the _decompose result."""
+def _regularity(rows) -> RegularityReport:
+    """regularity_report on R given as rows of Python complex, with the
+    _decompose result as its ``components``."""
     c = _decompose(rows)
-    chi_m = _ellipticity(_normalize_global_phase(c[0][2][2])[0])[0]
+    chi_m = _ellipticity(_normalize_global_phase(c.eigen.vectors[2])[0])[0]
     cm, sm = math.cos(chi_m), math.sin(chi_m)
-    im_norm = _fsum_norm([z.imag for row in c[2] for z in row])
-    return c, (0.5, cm * cm / 2, sm * sm / 2), chi_m, abs(chi_m) <= REGULARITY_GATE, im_norm
+    im_norm = _fsum_norm([z.imag for row in c.Rm_hat for z in row])
+    return RegularityReport(0.5, cm * cm / 2, sm * sm / 2, chi_m, abs(chi_m) <= REGULARITY_GATE,
+                            im_norm, c)

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .characteristic import _RU_HAT, _regularity
+from .characteristic import _regularity
 from .linalg import Unitary3Error
 from .parametrization import (RECOVERY_TOL, RecoveryToleranceError, _recover_rows, compose_core,
                               compose_unitary)
@@ -83,22 +83,22 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_chardecomp(args) -> int:
-    c, m_hat, chi_m, regular, im_norm = _regularity(_parse_rows(_read_text(args.matrix)))
-    (values, _, _, trace), rp, rm, (p1, p2), coefficients = c
+    rep = _regularity(_parse_rows(_read_text(args.matrix)))
+    c = rep.components
     doc = {
-        "trace": trace,
-        "eigenvalues": values,
-        "P1": p1,
-        "P2": p2,
-        "coefficients": list(coefficients),
-        "Rp_hat": _grid(rp),
-        "Rm_hat": _grid(rm),
-        "Ru_hat": _grid(_RU_HAT),
+        "trace": c.traceR,
+        "eigenvalues": c.eigen.values,
+        "P1": c.purity.P1,
+        "P2": c.purity.P2,
+        "coefficients": list(c.coefficients),
+        "Rp_hat": _grid(c.Rp_hat),
+        "Rm_hat": _grid(c.Rm_hat),
+        "Ru_hat": _grid(c.Ru_hat),
         "regularity": {
-            "m_hat": list(m_hat),
-            "chi_m": chi_m,
-            "regular": regular,
-            "im_norm": im_norm,
+            "m_hat": [rep.m1_hat, rep.m2_hat, rep.m3_hat],
+            "chi_m": rep.chi_m,
+            "regular": rep.regular,
+            "im_norm": rep.im_norm,
         },
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)

@@ -26,8 +26,9 @@ from the document to the output (documents._parse_rows, then
 parametrization._recover_rows or characteristic._regularity) and never
 load numpy, on success and on every error exit; ``compose``, ``gen`` and
 ``selftest`` do.  A public operation is its kernel on
-``as_matrix3(m).tolist()`` with one ``np.array`` per array field of its
-result.
+``as_matrix3(m).tolist()``: the kernel returns the operation's record
+with lists of Python scalars in its array fields, and the operation
+``_replace``s each of those with its ``np.array``.
 
 Arithmetic rule: recovery, composition (compose_core, compose_rotation,
 compose_unitary), the unitarity gate (_check_unitary,
@@ -52,8 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,8 +176,7 @@ def _check_unitary(rows) -> None:
         raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Eigenvalues (nonincreasing) and matching orthonormal eigenvectors.
 
     ``values[i]`` pairs with column ``vectors[:, i]``.  ``trace`` is the
@@ -212,24 +211,25 @@ def eig_hermitian3(r) -> EigenDecomposition:
     return _eigen(_eig(as_matrix3(r).tolist()))
 
 
-def _eigen(e) -> EigenDecomposition:
-    """The EigenDecomposition of an _eig result: one array per field."""
+def _eigen(e: EigenDecomposition) -> EigenDecomposition:
+    """An _eig result with its three list fields replaced by arrays."""
     import numpy as np
 
-    values, normalized, (x, y, z), trace = e
-    return EigenDecomposition(
-        values=np.array(values),
-        normalized=np.array(normalized),
+    x, y, z = e.vectors
+    return e._replace(
+        values=np.array(e.values),
+        normalized=np.array(e.normalized),
         vectors=np.array([x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2]],
                          dtype=complex).reshape(3, 3),
-        trace=trace,
     )
 
 
-def _eig(rows) -> tuple[list, list, list, float]:
-    """eig_hermitian3 on R given as rows of Python complex: (values,
-    normalized, vectors, trace), with ``vectors`` the three eigenvectors
-    as tuples of Python complex (the columns of the array form)."""
+def _eig(rows) -> EigenDecomposition:
+    """eig_hermitian3 on R given as rows of Python complex, as an
+    EigenDecomposition of Python scalars: ``values`` and ``normalized``
+    are lists of floats and ``vectors`` lists the three eigenvectors as
+    tuples of Python complex, so ``vectors[i]`` is the column ``i`` of the
+    array form."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     try:
         scale = max(map(abs, (r00, r01, r02, r10, r11, r12, r20, r21, r22)))
@@ -285,7 +285,7 @@ def _eig(rows) -> tuple[list, list, list, float]:
             z, m = x2, m2
         phase = complex(z.real / m, -z.imag / m)
         vectors.append((x0 * phase, x1 * phase, x2 * phase))
-    return values, normalized, vectors, trace
+    return EigenDecomposition(values, normalized, vectors, trace)
 
 
 def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:

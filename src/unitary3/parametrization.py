@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
@@ -63,8 +62,7 @@ class RecoveryToleranceError(Unitary3Error, RuntimeError):
     kind = "tolerance failure"
 
 
-@dataclass(frozen=True)
-class UnitaryParams:
+class UnitaryParams(NamedTuple):
     """The full nine-parameter record: rotation triple, two angles, four phases."""
 
     rotation: RotationAngles
@@ -89,8 +87,7 @@ class UnitaryParams:
         }
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     params: UnitaryParams
     residual: float
     branch: str

@@ -16,8 +16,7 @@ to the naive product reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .linalg import FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary, as_matrix3
 
@@ -34,8 +33,7 @@ def wrap_angle(x: float) -> float:
     return float(-((math.pi - x) % (2.0 * math.pi) - math.pi))
 
 
-@dataclass(frozen=True)
-class RotationAngles:
+class RotationAngles(NamedTuple):
     """Rotation triple (phi, theta, varphi), all radians.
 
     Canonical ranges are phi in (-pi, pi], theta in [-pi/2, pi/2] and

@@ -92,8 +92,12 @@ def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
     """Parameter tuple drawn uniformly from the chart.
 
     ``margin`` shrinks every bounded range away from its degeneracy
-    boundaries (chi = 0 and +-pi/4, mu = 0 and pi/2, theta = +-pi/2).
+    boundaries (chi = 0 and +-pi/4, mu = 0 and pi/2, theta = +-pi/2).  It
+    must lie in [0, pi/8), where chi keeps a range to draw from; any other
+    raises ValueError before a draw.
     """
+    if not 0.0 <= margin < math.pi / 8:
+        raise ValueError(f"margin must lie in [0, pi/8), got {margin}")
 
     def spread(lo, hi):
         return lo + margin + (hi - lo - 2.0 * margin) * g.uniform()

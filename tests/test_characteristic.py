@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from unitary3.characteristic import (
+    _PSD_TOL,
     REGULARITY_GATE,
     NotPositiveSemidefiniteError,
     ZeroTraceError,
@@ -125,6 +124,16 @@ def test_decomposition_rejects_indefinite():
         characteristic_decomposition(np.diag([2.0, 1.0, -1.0]))
 
 
+def test_purity_bound_at_psd_gate():
+    # The gate admits a smallest eigenvalue down to -_PSD_TOL * trace, so
+    # P2 = 1 - 3 l3 may exceed 1, by at most 3 * _PSD_TOL plus rounding.
+    c = characteristic_decomposition(np.diag([0.6, 0.4, -0.99e-10]))
+    assert 1.0 < c.purity.P2 <= 1.0 + 3 * _PSD_TOL
+    assert -3 * _PSD_TOL <= c.coefficients[2] < 0.0
+    with pytest.raises(NotPositiveSemidefiniteError):
+        characteristic_decomposition(np.diag([0.6, 0.4, -1.01e-10]))
+
+
 def test_middle_component_identity():
     m = middle_component(np.eye(3))
     assert np.allclose(m, np.diag([0.5, 0.5, 0.0]))
@@ -224,7 +233,7 @@ def test_regularity_verdict_at_gate():
     g = SeededGenerator(59)
     for chi_m in (3e-9, 5e-9, 8e-9, 9.5e-9, 1.05e-8, 1.2e-8, 2e-8):
         for i in range(50):
-            p = replace(random_params(g), chi=(-1) ** i * chi_m)
+            p = random_params(g)._replace(chi=(-1) ** i * chi_m)
             u = compose_unitary(p)[:, [1, 2, 0]]
             rep = regularity_report(u @ np.diag([0.6, 0.3, 0.1]) @ u.conj().T)
             assert rep.regular == (chi_m <= REGULARITY_GATE)

@@ -668,6 +668,7 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
     write_params(tmp_path)
     probe = """if True:
         import sys
+        before = set(sys.modules)
         import unitary3
         from unitary3.cli import main
         assert "numpy" not in sys.modules, "import unitary3"
@@ -678,6 +679,8 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
                            (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1)):
             assert main(argv) == code, argv
             assert "numpy" not in sys.modules, argv
+        # The records are NamedTuples: dataclasses, and the inspect it imports, stay unloaded.
+        assert not {"dataclasses", "inspect"} & (set(sys.modules) - before), "dataclasses"
         assert main(["compose", "--params", "p.json"]) == 0
         assert "numpy" in sys.modules, "compose"
         print("ok")
@@ -1039,6 +1042,34 @@ def test_error_exit_code(name):
     assert cls.exit_code == EXIT_CODES[name]
     if cls is not unitary3.Unitary3Error:  # each subclass keeps its builtin parent
         assert issubclass(cls, RuntimeError if cls.exit_code == 3 else ValueError)
+
+
+_R = np.diag([0.6, 0.3, 0.1]).astype(complex)
+_RECORDS = {
+    "RotationAngles": (lambda: unitary3.RotationAngles(0.1, 0.2, 0.3), "phi"),
+    "UnitaryParams": (lambda: unitary3.random_params(SeededGenerator(5)), "chi"),
+    "RecoveryReport": (lambda: recover_params(generate_haar_unitary(SeededGenerator(5))), "residual"),
+    "EigenDecomposition": (lambda: unitary3.eig_hermitian3(_R), "trace"),
+    "PurityIndices": (lambda: unitary3.purity_indices(unitary3.eig_hermitian3(_R)), "P1"),
+    "CharacteristicComponents": (lambda: characteristic_decomposition(_R), "traceR"),
+    "RegularityReport": (lambda: regularity_report(_R), "chi_m"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_record_is_immutable(name):
+    # A record's fields cannot be assigned; _replace builds a new record
+    # and leaves the old one as it was.
+    make, field = _RECORDS[name]
+    rec = make()
+    assert type(rec) is getattr(unitary3, name)
+    old = tuple(rec)
+    with pytest.raises(AttributeError):
+        setattr(rec, field, -1.0)
+    new = rec._replace(**{field: -1.0})
+    assert type(new) is type(rec) and getattr(new, field) == -1.0
+    assert all(a is b for a, b in zip(rec, old))
+    assert all(a is b for k, a, b in zip(rec._fields, new, rec) if k != field)
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])

@@ -115,10 +115,10 @@ def test_serialize_params_rejects_non_finite():
     for field in ("chi", "alpha3"):
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteError):
-                serialize_params(UnitaryParams(**dict(vars(p), **{field: bad})))
+                serialize_params(p._replace(**{field: bad}))
     rotation = RotationAngles(p.rotation.phi, -np.inf, p.rotation.varphi)
     with pytest.raises(NonFiniteError):
-        serialize_params(UnitaryParams(**dict(vars(p), rotation=rotation)))
+        serialize_params(p._replace(rotation=rotation))
 
 
 def test_params_core_only():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -250,17 +248,17 @@ def test_recover_params_linear_first_column():
 
 
 def _tilt(p, theta):
-    return replace(p, rotation=replace(p.rotation, theta=theta))
+    return p._replace(rotation=p.rotation._replace(theta=theta))
 
 
 # Each chart face as a map (params, sign, offset) -> params that sits
 # offset away from it; sign alternates the side of the two-sided faces.
 _FACES = {
-    "chi@0": lambda p, s, d: replace(p, chi=s * d),
-    "chi@+pi/4": lambda p, s, d: replace(p, chi=np.pi / 4 - d),
-    "chi@-pi/4": lambda p, s, d: replace(p, chi=-np.pi / 4 + d),
-    "mu@0": lambda p, s, d: replace(p, mu=d),
-    "mu@pi/2": lambda p, s, d: replace(p, mu=np.pi / 2 - d),
+    "chi@0": lambda p, s, d: p._replace(chi=s * d),
+    "chi@+pi/4": lambda p, s, d: p._replace(chi=np.pi / 4 - d),
+    "chi@-pi/4": lambda p, s, d: p._replace(chi=-np.pi / 4 + d),
+    "mu@0": lambda p, s, d: p._replace(mu=d),
+    "mu@pi/2": lambda p, s, d: p._replace(mu=np.pi / 2 - d),
     "theta@0": lambda p, s, d: _tilt(p, s * d),
     "theta@+pi/2": lambda p, s, d: _tilt(p, np.pi / 2 - d),
     "theta@-pi/2": lambda p, s, d: _tilt(p, -np.pi / 2 + d),
@@ -336,9 +334,9 @@ def test_params_distance_propagates_nan():
     # a NaN field must fail every bound the distance is held to
     p = make_params(phi=0.4, theta=-0.3, varphi=1.0, chi=0.2,
                     mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)
-    assert np.isnan(params_distance(p, replace(p, chi=np.nan)))
-    assert np.isnan(params_distance(p, replace(p, alpha2=np.nan)))
-    assert np.isnan(params_distance(replace(p, rotation=RotationAngles(0.4, np.nan, 1.0)), p))
+    assert np.isnan(params_distance(p, p._replace(chi=np.nan)))
+    assert np.isnan(params_distance(p, p._replace(alpha2=np.nan)))
+    assert np.isnan(params_distance(p._replace(rotation=RotationAngles(0.4, np.nan, 1.0)), p))
 
 
 def test_canonicalize_idempotent():

@@ -98,3 +98,35 @@ def test_random_params_ranges():
         assert 1e-3 <= p.rotation.varphi <= np.pi - 1e-3
         assert -np.pi <= p.alpha1 <= np.pi
 
+
+class _BoundedGenerator(SeededGenerator):
+    """A SeededGenerator that raises after 1,000 uniforms, so a draw that
+    would loop forever fails instead."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def uniform(self):
+        self.calls += 1
+        if self.calls > 1000:
+            raise RuntimeError("random_params drew more than 1,000 uniforms")
+        return super().uniform()
+
+
+@pytest.mark.parametrize("margin", [np.pi / 8, 0.5, -1e-3, -0.5, np.nan])
+def test_random_params_rejects_margin_outside_chart(margin):
+    # from pi/8 on, no chi in the chart is margin clear of both 0 and
+    # +-pi/4; a negative margin would widen the ranges beyond the chart
+    g = _BoundedGenerator(3)
+    with pytest.raises(ValueError, match="margin"):
+        random_params(g, margin=margin)
+    assert g.calls == 0
+
+
+def test_random_params_margin_below_bound():
+    g = _BoundedGenerator(3)
+    for margin in (0.0, 0.3, 0.39):
+        p = random_params(g, margin=margin)
+        assert margin <= abs(p.chi) <= np.pi / 4 - margin
+        assert margin <= p.mu <= np.pi / 2 - margin
