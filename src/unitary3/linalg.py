@@ -61,15 +61,20 @@ if TYPE_CHECKING:
 # Gates shared by every module.  DEGENERACY_GATE only labels (the circular
 # column, a3 = 0, b3 = 0) and folds nothing.  FOLD_GATE is the one gate of
 # every fold: below it a quantity is rounding noise and a convention decides
-# (linear column and pole, chi sign, rotation gimbal, mu = 0 and mu = pi/2).
+# (linear column and pole, rotation gimbal, mu = 0 and mu = pi/2).
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 DEGENERACY_GATE = 1e-10
 FOLD_GATE = 1e-12
 
 _TINY = sys.float_info.min
-# Exponent above which the symmetrization R + R' or the largest eigenvalue
-# (at most 3 max|R|) of a 3x3 Hermitian R could overflow.
+# The window of frexp exponents of max|R| in which a 3x3 Hermitian R is
+# solved as it is.  Above it the symmetrization R + R' or the largest
+# eigenvalue (at most 3 max|R|) could overflow.  Below it an entry of
+# 2**-511 max|R| or more can be subnormal, and the solve takes the phase of
+# such an entry with few significant bits; inside it only entries below
+# 2**-510 max|R| can be.
+_MIN_EXPONENT = -511
 _MAX_EXPONENT = 1022
 # Sweeps of the Jacobi eigensolver before it gives up.  It converges
 # quadratically: on the coherency matrices sampled in the tests no solve
@@ -201,12 +206,15 @@ def eig_hermitian3(r) -> EigenDecomposition:
 
     Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
     max|R|, a gate that holds at any scale (moduli are hypot, so no square
-    overflows).  Entries of 2**1022 or more are divided by a power of two
-    before the solve, and the eigenvalues multiplied back, so no finite
-    input overflows inside; a trace or eigenvalue beyond the largest float
-    raises FloatRangeError.  The solve runs at most _MAX_SWEEPS sweeps and
-    raises ConvergenceError (exit 3) if the last of them still rotates; no
-    input is known to come near that cap.
+    overflows).  Where the frexp exponent of max|R| lies outside
+    [_MIN_EXPONENT, _MAX_EXPONENT] = [-511, 1022], R is multiplied by the
+    power of two that puts max|R| in [2**1021, 2**1022) before the solve,
+    and the eigenvalues by its inverse after, so no finite input overflows
+    inside and no entry of 2**-510 max|R| or more enters it subnormal; a
+    trace or eigenvalue beyond the largest float raises FloatRangeError.
+    The solve runs at most _MAX_SWEEPS sweeps and raises ConvergenceError
+    (exit 3) if the last of them still rotates; no input is known to come
+    near that cap.
     """
     return _eigen(_eig(as_matrix3(r).tolist()))
 
@@ -246,10 +254,13 @@ def _eig(rows) -> EigenDecomposition:
     trace = r00.real + r11.real + r22.real
     if math.isinf(trace):
         raise FloatRangeError("trace is beyond the largest float")
-    # Entries of 2**1022 or more are divided by a power of two, which is
-    # exact.  The solve scales exactly with a power of two (_jacobi), so the
-    # prescale moves no bit of a result that would not otherwise overflow.
-    k = max(math.frexp(scale)[1] - _MAX_EXPONENT, 0)
+    # Outside the window R is multiplied by the power of two that puts
+    # max|R| at its top, [2**1021, 2**1022), which is exact.  The solve
+    # scales exactly with a power of two (_jacobi), so the prescale moves no
+    # bit of a result that would not otherwise overflow or round in the
+    # subnormals.
+    e = math.frexp(scale)[1]
+    k = 0 if _MIN_EXPONENT <= e <= _MAX_EXPONENT else e - _MAX_EXPONENT
     if k:
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (
             [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in row] for row in rows

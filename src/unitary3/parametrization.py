@@ -25,14 +25,16 @@ is implemented.
 
 Recovery: the first column u1 determines alpha1, chi and the rotation; the
 core parameters then come from the entries of V1 = Q.T @ U.  _ellipticity
-holds every convention of chi: its magnitude, its sign (fixed by the
-requirement that the rotation stays inside the chart, Q[2,2] = cos theta
->= 0, which reduces to sign(a1*b2 - a2*b1) on the real and imaginary parts
-of the phase-normalized first column) and the zero-pattern branch (a, b1,
-b2, c, d1, d2) reported alongside.  Each stage has one rule and every fold
-one gate, linalg.FOLD_GATE: below it chi is 0 (linear column, whose frame
-takes varphi = 0), the chi sign and the rotation gimbal take their
-conventions, and alpha2 (mu = pi/2) or alpha3 (mu = 0) is 0.
+holds every rule of chi: its magnitude, its sign and the zero-pattern
+branch (a, b1, b2, c, d1, d2) reported alongside.  The sign has one rule
+and no convention, at the gimbal too: the rotation stays inside the chart,
+Q[2,2] = cos theta >= 0, which is sign(a1*b2 - a2*b1) >= 0 on the real and
+imaginary parts of the phase-normalized first column.  Each stage has one
+rule and every fold one gate, linalg.FOLD_GATE: below it chi is 0 (linear
+column, whose frame takes varphi = 0), the rotation gimbal takes its
+convention, and alpha2 (mu = pi/2) or alpha3 (mu = 0) is 0.  Every
+recovered angle lies in the README's ranges: phases in (-pi, pi]
+(rotations._half_open), varphi in [0, pi) and |chi| <= pi/4.
 """
 from __future__ import annotations
 
@@ -43,12 +45,13 @@ from typing import TYPE_CHECKING, NamedTuple
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
                      _fsum_norm, as_matrix3)
-from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
+from .rotations import RotationAngles, _half_open, _rotation_angles, _rotation_rows, wrap_angle
 
 if TYPE_CHECKING:
     import numpy as np
 
 RECOVERY_TOL = 1e-10
+_QUARTER_PI = math.pi / 4
 
 
 class ParameterRangeError(Unitary3Error, ValueError):
@@ -197,28 +200,23 @@ def _ellipticity(eps) -> tuple[float, str, float, float]:
 
     Takes the phase-normalized column eps = a + i b (three Python complex),
     which is cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
-    |chi| = arctan2(|b|, |a|); _recover_first_column reuses the two norms
-    for q1 and q2.  Like every kernel it trusts the operation's gate and
-    re-checks nothing: recover_params passes the first column of a matrix
-    that passed the unitarity gate, _regularity a Jacobi eigenvector, and
-    the recomposition residual is recovery's exit gate.  Every convention
-    of chi lives here:
+    |chi| = arctan2(|b|, |a|), capped at pi/4 (on a circular column
+    rounding can leave |b| above |a|, and arctan2 an ulp above pi/4);
+    _recover_first_column reuses the two norms for q1 and q2.  Like every
+    kernel it trusts the operation's gate and re-checks nothing:
+    recover_params passes the first column of a matrix that passed the
+    unitarity gate, _regularity a Jacobi eigenvector, and the recomposition
+    residual is recovery's exit gate.  Every rule of chi lives here:
 
     - Linear polarization, |b| <= FOLD_GATE: chi = 0, branch b1 when
       a3 = 0, else d1.
     - Otherwise the branch is a, b2 (a3 = b3 = 0), c (a3 = 0) or d2
-      (b3 = 0), and the sign of chi is the sign of the invariant
-      a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta) everywhere inside the
-      chart.  At or below FOLD_GATE (gimbal orientations) a convention
-      decides: in branch a the (a3, b3) signs, opposite meaning positive
-      chi; in branches b2, c and d2 always +1.
-
-    Why a constant in b2, c and d2: there |a3*b3| <= DEGENERACY_GATE, and
-    the normalized column has |a.b| at rounding level
-    (_normalize_global_phase leaves eps.eps real; measured <= 2.1e-16), so
-    AM-GM on a1*a2*b1*b2 = (a1*b1)*(a2*b2) bounds |a1*b2| and |a2*b1| by
-    (|a.b| + |a3*b3|)/2 + |a1*b2 - a2*b1| <= 0.51e-10 at a gimbal: no
-    product of entries is left above DEGENERACY_GATE to carry a sign.
+      (b3 = 0), a label only, and chi takes the sign of the invariant
+      a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta), + when it is 0.  That
+      is the chart's own condition Q[2,2] = cos(theta) >= 0: the third
+      rotation column q1 x q2 has z component
+      sign(chi) (a1*b2 - a2*b1)/(|a| |b|), so no gate or table is needed
+      at the gimbal.
     """
     e1, e2, e3 = eps
     a1, a2, a3 = e1.real, e2.real, e3.real
@@ -237,14 +235,10 @@ def _ellipticity(eps) -> tuple[float, str, float, float]:
         branch = "d2"
     else:
         branch = "a"
-    cross = a1 * b2 - a2 * b1
-    if abs(cross) > FOLD_GATE:
-        sign = 1.0 if cross > 0.0 else -1.0
-    elif branch == "a":
-        sign = 1.0 if a3 * b3 < 0.0 else -1.0
-    else:
-        sign = 1.0
-    return sign * math.atan2(sb, ca), branch, ca, sb
+    chi = math.atan2(sb, ca)
+    if chi > _QUARTER_PI:
+        chi = _QUARTER_PI
+    return (chi if a1 * b2 - a2 * b1 >= 0.0 else -chi), branch, ca, sb
 
 
 def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
@@ -253,8 +247,11 @@ def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     chi and the branch come from _ellipticity; the rotation has columns
     q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2.  A linear column
     (chi = 0) fixes q1 only; the frame takes the varphi = 0 representative
-    q2 = e_z x q1 / |e_z x q1|, or e_y projected off q1 where that norm is
-    below FOLD_GATE (the poles q1 = +-e_z).
+    q2 = e_z x q1 / |e_z x q1|, or where that norm is below FOLD_GATE (the
+    poles q1 = +-e_z) e_y projected off q1, negated where x1 < 0.  Every
+    column so gets a rotation inside the chart, cos(theta) = q3_z >= 0:
+    off the poles q3_z = |e_z x q1|, at them |x1|, and with chi nonzero
+    _ellipticity's sign rule holds it.
     """
     chi, branch, ca, sb = _ellipticity(eps)
     e1, e2, e3 = eps
@@ -263,6 +260,8 @@ def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
         x2, y2, z2 = -y1, x1, 0.0
         if _fsum_norm((x2, y2, z2)) < FOLD_GATE:
             x2, y2, z2 = 0.0 - y1 * x1, 1.0 - y1 * y1, 0.0 - y1 * z1
+            if x1 < 0.0:  # then q3 = q1 x q2 has z component |x1| >= 0
+                x2, y2, z2 = -x2, -y2, -z2
     else:
         s = math.copysign(1.0, chi)
         x2, y2, z2 = s * e1.imag / sb, s * e2.imag / sb, s * e3.imag / sb
@@ -287,6 +286,7 @@ def _extract_core_params(v1) -> tuple[float, float, float, float, float]:
 
     alpha2 is the phase of v22 and alpha3 that of v23, each folded to 0
     when that entry's modulus is below FOLD_GATE (mu = pi/2 and mu = 0).
+    Every phase read with cmath.phase is taken in (-pi, pi] (_half_open).
     beta2 is read from the larger of the two entries that carry it: v32
     when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
     delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
@@ -300,10 +300,10 @@ def _extract_core_params(v1) -> tuple[float, float, float, float, float]:
     sm = math.hypot(v32.real, v32.imag)
     cm = math.hypot(v33.real, v33.imag)
     mu = math.atan2(sm, cm)
-    alpha2 = cmath.phase(v22) if math.hypot(v22.real, v22.imag) >= FOLD_GATE else 0.0
-    alpha3 = cmath.phase(v23) if math.hypot(v23.real, v23.imag) >= FOLD_GATE else 0.0
+    alpha2 = _half_open(cmath.phase(v22)) if math.hypot(v22.real, v22.imag) >= FOLD_GATE else 0.0
+    alpha3 = _half_open(cmath.phase(v23)) if math.hypot(v23.real, v23.imag) >= FOLD_GATE else 0.0
     if sm >= cm:
-        beta2 = cmath.phase(v32)
+        beta2 = _half_open(cmath.phase(v32))
     else:
         beta2 = wrap_angle(cmath.phase(-v33) + alpha2 - alpha3)
     return mu, alpha1, alpha2, alpha3, beta2

@@ -30,7 +30,15 @@ class NotOrthogonalError(Unitary3Error, ValueError):
 
 def wrap_angle(x: float) -> float:
     """Wrap an angle into (-pi, pi]."""
-    return float(-((math.pi - x) % (2.0 * math.pi) - math.pi))
+    return _half_open(float(-((math.pi - x) % (2.0 * math.pi) - math.pi)))
+
+
+def _half_open(x: float) -> float:
+    """An angle in [-pi, pi] as its representative in (-pi, pi]: -pi becomes
+    pi.  cmath.phase gives -pi for a negative real with a -0.0 imaginary
+    part, and wrap_angle where % rounds a remainder up to 2 pi itself (an x
+    within an ulp above pi); every other angle is returned unchanged."""
+    return math.pi if x == -math.pi else x
 
 
 class RotationAngles(NamedTuple):
@@ -54,7 +62,9 @@ class RotationAngles(NamedTuple):
 
 def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
     varphi = varphi % (2.0 * math.pi)
-    if varphi >= math.pi:
+    # Twice when % rounds a tiny negative varphi up to 2 pi itself, so that
+    # varphi = pi never comes out.
+    while varphi >= math.pi:
         varphi -= math.pi
         theta = -theta
         phi = phi + math.pi

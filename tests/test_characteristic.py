@@ -115,8 +115,10 @@ def test_float_range_rejected():
 
 
 def test_decomposition_rejects_zero_trace():
-    with pytest.raises(ZeroTraceError):
-        characteristic_decomposition(np.zeros((3, 3)))
+    # a trace at or below the smallest normal float, 2**-1022, counts as zero
+    for d in ([0.0, 0.0, 0.0], [2.0 ** -1022, 0.0, 0.0], [5e-324, 5e-324, 0.0]):
+        with pytest.raises(ZeroTraceError):
+            characteristic_decomposition(np.diag(d))
 
 
 def test_decomposition_rejects_indefinite():

@@ -1,0 +1,113 @@
+"""Recovery over the documented domain, corners included, as a property.
+
+Every bounded coordinate of the composed tuple is drawn either uniformly or
+at one of its faces plus or minus an offset from 0 up to 1e-4, so several
+faces meet in one draw; a random global phase multiplies the unitary.  The
+recovery must meet the residual bound and land in the README's angle
+ranges.  The literal tests below pin the boundary values that once came
+out of those ranges.
+
+Settings: derandomize and no example database, so every run draws the same
+examples, and quiet verbosity, so a failure does not run hypothesis's patch
+writer.  That writer imports libcst, whose DeprecationWarnings are errors
+under this suite's warning filter and would hide the failure; pytest still
+shows the failing draw through the assertion message and the frame's
+arguments.
+"""
+import cmath
+import math
+
+import numpy as np
+from hypothesis import Verbosity, given, settings
+from hypothesis import strategies as st
+
+from unitary3.parametrization import UnitaryParams, compose_unitary, recover_params
+from unitary3.rotations import RotationAngles
+
+from test_parametrization import THETA_MAX
+
+PI = math.pi
+# The recovered alpha1 is read off V1[0, 0] and carries its rounding.
+ALPHA1_MAX = PI / 2 + 1e-15
+
+OFFSETS = (0.0, 5e-324, 1e-300) + tuple(10.0 ** -k for k in range(16, 3, -1))
+
+
+def assert_in_ranges(p: UnitaryParams, origin) -> None:
+    """The README's angle ranges, on a tuple recovered from ``origin``."""
+    r = p.rotation
+    for name, x in (("phi", r.phi), ("alpha2", p.alpha2), ("alpha3", p.alpha3), ("beta2", p.beta2)):
+        assert -PI < x <= PI, (name, p, origin)
+    assert abs(p.alpha1) <= ALPHA1_MAX, (p, origin)
+    assert abs(r.theta) <= THETA_MAX, (p, origin)
+    assert 0.0 <= r.varphi < PI, (p, origin)
+    assert abs(p.chi) <= PI / 4, (p, origin)
+    assert 0.0 <= p.mu <= PI / 2, (p, origin)
+
+
+def coordinate(lo, hi, faces):
+    """A float drawn uniformly on [lo, hi] or at a face plus or minus an offset."""
+    near = sorted({f + s * d for f in faces for s in (1.0, -1.0) for d in OFFSETS})
+    return st.one_of(st.floats(lo, hi), st.sampled_from(near))
+
+
+PHASE = coordinate(-PI, PI, (-PI, 0.0, PI))
+THETA = coordinate(-PI / 2, PI / 2, (-PI / 2, 0.0, PI / 2))
+VARPHI = coordinate(0.0, PI, (0.0, PI))
+CHI = coordinate(-PI / 4, PI / 4, (-PI / 4, 0.0, PI / 4))
+# Composition rejects mu outside [0, pi/2]: an offset past a face is clipped onto it.
+MU = coordinate(0.0, PI / 2, (0.0, PI / 2)).map(lambda x: min(max(x, 0.0), PI / 2))
+ALPHA1 = coordinate(-PI, PI, (-PI / 2, 0.0, PI / 2))
+# A composed tuple and the global phase gamma its unitary is multiplied by.
+CORNERS = st.tuples(
+    st.builds(UnitaryParams, st.builds(RotationAngles, PHASE, THETA, VARPHI),
+              CHI, MU, ALPHA1, PHASE, PHASE, PHASE),
+    st.floats(-PI, PI),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None,
+          verbosity=Verbosity.quiet)
+@given(CORNERS)
+def test_recovery_at_corners(case):
+    p, gamma = case
+    rep = recover_params(compose_unitary(p) * cmath.exp(1j * gamma))
+    assert rep.residual <= 1e-10, case
+    assert_in_ranges(rep.params, case)
+
+
+# Recoveries that once left the half-open ranges: each composed tuple gave
+# -pi for the named field, varphi = pi or |chi| one ulp above pi/4.
+BOUNDARY_PARAMS = {
+    "varphi, beta2": UnitaryParams(RotationAngles(math.nextafter(PI, 0), 0.4, -1e-17),
+                                   -0.3, 0.6, 0.0, PI, 0.2, PI),
+    "phi": UnitaryParams(RotationAngles(-1e-17, 0.4, math.nextafter(PI, 0)),
+                         0.0, PI / 2, 0.5, PI, 0.2, 0.9),
+    "alpha3": UnitaryParams(RotationAngles(1e-17, 1.0, PI), -0.3, 0.6, 0.0, PI, PI, 0.9),
+    "chi": UnitaryParams(RotationAngles(math.nextafter(PI, 0), 0.4, -1e-16),
+                         PI / 4, 0.6, -0.5, PI, 0.2, PI),
+    "alpha2": UnitaryParams(RotationAngles(math.nextafter(PI, 0), 0.4, PI),
+                            0.3, 0.0, -0.5, PI, 0.0, 0.9),
+}
+
+# Signed permutations whose -1 entries have a -0.0 imaginary part: V1 then has
+# a negative real entry with a -0.0 imaginary part, and cmath.phase gives -pi.
+NEG_ZERO = complex(-1.0, -0.0)
+BOUNDARY_MATRICES = {
+    "beta2": [[-1 + 0j, 0j, 0j], [0j, 0j, 1 + 0j], [0j, NEG_ZERO, 0j]],
+    "alpha3": [[0j, 1 + 0j, 0j], [0j, 0j, NEG_ZERO], [1 + 0j, 0j, 0j]],
+    "alpha2": [[0j, 0j, 1 + 0j], [0j, NEG_ZERO, 0j], [1 + 0j, 0j, 0j]],
+}
+
+
+def test_recovery_boundary_literals():
+    for field, p in BOUNDARY_PARAMS.items():
+        u = compose_unitary(p)
+        rep = recover_params(u)
+        assert rep.residual <= 1e-10, field
+        assert_in_ranges(rep.params, field)
+        assert np.linalg.norm(compose_unitary(rep.params) - u) <= 1e-14, field
+    for field, rows in BOUNDARY_MATRICES.items():
+        rep = recover_params(rows)
+        assert rep.residual <= 1e-15, field
+        assert_in_ranges(rep.params, field)

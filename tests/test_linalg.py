@@ -69,6 +69,24 @@ def test_eig_residual_and_orthonormality():
         assert np.linalg.norm(h @ e.vectors - e.vectors * e.values) < 1e-12
 
 
+def test_eig_tiny_scale():
+    # max|R| = 1.7e-307, with entries down to 3e-316: solved as it is, the
+    # rotations rounded in the subnormals (eigenvectors orthonormal only to
+    # 0.5, reconstruction off by 7e-10 max|R|); the prescale to the top of
+    # the exponent window keeps every entry normal
+    r = np.array([
+        [1.7045086658225771e-307 + 0j, -1.5732715293299356e-308 + 1.9371175098775557e-308j,
+         -3.51404918e-315 - 6.02863217e-315j],
+        [-1.5732715293299356e-308 - 1.9371175098775557e-308j, 3.65360861868602e-309 + 0j,
+         -3.60785223e-316 + 9.5580632e-316j],
+        [-3.51404918e-315 + 6.02863217e-315j, -3.60785223e-316 - 9.5580632e-316j, 2.87e-322 + 0j],
+    ])
+    e = eig_hermitian3(r)
+    v = e.vectors
+    assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1e-14
+    assert np.abs((v * e.values) @ v.conj().T - r).max() <= 1e-12 * np.abs(r).max()
+
+
 def test_eig_matches_cubic_oracle():
     g = SeededGenerator(12)
     for _ in range(300):

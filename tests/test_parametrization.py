@@ -1,3 +1,7 @@
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -140,27 +144,61 @@ def test_ellipticity_sign_generic_columns():
         assert np.sign(chi) == np.sign(chi0)
 
 
-def test_ellipticity_sign_gimbal_fallback():
-    # cross-term invariant vanishes at theta = pi/2; the (a3, b3) sign
-    # table decides: opposite signs mean positive chi
+# Largest |theta| a recovery may report: pi/2 plus one rounding of the
+# chart condition Q[2,2] = cos(theta) >= 0 at the gimbal.
+THETA_MAX = math.nextafter(math.pi / 2, 4)
+
+
+def test_ellipticity_sign_gimbal_in_chart():
+    # At theta = +-pi/2 the invariant a1*b2 - a2*b1 vanishes; chi still takes
+    # its sign, so the recovered rotation stays inside the chart, in branch
+    # a and in branches c (varphi = pi/2) and d2 (varphi = 0), whatever the
+    # composing signs of chi and theta, and the recovery reports the
+    # zero-pattern branch
     eps = first_column_oracle(0.3, 0.7, np.pi / 2, 0.6)
-    chi, branch, _, _ = _ellipticity(column(eps))
+    chi, rot, branch = _recover_first_column(column(eps))
     assert branch == "a"
-    assert np.sign(chi) == 1.0
-    # in branches c (varphi = pi/2) and d2 (varphi = 0) the convention is
-    # +1 whatever the composing signs of chi and theta, and the recovery
-    # reports the same branch
+    assert abs(chi) == pytest.approx(0.3) and abs(rot.theta) <= THETA_MAX
     for chi in (0.3, -0.3):
         for theta in (np.pi / 2, -np.pi / 2):
             for varphi, want in ((np.pi / 2, "c"), (0.0, "d2")):
                 eps = first_column_oracle(chi, 0.7, theta, varphi)
-                got, branch, _, _ = _ellipticity(column(eps))
-                assert (np.sign(got), branch) == (1.0, want)
+                _, rot, branch = _recover_first_column(column(eps))
+                assert branch == want
+                assert abs(rot.theta) <= THETA_MAX
                 p = make_params(phi=0.7, theta=theta, varphi=varphi, chi=chi,
                                 mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)
                 rep = recover_params(compose_unitary(p))
                 assert rep.branch == want
                 assert rep.residual <= 1e-10
+                assert abs(rep.params.rotation.theta) <= THETA_MAX
+
+
+def test_recover_params_gimbal_small_chi_in_chart():
+    # |a1*b2 - a2*b1| = cos(chi) sin(chi) cos(theta) is 1e-16 here, far below
+    # FOLD_GATE; a gated sign put theta at -pi/2 - 1e-8, outside the chart
+    p = make_params(theta=np.pi / 2 - 1e-8, varphi=2.0, chi=1e-8, mu=0.3, beta2=0.0)
+    rep = recover_params(compose_unitary(p))
+    assert rep.residual <= 1e-10
+    assert abs(rep.params.rotation.theta) <= THETA_MAX
+    assert params_distance(rep.params, p) <= 1e-7
+
+
+def test_recover_params_gimbal_probe():
+    # theta within 1e-6 of +-pi/2 and |chi| from 0 to 0.3, under a random
+    # global phase: every recovery lies inside the chart
+    rng = random.Random(1)
+    for _ in range(4000):
+        theta = rng.choice((1, -1)) * (math.pi / 2 - rng.choice((0.0, 1e-16, 1e-12, 1e-8, 1e-6)))
+        chi = rng.choice((1, -1)) * rng.choice((0.0, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 0.3))
+        p = make_params(phi=rng.uniform(-math.pi, math.pi), theta=theta,
+                        varphi=rng.uniform(0.0, math.pi), chi=chi, mu=rng.uniform(0.0, math.pi / 2),
+                        alpha1=rng.uniform(-math.pi, math.pi), alpha2=rng.uniform(-math.pi, math.pi),
+                        alpha3=rng.uniform(-math.pi, math.pi), beta2=rng.uniform(-math.pi, math.pi))
+        u = compose_unitary(p) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        rep = recover_params(u)
+        assert rep.residual <= 1e-10, p
+        assert abs(rep.params.rotation.theta) <= THETA_MAX, p
 
 
 def test_extract_core_params_identity():

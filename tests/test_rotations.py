@@ -22,6 +22,10 @@ def test_wrap_angle_ranges():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert wrap_angle(3.0 * np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-0.1) == pytest.approx(-0.1)
+    # the range is half-open: -pi, and x an ulp above pi, where % rounds
+    # the remainder up to 2 pi itself, give pi
+    assert wrap_angle(-math.pi) == math.pi
+    assert wrap_angle(math.nextafter(math.pi, 4)) == math.pi
 
 
 def test_compose_matches_factor_product():
@@ -135,7 +139,8 @@ def test_extract_lower_hemisphere():
 
 
 def test_canonical_varphi_wrap():
-    a = RotationAngles(0.3, 0.4, 3 * np.pi / 2).canonical()
-    assert 0.0 <= a.varphi < np.pi
-    q0 = compose_rotation(RotationAngles(0.3, 0.4, 3 * np.pi / 2))
-    assert np.linalg.norm(compose_rotation(a) - q0) < 1e-14
+    # -1e-17 % (2 pi) rounds to 2 pi itself, which folds twice
+    for angles in (RotationAngles(0.3, 0.4, 3 * np.pi / 2), RotationAngles(0.3, 1.0, -1e-17)):
+        a = angles.canonical()
+        assert 0.0 <= a.varphi < np.pi
+        assert np.linalg.norm(compose_rotation(a) - compose_rotation(angles)) < 1e-14
