@@ -52,8 +52,7 @@ class ZeroTraceError(Unitary3Error, ValueError):
     """Coherency matrix has (numerically) zero trace: nothing to decompose.
 
     A trace at or below 2**-1022, the smallest normal float, counts as zero
-    and raises, although the eigensolver's prescale could solve such a
-    matrix.
+    and raises: its solve would run on subnormal floats.
     """
 
 

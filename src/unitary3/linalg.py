@@ -68,13 +68,8 @@ DEGENERACY_GATE = 1e-10
 FOLD_GATE = 1e-12
 
 _TINY = sys.float_info.min
-# The window of frexp exponents of max|R| in which a 3x3 Hermitian R is
-# solved as it is.  Above it the symmetrization R + R' or the largest
-# eigenvalue (at most 3 max|R|) could overflow.  Below it an entry of
-# 2**-511 max|R| or more can be subnormal, and the solve takes the phase of
-# such an entry with few significant bits; inside it only entries below
-# 2**-510 max|R| can be.
-_MIN_EXPONENT = -511
+# The largest frexp exponent of max|R| solved unscaled: above it R + R' or
+# the largest eigenvalue (at most 3 max|R|) of a Hermitian R could overflow.
 _MAX_EXPONENT = 1022
 # Sweeps of the Jacobi eigensolver before it gives up.  It converges
 # quadratically: on the coherency matrices sampled in the tests no solve
@@ -206,12 +201,12 @@ def eig_hermitian3(r) -> EigenDecomposition:
 
     Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
     max|R|, a gate that holds at any scale (moduli are hypot, so no square
-    overflows).  Where the frexp exponent of max|R| lies outside
-    [_MIN_EXPONENT, _MAX_EXPONENT] = [-511, 1022], R is multiplied by the
-    power of two that puts max|R| in [2**1021, 2**1022) before the solve,
-    and the eigenvalues by its inverse after, so no finite input overflows
-    inside and no entry of 2**-510 max|R| or more enters it subnormal; a
-    trace or eigenvalue beyond the largest float raises FloatRangeError.
+    overflows).  Where the frexp exponent of max|R| exceeds _MAX_EXPONENT =
+    1022, R is multiplied by the power of two that puts max|R| in
+    [2**1021, 2**1022) before the solve, and the eigenvalues by its inverse
+    after, so no finite input overflows inside; a trace or eigenvalue beyond
+    the largest float raises FloatRangeError.  Any other R, subnormal
+    entries included, is solved as it is (each phase through _unit).
     The solve runs at most _MAX_SWEEPS sweeps and raises ConvergenceError
     (exit 3) if the last of them still rotates; no input is known to come
     near that cap.
@@ -254,13 +249,10 @@ def _eig(rows) -> EigenDecomposition:
     trace = r00.real + r11.real + r22.real
     if math.isinf(trace):
         raise FloatRangeError("trace is beyond the largest float")
-    # Outside the window R is multiplied by the power of two that puts
-    # max|R| at its top, [2**1021, 2**1022), which is exact.  The solve
-    # scales exactly with a power of two (_jacobi), so the prescale moves no
-    # bit of a result that would not otherwise overflow or round in the
-    # subnormals.
-    e = math.frexp(scale)[1]
-    k = 0 if _MIN_EXPONENT <= e <= _MAX_EXPONENT else e - _MAX_EXPONENT
+    # Above _MAX_EXPONENT R is scaled exactly to max|R| in [2**1021, 2**1022).
+    # The solve scales exactly with a power of two (_jacobi), so this moves
+    # no bit of a result that would not otherwise overflow.
+    k = max(math.frexp(scale)[1] - _MAX_EXPONENT, 0)
     if k:
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (
             [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in row] for row in rows
@@ -299,6 +291,16 @@ def _eig(rows) -> EigenDecomposition:
     return EigenDecomposition(values, normalized, vectors, trace)
 
 
+def _unit(z: complex, h: float) -> complex:
+    """The phase z/h of a nonzero z of modulus h = abs(z), of modulus 1 to
+    rounding.  A subnormal h has few significant bits, so below _TINY z is
+    first multiplied by 2**1022 (exact) and hypot and / run on normal floats."""
+    if h < _TINY:
+        z = complex(z.real / _TINY, z.imag / _TINY)
+        h = abs(z)
+    return complex(z.real / h, z.imag / h)
+
+
 def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     """Jacobi eigensolver for the Hermitian matrix A with real diagonal
     (d0, d1, d2) and entries a01, a02, a12 above it.  Returns the diagonal
@@ -329,7 +331,9 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     most 1, and theta is formed from halves, so nothing overflows below
     2**1022 and nothing underflows above the subnormals: the result scales
     exactly with a power of two.  A theta beyond the float range gives
-    t = 0, a rotation smaller than any float could hold.
+    t = 0, a rotation smaller than any float could hold.  u, u02 and u12
+    come from _unit, so W and D are unitary even where an entry is
+    subnormal, in A or formed in the solve (s a12, with all of A normal).
     """
     hypot = math.hypot
     wc, wsu = 1.0, 0j  # the complex rotation's c and s u
@@ -341,14 +345,15 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
             t = -t
         wc = 1.0 / hypot(1.0, t)
         s = t * wc
-        wsu = complex(a01.real / h * s, a01.imag / h * s)
+        u = _unit(a01, h)
+        wsu = complex(u.real * s, u.imag * s)
         th = t * h
         d0, d1 = d0 - th, d1 + th
         c = complex(wc, 0.0)
         a02, a12 = c * a02 - wsu * a12, c * a12 + wsu.conjugate() * a02
     b01, b02, b12 = 0.0, abs(a02), abs(a12)
-    u02 = complex(a02.real / b02, a02.imag / b02) if b02 else 1 + 0j
-    u12 = complex(a12.real / b12, a12.imag / b12) if b12 else 1 + 0j
+    u02 = _unit(a02, b02) if b02 else 1 + 0j
+    u12 = _unit(a12, b12) if b12 else 1 + 0j
     v00 = v11 = v22 = 1.0
     v01 = v02 = v10 = v12 = v20 = v21 = 0.0
     # The three pairs are written out: one rotation in a loop over

@@ -34,7 +34,7 @@ rule and every fold one gate, linalg.FOLD_GATE: below it chi is 0 (linear
 column, whose frame takes varphi = 0), the rotation gimbal takes its
 convention, and alpha2 (mu = pi/2) or alpha3 (mu = 0) is 0.  Every
 recovered angle lies in the README's ranges: phases in (-pi, pi]
-(rotations._half_open), varphi in [0, pi) and |chi| <= pi/4.
+(rotations.wrap_angle), varphi in [0, pi) and |chi| <= pi/4.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
                      _fsum_norm, as_matrix3)
-from .rotations import RotationAngles, _half_open, _rotation_angles, _rotation_rows, wrap_angle
+from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -286,7 +286,7 @@ def _extract_core_params(v1) -> tuple[float, float, float, float, float]:
 
     alpha2 is the phase of v22 and alpha3 that of v23, each folded to 0
     when that entry's modulus is below FOLD_GATE (mu = pi/2 and mu = 0).
-    Every phase read with cmath.phase is taken in (-pi, pi] (_half_open).
+    Every phase read with cmath.phase is taken in (-pi, pi] (wrap_angle).
     beta2 is read from the larger of the two entries that carry it: v32
     when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
     delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
@@ -300,10 +300,10 @@ def _extract_core_params(v1) -> tuple[float, float, float, float, float]:
     sm = math.hypot(v32.real, v32.imag)
     cm = math.hypot(v33.real, v33.imag)
     mu = math.atan2(sm, cm)
-    alpha2 = _half_open(cmath.phase(v22)) if math.hypot(v22.real, v22.imag) >= FOLD_GATE else 0.0
-    alpha3 = _half_open(cmath.phase(v23)) if math.hypot(v23.real, v23.imag) >= FOLD_GATE else 0.0
+    alpha2 = wrap_angle(cmath.phase(v22)) if math.hypot(v22.real, v22.imag) >= FOLD_GATE else 0.0
+    alpha3 = wrap_angle(cmath.phase(v23)) if math.hypot(v23.real, v23.imag) >= FOLD_GATE else 0.0
     if sm >= cm:
-        beta2 = _half_open(cmath.phase(v32))
+        beta2 = wrap_angle(cmath.phase(v32))
     else:
         beta2 = wrap_angle(cmath.phase(-v33) + alpha2 - alpha3)
     return mu, alpha1, alpha2, alpha3, beta2

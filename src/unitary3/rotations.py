@@ -29,15 +29,11 @@ class NotOrthogonalError(Unitary3Error, ValueError):
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    return _half_open(float(-((math.pi - x) % (2.0 * math.pi) - math.pi)))
-
-
-def _half_open(x: float) -> float:
-    """An angle in [-pi, pi] as its representative in (-pi, pi]: -pi becomes
-    pi.  cmath.phase gives -pi for a negative real with a -0.0 imaginary
-    part, and wrap_angle where % rounds a remainder up to 2 pi itself (an x
-    within an ulp above pi); every other angle is returned unchanged."""
+    """Wrap an angle into (-pi, pi]: math.remainder(x, 2 pi), which is exact
+    and the identity on (-pi, pi], with -pi folded to pi (cmath.phase gives
+    -pi for a negative real with a -0.0 imaginary part).  An infinite x
+    raises ValueError, as math.remainder does."""
+    x = math.remainder(x, 2.0 * math.pi)
     return math.pi if x == -math.pi else x
 
 

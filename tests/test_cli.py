@@ -301,41 +301,41 @@ RECOVER_GOLDEN = [
     ),
     (
         '{\n'
-        '  "phi": -1.2517901237997222,\n'
+        '  "phi": -1.2517901237997224,\n'
         '  "theta": 1.1891455239292925,\n'
         '  "varphi": 3.103694410407382,\n'
         '  "chi": 0.3328616308122234,\n'
-        '  "mu": 0.7321707665006589,\n'
-        '  "alpha1": 0.9898265354143873,\n'
-        '  "alpha2": -0.4149169348754748,\n'
+        '  "mu": 0.7321707665006592,\n'
+        '  "alpha1": 0.9898265354143874,\n'
+        '  "alpha2": -0.41491693487547476,\n'
         '  "alpha3": 2.691711846401429,\n'
         '  "beta2": 1.748862581257561,\n'
-        '  "residual": 7.125132513437735e-16,\n'
+        '  "residual": 8.524396565254951e-16,\n'
         '  "branch": "a",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 7.125132513437735e-16, "branch": "a"}\n',
+        '{"residual": 8.524396565254951e-16, "branch": "a"}\n',
     ),
     (
         '{\n'
-        '  "phi": -2.5623281848734827,\n'
+        '  "phi": -2.562328184873483,\n'
         '  "theta": 1.1394738827610686,\n'
         '  "varphi": 2.2812843920590558,\n'
         '  "chi": 0.14866537254840925,\n'
         '  "mu": 0.9195247668179011,\n'
         '  "alpha1": 1.3053899437068455,\n'
-        '  "alpha2": 1.6846567860029626,\n'
-        '  "alpha3": -3.0317472421116793,\n'
-        '  "beta2": -0.10205024461256818,\n'
-        '  "residual": 8.654444842808786e-16,\n'
+        '  "alpha2": 1.6846567860029622,\n'
+        '  "alpha3": -3.031747242111679,\n'
+        '  "beta2": -0.10205024461256838,\n'
+        '  "residual": 5.097135955591513e-16,\n'
         '  "branch": "a",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 8.654444842808786e-16, "branch": "a"}\n',
+        '{"residual": 5.097135955591513e-16, "branch": "a"}\n',
     ),
     (
         '{\n'
-        '  "phi": 0.2999999334134711,\n'
+        '  "phi": 0.2999999334134712,\n'
         '  "theta": 0.39999998583436913,\n'
         '  "varphi": 0.4999999386697454,\n'
         '  "chi": 9.999999773303907e-11,\n'
@@ -343,148 +343,148 @@ RECOVER_GOLDEN = [
         '  "alpha1": 0.1,\n'
         '  "alpha2": 0.1999999950556816,\n'
         '  "alpha3": 0.3000000069692298,\n'
-        '  "beta2": 0.3999999930307703,\n'
-        '  "residual": 3.360173254308499e-16,\n'
+        '  "beta2": 0.39999999303077016,\n'
+        '  "residual": 2.887988982910422e-16,\n'
         '  "branch": "d2",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 3.360173254308499e-16, "branch": "d2"}\n',
+        '{"residual": 2.887988982910422e-16, "branch": "d2"}\n',
     ),
     (
         '{\n'
-        '  "phi": 0.2999999999999998,\n'
+        '  "phi": 0.29999999999999993,\n'
         '  "theta": 0.39999999999999997,\n'
         '  "varphi": 0.4999999999999999,\n'
         '  "chi": 0.2,\n'
-        '  "mu": 1.0000008647262241e-10,\n'
-        '  "alpha1": 0.10000000000000002,\n'
-        '  "alpha2": 0.19999999999999998,\n'
-        '  "alpha3": 0.3000001395231337,\n'
-        '  "beta2": 0.3999998604768664,\n'
-        '  "residual": 2.584446901829864e-16,\n'
+        '  "mu": 1.0000005685484537e-10,\n'
+        '  "alpha1": 0.1,\n'
+        '  "alpha2": 0.20000000000000004,\n'
+        '  "alpha3": 0.300000087938712,\n'
+        '  "beta2": 0.39999991206128804,\n'
+        '  "residual": 1.8027775184845912e-16,\n'
         '  "branch": "a",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 2.584446901829864e-16, "branch": "a"}\n',
+        '{"residual": 1.8027775184845912e-16, "branch": "a"}\n',
     ),
     (
         '{\n'
-        '  "phi": -0.23534756181146133,\n'
+        '  "phi": -0.23534756181146124,\n'
         '  "theta": 0.34877492296252366,\n'
         '  "varphi": 0,\n'
         '  "chi": 0,\n'
         '  "mu": 0.8960646413550065,\n'
         '  "alpha1": 0.09999999999999999,\n'
-        '  "alpha2": 0.15928764717050503,\n'
+        '  "alpha2": 0.15928764717050506,\n'
         '  "alpha3": 0.33866654625113113,\n'
         '  "beta2": 0.3613334537488689,\n'
-        '  "residual": 1.414396015322336e-13,\n'
+        '  "residual": 1.4143242304859664e-13,\n'
         '  "branch": "d1",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 1.414396015322336e-13, "branch": "d1"}\n',
+        '{"residual": 1.4143242304859664e-13, "branch": "d1"}\n',
     ),
     (
         '{\n'
-        '  "phi": 0.30000000000000027,\n'
+        '  "phi": 0.3000000000000001,\n'
         '  "theta": 0.39999999999999997,\n'
         '  "varphi": 0.4999031532256393,\n'
         '  "chi": 0.7853981633973481,\n'
         '  "mu": 0.6999999999999997,\n'
-        '  "alpha1": 0.09990315322563913,\n'
-        '  "alpha2": 0.20009684677436093,\n'
-        '  "alpha3": 0.3000968467743608,\n'
-        '  "beta2": 0.40000000000000036,\n'
-        '  "residual": 4.4387231645014114e-16,\n'
+        '  "alpha1": 0.09990315322563927,\n'
+        '  "alpha2": 0.20009684677436074,\n'
+        '  "alpha3": 0.3000968467743606,\n'
+        '  "beta2": 0.4000000000000001,\n'
+        '  "residual": 3.3766115072321297e-16,\n'
         '  "branch": "circular-fallback",\n'
         '  "global_phase_alpha1_degenerate": true\n'
         '}\n',
-        '{"residual": 4.4387231645014114e-16, "branch": "circular-fallback"}\n',
+        '{"residual": 3.3766115072321297e-16, "branch": "circular-fallback"}\n',
     ),
     (
         '{\n'
-        '  "phi": 0.2999999999999998,\n'
+        '  "phi": 0.3,\n'
         '  "theta": 0.4000000000000001,\n'
         '  "varphi": 0.5001450153427871,\n'
         '  "chi": -0.7853981633973482,\n'
         '  "mu": 0.7,\n'
-        '  "alpha1": 0.0998549846572127,\n'
-        '  "alpha2": 0.20014501534278725,\n'
-        '  "alpha3": 0.30014501534278726,\n'
-        '  "beta2": 0.3999999999999999,\n'
-        '  "residual": 1.760893866893587e-16,\n'
+        '  "alpha1": 0.09985498465721282,\n'
+        '  "alpha2": 0.20014501534278709,\n'
+        '  "alpha3": 0.30014501534278704,\n'
+        '  "beta2": 0.4,\n'
+        '  "residual": 2.225860458774576e-16,\n'
         '  "branch": "circular-fallback",\n'
         '  "global_phase_alpha1_degenerate": true\n'
         '}\n',
-        '{"residual": 1.760893866893587e-16, "branch": "circular-fallback"}\n',
+        '{"residual": 2.225860458774576e-16, "branch": "circular-fallback"}\n',
     ),
     (
         '{\n'
-        '  "phi": 0.2999999999999998,\n'
+        '  "phi": 0.29999999999999993,\n'
         '  "theta": 0.39999999999999997,\n'
         '  "varphi": 0.4999999999999999,\n'
         '  "chi": 0.2,\n'
-        '  "mu": 1.0009800459789395e-13,\n'
-        '  "alpha1": 0.10000000000000002,\n'
-        '  "alpha2": 0.19999999999999998,\n'
+        '  "mu": 1.0006838658895977e-13,\n'
+        '  "alpha1": 0.1,\n'
+        '  "alpha2": 0.20000000000000004,\n'
         '  "alpha3": 0,\n'
-        '  "beta2": 0.7000000000000002,\n'
-        '  "residual": 4.233323249515882e-14,\n'
+        '  "beta2": 0.7000000000000001,\n'
+        '  "residual": 4.232595317317914e-14,\n'
         '  "branch": "a",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 4.233323249515882e-14, "branch": "a"}\n',
+        '{"residual": 4.232595317317914e-14, "branch": "a"}\n',
     ),
     (
         '{\n'
-        '  "phi": 0.2999999999999998,\n'
+        '  "phi": 0.29999999999999993,\n'
         '  "theta": 0.39999999999999997,\n'
         '  "varphi": 0.4999999999999999,\n'
         '  "chi": 0.2,\n'
         '  "mu": 1.5707963267947966,\n'
-        '  "alpha1": 0.10000000000000002,\n'
+        '  "alpha1": 0.1,\n'
         '  "alpha2": 0,\n'
         '  "alpha3": 0.29999999999999993,\n'
         '  "beta2": 0.4,\n'
-        '  "residual": 2.8197681604838295e-14,\n'
+        '  "residual": 2.8204505756832927e-14,\n'
         '  "branch": "a",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 2.8197681604838295e-14, "branch": "a"}\n',
+        '{"residual": 2.8204505756832927e-14, "branch": "a"}\n',
     ),
     (
         '{\n'
-        '  "phi": -0.20000000000000018,\n'
+        '  "phi": -0.19999999999999998,\n'
         '  "theta": 0,\n'
         '  "varphi": 0,\n'
         '  "chi": 0.2,\n'
         '  "mu": 0.7000000000000424,\n'
-        '  "alpha1": 0.10000000000000003,\n'
-        '  "alpha2": 0.19999999999999177,\n'
+        '  "alpha1": 0.09999999999999998,\n'
+        '  "alpha2": 0.1999999999999918,\n'
         '  "alpha3": 0.3000000000000114,\n'
-        '  "beta2": 0.4000000000000026,\n'
-        '  "residual": 1.254482778568082e-13,\n'
+        '  "beta2": 0.4000000000000025,\n'
+        '  "residual": 1.2543260228680885e-13,\n'
         '  "branch": "b2",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 1.254482778568082e-13, "branch": "b2"}\n',
+        '{"residual": 1.2543260228680885e-13, "branch": "b2"}\n',
     ),
     (
         '{\n'
-        '  "phi": 0.30000000000000027,\n'
+        '  "phi": 0.3000000000000001,\n'
         '  "theta": 1.5707963267947966,\n'
         '  "varphi": 0.5,\n'
         '  "chi": 0.20000000000000004,\n'
-        '  "mu": 0.6999999999999996,\n'
+        '  "mu": 0.6999999999999997,\n'
         '  "alpha1": 0.09999999999999999,\n'
-        '  "alpha2": 0.20000000000000007,\n'
+        '  "alpha2": 0.20000000000000004,\n'
         '  "alpha3": 0.2999999999999999,\n'
-        '  "beta2": 0.40000000000000036,\n'
-        '  "residual": 3.8733698850970286e-16,\n'
+        '  "beta2": 0.4000000000000002,\n'
+        '  "residual": 2.673050709148004e-16,\n'
         '  "branch": "a",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 3.8733698850970286e-16, "branch": "a"}\n',
+        '{"residual": 2.673050709148004e-16, "branch": "a"}\n',
     ),
     (
         '{\n'
@@ -496,12 +496,12 @@ RECOVER_GOLDEN = [
         '  "alpha1": 0.09999999999999999,\n'
         '  "alpha2": 0.20000000000000007,\n'
         '  "alpha3": 0.29999999999999993,\n'
-        '  "beta2": 0.40000000000000036,\n'
-        '  "residual": 2.509539981380305e-16,\n'
+        '  "beta2": 0.40000000000000013,\n'
+        '  "residual": 1.9179484335559235e-16,\n'
         '  "branch": "a",\n'
         '  "global_phase_alpha1_degenerate": false\n'
         '}\n',
-        '{"residual": 2.509539981380305e-16, "branch": "a"}\n',
+        '{"residual": 1.9179484335559235e-16, "branch": "a"}\n',
     ),
 ]
 

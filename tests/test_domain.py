@@ -1,28 +1,41 @@
-"""Recovery over the documented domain, corners included, as a property.
+"""The documented domain, corners included, as properties.
 
-Every bounded coordinate of the composed tuple is drawn either uniformly or
-at one of its faces plus or minus an offset from 0 up to 1e-4, so several
-faces meet in one draw; a random global phase multiplies the unitary.  The
-recovery must meet the residual bound and land in the README's angle
-ranges.  The literal tests below pin the boundary values that once came
-out of those ranges.
+Recovery: every bounded coordinate of the composed tuple is drawn either
+uniformly or at one of its faces plus or minus an offset from 0 up to 1e-4,
+so several faces meet in one draw; a random global phase multiplies the
+unitary.  The recovery must meet the residual bound and land in the README's
+angle ranges.  The literal tests below pin the boundary values that once
+came out of those ranges.
 
-Settings: derandomize and no example database, so every run draws the same
-examples, and quiet verbosity, so a failure does not run hypothesis's patch
-writer.  That writer imports libcst, whose DeprecationWarnings are errors
-under this suite's warning filter and would hide the failure; pytest still
-shows the failing draw through the assertion message and the frame's
-arguments.
+Coherency: V diag(l) V† with ties and zeros in l, off-diagonal entries
+zeroed or shrunk into the subnormals and the whole matrix scaled by 2**-1074
+to 2**1023.  The report must raise a typed error or come with orthonormal
+eigenvectors that reconstruct the input.
+
+Documents: the parsers, on arbitrary JSON values and arbitrary text, return
+a result or raise MalformedDocumentError.
+
+Settings (QUIET, shared by every property): derandomize and no example
+database, so every run draws the same examples, and quiet verbosity, so a
+failure does not run hypothesis's patch writer.  That writer imports libcst,
+whose DeprecationWarnings are errors under this suite's warning filter and
+would hide the failure; pytest still shows the failing draw through the
+assertion message and the frame's arguments.
 """
 import cmath
+import json
 import math
 
 import numpy as np
 from hypothesis import Verbosity, given, settings
 from hypothesis import strategies as st
 
+from unitary3.characteristic import regularity_report
+from unitary3.documents import MATRIX_KINDS, MalformedDocumentError, parse_matrix, parse_params
+from unitary3.linalg import Unitary3Error
 from unitary3.parametrization import UnitaryParams, compose_unitary, recover_params
 from unitary3.rotations import RotationAngles
+from unitary3.sampling import SeededGenerator, generate_haar_unitary
 
 from test_parametrization import THETA_MAX
 
@@ -30,6 +43,7 @@ PI = math.pi
 # The recovered alpha1 is read off V1[0, 0] and carries its rounding.
 ALPHA1_MAX = PI / 2 + 1e-15
 
+QUIET = settings(derandomize=True, database=None, deadline=None, verbosity=Verbosity.quiet)
 OFFSETS = (0.0, 5e-324, 1e-300) + tuple(10.0 ** -k for k in range(16, 3, -1))
 
 
@@ -66,8 +80,7 @@ CORNERS = st.tuples(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=500, deadline=None,
-          verbosity=Verbosity.quiet)
+@settings(QUIET, max_examples=500)
 @given(CORNERS)
 def test_recovery_at_corners(case):
     p, gamma = case
@@ -111,3 +124,94 @@ def test_recovery_boundary_literals():
         rep = recover_params(rows)
         assert rep.residual <= 1e-15, field
         assert_in_ranges(rep.params, field)
+
+
+# V diag(l) V† for a Haar V and a nonzero l, the exponent k of each entry
+# above the diagonal, which is multiplied by 2**-k (None zeroes it), and the
+# power of two the matrix is scaled by.
+COHERENCY = st.tuples(
+    st.integers(0, 2**64 - 1).map(lambda seed: generate_haar_unitary(SeededGenerator(seed))),
+    st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0, 1e-20)), st.floats(0.0, 1.0)),
+             min_size=3, max_size=3).filter(any),
+    st.lists(st.one_of(st.none(), st.integers(0, 1074)), min_size=3, max_size=3),
+    st.integers(-1074, 1023),
+)
+
+
+def coherency_rows(case):
+    """The Hermitian matrix of a COHERENCY draw, as rows of Python complex."""
+    v, spectrum, shrinks, e = case
+    r = ((v * spectrum) @ v.conj().T).tolist()
+
+    def scaled(z, k):
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+    rows = [[scaled(complex(r[i][i].real, 0.0), e) if i == j else 0j for j in range(3)]
+            for i in range(3)]
+    for (i, j), k in zip(((0, 1), (0, 2), (1, 2)), shrinks):
+        if k is not None:
+            rows[i][j] = scaled(r[i][j], e - k)
+            rows[j][i] = rows[i][j].conjugate()
+    return rows
+
+
+@settings(QUIET, max_examples=400)
+@given(COHERENCY)
+def test_regularity_over_scales(case):
+    rows = coherency_rows(case)
+    try:
+        e = regularity_report(rows).components.eigen
+    except Unitary3Error:
+        return
+    v = e.vectors
+    assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1e-14, case
+    # Normalized by the exact power of two that brings max|R| near 1, so that
+    # neither side of the comparison overflows.
+    r = np.array(rows)
+    k = -math.frexp(np.abs(r).max())[1]
+    rn = np.ldexp(r.real, k) + 1j * np.ldexp(r.imag, k)
+    reconstruction = (v * np.ldexp(e.values, k)) @ v.conj().T
+    assert np.abs(reconstruction - rn).max() <= 1e-12 * np.abs(rn).max(), case
+
+
+def assert_parsed_or_malformed(parse, text):
+    try:
+        parse(text)
+    except MalformedDocumentError:
+        pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=5,
+)
+ENTRY = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+                  st.lists(st.floats(), max_size=3))
+GRID = st.one_of(
+    st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(st.lists(ENTRY, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(st.lists(ENTRY, min_size=2, max_size=4), min_size=2, max_size=4),
+    JSON_VALUES,
+)
+# Matrix documents: the three fields of mixed types, the grids at times missing.
+MATRIX_DOCUMENTS = st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(MATRIX_KINDS), JSON_VALUES)}, optional={"re": GRID, "im": GRID}
+)
+
+
+@settings(QUIET, max_examples=150)
+@given(st.one_of(JSON_VALUES, MATRIX_DOCUMENTS))
+def test_parse_matrix_any_json(value):
+    assert_parsed_or_malformed(parse_matrix, json.dumps(value))
+
+
+# Text near the two document layouts, and text of any kind.
+TEXT = st.one_of(st.text(), st.text(alphabet='{}[]",:-+.eE0123456789 kindreimphtaunullsIfNy'))
+
+
+@settings(QUIET, max_examples=300)
+@given(TEXT)
+def test_parsers_any_text(text):
+    assert_parsed_or_malformed(parse_matrix, text)
+    assert_parsed_or_malformed(parse_params, text)

@@ -69,11 +69,19 @@ def test_eig_residual_and_orthonormality():
         assert np.linalg.norm(h @ e.vectors - e.vectors * e.values) < 1e-12
 
 
+def assert_eig_accurate(r):
+    """Orthonormal eigenvectors within 1e-14 and R reconstructed within
+    1e-12 max|R|."""
+    e = eig_hermitian3(r)
+    v = e.vectors
+    assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1e-14
+    assert np.abs((v * e.values) @ v.conj().T - r).max() <= 1e-12 * np.abs(r).max()
+
+
 def test_eig_tiny_scale():
-    # max|R| = 1.7e-307, with entries down to 3e-316: solved as it is, the
-    # rotations rounded in the subnormals (eigenvectors orthonormal only to
-    # 0.5, reconstruction off by 7e-10 max|R|); the prescale to the top of
-    # the exponent window keeps every entry normal
+    # max|R| = 1.7e-307, with entries down to 3e-316, solved as it is: a
+    # phase z/|z| of a subnormal entry, its modulus rounded on the subnormal
+    # grid, once left the eigenvectors orthonormal only to 0.5
     r = np.array([
         [1.7045086658225771e-307 + 0j, -1.5732715293299356e-308 + 1.9371175098775557e-308j,
          -3.51404918e-315 - 6.02863217e-315j],
@@ -81,10 +89,23 @@ def test_eig_tiny_scale():
          -3.60785223e-316 + 9.5580632e-316j],
         [-3.51404918e-315 + 6.02863217e-315j, -3.60785223e-316 - 9.5580632e-316j, 2.87e-322 + 0j],
     ])
-    e = eig_hermitian3(r)
-    v = e.vectors
-    assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1e-14
-    assert np.abs((v * e.values) @ v.conj().T - r).max() <= 1e-12 * np.abs(r).max()
+    assert_eig_accurate(r)
+
+
+def test_eig_subnormal_phases():
+    # diag(1, 1, 0) with subnormal r02 and r12, whose phases once made
+    # D = diag(u02, u12, 1) unitary only to 4.2e-5; and a matrix of normal
+    # entries in which the complex rotation's s (about 1e-270) times a12
+    # makes a02 about 1.5e-319 (eigenvectors once orthonormal only to 2.1e-5)
+    a, b = 3e-311 * (1 + 1j), 7e-320 * (1 + 1j)
+    assert_eig_accurate(np.array([[1, 0, a], [0, 1, b], [np.conj(a), np.conj(b), 0]]))
+    a = -3.831768310540981e-19 + 5.892163367435928e-20j
+    b = -1.492077117596889e-49 + 2.766922383380761e-50j
+    assert_eig_accurate(np.array([
+        [3.1306461552182043e+252, a, 0],
+        [np.conj(a), 3.430096475583232e+252, b],
+        [0, np.conj(b), 7.708167723281481e+251],
+    ]))
 
 
 def test_eig_matches_cubic_oracle():

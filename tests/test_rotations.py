@@ -22,10 +22,14 @@ def test_wrap_angle_ranges():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert wrap_angle(3.0 * np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-0.1) == pytest.approx(-0.1)
-    # the range is half-open: -pi, and x an ulp above pi, where % rounds
-    # the remainder up to 2 pi itself, give pi
+    # the range is half-open: -pi gives pi, and x an ulp above pi its exact
+    # remainder x - 2 pi
     assert wrap_angle(-math.pi) == math.pi
-    assert wrap_angle(math.nextafter(math.pi, 4)) == math.pi
+    assert wrap_angle(math.nextafter(math.pi, 4)) == -math.nextafter(math.pi, 0)
+    # the identity on (-pi, pi]: forming pi - x and subtracting it from pi
+    # once gave 0.2999999999999998 and -0.0
+    assert wrap_angle(0.3) == 0.3
+    assert wrap_angle(1e-17) == 1e-17
 
 
 def test_compose_matches_factor_product():
