@@ -4,33 +4,37 @@ Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, else the Unitary3Error class's (1 malformed input, 2 precondition
 violated or an output that cannot be written, 3 tolerance failure); any other
-exception is a bug and propagates.  A usage error (argparse) exits 2 with a
-usage message.  A reader that closes stdout early (as ``| head -1`` does)
-chose to stop, so that exits 0 with nothing on stderr.  ``recover``,
-``roundtrip`` and ``chardecomp`` run on Python scalars from document to
+exception is a bug and propagates.  The options of each subcommand are in
+the table COMMANDS, read by parse_args: a usage error exits 2 with the
+usage line and ``unitary3 <cmd>: error: <message>`` on stderr, and -h or
+--help prints the usage line and help to stdout and exits 0.  A reader
+that closes stdout early (as ``| head -1`` does) chose to stop, so that
+exits 0 with nothing on stderr.  ``recover``, ``roundtrip``,
+``chardecomp`` and ``compose`` run on Python scalars from document to
 output and never load numpy (the import rule in unitary3.linalg).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .characteristic import _regularity
 from .linalg import Unitary3Error
-from .parametrization import (RECOVERY_TOL, RecoveryToleranceError, _recover_rows, compose_core,
-                              compose_unitary)
+from .parametrization import RECOVERY_TOL, RecoveryToleranceError, _core_rows, _recover_rows, _rotate
 from .documents import (
     MalformedDocumentError,
     OutputWriteError,
     _parse_rows,
+    _serialize_rows,
     parse_params,
     serialize_matrix,
     serialize_params,
 )
+from .rotations import _rotation_rows
 from .sampling import ALGORITHM, SeededGenerator, generate_haar_unitary
 from .selftest import run_selftest
 
@@ -58,11 +62,10 @@ def _grid(rows) -> dict:
 
 def _cmd_compose(args) -> int:
     p = parse_params(_read_text(args.params))
-    if args.core_only:
-        m = compose_core(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
-    else:
-        m = compose_unitary(p)
-    _emit(serialize_matrix(m, kind="unitary"), args.out)
+    rows = _core_rows(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
+    if not args.core_only:
+        rows = _rotate(_rotation_rows(p.rotation), rows)
+    _emit(_serialize_rows(rows, "unitary"), args.out)
     return 0
 
 
@@ -131,9 +134,9 @@ def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise ValueError(f"invalid float value: {text!r}") from None
     if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise ValueError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -142,9 +145,9 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        raise ValueError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -153,57 +156,120 @@ def _seed(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {text!r}")
+        raise ValueError(f"must lie in [0, 2**64), got {text!r}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="unitary3",
-        description="Nine-parameter composition and recovery of 3x3 unitaries, "
-        "characteristic decomposition of coherency matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = ("Nine-parameter composition and recovery of 3x3 unitaries, characteristic\n"
+                "decomposition of coherency matrices.")
+_REQUIRED = object()
 
-    c = sub.add_parser("compose", help="params document to matrix document")
-    c.add_argument("--params", required=True)
-    c.add_argument("--core-only", action="store_true")
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_compose)
+# Each subcommand: its handler, its one-line help and its options.  An
+# option maps to (converter, default): a converter of None makes it a flag
+# (False unless given), a default of _REQUIRED one that must be given.
+COMMANDS = {
+    "compose": (_cmd_compose, "params document to matrix document",
+                {"--params": (str, _REQUIRED), "--core-only": (None, False), "--out": (str, None)}),
+    "recover": (_cmd_recover, "matrix document to params document",
+                {"--matrix": (str, _REQUIRED), "--tolerance": (_tolerance, RECOVERY_TOL),
+                 "--out": (str, None)}),
+    "roundtrip": (_cmd_roundtrip, "recover then recompose; print residual",
+                  {"--matrix": (str, _REQUIRED), "--tolerance": (_tolerance, RECOVERY_TOL)}),
+    "chardecomp": (_cmd_chardecomp, "characteristic decomposition report",
+                   {"--matrix": (str, _REQUIRED), "--out": (str, None)}),
+    "gen": (_cmd_gen, f"emit Haar-random unitaries ({ALGORITHM})",
+            {"--haar": (_count, _REQUIRED), "--seed": (_seed, 0), "--out-dir": (str, None)}),
+    "selftest": (_cmd_selftest, "run the invariant suite", {}),
+}
 
-    r = sub.add_parser("recover", help="matrix document to params document")
-    r.add_argument("--matrix", required=True)
-    r.add_argument("--tolerance", type=_tolerance, default=RECOVERY_TOL)
-    r.add_argument("--out")
-    r.set_defaults(func=_cmd_recover)
 
-    t = sub.add_parser("roundtrip", help="recover then recompose; print residual")
-    t.add_argument("--matrix", required=True)
-    t.add_argument("--tolerance", type=_tolerance, default=RECOVERY_TOL)
-    t.set_defaults(func=_cmd_roundtrip)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: unitary3 [-h] {" + ",".join(COMMANDS) + "} ...\n"
+    words = ["usage: unitary3", command, "[-h]"]
+    for name, (convert, default) in COMMANDS[command][2].items():
+        word = name if convert is None else f"{name} {name[2:].upper().replace('-', '_')}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words) + "\n"
 
-    d = sub.add_parser("chardecomp", help="characteristic decomposition report")
-    d.add_argument("--matrix", required=True)
-    d.add_argument("--out")
-    d.set_defaults(func=_cmd_chardecomp)
 
-    g = sub.add_parser("gen", help=f"emit Haar-random unitaries ({ALGORITHM})")
-    g.add_argument("--haar", type=_count, required=True)
-    g.add_argument("--seed", type=_seed, default=0)
-    g.add_argument("--out-dir")
-    g.set_defaults(func=_cmd_gen)
+def _help(command: str | None):
+    """Print the usage line and the help of the program or of ``command``; exit 0."""
+    if command is None:
+        lines = [_DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<12}{summary}" for name, (_, summary, _) in COMMANDS.items()]
+    else:
+        lines = [COMMANDS[command][1]]
+    sys.stdout.write(_usage(command) + "\n" + "\n".join(lines) + "\n")
+    raise SystemExit(0)
 
-    s = sub.add_parser("selftest", help="run the invariant suite")
-    s.set_defaults(func=_cmd_selftest)
-    return parser
+
+def _fail(command: str | None, message: str):
+    """A usage error: the usage line and ``message`` on stderr; exit 2."""
+    prog = "unitary3" if command is None else f"unitary3 {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(options: dict, flag: str) -> str | None:
+    """The option ``flag`` names: itself, or the one option it is a prefix of."""
+    if flag in options:
+        return flag
+    if not flag.startswith("--") or flag == "--":
+        return None
+    found = [name for name in options if name.startswith(flag)]
+    return found[0] if len(found) == 1 else None
+
+
+def parse_args(argv: list):
+    """The handler and the namespace of the command line ``argv`` (without
+    the program name).  An option takes ``--opt value`` or ``--opt=value``,
+    or a unique prefix of its name; a repeated one keeps its last value."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    run, _, options = COMMANDS[command]
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, eq, value = token.partition("=")
+        name = _option(options, flag)
+        if name is None:
+            _fail(command, f"unrecognized arguments: {token}")
+        convert = options[name][0]
+        if convert is None:
+            if eq:
+                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                _fail(command, f"argument {name}: expected one argument")
+        try:
+            values[name] = convert(value)
+        except ValueError as exc:
+            _fail(command, f"argument {name}: {exc}")
+    missing = [name for name, (_, default) in options.items() if default is _REQUIRED and name not in values]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    return run, SimpleNamespace(**{name[2:].replace("-", "_"): values.get(name, default)
+                                   for name, (_, default) in options.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    run, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = run(args)
         sys.stdout.flush()
         return code
     except Unitary3Error as exc:

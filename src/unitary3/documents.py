@@ -131,13 +131,17 @@ def _parse_entries(text: str) -> list:
 def serialize_matrix(m, kind: str = "general") -> str:
     """Serialize a 3x3 complex matrix; round-trips bit-exactly.  Raises
     NonFiniteError for a NaN or infinite entry, which JSON cannot hold."""
+    return _serialize_rows(as_matrix3(m).tolist(), kind)
+
+
+def _serialize_rows(rows, kind: str) -> str:
+    """serialize_matrix of a matrix given as three rows of three Python complex."""
     if kind not in MATRIX_KINDS:
         raise MalformedDocumentError(f"unknown matrix kind {kind!r}")
-    m = as_matrix3(m)
-    rows_re, rows_im = (
-        ["[" + ", ".join(map(_fmt, row)) + "]" for row in part.tolist()]
-        for part in (m.real, m.imag)
-    )
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for row in rows for z in row):
+        raise NonFiniteError("matrix has non-finite entries")
+    rows_re = ["[" + ", ".join([_fmt(z.real) for z in row]) + "]" for row in rows]
+    rows_im = ["[" + ", ".join([_fmt(z.imag) for z in row]) + "]" for row in rows]
     return (
         "{\n"
         f'  "kind": "{kind}",\n'

@@ -21,10 +21,11 @@ residual.
 Import rule: no module of the package imports numpy when it is imported.
 Each function that builds or reads an array imports numpy itself, so
 ``import unitary3`` does not load it and the first such call does.  The
-CLI's ``recover``, ``roundtrip`` and ``chardecomp`` stay on Python scalars
-from the document to the output (documents._parse_rows, then
-parametrization._recover_rows or characteristic._regularity) and never
-load numpy, on success and on every error exit; ``compose``, ``gen`` and
+CLI's ``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` stay on
+Python scalars from the document to the output (documents._parse_rows,
+then parametrization._recover_rows or characteristic._regularity; or
+parametrization._core_rows and _rotate, then documents._serialize_rows)
+and never load numpy, on success and on every error exit; ``gen`` and
 ``selftest`` do.  A public operation is its kernel on
 ``as_matrix3(m).tolist()``: the kernel returns the operation's record
 with lists of Python scalars in its array fields, and the operation

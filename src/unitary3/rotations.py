@@ -59,9 +59,13 @@ class RotationAngles(NamedTuple):
 def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
     varphi = varphi % (2.0 * math.pi)
     # Twice when % rounds a tiny negative varphi up to 2 pi itself, so that
-    # varphi = pi never comes out.
+    # varphi = pi never comes out; two folds cancel, so phi and theta move
+    # only for an odd count.
+    folds = 0
     while varphi >= math.pi:
         varphi -= math.pi
+        folds += 1
+    if folds % 2:
         theta = -theta
         phi = phi + math.pi
     return RotationAngles(wrap_angle(phi), float(theta), float(varphi))

@@ -592,8 +592,8 @@ def test_roundtrip_exit_codes(tmp_path):
 
 
 def run_usage_error(argv):
-    """run_cli for an argument list that argparse rejects: its exit code
-    (SystemExit), stdout and stderr."""
+    """run_cli for an argument list that the parser rejects, or one that asks
+    for help: its exit code (SystemExit), stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main(argv)
@@ -609,7 +609,7 @@ def test_bad_tolerance_is_usage_error(tmp_path, tolerance):
     mpath = tmp_path / "m.json"
     mpath.write_text(gen_out, encoding="utf-8")
     for command in ("recover", "roundtrip"):
-        # The = form: argparse would read "-inf" alone as an option string.
+        # The = form; test_space_form_value_reaches_the_validator has the other.
         code, out, err = run_usage_error([command, "--matrix", str(mpath), f"--tolerance={tolerance}"])
         assert (code, out) == (2, ""), command
         assert err.startswith("usage: ") and "argument --tolerance: " in err, err
@@ -650,10 +650,88 @@ def test_gen_seed_bounds(seed):
     assert out == serialize_matrix(generate_haar_unitary(SeededGenerator(seed)), kind="unitary")
 
 
+COMMAND_OPTIONS = {
+    "compose": ("--params PARAMS", "[--core-only]", "[--out OUT]"),
+    "recover": ("--matrix MATRIX", "[--tolerance TOLERANCE]", "[--out OUT]"),
+    "roundtrip": ("--matrix MATRIX", "[--tolerance TOLERANCE]"),
+    "chardecomp": ("--matrix MATRIX", "[--out OUT]"),
+    "gen": ("--haar HAAR", "[--seed SEED]", "[--out-dir OUT_DIR]"),
+    "selftest": (),
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help(flag):
+    code, out, err = run_usage_error([flag])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: unitary3 [-h] {compose,recover,roundtrip,chardecomp,gen,selftest} ...\n"), out
+    for command in COMMAND_OPTIONS:
+        assert f"\n  {command} " in out, command
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_command_help(command):
+    # Help wins over a missing required option, as it is read first.
+    code, out, err = run_usage_error([command, "--help"])
+    assert (code, err) == (0, "")
+    usage = " ".join(["usage: unitary3", command, "[-h]", *COMMAND_OPTIONS[command]])
+    assert out.startswith(usage + "\n\n"), out
+    assert run_usage_error([command, "-h"]) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    ([], "unitary3", "the following arguments are required: command"),
+    (["foo"], "unitary3", "argument command: invalid choice: 'foo' (choose from 'compose', "),
+    (["recover"], "unitary3 recover", "the following arguments are required: --matrix"),
+    (["gen", "--seed", "1"], "unitary3 gen", "the following arguments are required: --haar"),
+    (["recover", "--matrix", "m.json", "--bogus"], "unitary3 recover", "unrecognized arguments: --bogus"),
+    (["recover", "--matrix", "m.json", "extra"], "unitary3 recover", "unrecognized arguments: extra"),
+    (["selftest", "-x"], "unitary3 selftest", "unrecognized arguments: -x"),
+    (["compose", "--params", "p.json", "--core-only=x"], "unitary3 compose",
+     "argument --core-only: ignored explicit argument 'x'"),
+    (["recover", "--matrix"], "unitary3 recover", "argument --matrix: expected one argument"),
+    (["gen", "--haar", "1", "--seed"], "unitary3 gen", "argument --seed: expected one argument"),
+    (["recover", "--matrix", "--out", "o.json"], "unitary3 recover", "argument --matrix: expected one argument"),
+])
+def test_usage_error(argv, prog, message):
+    code, out, err = run_usage_error(argv)
+    assert (code, out) == (2, ""), argv
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: " + prog + " "), err
+    assert error.startswith(f"{prog}: error: {message}"), err
+
+
+def test_space_form_value_reaches_the_validator(tmp_path):
+    # "-inf" after --tolerance is its value, which the validator rejects.
+    mpath = tmp_path / "eye.json"
+    mpath.write_text(serialize_matrix(np.eye(3), kind="unitary"), encoding="utf-8")
+    code, out, err = run_usage_error(["roundtrip", "--matrix", str(mpath), "--tolerance", "-inf"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: unitary3 roundtrip "), err
+    assert err.endswith("unitary3 roundtrip: error: argument --tolerance: must be a finite number >= 0, "
+                        "got '-inf'\n"), err
+
+
+def test_option_prefix_and_repeat(tmp_path):
+    # A unique prefix names its option; a repeated option keeps its last value.
+    _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
+    mpath = tmp_path / "m.json"
+    mpath.write_text(gen_out, encoding="utf-8")
+    full = run_cli(["recover", "--matrix", str(mpath)])
+    assert full[0] == 0
+    assert run_cli(["recover", "--mat", str(mpath)]) == full
+    assert run_cli(["recover", f"--ma={mpath}", "--tol", "1e-10"]) == full
+    assert run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", "1e-30", "--tolerance", "1e-10"])[0] == 0
+    assert run_cli(["roundtrip", "--matrix", str(mpath), "--tolerance", "1e-10", "--tolerance=1e-30"])[0] == 3
+    assert run_cli(["gen", "--haar", "5", "--seed", "9", "--haar=1", "--se", "3"]) == (0, gen_out, "")
+
+
 def test_recovery_cli_never_loads_numpy(tmp_path):
-    # recover, roundtrip and chardecomp run on Python scalars from document
-    # to output, success and error exits alike; compose, run last in the
-    # same interpreter, shows that the probe sees numpy once it is loaded.
+    # recover, roundtrip, chardecomp and compose run on Python scalars from
+    # document to output, success and error exits alike, and parse their
+    # arguments without argparse (nor the gettext and locale it loads);
+    # gen, run last in the same interpreter, shows that the probe sees
+    # numpy once it is loaded.
     _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
     (tmp_path / "u.json").write_text(gen_out, encoding="utf-8")
     (tmp_path / "big.json").write_text(serialize_matrix(2.0 * np.eye(3)), encoding="utf-8")
@@ -666,6 +744,7 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
                                         encoding="utf-8")
     (tmp_path / "bad.json").write_text('{"kind": "hermitian", "re": [[1, 0, 0]]}', encoding="utf-8")
     write_params(tmp_path)
+    write_params(tmp_path, "mu.json", mu=2.0)
     probe = """if True:
         import sys
         before = set(sys.modules)
@@ -676,13 +755,17 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
                            (["recover", "--matrix", "big.json"], 2), (["roundtrip", "--matrix", "u.json",
                            "--tolerance", "1e-30"], 3), (["recover", "--matrix", "absent.json"], 1),
                            (["chardecomp", "--matrix", "r.json"], 0), (["chardecomp", "--matrix", "nh.json"], 2),
-                           (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1)):
+                           (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1),
+                           (["compose", "--params", "p.json"], 0), (["compose", "--params", "p.json",
+                           "--core-only"], 0), (["compose", "--params", "mu.json"], 2),
+                           (["compose", "--params", "absent.json"], 1)):
             assert main(argv) == code, argv
             assert "numpy" not in sys.modules, argv
+            assert not {"argparse", "gettext", "locale"} & (set(sys.modules) - before), argv
         # The records are NamedTuples: dataclasses, and the inspect it imports, stay unloaded.
         assert not {"dataclasses", "inspect"} & (set(sys.modules) - before), "dataclasses"
-        assert main(["compose", "--params", "p.json"]) == 0
-        assert "numpy" in sys.modules, "compose"
+        assert main(["gen", "--haar", "1"]) == 0
+        assert "numpy" in sys.modules, "gen"
         print("ok")
     """
     src = str(Path(unitary3.__file__).parents[1])
@@ -694,6 +777,7 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
     assert "error: precondition violated: matrix is not Hermitian" in proc.stderr
     assert "error: precondition violated: trace is beyond the largest float" in proc.stderr
     assert "error: malformed input: field 're' must be a 3x3 array" in proc.stderr
+    assert "error: precondition violated: mu must lie in [0, pi/2]" in proc.stderr
 
 
 def test_chardecomp(tmp_path):

@@ -148,3 +148,11 @@ def test_canonical_varphi_wrap():
         a = angles.canonical()
         assert 0.0 <= a.varphi < np.pi
         assert np.linalg.norm(compose_rotation(a) - compose_rotation(angles)) < 1e-14
+
+
+def test_canonical_double_fold_cancels():
+    # Two folds each negate theta and add pi to phi, so they cancel exactly:
+    # phi comes back as it went in, not 0.3 + 2 pi - 2 pi rounded.
+    assert RotationAngles(0.3, 1.0, -1e-17).canonical() == (0.3, 1.0, 0.0)
+    # One fold still moves phi by pi and negates theta.
+    assert RotationAngles(0.3, 1.0, 4.0).canonical() == (0.3 - math.pi, -1.0, 4.0 - math.pi)
