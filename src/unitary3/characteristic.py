@@ -178,15 +178,12 @@ def _decompose(rows) -> CharacteristicComponents:
 
 
 def _components(c: CharacteristicComponents) -> CharacteristicComponents:
-    """A _decompose result with its four array fields replaced by arrays."""
-    import numpy as np
-
-    return c._replace(
-        Rp_hat=np.array(c.Rp_hat, dtype=complex),
-        Rm_hat=np.array(c.Rm_hat, dtype=complex),
-        Ru_hat=np.array(c.Ru_hat, dtype=complex),
-        eigen=_eigen(c.eigen),
-    )
+    """A _decompose result as a record of arrays, made by _eigen: the
+    eigenvectors and the three hatted components are writeable views of
+    one complex buffer, ``values`` and ``normalized`` of one float one."""
+    eigen, arrays = _eigen(c.eigen, c.Rp_hat, c.Rm_hat, c.Ru_hat)
+    return CharacteristicComponents(c.traceR, arrays[1], arrays[2], arrays[3], c.purity,
+                                    c.coefficients, eigen)
 
 
 def middle_component(u) -> np.ndarray:
@@ -224,8 +221,8 @@ def regularity_report(r) -> RegularityReport:
     (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
     |chi_m| <= pi/4.
     """
-    rep = _regularity(as_matrix3(r).tolist())
-    return rep._replace(components=_components(rep.components))
+    m1, m2, m3, chi_m, regular, im_norm, c = _regularity(as_matrix3(r).tolist())
+    return RegularityReport(m1, m2, m3, chi_m, regular, im_norm, _components(c))
 
 
 def _regularity(rows) -> RegularityReport:

@@ -162,6 +162,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """An --out or --out-dir: a non-empty path.  An empty one would send
+    the output to stdout as if the option were not given."""
+    if not text:
+        raise ValueError("expected a non-empty path")
+    return text
+
+
 _DESCRIPTION = ("Nine-parameter composition and recovery of 3x3 unitaries, characteristic\n"
                 "decomposition of coherency matrices.")
 _REQUIRED = object()
@@ -171,16 +179,16 @@ _REQUIRED = object()
 # (False unless given), a default of _REQUIRED one that must be given.
 COMMANDS = {
     "compose": (_cmd_compose, "params document to matrix document",
-                {"--params": (str, _REQUIRED), "--core-only": (None, False), "--out": (str, None)}),
+                {"--params": (str, _REQUIRED), "--core-only": (None, False), "--out": (_path, None)}),
     "recover": (_cmd_recover, "matrix document to params document",
                 {"--matrix": (str, _REQUIRED), "--tolerance": (_tolerance, RECOVERY_TOL),
-                 "--out": (str, None)}),
+                 "--out": (_path, None)}),
     "roundtrip": (_cmd_roundtrip, "recover then recompose; print residual",
                   {"--matrix": (str, _REQUIRED), "--tolerance": (_tolerance, RECOVERY_TOL)}),
     "chardecomp": (_cmd_chardecomp, "characteristic decomposition report",
-                   {"--matrix": (str, _REQUIRED), "--out": (str, None)}),
+                   {"--matrix": (str, _REQUIRED), "--out": (_path, None)}),
     "gen": (_cmd_gen, f"emit Haar-random unitaries ({ALGORITHM})",
-            {"--haar": (_count, _REQUIRED), "--seed": (_seed, 0), "--out-dir": (str, None)}),
+            {"--haar": (_count, _REQUIRED), "--seed": (_seed, 0), "--out-dir": (_path, None)}),
     "selftest": (_cmd_selftest, "run the invariant suite", {}),
 }
 

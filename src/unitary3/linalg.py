@@ -28,8 +28,10 @@ parametrization._core_rows and _rotate, then documents._serialize_rows)
 and never load numpy, on success and on every error exit; ``gen`` and
 ``selftest`` do.  A public operation is its kernel on
 ``as_matrix3(m).tolist()``: the kernel returns the operation's record
-with lists of Python scalars in its array fields, and the operation
-``_replace``s each of those with its ``np.array``.
+with lists of Python scalars in its array fields.  The coherency
+operations build their records of arrays with _eigen, one np.array call
+over all the record's complex entries and one over its floats, so each
+array field is a writeable view of one buffer per dtype.
 
 Arithmetic rule: recovery, composition (compose_core, compose_rotation,
 compose_unitary), the unitarity gate (_check_unitary,
@@ -212,20 +214,26 @@ def eig_hermitian3(r) -> EigenDecomposition:
     (exit 3) if the last of them still rotates; no input is known to come
     near that cap.
     """
-    return _eigen(_eig(as_matrix3(r).tolist()))
+    return _eigen(_eig(as_matrix3(r).tolist()))[0]
 
 
-def _eigen(e: EigenDecomposition) -> EigenDecomposition:
-    """An _eig result with its three list fields replaced by arrays."""
+def _eigen(e: EigenDecomposition, *grids) -> tuple:
+    """The _eig result ``e`` as an EigenDecomposition of arrays, and the
+    complex array of shape (1 + len(grids), 3, 3) whose entry 0 is its
+    ``vectors`` and entry ``i`` the ``i``-th of ``grids`` (rows of three
+    Python complex).  One np.array call makes that array and one more the
+    float buffer of ``values`` and ``normalized``, so each array field of
+    a record is a writeable view of one buffer per dtype and shares no
+    element with another field."""
     import numpy as np
 
     x, y, z = e.vectors
-    return e._replace(
-        values=np.array(e.values),
-        normalized=np.array(e.normalized),
-        vectors=np.array([x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2]],
-                         dtype=complex).reshape(3, 3),
-    )
+    entries = [x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2]]
+    for row0, row1, row2 in grids:
+        entries += (*row0, *row1, *row2)
+    arrays = np.array(entries, dtype=complex).reshape(-1, 3, 3)
+    reals = np.array(e.values + e.normalized, dtype=float)
+    return EigenDecomposition(reals[:3], reals[3:], arrays[0], e.trace), arrays
 
 
 def _eig(rows) -> EigenDecomposition:
@@ -265,11 +273,19 @@ def _eig(rows) -> EigenDecomposition:
         complex(0.5 * (r02.real + r20.real), 0.5 * (r02.imag - r20.imag)),
         complex(0.5 * (r12.real + r21.real), 0.5 * (r12.imag - r21.imag)),
     )
-    order = sorted(range(3), key=diagonal.__getitem__, reverse=True)
-    try:
-        values = [math.ldexp(diagonal[i], k) for i in order]
-    except OverflowError:
-        raise FloatRangeError("an eigenvalue is beyond the largest float") from None
+    # Nonincreasing, equal values in index order (a stable sort).
+    d0, d1, d2 = diagonal
+    if d0 >= d1:
+        order = (0, 1, 2) if d1 >= d2 else (0, 2, 1) if d0 >= d2 else (2, 0, 1)
+    else:
+        order = (1, 0, 2) if d0 >= d2 else (1, 2, 0) if d1 >= d2 else (2, 1, 0)
+    if k:
+        try:
+            values = [math.ldexp(diagonal[i], k) for i in order]
+        except OverflowError:
+            raise FloatRangeError("an eigenvalue is beyond the largest float") from None
+    else:
+        values = [diagonal[i] for i in order]
     if abs(trace) > _TINY:
         normalized = [x / trace for x in values]
     else:

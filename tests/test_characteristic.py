@@ -6,13 +6,15 @@ from unitary3.characteristic import (
     REGULARITY_GATE,
     NotPositiveSemidefiniteError,
     ZeroTraceError,
+    _decompose,
+    _regularity,
     characteristic_decomposition,
     intrinsic_middle,
     middle_component,
     purity_indices,
     regularity_report,
 )
-from unitary3.linalg import FloatRangeError, eig_hermitian3
+from unitary3.linalg import FloatRangeError, _eig, as_matrix3, eig_hermitian3
 from unitary3.parametrization import NotUnitaryError, compose_core, compose_unitary
 from unitary3.rotations import RotationAngles, compose_rotation
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
@@ -249,3 +251,68 @@ def test_regularity_spectrum_sums():
         assert rep.m1_hat + rep.m2_hat + rep.m3_hat == pytest.approx(1.0, abs=1e-12)
         assert rep.m1_hat == pytest.approx(0.5, abs=1e-12)
         assert abs(rep.chi_m) <= np.pi / 4 + 1e-12
+
+
+_FLOAT_FIELDS = ("values", "normalized")
+_COMPLEX_FIELDS = ("vectors", "Rp_hat", "Rm_hat", "Ru_hat")
+
+
+def _array_fields(rec):
+    """(name, array) of every array field of a coherency record, the
+    records it holds included."""
+    for name, value in zip(rec._fields, rec):
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif hasattr(value, "_fields"):
+            yield from _array_fields(value)
+
+
+def _assert_public_is_kernel(public, kernel):
+    """Every field of the public record holds its kernel's value bit for
+    bit, signed zeros included, with the dtype and shape of its kind."""
+    assert type(public) is type(kernel)
+    for name, p, k in zip(public._fields, public, kernel):
+        if hasattr(p, "_fields"):
+            _assert_public_is_kernel(p, k)
+        elif isinstance(p, np.ndarray):
+            if name in _FLOAT_FIELDS:
+                assert (p.dtype, p.shape) == (np.float64, (3,)), name
+                want = list(k)
+            else:
+                assert name in _COMPLEX_FIELDS and (p.dtype, p.shape) == (np.complex128, (3, 3)), name
+                # The kernel lists the eigenvectors as columns, the grids as rows.
+                want = [list(row) for row in (zip(*k) if name == "vectors" else k)]
+            assert repr(p.tolist()) == repr(want), name
+        else:
+            assert repr(p) == repr(k), name
+
+
+def _coherency_inputs():
+    g = SeededGenerator(41)
+    for rank in (1, 2, 3):
+        a = g.complex_gauss_matrix()
+        a[:, rank:] = 0.0
+        r = a @ a.conj().T
+        r /= np.trace(r).real
+        for k in (-1000, -300, 0, 300, 1023):
+            yield r * 2.0**k
+
+
+def test_public_records_are_their_kernels():
+    # Each public coherency operation is its kernel's record with arrays in
+    # its list fields: the same bits, one dtype per kind, and writeable
+    # arrays that share no element (they are views of one buffer per dtype).
+    for r in _coherency_inputs():
+        rows = as_matrix3(r).tolist()
+        for public, kernel, arrays in ((eig_hermitian3(r), _eig(rows), 3),
+                                       (characteristic_decomposition(r), _decompose(rows), 6),
+                                       (regularity_report(r), _regularity(rows), 6)):
+            _assert_public_is_kernel(public, kernel)
+            fields = dict(_array_fields(public))
+            assert len(fields) == arrays
+            for name, target in fields.items():
+                before = {other: a.copy() for other, a in fields.items() if other != name}
+                assert target.flags.writeable, name
+                target[...] = 7.0
+                for other, a in before.items():
+                    assert repr(fields[other].tolist()) == repr(a.tolist()), (name, other)

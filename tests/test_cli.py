@@ -701,6 +701,24 @@ def test_usage_error(argv, prog, message):
     assert error.startswith(f"{prog}: error: {message}"), err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["recover", "--matrix", "m.json", "--out="], "argument --out: expected a non-empty path"),
+    (["chardecomp", "--matrix", "m.json", "--out", ""], "argument --out: expected a non-empty path"),
+    (["compose", "--params", "p.json", "--out="], "argument --out: expected a non-empty path"),
+    (["gen", "--haar", "1", "--out-dir="], "argument --out-dir: expected a non-empty path"),
+    # roundtrip writes to stdout only: it has no --out to leave empty.
+    (["roundtrip", "--matrix", "m.json", "--out="], "unrecognized arguments: --out="),
+])
+def test_empty_output_path_is_usage_error(argv, message):
+    # An empty --out or --out-dir used to write the document to stdout and
+    # exit 0; it is rejected before any input is read.
+    code, out, err = run_usage_error(argv)
+    assert (code, out) == (2, ""), argv
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: unitary3 {argv[0]} "), err
+    assert error == f"unitary3 {argv[0]}: error: {message}", err
+
+
 def test_space_form_value_reaches_the_validator(tmp_path):
     # "-inf" after --tolerance is its value, which the validator rejects.
     mpath = tmp_path / "eye.json"

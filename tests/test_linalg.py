@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,25 @@ def test_eig_diagonal():
     e = eig_hermitian3(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(e.values, [3.0, 2.0, 1.0])
     assert np.allclose(np.abs(e.vectors), np.eye(3)[:, [0, 2, 1]])
+
+
+# The 13 weak orderings of three values: each diagonal of levels 0 to m - 1
+# that uses every level below its largest.
+WEAK_ORDERINGS = [d for d in itertools.product(range(3), repeat=3) if set(d) == set(range(max(d) + 1))]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**1021], ids=["unscaled", "prescaled"])
+@pytest.mark.parametrize("levels", WEAK_ORDERINGS, ids=lambda d: "".join(map(str, d)))
+def test_eig_tie_order(levels, scale):
+    # Eigenvalues come out nonincreasing, equal ones in index order, with
+    # the unit columns in that order: on a diagonal input the solver
+    # rotates nothing, so the order is all that decides the result.  The
+    # second scale puts max|R| at 2**1022, which takes the prescale.
+    d = [(-1.5, 0.0, 2.0)[level] * scale for level in levels]
+    order = sorted(range(3), key=d.__getitem__, reverse=True)
+    e = eig_hermitian3(np.diag(d))
+    assert e.values.tolist() == [d[i] for i in order]
+    assert np.array_equal(e.vectors, np.eye(3)[:, order])
 
 
 def test_eig_rejects_non_hermitian():
