@@ -1,6 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: option parsing, file I/O and dispatch only.
 
-Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.
+Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.  A
+handler reads its input document, runs one library kernel and passes what
+the kernel returns to a writer of unitary3.documents, which owns every
+document format; the composition order is parametrization's.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, else the Unitary3Error class's (1 malformed input, 2 precondition
 violated or an output that cannot be written, 3 tolerance failure); any other
@@ -15,7 +18,6 @@ output and never load numpy (the import rule in unitary3.linalg).
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -24,17 +26,18 @@ from types import SimpleNamespace
 
 from .characteristic import _regularity
 from .linalg import Unitary3Error
-from .parametrization import RECOVERY_TOL, RecoveryToleranceError, _core_rows, _recover_rows, _rotate
+from .parametrization import RECOVERY_TOL, RecoveryToleranceError, _recover_rows, _unitary_rows
 from .documents import (
     MalformedDocumentError,
     OutputWriteError,
+    _chardecomp_text,
+    _matrix_text,
     _parse_rows,
-    _serialize_rows,
+    _recovery_text,
+    _roundtrip_text,
     parse_params,
     serialize_matrix,
-    serialize_params,
 )
-from .rotations import _rotation_rows
 from .sampling import ALGORITHM, SeededGenerator, generate_haar_unitary
 from .selftest import run_selftest
 
@@ -56,69 +59,40 @@ def _emit(text: str, out: str | Path | None):
         sys.stdout.write(text)
 
 
-def _grid(rows) -> dict:
-    return {"re": [[z.real for z in row] for row in rows], "im": [[z.imag for z in row] for row in rows]}
-
-
 def _cmd_compose(args) -> int:
     p = parse_params(_read_text(args.params))
-    rows = _core_rows(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
-    if not args.core_only:
-        rows = _rotate(_rotation_rows(p.rotation), rows)
-    _emit(_serialize_rows(rows, "unitary"), args.out)
+    _emit(_matrix_text(_unitary_rows(p, args.core_only), "unitary"), args.out)
     return 0
 
 
 def _cmd_recover(args) -> int:
     report = _recover_rows(_parse_rows(_read_text(args.matrix)), args.tolerance)
-    doc = json.loads(serialize_params(report.params))
-    doc["residual"] = report.residual
-    doc["branch"] = report.branch
-    doc["global_phase_alpha1_degenerate"] = report.global_phase_alpha1_degenerate
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_recovery_text(report), args.out)
     return 0
 
 
 def _cmd_roundtrip(args) -> int:
     report = _recover_rows(_parse_rows(_read_text(args.matrix)), args.tolerance)
-    sys.stdout.write(json.dumps({"residual": report.residual, "branch": report.branch}) + "\n")
+    sys.stdout.write(_roundtrip_text(report))
     return 0
 
 
 def _cmd_chardecomp(args) -> int:
-    rep = _regularity(_parse_rows(_read_text(args.matrix)))
-    c = rep.components
-    doc = {
-        "trace": c.traceR,
-        "eigenvalues": c.eigen.values,
-        "P1": c.purity.P1,
-        "P2": c.purity.P2,
-        "coefficients": list(c.coefficients),
-        "Rp_hat": _grid(c.Rp_hat),
-        "Rm_hat": _grid(c.Rm_hat),
-        "Ru_hat": _grid(c.Ru_hat),
-        "regularity": {
-            "m_hat": [rep.m1_hat, rep.m2_hat, rep.m3_hat],
-            "chi_m": rep.chi_m,
-            "regular": rep.regular,
-            "im_norm": rep.im_norm,
-        },
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_chardecomp_text(_regularity(_parse_rows(_read_text(args.matrix)))), args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
     g = SeededGenerator(args.seed)
+    if args.out_dir and args.haar:
+        try:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputWriteError(str(exc)) from exc
     for i in range(args.haar):
         text = serialize_matrix(generate_haar_unitary(g), kind="unitary")
         if args.out_dir:
-            path = Path(args.out_dir)
-            try:
-                path.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise OutputWriteError(str(exc)) from exc
-            _emit(text, path / f"haar_{args.seed}_{i:04d}.json")
+            _emit(text, Path(args.out_dir, f"haar_{args.seed}_{i:04d}.json"))
         else:
             sys.stdout.write(text)
     return 0

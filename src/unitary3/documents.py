@@ -1,32 +1,47 @@
-"""JSON document formats for matrices and parameter tuples.
+"""JSON documents: every format the library and the CLI read or write.
 
-MatrixDocument: {"kind": "unitary"|"hermitian"|"general", "re": [[...]x3],
-"im": [[...]x3]} with row-major 3x3 float arrays.  ParamsDocument: the nine
-named angle fields in radians; core-only documents omit phi/theta/varphi.
-Floats are emitted with 17 significant digits so serialize -> parse is
-bit-exact and a second serialize reproduces identical text.
+MatrixDocument (parse_matrix, serialize_matrix; the CLI's ``compose`` and
+``gen`` write it): {"kind": "unitary"|"hermitian"|"general",
+"re": [[...]x3], "im": [[...]x3]} with row-major 3x3 float arrays.
+ParamsDocument (parse_params, serialize_params): the nine PARAM_FIELDS in
+radians; core-only documents omit phi/theta/varphi.  Both write each float
+with %.17g, 17 significant digits, so serialize -> parse is bit-exact and
+a second serialize reproduces identical text.
+
+The CLI's reports, each written with json.dumps by one private writer
+that takes the record a kernel returns (fields of Python scalars):
+
+- recover (_recovery_text): the ParamsDocument as json.loads reads it, so
+  an integral field such as 0 prints as a JSON integer, then residual,
+  branch and global_phase_alpha1_degenerate, indented by 2.
+  parse_params reads it, so ``compose`` takes what ``recover`` writes.
+- roundtrip (_roundtrip_text): residual and branch on one line.
+- chardecomp (_chardecomp_text): trace, eigenvalues, P1, P2,
+  coefficients, the re/im grids of Rp_hat, Rm_hat and Ru_hat, and the
+  regularity object, indented by 2.
 """
 from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .linalg import NonFiniteError, Unitary3Error, as_matrix3
-from .parametrization import UnitaryParams
+from .linalg import NonFiniteError, Unitary3Error, _check_finite, as_matrix3
+from .parametrization import PARAM_FIELDS, UnitaryParams, _values
 from .rotations import RotationAngles
 
 if TYPE_CHECKING:
     import numpy as np
 
 MATRIX_KINDS = ("unitary", "hermitian", "general")
-PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")
 CORE_FIELDS = PARAM_FIELDS[3:]
-# A ParamsDocument with one %.17g per field (the format of _fmt), filled in
-# field order from a parameter dict.
+# The keys a recover document adds after the nine fields, each with the
+# type of its value; parse_params accepts them and drops them.
+_REPORT_FIELDS = {"residual": float, "branch": str, "global_phase_alpha1_degenerate": bool}
+# A ParamsDocument and a MatrixDocument with one %.17g per float.
 _PARAMS_TEMPLATE = "{\n" + ",\n".join(f'  "{k}": %.17g' for k in PARAM_FIELDS) + "\n}\n"
-_param_values = itemgetter(*PARAM_FIELDS)
+_GRID = "[" + ",\n         ".join(["[%.17g, %.17g, %.17g]"] * 3) + "]"
+_MATRIX_TEMPLATE = '{\n  "kind": "%s",\n  "re": ' + _GRID + ',\n  "im": ' + _GRID + "\n}\n"
 
 
 class MalformedDocumentError(Unitary3Error, ValueError):
@@ -41,10 +56,6 @@ class OutputWriteError(Unitary3Error, ValueError):
     path that is a file, no permission)."""
 
     kind = "cannot write output"
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _load_json(text: str) -> dict:
@@ -131,52 +142,82 @@ def _parse_entries(text: str) -> list:
 def serialize_matrix(m, kind: str = "general") -> str:
     """Serialize a 3x3 complex matrix; round-trips bit-exactly.  Raises
     NonFiniteError for a NaN or infinite entry, which JSON cannot hold."""
-    return _serialize_rows(as_matrix3(m).tolist(), kind)
+    return _matrix_text(as_matrix3(m).tolist(), kind)
 
 
-def _serialize_rows(rows, kind: str) -> str:
+def _matrix_text(rows, kind: str) -> str:
     """serialize_matrix of a matrix given as three rows of three Python complex."""
     if kind not in MATRIX_KINDS:
         raise MalformedDocumentError(f"unknown matrix kind {kind!r}")
-    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for row in rows for z in row):
+    re = [z.real for row in rows for z in row]
+    im = [z.imag for row in rows for z in row]
+    if not all(map(math.isfinite, re + im)):
         raise NonFiniteError("matrix has non-finite entries")
-    rows_re = ["[" + ", ".join([_fmt(z.real) for z in row]) + "]" for row in rows]
-    rows_im = ["[" + ", ".join([_fmt(z.imag) for z in row]) + "]" for row in rows]
-    return (
-        "{\n"
-        f'  "kind": "{kind}",\n'
-        '  "re": [' + ",\n         ".join(rows_re) + "],\n"
-        '  "im": [' + ",\n         ".join(rows_im) + "]\n"
-        "}\n"
-    )
+    return _MATRIX_TEMPLATE % (kind, *re, *im)
 
 
 def parse_params(text: str) -> UnitaryParams:
-    """Parse a ParamsDocument; missing rotation fields default to zero."""
+    """Parse a ParamsDocument; missing rotation fields default to zero.  The
+    report fields of a recover document (a finite number, a string, a bool)
+    are checked and dropped."""
     doc = _load_json(text)
-    values = {}
+    values = []
     for field in PARAM_FIELDS:
         if field in CORE_FIELDS and field not in doc:
             raise MalformedDocumentError(f"missing field '{field}'")
-        values[field] = _finite(doc.get(field, 0.0), field)
-    unknown = set(doc) - set(PARAM_FIELDS)
+        values.append(_finite(doc.get(field, 0.0), field))
+    unknown = doc.keys() - PARAM_FIELDS - _REPORT_FIELDS.keys()
     if unknown:
         raise MalformedDocumentError(f"unknown fields: {sorted(unknown)}")
-    return UnitaryParams(
-        rotation=RotationAngles(values["phi"], values["theta"], values["varphi"]),
-        chi=values["chi"],
-        mu=values["mu"],
-        alpha1=values["alpha1"],
-        alpha2=values["alpha2"],
-        alpha3=values["alpha3"],
-        beta2=values["beta2"],
-    )
+    for field, kind in _REPORT_FIELDS.items():
+        if field in doc and kind is float:
+            _finite(doc[field], field)
+        elif field in doc and type(doc[field]) is not kind:
+            raise MalformedDocumentError(f"field '{field}' must be of type {kind.__name__}")
+    return UnitaryParams(RotationAngles(*values[:3]), *values[3:])
 
 
 def serialize_params(p: UnitaryParams) -> str:
     """Serialize a parameter tuple; round-trips bit-exactly.  Raises
     NonFiniteError for a NaN or infinite field, which JSON cannot hold."""
-    values = _param_values(p.as_dict())
-    if not all(map(math.isfinite, values)):
-        raise NonFiniteError("parameter tuple has non-finite fields")
+    values = _values(p)
+    _check_finite(values)
     return _PARAMS_TEMPLATE % values
+
+
+def _grid(rows) -> dict:
+    return {"re": [[z.real for z in row] for row in rows], "im": [[z.imag for z in row] for row in rows]}
+
+
+def _recovery_text(report) -> str:
+    """The recover document of a RecoveryReport."""
+    doc = json.loads(serialize_params(report.params))
+    doc.update({field: getattr(report, field) for field in _REPORT_FIELDS})
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _roundtrip_text(report) -> str:
+    """The roundtrip line of a RecoveryReport."""
+    return json.dumps({"residual": report.residual, "branch": report.branch}) + "\n"
+
+
+def _chardecomp_text(rep) -> str:
+    """The chardecomp document of a regularity record of Python scalars
+    (characteristic._regularity)."""
+    c = rep.components
+    return json.dumps({
+        "trace": c.traceR,
+        "eigenvalues": c.eigen.values,
+        "P1": c.purity.P1,
+        "P2": c.purity.P2,
+        "coefficients": list(c.coefficients),
+        "Rp_hat": _grid(c.Rp_hat),
+        "Rm_hat": _grid(c.Rm_hat),
+        "Ru_hat": _grid(c.Ru_hat),
+        "regularity": {
+            "m_hat": [rep.m1_hat, rep.m2_hat, rep.m3_hat],
+            "chi_m": rep.chi_m,
+            "regular": rep.regular,
+            "im_norm": rep.im_norm,
+        },
+    }, indent=2) + "\n"

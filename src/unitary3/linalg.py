@@ -23,15 +23,16 @@ Each function that builds or reads an array imports numpy itself, so
 ``import unitary3`` does not load it and the first such call does.  The
 CLI's ``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` stay on
 Python scalars from the document to the output (documents._parse_rows,
-then parametrization._recover_rows or characteristic._regularity; or
-parametrization._core_rows and _rotate, then documents._serialize_rows)
-and never load numpy, on success and on every error exit; ``gen`` and
-``selftest`` do.  A public operation is its kernel on
-``as_matrix3(m).tolist()``: the kernel returns the operation's record
-with lists of Python scalars in its array fields.  The coherency
-operations build their records of arrays with _eigen, one np.array call
-over all the record's complex entries and one over its floats, so each
-array field is a writeable view of one buffer per dtype.
+then parametrization._recover_rows or characteristic._regularity and that
+command's writer in documents; or documents.parse_params, then
+parametrization._unitary_rows and documents._matrix_text) and never load
+numpy, on success and on every error exit; ``gen`` and ``selftest`` do.
+A public operation is its kernel on ``as_matrix3(m).tolist()``: the
+kernel returns the operation's record with lists of Python scalars in its
+array fields.  The coherency operations build their records of arrays
+with _eigen, one np.array call over all the record's complex entries and
+one over its floats, so each array field is a writeable view of one
+buffer per dtype.
 
 Arithmetic rule: recovery, composition (compose_core, compose_rotation,
 compose_unitary), the unitarity gate (_check_unitary,
@@ -119,6 +120,12 @@ def as_matrix3(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has non-finite entries")
     return m
+
+
+def _check_finite(values):
+    """Raise NonFiniteError unless every parameter in ``values`` is finite."""
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteError("parameter tuple has non-finite fields")
 
 
 def _fsum_norm(parts) -> float:

@@ -43,8 +43,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
-from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary,
-                     _fsum_norm, as_matrix3)
+from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite,
+                     _check_unitary, _fsum_norm, as_matrix3)
 from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
 
 if TYPE_CHECKING:
@@ -52,10 +52,15 @@ if TYPE_CHECKING:
 
 RECOVERY_TOL = 1e-10
 _QUARTER_PI = math.pi / 4
+# The nine parameter names in their one order: the rotation triple, then
+# the core.  UnitaryParams.as_dict and every ParamsDocument use it.
+PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")
 
 
 class ParameterRangeError(Unitary3Error, ValueError):
-    """A parameter lies outside its chart range (mu outside [0, pi/2])."""
+    """A parameter lies outside its chart range (mu outside [0, pi/2]), or
+    the phases are too large to compose (beta2 - alpha2 + alpha3 beyond the
+    largest float)."""
 
 
 class RecoveryToleranceError(Unitary3Error, RuntimeError):
@@ -77,17 +82,12 @@ class UnitaryParams(NamedTuple):
     beta2: float
 
     def as_dict(self) -> dict:
-        return {
-            "phi": self.rotation.phi,
-            "theta": self.rotation.theta,
-            "varphi": self.rotation.varphi,
-            "chi": self.chi,
-            "mu": self.mu,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "alpha3": self.alpha3,
-            "beta2": self.beta2,
-        }
+        return dict(zip(PARAM_FIELDS, _values(self)))
+
+
+def _values(p: UnitaryParams) -> tuple:
+    """The nine fields of ``p`` in PARAM_FIELDS order."""
+    return (*p.rotation, *p[1:])
 
 
 class RecoveryReport(NamedTuple):
@@ -120,9 +120,12 @@ def compose_core(
     beta2: float,
 ) -> np.ndarray:
     """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises
-    ParameterRangeError for mu outside [0, pi/2]."""
+    NonFiniteError for a NaN or infinite parameter and ParameterRangeError
+    for mu outside [0, pi/2] or beta2 - alpha2 + alpha3 beyond the largest
+    float."""
     import numpy as np
 
+    _check_finite((chi, mu, alpha1, alpha2, alpha3, beta2))
     return np.array(_core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
 
 
@@ -131,13 +134,16 @@ def _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2) -> list:
 
     Its columns are e^{i a1} n1, W11 n2 + W21 n3 and W12 n2 + W22 n3; each
     entry is one factor of W (or e^{i a1}) times cos chi, i sin chi, 1 or
-    exactly 0, so it is written as two float products.
+    exactly 0, so it is written as two float products.  The parameters
+    must be finite; then only delta can leave the float range.
     """
     if not -FOLD_GATE <= mu <= math.pi / 2 + FOLD_GATE:
         raise ParameterRangeError("mu must lie in [0, pi/2]")
+    delta = beta2 - alpha2 + alpha3
+    if not math.isfinite(delta):
+        raise ParameterRangeError("beta2 - alpha2 + alpha3 is beyond the largest float")
     c, s = math.cos(chi), math.sin(chi)
     cm, sm = math.cos(mu), math.sin(mu)
-    delta = beta2 - alpha2 + alpha3
     x1, y1 = math.cos(alpha1), math.sin(alpha1)
     x2, y2 = cm * math.cos(alpha2), cm * math.sin(alpha2)
     x3, y3 = sm * math.cos(alpha3), sm * math.sin(alpha3)
@@ -165,12 +171,20 @@ def _rotate(q, v) -> list:
     ]
 
 
+def _unitary_rows(p: UnitaryParams, core_only: bool = False) -> list:
+    """Rows of U = Q V1 as Python complex, or of V1 alone with core_only:
+    the one composition order, for compose_unitary and the CLI's compose."""
+    v1 = _core_rows(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
+    return v1 if core_only else _rotate(_rotation_rows(p.rotation), v1)
+
+
 def compose_unitary(p: UnitaryParams) -> np.ndarray:
-    """Unitary matrix with columns Q n1, Q v2, Q v3."""
+    """Unitary matrix with columns Q n1, Q v2, Q v3; raises NonFiniteError
+    for a NaN or infinite field, else as compose_core."""
     import numpy as np
 
-    q = _rotation_rows(p.rotation)
-    return np.array(_rotate(q, _core_rows(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)))
+    _check_finite(_values(p))
+    return np.array(_unitary_rows(p))
 
 
 def _normalize_global_phase(u1) -> tuple[tuple, bool]:
@@ -377,7 +391,9 @@ def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
     )
 
 
-_PHASE_FIELDS = ("phi", "varphi", "alpha1", "alpha2", "alpha3", "beta2")
+# Per field of PARAM_FIELDS: True for the six phases, compared on the
+# circle, False for theta, chi and mu.
+_ON_CIRCLE = (True, False, True, False, False, True, True, True, True)
 
 
 def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
@@ -390,8 +406,8 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
     """
 
     def gaps(x: UnitaryParams) -> list:
-        dx, dy = x.as_dict(), q.as_dict()
-        return [abs(wrap_angle(dx[k] - dy[k]) if k in _PHASE_FIELDS else dx[k] - dy[k]) for k in dx]
+        return [abs(wrap_angle(a - b) if circle else a - b)
+                for a, b, circle in zip(_values(x), _values(q), _ON_CIRCLE)]
 
     near, flipped = gaps(p), gaps(flip_equivalent(p))
     if any(map(math.isnan, near + flipped)):

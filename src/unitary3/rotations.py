@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .linalg import FOLD_GATE, NotUnitaryError, Unitary3Error, _check_unitary, as_matrix3
+from .linalg import FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _check_unitary, as_matrix3
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,9 +72,11 @@ def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
 
 
 def compose_rotation(angles: RotationAngles) -> np.ndarray:
-    """Composed rotation Q from the closed-form entries above."""
+    """Composed rotation Q from the closed-form entries above; raises
+    NonFiniteError for a NaN or infinite angle."""
     import numpy as np
 
+    _check_finite(angles)
     return np.array(_rotation_rows(angles))
 
 

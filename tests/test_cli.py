@@ -565,14 +565,10 @@ def test_recover_pipeline(tmp_path):
     assert code == 0
     mpath = tmp_path / "m.json"
     mpath.write_text(gen_out, encoding="utf-8")
-    code, out, _ = run_cli(["recover", "--matrix", str(mpath)])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["residual"] <= 1e-10
-    # compose the recovered params and compare against the input
     ppath = tmp_path / "rec.json"
-    ppath.write_text(json.dumps({k: doc[k] for k in (
-        "phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")}))
+    assert run_cli(["recover", "--matrix", str(mpath), "--out", str(ppath)]) == (0, "", "")
+    assert json.loads(ppath.read_text(encoding="utf-8"))["residual"] <= 1e-10
+    # compose reads the recover document as written and gives back the input
     code, out2, _ = run_cli(["compose", "--params", str(ppath)])
     assert code == 0
     assert np.linalg.norm(parse_matrix(out2) - parse_matrix(gen_out)) <= 1e-10
@@ -992,6 +988,25 @@ def test_gen_out_dir(tmp_path):
         parse_matrix(f.read_text(encoding="utf-8"))
 
 
+def test_gen_out_dir_made_once(tmp_path, monkeypatch):
+    # --out-dir is made once, before the first document, and not at all
+    # when there is no document to write.
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    d = tmp_path / "samples"
+    assert run_cli(["gen", "--haar", "3", "--out-dir", str(d)]) == (0, "", "")
+    assert made == [d] and len(list(d.iterdir())) == 3
+    made.clear()
+    assert run_cli(["gen", "--haar", "0", "--out-dir", str(tmp_path / "none")]) == (0, "", "")
+    assert made == [] and not (tmp_path / "none").exists()
+
+
 def test_malformed_input_exit_1(tmp_path):
     mpath = tmp_path / "bad.json"
     mpath.write_text("{not json")
@@ -1043,6 +1058,16 @@ def test_precondition_exit_2(tmp_path):
     code, _, err = run_cli(["chardecomp", "--matrix", str(mpath).replace(
         "notunitary", "nonexistent")])
     assert code == 1  # unreadable file counts as malformed input
+
+
+def test_compose_delta_overflow_exit_2(tmp_path):
+    # Every field is finite, but delta = beta2 - alpha2 + alpha3 is beyond
+    # the largest float: a precondition error, not a math domain error
+    # traceback, with and without the rotation.
+    path = write_params(tmp_path, chi=0.1, mu=0.3, alpha2=-1e308, beta2=1e308)
+    for extra in ([], ["--core-only"]):
+        assert run_cli(["compose", "--params", str(path), *extra]) == (
+            2, "", "error: precondition violated: beta2 - alpha2 + alpha3 is beyond the largest float\n")
 
 
 def test_recover_huge_entries_exit_2(tmp_path):

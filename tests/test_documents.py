@@ -7,13 +7,14 @@ import pytest
 from unitary3.documents import (
     PARAM_FIELDS,
     MalformedDocumentError,
+    _recovery_text,
     parse_matrix,
     parse_params,
     serialize_matrix,
     serialize_params,
 )
 from unitary3.linalg import NonFiniteError
-from unitary3.parametrization import UnitaryParams
+from unitary3.parametrization import UnitaryParams, recover_params
 from unitary3.rotations import RotationAngles
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 
@@ -110,6 +111,11 @@ def test_serialize_matrix_rejects_non_finite():
             serialize_matrix(m)
 
 
+def test_serialize_matrix_rejects_unknown_kind():
+    with pytest.raises(MalformedDocumentError, match="bogus"):
+        serialize_matrix(np.eye(3), kind="bogus")
+
+
 def test_serialize_params_rejects_non_finite():
     p = random_params(SeededGenerator(64))
     for field in ("chi", "alpha3"):
@@ -140,6 +146,32 @@ def test_params_unknown_field():
                             "alpha1", "alpha2", "alpha3", "beta2", "bogus")}
     with pytest.raises(MalformedDocumentError, match="bogus"):
         parse_params(json.dumps(doc))
+
+
+def test_params_reads_recover_document():
+    # The recover document is a ParamsDocument plus three report fields,
+    # which parse_params checks and drops.  It prints an integral field as
+    # a JSON integer, so a -0.0 comes back as 0.0, which compares equal.
+    g = SeededGenerator(65)
+    units = [np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+    units += [generate_haar_unitary(g) for _ in range(50)]
+    for u in units:
+        report = recover_params(u)
+        assert parse_params(_recovery_text(report)) == report.params
+
+
+def test_params_report_fields_checked():
+    doc = json.loads(_recovery_text(recover_params(generate_haar_unitary(SeededGenerator(66)))))
+    for field, bad in (("residual", "0"), ("residual", True), ("residual", 10**400),
+                       ("branch", 1), ("branch", None), ("global_phase_alpha1_degenerate", 0),
+                       ("global_phase_alpha1_degenerate", "false")):
+        with pytest.raises(MalformedDocumentError, match=field):
+            parse_params(json.dumps({**doc, field: bad}))
+    text = json.dumps(doc).replace('"residual": %r' % doc["residual"], '"residual": NaN')
+    with pytest.raises(MalformedDocumentError, match="'residual' is not finite"):
+        parse_params(text)
+    with pytest.raises(MalformedDocumentError, match="bogus"):
+        parse_params(json.dumps({**doc, "bogus": 0.0}))
 
 
 def test_params_non_finite():

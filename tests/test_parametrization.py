@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from unitary3.linalg import FloatRangeError, unitarity_distance
+from unitary3.linalg import FloatRangeError, NonFiniteError, unitarity_distance
 from unitary3.parametrization import (
+    PARAM_FIELDS,
     NotUnitaryError,
+    ParameterRangeError,
     UnitaryParams,
     _ellipticity,
     _extract_core_params,
@@ -199,6 +201,38 @@ def test_recover_params_gimbal_probe():
         rep = recover_params(u)
         assert rep.residual <= 1e-10, p
         assert abs(rep.params.rotation.theta) <= THETA_MAX, p
+
+
+def test_compose_rejects_non_finite():
+    # A NaN or infinite parameter raises NonFiniteError at every public
+    # composition, instead of math's ValueError or a NaN matrix.
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(6):
+            core = [0.1, 0.3, 0.0, 0.0, 0.0, 0.0]
+            core[i] = bad
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                compose_core(*core)
+        for field in PARAM_FIELDS:
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                compose_unitary(make_params(**{"chi": 0.1, "mu": 0.3, field: bad}))
+        for i in range(3):
+            angles = [0.1, 0.2, 0.3]
+            angles[i] = bad
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                compose_rotation(RotationAngles(*angles))
+
+
+def test_compose_delta_overflow():
+    # Finite phases whose delta = beta2 - alpha2 + alpha3 leaves the float
+    # range raise ParameterRangeError; a finite delta, however large, composes
+    # to a finite matrix.
+    for alpha2, alpha3, beta2 in ((-1e308, 0.0, 1e308), (0.0, -1e308, -1e308), (1e308, 1e308, -1e308)):
+        p = make_params(chi=0.1, mu=0.3, alpha2=alpha2, alpha3=alpha3, beta2=beta2)
+        with pytest.raises(ParameterRangeError, match="beta2 - alpha2 [+] alpha3"):
+            compose_unitary(p)
+        with pytest.raises(ParameterRangeError, match="beta2 - alpha2 [+] alpha3"):
+            compose_core(p.chi, p.mu, p.alpha1, alpha2, alpha3, beta2)
+    assert np.isfinite(compose_unitary(make_params(chi=0.1, mu=0.3, alpha2=-1e308, beta2=7e307))).all()
 
 
 def test_extract_core_params_identity():
