@@ -5,16 +5,22 @@ MatrixDocument (parse_matrix, serialize_matrix; the CLI's ``compose`` and
 "re": [[...]x3], "im": [[...]x3]} with row-major 3x3 float arrays.
 ParamsDocument (parse_params, serialize_params): the nine PARAM_FIELDS in
 radians; core-only documents omit phi/theta/varphi.  Both write each float
-with %.17g, 17 significant digits, so serialize -> parse is bit-exact and
-a second serialize reproduces identical text.
+with %.17g, 17 significant digits, and the parsers read each back bit for
+bit, -0.0 included (parse_matrix then forms numpy's re + 1j*im), so a
+second serialize reproduces identical text.
+
+The parsers read every JSON number as a float (_DECODER): %.17g prints an
+integral float as an integer literal (-0, 0, 1), and -0 reads back as -0.0.
+An integer literal beyond the float range reads as infinite, so it is
+malformed like NaN and Infinity.
 
 The CLI's reports, each written with json.dumps by one private writer
 that takes the record a kernel returns (fields of Python scalars):
 
-- recover (_recovery_text): the ParamsDocument as json.loads reads it, so
-  an integral field such as 0 prints as a JSON integer, then residual,
-  branch and global_phase_alpha1_degenerate, indented by 2.
-  parse_params reads it, so ``compose`` takes what ``recover`` writes.
+- recover (_recovery_text): the nine fields as json.dumps prints a float
+  (0.0, -0.0, 0.1), then residual, branch and
+  global_phase_alpha1_degenerate, indented by 2.  parse_params reads it
+  bit for bit, so ``compose`` takes what ``recover`` writes.
 - roundtrip (_roundtrip_text): residual and branch on one line.
 - chardecomp (_chardecomp_text): trace, eigenvalues, P1, P2,
   coefficients, the re/im grids of Rp_hat, Rm_hat and Ru_hat, and the
@@ -42,6 +48,10 @@ _REPORT_FIELDS = {"residual": float, "branch": str, "global_phase_alpha1_degener
 _PARAMS_TEMPLATE = "{\n" + ",\n".join(f'  "{k}": %.17g' for k in PARAM_FIELDS) + "\n}\n"
 _GRID = "[" + ",\n         ".join(["[%.17g, %.17g, %.17g]"] * 3) + "]"
 _MATRIX_TEMPLATE = '{\n  "kind": "%s",\n  "re": ' + _GRID + ',\n  "im": ' + _GRID + "\n}\n"
+# Every JSON number as a float, so -0 keeps its sign and an integer literal
+# beyond the float range reads as infinite.  One decoder: json.loads with
+# keyword arguments would build one per call.
+_DECODER = json.JSONDecoder(parse_int=float)
 
 
 class MalformedDocumentError(Unitary3Error, ValueError):
@@ -60,11 +70,9 @@ class OutputWriteError(Unitary3Error, ValueError):
 
 def _load_json(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond Python's int digit limit
-        raise MalformedDocumentError(f"unreadable number: {exc}") from exc
     except RecursionError:
         raise MalformedDocumentError("nested too deeply") from None
     if not isinstance(doc, dict):
@@ -74,18 +82,10 @@ def _load_json(text: str) -> dict:
 
 def _finite(x, field: str, *entry: int) -> float:
     """A JSON number as a finite float; ``field`` and grid ``entry`` name it in errors."""
-    # json.loads yields exact types, so a bool is neither int nor float here.
-    if type(x) is float:
-        if math.isfinite(x):
-            return x
-        problem = "is not finite"
-    elif type(x) is int:
-        try:
-            return float(x)
-        except OverflowError:
-            problem = "is too large for a float"
-    else:
-        problem = "is not numeric"
+    # _DECODER reads every number as a float, and a bool is not one.
+    if type(x) is float and math.isfinite(x):
+        return x
+    problem = "is not finite" if type(x) is float else "is not numeric"
     where = " entry (%d,%d)" % entry if entry else ""
     raise MalformedDocumentError(f"field '{field}'{where} {problem}")
 
@@ -140,8 +140,9 @@ def _parse_entries(text: str) -> list:
 
 
 def serialize_matrix(m, kind: str = "general") -> str:
-    """Serialize a 3x3 complex matrix; round-trips bit-exactly.  Raises
-    NonFiniteError for a NaN or infinite entry, which JSON cannot hold."""
+    """Serialize a 3x3 complex matrix; parse_matrix gives back re + 1j*im
+    of its grids, each bit for bit.  Raises NonFiniteError for a NaN or
+    infinite entry, which JSON cannot hold."""
     return _matrix_text(as_matrix3(m).tolist(), kind)
 
 
@@ -191,8 +192,7 @@ def _grid(rows) -> dict:
 
 def _recovery_text(report) -> str:
     """The recover document of a RecoveryReport."""
-    doc = json.loads(serialize_params(report.params))
-    doc.update({field: getattr(report, field) for field in _REPORT_FIELDS})
+    doc = {**report.params.as_dict(), **{field: getattr(report, field) for field in _REPORT_FIELDS}}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -371,8 +371,8 @@ RECOVER_GOLDEN = [
         '{\n'
         '  "phi": -0.23534756181146124,\n'
         '  "theta": 0.34877492296252366,\n'
-        '  "varphi": 0,\n'
-        '  "chi": 0,\n'
+        '  "varphi": 0.0,\n'
+        '  "chi": 0.0,\n'
         '  "mu": 0.8960646413550065,\n'
         '  "alpha1": 0.09999999999999999,\n'
         '  "alpha2": 0.15928764717050506,\n'
@@ -427,7 +427,7 @@ RECOVER_GOLDEN = [
         '  "mu": 1.0006838658895977e-13,\n'
         '  "alpha1": 0.1,\n'
         '  "alpha2": 0.20000000000000004,\n'
-        '  "alpha3": 0,\n'
+        '  "alpha3": 0.0,\n'
         '  "beta2": 0.7000000000000001,\n'
         '  "residual": 4.232595317317914e-14,\n'
         '  "branch": "a",\n'
@@ -443,7 +443,7 @@ RECOVER_GOLDEN = [
         '  "chi": 0.2,\n'
         '  "mu": 1.5707963267947966,\n'
         '  "alpha1": 0.1,\n'
-        '  "alpha2": 0,\n'
+        '  "alpha2": 0.0,\n'
         '  "alpha3": 0.29999999999999993,\n'
         '  "beta2": 0.4,\n'
         '  "residual": 2.8204505756832927e-14,\n'
@@ -455,8 +455,8 @@ RECOVER_GOLDEN = [
     (
         '{\n'
         '  "phi": -0.19999999999999998,\n'
-        '  "theta": 0,\n'
-        '  "varphi": 0,\n'
+        '  "theta": 0.0,\n'
+        '  "varphi": 0.0,\n'
         '  "chi": 0.2,\n'
         '  "mu": 0.7000000000000424,\n'
         '  "alpha1": 0.09999999999999998,\n'
@@ -1015,11 +1015,13 @@ def test_malformed_input_exit_1(tmp_path):
     assert "malformed" in err
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000],
-                         ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000,
+                                     b"\xef\xbb\xbf" + serialize_matrix(np.eye(3), "unitary").encode()],
+                         ids=["not-utf8", "nested-too-deep", "utf8-bom"])
 def test_unreadable_document_exit_1(tmp_path, content):
-    # A file that is not UTF-8 text, or JSON nested beyond the parser's
-    # recursion limit, is malformed input, not a traceback.
+    # A file that is not UTF-8 text, JSON nested beyond the parser's
+    # recursion limit, or a document after a UTF-8 byte order mark is
+    # malformed input, not a traceback.
     mpath, ppath = tmp_path / "m.json", tmp_path / "p.json"
     mpath.write_bytes(content)
     ppath.write_bytes(content)
@@ -1067,7 +1069,7 @@ def test_compose_delta_overflow_exit_2(tmp_path):
     path = write_params(tmp_path, chi=0.1, mu=0.3, alpha2=-1e308, beta2=1e308)
     for extra in ([], ["--core-only"]):
         assert run_cli(["compose", "--params", str(path), *extra]) == (
-            2, "", "error: precondition violated: beta2 - alpha2 + alpha3 is beyond the largest float\n")
+            2, "", "error: precondition violated: alpha2, alpha3 and beta2 must lie in [-2**8, 2**8]\n")
 
 
 def test_recover_huge_entries_exit_2(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,9 +16,17 @@ from unitary3.documents import (
     serialize_params,
 )
 from unitary3.linalg import NonFiniteError
-from unitary3.parametrization import UnitaryParams, recover_params
+from unitary3.parametrization import UnitaryParams, compose_unitary, recover_params
 from unitary3.rotations import RotationAngles
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
+
+from test_cli import run_cli
+
+
+def params_bits(p: UnitaryParams) -> bytes:
+    """The nine fields of ``p`` as IEEE doubles: == on floats would not see
+    a sign of zero."""
+    return struct.pack("9d", *p.rotation, *p[1:])
 
 
 def test_identity_document():
@@ -37,7 +47,8 @@ def test_matrix_roundtrip_bit_exact():
 
 def test_parse_matrix_bits():
     # parse_matrix must give numpy's re + 1j*im bit for bit: array_equal
-    # would not see a sign of zero.
+    # would not see a sign of zero.  serialize_matrix writes -0.0 as the
+    # integer literal -0, which must read back as -0.0.
     grids = []
     for re0, im0 in itertools.product([0.0, -0.0, 0.5, -0.5], repeat=2):
         grids.append(([[re0, -0.0, 0.0], [0.0, re0, -0.0], [1.0, -1.0, re0]],
@@ -52,6 +63,8 @@ def test_parse_matrix_bits():
         text = json.dumps({"kind": "general", "re": re, "im": im})
         want = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
         assert parse_matrix(text).tobytes() == want.tobytes(), text
+        again = want.real + 1j * want.imag
+        assert parse_matrix(serialize_matrix(want)).tobytes() == again.tobytes(), text
 
 
 def test_matrix_wrong_shape():
@@ -148,16 +161,26 @@ def test_params_unknown_field():
         parse_params(json.dumps(doc))
 
 
-def test_params_reads_recover_document():
+def test_params_reads_recover_document(tmp_path):
     # The recover document is a ParamsDocument plus three report fields,
-    # which parse_params checks and drops.  It prints an integral field as
-    # a JSON integer, so a -0.0 comes back as 0.0, which compares equal.
+    # which parse_params checks and drops.  Every field comes back bit for
+    # bit, signs of zero included.
     g = SeededGenerator(65)
     units = [np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
     units += [generate_haar_unitary(g) for _ in range(50)]
     for u in units:
         report = recover_params(u)
-        assert parse_params(_recovery_text(report)) == report.params
+        assert params_bits(parse_params(_recovery_text(report))) == params_bits(report.params)
+    # recover_params(I) has phi = -0.0: composing the file that recover
+    # writes gives compose_unitary(report.params) byte for byte.
+    report = recover_params(np.eye(3))
+    assert math.copysign(1.0, report.params.rotation.phi) == -1.0
+    m, r = tmp_path / "m.json", tmp_path / "r.json"
+    m.write_text(serialize_matrix(np.eye(3), kind="unitary"), encoding="utf-8")
+    assert run_cli(["recover", "--matrix", str(m), "--out", str(r)]) == (0, "", "")
+    assert '"phi": -0.0,' in r.read_text(encoding="utf-8")
+    expected = serialize_matrix(compose_unitary(report.params), kind="unitary")
+    assert run_cli(["compose", "--params", str(r)]) == (0, expected, "")
 
 
 def test_params_report_fields_checked():
@@ -182,18 +205,20 @@ def test_params_non_finite():
 
 
 def test_huge_integer_entries():
+    # Every JSON number reads as a float, so an integer literal beyond the
+    # float range, even one past Python's int digit limit, is infinite.
     huge = 10**400
     doc = {"kind": "general", "re": [[0, 0, 0], [0, huge, 0], [0, 0, 0]],
            "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
-    with pytest.raises(MalformedDocumentError, match=r"'re' entry \(1,1\) is too large"):
+    with pytest.raises(MalformedDocumentError, match=r"'re' entry \(1,1\) is not finite"):
         parse_matrix(json.dumps(doc))
     doc["re"][1][1], doc["im"][2][0] = 0, -huge
-    with pytest.raises(MalformedDocumentError, match=r"'im' entry \(2,0\) is too large"):
+    with pytest.raises(MalformedDocumentError, match=r"'im' entry \(2,0\) is not finite"):
         parse_matrix(json.dumps(doc))
     params = {k: 0 for k in ("chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")}
-    with pytest.raises(MalformedDocumentError, match="'mu' is too large"):
+    with pytest.raises(MalformedDocumentError, match="'mu' is not finite"):
         parse_params(json.dumps(dict(params, mu=huge)))
-    with pytest.raises(MalformedDocumentError, match="unreadable number"):
+    with pytest.raises(MalformedDocumentError, match="'mu' is not finite"):
         parse_params(json.dumps(params).replace('"mu": 0', '"mu": 1' + "0" * 5000))
     # Integers within the float range still parse, to the nearest float.
     assert parse_params(json.dumps(dict(params, mu=10**300))).mu == 1e300

@@ -15,6 +15,13 @@ eigenvectors that reconstruct the input.
 Documents: the parsers, on arbitrary JSON values and arbitrary text, return
 a result or raise MalformedDocumentError.
 
+Composition: a tuple of any finite fields (signed zeros, integral values,
+subnormals, magnitudes up to the largest float, phases about the bound
+2**8) is written by serialize_params and by the recover writer, and read
+back bit for bit.  Composed, through the library and through what the CLI's
+``compose`` writes, it is within 1e-13 of unitary or raises a typed error,
+and recovery accepts every matrix ``compose`` writes.
+
 Settings (QUIET, shared by every property): derandomize and no example
 database, so every run draws the same examples, and quiet verbosity, so a
 failure does not run hypothesis's patch writer.  That writer imports libcst,
@@ -25,18 +32,24 @@ assertion message and the frame's arguments.
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import Verbosity, given, settings
 from hypothesis import strategies as st
 
 from unitary3.characteristic import regularity_report
-from unitary3.documents import MATRIX_KINDS, MalformedDocumentError, parse_matrix, parse_params
-from unitary3.linalg import Unitary3Error
-from unitary3.parametrization import UnitaryParams, compose_unitary, recover_params
+from unitary3.documents import (MATRIX_KINDS, MalformedDocumentError, _matrix_text, _recovery_text,
+                                parse_matrix, parse_params, serialize_params)
+from unitary3.linalg import Unitary3Error, unitarity_distance
+from unitary3.parametrization import (ParameterRangeError, RecoveryReport, UnitaryParams, _unitary_rows,
+                                      compose_core, compose_unitary, recover_params)
 from unitary3.rotations import RotationAngles
 from unitary3.sampling import SeededGenerator, generate_haar_unitary
 
+from test_cli import run_cli
+from test_documents import params_bits
 from test_parametrization import THETA_MAX
 
 PI = math.pi
@@ -87,6 +100,68 @@ def test_recovery_at_corners(case):
     rep = recover_params(compose_unitary(p) * cmath.exp(1j * gamma))
     assert rep.residual <= 1e-10, case
     assert_in_ranges(rep.params, case)
+
+
+# Any finite float, with the corners of the float format drawn often: signed
+# zeros, integral values, the composition bound 2**8 and the next float
+# above it, subnormals and the largest magnitudes.
+SPECIAL = (0.0, 1.0, 3.0, 2.0**8, math.nextafter(2.0**8, math.inf), 2.0**53, 1e15,
+           5e-324, sys.float_info.min, 1e308, sys.float_info.max)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(SPECIAL + tuple(-x for x in SPECIAL)),
+                   st.integers(-2**63, 2**63).map(float))
+# Phases about the composition bound as well as in (-pi, pi].
+FAR_PHASE = st.one_of(PHASE, st.floats(-2.0**9, 2.0**9), FINITE)
+ANY_PARAMS = st.builds(
+    UnitaryParams, st.builds(RotationAngles, *(st.one_of(c, FINITE) for c in (PHASE, THETA, VARPHI))),
+    st.one_of(CHI, FINITE), st.one_of(MU, FINITE), st.one_of(ALPHA1, FINITE),
+    FAR_PHASE, FAR_PHASE, FAR_PHASE,
+)
+
+
+@settings(QUIET, max_examples=300)
+@given(ANY_PARAMS)
+def test_params_documents_bit_exact(p):
+    for text in (serialize_params(p), _recovery_text(RecoveryReport(p, 0.0, "a", False))):
+        assert params_bits(parse_params(text)) == params_bits(p), text
+
+
+@settings(QUIET, max_examples=300)
+@given(ANY_PARAMS)
+def test_composition_over_domain(p):
+    q = parse_params(serialize_params(p))
+    composers = {
+        "compose_unitary": lambda: compose_unitary(q),
+        "compose_core": lambda: compose_core(*q[1:]),
+        "compose": lambda: _matrix_text(_unitary_rows(q), "unitary"),
+        "compose --core-only": lambda: _matrix_text(_unitary_rows(q, True), "unitary"),
+    }
+    for name, compose in composers.items():
+        try:
+            u = compose()
+        except Unitary3Error:
+            continue
+        if isinstance(u, str):  # a document as the CLI writes it, which recover must accept
+            u = parse_matrix(u)
+            assert recover_params(u).residual <= 1e-10, (name, p)
+        assert unitarity_distance(u) <= 1e-13, (name, p)
+
+
+def test_compose_far_phases_literal(tmp_path):
+    # alpha2 = b + 0.1 and beta2 = 0.3 - b with b = 1e15 once composed to a
+    # matrix 0.03 off unitary: compose wrote it with exit 0, and recover of
+    # that output exited 2.
+    b = 1e15
+    p = UnitaryParams(RotationAngles(0.0, 0.0, 0.0), 0.1, 0.3, 0.0, b + 0.1, 0.7, 0.3 - b)
+    with pytest.raises(ParameterRangeError, match="must lie in"):
+        compose_unitary(p)
+    with pytest.raises(ParameterRangeError, match="must lie in"):
+        compose_core(*p[1:])
+    path = tmp_path / "p.json"
+    path.write_text(serialize_params(p), encoding="utf-8")
+    for extra in ([], ["--core-only"]):
+        assert run_cli(["compose", "--params", str(path), *extra]) == (
+            2, "", "error: precondition violated: alpha2, alpha3 and beta2 must lie in [-2**8, 2**8]\n")
 
 
 # Recoveries that once left the half-open ranges: each composed tuple gave

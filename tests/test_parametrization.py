@@ -223,16 +223,21 @@ def test_compose_rejects_non_finite():
 
 
 def test_compose_delta_overflow():
-    # Finite phases whose delta = beta2 - alpha2 + alpha3 leaves the float
-    # range raise ParameterRangeError; a finite delta, however large, composes
-    # to a finite matrix.
-    for alpha2, alpha3, beta2 in ((-1e308, 0.0, 1e308), (0.0, -1e308, -1e308), (1e308, 1e308, -1e308)):
+    # A phase of modulus above 2**8 raises ParameterRangeError: finite phases
+    # whose delta = beta2 - alpha2 + alpha3 leaves the float range, and a
+    # finite delta whose rounding would leave the matrix far from unitary.
+    # 2**8 itself composes.
+    over = math.nextafter(2.0**8, math.inf)
+    for alpha2, alpha3, beta2 in ((-1e308, 0.0, 1e308), (0.0, -1e308, -1e308), (1e308, 1e308, -1e308),
+                                  (-1e308, 0.0, 7e307), (over, 0.0, 0.0), (0.0, -over, 0.0),
+                                  (0.0, 0.0, over)):
         p = make_params(chi=0.1, mu=0.3, alpha2=alpha2, alpha3=alpha3, beta2=beta2)
-        with pytest.raises(ParameterRangeError, match="beta2 - alpha2 [+] alpha3"):
+        with pytest.raises(ParameterRangeError, match=r"must lie in \[-2\*\*8, 2\*\*8\]"):
             compose_unitary(p)
-        with pytest.raises(ParameterRangeError, match="beta2 - alpha2 [+] alpha3"):
+        with pytest.raises(ParameterRangeError, match=r"must lie in \[-2\*\*8, 2\*\*8\]"):
             compose_core(p.chi, p.mu, p.alpha1, alpha2, alpha3, beta2)
-    assert np.isfinite(compose_unitary(make_params(chi=0.1, mu=0.3, alpha2=-1e308, beta2=7e307))).all()
+    p = make_params(chi=0.1, mu=0.3, alpha2=-2.0**8, alpha3=2.0**8, beta2=2.0**8)
+    assert unitarity_distance(compose_unitary(p)) <= 1e-13
 
 
 def test_extract_core_params_identity():
