@@ -157,7 +157,7 @@ def characteristic_decomposition(r) -> CharacteristicComponents:
     Raises NotHermitianError, ZeroTraceError or
     NotPositiveSemidefiniteError when the preconditions fail.
     """
-    return _components(_decompose(as_matrix3(r).tolist()))
+    return _components(_decompose(as_matrix3(r)))
 
 
 def _decompose(rows) -> CharacteristicComponents:
@@ -191,7 +191,7 @@ def middle_component(u) -> np.ndarray:
     raises NotUnitaryError where the input fails the unitarity gate."""
     import numpy as np
 
-    rows = as_matrix3(u).tolist()
+    rows = as_matrix3(u)
     _check_unitary(rows)
     (u00, u01, _), (u10, u11, _), (u20, u21, _) = rows
     return np.array(_middle((u00, u10, u20), (u01, u11, u21)))
@@ -221,7 +221,7 @@ def regularity_report(r) -> RegularityReport:
     (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
     |chi_m| <= pi/4.
     """
-    m1, m2, m3, chi_m, regular, im_norm, c = _regularity(as_matrix3(r).tolist())
+    m1, m2, m3, chi_m, regular, im_norm, c = _regularity(as_matrix3(r))
     return RegularityReport(m1, m2, m3, chi_m, regular, im_norm, _components(c))
 
 

@@ -6,8 +6,9 @@ MatrixDocument (parse_matrix, serialize_matrix; the CLI's ``compose`` and
 ParamsDocument (parse_params, serialize_params): the nine PARAM_FIELDS in
 radians; core-only documents omit phi/theta/varphi.  Both write each float
 with %.17g, 17 significant digits, and the parsers read each back bit for
-bit, -0.0 included (parse_matrix then forms numpy's re + 1j*im), so a
-second serialize reproduces identical text.
+bit, -0.0 included (parse_matrix then forms complex(re, im)), so a
+second serialize reproduces identical text and parse_matrix gives back
+what serialize_matrix wrote, every sign of zero included.
 
 The parsers read every JSON number as a float (_DECODER): %.17g prints an
 integral float as an integer literal (-0, 0, 1), and -0 reads back as -0.0.
@@ -108,11 +109,8 @@ def _check_grid(doc: dict, field: str) -> list:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse a MatrixDocument into a complex 3x3 array.
-
-    Entry (i, j) is complex(a + (0.0*b - 0.0), 0.0 + (0.0 + b)) for
-    a = re[i][j] and b = im[i][j]: numpy's re + 1j*im, signs of zero included.
-    """
+    """Parse a MatrixDocument into a complex 3x3 array: entry (i, j) is
+    complex(re[i][j], im[i][j]), signs of zero included."""
     import numpy as np
 
     # A flat list and a reshape: numpy reads it faster than nested rows.
@@ -121,7 +119,7 @@ def parse_matrix(text: str) -> np.ndarray:
 
 def _parse_rows(text: str) -> list:
     """parse_matrix without the array: three rows of three Python complex,
-    exactly what as_matrix3(parse_matrix(text)).tolist() would give."""
+    exactly what as_matrix3(parse_matrix(text)) would give."""
     z = _parse_entries(text)
     return [z[0:3], z[3:6], z[6:9]]
 
@@ -136,14 +134,14 @@ def _parse_entries(text: str) -> list:
             f"field 'kind' must be one of {MATRIX_KINDS}, got {kind!r}"
         )
     entries = zip(_check_grid(doc, "re"), _check_grid(doc, "im"))
-    return [complex(a + (0.0 * b - 0.0), 0.0 + (0.0 + b)) for a, b in entries]
+    return [complex(a, b) for a, b in entries]
 
 
 def serialize_matrix(m, kind: str = "general") -> str:
-    """Serialize a 3x3 complex matrix; parse_matrix gives back re + 1j*im
-    of its grids, each bit for bit.  Raises NonFiniteError for a NaN or
-    infinite entry, which JSON cannot hold."""
-    return _matrix_text(as_matrix3(m).tolist(), kind)
+    """Serialize a 3x3 complex matrix; parse_matrix gives it back bit for
+    bit.  Raises NonFiniteError for a NaN or infinite entry, which JSON
+    cannot hold."""
+    return _matrix_text(as_matrix3(m), kind)
 
 
 def _matrix_text(rows, kind: str) -> str:

@@ -11,9 +11,9 @@ Validation rule of both pipelines: public operations validate once; stages
 are private kernels.  Each public operation (recover_params,
 regularity_report, characteristic_decomposition, middle_component,
 eig_hermitian3, unitarity_distance, extract_rotation_angles) checks its
-input once (as_matrix3: shape, complex dtype, finite entries, C-contiguous
-copy) and runs private ``_kernels`` that trust it, so one recovery or one
-coherency report validates its matrix once.
+input once (as_matrix3: shape, complex dtype and finite parts, read into
+rows of Python complex) and runs private ``_kernels`` on those rows, so
+one recovery or one coherency report validates its matrix once.
 Kernels re-check nothing the operation's gate (such as the unitarity gate
 _check_unitary) already holds; recovery's exit gate is its recomposition
 residual.
@@ -27,12 +27,12 @@ then parametrization._recover_rows or characteristic._regularity and that
 command's writer in documents; or documents.parse_params, then
 parametrization._unitary_rows and documents._matrix_text) and never load
 numpy, on success and on every error exit; ``gen`` and ``selftest`` do.
-A public operation is its kernel on ``as_matrix3(m).tolist()``: the
-kernel returns the operation's record with lists of Python scalars in its
-array fields.  The coherency operations build their records of arrays
-with _eigen, one np.array call over all the record's complex entries and
-one over its floats, so each array field is a writeable view of one
-buffer per dtype.
+A public operation is its kernel on ``as_matrix3(m)``: the kernel
+returns the operation's record with lists of Python scalars in its array
+fields.  The coherency operations build their records of arrays with
+_eigen, one np.array call over all the record's complex entries and one
+over its floats, so each array field is a writeable view of one buffer
+per dtype.
 
 Arithmetic rule: recovery, composition (compose_core, compose_rotation,
 compose_unitary), the unitarity gate (_check_unitary,
@@ -40,8 +40,9 @@ unitarity_distance) and coherency (the eigensolver, the characteristic
 decomposition and the regularity report) run on Python floats and
 complex, one code path with no numpy arithmetic, so their bytes do not
 depend on numpy's SIMD targets or on the BLAS kernels of the host.  A
-matrix is read with one ``tolist()``; elementary functions are math's and
-cmath's (cos, sin, atan2, phase); a modulus is math.hypot(re, im); a
+matrix is read with one ``tolist()``; elementary functions are math's
+(cos, sin, atan2), and the phase of re + i im is math.atan2(im, re),
+bit for bit cmath.phase; a modulus is math.hypot(re, im); a
 vector or Frobenius norm squares each real and imaginary part, sums the
 squares with math.fsum (exact, rounded once) and takes math.sqrt; every
 3x3 product is written out with each sum taken left to right, and the
@@ -113,13 +114,17 @@ class ConvergenceError(Unitary3Error, RuntimeError):
     kind = "tolerance failure"
 
 
-def as_matrix3(m) -> np.ndarray:
+def as_matrix3(m) -> list:
+    """The validator of every public operation: a 3x3 matrix as three rows
+    of three Python complex; NonFiniteError for a NaN or infinite part."""
     import numpy as np
 
-    m = np.ascontiguousarray(m, dtype=complex).reshape(3, 3)
-    if not np.isfinite(m).all():
-        raise NonFiniteError("matrix has non-finite entries")
-    return m
+    rows = np.asarray(m, dtype=complex).reshape(3, 3).tolist()
+    a, b, c = rows
+    for z in a + b + c:
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise NonFiniteError("matrix has non-finite entries")
+    return rows
 
 
 def _check_finite(values):
@@ -139,7 +144,7 @@ def _fsum_norm(parts) -> float:
 def unitarity_distance(m) -> float:
     """Frobenius norm of M†M - I; raises FloatRangeError where that
     overflows (entries of modulus above about 1e77)."""
-    dist = _unitarity_distance(as_matrix3(m).tolist())
+    dist = _unitarity_distance(as_matrix3(m))
     if not math.isfinite(dist):
         raise FloatRangeError("unitarity distance is beyond the largest float")
     return dist
@@ -221,7 +226,7 @@ def eig_hermitian3(r) -> EigenDecomposition:
     (exit 3) if the last of them still rotates; no input is known to come
     near that cap.
     """
-    return _eigen(_eig(as_matrix3(r).tolist()))[0]
+    return _eigen(_eig(as_matrix3(r)))[0]
 
 
 def _eigen(e: EigenDecomposition, *grids) -> tuple:

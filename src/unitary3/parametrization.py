@@ -24,7 +24,7 @@ parametrizations exist by reordering the columns of V1; only this ordering
 is implemented.
 
 Recovery: the first column u1 determines alpha1, chi and the rotation; the
-core parameters then come from the entries of V1 = Q.T @ U.  _ellipticity
+core parameters then come from five entries of V1 = Q.T @ U.  _ellipticity
 holds every rule of chi: its magnitude, its sign and the zero-pattern
 branch (a, b1, b2, c, d1, d2) reported alongside.  The sign has one rule
 and no convention, at the gimbal too: the rotation stays inside the chart,
@@ -38,7 +38,6 @@ recovered angle lies in the README's ranges: phases in (-pi, pi]
 """
 from __future__ import annotations
 
-import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -196,7 +195,7 @@ def _normalize_global_phase(u1) -> tuple[tuple, bool]:
     alpha1 is half the argument of the unconjugated self-product u1.u1,
     which is invariant under frame rotations and equals e^{2i alpha1}
     cos(2 chi).  That product fixes alpha1 only modulo pi; the range of
-    cmath.phase picks the representative, alpha1 in [-pi/2, pi/2] (-pi/2
+    math.atan2 picks the representative, alpha1 in [-pi/2, pi/2] (-pi/2
     only when u1.u1 is a negative real with a -0.0 imaginary part), and
     flip_equivalent gives the other.  The flag is True when
     |u1.u1| < DEGENERACY_GATE (circular, chi = +-pi/4); it labels the
@@ -206,7 +205,7 @@ def _normalize_global_phase(u1) -> tuple[tuple, bool]:
     """
     x, y, z = u1
     w = x * x + y * y + z * z
-    alpha1 = 0.5 * cmath.phase(w)
+    alpha1 = 0.5 * math.atan2(w.imag, w.real)
     e = complex(math.cos(alpha1), -math.sin(alpha1))
     return (e * x, e * y, e * z), math.hypot(w.real, w.imag) < DEGENERACY_GATE
 
@@ -297,57 +296,92 @@ def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     return chi, rot, branch
 
 
-def _extract_core_params(v1) -> tuple[float, float, float, float, float]:
-    """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix entries,
-    given as rows of Python complex.
+def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
+    """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix
+    V1 = Q.T U, for Q and U given as rows of Python scalars.
 
-    alpha2 is the phase of v22 and alpha3 that of v23, each folded to 0
-    when that entry's modulus is below FOLD_GATE (mu = pi/2 and mu = 0).
-    Every phase read with cmath.phase is taken in (-pi, pi] (wrap_angle).
-    beta2 is read from the larger of the two entries that carry it: v32
-    when sin mu >= cos mu, else -v33 = cos mu e^{i delta}, as
-    delta + alpha2 - alpha3, so the (3,3) entry is reproduced exactly.
-    The structure of V1 (the zero at (3,1), |v23| = sin mu cos chi) is not
-    re-checked here: compose_core puts an exact zero at (3,1), so the
-    recomposition residual in recover_params bounds |v31| and every other
-    departure from that structure.
+    Only the five entries read here are formed (v11, v22, v23, v32, v33),
+    each as a float pair summed left to right as _rotate(zip(*q), u) sums
+    it, and the phase of each is math.atan2(im, re).  alpha2 is the phase
+    of v22 and alpha3 that of v23, each folded to 0 when that entry's
+    modulus is below FOLD_GATE (mu = pi/2 and mu = 0).  Every phase but
+    alpha1 is wrapped into (-pi, pi] (wrap_angle).  beta2 is read from
+    the larger of the two entries that carry it: v32 when sin mu >= cos mu,
+    else -v33 = cos mu e^{i delta}, as delta + alpha2 - alpha3, so the
+    (3,3) entry is reproduced exactly.  The structure of V1 (the zero at (3,1),
+    |v23| = sin mu cos chi) is not re-checked here: compose_core puts an
+    exact zero at (3,1), so the recomposition residual in recover_params
+    bounds |v31| and every other departure from that structure.
     """
-    (v11, _, _), (_, v22, v23), (_, v32, v33) = v1
-    alpha1 = cmath.phase(v11)
-    sm = math.hypot(v32.real, v32.imag)
-    cm = math.hypot(v33.real, v33.imag)
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = q
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = u
+    # Entry (i, j) of Q.T U is column i of Q, (xi, yi, zi), dotted with column j of U.
+    r11 = x0 * u00.real + y0 * u10.real + z0 * u20.real
+    i11 = x0 * u00.imag + y0 * u10.imag + z0 * u20.imag
+    r22 = x1 * u01.real + y1 * u11.real + z1 * u21.real
+    i22 = x1 * u01.imag + y1 * u11.imag + z1 * u21.imag
+    r23 = x1 * u02.real + y1 * u12.real + z1 * u22.real
+    i23 = x1 * u02.imag + y1 * u12.imag + z1 * u22.imag
+    r32 = x2 * u01.real + y2 * u11.real + z2 * u21.real
+    i32 = x2 * u01.imag + y2 * u11.imag + z2 * u21.imag
+    r33 = x2 * u02.real + y2 * u12.real + z2 * u22.real
+    i33 = x2 * u02.imag + y2 * u12.imag + z2 * u22.imag
+    alpha1 = math.atan2(i11, r11)
+    sm = math.hypot(r32, i32)
+    cm = math.hypot(r33, i33)
     mu = math.atan2(sm, cm)
-    alpha2 = wrap_angle(cmath.phase(v22)) if math.hypot(v22.real, v22.imag) >= FOLD_GATE else 0.0
-    alpha3 = wrap_angle(cmath.phase(v23)) if math.hypot(v23.real, v23.imag) >= FOLD_GATE else 0.0
+    alpha2 = wrap_angle(math.atan2(i22, r22)) if math.hypot(r22, i22) >= FOLD_GATE else 0.0
+    alpha3 = wrap_angle(math.atan2(i23, r23)) if math.hypot(r23, i23) >= FOLD_GATE else 0.0
     if sm >= cm:
-        beta2 = wrap_angle(cmath.phase(v32))
+        beta2 = wrap_angle(math.atan2(i32, r32))
     else:
-        beta2 = wrap_angle(cmath.phase(-v33) + alpha2 - alpha3)
+        beta2 = wrap_angle(math.atan2(-i33, -r33) + alpha2 - alpha3)
     return mu, alpha1, alpha2, alpha3, beta2
+
+
+def _residual(q, v, u) -> float:
+    """Frobenius norm of Q V - U for Q, V and U given as rows of Python
+    scalars: the _fsum_norm of its 18 real and imaginary parts, each entry
+    of Q V formed as _rotate forms it, so no complex entry is built."""
+    (v0, v1, v2), (w0, w1, w2), (t0, t1, t2) = v
+    a0, a1, a2, d0, d1, d2 = v0.real, v1.real, v2.real, v0.imag, v1.imag, v2.imag
+    b0, b1, b2, e0, e1, e2 = w0.real, w1.real, w2.real, w0.imag, w1.imag, w2.imag
+    c0, c1, c2, f0, f1, f2 = t0.real, t1.real, t2.real, t0.imag, t1.imag, t2.imag
+    parts = []
+    for (x, y, z), (u0, u1, u2) in zip(q, u):
+        parts += (x * a0 + y * b0 + z * c0 - u0.real, x * d0 + y * e0 + z * f0 - u0.imag,
+                  x * a1 + y * b1 + z * c1 - u1.real, x * d1 + y * e1 + z * f1 - u1.imag,
+                  x * a2 + y * b2 + z * c2 - u2.real, x * d2 + y * e2 + z * f2 - u2.imag)
+    return _fsum_norm(parts)
 
 
 def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     """Recover the nine parameters of a unitary matrix.
 
     Pipeline: phase-normalize the first column, recover (chi, rotation),
-    form V1 = Q.T @ U and read the core parameters off its entries.  The
-    report carries the Frobenius residual of the recomposition and the
+    read the core parameters off the entries of V1 = Q.T @ U and recompose.
+    The report carries the Frobenius residual of the recomposition and the
     sign-determination branch that fired.
 
     Raises NotUnitaryError where the input fails linalg's unitarity gate.
     """
-    return _recover_rows(as_matrix3(u).tolist(), tolerance)
+    return _recover_rows(as_matrix3(u), tolerance)
 
 
 def _recover_rows(rows, tolerance: float) -> RecoveryReport:
-    """recover_params on a finite matrix given as rows of Python complex."""
+    """recover_params on a finite matrix given as rows of Python complex.
+
+    Neither V1 nor the recomposition Q V1' is built as complex entries:
+    _extract_core_params forms the five entries of V1 it reads and
+    _residual the parts of Q V1' - U, both in floats, each sum as _rotate,
+    the product of composition, takes it."""
     _check_unitary(rows)
     eps, circular = _normalize_global_phase([row[0] for row in rows])
     chi, rot, branch = _recover_first_column(eps)
     if circular:
         branch = "circular-fallback"
     q = _rotation_rows(rot)
-    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(_rotate(zip(*q), rows))
+    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(q, rows)
     params = UnitaryParams(
         rotation=rot,
         chi=chi,
@@ -357,9 +391,7 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
         alpha3=alpha3,
         beta2=beta2,
     )
-    w = _rotate(q, _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
-    d = [x - y for w_row, u_row in zip(w, rows) for x, y in zip(w_row, u_row)]
-    residual = _fsum_norm([z.real for z in d] + [z.imag for z in d])
+    residual = _residual(q, _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2), rows)
     if not residual <= tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "

@@ -30,7 +30,7 @@ class NotOrthogonalError(Unitary3Error, ValueError):
 
 def wrap_angle(x: float) -> float:
     """Wrap an angle into (-pi, pi]: math.remainder(x, 2 pi), which is exact
-    and the identity on (-pi, pi], with -pi folded to pi (cmath.phase gives
+    and the identity on (-pi, pi], with -pi folded to pi (math.atan2 gives
     -pi for a negative real with a -0.0 imaginary part).  An infinite x
     raises ValueError, as math.remainder does."""
     x = math.remainder(x, 2.0 * math.pi)
@@ -101,12 +101,13 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     (|sin theta| <= FOLD_GATE) the in-plane rotation is absorbed into phi
     and varphi is set to 0; the flag reports that convention fired.
 
-    The input is read as every public operation reads it (as_matrix3); an
-    entry with a nonzero imaginary part raises NotOrthogonalError.  A real
-    matrix is orthogonal exactly when it is unitary, so the real parts pass
-    linalg's unitarity gate; NotOrthogonalError carries the gate's message.
+    The input is read into rows of Python complex as every public
+    operation reads it (as_matrix3); an entry with a nonzero imaginary part
+    raises NotOrthogonalError.  A real matrix is orthogonal exactly when it
+    is unitary, so the real parts pass linalg's unitarity gate;
+    NotOrthogonalError carries the gate's message.
     """
-    rows = as_matrix3(q).tolist()
+    rows = as_matrix3(q)
     if any(z.imag for row in rows for z in row):
         raise NotOrthogonalError("matrix has an entry with a nonzero imaginary part")
     rows = [[z.real for z in row] for row in rows]

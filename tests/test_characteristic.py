@@ -303,7 +303,7 @@ def test_public_records_are_their_kernels():
     # its list fields: the same bits, one dtype per kind, and writeable
     # arrays that share no element (they are views of one buffer per dtype).
     for r in _coherency_inputs():
-        rows = as_matrix3(r).tolist()
+        rows = as_matrix3(r)
         for public, kernel, arrays in ((eig_hermitian3(r), _eig(rows), 3),
                                        (characteristic_decomposition(r), _decompose(rows), 6),
                                        (regularity_report(r), _regularity(rows), 6)):

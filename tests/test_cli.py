@@ -775,7 +775,7 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
                            (["compose", "--params", "absent.json"], 1)):
             assert main(argv) == code, argv
             assert "numpy" not in sys.modules, argv
-            assert not {"argparse", "gettext", "locale"} & (set(sys.modules) - before), argv
+            assert not {"argparse", "cmath", "gettext", "locale"} & (set(sys.modules) - before), argv
         # The records are NamedTuples: dataclasses, and the inspect it imports, stay unloaded.
         assert not {"dataclasses", "inspect"} & (set(sys.modules) - before), "dataclasses"
         assert main(["gen", "--haar", "1"]) == 0

@@ -16,7 +16,7 @@ from unitary3.documents import (
     serialize_params,
 )
 from unitary3.linalg import NonFiniteError
-from unitary3.parametrization import UnitaryParams, compose_unitary, recover_params
+from unitary3.parametrization import UnitaryParams, compose_core, compose_unitary, recover_params
 from unitary3.rotations import RotationAngles
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 
@@ -45,10 +45,12 @@ def test_matrix_roundtrip_bit_exact():
         assert serialize_matrix(again, kind="unitary") == text
 
 
-def test_parse_matrix_bits():
-    # parse_matrix must give numpy's re + 1j*im bit for bit: array_equal
-    # would not see a sign of zero.  serialize_matrix writes -0.0 as the
-    # integer literal -0, which must read back as -0.0.
+def test_parse_matrix_bits(tmp_path):
+    # parse_matrix gives complex(re, im) bit for bit (array_equal would not
+    # see a sign of zero), and it reads back what serialize_matrix wrote,
+    # every sign of zero included: serialize_matrix writes -0.0 as the
+    # integer literal -0, which must read back as -0.0, and the entries
+    # complex(-0.0, 0.0) and complex(-0.0, -0.0) must keep both signs.
     grids = []
     for re0, im0 in itertools.product([0.0, -0.0, 0.5, -0.5], repeat=2):
         grids.append(([[re0, -0.0, 0.0], [0.0, re0, -0.0], [1.0, -1.0, re0]],
@@ -61,10 +63,19 @@ def test_parse_matrix_bits():
         grids.append((u.real.tolist(), u.imag.tolist()))
     for re, im in grids:
         text = json.dumps({"kind": "general", "re": re, "im": im})
-        want = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        want = np.array([[complex(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(re, im)])
         assert parse_matrix(text).tobytes() == want.tobytes(), text
-        again = want.real + 1j * want.imag
-        assert parse_matrix(serialize_matrix(want)).tobytes() == again.tobytes(), text
+        assert parse_matrix(serialize_matrix(want)).tobytes() == want.tobytes(), text
+    # compose --core-only at chi = 0 writes entry (0,1) = complex(-0.0, 0.0)
+    # as -0 and 0; recover must read the matrix that was composed.
+    core = compose_core(0.0, 0.3, 0.1, 0.2, 0.3, 0.4)
+    assert math.copysign(1.0, core[0, 1].real) == -1.0
+    params = tmp_path / "p.json"
+    params.write_text(serialize_params(UnitaryParams(RotationAngles(0.0, 0.0, 0.0), 0.0, 0.3, 0.1,
+                                                     0.2, 0.3, 0.4)), encoding="utf-8")
+    code, out, _ = run_cli(["compose", "--params", str(params), "--core-only"])
+    assert code == 0
+    assert parse_matrix(out).tobytes() == core.tobytes()
 
 
 def test_matrix_wrong_shape():

@@ -1,13 +1,16 @@
 import cmath
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from unitary3.linalg import FloatRangeError, NonFiniteError, unitarity_distance
+from unitary3.documents import _parse_rows
+from unitary3.linalg import FOLD_GATE, FloatRangeError, NonFiniteError, _fsum_norm, unitarity_distance
 from unitary3.parametrization import (
     PARAM_FIELDS,
+    RECOVERY_TOL,
     NotUnitaryError,
     ParameterRangeError,
     UnitaryParams,
@@ -15,13 +18,16 @@ from unitary3.parametrization import (
     _extract_core_params,
     _normalize_global_phase,
     _recover_first_column,
+    _recover_rows,
+    _rotate,
+    _unitary_rows,
     compose_core,
     compose_unitary,
     flip_equivalent,
     params_distance,
     recover_params,
 )
-from unitary3.rotations import RotationAngles, compose_rotation
+from unitary3.rotations import RotationAngles, _rotation_rows, compose_rotation, wrap_angle
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 from unitary3.selftest import haar_roundtrip, param_roundtrip
 
@@ -240,16 +246,51 @@ def test_compose_delta_overflow():
     assert unitarity_distance(compose_unitary(p)) <= 1e-13
 
 
+def _read_core(v1) -> tuple:
+    """The core read on the full V1, rows of Python complex, with
+    cmath.phase: the reference for _extract_core_params."""
+    (v11, _, _), (_, v22, v23), (_, v32, v33) = v1
+    # math.hypot, not abs: complex abs is libm's hypot, which can differ in the last bit.
+    sm, cm = math.hypot(v32.real, v32.imag), math.hypot(v33.real, v33.imag)
+    alpha2 = wrap_angle(cmath.phase(v22)) if math.hypot(v22.real, v22.imag) >= FOLD_GATE else 0.0
+    alpha3 = wrap_angle(cmath.phase(v23)) if math.hypot(v23.real, v23.imag) >= FOLD_GATE else 0.0
+    if sm >= cm:
+        beta2 = wrap_angle(cmath.phase(v32))
+    else:
+        beta2 = wrap_angle(cmath.phase(-v33) + alpha2 - alpha3)
+    return math.atan2(sm, cm), cmath.phase(v11), alpha2, alpha3, beta2
+
+
+_IDENTITY = np.eye(3).tolist()
+
+
 def test_extract_core_params_identity():
-    mu, a1, a2, a3, b2 = _extract_core_params(column(np.eye(3)))
-    assert (mu, a1, a2, a3) == (0.0, 0.0, 0.0, 0.0)
-    assert b2 == pytest.approx(np.pi)
+    assert _extract_core_params(_IDENTITY, column(np.eye(3))) == (0.0, 0.0, 0.0, 0.0, math.pi)
 
 
 def test_extract_core_params_roundtrip():
-    v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3)
-    mu, a1, a2, a3, b2 = _extract_core_params(v.tolist())
-    assert (mu, a1, a2, a3, b2) == pytest.approx((0.8, 0.1, -0.4, 0.9, 1.3))
+    # With Q = I the core read is _read_core of V1 itself, and within
+    # rounding of the composed parameters.
+    v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3).tolist()
+    got = _extract_core_params(_IDENTITY, v)
+    assert got == _read_core(v)
+    assert got == pytest.approx((0.8, 0.1, -0.4, 0.9, 1.3), abs=1e-15)
+
+
+def test_fused_kernels_match_composition():
+    # Recovery reads V1 = Q.T U and forms Q V1' - U in floats, without
+    # complex temporaries; on Haar, flipped and face inputs both give the
+    # bits of the complex products that composition uses (_rotate).
+    from test_host_independence import documents
+
+    for text in documents()[0]:
+        u = _parse_rows(text)
+        rep = _recover_rows(u, RECOVERY_TOL)
+        d = [x - y for w_row, u_row in zip(_unitary_rows(rep.params), u) for x, y in zip(w_row, u_row)]
+        assert rep.residual == _fsum_norm([z.real for z in d] + [z.imag for z in d]), text
+        q = _rotation_rows(rep.params.rotation)
+        got, want = _extract_core_params(q, u), _read_core(_rotate(zip(*q), u))
+        assert struct.pack("5d", *got) == struct.pack("5d", *want), text
 
 
 def test_recover_params_identity():
