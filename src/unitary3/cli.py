@@ -91,10 +91,7 @@ def _cmd_gen(args) -> int:
             raise OutputWriteError(str(exc)) from exc
     for i in range(args.haar):
         text = serialize_matrix(generate_haar_unitary(g), kind="unitary")
-        if args.out_dir:
-            _emit(text, Path(args.out_dir, f"haar_{args.seed}_{i:04d}.json"))
-        else:
-            sys.stdout.write(text)
+        _emit(text, args.out_dir and Path(args.out_dir, f"haar_{args.seed}_{i:04d}.json"))
     return 0
 
 
@@ -102,38 +99,27 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest() else RecoveryToleranceError.exit_code
 
 
-def _tolerance(text: str) -> float:
-    """A --tolerance: a finite float >= 0.  NaN or a negative value fails
-    every recovery, and inf passes every one."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"must be a finite number >= 0, got {text!r}")
-    return value
+def _value(kind, ok, rule: str):
+    """The converter of an option whose value is ``kind(text)`` where ``ok``
+    holds of it; ``rule`` says what ``ok`` asks for in the usage error."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise ValueError(f"{rule}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _count(text: str) -> int:
-    """A --haar count: an int >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """A --seed: an int in [0, 2**64), the generator's state space."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {text!r}") from None
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"must lie in [0, 2**64), got {text!r}")
-    return value
+# NaN or a negative tolerance fails every recovery, and inf passes every one.
+_tolerance = _value(float, lambda x: math.isfinite(x) and x >= 0.0, "must be a finite number >= 0")
+_count = _value(int, lambda n: n >= 0, "must be >= 0")
+# The generator's state space.
+_seed = _value(int, lambda n: 0 <= n < 1 << 64, "must lie in [0, 2**64)")
 
 
 def _path(text: str) -> str:

@@ -33,7 +33,7 @@ import json
 import math
 from typing import TYPE_CHECKING
 
-from .linalg import NonFiniteError, Unitary3Error, _check_finite, as_matrix3
+from .linalg import Unitary3Error, _check_finite, as_matrix3
 from .parametrization import PARAM_FIELDS, UnitaryParams, _values
 from .rotations import RotationAngles
 
@@ -145,13 +145,13 @@ def serialize_matrix(m, kind: str = "general") -> str:
 
 
 def _matrix_text(rows, kind: str) -> str:
-    """serialize_matrix of a matrix given as three rows of three Python complex."""
+    """serialize_matrix of a matrix given as three rows of three Python
+    complex with finite parts: as_matrix3 gives such rows, and so does
+    parametrization._unitary_rows of finite parameters."""
     if kind not in MATRIX_KINDS:
         raise MalformedDocumentError(f"unknown matrix kind {kind!r}")
     re = [z.real for row in rows for z in row]
     im = [z.imag for row in rows for z in row]
-    if not all(map(math.isfinite, re + im)):
-        raise NonFiniteError("matrix has non-finite entries")
     return _MATRIX_TEMPLATE % (kind, *re, *im)
 
 

@@ -42,17 +42,22 @@ complex, one code path with no numpy arithmetic, so their bytes do not
 depend on numpy's SIMD targets or on the BLAS kernels of the host.  A
 matrix is read with one ``tolist()``; elementary functions are math's
 (cos, sin, atan2), and the phase of re + i im is math.atan2(im, re),
-bit for bit cmath.phase; a modulus is math.hypot(re, im); a
-vector or Frobenius norm squares each real and imaginary part, sums the
-squares with math.fsum (exact, rounded once) and takes math.sqrt; every
-3x3 product is written out with each sum taken left to right, and the
-eigensolver uses + - * / and math.hypot only.  A complex times a real or
+bit for bit cmath.phase.  A modulus is math.hypot(re, im) in recovery
+and the unitarity gate, and abs(z) of a Python complex in the
+eigensolver; abs(z) is the C library's hypot of its parts, and
+math.hypot has its own algorithm, so the two can differ in the last
+bit.  A vector or Frobenius norm squares each real and imaginary part,
+sums the squares with math.fsum (exact, rounded once) and takes
+math.sqrt; every 3x3 product is written out with each sum taken left to
+right, and the eigensolver uses + - * /, math.hypot and abs of a complex
+only.  A complex times a real or
 a purely imaginary factor is written as two float products, or as a
 product with complex(x, 0.0), so Python's promotion of a float operand
 (which Python 3.14 no longer does) decides no sign of zero.  One
 dependence remains: glibc picks an FMA variant of atan2, sin, cos and exp
-by CPU, and those can differ in the last bit between hosts; hypot, fsum,
-sqrt and + - * / cannot.
+by CPU, and those can differ in the last bit between hosts; math.hypot,
+fsum, sqrt and + - * / cannot, and abs of a complex gives what the host
+C library's hypot gives.
 """
 from __future__ import annotations
 
@@ -215,12 +220,13 @@ def eig_hermitian3(r) -> EigenDecomposition:
     equal ones).
 
     Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
-    max|R|, a gate that holds at any scale (moduli are hypot, so no square
-    overflows).  Where the frexp exponent of max|R| exceeds _MAX_EXPONENT =
-    1022, R is multiplied by the power of two that puts max|R| in
-    [2**1021, 2**1022) before the solve, and the eigenvalues by its inverse
-    after, so no finite input overflows inside; a trace or eigenvalue beyond
-    the largest float raises FloatRangeError.  Any other R, subnormal
+    max|R|, a gate that holds at any scale (moduli are abs of a complex,
+    the C library's hypot, so no square overflows).  Where the frexp
+    exponent of max|R| exceeds _MAX_EXPONENT = 1022, R is multiplied by
+    the power of two that puts max|R| in [2**1021, 2**1022) before the
+    solve, and the eigenvalues by its inverse after, so no finite input
+    overflows inside; a trace or eigenvalue beyond the largest float
+    raises FloatRangeError.  Any other R, subnormal
     entries included, is solved as it is (each phase through _unit).
     The solve runs at most _MAX_SWEEPS sweeps and raises ConvergenceError
     (exit 3) if the last of them still rotates; no input is known to come
@@ -323,7 +329,7 @@ def _eig(rows) -> EigenDecomposition:
 def _unit(z: complex, h: float) -> complex:
     """The phase z/h of a nonzero z of modulus h = abs(z), of modulus 1 to
     rounding.  A subnormal h has few significant bits, so below _TINY z is
-    first multiplied by 2**1022 (exact) and hypot and / run on normal floats."""
+    first multiplied by 2**1022 (exact) and abs and / run on normal floats."""
     if h < _TINY:
         z = complex(z.real / _TINY, z.imag / _TINY)
         h = abs(z)
@@ -352,17 +358,18 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     raises ConvergenceError.  Kopp (Int. J. Mod. Phys. C 19, 523, 2008)
     finds Jacobi the most accurate of the 3x3 methods he compares.
 
-    Arithmetic: + - * / on floats, math.hypot, abs of a complex (math.hypot
-    of its parts) and products and sums of two complex; the complex
-    rotation's cosine enters as complex(c, 0.0), and a complex times a real
-    is written as two float products, so no float operand is promoted to
-    complex.  Every product is an entry times a coefficient of modulus at
-    most 1, and theta is formed from halves, so nothing overflows below
-    2**1022 and nothing underflows above the subnormals: the result scales
-    exactly with a power of two.  A theta beyond the float range gives
-    t = 0, a rotation smaller than any float could hold.  u, u02 and u12
-    come from _unit, so W and D are unitary even where an entry is
-    subnormal, in A or formed in the solve (s a12, with all of A normal).
+    Arithmetic: + - * / on floats, math.hypot, abs of a complex (the C
+    library's hypot of its parts) and products and sums of two complex;
+    the complex rotation's cosine enters as complex(c, 0.0), and a complex
+    times a real is written as two float products, so no float operand is
+    promoted to complex.  Every product is an entry times a coefficient of
+    modulus at most 1, and theta is formed from halves, so nothing
+    overflows below 2**1022 and nothing underflows above the subnormals:
+    the result scales exactly with a power of two.  A theta beyond the
+    float range gives t = 0, a rotation smaller than any float could hold.
+    u, u02 and u12 come from _unit, so W and D are unitary even where an
+    entry is subnormal, in A or formed in the solve (s a12, with all of A
+    normal).
     """
     hypot = math.hypot
     wc, wsu = 1.0, 0j  # the complex rotation's c and s u

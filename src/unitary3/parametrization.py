@@ -411,8 +411,10 @@ def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
     Negating the first two rotation columns (Q -> Q diag(-1, -1, 1)) is
     undone by advancing alpha1, alpha2, alpha3 by pi, so each generic
     unitary has exactly two representatives; recovery returns the one
-    with alpha1 in [-pi/2, pi/2] (see _normalize_global_phase).
+    with alpha1 in [-pi/2, pi/2] (see _normalize_global_phase).  Raises
+    NonFiniteError for a NaN or infinite field.
     """
+    _check_finite(_values(p))
     return UnitaryParams(
         rotation=RotationAngles(
             wrap_angle(p.rotation.phi + math.pi), -p.rotation.theta, p.rotation.varphi
@@ -436,15 +438,14 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
 
     Phase-like fields are compared on the circle; theta, chi and mu
     directly.  Zero (up to float noise) iff the tuples compose to the same
-    unitary through the same branch conventions; NaN if any field is NaN,
-    so a NaN never passes a bound.
+    unitary through the same branch conventions; NaN if any field of either
+    is NaN or infinite, so such a tuple never passes a bound.
     """
+    if not all(map(math.isfinite, _values(p) + _values(q))):
+        return math.nan
 
     def gaps(x: UnitaryParams) -> list:
         return [abs(wrap_angle(a - b) if circle else a - b)
                 for a, b, circle in zip(_values(x), _values(q), _ON_CIRCLE)]
 
-    near, flipped = gaps(p), gaps(flip_equivalent(p))
-    if any(map(math.isnan, near + flipped)):
-        return math.nan
-    return min(max(near), max(flipped))
+    return min(max(gaps(p)), max(gaps(flip_equivalent(p))))

@@ -52,7 +52,9 @@ class RotationAngles(NamedTuple):
 
     def canonical(self) -> "RotationAngles":
         """Wrap into canonical ranges, using the Q-preserving equivalence
-        (varphi, theta, phi) -> (varphi - pi, -theta, phi + pi)."""
+        (varphi, theta, phi) -> (varphi - pi, -theta, phi + pi); raises
+        NonFiniteError for a NaN or infinite angle."""
+        _check_finite(self)
         return _canonical(self.phi, self.theta, self.varphi)
 
 

@@ -11,6 +11,7 @@ coherency samples on one host only, and `gen --haar` bytes are host-bound.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .parametrization import UnitaryParams
@@ -26,11 +27,13 @@ _MASK = (1 << 64) - 1
 
 class SeededGenerator:
     """SplitMix64 stream with Box-Muller Gaussian output.  The seed is the
-    initial 64-bit state: an int in [0, 2**64); any other raises
-    ValueError rather than aliasing the seed that it equals modulo 2**64."""
+    initial 64-bit state: an integer in [0, 2**64), read with
+    operator.index.  A seed that is not an integer (a float, a string)
+    raises TypeError and one outside the range ValueError, rather than
+    aliasing the seed that it truncates to or equals modulo 2**64."""
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        seed = operator.index(seed)
         if not 0 <= seed <= _MASK:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = seed

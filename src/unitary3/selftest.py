@@ -18,7 +18,7 @@ from .characteristic import (
 )
 from .linalg import eig_hermitian3, unitarity_distance
 from .parametrization import compose_core, compose_unitary, params_distance, recover_params
-from .rotations import RotationAngles, compose_rotation, extract_rotation_angles
+from .rotations import compose_rotation, extract_rotation_angles
 from .sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
 
 # Middle ellipticity angles, regular to maximally nonregular, of regularity_spectrum.
@@ -53,12 +53,12 @@ def param_roundtrip(g: SeededGenerator, n: int) -> float:
 
 
 def rotation_roundtrip(g: SeededGenerator, n: int) -> float:
-    """Frobenius gap of compose-extract-compose on random rotation triples."""
+    """Frobenius gap of compose-extract-compose on the rotation triples of
+    random_params."""
     import numpy as np
 
     def gap():
-        phi, theta = -math.pi + 2 * math.pi * g.uniform(), -math.pi / 2 + math.pi * g.uniform()
-        q = compose_rotation(RotationAngles(phi, theta, math.pi * g.uniform()))
+        q = compose_rotation(random_params(g).rotation)
         return np.linalg.norm(compose_rotation(extract_rotation_angles(q)[0]) - q)
 
     return _worst(gap() for _ in range(n))
@@ -104,18 +104,13 @@ def middle_spectrum(g: SeededGenerator, n: int) -> float:
 
 def chi_only_dependence(g: SeededGenerator, n: int) -> float:
     """Gap of middle_component(V1 with columns (v2, v3, n1)) from its chi-only
-    form, over n draws of (mu, alpha2, alpha3, beta2) at chi = 0.1, -0.3, 0.7."""
+    form, over n draws of (mu, alpha2, alpha3, beta2) from random_params at
+    chi = 0.1, -0.3, 0.7, with alpha1 = 0."""
     import numpy as np
 
     def gap(chi):
-        u = compose_core(
-            chi,
-            mu=math.pi / 2 * g.uniform(),
-            alpha1=0.0,
-            alpha2=-math.pi + 2 * math.pi * g.uniform(),
-            alpha3=-math.pi + 2 * math.pi * g.uniform(),
-            beta2=-math.pi + 2 * math.pi * g.uniform(),
-        )[:, [1, 2, 0]]
+        p = random_params(g)
+        u = compose_core(chi, p.mu, 0.0, p.alpha2, p.alpha3, p.beta2)[:, [1, 2, 0]]
         return np.linalg.norm(middle_component(u) - intrinsic_middle(chi))
 
     return _worst(gap(chi) for chi in (0.1, -0.3, 0.7) for _ in range(n))

@@ -715,6 +715,27 @@ def test_empty_output_path_is_usage_error(argv, message):
     assert error == f"unitary3 {argv[0]}: error: {message}", err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["recover", "--matrix", "m.json", "--tolerance", "x"], "argument --tolerance: invalid float value: 'x'"),
+    (["roundtrip", "--matrix", "m.json", "--tolerance", "-1"],
+     "argument --tolerance: must be a finite number >= 0, got '-1'"),
+    (["gen", "--haar", "x"], "argument --haar: invalid int value: 'x'"),
+    (["gen", "--haar", "-3"], "argument --haar: must be >= 0, got '-3'"),
+    (["gen", "--haar", "1", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["gen", "--haar", "1", "--seed", "-1"], "argument --seed: must lie in [0, 2**64), got '-1'"),
+    (["gen", "--haar", "1", "--seed", "18446744073709551616"],
+     "argument --seed: must lie in [0, 2**64), got '18446744073709551616'"),
+])
+def test_value_error_message(argv, message):
+    # The whole error line of each option value check, rejected before any
+    # input is read.
+    code, out, err = run_usage_error(argv)
+    assert (code, out) == (2, ""), argv
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: unitary3 {argv[0]} "), err
+    assert error == f"unitary3 {argv[0]}: error: {message}", err
+
+
 def test_space_form_value_reaches_the_validator(tmp_path):
     # "-inf" after --tolerance is its value, which the validator rejects.
     mpath = tmp_path / "eye.json"

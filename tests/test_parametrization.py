@@ -27,7 +27,9 @@ from unitary3.parametrization import (
     params_distance,
     recover_params,
 )
-from unitary3.rotations import RotationAngles, _rotation_rows, compose_rotation, wrap_angle
+from unitary3.characteristic import middle_component
+from unitary3.rotations import (NotOrthogonalError, RotationAngles, _rotation_rows, compose_rotation,
+                               extract_rotation_angles, wrap_angle)
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 from unitary3.selftest import haar_roundtrip, param_roundtrip
 
@@ -320,6 +322,22 @@ def test_recover_params_rejects_nan_unitarity_distance():
         recover_params(u)
 
 
+def test_unitarity_distance_sum_overflow():
+    # Entries of 1e77: each square in the Frobenius norm is finite (1e308)
+    # but their sum is not, so math.fsum raises OverflowError, which
+    # _unitarity_distance turns into inf.  unitarity_distance reports it as
+    # FloatRangeError, and every unitarity gate names the large entry.
+    u = 1e77 * np.eye(3)
+    with pytest.raises(FloatRangeError, match="beyond the largest float"):
+        unitarity_distance(u)
+    message = "entry modulus 1.000e[+]77 exceeds 2"
+    for gate in (recover_params, middle_component):
+        with pytest.raises(NotUnitaryError, match=message):
+            gate(u)
+    with pytest.raises(NotOrthogonalError, match=message):
+        extract_rotation_angles(u)
+
+
 def test_recover_params_haar():
     assert haar_roundtrip(SeededGenerator(43), 1000) <= 1e-10
 
@@ -455,6 +473,20 @@ def test_params_distance_propagates_nan():
     assert np.isnan(params_distance(p, p._replace(chi=np.nan)))
     assert np.isnan(params_distance(p, p._replace(alpha2=np.nan)))
     assert np.isnan(params_distance(p._replace(rotation=RotationAngles(0.4, np.nan, 1.0)), p))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+def test_tuple_helpers_non_finite(field, bad):
+    # A NaN or infinite field: flip_equivalent raises NonFiniteError (an
+    # infinite phase once raised math's untyped ValueError) and
+    # params_distance is NaN on either side, so no bound passes.
+    values = dict(zip(PARAM_FIELDS, (0.4, -0.3, 1.0, 0.2, 0.6, 0.5, 0.8, 0.7, 0.2)))
+    p, q = make_params(**values), make_params(**{**values, field: bad})
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        flip_equivalent(q)
+    assert math.isnan(params_distance(p, q))
+    assert math.isnan(params_distance(q, p))
 
 
 def test_canonicalize_idempotent():

@@ -156,3 +156,14 @@ def test_canonical_double_fold_cancels():
     assert RotationAngles(0.3, 1.0, -1e-17).canonical() == (0.3, 1.0, 0.0)
     # One fold still moves phi by pi and negates theta.
     assert RotationAngles(0.3, 1.0, 4.0).canonical() == (0.3 - math.pi, -1.0, 4.0 - math.pi)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("i", range(3))
+def test_canonical_rejects_non_finite(i, bad):
+    # An infinite varphi once came out as varphi = nan, an infinite theta
+    # passed through and an infinite phi raised math's untyped ValueError.
+    angles = [0.1, 0.2, 0.3]
+    angles[i] = bad
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        RotationAngles(*angles).canonical()

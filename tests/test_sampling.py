@@ -46,6 +46,18 @@ def test_seed_outside_state_space_rejected(seed):
         SeededGenerator(seed)
 
 
+@pytest.mark.parametrize("seed", [3.7, 2.0, "12"])
+def test_seed_not_an_integer_rejected(seed):
+    # int(seed) once gave 3.7 the stream of 3 and accepted the string "12".
+    with pytest.raises(TypeError):
+        SeededGenerator(seed)
+
+
+def test_numpy_integer_seed():
+    a, b = SeededGenerator(np.uint64(5)), SeededGenerator(5)
+    assert [a.next_uint64() for _ in range(5)] == [b.next_uint64() for _ in range(5)]
+
+
 def test_uniform_range():
     g = SeededGenerator(7)
     xs = [g.uniform() for _ in range(5000)]
