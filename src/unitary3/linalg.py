@@ -68,13 +68,12 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-# Gates shared by every module.  DEGENERACY_GATE only labels (the circular
-# column, a3 = 0, b3 = 0) and folds nothing.  FOLD_GATE is the one gate of
-# every fold: below it a quantity is rounding noise and a convention decides
-# (linear column and pole, rotation gimbal, mu = 0 and mu = pi/2).
+# The gates defined here.  UNITARITY_TOL and HERMITICITY_TOL are the input
+# gates.  FOLD_GATE is the one gate of every fold, in every module: below it
+# a quantity is rounding noise and a convention decides (linear column and
+# pole, rotation gimbal, mu = 0 and mu = pi/2).
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
-DEGENERACY_GATE = 1e-10
 FOLD_GATE = 1e-12
 
 _TINY = sys.float_info.min

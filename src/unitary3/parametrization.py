@@ -25,14 +25,16 @@ is implemented.
 
 Recovery: the first column u1 determines alpha1, chi and the rotation; the
 core parameters then come from five entries of V1 = Q.T @ U.  _ellipticity
-holds every rule of chi: its magnitude, its sign and the zero-pattern
-branch (a, b1, b2, c, d1, d2) reported alongside.  The sign has one rule
+holds every rule of chi: its magnitude and its sign.  The sign has one rule
 and no convention, at the gimbal too: the rotation stays inside the chart,
 Q[2,2] = cos theta >= 0, which is sign(a1*b2 - a2*b1) >= 0 on the real and
-imaginary parts of the phase-normalized first column.  Each stage has one
-rule and every fold one gate, linalg.FOLD_GATE: below it chi is 0 (linear
-column, whose frame takes varphi = 0), the rotation gimbal takes its
-convention, and alpha2 (mu = pi/2) or alpha3 (mu = 0) is 0.  Every
+imaginary parts of the phase-normalized first column.  _branch holds every
+rule of the reported label, the paper's zero-pattern branches (a, b1, b2,
+c, d1, d2) in one table and circular-fallback, and the label decides
+nothing.  Each stage has one rule and every fold one gate,
+linalg.FOLD_GATE: below it chi is 0 (linear column, whose frame takes
+varphi = 0), the rotation gimbal takes its convention, and alpha2
+(mu = pi/2) or alpha3 (mu = 0) is 0.  Every
 recovered angle lies in the README's ranges: phases in (-pi, pi]
 (rotations.wrap_angle), varphi in [0, pi) and |chi| <= pi/4.
 """
@@ -42,8 +44,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
-from .linalg import (DEGENERACY_GATE, FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite,
-                     _check_unitary, _fsum_norm, as_matrix3)
+from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _check_unitary,
+                     _fsum_norm, as_matrix3)
 from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
 
 if TYPE_CHECKING:
@@ -189,7 +191,7 @@ def compose_unitary(p: UnitaryParams) -> np.ndarray:
     return np.array(_unitary_rows(p))
 
 
-def _normalize_global_phase(u1) -> tuple[tuple, bool]:
+def _normalize_global_phase(u1) -> tuple[tuple, complex]:
     """Phase-normalize a unit column, three Python complex: eps = e^{-i alpha1} u1.
 
     alpha1 is half the argument of the unconjugated self-product u1.u1,
@@ -197,22 +199,21 @@ def _normalize_global_phase(u1) -> tuple[tuple, bool]:
     cos(2 chi).  That product fixes alpha1 only modulo pi; the range of
     math.atan2 picks the representative, alpha1 in [-pi/2, pi/2] (-pi/2
     only when u1.u1 is a negative real with a -0.0 imaginary part), and
-    flip_equivalent gives the other.  The flag is True when
-    |u1.u1| < DEGENERACY_GATE (circular, chi = +-pi/4); it labels the
-    column only.  The column must be unit: recover_params and
-    regularity_report pass columns that are unit by their own gates.
-    Recovery reads alpha1 itself off V1[0, 0], so only eps is returned.
+    flip_equivalent gives the other.  Returns eps and u1.u1, which _branch
+    reads for the circular label; no gate applies here.  The column must
+    be unit: recover_params and regularity_report pass columns that are
+    unit by their own gates.  Recovery reads alpha1 itself off V1[0, 0],
+    so alpha1 is not returned.
     """
     x, y, z = u1
     w = x * x + y * y + z * z
     alpha1 = 0.5 * math.atan2(w.imag, w.real)
     e = complex(math.cos(alpha1), -math.sin(alpha1))
-    return (e * x, e * y, e * z), math.hypot(w.real, w.imag) < DEGENERACY_GATE
+    return (e * x, e * y, e * z), w
 
 
-def _ellipticity(eps) -> tuple[float, str, float, float]:
-    """Ellipticity angle chi, zero-pattern branch and the norms |a|, |b| of
-    a normalized column.
+def _ellipticity(eps) -> tuple[float, float, float]:
+    """Ellipticity angle chi and the norms |a|, |b| of a normalized column.
 
     Takes the phase-normalized column eps = a + i b (three Python complex),
     which is cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
@@ -224,10 +225,8 @@ def _ellipticity(eps) -> tuple[float, str, float, float]:
     unitarity gate, _regularity a Jacobi eigenvector, and the recomposition
     residual is recovery's exit gate.  Every rule of chi lives here:
 
-    - Linear polarization, |b| <= FOLD_GATE: chi = 0, branch b1 when
-      a3 = 0, else d1.
-    - Otherwise the branch is a, b2 (a3 = b3 = 0), c (a3 = 0) or d2
-      (b3 = 0), a label only, and chi takes the sign of the invariant
+    - Linear polarization, |b| <= FOLD_GATE: chi = 0.
+    - Otherwise chi takes the sign of the invariant
       a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta), + when it is 0.  That
       is the chart's own condition Q[2,2] = cos(theta) >= 0: the third
       rotation column q1 x q2 has z component
@@ -235,32 +234,51 @@ def _ellipticity(eps) -> tuple[float, str, float, float]:
       at the gimbal.
     """
     e1, e2, e3 = eps
-    a1, a2, a3 = e1.real, e2.real, e3.real
-    b1, b2, b3 = e1.imag, e2.imag, e3.imag
-    ca = _fsum_norm((a1, a2, a3))
-    sb = _fsum_norm((b1, b2, b3))
-    a3_zero = abs(a3) <= DEGENERACY_GATE
+    a1, a2, b1, b2 = e1.real, e2.real, e1.imag, e2.imag
+    ca = _fsum_norm((a1, a2, e3.real))
+    sb = _fsum_norm((b1, b2, e3.imag))
     if sb <= FOLD_GATE:
-        return 0.0, "b1" if a3_zero else "d1", ca, sb
-    b3_zero = abs(b3) <= DEGENERACY_GATE
-    if a3_zero and b3_zero:
-        branch = "b2"
-    elif a3_zero:
-        branch = "c"
-    elif b3_zero:
-        branch = "d2"
-    else:
-        branch = "a"
+        return 0.0, ca, sb
     chi = math.atan2(sb, ca)
     if chi > _QUARTER_PI:
         chi = _QUARTER_PI
-    return (chi if a1 * b2 - a2 * b1 >= 0.0 else -chi), branch, ca, sb
+    return (chi if a1 * b2 - a2 * b1 >= 0.0 else -chi), ca, sb
 
 
-def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
-    """Recover (chi, rotation, branch) from a phase-normalized unit column.
+# The gate and the table of _branch, which states their rules.
+DEGENERACY_GATE = 1e-10
+_BRANCHES = {(True, True, True): "b1", (True, False, True): "d1", (False, True, True): "b2",
+             (False, True, False): "c", (False, False, True): "d2", (False, False, False): "a"}
 
-    chi and the branch come from _ellipticity; the rotation has columns
+
+def _branch(eps, w, chi: float) -> str:
+    """The sign-determination branch recovery reports for its first column.
+
+    Takes the phase-normalized column eps = a + i b, its self-product
+    w = u1.u1 and its chi, as the stages above return them.  Every label
+    rule lives here, and no label decides anything; DEGENERACY_GATE only
+    labels and folds nothing:
+
+    - circular-fallback when |w| = cos(2 chi) < DEGENERACY_GATE
+      (chi = +-pi/4, where any alpha1 is valid); the report's
+      global_phase_alpha1_degenerate is this label.
+    - Otherwise the paper's zero-pattern branch, _BRANCHES keyed by
+      (linear, a3 = 0, b3 = 0): linear is chi = 0 (|b| <= FOLD_GATE on a
+      unit column), and a3 = 0 and b3 = 0 each mean a modulus at most
+      DEGENERACY_GATE.  A linear column has |b3| <= |b| <= FOLD_GATE, so
+      its b3 is 0 and six keys cover every column: b1 (linear, a3 = 0), d1
+      (linear), b2 (a3 = b3 = 0), c (a3 = 0), d2 (b3 = 0) and a.
+    """
+    if math.hypot(w.real, w.imag) < DEGENERACY_GATE:
+        return "circular-fallback"
+    e3 = eps[2]
+    return _BRANCHES[chi == 0.0, abs(e3.real) <= DEGENERACY_GATE, abs(e3.imag) <= DEGENERACY_GATE]
+
+
+def _recover_first_column(eps) -> tuple[float, RotationAngles]:
+    """Recover (chi, rotation) from a phase-normalized unit column.
+
+    chi comes from _ellipticity; the rotation has columns
     q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2.  A linear column
     (chi = 0) fixes q1 only; the frame takes the varphi = 0 representative
     q2 = e_z x q1 / |e_z x q1|, or where that norm is below FOLD_GATE (the
@@ -269,7 +287,7 @@ def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
     off the poles q3_z = |e_z x q1|, at them |x1|, and with chi nonzero
     _ellipticity's sign rule holds it.
     """
-    chi, branch, ca, sb = _ellipticity(eps)
+    chi, ca, sb = _ellipticity(eps)
     e1, e2, e3 = eps
     x1, y1, z1 = e1.real / ca, e2.real / ca, e3.real / ca
     if chi == 0.0:
@@ -293,7 +311,7 @@ def _recover_first_column(eps) -> tuple[float, RotationAngles, str]:
             (z1, z2, x1 * y2 - y1 * x2),
         )
     )
-    return chi, rot, branch
+    return chi, rot
 
 
 def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
@@ -376,10 +394,9 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
     _residual the parts of Q V1' - U, both in floats, each sum as _rotate,
     the product of composition, takes it."""
     _check_unitary(rows)
-    eps, circular = _normalize_global_phase([row[0] for row in rows])
-    chi, rot, branch = _recover_first_column(eps)
-    if circular:
-        branch = "circular-fallback"
+    eps, w = _normalize_global_phase([row[0] for row in rows])
+    chi, rot = _recover_first_column(eps)
+    branch = _branch(eps, w, chi)
     q = _rotation_rows(rot)
     mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(q, rows)
     params = UnitaryParams(
@@ -401,7 +418,7 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
         params=params,
         residual=residual,
         branch=branch,
-        global_phase_alpha1_degenerate=circular,
+        global_phase_alpha1_degenerate=branch == "circular-fallback",
     )
 
 
@@ -436,7 +453,8 @@ _ON_CIRCLE = (True, False, True, False, False, True, True, True, True)
 def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
     """Max fieldwise gap between two tuples, modulo the flip equivalence.
 
-    Phase-like fields are compared on the circle; theta, chi and mu
+    Phase-like fields are compared on the circle, each wrapped before the
+    difference so that no finite pair overflows; theta, chi and mu
     directly.  Zero (up to float noise) iff the tuples compose to the same
     unitary through the same branch conventions; NaN if any field of either
     is NaN or infinite, so such a tuple never passes a bound.
@@ -445,7 +463,7 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
         return math.nan
 
     def gaps(x: UnitaryParams) -> list:
-        return [abs(wrap_angle(a - b) if circle else a - b)
+        return [abs(wrap_angle(wrap_angle(a) - wrap_angle(b)) if circle else a - b)
                 for a, b, circle in zip(_values(x), _values(q), _ON_CIRCLE)]
 
     return min(max(gaps(p)), max(gaps(flip_equivalent(p))))

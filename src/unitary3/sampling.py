@@ -28,11 +28,13 @@ _MASK = (1 << 64) - 1
 class SeededGenerator:
     """SplitMix64 stream with Box-Muller Gaussian output.  The seed is the
     initial 64-bit state: an integer in [0, 2**64), read with
-    operator.index.  A seed that is not an integer (a float, a string)
-    raises TypeError and one outside the range ValueError, rather than
-    aliasing the seed that it truncates to or equals modulo 2**64."""
+    operator.index.  A seed that is not an integer (a float, a string, a
+    bool) raises TypeError and one outside the range ValueError, rather
+    than aliasing the seed that it truncates to or equals modulo 2**64."""
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool):  # operator.index takes True as 1
+            raise TypeError("seed must be an integer, not bool")
         seed = operator.index(seed)
         if not 0 <= seed <= _MASK:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")

@@ -60,6 +60,34 @@ def first_column_oracle(chi, phi, theta, varphi) -> np.ndarray:
     return np.cos(chi) * q[:, 0] + 1j * np.sin(chi) * q[:, 1]
 
 
+def _branch_cases() -> list:
+    """(chi, phi, theta, varphi, branch): first columns
+    cos(chi) q1 + i sin(chi) q2 constructed to fire each of the paper's
+    six zero-pattern branches, with both signs of chi in each elliptical
+    one."""
+    cases = []
+    # branch a, all four (a3, b3) sign rows: varphi strictly inside (0, pi/2)
+    for theta, chi in ((0.5, 0.3), (0.5, -0.3), (-0.5, 0.3), (-0.5, -0.3)):
+        cases.append((chi, 0.7, theta, 0.6, "a"))
+    # branch b1: linear polarization in the XY plane
+    cases.append((0.0, 0.4, 0.0, 0.0, "b1"))
+    # branch b2, all four (a1, b2) sign rows via cos(phi) and chi signs
+    for phi, chi in ((0.3, 0.2), (2.5, 0.2), (0.3, -0.2), (2.5, -0.2)):
+        cases.append((chi, phi, 0.0, 0.0, "b2"))
+    # branch c (varphi = pi/2), four (a1, b2) sign rows via sin(phi), chi
+    for phi, chi in ((0.4, 0.2), (-0.4, 0.2), (0.4, -0.2), (-0.4, -0.2)):
+        cases.append((chi, phi, 0.5, np.pi / 2, "c"))
+    # branch d1: linear polarization tilted out of the XY plane
+    cases.append((0.0, 0.3, 0.5, 0.3, "d1"))
+    # branch d2 (sin(varphi) = 0), four sign rows via theta and chi signs
+    for theta, chi in ((0.5, 0.2), (-0.5, 0.2), (0.5, -0.2), (-0.5, -0.2)):
+        cases.append((chi, 0.3, theta, 0.0, "d2"))
+    return cases
+
+
+BRANCH_CASES = _branch_cases()
+
+
 def mp_compose(p, dps=60):
     """U = Q V1 in mpmath at ``dps`` digits from a dict of the nine fields,
     as rows of mpc: Q = Rz(-phi) Ry(-theta) Rz(varphi) from its elementary

@@ -18,7 +18,7 @@ import numpy as np
 from unitary3.characteristic import characteristic_decomposition, intrinsic_middle, regularity_report
 from unitary3.cli import main
 from unitary3.linalg import eig_hermitian3
-from unitary3.parametrization import _normalize_global_phase, _recover_first_column
+from unitary3.parametrization import _branch, _normalize_global_phase, _recover_first_column
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
 from unitary3.selftest import (
     REGULARITY_CHI_VALUES,
@@ -31,7 +31,7 @@ from unitary3.selftest import (
     regularity_spectrum,
 )
 
-from oracles import cubic_eigenvalues, first_column_oracle, lapack_eigenvalues
+from oracles import BRANCH_CASES, cubic_eigenvalues, first_column_oracle, lapack_eigenvalues
 
 
 def _report(number, name, ok, detail):
@@ -72,36 +72,20 @@ def test_criterion_03_parameter_roundtrip():
 
 def test_criterion_04_branch_coverage():
     # Constructed first columns cos(chi) q1 + i sin(chi) q2 firing every
-    # sign-determination branch; the recovered sign must equal the
-    # composing sign in every case.
-    cases = []
-    # branch a, all four (a3, b3) sign rows: varphi strictly inside (0, pi/2)
-    for theta, chi in ((0.5, 0.3), (0.5, -0.3), (-0.5, 0.3), (-0.5, -0.3)):
-        cases.append((chi, 0.7, theta, 0.6, "a"))
-    # branch b1: linear polarization in the XY plane
-    cases.append((0.0, 0.4, 0.0, 0.0, "b1"))
-    # branch b2, all four (a1, b2) sign rows via cos(phi) and chi signs
-    for phi, chi in ((0.3, 0.2), (2.5, 0.2), (0.3, -0.2), (2.5, -0.2)):
-        cases.append((chi, phi, 0.0, 0.0, "b2"))
-    # branch c (varphi = pi/2), four (a1, b2) sign rows via sin(phi), chi
-    for phi, chi in ((0.4, 0.2), (-0.4, 0.2), (0.4, -0.2), (-0.4, -0.2)):
-        cases.append((chi, phi, 0.5, np.pi / 2, "c"))
-    # branch d1: linear polarization tilted out of the XY plane
-    cases.append((0.0, 0.3, 0.5, 0.3, "d1"))
-    # branch d2 (sin(varphi) = 0), four sign rows via theta and chi signs
-    for theta, chi in ((0.5, 0.2), (-0.5, 0.2), (0.5, -0.2), (-0.5, -0.2)):
-        cases.append((chi, 0.3, theta, 0.0, "d2"))
-
+    # sign-determination branch, through recovery's first-column stages;
+    # the recovered sign must equal the composing sign in every case.
     failures = []
-    for chi0, phi0, theta0, varphi0, want_branch in cases:
-        eps = first_column_oracle(chi0, phi0, theta0, varphi0)
-        chi, _, branch = _recover_first_column(np.asarray(eps, dtype=complex).tolist())
+    for chi0, phi0, theta0, varphi0, want_branch in BRANCH_CASES:
+        u1 = first_column_oracle(chi0, phi0, theta0, varphi0)
+        eps, w = _normalize_global_phase(np.asarray(u1, dtype=complex).tolist())
+        chi, _ = _recover_first_column(eps)
+        branch = _branch(eps, w, chi)
         if branch != want_branch or np.sign(chi) != np.sign(chi0):
             failures.append((want_branch, branch, chi0, chi))
     _report(
         4, "Appendix branch coverage",
         not failures,
-        f"{len(cases) - len(failures)}/{len(cases)} constructed cases matched"
+        f"{len(BRANCH_CASES) - len(failures)}/{len(BRANCH_CASES)} constructed cases matched"
         + (f"; failures: {failures}" if failures else ""),
     )
 

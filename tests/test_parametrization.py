@@ -14,6 +14,7 @@ from unitary3.parametrization import (
     NotUnitaryError,
     ParameterRangeError,
     UnitaryParams,
+    _branch,
     _ellipticity,
     _extract_core_params,
     _normalize_global_phase,
@@ -33,7 +34,7 @@ from unitary3.rotations import (NotOrthogonalError, RotationAngles, _rotation_ro
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 from unitary3.selftest import haar_roundtrip, param_roundtrip
 
-from oracles import first_column_oracle
+from oracles import BRANCH_CASES, first_column_oracle
 
 
 def make_params(phi=0.0, theta=0.0, varphi=0.0, chi=0.0, mu=0.0, alpha1=0.0,
@@ -79,40 +80,49 @@ def column(v) -> list:
     return np.asarray(v, dtype=complex).tolist()
 
 
+def first_column_stages(u1) -> tuple:
+    """(chi, rotation, branch) of a unit first column u1, through
+    recovery's stages: phase, first column, label."""
+    eps, w = _normalize_global_phase(u1)
+    chi, rot = _recover_first_column(eps)
+    return chi, rot, _branch(eps, w, chi)
+
+
 def test_normalize_global_phase_trivial():
     u1 = column([1.0, 0.0, 0.0])
-    eps, circular = _normalize_global_phase(u1)
+    eps, w = _normalize_global_phase(u1)
     assert np.array_equal(eps, u1)  # alpha1 = 0
-    assert not circular
+    assert w == 1.0
+    assert first_column_stages(u1)[2] != "circular-fallback"
     assert np.allclose(eps, [1.0, 0.0, 0.0])
 
 
 def test_normalize_global_phase_generic():
     u1 = np.exp(1j * np.pi / 3) * np.array([np.cos(0.2), 1j * np.sin(0.2), 0.0])
-    eps, circular = _normalize_global_phase(column(u1))
-    assert not circular
+    eps, w = _normalize_global_phase(column(u1))
+    assert first_column_stages(column(u1))[2] != "circular-fallback"
     assert np.linalg.norm(u1 - np.exp(1j * np.pi / 3) * np.array(eps)) <= 1e-15  # alpha1 = pi/3
     assert np.allclose(eps, [np.cos(0.2), 1j * np.sin(0.2), 0.0])
+    assert abs(w - np.exp(2j * np.pi / 3) * np.cos(0.4)) <= 1e-15  # u1.u1 = e^{2i alpha1} cos(2 chi)
 
 
 def test_normalize_global_phase_circular_flag():
     s = np.sqrt(0.5)
-    _, circular = _normalize_global_phase(column([s, 1j * s, 0.0]))
-    assert circular
-    # phased, rotated columns at and near chi = pi/4: flagged, and still
-    # phase-normalized (a.b = 0) by the one alpha1 rule
+    assert first_column_stages(column([s, 1j * s, 0.0]))[2] == "circular-fallback"
+    # phased, rotated columns at and near chi = pi/4: labelled circular,
+    # and still phase-normalized (a.b = 0) by the one alpha1 rule
     for chi in (np.pi / 4 - 1e-11, np.pi / 4 - 1e-12, np.pi / 4):
         for phase, angles in ((0.5, (0.4, -0.3, 1.0)), (-2.0, (2.1, 0.7, -1.3))):
             q = compose_rotation(RotationAngles(*angles))
             u1 = np.exp(1j * phase) * (q @ [np.cos(chi), 1j * np.sin(chi), 0.0])
-            eps, circular = _normalize_global_phase(column(u1))
-            assert circular
+            assert first_column_stages(column(u1))[2] == "circular-fallback"
+            eps, _ = _normalize_global_phase(column(u1))
             eps = np.array(eps)
             assert abs(eps.real @ eps.imag) <= 1e-15, (chi, phase)
 
 
 def test_recover_first_column_trivial():
-    chi, rot, _ = _recover_first_column(column([1.0, 0.0, 0.0]))
+    chi, rot = _recover_first_column(column([1.0, 0.0, 0.0]))
     assert chi == 0.0
     assert (rot.phi, rot.theta, rot.varphi) == (0.0, 0.0, 0.0)
 
@@ -126,7 +136,7 @@ def test_recover_first_column_pole():
         a = np.array([g.gauss(), g.gauss(), g.gauss()])
         columns.append(a / np.linalg.norm(a))
     for a in columns:
-        chi, rot, _ = _recover_first_column(column(a))
+        chi, rot = _recover_first_column(column(a))
         assert chi == 0.0
         assert rot.varphi == 0.0
         assert np.linalg.norm(compose_rotation(rot)[:, 0] - a) <= 1e-14
@@ -140,7 +150,7 @@ def test_recover_first_column_roundtrip():
         theta0 = -np.pi / 2 + np.pi * g.uniform()
         varphi0 = np.pi * g.uniform()
         eps = first_column_oracle(chi0, phi0, theta0, varphi0)
-        chi, rot, _ = _recover_first_column(column(eps))
+        chi, rot = _recover_first_column(column(eps))
         q = compose_rotation(rot)
         back = np.cos(chi) * q[:, 0] + 1j * np.sin(chi) * q[:, 1]
         assert np.linalg.norm(back - eps) < 1e-11
@@ -149,8 +159,8 @@ def test_recover_first_column_roundtrip():
 def test_ellipticity_sign_generic_columns():
     for chi0, theta in ((0.3, 0.5), (-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
         eps = first_column_oracle(chi0, 0.7, theta, 0.6)
-        chi, branch, _, _ = _ellipticity(column(eps))
-        assert branch == "a"
+        chi, _, _ = _ellipticity(column(eps))
+        assert first_column_stages(column(eps))[2] == "a"
         assert np.sign(chi) == np.sign(chi0)
 
 
@@ -166,14 +176,14 @@ def test_ellipticity_sign_gimbal_in_chart():
     # composing signs of chi and theta, and the recovery reports the
     # zero-pattern branch
     eps = first_column_oracle(0.3, 0.7, np.pi / 2, 0.6)
-    chi, rot, branch = _recover_first_column(column(eps))
+    chi, rot, branch = first_column_stages(column(eps))
     assert branch == "a"
     assert abs(chi) == pytest.approx(0.3) and abs(rot.theta) <= THETA_MAX
     for chi in (0.3, -0.3):
         for theta in (np.pi / 2, -np.pi / 2):
             for varphi, want in ((np.pi / 2, "c"), (0.0, "d2")):
                 eps = first_column_oracle(chi, 0.7, theta, varphi)
-                _, rot, branch = _recover_first_column(column(eps))
+                _, rot, branch = first_column_stages(column(eps))
                 assert branch == want
                 assert abs(rot.theta) <= THETA_MAX
                 p = make_params(phi=0.7, theta=theta, varphi=varphi, chi=chi,
@@ -372,6 +382,27 @@ def test_recover_params_circular_first_column():
     assert rep.branch == "circular-fallback"
 
 
+def test_recover_params_every_branch_label():
+    # recover_params of a composed unitary reaches each of the seven labels:
+    # criterion 4's columns, the gimbal columns of branches c and d2, and a
+    # circular column; only circular-fallback flags alpha1 as degenerate
+    cases = list(BRANCH_CASES)
+    for chi in (0.3, -0.3):
+        for theta in (np.pi / 2, -np.pi / 2):
+            cases += [(chi, 0.7, theta, np.pi / 2, "c"), (chi, 0.7, theta, 0.0, "d2")]
+    cases.append((np.pi / 4, 0.4, -0.3, 1.0, "circular-fallback"))
+    seen = set()
+    for chi, phi, theta, varphi, want in cases:
+        p = make_params(phi=phi, theta=theta, varphi=varphi, chi=chi,
+                        mu=0.6, alpha1=0.5, alpha2=0.8, alpha3=0.7, beta2=0.2)
+        rep = recover_params(compose_unitary(p))
+        assert rep.branch == want, (want, chi, phi, theta, varphi)
+        assert rep.global_phase_alpha1_degenerate == (want == "circular-fallback")
+        assert rep.residual <= 1e-10
+        seen.add(rep.branch)
+    assert seen == {"a", "b1", "b2", "c", "d1", "d2", "circular-fallback"}
+
+
 def test_recover_params_linear_first_column():
     # the second puts the column within 1e-12 of the pole -e_z, where the
     # frame is completed from e_y
@@ -473,6 +504,19 @@ def test_params_distance_propagates_nan():
     assert np.isnan(params_distance(p, p._replace(chi=np.nan)))
     assert np.isnan(params_distance(p, p._replace(alpha2=np.nan)))
     assert np.isnan(params_distance(p._replace(rotation=RotationAngles(0.4, np.nan, 1.0)), p))
+
+
+def test_params_distance_huge_phases():
+    # alpha2 = 1e308 against -1e308: the difference overflows, and once
+    # raised math's untyped ValueError from math.remainder(inf, 2 pi)
+    p = make_params(phi=0.4, theta=-0.3, varphi=1.0, chi=0.2,
+                    mu=0.6, alpha1=0.5, alpha2=1e308, alpha3=0.7, beta2=0.2)
+    q = p._replace(alpha2=-1e308)
+    assert math.isfinite(params_distance(p, q))
+    for big in (1e308, -1e308):
+        r = make_params(phi=big, varphi=1.0, chi=0.2, mu=0.6, alpha1=big, alpha2=big,
+                        alpha3=big, beta2=big)
+        assert params_distance(r, r) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

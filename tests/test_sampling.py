@@ -46,9 +46,10 @@ def test_seed_outside_state_space_rejected(seed):
         SeededGenerator(seed)
 
 
-@pytest.mark.parametrize("seed", [3.7, 2.0, "12"])
+@pytest.mark.parametrize("seed", [3.7, 2.0, "12", True, False, np.True_])
 def test_seed_not_an_integer_rejected(seed):
-    # int(seed) once gave 3.7 the stream of 3 and accepted the string "12".
+    # int(seed) once gave 3.7 the stream of 3 and accepted the string "12";
+    # operator.index takes a Python bool, so True once gave the stream of 1.
     with pytest.raises(TypeError):
         SeededGenerator(seed)
 
