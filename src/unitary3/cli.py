@@ -15,9 +15,19 @@ that closes stdout early (as ``| head -1`` does) chose to stop, so that
 exits 0 with nothing on stderr.  ``recover``, ``roundtrip``,
 ``chardecomp`` and ``compose`` run on Python scalars from document to
 output and never load numpy (the import rule in unitary3.linalg).
+
+``python -m unitary3.cli`` and the ``unitary3`` console script run ``run``,
+which ends the process in this order: main(), the atexit handlers, a flush
+of stdout and stderr, then ``os._exit`` with main's exit code.  That skips
+only the interpreter's finalization of modules and objects: about a sixth
+of a bare ``python -c pass`` where the ``site`` hook imports about a
+hundred modules, well under 1 ms without it.  A usage error or --help
+(SystemExit), an exception that is a bug and a final flush that fails
+leave through the interpreter's own exit.
 """
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import sys
@@ -244,10 +254,22 @@ def main(argv=None) -> int:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code
     except BrokenPipeError:
-        # The interpreter flushes stdout once more at exit; on devnull that cannot fail.
+        # stdout is flushed once more at exit; on devnull that cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
 
+def run():
+    """The program: main(), then the process ends as the module docstring says."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1250,3 +1250,77 @@ def test_closed_pipe_exits_0():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def cli_process(args, cwd, stdout=subprocess.PIPE):
+    """``python args`` with the package importable and stdout block-buffered,
+    as from a plain shell: its exit code, stdout and stderr bytes."""
+    src = str(Path(unitary3.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write_launcher_inputs(tmp_path):
+    (tmp_path / "haar.json").write_text(run_cli(["gen", "--haar", "1", "--seed", "3"])[1], encoding="utf-8")
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "two.json").write_text(serialize_matrix(2.0 * np.eye(3), kind="general"), encoding="utf-8")
+
+
+def atexit_probe(argv) -> str:
+    """A ``python -c`` program that registers an atexit handler printing
+    ``bye``, then runs the CLI as ``python -m unitary3.cli argv`` does."""
+    return ("import atexit, runpy, sys; atexit.register(print, 'bye'); "
+            f"sys.argv = ['unitary3', *{argv!r}]; runpy.run_module('unitary3.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["recover", "--matrix", "haar.json"], 0),
+    (["recover", "--matrix", "bad.json"], 1),
+    (["recover", "--matrix", "two.json"], 2),
+    (["roundtrip", "--matrix", "haar.json", "--tolerance", "1e-30"], 3),
+    (["recover", "--matrix", "haar.json", "--out", "r.json"], 0),
+], ids=["success", "malformed", "not-unitary", "tolerance", "out"])
+def test_launcher_matches_main(tmp_path, monkeypatch, argv, exit_code):
+    # The process ends by os._exit, after the atexit handlers and a flush:
+    # it gives the exit code, stdout and stderr of main() in process, and
+    # the same --out document.
+    write_launcher_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv)
+    assert code == exit_code
+    written = (tmp_path / "r.json").read_bytes() if "--out" in argv else None
+    (tmp_path / "r.json").unlink(missing_ok=True)
+    assert cli_process(["-m", "unitary3.cli", *argv], tmp_path) == (code, out.encode(), err.encode())
+    if written is not None:
+        assert (tmp_path / "r.json").read_bytes() == written
+
+
+def test_launcher_runs_atexit_handlers(tmp_path):
+    # A handler registered before the CLI runs, and its output is flushed.
+    write_launcher_inputs(tmp_path)
+    code, out, err = cli_process(["-c", atexit_probe(["recover", "--matrix", "haar.json"])], tmp_path)
+    assert (code, err) == (0, b"")
+    assert out == run_cli(["recover", "--matrix", str(tmp_path / "haar.json")])[1].encode() + b"bye\n"
+
+
+def test_launcher_usage_error_exits_2(tmp_path):
+    code, out, err = cli_process(["-m", "unitary3.cli", "recover"], tmp_path)
+    assert (code, out, err) == (2, b"", run_usage_error(["recover"])[2].encode())
+    assert err.startswith(b"usage: unitary3 recover [-h] --matrix MATRIX"), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_launcher_failed_flush_exits_through_interpreter(tmp_path):
+    # stdout on a full device: the flush after the atexit handlers fails,
+    # so the process leaves through the interpreter's exit, which reports
+    # the failed flush of stdout and exits 120.
+    write_launcher_inputs(tmp_path)
+    with open("/dev/full", "wb") as full:
+        code, _, err = cli_process(["-c", atexit_probe(["recover", "--matrix", "haar.json", "--out", "r.json"])],
+                                   tmp_path, stdout=full)
+    assert code == 120
+    assert b"OSError: [Errno 28]" in err and b"Traceback" not in err, err
+    assert (tmp_path / "r.json").is_file()

@@ -178,6 +178,15 @@ def test_eig_vector_phase_contract():
             assert lead.real >= 0.0
 
 
+def test_eig_vector_phase_first_of_equal_components():
+    # The eigenvector of 1 orthogonal to e_0 has |x1| = |x2| > |x0|: the
+    # phase rule makes the first of the equal components real and positive.
+    e = eig_hermitian3(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+    c = 0.7071067811865475
+    assert np.allclose(e.values, [3.0, 1.0, 1.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(e.vectors[:, 2], [0.0, c, -c], rtol=0.0, atol=1e-15)
+
+
 NON_FINITE = {
     "re-nan": complex(np.nan, 0.0),
     "re-inf": complex(np.inf, 0.0),

@@ -142,6 +142,25 @@ def test_recover_first_column_pole():
         assert np.linalg.norm(compose_rotation(rot)[:, 0] - a) <= 1e-14
 
 
+def test_recover_first_column_near_pole():
+    # Within 1e-13 of the poles the frame is completed from e_y projected
+    # off q1: q2 = (e_y - y1 q1) / |e_y - y1 q1|, negated where x1 < 0.  The
+    # rotation has the columns q1 and q2 to rounding, and so does the
+    # unitary with first column q1 recover to rounding (a completion off
+    # orthogonal by 1e-13 would stay under the residual gate).
+    for z in (1.0, -1.0):
+        for x, y in ((3e-14, 8e-14), (-3e-14, 8e-14), (3e-14, -8e-14), (-6e-14, -8e-14), (0.0, 1e-13)):
+            q1 = np.array([x, y, z * math.sqrt(1.0 - x * x - y * y)])
+            q2 = np.array([0.0, 1.0, 0.0]) - y * q1
+            q2 = math.copysign(1.0, x) * q2 / np.linalg.norm(q2)
+            chi, rot = _recover_first_column(column(q1))
+            assert chi == 0.0
+            q = compose_rotation(rot)
+            assert np.linalg.norm(q[:, :2] - np.column_stack([q1, q2])) <= 1e-14, (x, y, z)
+            rep = recover_params(np.column_stack([q1, q2, np.cross(q1, q2)]))
+            assert rep.residual <= 1e-14, (x, y, z)
+
+
 def test_recover_first_column_roundtrip():
     g = SeededGenerator(42)
     for _ in range(500):
@@ -311,6 +330,14 @@ def test_recover_params_identity():
     assert rep.residual < 1e-14
     assert (p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert p.beta2 == pytest.approx(np.pi)
+
+
+def test_recover_params_tolerance_is_inclusive():
+    # A residual equal to the tolerance passes the gate.
+    u = generate_haar_unitary(SeededGenerator(31))
+    r = recover_params(u).residual
+    assert r > 0.0
+    assert recover_params(u, tolerance=r).residual == r
 
 
 def test_recover_params_rejects_non_unitary():
