@@ -20,7 +20,7 @@ Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .linalg import (
     _TINY,
@@ -33,9 +33,6 @@ from .linalg import (
     as_matrix3,
 )
 from .parametrization import _basis_rows, _ellipticity, _normalize_global_phase
-
-if TYPE_CHECKING:
-    import numpy as np
 
 REGULARITY_GATE = 1e-8
 _PSD_TOL = 1e-10
@@ -60,7 +57,7 @@ class NotPositiveSemidefiniteError(Unitary3Error, ValueError):
     """Coherency matrix has a significantly negative eigenvalue."""
 
 
-class PurityIndices(NamedTuple):
+class PurityIndices(namedtuple("PurityIndices", "P1 P2")):
     """Indices of polarimetric purity, 0 <= P1 <= P2 <= 1.
 
     P2 = 1 - 3 l3 exceeds 1 where the smallest normalized eigenvalue l3 is
@@ -68,44 +65,36 @@ class PurityIndices(NamedTuple):
     most 3 * _PSD_TOL plus rounding.
     """
 
-    P1: float
-    P2: float
+    __slots__ = ()
 
 
-class CharacteristicComponents(NamedTuple):
+class CharacteristicComponents(namedtuple("CharacteristicComponents",
+                                          "traceR Rp_hat Rm_hat Ru_hat purity coefficients eigen")):
     """Trace-1 components of the characteristic decomposition.
 
-    ``coefficients`` holds (P1, P2 - P1, 1 - P2); the convex combination of
-    the three hatted components scaled by ``traceR`` reassembles the input.
-    It is convex up to the PSD gate: 1 - P2 may be negative, down to
+    ``Rp_hat``, ``Rm_hat`` and ``Ru_hat`` are complex 3x3 arrays and
+    ``purity`` a PurityIndices.  ``coefficients`` is the tuple of three
+    floats (P1, P2 - P1, 1 - P2); the convex combination of the three
+    hatted components scaled by ``traceR`` reassembles the input.  It is
+    convex up to the PSD gate: 1 - P2 may be negative, down to
     -3 * _PSD_TOL plus rounding (see PurityIndices).  ``eigen`` is the
-    eigendecomposition of the input the components are built from.
+    EigenDecomposition of the input the components are built from.
     """
 
-    traceR: float
-    Rp_hat: np.ndarray
-    Rm_hat: np.ndarray
-    Ru_hat: np.ndarray
-    purity: PurityIndices
-    coefficients: tuple[float, float, float]
-    eigen: EigenDecomposition
+    __slots__ = ()
 
     def reconstruct(self) -> np.ndarray:
         c1, c2, c3 = self.coefficients
         return self.traceR * (c1 * self.Rp_hat + c2 * self.Rm_hat + c3 * self.Ru_hat)
 
 
-class RegularityReport(NamedTuple):
-    """Spectrum of Re(Rm_hat), the middle ellipticity angle, the verdict, and
-    the characteristic decomposition (``components``) they are read from."""
+class RegularityReport(namedtuple("RegularityReport",
+                                  "m1_hat m2_hat m3_hat chi_m regular im_norm components")):
+    """Spectrum of Re(Rm_hat), the middle ellipticity angle, the verdict
+    (``regular``, a bool), and the characteristic decomposition
+    (``components``, a CharacteristicComponents) they are read from."""
 
-    m1_hat: float
-    m2_hat: float
-    m3_hat: float
-    chi_m: float
-    regular: bool
-    im_norm: float
-    components: CharacteristicComponents
+    __slots__ = ()
 
 
 def purity_indices(e: EigenDecomposition) -> PurityIndices:

@@ -12,9 +12,12 @@ the table COMMANDS, read by parse_args: a usage error exits 2 with the
 usage line and ``unitary3 <cmd>: error: <message>`` on stderr, and -h or
 --help prints the usage line and help to stdout and exits 0.  A reader
 that closes stdout early (as ``| head -1`` does) chose to stop, so that
-exits 0 with nothing on stderr.  ``recover``, ``roundtrip``,
+exits 0 with nothing on stderr; any other failure of stdout (a full
+device, or a closed stdout that a document is bound for) is an output that
+cannot be written.  ``recover``, ``roundtrip``,
 ``chardecomp`` and ``compose`` run on Python scalars from document to
-output and never load numpy (the import rule in unitary3.linalg).
+output and load neither numpy, nor typing, nor pathlib (the import rule in
+unitary3.linalg).
 
 ``python -m unitary3.cli`` and the ``unitary3`` console script run ``run``,
 which ends the process in this order: main(), the atexit handlers, a flush
@@ -31,7 +34,6 @@ import atexit
 import math
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .characteristic import _regularity
@@ -54,17 +56,24 @@ from .selftest import run_selftest
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDocumentError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | Path | None):
+def _emit(text: str, out: str | None):
+    """Write ``text`` to the file ``out``, or to stdout where ``out`` is
+    empty.  A closed stdout (None) is an OutputWriteError here, and an
+    OSError of stdout is main's to report."""
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             raise OutputWriteError(str(exc)) from exc
+    elif sys.stdout is None:
+        raise OutputWriteError("stdout is closed")
     else:
         sys.stdout.write(text)
 
@@ -83,7 +92,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     report = _recover_rows(_parse_rows(_read_text(args.matrix)), args.tolerance)
-    sys.stdout.write(_roundtrip_text(report))
+    _emit(_roundtrip_text(report), None)
     return 0
 
 
@@ -96,12 +105,12 @@ def _cmd_gen(args) -> int:
     g = SeededGenerator(args.seed)
     if args.out_dir and args.haar:
         try:
-            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+            os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
             raise OutputWriteError(str(exc)) from exc
     for i in range(args.haar):
         text = serialize_matrix(generate_haar_unitary(g), kind="unitary")
-        _emit(text, args.out_dir and Path(args.out_dir, f"haar_{args.seed}_{i:04d}.json"))
+        _emit(text, args.out_dir and os.path.join(args.out_dir, f"haar_{args.seed}_{i:04d}.json"))
     return 0
 
 
@@ -248,15 +257,20 @@ def main(argv=None) -> int:
     run, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = run(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except Unitary3Error as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except BrokenPipeError:
-        # stdout is flushed once more at exit; on devnull that cannot fail.
+    except OSError as exc:
+        # stdout failed.  It is flushed once more at exit; on devnull that
+        # cannot fail, so the interpreter reports nothing more.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: {OutputWriteError.kind}: {exc}", file=sys.stderr)
+        return OutputWriteError.exit_code
 
 
 def run():

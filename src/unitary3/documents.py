@@ -31,14 +31,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING
 
 from .linalg import Unitary3Error, _check_finite, as_matrix3
 from .parametrization import PARAM_FIELDS, UnitaryParams, _values
 from .rotations import RotationAngles
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MATRIX_KINDS = ("unitary", "hermitian", "general")
 CORE_FIELDS = PARAM_FIELDS[3:]

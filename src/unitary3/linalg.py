@@ -18,15 +18,19 @@ Kernels re-check nothing the operation's gate (such as the unitarity gate
 _check_unitary) already holds; recovery's exit gate is its recomposition
 residual.
 
-Import rule: no module of the package imports numpy when it is imported.
+Import rule: no module of the package imports numpy when it is imported,
+and none imports typing or pathlib at all (the records are
+collections.namedtuple subclasses, and cli reads and writes with open).
 Each function that builds or reads an array imports numpy itself, so
 ``import unitary3`` does not load it and the first such call does.  The
 CLI's ``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` stay on
 Python scalars from the document to the output (documents._parse_rows,
 then parametrization._recover_rows or characteristic._regularity and that
 command's writer in documents; or documents.parse_params, then
-parametrization._unitary_rows and documents._matrix_text) and never load
-numpy, on success and on every error exit; ``gen`` and ``selftest`` do.
+parametrization._unitary_rows and documents._matrix_text) and load
+neither numpy, nor typing, nor pathlib, on success and on every error
+exit (unless a ``site`` hook has loaded them first); ``gen`` and
+``selftest`` load numpy.
 A public operation is its kernel on ``as_matrix3(m)``: the kernel
 returns the operation's record with lists of Python scalars in its array
 fields.  The coherency operations build their records of arrays with
@@ -63,10 +67,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from collections import namedtuple
 
 # The gates defined here.  UNITARITY_TOL and HERMITICITY_TOL are the input
 # gates.  FOLD_GATE is the one gate of every fold, in every module: below it
@@ -195,18 +196,17 @@ def _check_unitary(rows) -> None:
         raise NotUnitaryError(f"unitarity distance {dist:.3e} exceeds {UNITARITY_TOL}")
 
 
-class EigenDecomposition(NamedTuple):
+class EigenDecomposition(namedtuple("EigenDecomposition", "values normalized vectors trace")):
     """Eigenvalues (nonincreasing) and matching orthonormal eigenvectors.
 
-    ``values[i]`` pairs with column ``vectors[:, i]``.  ``trace`` is the
-    input's trace (its real diagonal summed in order) and ``normalized``
-    holds values divided by it (all-zero for a zero-trace input).
+    ``values`` and ``normalized`` are float arrays of shape (3,) and
+    ``vectors`` a complex array of shape (3, 3); ``values[i]`` pairs with
+    column ``vectors[:, i]``.  ``trace`` is the input's trace (its real
+    diagonal summed in order) and ``normalized`` holds values divided by
+    it (all-zero for a zero-trace input).
     """
 
-    values: np.ndarray
-    normalized: np.ndarray
-    vectors: np.ndarray
-    trace: float
+    __slots__ = ()
 
 
 def eig_hermitian3(r) -> EigenDecomposition:

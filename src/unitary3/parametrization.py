@@ -41,15 +41,12 @@ recovered angle lies in the README's ranges: phases in (-pi, pi]
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _check_unitary,
                      _fsum_norm, as_matrix3)
 from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
-
-if TYPE_CHECKING:
-    import numpy as np
 
 RECOVERY_TOL = 1e-10
 _QUARTER_PI = math.pi / 4
@@ -71,16 +68,11 @@ class RecoveryToleranceError(Unitary3Error, RuntimeError):
     kind = "tolerance failure"
 
 
-class UnitaryParams(NamedTuple):
-    """The full nine-parameter record: rotation triple, two angles, four phases."""
+class UnitaryParams(namedtuple("UnitaryParams", "rotation chi mu alpha1 alpha2 alpha3 beta2")):
+    """The full nine-parameter record: rotation triple (a RotationAngles),
+    two angles, four phases."""
 
-    rotation: RotationAngles
-    chi: float
-    mu: float
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    beta2: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return dict(zip(PARAM_FIELDS, _values(self)))
@@ -91,11 +83,13 @@ def _values(p: UnitaryParams) -> tuple:
     return (*p.rotation, *p[1:])
 
 
-class RecoveryReport(NamedTuple):
-    params: UnitaryParams
-    residual: float
-    branch: str
-    global_phase_alpha1_degenerate: bool
+class RecoveryReport(namedtuple("RecoveryReport", "params residual branch global_phase_alpha1_degenerate")):
+    """What recover_params returns: the recovered UnitaryParams, the
+    Frobenius residual of their recomposition, the branch label (a str)
+    and global_phase_alpha1_degenerate, true exactly for the
+    circular-fallback branch."""
+
+    __slots__ = ()
 
 
 def canonical_basis(chi: float) -> np.ndarray:

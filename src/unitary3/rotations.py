@@ -16,12 +16,9 @@ to the naive product reading.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .linalg import FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _check_unitary, as_matrix3
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NotOrthogonalError(Unitary3Error, ValueError):
@@ -37,7 +34,7 @@ def wrap_angle(x: float) -> float:
     return math.pi if x == -math.pi else x
 
 
-class RotationAngles(NamedTuple):
+class RotationAngles(namedtuple("RotationAngles", "phi theta varphi")):
     """Rotation triple (phi, theta, varphi), all radians.
 
     Canonical ranges are phi in (-pi, pi], theta in [-pi/2, pi/2] and
@@ -46,9 +43,7 @@ class RotationAngles(NamedTuple):
     orthogonal matrix may therefore report |theta| > pi/2.
     """
 
-    phi: float
-    theta: float
-    varphi: float
+    __slots__ = ()
 
     def canonical(self) -> "RotationAngles":
         """Wrap into canonical ranges, using the Q-preserving equivalence

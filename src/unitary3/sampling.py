@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING
 
 from .parametrization import UnitaryParams
 from .rotations import RotationAngles
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ALGORITHM = "splitmix64+box-muller"
 

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -797,7 +798,7 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
             assert main(argv) == code, argv
             assert "numpy" not in sys.modules, argv
             assert not {"argparse", "cmath", "gettext", "locale"} & (set(sys.modules) - before), argv
-        # The records are NamedTuples: dataclasses, and the inspect it imports, stay unloaded.
+        # The records are named tuples: dataclasses, and the inspect it imports, stay unloaded.
         assert not {"dataclasses", "inspect"} & (set(sys.modules) - before), "dataclasses"
         assert main(["gen", "--haar", "1"]) == 0
         assert "numpy" in sys.modules, "gen"
@@ -1013,13 +1014,13 @@ def test_gen_out_dir_made_once(tmp_path, monkeypatch):
     # --out-dir is made once, before the first document, and not at all
     # when there is no document to write.
     made = []
-    mkdir = Path.mkdir
+    makedirs = os.makedirs
 
-    def counted(self, *args, **kwargs):
-        made.append(self)
-        return mkdir(self, *args, **kwargs)
+    def counted(name, *args, **kwargs):
+        made.append(Path(name))
+        return makedirs(name, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "mkdir", counted)
+    monkeypatch.setattr(os, "makedirs", counted)
     d = tmp_path / "samples"
     assert run_cli(["gen", "--haar", "3", "--out-dir", str(d)]) == (0, "", "")
     assert made == [d] and len(list(d.iterdir())) == 3
@@ -1222,6 +1223,38 @@ def test_record_is_immutable(name):
     assert all(a is b for k, a, b in zip(rec._fields, new, rec) if k != field)
 
 
+# Each record's module and field order.
+_LAYOUTS = {
+    "RotationAngles": ("unitary3.rotations", ("phi", "theta", "varphi")),
+    "UnitaryParams": ("unitary3.parametrization",
+                      ("rotation", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")),
+    "RecoveryReport": ("unitary3.parametrization",
+                       ("params", "residual", "branch", "global_phase_alpha1_degenerate")),
+    "EigenDecomposition": ("unitary3.linalg", ("values", "normalized", "vectors", "trace")),
+    "PurityIndices": ("unitary3.characteristic", ("P1", "P2")),
+    "CharacteristicComponents": ("unitary3.characteristic",
+                                 ("traceR", "Rp_hat", "Rm_hat", "Ru_hat", "purity", "coefficients", "eigen")),
+    "RegularityReport": ("unitary3.characteristic",
+                         ("m1_hat", "m2_hat", "m3_hat", "chi_m", "regular", "im_norm", "components")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_record_is_a_named_tuple(name):
+    # A record keeps its name, module and field order, prints as
+    # Name(field=value, ...), equals the tuple of its fields and pickles
+    # back to its own type.
+    rec = _RECORDS[name][0]()
+    cls = type(rec)
+    module, fields = _LAYOUTS[name]
+    assert (cls.__name__, cls.__module__, cls._fields) == (name, module, fields)
+    assert cls.__doc__.strip()
+    assert repr(rec) == f"{name}(" + ", ".join(f"{k}={v!r}" for k, v in zip(fields, rec)) + ")"
+    assert rec == tuple(rec) and rec._asdict() == dict(zip(fields, rec))
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is cls and pickle.dumps(back) == pickle.dumps(rec)
+
+
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
 def test_untyped_error_propagates(tmp_path, monkeypatch, error):
     # Only library errors map to exit codes; anything else is a bug and
@@ -1324,3 +1357,61 @@ def test_launcher_failed_flush_exits_through_interpreter(tmp_path):
     assert code == 120
     assert b"OSError: [Errno 28]" in err and b"Traceback" not in err, err
     assert (tmp_path / "r.json").is_file()
+
+
+def closed_stdout_process(argv, cwd):
+    """``python -m unitary3.cli argv`` started from a shell with stdout
+    closed (``>&-``): its exit code and stderr bytes."""
+    src = str(Path(unitary3.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "unitary3.cli", *argv],
+                          cwd=cwd, env=env, stderr=subprocess.PIPE, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+def test_closed_stdout_with_out_exits_0(tmp_path):
+    # Nothing is bound for the closed stdout: the --out document is written.
+    write_launcher_inputs(tmp_path)
+    assert closed_stdout_process(["recover", "--matrix", "haar.json", "--out", "r.json"], tmp_path) == (0, b"")
+    written = (tmp_path / "r.json").read_text(encoding="utf-8")
+    assert written == run_cli(["recover", "--matrix", str(tmp_path / "haar.json")])[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+@pytest.mark.parametrize("command", ["recover", "roundtrip"])
+def test_closed_stdout_document_exits_2(tmp_path, command):
+    write_launcher_inputs(tmp_path)
+    assert closed_stdout_process([command, "--matrix", "haar.json"], tmp_path) == (
+        2, b"error: cannot write output: stdout is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_stdout_write_error_exits_2(tmp_path, flags):
+    # A document that stdout cannot take is an output error: one line, no
+    # traceback and no "Exception ignored" from the interpreter's exit,
+    # whether the write (-u) or main's flush fails.
+    write_launcher_inputs(tmp_path)
+    with open("/dev/full", "wb") as full:
+        code, _, err = cli_process([*flags, "-m", "unitary3.cli", "recover", "--matrix", "haar.json"], tmp_path,
+                                   stdout=full)
+    assert (code, err) == (2, b"error: cannot write output: [Errno 28] No space left on device\n")
+
+
+def test_cli_import_without_site(tmp_path):
+    # Without the site hook nothing preloads typing, pathlib or numpy, and
+    # importing the CLI loads none of them.
+    probe = "import sys, unitary3.cli; print(sorted({'typing', 'pathlib', 'numpy'} & set(sys.modules)))"
+    assert cli_process(["-S", "-c", probe], tmp_path) == (0, b"[]\n", b"")
+
+
+@pytest.mark.parametrize("command, document", [
+    ("recover", "haar.json"),
+    ("chardecomp", str(CHARDECOMP_GOLDEN.with_name("chardecomp_full.json"))),
+])
+def test_launcher_without_site_matches_main(tmp_path, command, document):
+    write_launcher_inputs(tmp_path)
+    out = run_cli([command, "--matrix", str(tmp_path / document)])[1]
+    assert cli_process(["-S", "-m", "unitary3.cli", command, "--matrix", document], tmp_path) == (
+        0, out.encode(), b"")

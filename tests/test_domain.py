@@ -12,6 +12,11 @@ zeroed or shrunk into the subnormals and the whole matrix scaled by 2**-1074
 to 2**1023.  The report must raise a typed error or come with orthonormal
 eigenvectors that reconstruct the input.
 
+Symmetries: recovery commutes with complex conjugation and with phases on
+the columns of a Haar unitary.  Each expected tuple is checked against the
+transformed unitary through the oracle's 60-digit product, then against
+what recovery returns.
+
 Documents: the parsers, on arbitrary JSON values and arbitrary text, return
 a result or raise MalformedDocumentError.
 
@@ -44,10 +49,11 @@ from unitary3.documents import (MATRIX_KINDS, MalformedDocumentError, _matrix_te
                                 parse_matrix, parse_params, serialize_params)
 from unitary3.linalg import Unitary3Error, unitarity_distance
 from unitary3.parametrization import (ParameterRangeError, RecoveryReport, UnitaryParams, _unitary_rows,
-                                      compose_core, compose_unitary, recover_params)
-from unitary3.rotations import RotationAngles
+                                      compose_core, compose_unitary, params_distance, recover_params)
+from unitary3.rotations import RotationAngles, wrap_angle
 from unitary3.sampling import SeededGenerator, generate_haar_unitary
 
+from oracles import mp_compose
 from test_cli import run_cli
 from test_documents import params_bits
 from test_parametrization import THETA_MAX
@@ -201,11 +207,44 @@ def test_recovery_boundary_literals():
         assert_in_ranges(rep.params, field)
 
 
+HAAR = st.integers(0, 2**64 - 1).map(lambda seed: generate_haar_unitary(SeededGenerator(seed)))
+
+
+def assert_composes_to(p: UnitaryParams, u, origin) -> None:
+    """``p`` composes to ``u`` through the oracle's 60-digit product, within 1e-13."""
+    gap = np.abs(np.array(mp_compose(p.as_dict()), dtype=complex) - u).max()
+    assert gap <= 1e-13, (gap, p, origin)
+
+
+@settings(QUIET, max_examples=150)
+@given(HAAR)
+def test_recovery_commutes_with_conjugation(u):
+    # recover(conj U) = (Q, -chi, mu, -alpha1, -alpha2, -alpha3, -beta2),
+    # bit for bit once each phase is wrapped (-pi folds to pi).
+    p = recover_params(u).params
+    expected = UnitaryParams(p.rotation, -p.chi, p.mu, *(wrap_angle(-a) for a in p[3:]))
+    assert_composes_to(expected, u.conj(), p)
+    assert params_bits(recover_params(u.conj()).params) == params_bits(expected), p
+
+
+@settings(QUIET, max_examples=150)
+@given(HAAR, st.tuples(PHASE, PHASE, PHASE))
+def test_recovery_commutes_with_right_phases(u, gammas):
+    # U diag(e^{i g1}, e^{i g2}, e^{i g3}) moves (alpha1, alpha2, alpha3,
+    # beta2) by (g1, g2, g3, g2); the rotation, chi and mu stay.
+    g1, g2, g3 = gammas
+    v = u @ np.diag(np.exp(1j * np.array(gammas)))
+    p = recover_params(u).params
+    expected = p._replace(alpha1=p.alpha1 + g1, alpha2=p.alpha2 + g2, alpha3=p.alpha3 + g3, beta2=p.beta2 + g2)
+    assert_composes_to(expected, v, (p, gammas))
+    assert params_distance(recover_params(v).params, expected) <= 1e-12, (p, gammas)
+
+
 # V diag(l) V† for a Haar V and a nonzero l, the exponent k of each entry
 # above the diagonal, which is multiplied by 2**-k (None zeroes it), and the
 # power of two the matrix is scaled by.
 COHERENCY = st.tuples(
-    st.integers(0, 2**64 - 1).map(lambda seed: generate_haar_unitary(SeededGenerator(seed))),
+    HAAR,
     st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0, 1e-20)), st.floats(0.0, 1.0)),
              min_size=3, max_size=3).filter(any),
     st.lists(st.one_of(st.none(), st.integers(0, 1074)), min_size=3, max_size=3),
