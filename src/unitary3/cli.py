@@ -10,11 +10,14 @@ violated or an output that cannot be written, 3 tolerance failure); any other
 exception is a bug and propagates.  The options of each subcommand are in
 the table COMMANDS, read by parse_args: a usage error exits 2 with the
 usage line and ``unitary3 <cmd>: error: <message>`` on stderr, and -h or
---help prints the usage line and help to stdout and exits 0.  A reader
-that closes stdout early (as ``| head -1`` does) chose to stop, so that
-exits 0 with nothing on stderr; any other failure of stdout (a full
-device, or a closed stdout that a document is bound for) is an output that
-cannot be written.  ``recover``, ``roundtrip``,
+--help prints the usage line and help to stdout and exits 0.  Help leaves
+as a document does: it is written through the same writer and flushed
+before the exit.  A reader that closes stdout early (as ``| head -1``
+does) chose to stop, so that exits 0 with nothing on stderr; any other
+failure of stdout (a full device, or a closed stdout that a document or
+help is bound for) is an output that cannot be written, exit 2.  A closed
+or unwritable stderr loses the error or usage line and nothing else: the
+exit code stays the documented one.  ``recover``, ``roundtrip``,
 ``chardecomp`` and ``compose`` run on Python scalars from document to
 output and load neither numpy, nor typing, nor pathlib (the import rule in
 unitary3.linalg).
@@ -24,9 +27,9 @@ which ends the process in this order: main(), the atexit handlers, a flush
 of stdout and stderr, then ``os._exit`` with main's exit code.  That skips
 only the interpreter's finalization of modules and objects: about a sixth
 of a bare ``python -c pass`` where the ``site`` hook imports about a
-hundred modules, well under 1 ms without it.  A usage error or --help
-(SystemExit), an exception that is a bug and a final flush that fails
-leave through the interpreter's own exit.
+hundred modules, well under 1 ms without it.  A usage error or help
+that was written (SystemExit), an exception that is a bug and a final
+flush that fails leave through the interpreter's own exit.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from types import SimpleNamespace
 
 from .characteristic import _regularity
 from .linalg import Unitary3Error
-from .parametrization import RECOVERY_TOL, RecoveryToleranceError, _recover_rows, _unitary_rows
+from .parametrization import RECOVERY_TOL, RecoveryToleranceError, _core_rows, _recover_rows, _unitary_rows
 from .documents import (
     MalformedDocumentError,
     OutputWriteError,
@@ -78,9 +81,19 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _stderr(text: str):
+    """Write ``text`` to stderr.  A stderr that cannot take it (closed, or
+    not writable) loses it and becomes devnull, so that no later write or
+    flush fails either: the exit code stands."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):
+        sys.stderr = open(os.devnull, "w")
+
+
 def _cmd_compose(args) -> int:
     p = parse_params(_read_text(args.params))
-    _emit(_matrix_text(_unitary_rows(p, args.core_only), "unitary"), args.out)
+    _emit(_matrix_text(_core_rows(*p[1:]) if args.core_only else _unitary_rows(p), "unitary"), args.out)
     return 0
 
 
@@ -183,20 +196,22 @@ def _usage(command: str | None) -> str:
 
 
 def _help(command: str | None):
-    """Print the usage line and the help of the program or of ``command``; exit 0."""
+    """Print the usage line and the help of the program or of ``command``
+    through _emit, as a document is, and flush it; exit 0."""
     if command is None:
         lines = [_DESCRIPTION, "", "commands:"]
         lines += [f"  {name:<12}{summary}" for name, (_, summary, _) in COMMANDS.items()]
     else:
         lines = [COMMANDS[command][1]]
-    sys.stdout.write(_usage(command) + "\n" + "\n".join(lines) + "\n")
+    _emit(_usage(command) + "\n" + "\n".join(lines) + "\n", None)
+    sys.stdout.flush()
     raise SystemExit(0)
 
 
 def _fail(command: str | None, message: str):
     """A usage error: the usage line and ``message`` on stderr; exit 2."""
     prog = "unitary3" if command is None else f"unitary3 {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    _stderr(f"{_usage(command)}{prog}: error: {message}\n")
     raise SystemExit(2)
 
 
@@ -254,14 +269,14 @@ def parse_args(argv: list):
 
 
 def main(argv=None) -> int:
-    run, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        run, args = parse_args(sys.argv[1:] if argv is None else argv)
         code = run(args)
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
     except Unitary3Error as exc:
-        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc.kind}: {exc}\n")
         return exc.exit_code
     except OSError as exc:
         # stdout failed.  It is flushed once more at exit; on devnull that
@@ -269,7 +284,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return 0
-        print(f"error: {OutputWriteError.kind}: {exc}", file=sys.stderr)
+        _stderr(f"error: {OutputWriteError.kind}: {exc}\n")
         return OutputWriteError.exit_code
 
 

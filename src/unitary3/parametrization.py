@@ -169,11 +169,10 @@ def _rotate(q, v) -> list:
     ]
 
 
-def _unitary_rows(p: UnitaryParams, core_only: bool = False) -> list:
-    """Rows of U = Q V1 as Python complex, or of V1 alone with core_only:
-    the one composition order, for compose_unitary and the CLI's compose."""
-    v1 = _core_rows(p.chi, p.mu, p.alpha1, p.alpha2, p.alpha3, p.beta2)
-    return v1 if core_only else _rotate(_rotation_rows(p.rotation), v1)
+def _unitary_rows(p: UnitaryParams) -> list:
+    """Rows of U = Q V1 as Python complex: the one composition order, for
+    compose_unitary and the CLI's compose."""
+    return _rotate(_rotation_rows(p.rotation), _core_rows(*p[1:]))
 
 
 def compose_unitary(p: UnitaryParams) -> np.ndarray:

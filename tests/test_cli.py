@@ -1003,11 +1003,13 @@ def test_gen_determinism():
 def test_gen_out_dir(tmp_path):
     d = tmp_path / "samples"
     code, out, _ = run_cli(["gen", "--haar", "2", "--seed", "5", "--out-dir", str(d)])
-    assert code == 0
+    assert (code, out) == (0, "")
     files = sorted(d.iterdir())
-    assert len(files) == 2
+    assert [f.name for f in files] == ["haar_5_0000.json", "haar_5_0001.json"]
     for f in files:
         parse_matrix(f.read_text(encoding="utf-8"))
+    # The files hold, in order, the documents gen writes to stdout.
+    assert "".join(f.read_text(encoding="utf-8") for f in files) == run_cli(["gen", "--haar", "2", "--seed", "5"])[1]
 
 
 def test_gen_out_dir_made_once(tmp_path, monkeypatch):
@@ -1343,6 +1345,9 @@ def test_launcher_usage_error_exits_2(tmp_path):
     code, out, err = cli_process(["-m", "unitary3.cli", "recover"], tmp_path)
     assert (code, out, err) == (2, b"", run_usage_error(["recover"])[2].encode())
     assert err.startswith(b"usage: unitary3 recover [-h] --matrix MATRIX"), err
+    # Help through the launcher gives the bytes of help in process, exit 0.
+    for argv in (["--help"], ["recover", "--help"]):
+        assert cli_process(["-m", "unitary3.cli", *argv], tmp_path) == (0, run_usage_error(argv)[1].encode(), b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1359,21 +1364,22 @@ def test_launcher_failed_flush_exits_through_interpreter(tmp_path):
     assert (tmp_path / "r.json").is_file()
 
 
-def closed_stdout_process(argv, cwd):
+def closed_stream_process(argv, cwd, closed=">&-"):
     """``python -m unitary3.cli argv`` started from a shell with stdout
-    closed (``>&-``): its exit code and stderr bytes."""
+    (``>&-``) or stderr (``2>&-``) closed: its exit code and the bytes it
+    wrote to the stream left open."""
     src = str(Path(unitary3.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "unitary3.cli", *argv],
-                          cwd=cwd, env=env, stderr=subprocess.PIPE, timeout=60)
-    return proc.returncode, proc.stderr
+    proc = subprocess.run(["/bin/sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-m", "unitary3.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout + proc.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
 def test_closed_stdout_with_out_exits_0(tmp_path):
     # Nothing is bound for the closed stdout: the --out document is written.
     write_launcher_inputs(tmp_path)
-    assert closed_stdout_process(["recover", "--matrix", "haar.json", "--out", "r.json"], tmp_path) == (0, b"")
+    assert closed_stream_process(["recover", "--matrix", "haar.json", "--out", "r.json"], tmp_path) == (0, b"")
     written = (tmp_path / "r.json").read_text(encoding="utf-8")
     assert written == run_cli(["recover", "--matrix", str(tmp_path / "haar.json")])[1]
 
@@ -1382,8 +1388,25 @@ def test_closed_stdout_with_out_exits_0(tmp_path):
 @pytest.mark.parametrize("command", ["recover", "roundtrip"])
 def test_closed_stdout_document_exits_2(tmp_path, command):
     write_launcher_inputs(tmp_path)
-    assert closed_stdout_process([command, "--matrix", "haar.json"], tmp_path) == (
+    assert closed_stream_process([command, "--matrix", "haar.json"], tmp_path) == (
         2, b"error: cannot write output: stdout is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+@pytest.mark.parametrize("argv", [["--help"], ["recover", "--help"]], ids=["program", "command"])
+def test_closed_stdout_help_exits_2(tmp_path, argv):
+    # Help is bound for stdout as a document is.
+    assert closed_stream_process(argv, tmp_path) == (2, b"error: cannot write output: stdout is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+def test_closed_stderr_keeps_exit_code(tmp_path):
+    # The error or usage line is lost with stderr, the exit code is the
+    # documented one, and nothing else is written.
+    write_launcher_inputs(tmp_path)
+    for argv, code in ((["roundtrip", "--matrix", "haar.json", "--tolerance", "1e-30"], 3), (["recover"], 2),
+                       (["recover", "--matrix", "bad.json"], 1)):
+        assert closed_stream_process(argv, tmp_path, "2>&-") == (code, b""), argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1397,6 +1420,27 @@ def test_stdout_write_error_exits_2(tmp_path, flags):
         code, _, err = cli_process([*flags, "-m", "unitary3.cli", "recover", "--matrix", "haar.json"], tmp_path,
                                    stdout=full)
     assert (code, err) == (2, b"error: cannot write output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_help_write_error_exits_2(tmp_path, flags):
+    # Help is flushed before its exit, so a failed flush is main's to report.
+    with open("/dev/full", "wb") as full:
+        code, _, err = cli_process([*flags, "-m", "unitary3.cli", "--help"], tmp_path, stdout=full)
+    assert (code, err) == (2, b"error: cannot write output: [Errno 28] No space left on device\n")
+
+
+def test_help_closed_pipe_exits_0(tmp_path):
+    # The pipe's read end is closed before the process starts, so writing
+    # the help meets a broken pipe: a reader that chose to stop.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = cli_process(["-m", "unitary3.cli", "--help"], tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert (code, err) == (0, b"")
 
 
 def test_cli_import_without_site(tmp_path):

@@ -189,7 +189,9 @@ def test_params_reads_recover_document(tmp_path):
     m, r = tmp_path / "m.json", tmp_path / "r.json"
     m.write_text(serialize_matrix(np.eye(3), kind="unitary"), encoding="utf-8")
     assert run_cli(["recover", "--matrix", str(m), "--out", str(r)]) == (0, "", "")
-    assert '"phi": -0.0,' in r.read_text(encoding="utf-8")
+    text = r.read_text(encoding="utf-8")
+    assert '"phi": -0.0,' in text
+    assert '"branch": "b1",' in text and '"global_phase_alpha1_degenerate": false' in text
     expected = serialize_matrix(compose_unitary(report.params), kind="unitary")
     assert run_cli(["compose", "--params", str(r)]) == (0, expected, "")
 

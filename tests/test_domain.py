@@ -15,7 +15,11 @@ eigenvectors that reconstruct the input.
 Symmetries: recovery commutes with complex conjugation and with phases on
 the columns of a Haar unitary.  Each expected tuple is checked against the
 transformed unitary through the oracle's 60-digit product, then against
-what recovery returns.
+what recovery returns.  A rotation P on the left moves the recovered
+rotation to P Q and keeps the six core fields, over Haar unitaries and over
+chart draws with |chi| down to 1e-8, where the bound grows as 1/|chi|.  The
+fourth representative of a unitary, outside the chart's theta range,
+composes to it, and recovery of that unitary returns the chart's own.
 
 Documents: the parsers, on arbitrary JSON values and arbitrary text, return
 a result or raise MalformedDocumentError.
@@ -41,19 +45,19 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import Verbosity, given, settings
+from hypothesis import Verbosity, assume, given, settings
 from hypothesis import strategies as st
 
 from unitary3.characteristic import regularity_report
 from unitary3.documents import (MATRIX_KINDS, MalformedDocumentError, _matrix_text, _recovery_text,
                                 parse_matrix, parse_params, serialize_params)
 from unitary3.linalg import Unitary3Error, unitarity_distance
-from unitary3.parametrization import (ParameterRangeError, RecoveryReport, UnitaryParams, _unitary_rows,
+from unitary3.parametrization import (ParameterRangeError, RecoveryReport, UnitaryParams, _core_rows, _unitary_rows,
                                       compose_core, compose_unitary, params_distance, recover_params)
 from unitary3.rotations import RotationAngles, wrap_angle
-from unitary3.sampling import SeededGenerator, generate_haar_unitary
+from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 
-from oracles import mp_compose
+from oracles import mp_compose, rotation_product
 from test_cli import run_cli
 from test_documents import params_bits
 from test_parametrization import THETA_MAX
@@ -140,7 +144,7 @@ def test_composition_over_domain(p):
         "compose_unitary": lambda: compose_unitary(q),
         "compose_core": lambda: compose_core(*q[1:]),
         "compose": lambda: _matrix_text(_unitary_rows(q), "unitary"),
-        "compose --core-only": lambda: _matrix_text(_unitary_rows(q, True), "unitary"),
+        "compose --core-only": lambda: _matrix_text(_core_rows(*q[1:]), "unitary"),
     }
     for name, compose in composers.items():
         try:
@@ -238,6 +242,65 @@ def test_recovery_commutes_with_right_phases(u, gammas):
     expected = p._replace(alpha1=p.alpha1 + g1, alpha2=p.alpha2 + g2, alpha3=p.alpha3 + g3, beta2=p.beta2 + g2)
     assert_composes_to(expected, v, (p, gammas))
     assert params_distance(recover_params(v).params, expected) <= 1e-12, (p, gammas)
+
+
+def chart_params(seed: int, margin: float) -> UnitaryParams:
+    """A random_params draw with alpha1 halved into recovery's range
+    [-pi/2, pi/2], and |chi| set to a nonzero ``margin``: near the linear
+    first column, where recovery's gaps grow as 1/|chi|."""
+    p = random_params(SeededGenerator(seed), margin)
+    return p._replace(chi=math.copysign(margin, p.chi) if margin else p.chi, alpha1=p.alpha1 / 2)
+
+
+# A tuple in the chart and its unitary: recovered from a Haar unitary, or a
+# chart draw composed by the oracle.
+CHARTED = st.one_of(
+    HAAR.map(lambda u: (recover_params(u).params, u)),
+    st.builds(chart_params, st.integers(0, 2**64 - 1), st.sampled_from((0.0, 1e-2, 1e-4, 1e-6, 1e-8))).map(
+        lambda p: (p, np.array(mp_compose(p.as_dict()), dtype=complex))),
+)
+FLIP_YZ = np.diag([1.0, -1.0, -1.0])
+
+
+def chi_bound(chi: float) -> float:
+    """The bound on a recovered tuple's gap: the worst measured gap of the
+    core fields grows as about 3e-14/|chi| toward the linear face."""
+    return 1e-12 + 1e-13 / abs(chi)
+
+
+@settings(QUIET, max_examples=100)
+@given(CHARTED, st.tuples(PHASE, PHASE, PHASE))
+def test_recovery_commutes_with_left_rotation(case, angles):
+    # recover(P U) has the rotation P Q and the six core fields of U when
+    # (P Q)[2,2] > 0; where it is negative, diag(1, -1, -1) P is taken.
+    p, u = case
+    pr = rotation_product(*angles)
+    pq = pr @ rotation_product(*p.rotation)
+    if pq[2, 2] < 0.0:
+        pr, pq = FLIP_YZ @ pr, FLIP_YZ @ pq
+    assume(pq[2, 2] >= 1e-3)
+    got = recover_params(pr @ u).params
+    gap = np.abs(rotation_product(*got.rotation) - pq).max()
+    assert gap <= 1e-14 + 1e-15 / abs(p.chi), (gap, p, angles)
+    assert params_distance(got, p._replace(rotation=got.rotation)) <= chi_bound(p.chi), (got, p, angles)
+
+
+@settings(QUIET, max_examples=80)
+@given(CHARTED)
+def test_second_discrete_symmetry(case):
+    # (Q diag(1, -1, -1), -chi, mu, alpha1, alpha2 + pi, alpha3 + pi,
+    # beta2 + pi) composes to U.  Its rotation (phi + pi, pi - theta,
+    # -varphi) has Q[2,2] = -cos(theta) <= 0, outside the chart's theta
+    # range, so recovery returns the chart's tuple.
+    p, u = case
+    r = p.rotation
+    other = UnitaryParams(RotationAngles(r.phi + PI, PI - r.theta, -r.varphi), -p.chi, p.mu, p.alpha1,
+                          p.alpha2 + PI, p.alpha3 + PI, p.beta2 + PI)
+    assert np.abs(rotation_product(*other.rotation) - rotation_product(*r) @ FLIP_YZ).max() <= 2e-15, p
+    assert_composes_to(other, u, p)
+    w = compose_unitary(other)
+    assert np.abs(w - u).max() <= 1e-13, p
+    assert params_distance(recover_params(w).params, p) <= chi_bound(p.chi), p
 
 
 # V diag(l) V† for a Haar V and a nonzero l, the exponent k of each entry

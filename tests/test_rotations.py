@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from unitary3.linalg import NonFiniteError
+from unitary3.linalg import FOLD_GATE, NonFiniteError
 from unitary3.rotations import (
     NotOrthogonalError,
     RotationAngles,
@@ -125,6 +126,14 @@ def test_extract_gimbal_lock():
     assert np.linalg.norm(compose_rotation(b) - q) < 1e-13
 
 
+def test_extract_gimbal_gate_is_inclusive():
+    # |sin theta| equal to FOLD_GATE is gimbal lock (theta folds to 0 and
+    # the flag is set); one ulp above it, theta is read.
+    above = math.nextafter(FOLD_GATE, 1.0)
+    assert extract_rotation_angles(compose_rotation(RotationAngles(0.0, FOLD_GATE, 0.0))) == ((0.0, 0.0, 0.0), True)
+    assert extract_rotation_angles(compose_rotation(RotationAngles(0.0, above, 0.0))) == ((0.0, above, 0.0), False)
+
+
 def test_extract_gimbal_theta_pi():
     # Q[2,2] = -1: the gimbal lies outside the chart, at theta = pi
     for q in (np.diag([-1.0, 1.0, -1.0]), compose_rotation(RotationAngles(0.7, np.pi, 0.0))):
@@ -132,6 +141,22 @@ def test_extract_gimbal_theta_pi():
         assert gimbal
         assert a.theta == np.pi
         assert np.linalg.norm(compose_rotation(a) - q) < 1e-13
+
+
+def test_extract_signed_permutations():
+    # Exact zeros everywhere, gimbal and lower hemisphere included: each of
+    # the 24 proper signed permutation matrices composes back from its
+    # angles, and each of the 24 improper ones is rejected.
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            q = np.zeros((3, 3))
+            q[range(3), perm] = signs
+            if np.linalg.det(q) > 0:
+                a, _ = extract_rotation_angles(q)
+                assert np.abs(compose_rotation(a) - q).max() <= 1e-15, q
+            else:
+                with pytest.raises(NotOrthogonalError, match="not proper"):
+                    extract_rotation_angles(q)
 
 
 def test_extract_lower_hemisphere():
