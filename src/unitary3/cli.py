@@ -14,13 +14,13 @@ usage line and ``unitary3 <cmd>: error: <message>`` on stderr, and -h or
 as a document does: it is written through the same writer and flushed
 before the exit.  A reader that closes stdout early (as ``| head -1``
 does) chose to stop, so that exits 0 with nothing on stderr; any other
-failure of stdout (a full device, or a closed stdout that a document or
-help is bound for) is an output that cannot be written, exit 2.  A closed
-or unwritable stderr loses the error or usage line and nothing else: the
-exit code stays the documented one.  ``recover``, ``roundtrip``,
-``chardecomp`` and ``compose`` run on Python scalars from document to
-output and load neither numpy, nor typing, nor pathlib (the import rule in
-unitary3.linalg).
+failure of stdout (a full device, or a closed stdout that a document,
+help or the selftest report is bound for) is an output that cannot be
+written, exit 2.  A closed or unwritable stderr loses the error or usage
+line and nothing else: the exit code stays the documented one.
+``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` run on Python
+scalars from document to output and load neither numpy, nor typing, nor
+pathlib (the import rule in unitary3.linalg).
 
 ``python -m unitary3.cli`` and the ``unitary3`` console script run ``run``,
 which ends the process in this order: main(), the atexit handlers, a flush
@@ -128,7 +128,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return 0 if run_selftest() else RecoveryToleranceError.exit_code
+    return 0 if run_selftest(lambda line: _emit(line + "\n", None)) else RecoveryToleranceError.exit_code
 
 
 def _value(kind, ok, rule: str):

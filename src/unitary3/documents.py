@@ -97,11 +97,18 @@ def _check_grid(doc: dict, field: str) -> list:
     for i, row in enumerate(grid):
         if not (isinstance(row, list) and len(row) == 3):
             raise MalformedDocumentError(f"field '{field}' row {i} must have 3 entries")
-    # A finite float, what serialize_matrix writes, is kept without a call.
-    return [
-        x if type(x) is float and math.isfinite(x) else _finite(x, field, *divmod(k, 3))
-        for k, x in enumerate(grid[0] + grid[1] + grid[2])
-    ]
+    values = grid[0] + grid[1] + grid[2]
+    # Nine finite floats, what serialize_matrix writes, pass in two C-level
+    # maps.  _DECODER gives no int, so only a bool, which math.isfinite
+    # takes as a number, needs the type test.  Otherwise the per-entry pass
+    # names the first bad entry.
+    try:
+        if bool not in map(type, values) and all(map(math.isfinite, values)):
+            return values
+    except TypeError:  # a string, null, array or object
+        pass
+    for k, x in enumerate(values):
+        _finite(x, field, *divmod(k, 3))
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -129,8 +136,7 @@ def _parse_entries(text: str) -> list:
         raise MalformedDocumentError(
             f"field 'kind' must be one of {MATRIX_KINDS}, got {kind!r}"
         )
-    entries = zip(_check_grid(doc, "re"), _check_grid(doc, "im"))
-    return [complex(a, b) for a, b in entries]
+    return list(map(complex, _check_grid(doc, "re"), _check_grid(doc, "im")))
 
 
 def serialize_matrix(m, kind: str = "general") -> str:

@@ -12,8 +12,10 @@ are private kernels.  Each public operation (recover_params,
 regularity_report, characteristic_decomposition, middle_component,
 eig_hermitian3, unitarity_distance, extract_rotation_angles) checks its
 input once (as_matrix3: shape, complex dtype and finite parts, read into
-rows of Python complex) and runs private ``_kernels`` on those rows, so
-one recovery or one coherency report validates its matrix once.
+rows of Python complex and checked with one map of cmath.isfinite,
+imported inside the function as numpy is) and runs private ``_kernels``
+on those rows, so one recovery or one coherency report validates its
+matrix once.
 Kernels re-check nothing the operation's gate (such as the unitarity gate
 _check_unitary) already holds; recovery's exit gate is its recomposition
 residual.
@@ -28,9 +30,9 @@ Python scalars from the document to the output (documents._parse_rows,
 then parametrization._recover_rows or characteristic._regularity and that
 command's writer in documents; or documents.parse_params, then
 parametrization._unitary_rows and documents._matrix_text) and load
-neither numpy, nor typing, nor pathlib, on success and on every error
-exit (unless a ``site`` hook has loaded them first); ``gen`` and
-``selftest`` load numpy.
+neither numpy, nor cmath, nor typing, nor pathlib, on success and on
+every error exit (unless a ``site`` hook has loaded them first); ``gen``
+and ``selftest`` load numpy.
 A public operation is its kernel on ``as_matrix3(m)``: the kernel
 returns the operation's record with lists of Python scalars in its array
 fields.  The coherency operations build their records of arrays with
@@ -50,11 +52,11 @@ bit for bit cmath.phase.  A modulus is math.hypot(re, im) in recovery
 and the unitarity gate, and abs(z) of a Python complex in the
 eigensolver; abs(z) is the C library's hypot of its parts, and
 math.hypot has its own algorithm, so the two can differ in the last
-bit.  A vector or Frobenius norm squares each real and imaginary part,
-sums the squares with math.fsum (exact, rounded once) and takes
-math.sqrt; every 3x3 product is written out with each sum taken left to
-right, and the eigensolver uses + - * /, math.hypot and abs of a complex
-only.  A complex times a real or
+bit.  A vector or Frobenius norm squares each real and imaginary part
+(one map of operator.mul), sums the squares with math.fsum (exact,
+rounded once) and takes math.sqrt; every 3x3 product is written out with
+each sum taken left to right, and the eigensolver uses + - * /,
+math.hypot and abs of a complex only.  A complex times a real or
 a purely imaginary factor is written as two float products, or as a
 product with complex(x, 0.0), so Python's promotion of a float operand
 (which Python 3.14 no longer does) decides no sign of zero.  One
@@ -66,6 +68,7 @@ C library's hypot gives.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -122,13 +125,14 @@ class ConvergenceError(Unitary3Error, RuntimeError):
 def as_matrix3(m) -> list:
     """The validator of every public operation: a 3x3 matrix as three rows
     of three Python complex; NonFiniteError for a NaN or infinite part."""
+    import cmath
+
     import numpy as np
 
     rows = np.asarray(m, dtype=complex).reshape(3, 3).tolist()
     a, b, c = rows
-    for z in a + b + c:
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise NonFiniteError("matrix has non-finite entries")
+    if not all(map(cmath.isfinite, a + b + c)):
+        raise NonFiniteError("matrix has non-finite entries")
     return rows
 
 
@@ -139,11 +143,11 @@ def _check_finite(values):
 
 
 def _fsum_norm(parts) -> float:
-    """Euclidean norm of real numbers (the real and imaginary parts of a
-    complex vector or matrix): math.sqrt of the math.fsum of their squares,
-    a sum that is exact and rounded once.  A square beyond the float range
-    gives inf, a sum beyond it OverflowError."""
-    return math.sqrt(math.fsum([x * x for x in parts]))
+    """Euclidean norm of a sequence of real numbers (the real and imaginary
+    parts of a complex vector or matrix): math.sqrt of the math.fsum of
+    their squares x * x, a sum that is exact and rounded once.  A square
+    beyond the float range gives inf, a sum beyond it OverflowError."""
+    return math.sqrt(math.fsum(map(operator.mul, parts, parts)))
 
 
 def unitarity_distance(m) -> float:
@@ -203,7 +207,7 @@ class EigenDecomposition(namedtuple("EigenDecomposition", "values normalized vec
     ``vectors`` a complex array of shape (3, 3); ``values[i]`` pairs with
     column ``vectors[:, i]``.  ``trace`` is the input's trace (its real
     diagonal summed in order) and ``normalized`` holds values divided by
-    it (all-zero for a zero-trace input).
+    it (all-zero where |trace| is at most the smallest normal float).
     """
 
     __slots__ = ()

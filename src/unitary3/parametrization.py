@@ -387,32 +387,20 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
     _residual the parts of Q V1' - U, both in floats, each sum as _rotate,
     the product of composition, takes it."""
     _check_unitary(rows)
-    eps, w = _normalize_global_phase([row[0] for row in rows])
+    (u0, _, _), (u1, _, _), (u2, _, _) = rows
+    eps, w = _normalize_global_phase((u0, u1, u2))
     chi, rot = _recover_first_column(eps)
     branch = _branch(eps, w, chi)
     q = _rotation_rows(rot)
     mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(q, rows)
-    params = UnitaryParams(
-        rotation=rot,
-        chi=chi,
-        mu=mu,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        alpha3=alpha3,
-        beta2=beta2,
-    )
     residual = _residual(q, _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2), rows)
     if not residual <= tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "
             f"(branch {branch})"
         )
-    return RecoveryReport(
-        params=params,
-        residual=residual,
-        branch=branch,
-        global_phase_alpha1_degenerate=branch == "circular-fallback",
-    )
+    params = UnitaryParams(rot, chi, mu, alpha1, alpha2, alpha3, beta2)
+    return RecoveryReport(params, residual, branch, branch == "circular-fallback")
 
 
 def flip_equivalent(p: UnitaryParams) -> UnitaryParams:

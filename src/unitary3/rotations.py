@@ -20,6 +20,8 @@ from collections import namedtuple
 
 from .linalg import FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _check_unitary, as_matrix3
 
+_TWO_PI = 2.0 * math.pi
+
 
 class NotOrthogonalError(Unitary3Error, ValueError):
     """Input is not a proper orthogonal matrix within tolerance."""
@@ -30,7 +32,7 @@ def wrap_angle(x: float) -> float:
     and the identity on (-pi, pi], with -pi folded to pi (math.atan2 gives
     -pi for a negative real with a -0.0 imaginary part).  An infinite x
     raises ValueError, as math.remainder does."""
-    x = math.remainder(x, 2.0 * math.pi)
+    x = math.remainder(x, _TWO_PI)
     return math.pi if x == -math.pi else x
 
 
@@ -54,7 +56,7 @@ class RotationAngles(namedtuple("RotationAngles", "phi theta varphi")):
 
 
 def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
-    varphi = varphi % (2.0 * math.pi)
+    varphi = varphi % _TWO_PI
     # Twice when % rounds a tiny negative varphi up to 2 pi itself, so that
     # varphi = pi never comes out; two folds cancel, so phi and theta move
     # only for an odd count.

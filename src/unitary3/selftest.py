@@ -151,9 +151,10 @@ CHECKS = [
 ]
 
 
-def run_selftest() -> bool:
-    """Run every check, print one PASS/FAIL line each (a raise is a FAIL and
-    the later checks still run); True iff all pass."""
+def run_selftest(write=print) -> bool:
+    """Run every check and pass one PASS/FAIL line each to ``write``, print
+    by default (a raise is a FAIL and the later checks still run); True iff
+    all pass."""
     all_ok = True
     for name, measure, seed, n, bound in CHECKS:
         t0 = time.perf_counter()
@@ -163,5 +164,5 @@ def run_selftest() -> bool:
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail} in {time.perf_counter() - t0:.2f}s")
+        write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail} in {time.perf_counter() - t0:.2f}s")
     return all_ok

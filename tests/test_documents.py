@@ -84,6 +84,16 @@ def test_matrix_wrong_shape():
         parse_matrix(json.dumps(doc))
 
 
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1, 0, 0], [0, 0, 1]], ["abc", [0, 1, 0], [0, 0, 1]]],
+                         ids=["nine-entries", "string-row"])
+def test_matrix_row_of_three_entries(rows):
+    # Each row is checked: rows of 2, 4 and 3 entries hold nine in all, and
+    # a string of three characters is not a row.
+    doc = {"kind": "general", "re": rows, "im": [[0] * 3] * 3}
+    with pytest.raises(MalformedDocumentError, match=r"^field 're' row 0 must have 3 entries$"):
+        parse_matrix(json.dumps(doc))
+
+
 def test_matrix_missing_field():
     with pytest.raises(MalformedDocumentError, match="missing field 'im'"):
         parse_matrix(json.dumps({"kind": "general", "re": [[0] * 3] * 3}))
@@ -99,6 +109,28 @@ def test_matrix_non_numeric_entry():
     doc = {"kind": "general", "re": [[0, 0, "x"], [0] * 3, [0] * 3], "im": [[0] * 3] * 3}
     with pytest.raises(MalformedDocumentError, match=r"\(0,2\)"):
         parse_matrix(json.dumps(doc))
+
+
+@pytest.mark.parametrize("literal, problem", [
+    ("true", "is not numeric"), ("false", "is not numeric"), ("null", "is not numeric"),
+    ('"1"', "is not numeric"), ("[1.0]", "is not numeric"), ("{}", "is not numeric"),
+    ("NaN", "is not finite"), ("Infinity", "is not finite"), ("-Infinity", "is not finite"),
+    ("1e400", "is not finite"),
+])
+def test_matrix_bad_entry_at_every_position(literal, problem):
+    # The other entries are 1.0, 0.0 and -0.0: true passes math.isfinite and
+    # equals 1.0, so only its type tells it from a number.
+    good = ["1.0", "0.0", "-0.0"]
+    for k in range(18):
+        field, (i, j) = ("re", "im")[k // 9], divmod(k % 9, 3)
+        entries = [good[(k + n) % 3] for n in range(18)]
+        entries[k] = literal
+        grids = ["[" + ", ".join("[%s, %s, %s]" % tuple(entries[m + 3 * r:m + 3 * r + 3]) for r in range(3)) + "]"
+                 for m in (0, 9)]
+        text = '{"kind": "general", "re": %s, "im": %s}' % tuple(grids)
+        with pytest.raises(MalformedDocumentError) as info:
+            parse_matrix(text)
+        assert str(info.value) == f"field '{field}' entry ({i},{j}) {problem}", text
 
 
 def test_matrix_not_json():

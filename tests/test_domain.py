@@ -13,8 +13,9 @@ to 2**1023.  The report must raise a typed error or come with orthonormal
 eigenvectors that reconstruct the input.
 
 Symmetries: recovery commutes with complex conjugation and with phases on
-the columns of a Haar unitary.  Each expected tuple is checked against the
-transformed unitary through the oracle's 60-digit product, then against
+the columns of a Haar unitary, and of chart draws with |chi| down to 1e-8,
+where the bound grows as 1/|chi|.  Each expected tuple is checked against
+the transformed unitary through the oracle's 60-digit product, then against
 what recovery returns.  A rotation P on the left moves the recovered
 rotation to P Q and keeps the six core fields, over Haar unitaries and over
 chart draws with |chi| down to 1e-8, where the bound grows as 1/|chi|.  The
@@ -301,6 +302,39 @@ def test_second_discrete_symmetry(case):
     w = compose_unitary(other)
     assert np.abs(w - u).max() <= 1e-13, p
     assert params_distance(recover_params(w).params, p) <= chi_bound(p.chi), p
+
+
+# Chart draws near the linear face only, each with the unitary the oracle composes.
+NEAR_LINEAR = st.builds(chart_params, st.integers(0, 2**64 - 1), st.sampled_from((1e-2, 1e-4, 1e-6, 1e-8))).map(
+    lambda p: (p, np.array(mp_compose(p.as_dict()), dtype=complex)))
+
+
+@settings(QUIET, max_examples=80)
+@given(NEAR_LINEAR)
+def test_conjugation_near_linear_face(case):
+    # The conjugated chart tuple composes to conj U, recovery of conj U is
+    # within the 1/|chi| bound of it, and bit for bit the conjugate of
+    # recover(U), as on Haar unitaries.
+    p, u = case
+    expected = UnitaryParams(p.rotation, -p.chi, p.mu, *(wrap_angle(-a) for a in p[3:]))
+    assert_composes_to(expected, u.conj(), p)
+    got = recover_params(u.conj()).params
+    assert params_distance(got, expected) <= chi_bound(p.chi), (got, p)
+    q = recover_params(u).params
+    assert params_bits(got) == params_bits(UnitaryParams(q.rotation, -q.chi, q.mu, *(wrap_angle(-a) for a in q[3:]))), p
+
+
+@settings(QUIET, max_examples=80)
+@given(NEAR_LINEAR, st.tuples(PHASE, PHASE, PHASE))
+def test_right_phases_near_linear_face(case, gammas):
+    # As on Haar unitaries: (alpha1, alpha2, alpha3, beta2) move by
+    # (g1, g2, g3, g2), within the 1/|chi| bound of the chart tuple.
+    p, u = case
+    g1, g2, g3 = gammas
+    v = u @ np.diag(np.exp(1j * np.array(gammas)))
+    expected = p._replace(alpha1=p.alpha1 + g1, alpha2=p.alpha2 + g2, alpha3=p.alpha3 + g3, beta2=p.beta2 + g2)
+    assert_composes_to(expected, v, (p, gammas))
+    assert params_distance(recover_params(v).params, expected) <= chi_bound(p.chi), (p, gammas)
 
 
 # V diag(l) V† for a Haar V and a nonzero l, the exponent k of each entry

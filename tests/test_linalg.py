@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from unitary3.linalg import (
     ConvergenceError,
     NonFiniteError,
     NotHermitianError,
+    NotUnitaryError,
+    _check_unitary,
+    as_matrix3,
     eig_hermitian3,
     unitarity_distance,
 )
@@ -185,6 +190,81 @@ def test_eig_vector_phase_first_of_equal_components():
     c = 0.7071067811865475
     assert np.allclose(e.values, [3.0, 1.0, 1.0], rtol=0.0, atol=1e-15)
     assert np.allclose(e.vectors[:, 2], [0.0, c, -c], rtol=0.0, atol=1e-15)
+
+
+def test_eig_vector_phase_first_of_equal_largest():
+    # Each eigenvector of 2 has two largest components of equal modulus, the
+    # first of them is made real and positive: (c, -ic, 0) and (c, 0, -ic).
+    c = 0.7071067811865475
+    for r, want in (([[1, 1j, 0], [-1j, 1, 0], [0, 0, 0]], [c, -1j * c, 0.0]),
+                    ([[1, 0, 1j], [0, 0, 0], [-1j, 0, 1]], [c, 0.0, -1j * c])):
+        e = eig_hermitian3(np.array(r))
+        assert np.allclose(e.values, [2.0, 0.0, 0.0], rtol=0.0, atol=1e-15), r
+        assert np.allclose(e.vectors[:, 0], want, rtol=0.0, atol=1e-15), r
+
+
+@pytest.mark.parametrize("r, values", [
+    ([[1.0, 1j, 1j], [-1j, 1.0, 1j], [-1j, -1j, 0.0]], [2.481194304092015, 0.6888921825340182, -1.1700864866260337]),
+    ([[0.0, 0.0, 1j], [0.0, 0.0, 2.0], [-1j, 2.0, 0.0]], [2.23606797749979, -1.7749525040468307e-16, -2.2360679774997902]),
+    ([[0.0, 0.0, 1j], [0.0, 0.0, 1j], [-1j, -1j, 0.0]], [1.4142135623730951, -3.082505324001945e-17, -1.4142135623730951]),
+    ([[0.0, 1j, 0.0], [-1j, 0.0, 2.0], [0.0, 2.0, 0.0]], [2.2360679774997902, 1.7749525040468307e-16, -2.23606797749979]),
+], ids=["complex-01", "real-01", "real-02", "real-12"])
+def test_eig_rotation_at_equal_diagonal(r, values):
+    # a_pp = a_qq gives theta = 0, where both roots t = +1 and -1 zero a_pq:
+    # each rotation takes t = +1, sgn(0) = +1.  The other root gives the
+    # same values to rounding but other bits, so the bits are pinned, as the
+    # chardecomp golden pins documents.  The cases reach theta = 0 in the
+    # complex rotation and in the real rotations of each pair.
+    e = eig_hermitian3(np.array(r))
+    assert e.values.tolist() == values
+    assert np.allclose(e.values, cubic_eigenvalues(np.array(r)), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("r, axes", [
+    ([[1.0, 0.0, 1e-9], [0.0, 1.0, 1e-9], [1e-9, 1e-9, 0.0]], [0, 1]),
+    ([[1.0, 1e-9, 0.0], [1e-9, 0.0, 1e-9], [0.0, 1e-9, 1.0]], [0, 2]),
+    ([[0.0, 1e-9, 1e-9], [1e-9, 1.0, 0.0], [1e-9, 0.0, 1.0]], [1, 2]),
+], ids=["pair-01", "pair-02", "pair-12"])
+def test_jacobi_skips_entry_below_last_bit(r, axes):
+    # The other rotations leave a_pq of about 1e-18 between the two diagonal
+    # entries equal to 1, and 100 |a_pq| is below their last bit: the entry
+    # is skipped, so the double eigenvalue 1 keeps eigenvectors near the
+    # axes e_p and e_q (a rotation of it at theta = 0 would turn them by 45
+    # degrees).
+    e = eig_hermitian3(np.array(r))
+    assert np.allclose(e.values, [1.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.abs(e.vectors[:, :2] - np.eye(3)[:, axes]).max() <= 1e-8
+
+
+def test_eig_normalized_zero_below_smallest_normal_trace():
+    # normalized is all-zero where |trace| is at most the smallest normal
+    # float, the zero-trace gate of the characteristic decomposition, and
+    # values / trace one float above it.
+    tiny = sys.float_info.min
+    assert eig_hermitian3(np.diag([tiny, 0.0, 0.0])).normalized.tolist() == [0.0, 0.0, 0.0]
+    above = math.nextafter(tiny, 1.0)
+    assert eig_hermitian3(np.diag([above, 0.0, 0.0])).normalized.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_unitarity_gate_is_inclusive(monkeypatch):
+    # A matrix whose unitarity distance equals UNITARITY_TOL passes the gate,
+    # and fails it one float below.
+    m = [[1.0 + 2**-40, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    dist = unitarity_distance(m)
+    monkeypatch.setattr(unitary3.linalg, "UNITARITY_TOL", dist)
+    _check_unitary(as_matrix3(m))
+    monkeypatch.setattr(unitary3.linalg, "UNITARITY_TOL", math.nextafter(dist, 0.0))
+    with pytest.raises(NotUnitaryError, match="unitarity distance"):
+        _check_unitary(as_matrix3(m))
+
+
+def test_unitarity_gate_names_entry_above_2():
+    # An entry of modulus exactly 2 is named by the distance, one of modulus
+    # above 2 by its modulus.
+    with pytest.raises(NotUnitaryError, match=r"^unitarity distance 3\.000e\+00 exceeds 1e-12$"):
+        recover_params(np.diag([2.0, 1.0, 1.0]))
+    with pytest.raises(NotUnitaryError, match=r"^entry modulus 2\.000e\+00 exceeds 2$"):
+        recover_params(np.diag([math.nextafter(2.0, 3.0), 1.0, 1.0]))
 
 
 NON_FINITE = {
