@@ -331,9 +331,11 @@ def _eig(rows) -> EigenDecomposition:
 
 def _unit(z: complex, h: float) -> complex:
     """The phase z/h of a nonzero z of modulus h = abs(z), of modulus 1 to
-    rounding.  A subnormal h has few significant bits, so below _TINY z is
-    first multiplied by 2**1022 (exact) and abs and / run on normal floats."""
-    if h < _TINY:
+    rounding.  A subnormal h has few significant bits, so up to _TINY z is
+    first multiplied by 2**1022 (exact) and abs and / run on normal floats:
+    abs rounds a modulus just below _TINY on the subnormal grid, whose
+    spacing there is twice the normal grid's, up to _TINY itself."""
+    if h <= _TINY:
         z = complex(z.real / _TINY, z.imag / _TINY)
         h = abs(z)
     return complex(z.real / h, z.imag / h)

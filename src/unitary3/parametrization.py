@@ -35,8 +35,9 @@ nothing.  Each stage has one rule and every fold one gate,
 linalg.FOLD_GATE: below it chi is 0 (linear column, whose frame takes
 varphi = 0), the rotation gimbal takes its convention, and alpha2
 (mu = pi/2) or alpha3 (mu = 0) is 0.  Every
-recovered angle lies in the README's ranges: phases in (-pi, pi]
-(rotations.wrap_angle), varphi in [0, pi) and |chi| <= pi/4.
+recovered angle lies in the chart's ranges: _RANGES, the one home of the
+bounded ones (theta, varphi, chi, mu), and the phases in (-pi, pi]
+(rotations.wrap_angle); _ellipticity caps |chi| at chi's end.
 """
 from __future__ import annotations
 
@@ -49,10 +50,19 @@ from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _
 from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
 
 RECOVERY_TOL = 1e-10
-_QUARTER_PI = math.pi / 4
 # The nine parameter names in their one order: the rotation triple, then
 # the core.  UnitaryParams.as_dict and every ParamsDocument use it.
 PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")
+# The chart's range [low, high] of each bounded field, the one place each
+# is written; every other field is a phase on the whole circle
+# (rotations.wrap_angle).  varphi's high end is open (rotations._canonical
+# folds it).  random_params draws from it; recovery reads the two
+# constants bound from it below.
+_RANGES = {"theta": (-math.pi / 2, math.pi / 2), "varphi": (0.0, math.pi),
+           "chi": (-math.pi / 4, math.pi / 4), "mu": (0.0, math.pi / 2)}
+# _ellipticity's cap on |chi| and _core_rows' gate on mu.
+_CHI_CAP = _RANGES["chi"][1]
+_MU_LOW, _MU_HIGH = _RANGES["mu"][0] - FOLD_GATE, _RANGES["mu"][1] + FOLD_GATE
 
 
 class ParameterRangeError(Unitary3Error, ValueError):
@@ -135,7 +145,7 @@ def _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2) -> list:
     stays within 1e-13 of unitary (the selftest's composition bound); the
     chart's phase range (-pi, pi] lies well inside it.
     """
-    if not -FOLD_GATE <= mu <= math.pi / 2 + FOLD_GATE:
+    if not _MU_LOW <= mu <= _MU_HIGH:
         raise ParameterRangeError("mu must lie in [0, pi/2]")
     if max(abs(alpha2), abs(alpha3), abs(beta2)) > 2.0**8:
         raise ParameterRangeError("alpha2, alpha3 and beta2 must lie in [-2**8, 2**8]")
@@ -210,8 +220,9 @@ def _ellipticity(eps) -> tuple[float, float, float]:
 
     Takes the phase-normalized column eps = a + i b (three Python complex),
     which is cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
-    |chi| = arctan2(|b|, |a|), capped at pi/4 (on a circular column
-    rounding can leave |b| above |a|, and arctan2 an ulp above pi/4);
+    |chi| = arctan2(|b|, |a|), capped at pi/4, the high end of chi's
+    range in _RANGES (on a circular column rounding can leave |b| above
+    |a|, and arctan2 an ulp above pi/4);
     _recover_first_column reuses the two norms for q1 and q2.  Like every
     kernel it trusts the operation's gate and re-checks nothing:
     recover_params passes the first column of a matrix that passed the
@@ -233,8 +244,8 @@ def _ellipticity(eps) -> tuple[float, float, float]:
     if sb <= FOLD_GATE:
         return 0.0, ca, sb
     chi = math.atan2(sb, ca)
-    if chi > _QUARTER_PI:
-        chi = _QUARTER_PI
+    if chi > _CHI_CAP:
+        chi = _CHI_CAP
     return (chi if a1 * b2 - a2 * b1 >= 0.0 else -chi), ca, sb
 
 
@@ -427,7 +438,9 @@ def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
 
 
 # Per field of PARAM_FIELDS: True for the six phases, compared on the
-# circle, False for theta, chi and mu.
+# circle, False for theta, chi and mu.  varphi is on the circle though
+# _RANGES bounds it: a 2 pi shift leaves its rotation unchanged, so this
+# set is not "the fields without a range".
 _ON_CIRCLE = (True, False, True, False, False, True, True, True, True)
 
 

@@ -40,7 +40,8 @@ class RotationAngles(namedtuple("RotationAngles", "phi theta varphi")):
     """Rotation triple (phi, theta, varphi), all radians.
 
     Canonical ranges are phi in (-pi, pi], theta in [-pi/2, pi/2] and
-    varphi in [0, pi).  The chart with those ranges reaches exactly the
+    varphi in [0, pi); parametrization._RANGES is the one home of theta's
+    and varphi's.  The chart with those ranges reaches exactly the
     rotations with Q[2,2] >= 0; extraction from an arbitrary proper
     orthogonal matrix may therefore report |theta| > pi/2.
     """

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .parametrization import UnitaryParams
+from .parametrization import PARAM_FIELDS, UnitaryParams, _RANGES
 from .rotations import RotationAngles
 
 ALGORITHM = "splitmix64+box-muller"
@@ -92,37 +92,29 @@ def generate_haar_unitary(g: SeededGenerator) -> np.ndarray:
 def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
     """Parameter tuple drawn uniformly from the chart.
 
-    ``margin`` shrinks every bounded range away from its degeneracy
-    boundaries (chi = 0 and +-pi/4, mu = 0 and pi/2, theta = +-pi/2).  It
-    must lie in [0, pi/8), where chi keeps a range to draw from; any other
-    raises ValueError before a draw.
+    Each field in parametrization._RANGES, the one home of the chart's
+    ranges, is drawn from its range shrunk by ``margin`` at both ends,
+    away from its degeneracy boundaries (theta = +-pi/2, varphi = 0 and
+    pi, chi = +-pi/4, mu = 0 and pi/2), and chi also keeps ``margin``
+    clear of 0; every other field is a phase drawn from [-pi, pi).  chi
+    is drawn first, then the other fields in PARAM_FIELDS order.
+    ``margin`` must lie in [0, pi/8), where chi keeps a range to draw
+    from; any other raises ValueError before a draw.
     """
-    if not 0.0 <= margin < math.pi / 8:
+    if not 0.0 <= margin < _RANGES["chi"][1] / 2:
         raise ValueError(f"margin must lie in [0, pi/8), got {margin}")
 
-    def spread(lo, hi):
+    def draw(field):
+        if field not in _RANGES:
+            return -math.pi + 2.0 * math.pi * g.uniform()
+        lo, hi = _RANGES[field]
         return lo + margin + (hi - lo - 2.0 * margin) * g.uniform()
 
-    def phase():
-        return -math.pi + 2.0 * math.pi * g.uniform()
-
-    half = math.pi / 4
-    chi = spread(-half, half)
+    chi = draw("chi")
     while abs(chi) < margin:
-        chi = spread(-half, half)
-    return UnitaryParams(
-        rotation=RotationAngles(
-            phi=phase(),
-            theta=spread(-math.pi / 2, math.pi / 2),
-            varphi=spread(0.0, math.pi),
-        ),
-        chi=float(chi),
-        mu=spread(0.0, math.pi / 2),
-        alpha1=phase(),
-        alpha2=phase(),
-        alpha3=phase(),
-        beta2=phase(),
-    )
+        chi = draw("chi")
+    v = [chi if field == "chi" else draw(field) for field in PARAM_FIELDS]
+    return UnitaryParams(RotationAngles(*v[:3]), *v[3:])
 
 
 def random_psd_hermitian(g: SeededGenerator) -> np.ndarray:

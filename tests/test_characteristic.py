@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import unitary3.characteristic
 from unitary3.characteristic import (
     _PSD_TOL,
     REGULARITY_GATE,
@@ -128,6 +131,16 @@ def test_decomposition_rejects_indefinite():
         characteristic_decomposition(np.diag([2.0, 1.0, -1.0]))
 
 
+def test_psd_gate_is_inclusive():
+    # Here the smallest eigenvalue is exactly -_PSD_TOL * trace: the gate
+    # admits it, and one float lower it raises.
+    c = -9.999999999e-11
+    e = characteristic_decomposition(np.diag([0.6, 0.4, c])).eigen
+    assert e.values[2] == c == -_PSD_TOL * e.trace
+    with pytest.raises(NotPositiveSemidefiniteError):
+        characteristic_decomposition(np.diag([0.6, 0.4, math.nextafter(c, -1.0)]))
+
+
 def test_purity_bound_at_psd_gate():
     # The gate admits a smallest eigenvalue down to -_PSD_TOL * trace, so
     # P2 = 1 - 3 l3 may exceed 1, by at most 3 * _PSD_TOL plus rounding.
@@ -242,6 +255,18 @@ def test_regularity_verdict_at_gate():
             rep = regularity_report(u @ np.diag([0.6, 0.3, 0.1]) @ u.conj().T)
             assert rep.regular == (chi_m <= REGULARITY_GATE)
             assert abs(abs(rep.chi_m) - chi_m) <= 1e-6 * chi_m
+
+
+def test_regularity_gate_is_inclusive(monkeypatch):
+    # A matrix whose |chi_m| equals REGULARITY_GATE is regular, and it is
+    # not one float below.
+    u = compose_unitary(random_params(SeededGenerator(59))._replace(chi=5e-9))[:, [1, 2, 0]]
+    r = u @ np.diag([0.6, 0.3, 0.1]) @ u.conj().T
+    chi_m = abs(regularity_report(r).chi_m)
+    monkeypatch.setattr(unitary3.characteristic, "REGULARITY_GATE", chi_m)
+    assert regularity_report(r).regular
+    monkeypatch.setattr(unitary3.characteristic, "REGULARITY_GATE", math.nextafter(chi_m, 0.0))
+    assert not regularity_report(r).regular
 
 
 def test_regularity_spectrum_sums():

@@ -134,6 +134,19 @@ def test_eig_subnormal_phases():
     ]))
 
 
+def test_unit_phase_at_smallest_normal_modulus():
+    # abs rounds this modulus, just below the smallest normal float, on the
+    # subnormal grid up to sys.float_info.min itself; _unit once divided z
+    # unscaled there and returned a phase of modulus 1 - 1.25e-16
+    import mpmath
+
+    z = complex(2.175698660567853e-308, 4.66142697267022e-309)
+    assert abs(z) == sys.float_info.min
+    with mpmath.workdps(50):
+        expected = complex(mpmath.mpc(z) / abs(mpmath.mpc(z)))
+    assert unitary3.linalg._unit(z, abs(z)) == expected
+
+
 def test_eig_matches_cubic_oracle():
     g = SeededGenerator(12)
     for _ in range(300):

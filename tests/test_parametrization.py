@@ -9,6 +9,7 @@ import pytest
 from unitary3.documents import _parse_rows
 from unitary3.linalg import FOLD_GATE, FloatRangeError, NonFiniteError, _fsum_norm, unitarity_distance
 from unitary3.parametrization import (
+    DEGENERACY_GATE,
     PARAM_FIELDS,
     RECOVERY_TOL,
     NotUnitaryError,
@@ -161,6 +162,28 @@ def test_recover_first_column_near_pole():
             assert rep.residual <= 1e-14, (x, y, z)
 
 
+def test_recover_first_column_near_pole_phi_exact():
+    # The completion from e_y has third column q1 x q2 = +-(q1 x e_y) =
+    # +-(-z1, 0, x1), whose y component is exactly 0, so phi is exactly 0
+    # or pi (a completion whose x component had the wrong sign read phi
+    # 1e-27 off)
+    for z in (1.0, -1.0):
+        for x, y in ((3e-14, 8e-14), (-3e-14, 8e-14), (3e-14, -8e-14), (-6e-14, -8e-14)):
+            _, rot = _recover_first_column(column([x, y, z * math.sqrt(1.0 - x * x - y * y)]))
+            assert rot.phi in (0.0, math.pi), (x, y, z)
+
+
+def test_recover_first_column_pole_gate_is_strict():
+    # q1 = (0, FOLD_GATE, 1): |e_z x q1| is exactly FOLD_GATE, not below it,
+    # so the frame is e_z x q1 normalized, q2 = (-1, 0, 0); one float
+    # closer to the pole it is e_y projected off q1
+    below = math.nextafter(FOLD_GATE, 0.0)
+    for y, q2 in ((FOLD_GATE, (-1.0, 0.0, 0.0)), (below, (0.0, 1.0, -below))):
+        chi, rot = _recover_first_column(column([0.0, y, 1.0]))
+        assert chi == 0.0
+        assert np.linalg.norm(compose_rotation(rot)[:, 1] - q2) <= 1e-15, y
+
+
 def test_recover_first_column_roundtrip():
     g = SeededGenerator(42)
     for _ in range(500):
@@ -181,6 +204,31 @@ def test_ellipticity_sign_generic_columns():
         chi, _, _ = _ellipticity(column(eps))
         assert first_column_stages(column(eps))[2] == "a"
         assert np.sign(chi) == np.sign(chi0)
+
+
+def test_ellipticity_gate_and_sign_at_their_edges():
+    # |b| = FOLD_GATE is linear (the gate is inclusive) and one float above
+    # it is not; where the invariant a1*b2 - a2*b1 is exactly 0, chi is +
+    assert _ellipticity(column([1.0 + FOLD_GATE * 1j, 0.0, 0.0]))[0] == 0.0
+    assert _ellipticity(column([1.0 + math.nextafter(FOLD_GATE, 1.0) * 1j, 0.0, 0.0]))[0] > 0.0
+    for col in ([math.cos(0.3), 0.0, math.sin(0.3) * 1j], [math.sin(0.3) * 1j, 0.0, math.cos(0.3)]):
+        chi, _, _ = _ellipticity(column(col))
+        assert chi == pytest.approx(0.3, abs=1e-15), col
+
+
+def test_branch_gates_at_their_edges():
+    # circular-fallback where |u1.u1| is below DEGENERACY_GATE, not at it;
+    # a3 = 0 and b3 = 0 each where the modulus is at most the gate
+    gate, above = DEGENERACY_GATE, math.nextafter(DEGENERACY_GATE, 1.0)
+
+    def label(e3, w=0.5 + 0j):
+        return _branch([0.6 + 0.1j, 0.2 + 0.3j, e3], w, 0.3)
+
+    assert label(0.5 + 0.5j, complex(gate, 0.0)) == "a"
+    assert label(0.5 + 0.5j, complex(math.nextafter(gate, 0.0), 0.0)) == "circular-fallback"
+    assert label(complex(gate, gate)) == "b2"
+    assert label(complex(gate, 0.5)) == "c" and label(complex(above, 0.5)) == "a"
+    assert label(complex(0.5, gate)) == "d2" and label(complex(0.5, above)) == "a"
 
 
 # Largest |theta| a recovery may report: pi/2 plus one rounding of the
@@ -277,6 +325,15 @@ def test_compose_delta_overflow():
     assert unitarity_distance(compose_unitary(p)) <= 1e-13
 
 
+def test_compose_core_mu_gate_edges():
+    # mu is admitted up to FOLD_GATE beyond each end of [0, pi/2], the
+    # fold's own reach, and one float further it is not
+    for edge, outward in ((-FOLD_GATE, -math.inf), (math.pi / 2 + FOLD_GATE, math.inf)):
+        assert unitarity_distance(compose_core(0.3, edge, 0.1, 0.2, 0.3, 0.4)) <= 1e-15
+        with pytest.raises(ParameterRangeError, match=r"mu must lie in \[0, pi/2\]"):
+            compose_core(0.3, math.nextafter(edge, outward), 0.1, 0.2, 0.3, 0.4)
+
+
 def _read_core(v1) -> tuple:
     """The core read on the full V1, rows of Python complex, with
     cmath.phase: the reference for _extract_core_params."""
@@ -297,6 +354,22 @@ _IDENTITY = np.eye(3).tolist()
 
 def test_extract_core_params_identity():
     assert _extract_core_params(_IDENTITY, column(np.eye(3))) == (0.0, 0.0, 0.0, 0.0, math.pi)
+
+
+def test_extract_core_params_gates_at_their_edges():
+    # alpha2 and alpha3 fold to 0 where their entry's modulus is below
+    # FOLD_GATE, not at it; beta2 is read off v32 where |v32| = |v33| (the
+    # -v33 reading of these entries would give -pi/2)
+    below = math.nextafter(FOLD_GATE, 0.0)
+
+    def core(v22, v23, v32=0.6 + 0j, v33=-0.8 + 0j):
+        return _extract_core_params(_IDENTITY, [[1 + 0j, 0j, 0j], [0j, v22, v23], [0j, v32, v33]])
+
+    assert core(FOLD_GATE * 1j, 1 + 0j)[2] == math.pi / 2
+    assert core(below * 1j, 1 + 0j)[2] == 0.0
+    assert core(1 + 0j, FOLD_GATE * 1j)[3] == math.pi / 2
+    assert core(1 + 0j, below * 1j)[3] == 0.0
+    assert core(1 + 0j, 1 + 0j, 0.5 + 0j, 0.5j)[4] == 0.0
 
 
 def test_extract_core_params_roundtrip():
@@ -503,6 +576,19 @@ def test_flip_equivalent_composes_same_matrix():
         assert np.linalg.norm(compose_unitary(p) - compose_unitary(q)) < 1e-13
 
 
+def test_flip_equivalent_one_rule_for_the_four_phases():
+    # phi, alpha1, alpha2 and alpha3 each advance by pi through one
+    # rounding rule, so four equal phases stay equal bit for bit (for
+    # about a fifth of phases, a + pi and a - pi wrap to floats an ulp apart)
+    g = SeededGenerator(47)
+    for _ in range(200):
+        a = -math.pi + 2.0 * math.pi * g.uniform()
+        q = flip_equivalent(make_params(phi=a, varphi=1.0, chi=0.2, mu=0.6,
+                                        alpha1=a, alpha2=a, alpha3=a, beta2=a))
+        assert q.rotation.phi == q.alpha1 == q.alpha2 == q.alpha3, a
+        assert q.beta2 == a and q.rotation.theta == 0.0
+
+
 def ks_uniform(xs, lo, hi) -> float:
     """Kolmogorov-Smirnov distance of a sample to the uniform law on [lo, hi]."""
     xs = sorted(xs)
@@ -544,6 +630,21 @@ def test_params_distance_huge_phases():
         r = make_params(phi=big, varphi=1.0, chi=0.2, mu=0.6, alpha1=big, alpha2=big,
                         alpha3=big, beta2=big)
         assert params_distance(r, r) == 0.0
+
+
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+def test_params_distance_circle_set(field):
+    # The six phases, varphi among them though the chart bounds it, are
+    # compared on the circle, so a 2 pi shift is no gap; theta, chi and mu
+    # are compared directly, so a 1e-3 step is a gap of 1e-3.
+    values = dict(zip(PARAM_FIELDS, (0.4, -0.3, 1.0, 0.2, 0.6, 0.5, 0.8, 0.7, 0.2)))
+    p = make_params(**values)
+    if field in ("theta", "chi", "mu"):
+        q = make_params(**{**values, field: values[field] + 1e-3})
+        assert params_distance(p, q) == pytest.approx(1e-3, abs=1e-15)
+    else:
+        q = make_params(**{**values, field: values[field] + 2.0 * math.pi})
+        assert params_distance(p, q) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
