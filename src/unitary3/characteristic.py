@@ -26,6 +26,7 @@ from .linalg import (
     _TINY,
     EigenDecomposition,
     Unitary3Error,
+    _array,
     _check_unitary,
     _eig,
     _eigen,
@@ -178,12 +179,10 @@ def _components(c: CharacteristicComponents) -> CharacteristicComponents:
 def middle_component(u) -> np.ndarray:
     """Half-projector onto the span of the first two columns of a unitary;
     raises NotUnitaryError where the input fails the unitarity gate."""
-    import numpy as np
-
     rows = as_matrix3(u)
     _check_unitary(rows)
     (u00, u01, _), (u10, u11, _), (u20, u21, _) = rows
-    return np.array(_middle((u00, u10, u20), (u01, u11, u21)))
+    return _array(_middle((u00, u10, u20), (u01, u11, u21)))
 
 
 def intrinsic_middle(chi: float) -> np.ndarray:
@@ -194,10 +193,8 @@ def intrinsic_middle(chi: float) -> np.ndarray:
     (v2, v3, n1), for every (mu, alpha2, alpha3, beta2), since
     v2 v2† + v3 v3† = I - n1 n1†.
     """
-    import numpy as np
-
     _, n2, n3 = _basis_rows(chi)  # N(chi) is symmetric: its rows are its columns
-    return np.array(_middle(n2, n3))
+    return _array(_middle(n2, n3))
 
 
 def regularity_report(r) -> RegularityReport:

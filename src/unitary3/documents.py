@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 
-from .linalg import Unitary3Error, _check_finite, as_matrix3
+from .linalg import Unitary3Error, _array, _check_finite, as_matrix3
 from .parametrization import PARAM_FIELDS, UnitaryParams, _values
 from .rotations import RotationAngles
 
@@ -114,10 +114,7 @@ def _check_grid(doc: dict, field: str) -> list:
 def parse_matrix(text: str) -> np.ndarray:
     """Parse a MatrixDocument into a complex 3x3 array: entry (i, j) is
     complex(re[i][j], im[i][j]), signs of zero included."""
-    import numpy as np
-
-    # A flat list and a reshape: numpy reads it faster than nested rows.
-    return np.array(_parse_entries(text)).reshape(3, 3)
+    return _array(_parse_entries(text))
 
 
 def _parse_rows(text: str) -> list:

@@ -23,9 +23,15 @@ residual.
 Import rule: no module of the package imports numpy when it is imported,
 and none imports typing or pathlib at all (the records are
 collections.namedtuple subclasses, and cli reads and writes with open).
-Each function that builds or reads an array imports numpy itself, so
-``import unitary3`` does not load it and the first such call does.  The
-CLI's ``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` stay on
+The array boundary is three functions here, each importing numpy inside
+itself: as_matrix3 turns an array into rows, _array turns a kernel's rows
+into an array, and _eigen turns a record's lists into arrays.  Every other
+module reaches numpy through them, except sampling (Box-Muller through
+numpy's log, sin and cos, and the Haar QR) and selftest (its measures'
+norms and maxima), whose arithmetic is still numpy's and which import it
+inside their own functions.  So ``import unitary3`` does not load numpy,
+and the first call that builds or reads an array does.  The CLI's
+``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` stay on
 Python scalars from the document to the output (documents._parse_rows,
 then parametrization._recover_rows or characteristic._regularity and that
 command's writer in documents; or documents.parse_params, then
@@ -38,7 +44,8 @@ returns the operation's record with lists of Python scalars in its array
 fields.  The coherency operations build their records of arrays with
 _eigen, one np.array call over all the record's complex entries and one
 over its floats, so each array field is a writeable view of one buffer
-per dtype.
+per dtype; a public function that returns one matrix returns _array of
+its kernel's rows.
 
 Arithmetic rule: recovery, composition (compose_core, compose_rotation,
 compose_unitary), the unitarity gate (_check_unitary,
@@ -134,6 +141,16 @@ def as_matrix3(m) -> list:
     if not all(map(cmath.isfinite, a + b + c)):
         raise NonFiniteError("matrix has non-finite entries")
     return rows
+
+
+def _array(entries) -> np.ndarray:
+    """The 3x3 array of a kernel's result, three rows or nine entries
+    row-major, with the dtype numpy infers from them."""
+    import numpy as np
+
+    # A caller that has the nine entries flat passes them so: numpy reads a
+    # flat list and a reshape faster than nested rows.
+    return np.array(entries).reshape(3, 3)
 
 
 def _check_finite(values):

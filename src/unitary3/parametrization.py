@@ -45,7 +45,7 @@ import math
 from collections import namedtuple
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
-from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _check_unitary,
+from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _array, _check_finite, _check_unitary,
                      _fsum_norm, as_matrix3)
 from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
 
@@ -104,9 +104,7 @@ class RecoveryReport(namedtuple("RecoveryReport", "params residual branch global
 
 def canonical_basis(chi: float) -> np.ndarray:
     """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
-    import numpy as np
-
-    return np.array(_basis_rows(chi))
+    return _array(_basis_rows(chi))
 
 
 def _basis_rows(chi: float) -> list:
@@ -127,10 +125,8 @@ def compose_core(
     """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises
     NonFiniteError for a NaN or infinite parameter and ParameterRangeError
     for mu outside [0, pi/2] or |alpha2|, |alpha3| or |beta2| above 2**8."""
-    import numpy as np
-
     _check_finite((chi, mu, alpha1, alpha2, alpha3, beta2))
-    return np.array(_core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
+    return _array(_core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
 
 
 def _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2) -> list:
@@ -188,10 +184,8 @@ def _unitary_rows(p: UnitaryParams) -> list:
 def compose_unitary(p: UnitaryParams) -> np.ndarray:
     """Unitary matrix with columns Q n1, Q v2, Q v3; raises NonFiniteError
     for a NaN or infinite field, else as compose_core."""
-    import numpy as np
-
     _check_finite(_values(p))
-    return np.array(_unitary_rows(p))
+    return _array(_unitary_rows(p))
 
 
 def _normalize_global_phase(u1) -> tuple[tuple, complex]:
@@ -420,21 +414,30 @@ def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
     Negating the first two rotation columns (Q -> Q diag(-1, -1, 1)) is
     undone by advancing alpha1, alpha2, alpha3 by pi, so each generic
     unitary has exactly two representatives; recovery returns the one
-    with alpha1 in [-pi/2, pi/2] (see _normalize_global_phase).  Raises
-    NonFiniteError for a NaN or infinite field.
+    with alpha1 in [-pi/2, pi/2] (see _normalize_global_phase).  Each
+    advanced phase is correctly rounded (_half_turn), so flipping twice
+    gives the wrapped tuple back wherever a -+ pi is exact, as it is for
+    |a| >= pi/2.  Raises NonFiniteError for a NaN or infinite field.
     """
     _check_finite(_values(p))
     return UnitaryParams(
-        rotation=RotationAngles(
-            wrap_angle(p.rotation.phi + math.pi), -p.rotation.theta, p.rotation.varphi
-        ),
+        rotation=RotationAngles(_half_turn(p.rotation.phi), -p.rotation.theta, p.rotation.varphi),
         chi=p.chi,
         mu=p.mu,
-        alpha1=wrap_angle(p.alpha1 + math.pi),
-        alpha2=wrap_angle(p.alpha2 + math.pi),
-        alpha3=wrap_angle(p.alpha3 + math.pi),
+        alpha1=_half_turn(p.alpha1),
+        alpha2=_half_turn(p.alpha2),
+        alpha3=_half_turn(p.alpha3),
         beta2=p.beta2,
     )
+
+
+def _half_turn(a: float) -> float:
+    """The phase a advanced by pi, in (-pi, pi]: with a wrapped first,
+    a - pi for a > 0, else a + pi.  wrap_angle is exact, so this is one
+    rounding, and its result needs no second wrap; wrap_angle(a + pi)
+    would round a + pi on the coarser grid of [pi, 2 pi) first."""
+    a = wrap_angle(a)
+    return a - math.pi if a > 0.0 else a + math.pi
 
 
 # Per field of PARAM_FIELDS: True for the six phases, compared on the

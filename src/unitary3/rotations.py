@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .linalg import FOLD_GATE, NotUnitaryError, Unitary3Error, _check_finite, _check_unitary, as_matrix3
+from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _array, _check_finite, _check_unitary,
+                     as_matrix3)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -74,10 +75,8 @@ def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
 def compose_rotation(angles: RotationAngles) -> np.ndarray:
     """Composed rotation Q from the closed-form entries above; raises
     NonFiniteError for a NaN or infinite angle."""
-    import numpy as np
-
     _check_finite(angles)
-    return np.array(_rotation_rows(angles))
+    return _array(_rotation_rows(angles))
 
 
 def _rotation_rows(angles: RotationAngles) -> list:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 
+from .linalg import _array
 from .parametrization import PARAM_FIELDS, UnitaryParams, _RANGES
 from .rotations import RotationAngles
 
@@ -65,13 +66,7 @@ class SeededGenerator:
         return float(r * np.cos(2.0 * np.pi * u2))
 
     def complex_gauss_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        m = np.empty((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                m[i, j] = complex(self.gauss(), self.gauss())
-        return m
+        return _array([complex(self.gauss(), self.gauss()) for _ in range(9)])
 
 
 def generate_haar_unitary(g: SeededGenerator) -> np.ndarray:

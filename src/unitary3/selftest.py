@@ -136,6 +136,31 @@ def haar_moment(g: SeededGenerator, n: int) -> float:
     return abs(sum(abs(generate_haar_unitary(g)[0, 0]) ** 2 for _ in range(n)) / n - 1.0 / 3.0)
 
 
+def haar_trace(g: SeededGenerator, n: int) -> float:
+    """|mean |tr U|^2 - 1| over Haar unitaries (the exact mean is 1,
+    Diaconis and Shahshahani).  It sees the phases that haar_moment cannot:
+    QR without Mezzadri's phase fix gives a mean of about 1.6."""
+
+    def trace_sq():
+        u = generate_haar_unitary(g)
+        return abs(u[0, 0] + u[1, 1] + u[2, 2]) ** 2
+
+    return abs(sum(trace_sq() for _ in range(n)) / n - 1.0)
+
+
+def haar_coe(g: SeededGenerator, n: int) -> float:
+    """|mean |tr U^T U|^2 - 3/2| over Haar unitaries: U^T U of a Haar U is
+    in the circular orthogonal ensemble (Dyson), where the exact mean is
+    3/2.  tr U^T U is the sum of the squared entries, so it sees right
+    phases, which |tr U|^2 does not."""
+
+    def coe_sq():
+        u = generate_haar_unitary(g)
+        return abs(sum(u[i, j] * u[i, j] for i in range(3) for j in range(3))) ** 2
+
+    return abs(sum(coe_sq() for _ in range(n)) / n - 1.5)
+
+
 # (name, measure, seed, sample size, bound)
 CHECKS = [
     ("composition-unitarity", composition_unitarity, 101, 2000, 1e-13),
@@ -148,6 +173,10 @@ CHECKS = [
     ("chi-only-dependence", chi_only_dependence, 808, 167, 1e-13),
     ("regularity-spectrum", regularity_spectrum, 0, 0, 1e-10),
     ("haar-moment", haar_moment, 909, 4000, 0.02),
+    # About five standard errors: the standard deviations of |tr U|^2 and
+    # |tr U^T U|^2 are about 1.0 and 1.46.
+    ("haar-trace", haar_trace, 1010, 4000, 0.08),
+    ("haar-coe", haar_coe, 1111, 4000, 0.12),
 ]
 
 

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -353,3 +355,36 @@ def test_jacobi_sweep_cap(tmp_path, monkeypatch):
     mpath.write_text(serialize_matrix(mats[0], kind="hermitian"), encoding="utf-8")
     assert run_cli(["chardecomp", "--matrix", str(mpath)]) == (
         3, "", "error: tolerance failure: Jacobi eigensolver still rotating after 2 sweeps\n")
+
+
+def numpy_importers(path) -> set:
+    """Names of the functions of a module that import numpy, with None for
+    an import outside every function."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_numpy_is_imported_only_at_the_array_boundary():
+    # The import rule of the linalg docstring: no module imports numpy when
+    # it is imported; in linalg only the array boundary does, and besides
+    # linalg only the Haar sampler's and the selftest's numpy arithmetic.
+    package = os.path.dirname(unitary3.linalg.__file__)
+    importers = {name[:-3]: numpy_importers(os.path.join(package, name))
+                 for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    importers = {module: functions for module, functions in importers.items() if functions}
+    assert set(importers) <= {"linalg", "sampling", "selftest"}, importers
+    assert importers["linalg"] <= {"as_matrix3", "_array", "_eigen"}, importers["linalg"]
+    assert all(None not in functions for functions in importers.values()), importers

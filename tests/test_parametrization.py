@@ -589,6 +589,35 @@ def test_flip_equivalent_one_rule_for_the_four_phases():
         assert q.beta2 == a and q.rotation.theta == 0.0
 
 
+def test_flip_equivalent_correctly_rounded():
+    # Each advanced phase is a -+ pi rounded once, against mpmath's exact
+    # sum; wrap_angle(a + pi) rounded a + pi first and missed by an ulp on
+    # about a fifth of the phases +-pi u.
+    import mpmath
+
+    g = SeededGenerator(48)
+    for _ in range(2000):
+        a = math.pi * g.uniform() * (1.0 if g.uniform() < 0.5 else -1.0)
+        q = flip_equivalent(make_params(phi=a, alpha1=a, alpha2=a, alpha3=a))
+        with mpmath.workprec(200):
+            want = float(mpmath.mpf(a) + (-math.pi if a > 0.0 else math.pi))
+        assert q.rotation.phi == q.alpha1 == q.alpha2 == q.alpha3 == want, a
+
+
+def test_flip_equivalent_is_an_involution():
+    # Bit for bit on random_params draws and on phases with |a| >= pi/2,
+    # where a -+ pi is exact (Sterbenz); -0.0 alone comes back as 0.0.
+    g = SeededGenerator(49)
+    tuples = [random_params(g) for _ in range(2000)]
+    for _ in range(2000):
+        a = math.pi / 2 * (1.0 + g.uniform())
+        tuples.append(make_params(phi=a, alpha1=-a, alpha2=a, alpha3=-a))
+    tuples.append(make_params(phi=math.pi, alpha1=-math.pi / 2, alpha2=math.pi / 2, alpha3=0.0))
+    for p in tuples:
+        assert repr(flip_equivalent(flip_equivalent(p))) == repr(p)
+    assert repr(flip_equivalent(flip_equivalent(make_params(alpha1=-0.0))).alpha1) == "0.0"
+
+
 def ks_uniform(xs, lo, hi) -> float:
     """Kolmogorov-Smirnov distance of a sample to the uniform law on [lo, hi]."""
     xs = sorted(xs)

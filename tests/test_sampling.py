@@ -3,13 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
+import unitary3.selftest
 from unitary3.linalg import unitarity_distance
 from unitary3.sampling import (
     SeededGenerator,
     generate_haar_unitary,
     random_params,
 )
-from unitary3.selftest import haar_moment
+from unitary3.selftest import CHECKS, haar_moment
 
 
 def test_stream_is_deterministic():
@@ -83,6 +84,30 @@ def test_haar_unitary_is_unitary():
 
 def test_haar_moment():
     assert haar_moment(SeededGenerator(10), 10_000) <= 0.02
+
+
+def qr_without_phase_fix(g):
+    """Mezzadri's pitfall: the Q of a Gaussian matrix, its law bent by the
+    QR convention.  E|u11|^2 is still 1/3, but E|tr U|^2 is about 1.6."""
+    return np.linalg.qr(g.complex_gauss_matrix())[0]
+
+
+def haar_with_real_row0(g):
+    """A Haar unitary times the right phases that make its row 0 real:
+    E|tr U|^2 stays 1, but E|tr U^T U|^2 is about 2.3."""
+    u = generate_haar_unitary(g)
+    return u * (u[0].conj() / abs(u[0]))
+
+
+@pytest.mark.parametrize("name, sampler", [("haar-trace", qr_without_phase_fix),
+                                           ("haar-coe", haar_with_real_row0)])
+def test_haar_measure_fails_on_wrong_sampler(monkeypatch, name, sampler):
+    # Each selftest measure of the Haar law, at its own seed and size, reads
+    # far above its bound on the sampler it is there to catch (haar-moment
+    # passes both).
+    measure, seed, n, bound = {check[0]: check[1:] for check in CHECKS}[name]
+    monkeypatch.setattr(unitary3.selftest, "generate_haar_unitary", sampler)
+    assert measure(SeededGenerator(seed), n) > 5 * bound
 
 
 def test_haar_golden_seed_42():
