@@ -4,63 +4,44 @@ Compose unitaries from nine parameters (three rotation angles, two shape
 angles, four phases), recover the parameters from any unitary, and analyze
 coherency matrices via the characteristic decomposition and its regularity
 spectrum.
-"""
-from .linalg import (
-    ConvergenceError,
-    EigenDecomposition,
-    FloatRangeError,
-    NonFiniteError,
-    NotHermitianError,
-    NotUnitaryError,
-    Unitary3Error,
-    eig_hermitian3,
-    unitarity_distance,
-)
-from .rotations import (
-    NotOrthogonalError,
-    RotationAngles,
-    compose_rotation,
-    extract_rotation_angles,
-    wrap_angle,
-)
-from .parametrization import (
-    ParameterRangeError,
-    RecoveryReport,
-    RecoveryToleranceError,
-    UnitaryParams,
-    canonical_basis,
-    compose_core,
-    compose_unitary,
-    flip_equivalent,
-    params_distance,
-    recover_params,
-)
-from .characteristic import (
-    CharacteristicComponents,
-    NotPositiveSemidefiniteError,
-    PurityIndices,
-    RegularityReport,
-    ZeroTraceError,
-    characteristic_decomposition,
-    intrinsic_middle,
-    middle_component,
-    purity_indices,
-    regularity_report,
-)
-from .documents import (
-    MalformedDocumentError,
-    OutputWriteError,
-    parse_matrix,
-    parse_params,
-    serialize_matrix,
-    serialize_params,
-)
-from .sampling import (
-    SeededGenerator,
-    generate_haar_unitary,
-    random_params,
-    random_psd_hermitian,
-)
-from .selftest import run_selftest
 
+``import unitary3`` loads no submodule: each public name below, and each
+submodule, is imported on first access (PEP 562) and then kept here, so a
+program loads only the modules it uses.
+"""
+# The public names of each submodule.
+_EXPORTS = {
+    "linalg": "ConvergenceError EigenDecomposition FloatRangeError NonFiniteError NotHermitianError "
+              "NotUnitaryError Unitary3Error eig_hermitian3 unitarity_distance",
+    "rotations": "NotOrthogonalError RotationAngles compose_rotation extract_rotation_angles wrap_angle",
+    "parametrization": "ParameterRangeError RecoveryReport RecoveryToleranceError UnitaryParams "
+                       "canonical_basis compose_core compose_unitary flip_equivalent params_distance "
+                       "recover_params",
+    "characteristic": "CharacteristicComponents NotPositiveSemidefiniteError PurityIndices RegularityReport "
+                      "ZeroTraceError characteristic_decomposition intrinsic_middle middle_component "
+                      "purity_indices regularity_report",
+    "documents": "MalformedDocumentError OutputWriteError parse_matrix parse_params serialize_matrix "
+                 "serialize_params",
+    "sampling": "SeededGenerator generate_haar_unitary random_params random_psd_hermitian",
+    "selftest": "run_selftest",
+}
+# Each public name and the submodule that defines it.
+_MODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = [*_MODULE, *_EXPORTS]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A submodule or public name, imported on first access and bound here."""
+    if name in _EXPORTS:
+        __import__(f"{__name__}.{name}")  # the import binds the submodule here
+        return globals()[name]
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__getattr__(_MODULE[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -20,7 +20,11 @@ written, exit 2.  A closed or unwritable stderr loses the error or usage
 line and nothing else: the exit code stays the documented one.
 ``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` run on Python
 scalars from document to output and load neither numpy, nor typing, nor
-pathlib (the import rule in unitary3.linalg).
+pathlib, nor json but to name the fault of malformed JSON (the import rule
+in unitary3.linalg): the writers are templates and the reader json's C
+scanner.  A process loads only the modules its command runs: this module
+imports characteristic, sampling and selftest inside the handlers that run
+them, and help reads sampling's ALGORITHM where it prints it.
 
 ``python -m unitary3.cli`` and the ``unitary3`` console script run ``run``,
 which ends the process in this order: main(), the atexit handlers, a flush
@@ -39,7 +43,6 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .characteristic import _regularity
 from .linalg import Unitary3Error
 from .parametrization import RECOVERY_TOL, RecoveryToleranceError, _core_rows, _recover_rows, _unitary_rows
 from .documents import (
@@ -53,8 +56,6 @@ from .documents import (
     parse_params,
     serialize_matrix,
 )
-from .sampling import ALGORITHM, SeededGenerator, generate_haar_unitary
-from .selftest import run_selftest
 
 
 def _read_text(path: str) -> str:
@@ -110,11 +111,15 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_chardecomp(args) -> int:
+    from .characteristic import _regularity
+
     _emit(_chardecomp_text(_regularity(_parse_rows(_read_text(args.matrix)))), args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
+    from .sampling import SeededGenerator, generate_haar_unitary
+
     g = SeededGenerator(args.seed)
     if args.out_dir and args.haar:
         try:
@@ -128,6 +133,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     return 0 if run_selftest(lambda line: _emit(line + "\n", None)) else RecoveryToleranceError.exit_code
 
 
@@ -166,9 +173,10 @@ _DESCRIPTION = ("Nine-parameter composition and recovery of 3x3 unitaries, chara
                 "decomposition of coherency matrices.")
 _REQUIRED = object()
 
-# Each subcommand: its handler, its one-line help and its options.  An
-# option maps to (converter, default): a converter of None makes it a flag
-# (False unless given), a default of _REQUIRED one that must be given.
+# Each subcommand: its handler, its one-line help (_help puts sampling's
+# ALGORITHM in gen's) and its options.  An option maps to (converter,
+# default): a converter of None makes it a flag (False unless given), a
+# default of _REQUIRED one that must be given.
 COMMANDS = {
     "compose": (_cmd_compose, "params document to matrix document",
                 {"--params": (str, _REQUIRED), "--core-only": (None, False), "--out": (_path, None)}),
@@ -179,7 +187,7 @@ COMMANDS = {
                   {"--matrix": (str, _REQUIRED), "--tolerance": (_tolerance, RECOVERY_TOL)}),
     "chardecomp": (_cmd_chardecomp, "characteristic decomposition report",
                    {"--matrix": (str, _REQUIRED), "--out": (_path, None)}),
-    "gen": (_cmd_gen, f"emit Haar-random unitaries ({ALGORITHM})",
+    "gen": (_cmd_gen, "emit Haar-random unitaries ({ALGORITHM})",
             {"--haar": (_count, _REQUIRED), "--seed": (_seed, 0), "--out-dir": (_path, None)}),
     "selftest": (_cmd_selftest, "run the invariant suite", {}),
 }
@@ -198,12 +206,15 @@ def _usage(command: str | None) -> str:
 def _help(command: str | None):
     """Print the usage line and the help of the program or of ``command``
     through _emit, as a document is, and flush it; exit 0."""
+    from .sampling import ALGORITHM
+
     if command is None:
         lines = [_DESCRIPTION, "", "commands:"]
         lines += [f"  {name:<12}{summary}" for name, (_, summary, _) in COMMANDS.items()]
     else:
         lines = [COMMANDS[command][1]]
-    _emit(_usage(command) + "\n" + "\n".join(lines) + "\n", None)
+    text = "\n".join(lines).replace("{ALGORITHM}", ALGORITHM)
+    _emit(_usage(command) + "\n" + text + "\n", None)
     sys.stdout.flush()
     raise SystemExit(0)
 

@@ -23,6 +23,11 @@ residual.
 Import rule: no module of the package imports numpy when it is imported,
 and none imports typing or pathlib at all (the records are
 collections.namedtuple subclasses, and cli reads and writes with open).
+json is imported only where a document is malformed JSON (documents
+reads with json's C scanner and writes with % templates).  ``import
+unitary3`` loads no submodule: the package resolves each public name on
+first access, and cli imports characteristic, sampling and selftest in
+the handlers that run them.
 The array boundary is three functions here, each importing numpy inside
 itself: as_matrix3 turns an array into rows, _array turns a kernel's rows
 into an array, and _eigen turns a record's lists into arrays.  Every other
@@ -36,9 +41,9 @@ Python scalars from the document to the output (documents._parse_rows,
 then parametrization._recover_rows or characteristic._regularity and that
 command's writer in documents; or documents.parse_params, then
 parametrization._unitary_rows and documents._matrix_text) and load
-neither numpy, nor cmath, nor typing, nor pathlib, on success and on
-every error exit (unless a ``site`` hook has loaded them first); ``gen``
-and ``selftest`` load numpy.
+neither numpy, nor cmath, nor typing, nor pathlib, nor json, on success
+and on every error exit but malformed JSON (unless a ``site`` hook has
+loaded them first); ``gen`` and ``selftest`` load numpy.
 A public operation is its kernel on ``as_matrix3(m)``: the kernel
 returns the operation's record with lists of Python scalars in its array
 fields.  The coherency operations build their records of arrays with

@@ -664,6 +664,7 @@ def test_top_level_help(flag):
     assert out.startswith("usage: unitary3 [-h] {compose,recover,roundtrip,chardecomp,gen,selftest} ...\n"), out
     for command in COMMAND_OPTIONS:
         assert f"\n  {command} " in out, command
+    assert f"\n  gen         emit Haar-random unitaries ({unitary3.sampling.ALGORITHM})\n" in out
 
 
 @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
@@ -765,9 +766,11 @@ def test_option_prefix_and_repeat(tmp_path):
 def test_recovery_cli_never_loads_numpy(tmp_path):
     # recover, roundtrip, chardecomp and compose run on Python scalars from
     # document to output, success and error exits alike, and parse their
-    # arguments without argparse (nor the gettext and locale it loads);
-    # gen, run last in the same interpreter, shows that the probe sees
-    # numpy once it is loaded.
+    # arguments without argparse (nor the gettext and locale it loads).
+    # Nor do they load json, except to name the fault of malformed JSON, or
+    # a submodule they do not run: ``import unitary3`` loads none.  gen,
+    # run last in the same interpreter, shows that the probe sees numpy
+    # once it is loaded.
     _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
     (tmp_path / "u.json").write_text(gen_out, encoding="utf-8")
     (tmp_path / "big.json").write_text(serialize_matrix(2.0 * np.eye(3)), encoding="utf-8")
@@ -779,27 +782,38 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
     (tmp_path / "huge.json").write_text(serialize_matrix(np.diag([1e308, 1e308, 1.0])),
                                         encoding="utf-8")
     (tmp_path / "bad.json").write_text('{"kind": "hermitian", "re": [[1, 0, 0]]}', encoding="utf-8")
+    (tmp_path / "notjson.json").write_text("{not json", encoding="utf-8")
     write_params(tmp_path)
     write_params(tmp_path, "mu.json", mu=2.0)
     probe = """if True:
         import sys
         before = set(sys.modules)
         import unitary3
+        assert not [name for name in sys.modules if name.startswith("unitary3.")], "import unitary3"
         from unitary3.cli import main
         assert "numpy" not in sys.modules, "import unitary3"
+        unused = {"json", "unitary3.characteristic", "unitary3.sampling", "unitary3.selftest"}
         for argv, code in ((["recover", "--matrix", "u.json"], 0), (["roundtrip", "--matrix", "u.json"], 0),
                            (["recover", "--matrix", "big.json"], 2), (["roundtrip", "--matrix", "u.json",
                            "--tolerance", "1e-30"], 3), (["recover", "--matrix", "absent.json"], 1),
-                           (["chardecomp", "--matrix", "r.json"], 0), (["chardecomp", "--matrix", "nh.json"], 2),
-                           (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1),
+                           (["recover", "--matrix", "bad.json"], 1),
                            (["compose", "--params", "p.json"], 0), (["compose", "--params", "p.json",
                            "--core-only"], 0), (["compose", "--params", "mu.json"], 2),
-                           (["compose", "--params", "absent.json"], 1)):
+                           (["compose", "--params", "absent.json"], 1),
+                           (["chardecomp", "--matrix", "r.json"], 0), (["chardecomp", "--matrix", "nh.json"], 2),
+                           (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1)):
             assert main(argv) == code, argv
+            if argv[0] == "chardecomp":
+                unused.discard("unitary3.characteristic")
+            loaded = set(sys.modules) - before
             assert "numpy" not in sys.modules, argv
-            assert not {"argparse", "cmath", "gettext", "locale"} & (set(sys.modules) - before), argv
+            assert not {"argparse", "cmath", "gettext", "locale"} & loaded, argv
+            assert not unused & loaded, (argv, unused & loaded)
         # The records are named tuples: dataclasses, and the inspect it imports, stay unloaded.
         assert not {"dataclasses", "inspect"} & (set(sys.modules) - before), "dataclasses"
+        # Malformed JSON loads json, whose JSONDecodeError names the fault.
+        assert main(["recover", "--matrix", "notjson.json"]) == 1
+        assert "json" in sys.modules, "malformed JSON"
         assert main(["gen", "--haar", "1"]) == 0
         assert "numpy" in sys.modules, "gen"
         print("ok")
@@ -814,6 +828,8 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
     assert "error: precondition violated: trace is beyond the largest float" in proc.stderr
     assert "error: malformed input: field 're' must be a 3x3 array" in proc.stderr
     assert "error: precondition violated: mu must lie in [0, pi/2]" in proc.stderr
+    assert ("error: malformed input: not valid JSON (line 1): Expecting property name enclosed in double quotes"
+            in proc.stderr)
 
 
 def test_chardecomp(tmp_path):
@@ -1183,8 +1199,9 @@ EXIT_CODES = _documented_exit_codes()
 
 
 def test_exported_errors_documented():
-    exported = {name for name, v in vars(unitary3).items()
-                if isinstance(v, type) and issubclass(v, BaseException)}
+    # dir, not vars: the package binds each public name on first access.
+    exported = {name for name in dir(unitary3)
+                if isinstance(v := getattr(unitary3, name), type) and issubclass(v, BaseException)}
     assert exported == set(EXIT_CODES)
 
 
@@ -1446,10 +1463,61 @@ def test_help_closed_pipe_exits_0(tmp_path):
 
 
 def test_cli_import_without_site(tmp_path):
-    # Without the site hook nothing preloads typing, pathlib or numpy, and
-    # importing the CLI loads none of them.
-    probe = "import sys, unitary3.cli; print(sorted({'typing', 'pathlib', 'numpy'} & set(sys.modules)))"
-    assert cli_process(["-S", "-c", probe], tmp_path) == (0, b"[]\n", b"")
+    # Without the site hook nothing preloads typing, pathlib, numpy, json
+    # or re, and neither importing the CLI nor a recover run loads any.
+    write_launcher_inputs(tmp_path)
+    probe = ("import sys, unitary3.cli; unitary3.cli.main(['recover', '--matrix', 'haar.json']); "
+             "print(sorted({'typing', 'pathlib', 'numpy', 'json', 're'} & set(sys.modules)))")
+    out = run_cli(["recover", "--matrix", str(tmp_path / "haar.json")])[1]
+    assert cli_process(["-S", "-c", probe], tmp_path) == (0, out.encode() + b"[]\n", b"")
+
+
+# The public names of the package, by the submodule that defines them.
+PUBLIC_NAMES = {
+    "linalg": ["ConvergenceError", "EigenDecomposition", "FloatRangeError", "NonFiniteError", "NotHermitianError",
+               "NotUnitaryError", "Unitary3Error", "eig_hermitian3", "unitarity_distance"],
+    "rotations": ["NotOrthogonalError", "RotationAngles", "compose_rotation", "extract_rotation_angles",
+                  "wrap_angle"],
+    "parametrization": ["ParameterRangeError", "RecoveryReport", "RecoveryToleranceError", "UnitaryParams",
+                        "canonical_basis", "compose_core", "compose_unitary", "flip_equivalent",
+                        "params_distance", "recover_params"],
+    "characteristic": ["CharacteristicComponents", "NotPositiveSemidefiniteError", "PurityIndices",
+                       "RegularityReport", "ZeroTraceError", "characteristic_decomposition", "intrinsic_middle",
+                       "middle_component", "purity_indices", "regularity_report"],
+    "documents": ["MalformedDocumentError", "OutputWriteError", "parse_matrix", "parse_params",
+                  "serialize_matrix", "serialize_params"],
+    "sampling": ["SeededGenerator", "generate_haar_unitary", "random_params", "random_psd_hermitian"],
+    "selftest": ["run_selftest"],
+}
+
+
+def test_public_surface(tmp_path):
+    # In a fresh interpreter, where ``import unitary3`` has loaded no
+    # submodule: each submodule is an attribute of the package, each public
+    # name is its submodule's object, and dir and ``import *`` list them all.
+    probe = f"""if True:
+        import sys, unitary3
+        expected = {PUBLIC_NAMES!r}
+        assert unitary3.sampling is sys.modules["unitary3.sampling"]
+        names = {{}}
+        exec("from unitary3 import *", names)
+        public = sorted([*expected, *(name for module_names in expected.values() for name in module_names)])
+        assert sorted(set(names) - {{"__builtins__"}}) == public
+        assert [name for name in dir(unitary3) if not name.startswith("_")] == public
+        for module, module_names in expected.items():
+            assert getattr(unitary3, module) is sys.modules["unitary3." + module], module
+            for name in module_names:
+                assert names[name] is getattr(unitary3, name) is getattr(sys.modules["unitary3." + module], name)
+        assert unitary3.__version__ == "0.1.0"
+        try:
+            unitary3.bogus
+        except AttributeError as exc:
+            assert str(exc) == "module 'unitary3' has no attribute 'bogus'"
+        else:
+            raise AssertionError("unitary3.bogus")
+        print("ok")
+    """
+    assert cli_process(["-c", probe], tmp_path) == (0, b"ok\n", b"")
 
 
 @pytest.mark.parametrize("command, document", [

@@ -6,19 +6,23 @@ import struct
 import numpy as np
 import pytest
 
+from unitary3.characteristic import _regularity
 from unitary3.documents import (
     PARAM_FIELDS,
     MalformedDocumentError,
+    _chardecomp_text,
+    _load_json,
     _recovery_text,
+    _roundtrip_text,
     parse_matrix,
     parse_params,
     serialize_matrix,
     serialize_params,
 )
-from unitary3.linalg import NonFiniteError
+from unitary3.linalg import NonFiniteError, as_matrix3
 from unitary3.parametrization import UnitaryParams, compose_core, compose_unitary, recover_params
 from unitary3.rotations import RotationAngles
-from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
+from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
 
 from test_cli import run_cli
 
@@ -267,3 +271,124 @@ def test_huge_integer_entries():
         parse_params(json.dumps(params).replace('"mu": 0', '"mu": 1' + "0" * 5000))
     # Integers within the float range still parse, to the nearest float.
     assert parse_params(json.dumps(dict(params, mu=10**300))).mu == 1e300
+
+
+def reference_load(text: str):
+    """The reader as json.JSONDecoder(parse_int=float).decode: the value,
+    or the MalformedDocumentError text it gives."""
+    try:
+        doc = json.JSONDecoder(parse_int=float).decode(text)
+    except json.JSONDecodeError as exc:
+        return f"not valid JSON (line {exc.lineno}): {exc.msg}"
+    except RecursionError:
+        return "nested too deeply"
+    return doc if isinstance(doc, dict) else "top-level value must be an object"
+
+
+_OBJECT = '{"a": [1, -0, 0.5, -0.0, true, null, "s", {}], "b": {"c": []}}'
+READER_CORPUS = [
+    _OBJECT, " \t\n\r" + _OBJECT + "\r\n\t ", "\n\n" + _OBJECT + "\n\n x", _OBJECT + " {}",
+    _OBJECT + "\n\n\t]", "", " ", "\n\t\r\n", "\f" + _OBJECT, _OBJECT + "\v", _OBJECT + "\x00",
+    "\ufeff" + _OBJECT, "\ufeff", '{"a": "\\ud800"}', '{"a": "\\udc00\\ud800x"}', '{"a": "\x01"}',
+    '{"a": "b\nc"}', '{"a": NaN}', '{"a": Infinity}', '{"a": -Infinity}', '{"a": -NaN}',
+    '{"a": 1' + "0" * 400 + "}", '{"a": -1' + "0" * 5000 + "}", '{"a": 1e400}', '{"a": 1, "a": -0}',
+    '{"a": 1, "b": 2, "a": 3}', "[" * 100000, "{" * 100000, '{"a": ' * 50000, "[]", "null", "-0", '"x"',
+    "{not json", "{", "}", '{"a": 01}', '{"a": 1.}', '{"a": .5}', '{"a": -}', '{"a": tru}', "{'a': 1}",
+    '{"a": 1,}', '{"a" 1}', '{"a": "\\x"}', '{"a": "\\u12"}', '{"a": "b', "{\n\n\n x", "\n" * 5 + "{\n\n]",
+]
+
+
+@pytest.mark.parametrize("index", range(len(READER_CORPUS)))
+def test_reader_matches_json_decoder(index):
+    # _load_json is json.JSONDecoder(parse_int=float).decode by another
+    # route: the same value, repr for repr (signs of zero included), or
+    # the same MalformedDocumentError text.
+    text = READER_CORPUS[index]
+    expected = reference_load(text)
+    try:
+        got = _load_json(text)
+    except MalformedDocumentError as exc:
+        got = str(exc)
+    assert repr(got) == repr(expected)
+
+
+# The writers as json.dumps wrote them: each template must give these bytes.
+def reference_recovery_text(report) -> str:
+    doc = {**report.params.as_dict(), **{field: getattr(report, field)
+                                         for field in ("residual", "branch", "global_phase_alpha1_degenerate")}}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_roundtrip_text(report) -> str:
+    return json.dumps({"residual": report.residual, "branch": report.branch}) + "\n"
+
+
+def _grid(rows) -> dict:
+    return {"re": [[z.real for z in row] for row in rows], "im": [[z.imag for z in row] for row in rows]}
+
+
+def reference_chardecomp_text(rep) -> str:
+    c = rep.components
+    return json.dumps({
+        "trace": c.traceR,
+        "eigenvalues": c.eigen.values,
+        "P1": c.purity.P1,
+        "P2": c.purity.P2,
+        "coefficients": list(c.coefficients),
+        "Rp_hat": _grid(c.Rp_hat),
+        "Rm_hat": _grid(c.Rm_hat),
+        "Ru_hat": _grid(c.Ru_hat),
+        "regularity": {
+            "m_hat": [rep.m1_hat, rep.m2_hat, rep.m3_hat],
+            "chi_m": rep.chi_m,
+            "regular": rep.regular,
+            "im_norm": rep.im_norm,
+        },
+    }, indent=2) + "\n"
+
+
+# Each chart face, as (field, value, the side of its inside).
+FACE_POINTS = [("chi", 0.0, 1), ("chi", math.pi / 4, -1), ("chi", -math.pi / 4, 1), ("mu", 0.0, 1),
+               ("mu", math.pi / 2, -1), ("theta", 0.0, -1), ("theta", math.pi / 2, -1), ("theta", -math.pi / 2, 1)]
+
+
+def test_recovery_writers_match_json_dumps():
+    g = SeededGenerator(71)
+    units = [np.eye(3), np.diag([1.0, 1.0, -1.0])] + [generate_haar_unitary(g) for _ in range(200)]
+    for i in range(400):
+        field, value, side = FACE_POINTS[i % len(FACE_POINTS)]
+        fields = random_params(g, margin=0.05).as_dict()
+        fields[field] = value + (0.0 if i < 80 else side * 10.0 ** -(i % 13 + 1))
+        values = [fields[k] for k in PARAM_FIELDS]
+        p = UnitaryParams(RotationAngles(*values[:3]), *values[3:])
+        units.append(compose_unitary(p))
+    flags, branches = set(), set()
+    for u in units:
+        report = recover_params(u)
+        assert _recovery_text(report) == reference_recovery_text(report)
+        assert _roundtrip_text(report) == reference_roundtrip_text(report)
+        flags.add(report.global_phase_alpha1_degenerate)
+        branches.add(report.branch)
+    assert flags == {True, False}
+    assert "circular-fallback" in branches and len(branches) >= 4, branches
+
+
+def test_chardecomp_writer_matches_json_dumps():
+    g = SeededGenerator(72)
+    matrices = [np.eye(3), np.diag([0.4, 0.4, 0.2]), np.diag([1.0, 0.0, 0.0])]
+    for i in range(300):
+        if i % 5 <= 1:
+            r = random_psd_hermitian(g)
+        elif i % 5 <= 3:
+            a = g.complex_gauss_matrix()
+            a[:, 4 - i % 5:] = 0.0  # rank 2, then rank 1
+            r = a @ a.conj().T
+        else:
+            r = random_psd_hermitian(g) * (1e-250, 1e-100, 1e-10, 1e6, 1e100, 1e250)[i // 5 % 6]
+        matrices.append(r)
+    verdicts = set()
+    for r in matrices:
+        rep = _regularity(as_matrix3(r))
+        assert _chardecomp_text(rep) == reference_chardecomp_text(rep)
+        verdicts.add(rep.regular)
+    assert verdicts == {True, False}
