@@ -17,8 +17,6 @@ eigenvector, and the spectrum of Re(Rm_hat) follows in closed form as
 (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), because Rm_hat =
 Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
 """
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -27,6 +25,7 @@ from .linalg import (
     EigenDecomposition,
     Unitary3Error,
     _array,
+    _check_finite,
     _check_unitary,
     _eig,
     _eigen,
@@ -84,7 +83,9 @@ class CharacteristicComponents(namedtuple("CharacteristicComponents",
 
     __slots__ = ()
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self):
+        """The decomposed matrix as a 3x3 complex array: traceR times the
+        components summed with ``coefficients`` as weights."""
         c1, c2, c3 = self.coefficients
         return self.traceR * (c1 * self.Rp_hat + c2 * self.Rm_hat + c3 * self.Ru_hat)
 
@@ -176,23 +177,26 @@ def _components(c: CharacteristicComponents) -> CharacteristicComponents:
                                     c.coefficients, eigen)
 
 
-def middle_component(u) -> np.ndarray:
-    """Half-projector onto the span of the first two columns of a unitary;
-    raises NotUnitaryError where the input fails the unitarity gate."""
+def middle_component(u):
+    """Half-projector onto the span of the first two columns of a unitary,
+    as a 3x3 complex array; raises NotUnitaryError where the input fails
+    the unitarity gate."""
     rows = as_matrix3(u)
     _check_unitary(rows)
     (u00, u01, _), (u10, u11, _), (u20, u21, _) = rows
     return _array(_middle((u00, u10, u20), (u01, u11, u21)))
 
 
-def intrinsic_middle(chi: float) -> np.ndarray:
-    """Middle component in the intrinsic frame, (n2 n2† + n3 n3†)/2 from
-    canonical_basis(chi); it depends on chi alone.
+def intrinsic_middle(chi: float):
+    """Middle component in the intrinsic frame as a 3x3 complex array,
+    (n2 n2† + n3 n3†)/2 from canonical_basis(chi); it depends on chi alone
+    and raises NonFiniteError for a NaN or infinite chi.
 
     It equals middle_component of the core matrix with its columns ordered
     (v2, v3, n1), for every (mu, alpha2, alpha3, beta2), since
     v2 v2† + v3 v3† = I - n1 n1†.
     """
+    _check_finite((chi,))
     _, n2, n3 = _basis_rows(chi)  # N(chi) is symmetric: its rows are its columns
     return _array(_middle(n2, n3))
 

@@ -35,8 +35,6 @@ hundred modules, well under 1 ms without it.  A usage error or help
 that was written (SystemExit), an exception that is a bug and a final
 flush that fails leave through the interpreter's own exit.
 """
-from __future__ import annotations
-
 import atexit
 import math
 import os

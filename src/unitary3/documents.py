@@ -33,8 +33,6 @@ No module here imports json.  The reader runs the C scanner that
 json.JSONDecoder runs (_json.make_scanner), and json is imported only
 to name the fault of malformed JSON (_load_json).
 """
-from __future__ import annotations
-
 import math
 from types import SimpleNamespace
 
@@ -165,7 +163,7 @@ def _check_grid(doc: dict, field: str) -> list:
         _finite(x, field, *divmod(k, 3))
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def parse_matrix(text: str):
     """Parse a MatrixDocument into a complex 3x3 array: entry (i, j) is
     complex(re[i][j], im[i][j]), signs of zero included."""
     return _array(_parse_entries(text))

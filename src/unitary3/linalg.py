@@ -21,8 +21,11 @@ _check_unitary) already holds; recovery's exit gate is its recomposition
 residual.
 
 Import rule: no module of the package imports numpy when it is imported,
-and none imports typing or pathlib at all (the records are
-collections.namedtuple subclasses, and cli reads and writes with open).
+none imports typing or pathlib at all (the records are
+collections.namedtuple subclasses, and cli reads and writes with open),
+and none has a future statement: every annotation evaluates where its
+function is defined, so none names numpy, and a function that returns an
+array says so in its docstring.
 json is imported only where a document is malformed JSON (documents
 reads with json's C scanner and writes with % templates).  ``import
 unitary3`` loads no submodule: the package resolves each public name on
@@ -77,8 +80,6 @@ by CPU, and those can differ in the last bit between hosts; math.hypot,
 fsum, sqrt and + - * / cannot, and abs of a complex gives what the host
 C library's hypot gives.
 """
-from __future__ import annotations
-
 import math
 import operator
 import sys
@@ -136,19 +137,23 @@ class ConvergenceError(Unitary3Error, RuntimeError):
 
 def as_matrix3(m) -> list:
     """The validator of every public operation: a 3x3 matrix as three rows
-    of three Python complex; NonFiniteError for a NaN or infinite part."""
+    of three Python complex; ValueError for any shape but (3, 3) and
+    NonFiniteError for a NaN or infinite part."""
     import cmath
 
     import numpy as np
 
-    rows = np.asarray(m, dtype=complex).reshape(3, 3).tolist()
+    arr = np.asarray(m, dtype=complex)
+    if arr.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
+    rows = arr.tolist()
     a, b, c = rows
     if not all(map(cmath.isfinite, a + b + c)):
         raise NonFiniteError("matrix has non-finite entries")
     return rows
 
 
-def _array(entries) -> np.ndarray:
+def _array(entries):
     """The 3x3 array of a kernel's result, three rows or nine entries
     row-major, with the dtype numpy infers from them."""
     import numpy as np

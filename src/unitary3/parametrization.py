@@ -39,8 +39,6 @@ recovered angle lies in the chart's ranges: _RANGES, the one home of the
 bounded ones (theta, varphi, chi, mu), and the phases in (-pi, pi]
 (rotations.wrap_angle); _ellipticity caps |chi| at chi's end.
 """
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -102,8 +100,11 @@ class RecoveryReport(namedtuple("RecoveryReport", "params residual branch global
     __slots__ = ()
 
 
-def canonical_basis(chi: float) -> np.ndarray:
-    """Unitary N(chi) with the orthonormal Jones vectors (n1, n2, n3) as columns."""
+def canonical_basis(chi: float):
+    """Unitary N(chi) as a 3x3 complex array, with the orthonormal Jones
+    vectors (n1, n2, n3) as columns; raises NonFiniteError for a NaN or
+    infinite chi."""
+    _check_finite((chi,))
     return _array(_basis_rows(chi))
 
 
@@ -121,10 +122,11 @@ def compose_core(
     alpha2: float,
     alpha3: float,
     beta2: float,
-) -> np.ndarray:
-    """Core matrix V1 = N(chi) diag(e^{i alpha1}, W); raises
-    NonFiniteError for a NaN or infinite parameter and ParameterRangeError
-    for mu outside [0, pi/2] or |alpha2|, |alpha3| or |beta2| above 2**8."""
+):
+    """Core matrix V1 = N(chi) diag(e^{i alpha1}, W) as a 3x3 complex
+    array; raises NonFiniteError for a NaN or infinite parameter and
+    ParameterRangeError for mu outside [0, pi/2] or |alpha2|, |alpha3| or
+    |beta2| above 2**8."""
     _check_finite((chi, mu, alpha1, alpha2, alpha3, beta2))
     return _array(_core_rows(chi, mu, alpha1, alpha2, alpha3, beta2))
 
@@ -181,9 +183,10 @@ def _unitary_rows(p: UnitaryParams) -> list:
     return _rotate(_rotation_rows(p.rotation), _core_rows(*p[1:]))
 
 
-def compose_unitary(p: UnitaryParams) -> np.ndarray:
-    """Unitary matrix with columns Q n1, Q v2, Q v3; raises NonFiniteError
-    for a NaN or infinite field, else as compose_core."""
+def compose_unitary(p: UnitaryParams):
+    """Unitary U = Q V1 as a 3x3 complex array, with columns Q n1, Q v2,
+    Q v3; raises NonFiniteError for a NaN or infinite field, else as
+    compose_core."""
     _check_finite(_values(p))
     return _array(_unitary_rows(p))
 

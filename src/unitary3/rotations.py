@@ -13,8 +13,6 @@ rotation about Y by -theta (with -sin in the (1,3) slot), times a rotation
 about Z by varphi; note the sign flips on the two leftmost factors relative
 to the naive product reading.
 """
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -72,9 +70,9 @@ def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
     return RotationAngles(wrap_angle(phi), float(theta), float(varphi))
 
 
-def compose_rotation(angles: RotationAngles) -> np.ndarray:
-    """Composed rotation Q from the closed-form entries above; raises
-    NonFiniteError for a NaN or infinite angle."""
+def compose_rotation(angles: RotationAngles):
+    """Composed rotation Q as a 3x3 real array, from the closed-form
+    entries above; raises NonFiniteError for a NaN or infinite angle."""
     _check_finite(angles)
     return _array(_rotation_rows(angles))
 

@@ -8,8 +8,6 @@ log, sin and cos, whose SIMD loops round differently on other CPUs, and
 the Haar QR and A A† are LAPACK and BLAS.  So a seed fixes the Haar and
 coherency samples on one host only, and `gen --haar` bytes are host-bound.
 """
-from __future__ import annotations
-
 import math
 import operator
 
@@ -65,12 +63,15 @@ class SeededGenerator:
         self._spare = float(r * np.sin(2.0 * np.pi * u2))
         return float(r * np.cos(2.0 * np.pi * u2))
 
-    def complex_gauss_matrix(self) -> np.ndarray:
+    def complex_gauss_matrix(self):
+        """3x3 complex array whose real and imaginary parts are independent
+        standard normals: nine pairs of gauss() draws, real part first,
+        filled row-major."""
         return _array([complex(self.gauss(), self.gauss()) for _ in range(9)])
 
 
-def generate_haar_unitary(g: SeededGenerator) -> np.ndarray:
-    """Haar-distributed 3x3 unitary.
+def generate_haar_unitary(g: SeededGenerator):
+    """Haar-distributed unitary as a 3x3 complex array.
 
     QR-orthonormalize a complex Gaussian matrix, then absorb the phases of
     the triangular factor's diagonal so it is real positive; without that
@@ -112,7 +113,8 @@ def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
     return UnitaryParams(RotationAngles(*v[:3]), *v[3:])
 
 
-def random_psd_hermitian(g: SeededGenerator) -> np.ndarray:
-    """Hermitian positive semidefinite matrix A A† from a Gaussian A."""
+def random_psd_hermitian(g: SeededGenerator):
+    """Hermitian positive semidefinite matrix A A† as a 3x3 complex array,
+    from a Gaussian A (complex_gauss_matrix)."""
     a = g.complex_gauss_matrix()
     return a @ a.conj().T

@@ -5,8 +5,6 @@ returning the worst gap over ``n`` draws from ``g``; it holds no bound.
 ``CHECKS`` runs each measure at the selftest's seed, size and bound; the
 acceptance tests call the same measures at their own.
 """
-from __future__ import annotations
-
 import math
 import time
 

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -1463,11 +1465,12 @@ def test_help_closed_pipe_exits_0(tmp_path):
 
 
 def test_cli_import_without_site(tmp_path):
-    # Without the site hook nothing preloads typing, pathlib, numpy, json
-    # or re, and neither importing the CLI nor a recover run loads any.
+    # Without the site hook nothing preloads typing, pathlib, numpy, json,
+    # re or __future__, and neither importing the CLI nor a recover run
+    # loads any.
     write_launcher_inputs(tmp_path)
     probe = ("import sys, unitary3.cli; unitary3.cli.main(['recover', '--matrix', 'haar.json']); "
-             "print(sorted({'typing', 'pathlib', 'numpy', 'json', 're'} & set(sys.modules)))")
+             "print(sorted({'typing', 'pathlib', 'numpy', 'json', 're', '__future__'} & set(sys.modules)))")
     out = run_cli(["recover", "--matrix", str(tmp_path / "haar.json")])[1]
     assert cli_process(["-S", "-c", probe], tmp_path) == (0, out.encode() + b"[]\n", b"")
 
@@ -1518,6 +1521,24 @@ def test_public_surface(tmp_path):
         print("ok")
     """
     assert cli_process(["-c", probe], tmp_path) == (0, b"ok\n", b"")
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates every annotation of each public
+    # callable and of each function defined in a public class body: none
+    # names what its module does not bind, such as numpy, which no module
+    # imports at import time.
+    functions = []
+    for name in unitary3.__all__:
+        obj = getattr(unitary3, name)
+        if isinstance(obj, type):
+            functions += [f for f in vars(obj).values() if inspect.isfunction(f)]
+        elif callable(obj):
+            functions.append(obj)
+    names = {f.__name__ for f in functions}
+    assert {"reconstruct", "canonical", "as_dict", "complex_gauss_matrix", "compose_unitary"} <= names
+    for f in functions:
+        typing.get_type_hints(f)
 
 
 @pytest.mark.parametrize("command, document", [

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -306,6 +307,19 @@ def test_non_finite_input_rejected(z):
                         (regularity_report, mat), (extract_rotation_angles, rot)):
             with pytest.raises(NonFiniteError, match="non-finite"):
                 fn(arg)
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 9), (9, 1), (3, 3, 1)], ids=str)
+def test_shape_other_than_3x3_rejected(shape):
+    # Nine entries in any other shape are not read as a 3x3 matrix: every
+    # public operation of both pipelines, and serialize_matrix, raises
+    # ValueError naming the shape.
+    mat = np.eye(3, dtype=complex).reshape(shape)
+    for fn in (recover_params, unitarity_distance, middle_component, eig_hermitian3, characteristic_decomposition,
+               regularity_report, extract_rotation_angles, serialize_matrix):
+        with pytest.raises(ValueError, match=re.escape(f"expected a 3x3 matrix, got shape {shape}")) as info:
+            fn(mat)
+        assert info.type is ValueError
 
 
 def chardecomp_pool(seed, n=200) -> list:

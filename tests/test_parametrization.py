@@ -23,13 +23,14 @@ from unitary3.parametrization import (
     _recover_rows,
     _rotate,
     _unitary_rows,
+    canonical_basis,
     compose_core,
     compose_unitary,
     flip_equivalent,
     params_distance,
     recover_params,
 )
-from unitary3.characteristic import middle_component
+from unitary3.characteristic import intrinsic_middle, middle_component
 from unitary3.rotations import (NotOrthogonalError, RotationAngles, _rotation_rows, compose_rotation,
                                extract_rotation_angles, wrap_angle)
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
@@ -292,6 +293,9 @@ def test_compose_rejects_non_finite():
     # A NaN or infinite parameter raises NonFiniteError at every public
     # composition, instead of math's ValueError or a NaN matrix.
     for bad in (math.nan, math.inf, -math.inf):
+        for fn in (canonical_basis, intrinsic_middle):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                fn(bad)
         for i in range(6):
             core = [0.1, 0.3, 0.0, 0.0, 0.0, 0.0]
             core[i] = bad
