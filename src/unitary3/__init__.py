@@ -29,6 +29,32 @@ _EXPORTS = {
 _MODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = [*_MODULE, *_EXPORTS]
 __version__ = "0.1.0"
+# The named stages of the recovery and coherency pipelines and of the CLI's
+# documents, each with the kernels that run it, as "submodule.function": a
+# profiler matches their code objects, so an ordinary call costs nothing,
+# and the names are strings, so the table loads no submodule.
+_STAGES = {
+    "recovery": {
+        "unitarity_gate": ("linalg._check_unitary",),
+        "phase_normalization": ("parametrization._normalize_global_phase",),
+        "first_column": ("parametrization._recover_first_column", "parametrization._ellipticity",
+                         "rotations._rotation_angles"),
+        "branch": ("parametrization._branch",),
+        "core_extraction": ("parametrization._extract_core_params",),
+        "residual": ("parametrization._core_rows", "parametrization._residual"),
+    },
+    "coherency": {
+        "eigensolve": ("linalg._eig", "linalg._jacobi"),
+        "decomposition": ("characteristic._decompose",),
+        "regularity": ("characteristic._regularity",),
+    },
+    "documents": {
+        "parse": ("documents._parse_rows",),
+        "recovery_text": ("documents._recovery_text",),
+        "roundtrip_text": ("documents._roundtrip_text",),
+        "chardecomp_text": ("documents._chardecomp_text",),
+    },
+}
 
 
 def __getattr__(name: str):

@@ -35,9 +35,9 @@ The array boundary is three functions here, each importing numpy inside
 itself: as_matrix3 turns an array into rows, _array turns a kernel's rows
 into an array, and _eigen turns a record's lists into arrays.  Every other
 module reaches numpy through them, except sampling (Box-Muller through
-numpy's log, sin and cos, and the Haar QR) and selftest (its measures'
-norms and maxima), whose arithmetic is still numpy's and which import it
-inside their own functions.  So ``import unitary3`` does not load numpy,
+numpy's log, sin and cos, and the Haar QR), whose arithmetic is still
+numpy's and which imports it inside its own functions; selftest takes
+its norms (_fsum_norm) and maxima in Python floats.  So ``import unitary3`` does not load numpy,
 and the first call that builds or reads an array does.  The CLI's
 ``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` stay on
 Python scalars from the document to the output (documents._parse_rows,

@@ -16,8 +16,8 @@ to the naive product reading.
 import math
 from collections import namedtuple
 
-from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _array, _check_finite, _check_unitary,
-                     as_matrix3)
+from .linalg import (FOLD_GATE, NonFiniteError, NotUnitaryError, Unitary3Error, _array, _check_finite,
+                     _check_unitary, as_matrix3)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -29,10 +29,17 @@ class NotOrthogonalError(Unitary3Error, ValueError):
 def wrap_angle(x: float) -> float:
     """Wrap an angle into (-pi, pi]: math.remainder(x, 2 pi), which is exact
     and the identity on (-pi, pi], with -pi folded to pi (math.atan2 gives
-    -pi for a negative real with a -0.0 imaginary part).  An infinite x
-    raises ValueError, as math.remainder does."""
-    x = math.remainder(x, _TWO_PI)
-    return math.pi if x == -math.pi else x
+    -pi for a negative real with a -0.0 imaginary part).  A NaN or
+    infinite x raises NonFiniteError, which is a ValueError."""
+    try:
+        r = math.remainder(x, _TWO_PI)
+    except ValueError:  # x is infinite
+        r = math.nan
+    if r > -math.pi:  # the one comparison a finite angle takes
+        return r
+    if r == -math.pi:
+        return math.pi
+    raise NonFiniteError(f"angle {x} is not finite")
 
 
 class RotationAngles(namedtuple("RotationAngles", "phi theta varphi")):
@@ -50,7 +57,10 @@ class RotationAngles(namedtuple("RotationAngles", "phi theta varphi")):
     def canonical(self) -> "RotationAngles":
         """Wrap into canonical ranges, using the Q-preserving equivalence
         (varphi, theta, phi) -> (varphi - pi, -theta, phi + pi); raises
-        NonFiniteError for a NaN or infinite angle."""
+        NonFiniteError for a NaN or infinite angle.  phi and varphi are
+        wrapped; theta is only negated by the fold, never wrapped, so a theta
+        outside [-pi/2, pi/2] stays outside it:
+        RotationAngles(1e300, 1e300, 1e300).canonical() has theta = -1e300."""
         _check_finite(self)
         return _canonical(self.phi, self.theta, self.varphi)
 

@@ -99,6 +99,7 @@ def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
     """
     if not 0.0 <= margin < _RANGES["chi"][1] / 2:
         raise ValueError(f"margin must lie in [0, pi/8), got {margin}")
+    margin = float(margin)  # a numpy margin would make every field a numpy float
 
     def draw(field):
         if field not in _RANGES:

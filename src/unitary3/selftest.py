@@ -4,6 +4,12 @@ Each property is implemented once, as a measure ``measure(g, n) -> float``
 returning the worst gap over ``n`` draws from ``g``; it holds no bound.
 ``CHECKS`` runs each measure at the selftest's seed, size and bound; the
 acceptance tests call the same measures at their own.
+
+The measures take their norms and maxima in Python floats, as the library
+does: a Frobenius norm is linalg._fsum_norm of the real and imaginary
+parts (_norm), and the worst gap is a max that keeps NaN (_worst).  This
+module imports no array library; the arrays it reads are the sampler's
+and the public operations'.
 """
 import math
 import time
@@ -14,7 +20,7 @@ from .characteristic import (
     middle_component,
     regularity_report,
 )
-from .linalg import eig_hermitian3, unitarity_distance
+from .linalg import _fsum_norm, eig_hermitian3, unitarity_distance
 from .parametrization import compose_core, compose_unitary, params_distance, recover_params
 from .rotations import compose_rotation, extract_rotation_angles
 from .sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
@@ -24,10 +30,17 @@ REGULARITY_CHI_VALUES = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
 
 
 def _worst(gaps) -> float:
-    """Largest of the gaps; NaN if any gap is NaN, so NaN never passes a bound."""
-    import numpy as np
+    """Largest of a flat iterable of gaps; NaN if any gap is NaN, so NaN
+    never passes a bound (max alone keeps a NaN only in first place)."""
+    gaps = list(gaps)
+    return math.nan if any(map(math.isnan, gaps)) else float(max(gaps))
 
-    return float(np.max(list(gaps)))
+
+def _norm(m) -> float:
+    """Frobenius norm of a 3x3 array: _fsum_norm of the real and imaginary
+    parts of its entries, read with tolist() unvalidated, so a NaN entry
+    gives NaN."""
+    return _fsum_norm([x for row in m.tolist() for z in row for x in (z.real, z.imag)])
 
 
 def composition_unitarity(g: SeededGenerator, n: int) -> float:
@@ -53,23 +66,21 @@ def param_roundtrip(g: SeededGenerator, n: int) -> float:
 def rotation_roundtrip(g: SeededGenerator, n: int) -> float:
     """Frobenius gap of compose-extract-compose on the rotation triples of
     random_params."""
-    import numpy as np
 
     def gap():
         q = compose_rotation(random_params(g).rotation)
-        return np.linalg.norm(compose_rotation(extract_rotation_angles(q)[0]) - q)
+        return _norm(compose_rotation(extract_rotation_angles(q)[0]) - q)
 
     return _worst(gap() for _ in range(n))
 
 
 def eigensolver_residual(g: SeededGenerator, n: int) -> float:
     """Frobenius norm of R V - V diag(values) on random PSD matrices."""
-    import numpy as np
 
     def gap():
         r = random_psd_hermitian(g)
         e = eig_hermitian3(r)
-        return np.linalg.norm(r @ e.vectors - e.vectors * e.values)
+        return _norm(r @ e.vectors - e.vectors * e.values)
 
     return _worst(gap() for _ in range(n))
 
@@ -77,39 +88,37 @@ def eigensolver_residual(g: SeededGenerator, n: int) -> float:
 def characteristic_reconstruction(g: SeededGenerator, n: int) -> float:
     """Relative reconstruction gap of the characteristic decomposition and
     violation max(-P1, P1 - P2, P2 - 1) of 0 <= P1 <= P2 <= 1, on PSD draws."""
-    import numpy as np
 
     def gaps():
-        r = random_psd_hermitian(g)
-        c = characteristic_decomposition(r)
-        p = c.purity
-        rel = np.linalg.norm(c.reconstruct() - r) / c.traceR
-        return rel, -p.P1, p.P1 - p.P2, p.P2 - 1.0
+        for _ in range(n):
+            r = random_psd_hermitian(g)
+            c = characteristic_decomposition(r)
+            p = c.purity
+            yield from (_norm(c.reconstruct() - r) / c.traceR, -p.P1, p.P1 - p.P2, p.P2 - 1.0)
 
-    return _worst(gaps() for _ in range(n))
+    return _worst(gaps())
 
 
 def middle_spectrum(g: SeededGenerator, n: int) -> float:
     """Gap of the middle component's spectrum from (1/2, 1/2, 0) on Haar unitaries."""
-    import numpy as np
 
-    target = np.array([0.5, 0.5, 0.0])
-    return _worst(
-        np.abs(eig_hermitian3(middle_component(generate_haar_unitary(g))).values - target)
-        for _ in range(n)
-    )
+    def gaps():
+        for _ in range(n):
+            values = eig_hermitian3(middle_component(generate_haar_unitary(g))).values.tolist()
+            yield from (abs(v - t) for v, t in zip(values, (0.5, 0.5, 0.0)))
+
+    return _worst(gaps())
 
 
 def chi_only_dependence(g: SeededGenerator, n: int) -> float:
     """Gap of middle_component(V1 with columns (v2, v3, n1)) from its chi-only
     form, over n draws of (mu, alpha2, alpha3, beta2) from random_params at
     chi = 0.1, -0.3, 0.7, with alpha1 = 0."""
-    import numpy as np
 
     def gap(chi):
         p = random_params(g)
         u = compose_core(chi, p.mu, 0.0, p.alpha2, p.alpha3, p.beta2)[:, [1, 2, 0]]
-        return np.linalg.norm(middle_component(u) - intrinsic_middle(chi))
+        return _norm(middle_component(u) - intrinsic_middle(chi))
 
     return _worst(gap(chi) for chi in (0.1, -0.3, 0.7) for _ in range(n))
 
@@ -117,15 +126,13 @@ def chi_only_dependence(g: SeededGenerator, n: int) -> float:
 def regularity_spectrum(g: SeededGenerator, n: int) -> float:
     """Gap of the Re(Rm_hat) spectrum from (1/2, cos^2 chi/2, sin^2 chi/2) at
     REGULARITY_CHI_VALUES; inf if a regular flag is wrong.  Ignores g and n."""
-    import numpy as np
-
     gaps = []
     for chi in REGULARITY_CHI_VALUES:
         rep = regularity_report(intrinsic_middle(chi))
         if rep.regular != (chi == 0.0):
-            return float("inf")
-        want = (0.5, np.cos(chi) ** 2 / 2, np.sin(chi) ** 2 / 2)
-        gaps.append(np.abs(np.subtract((rep.m1_hat, rep.m2_hat, rep.m3_hat), want)))
+            return math.inf
+        want = (0.5, math.cos(chi) ** 2 / 2, math.sin(chi) ** 2 / 2)
+        gaps += (abs(m - w) for m, w in zip((rep.m1_hat, rep.m2_hat, rep.m3_hat), want))
     return _worst(gaps)
 
 

@@ -1550,3 +1550,54 @@ def test_launcher_without_site_matches_main(tmp_path, command, document):
     out = run_cli([command, "--matrix", str(tmp_path / document)])[1]
     assert cli_process(["-S", "-m", "unitary3.cli", command, "--matrix", document], tmp_path) == (
         0, out.encode(), b"")
+
+
+
+def test_stage_table_names_the_kernels_each_document_runs(tmp_path):
+    # Every name of unitary3._STAGES resolves to a function of its
+    # submodule.  One recover, roundtrip and chardecomp document, each run
+    # through main under a profile hook that matches the kernels' code
+    # objects, call every kernel of their pipeline's stages, of the parse
+    # and of their writer, with one unitarity gate per recover document and
+    # one eigensolve per chardecomp document; recovery runs no coherency
+    # kernel.
+    stages = unitary3._STAGES
+    assert set(stages) == {"recovery", "coherency", "documents"}
+    kernels = {}
+    for pipeline in stages.values():
+        for names in pipeline.values():
+            for dotted in names:
+                module, function = dotted.split(".")
+                f = getattr(getattr(unitary3, module), function)
+                assert inspect.isfunction(f) and f.__module__ == f"unitary3.{module}", dotted
+                kernels[f.__code__] = dotted
+    assert len(kernels) == sum(len(names) for pipeline in stages.values() for names in pipeline.values())
+
+    def run(argv, pipeline, writer):
+        counts = dict.fromkeys(kernels.values(), 0)
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in kernels:
+                counts[kernels[frame.f_code]] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            code = run_cli(argv)[0]
+        finally:
+            sys.setprofile(previous)
+        assert code == 0, argv
+        for names in [*stages[pipeline].values(), stages["documents"]["parse"], stages["documents"][writer]]:
+            for dotted in names:
+                assert counts[dotted] > 0, (argv[0], dotted)
+        return counts
+
+    write_launcher_inputs(tmp_path)
+    haar = str(tmp_path / "haar.json")
+    for command, writer in (("recover", "recovery_text"), ("roundtrip", "roundtrip_text")):
+        counts = run([command, "--matrix", haar], "recovery", writer)
+        assert counts["linalg._check_unitary"] == 1, command
+        assert not any(counts[dotted] for names in stages["coherency"].values() for dotted in names), command
+    counts = run(["chardecomp", "--matrix", str(CHARDECOMP_GOLDEN.with_name("chardecomp_full.json"))],
+                 "coherency", "chardecomp_text")
+    assert counts["linalg._eig"] == 1

@@ -33,6 +33,15 @@ def test_wrap_angle_ranges():
     assert wrap_angle(1e-17) == 1e-17
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_wrap_angle_rejects_non_finite(x):
+    # as flip_equivalent, RotationAngles.canonical and serialize_params do;
+    # NaN once came back as NaN, and an infinity raised math's untyped
+    # "math domain error"
+    with pytest.raises(NonFiniteError, match="angle .* is not finite"):
+        wrap_angle(x)
+
+
 def test_compose_matches_factor_product():
     g = SeededGenerator(21)
     for _ in range(500):

@@ -175,6 +175,15 @@ def test_random_params_rejects_margin_outside_chart(margin):
     assert g.calls == 0
 
 
+def test_random_params_numpy_margin_gives_floats():
+    # A numpy margin is read as a float after its range check, so no field
+    # is a numpy scalar, and the draws are the float margin's.
+    for margin in (np.float64(0.1), np.float32(0.1)):
+        p = random_params(SeededGenerator(3), margin=margin)
+        assert all(type(x) is float for x in (*p.rotation, *p[1:])), p
+        assert p == random_params(SeededGenerator(3), margin=float(margin))
+
+
 def test_random_params_margin_below_bound():
     g = _BoundedGenerator(3)
     for margin in (0.0, 0.3, 0.39):
