@@ -136,21 +136,23 @@ def regularity_spectrum(g: SeededGenerator, n: int) -> float:
     return _worst(gaps)
 
 
+def _haar_mean_gap(g: SeededGenerator, n: int, statistic, exact: float) -> float:
+    """|mean statistic(U) - exact| over n Haar unitaries drawn from g, as a
+    Python float.  The sampler is this module's generate_haar_unitary,
+    looked up at each call."""
+    return float(abs(sum(statistic(generate_haar_unitary(g)) for _ in range(n)) / n - exact))
+
+
 def haar_moment(g: SeededGenerator, n: int) -> float:
     """|mean |u11|^2 - 1/3| over Haar unitaries (the exact mean is 1/3)."""
-    return abs(sum(abs(generate_haar_unitary(g)[0, 0]) ** 2 for _ in range(n)) / n - 1.0 / 3.0)
+    return _haar_mean_gap(g, n, lambda u: abs(u[0, 0]) ** 2, 1.0 / 3.0)
 
 
 def haar_trace(g: SeededGenerator, n: int) -> float:
     """|mean |tr U|^2 - 1| over Haar unitaries (the exact mean is 1,
     Diaconis and Shahshahani).  It sees the phases that haar_moment cannot:
     QR without Mezzadri's phase fix gives a mean of about 1.6."""
-
-    def trace_sq():
-        u = generate_haar_unitary(g)
-        return abs(u[0, 0] + u[1, 1] + u[2, 2]) ** 2
-
-    return abs(sum(trace_sq() for _ in range(n)) / n - 1.0)
+    return _haar_mean_gap(g, n, lambda u: abs(u[0, 0] + u[1, 1] + u[2, 2]) ** 2, 1.0)
 
 
 def haar_coe(g: SeededGenerator, n: int) -> float:
@@ -158,12 +160,7 @@ def haar_coe(g: SeededGenerator, n: int) -> float:
     in the circular orthogonal ensemble (Dyson), where the exact mean is
     3/2.  tr U^T U is the sum of the squared entries, so it sees right
     phases, which |tr U|^2 does not."""
-
-    def coe_sq():
-        u = generate_haar_unitary(g)
-        return abs(sum(u[i, j] * u[i, j] for i in range(3) for j in range(3))) ** 2
-
-    return abs(sum(coe_sq() for _ in range(n)) / n - 1.5)
+    return _haar_mean_gap(g, n, lambda u: abs(sum(z * z for z in u.flat)) ** 2, 1.5)
 
 
 # (name, measure, seed, sample size, bound)

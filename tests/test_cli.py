@@ -23,8 +23,9 @@ import unitary3.selftest
 from unitary3.characteristic import characteristic_decomposition, middle_component, regularity_report
 from unitary3.cli import main
 from unitary3.documents import PARAM_FIELDS, parse_matrix, serialize_matrix, serialize_params
+from unitary3.linalg import eig_hermitian3, unitarity_distance
 from unitary3.parametrization import UnitaryParams, recover_params
-from unitary3.rotations import RotationAngles
+from unitary3.rotations import RotationAngles, compose_rotation, extract_rotation_angles
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_psd_hermitian
 
 from oracles import mp_compose
@@ -35,6 +36,15 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def package_env(**setting):
+    """The environment of a child interpreter: os.environ with ``setting``,
+    and the package's source directory first on PYTHONPATH."""
+    env = {**os.environ, **setting}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(unitary3.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return env
 
 
 def write_params(tmp_path, name="p.json", **kw):
@@ -820,9 +830,7 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
         assert "numpy" in sys.modules, "gen"
         print("ok")
     """
-    src = str(Path(unitary3.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n"), proc.stdout
@@ -845,21 +853,24 @@ def test_chardecomp(tmp_path):
     assert doc["regularity"]["regular"] is True
 
 
-def count_calls(monkeypatch, owner, name):
-    """Count calls of ``owner.name``, patched in ``owner`` and in every
-    library module that binds it."""
-    calls = []
-    original = getattr(owner, name)
+def kernel_calls(run, *functions):
+    """Calls of each of ``functions`` while ``run()`` runs, counted by a
+    profile hook that matches their code objects, so no alias, wrapper or
+    second binding of a function can hide a call."""
+    index = {f.__code__: i for i, f in enumerate(functions)}
+    counts = [0] * len(functions)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in index:
+            counts[index[frame.f_code]] += 1
 
-    for module_name, module in list(sys.modules.items()):
-        if (module is owner or module_name.startswith("unitary3")) and (
-                getattr(module, name, None) is original):
-            monkeypatch.setattr(module, name, counted)
-    return calls
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
 
 
 # stdout of `chardecomp` byte for byte, with the document it reads: full
@@ -978,36 +989,29 @@ def test_chardecomp_float_range_exit_2(tmp_path):
         2, "", "error: precondition violated: trace is beyond the largest float\n")
 
 
-def test_coherency_solve_count(tmp_path, monkeypatch):
+def test_coherency_solve_count(tmp_path):
     # One eigensolve per coherency call: the regularity analysis reuses the
     # decomposition's eigenvectors, and the CLI prints the decomposition
     # the regularity report carries.  The Jacobi kernel itself is counted,
     # so no wrapper around it can hide a second solve.
-    calls = count_calls(monkeypatch, unitary3.linalg, "_jacobi")
     r = random_psd_hermitian(SeededGenerator(58))
     mpath = tmp_path / "r.json"
     mpath.write_text(serialize_matrix(r, kind="hermitian"))
-    for run, want in (
-        (lambda: characteristic_decomposition(r), 1),
-        (lambda: regularity_report(r), 1),
-        (lambda: run_cli(["chardecomp", "--matrix", str(mpath)]), 1),
-    ):
-        calls.clear()
-        run()
-        assert len(calls) == want
+    for run in (lambda: characteristic_decomposition(r), lambda: regularity_report(r),
+                lambda: eig_hermitian3(r), lambda: run_cli(["chardecomp", "--matrix", str(mpath)])):
+        assert kernel_calls(run, unitary3.linalg._jacobi) == [1]
 
 
-def test_validation_count(monkeypatch):
+def test_validation_count():
     # Each public operation validates its input once; the stages behind it
     # are private kernels that trust the validated array.
-    matrix_checks = count_calls(monkeypatch, unitary3.linalg, "as_matrix3")
     u = generate_haar_unitary(SeededGenerator(59))
     r = random_psd_hermitian(SeededGenerator(60))
-    for run in (lambda: recover_params(u), lambda: regularity_report(r),
-                lambda: characteristic_decomposition(r), lambda: middle_component(u)):
-        matrix_checks.clear()
-        run()
-        assert len(matrix_checks) == 1
+    q = compose_rotation(RotationAngles(0.3, 0.5, -0.7))
+    for operation, m in ((recover_params, u), (regularity_report, r), (characteristic_decomposition, r),
+                         (middle_component, u), (eig_hermitian3, r), (unitarity_distance, u),
+                         (extract_rotation_angles, q), (serialize_matrix, u)):
+        assert kernel_calls(lambda: operation(m), unitary3.linalg.as_matrix3) == [1], operation.__name__
 
 
 def test_gen_determinism():
@@ -1295,10 +1299,8 @@ def test_closed_pipe_exits_0():
     # A reader that stops early, as `| head -1` does, chose to stop: the
     # writer exits 0 with nothing on stderr instead of a BrokenPipeError
     # traceback.
-    src = str(Path(unitary3.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "unitary3.cli", "gen", "--haar", "2000", "--seed", "1"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()
@@ -1309,8 +1311,7 @@ def test_closed_pipe_exits_0():
 def cli_process(args, cwd, stdout=subprocess.PIPE):
     """``python args`` with the package importable and stdout block-buffered,
     as from a plain shell: its exit code, stdout and stderr bytes."""
-    src = str(Path(unitary3.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = package_env()
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
                           timeout=60)
@@ -1387,10 +1388,8 @@ def closed_stream_process(argv, cwd, closed=">&-"):
     """``python -m unitary3.cli argv`` started from a shell with stdout
     (``>&-``) or stderr (``2>&-``) closed: its exit code and the bytes it
     wrote to the stream left open."""
-    src = str(Path(unitary3.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(["/bin/sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-m", "unitary3.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, timeout=60)
+                          cwd=cwd, env=package_env(), capture_output=True, timeout=60)
     return proc.returncode, proc.stdout + proc.stderr
 
 
@@ -1570,23 +1569,15 @@ def test_stage_table_names_the_kernels_each_document_runs(tmp_path):
                 module, function = dotted.split(".")
                 f = getattr(getattr(unitary3, module), function)
                 assert inspect.isfunction(f) and f.__module__ == f"unitary3.{module}", dotted
-                kernels[f.__code__] = dotted
-    assert len(kernels) == sum(len(names) for pipeline in stages.values() for names in pipeline.values())
+                kernels[dotted] = f
+    assert len({f.__code__ for f in kernels.values()}) == sum(
+        len(names) for pipeline in stages.values() for names in pipeline.values())
 
     def run(argv, pipeline, writer):
-        counts = dict.fromkeys(kernels.values(), 0)
+        def document():
+            assert run_cli(argv)[0] == 0, argv
 
-        def hook(frame, event, arg):
-            if event == "call" and frame.f_code in kernels:
-                counts[kernels[frame.f_code]] += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(hook)
-        try:
-            code = run_cli(argv)[0]
-        finally:
-            sys.setprofile(previous)
-        assert code == 0, argv
+        counts = dict(zip(kernels, kernel_calls(document, *kernels.values())))
         for names in [*stages[pipeline].values(), stages["documents"]["parse"], stages["documents"][writer]]:
             for dotted in names:
                 assert counts[dotted] > 0, (argv[0], dotted)

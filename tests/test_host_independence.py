@@ -12,10 +12,8 @@ import functools
 import inspect
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +22,7 @@ from unitary3 import (compose_unitary, generate_haar_unitary, parse_matrix, rand
                       recover_params, serialize_matrix)
 from unitary3.sampling import SeededGenerator
 
-from test_cli import CHARDECOMP_GOLDEN, HAAR_7, HAAR_7_FLIPPED, RECOVER_FACE_PARAMS
+from test_cli import CHARDECOMP_GOLDEN, HAAR_7, HAAR_7_FLIPPED, RECOVER_FACE_PARAMS, package_env
 from test_linalg import chardecomp_pool
 from test_parametrization import _FACES
 
@@ -96,11 +94,8 @@ def settings() -> list:
 @pytest.mark.parametrize("setting", settings(), ids=lambda s: " ".join(f"{k}={v}" for k, v in s.items()))
 def test_same_bytes_under_setting(setting):
     want = in_process_hash()
-    src = str(Path(unitary3.__file__).resolve().parent.parent)
-    env = dict(os.environ, **setting)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = inspect.getsource(output_hash) + "\nimport json, sys\nprint(output_hash(*json.load(sys.stdin)))\n"
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(documents()), env=env,
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(documents()), env=package_env(**setting),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == want
