@@ -18,13 +18,14 @@ failure of stdout (a full device, or a closed stdout that a document,
 help or the selftest report is bound for) is an output that cannot be
 written, exit 2.  A closed or unwritable stderr loses the error or usage
 line and nothing else: the exit code stays the documented one.
-``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` run on Python
-scalars from document to output and load neither numpy, nor typing, nor
-pathlib, nor json but to name the fault of malformed JSON (the import rule
-in unitary3.linalg): the writers are templates and the reader json's C
-scanner.  A process loads only the modules its command runs: this module
-imports characteristic, sampling and selftest inside the handlers that run
-them, and help reads sampling's ALGORITHM where it prints it.
+``recover``, ``roundtrip``, ``chardecomp``, ``compose`` and ``gen`` run on
+Python scalars from document or seed to output and load neither numpy,
+nor typing, nor pathlib, nor json but to name the fault of malformed JSON
+(the import rule in unitary3.linalg): the writers are templates and the
+reader json's C scanner.  A process loads only the modules its command
+runs: this module imports characteristic, sampling and selftest inside
+the handlers that run them, and help reads sampling's ALGORITHM where it
+prints it.
 
 ``python -m unitary3.cli`` and the ``unitary3`` console script run ``run``,
 which ends the process in this order: main(), the atexit handlers, a flush
@@ -52,7 +53,6 @@ from .documents import (
     _recovery_text,
     _roundtrip_text,
     parse_params,
-    serialize_matrix,
 )
 
 
@@ -116,7 +116,7 @@ def _cmd_chardecomp(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .sampling import SeededGenerator, generate_haar_unitary
+    from .sampling import SeededGenerator, _haar_rows
 
     g = SeededGenerator(args.seed)
     if args.out_dir and args.haar:
@@ -125,8 +125,8 @@ def _cmd_gen(args) -> int:
         except OSError as exc:
             raise OutputWriteError(str(exc)) from exc
     for i in range(args.haar):
-        text = serialize_matrix(generate_haar_unitary(g), kind="unitary")
-        _emit(text, args.out_dir and os.path.join(args.out_dir, f"haar_{args.seed}_{i:04d}.json"))
+        _emit(_matrix_text(_haar_rows(g), "unitary"),
+              args.out_dir and os.path.join(args.out_dir, f"haar_{args.seed}_{i:04d}.json"))
     return 0
 
 

@@ -31,22 +31,22 @@ reads with json's C scanner and writes with % templates).  ``import
 unitary3`` loads no submodule: the package resolves each public name on
 first access, and cli imports characteristic, sampling and selftest in
 the handlers that run them.
-The array boundary is three functions here, each importing numpy inside
-itself: as_matrix3 turns an array into rows, _array turns a kernel's rows
-into an array, and _eigen turns a record's lists into arrays.  Every other
-module reaches numpy through them, except sampling (Box-Muller through
-numpy's log, sin and cos, and the Haar QR), whose arithmetic is still
-numpy's and which imports it inside its own functions; selftest takes
-its norms (_fsum_norm) and maxima in Python floats.  So ``import unitary3`` does not load numpy,
-and the first call that builds or reads an array does.  The CLI's
-``recover``, ``roundtrip``, ``chardecomp`` and ``compose`` stay on
-Python scalars from the document to the output (documents._parse_rows,
-then parametrization._recover_rows or characteristic._regularity and that
-command's writer in documents; or documents.parse_params, then
-parametrization._unitary_rows and documents._matrix_text) and load
-neither numpy, nor cmath, nor typing, nor pathlib, nor json, on success
-and on every error exit but malformed JSON (unless a ``site`` hook has
-loaded them first); ``gen`` and ``selftest`` load numpy.
+The array boundary is three functions here, the only ones in the package
+that import numpy, each inside itself: as_matrix3 turns an array into
+rows, _array turns a kernel's rows into an array, and _eigen turns a
+record's lists into arrays.  Every other module reaches numpy through
+them; selftest takes its norms (_fsum_norm) and maxima in Python floats.
+So ``import unitary3`` does not load numpy, and the first call that
+builds or reads an array does.  The CLI's ``recover``, ``roundtrip``,
+``chardecomp``, ``compose`` and ``gen`` stay on Python scalars from the
+document or seed to the output (documents._parse_rows, then
+parametrization._recover_rows or characteristic._regularity and that
+command's writer in documents; documents.parse_params, then
+parametrization._unitary_rows and documents._matrix_text; or
+sampling._haar_rows and documents._matrix_text) and load neither numpy,
+nor cmath, nor typing, nor pathlib, nor json, on success and on every
+error exit but malformed JSON (unless a ``site`` hook has loaded them
+first); ``selftest`` loads numpy through the public arrays it checks.
 A public operation is its kernel on ``as_matrix3(m)``: the kernel
 returns the operation's record with lists of Python scalars in its array
 fields.  The coherency operations build their records of arrays with
@@ -57,12 +57,13 @@ its kernel's rows.
 
 Arithmetic rule: recovery, composition (compose_core, compose_rotation,
 compose_unitary), the unitarity gate (_check_unitary,
-unitarity_distance) and coherency (the eigensolver, the characteristic
-decomposition and the regularity report) run on Python floats and
-complex, one code path with no numpy arithmetic, so their bytes do not
-depend on numpy's SIMD targets or on the BLAS kernels of the host.  A
+unitarity_distance), coherency (the eigensolver, the characteristic
+decomposition and the regularity report) and sampling (Box-Muller, the
+Haar Gram-Schmidt and A A†) run on Python floats and complex, one code
+path with no numpy arithmetic, so their bytes do not depend on numpy's
+SIMD targets or on the BLAS kernels of the host.  A
 matrix is read with one ``tolist()``; elementary functions are math's
-(cos, sin, atan2), and the phase of re + i im is math.atan2(im, re),
+(cos, sin, atan2, and log in Box-Muller), and the phase of re + i im is math.atan2(im, re),
 bit for bit cmath.phase.  A modulus is math.hypot(re, im) in recovery
 and the unitarity gate, and abs(z) of a Python complex in the
 eigensolver; abs(z) is the C library's hypot of its parts, and
@@ -75,8 +76,9 @@ math.hypot and abs of a complex only.  A complex times a real or
 a purely imaginary factor is written as two float products, or as a
 product with complex(x, 0.0), so Python's promotion of a float operand
 (which Python 3.14 no longer does) decides no sign of zero.  One
-dependence remains: glibc picks an FMA variant of atan2, sin, cos and exp
-by CPU, and those can differ in the last bit between hosts; math.hypot,
+dependence remains, the only one of any byte the package writes: glibc
+picks an FMA variant of atan2, sin, cos, exp and log by CPU, and those
+can differ in the last bit between hosts; math.hypot,
 fsum, sqrt and + - * / cannot, and abs of a complex gives what the host
 C library's hypot gives.
 """

@@ -3,15 +3,17 @@
 The generator is a plain SplitMix64 counter PRNG (64-bit state, golden-ratio
 increment) feeding Box-Muller for standard normals.  The algorithm is
 frozen, and the integer stream and its uniforms (so random_params) are
-exact on every platform.  The Gaussians are not: Box-Muller calls numpy's
-log, sin and cos, whose SIMD loops round differently on other CPUs, and
-the Haar QR and A A† are LAPACK and BLAS.  So a seed fixes the Haar and
-coherency samples on one host only, and `gen --haar` bytes are host-bound.
+exact on every platform.  The rest follows the arithmetic rule in
+unitary3.linalg: Box-Muller calls math's sqrt, log, sin and cos, and the
+Haar unitary (Gram-Schmidt) and A A† are written out in Python floats and
+complex.  So a seed fixes every sample, and `gen --haar` bytes, on every
+host whose libm gives the same log, sin and cos.  Each public sampler
+returns _array of its kernel's rows.
 """
 import math
 import operator
 
-from .linalg import _array
+from .linalg import _array, _fsum_norm
 from .parametrization import PARAM_FIELDS, UnitaryParams, _RANGES
 from .rotations import RotationAngles
 
@@ -53,36 +55,57 @@ class SeededGenerator:
         if self._spare is not None:
             x, self._spare = self._spare, None
             return x
-        import numpy as np
-
         u1 = self.uniform()
         while u1 <= 0.0:
             u1 = self.uniform()
         u2 = self.uniform()
-        r = np.sqrt(-2.0 * np.log(u1))
-        self._spare = float(r * np.sin(2.0 * np.pi * u2))
-        return float(r * np.cos(2.0 * np.pi * u2))
+        r = math.sqrt(-2.0 * math.log(u1))
+        self._spare = r * math.sin(2.0 * math.pi * u2)
+        return r * math.cos(2.0 * math.pi * u2)
 
     def complex_gauss_matrix(self):
         """3x3 complex array whose real and imaginary parts are independent
         standard normals: nine pairs of gauss() draws, real part first,
         filled row-major."""
-        return _array([complex(self.gauss(), self.gauss()) for _ in range(9)])
+        return _array(self._gauss_rows())
+
+    def _gauss_rows(self) -> list:
+        """complex_gauss_matrix as three rows of three Python complex."""
+        return [[complex(self.gauss(), self.gauss()) for _ in range(3)] for _ in range(3)]
+
+
+def _dot(x, y) -> complex:
+    """x . conj(y) of two triples of Python complex, summed left to right."""
+    return x[0] * y[0].conjugate() + x[1] * y[1].conjugate() + x[2] * y[2].conjugate()
 
 
 def generate_haar_unitary(g: SeededGenerator):
-    """Haar-distributed unitary as a 3x3 complex array.
+    """Haar-distributed unitary as a 3x3 complex array: _array of
+    _haar_rows."""
+    return _array(_haar_rows(g))
 
-    QR-orthonormalize a complex Gaussian matrix, then absorb the phases of
-    the triangular factor's diagonal so it is real positive; without that
-    fix the QR convention would bias the distribution.
+
+def _haar_rows(g: SeededGenerator) -> list:
+    """Haar-distributed unitary as three rows of three Python complex.
+
+    Gram-Schmidt on the columns of a complex Gaussian matrix A
+    (complex_gauss_matrix) gives A = QR with the diagonal of R real and
+    positive, the one QR decomposition whose Q is Haar-distributed
+    (Mezzadri, Notices AMS 54, 2007); a QR with another convention for
+    that diagonal, such as LAPACK's, biases the distribution.  Each column
+    loses its projection on each earlier column of Q, in order, and then
+    a second time, which is enough for orthogonality to rounding (Giraud,
+    Langou and Rozložník, Comput. Math. Appl. 50, 2005); it is then
+    divided by its norm (linalg._fsum_norm).
     """
-    import numpy as np
-
-    q, r = np.linalg.qr(g.complex_gauss_matrix())
-    d = r.diagonal().copy()
-    d = d / np.abs(d)
-    return q * d
+    q = []
+    for v in zip(*g._gauss_rows()):
+        for u in q * 2:
+            c = _dot(v, u)
+            v = (v[0] - u[0] * c, v[1] - u[1] * c, v[2] - u[2] * c)
+        n = _fsum_norm([x for z in v for x in (z.real, z.imag)])
+        q.append([complex(z.real / n, z.imag / n) for z in v])
+    return list(zip(*q))
 
 
 def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
@@ -92,10 +115,12 @@ def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
     ranges, is drawn from its range shrunk by ``margin`` at both ends,
     away from its degeneracy boundaries (theta = +-pi/2, varphi = 0 and
     pi, chi = +-pi/4, mu = 0 and pi/2), and chi also keeps ``margin``
-    clear of 0; every other field is a phase drawn from [-pi, pi).  chi
-    is drawn first, then the other fields in PARAM_FIELDS order.
-    ``margin`` must lie in [0, pi/8), where chi keeps a range to draw
-    from; any other raises ValueError before a draw.
+    clear of 0: it is one uniform x on [-(pi/4 - 2 margin), pi/4 -
+    2 margin] moved ``margin`` away from 0, x + copysign(margin, x)
+    capped in modulus at pi/4 - margin.  Every other field is a phase
+    drawn from [-pi, pi).  The fields are drawn in PARAM_FIELDS order,
+    one uniform each.  ``margin`` must lie in [0, pi/8), where chi keeps
+    a range to draw from; any other raises ValueError before a draw.
     """
     if not 0.0 <= margin < _RANGES["chi"][1] / 2:
         raise ValueError(f"margin must lie in [0, pi/8), got {margin}")
@@ -105,17 +130,22 @@ def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
         if field not in _RANGES:
             return -math.pi + 2.0 * math.pi * g.uniform()
         lo, hi = _RANGES[field]
-        return lo + margin + (hi - lo - 2.0 * margin) * g.uniform()
+        if field != "chi":
+            return lo + margin + (hi - lo - 2.0 * margin) * g.uniform()
+        x = lo + 2.0 * margin + (hi - lo - 4.0 * margin) * g.uniform()
+        # |x| + margin can round one bit past hi - margin where |x| is largest.
+        return math.copysign(min(abs(x) + margin, hi - margin), x)
 
-    chi = draw("chi")
-    while abs(chi) < margin:
-        chi = draw("chi")
-    v = [chi if field == "chi" else draw(field) for field in PARAM_FIELDS]
+    v = [draw(field) for field in PARAM_FIELDS]
     return UnitaryParams(RotationAngles(*v[:3]), *v[3:])
 
 
 def random_psd_hermitian(g: SeededGenerator):
     """Hermitian positive semidefinite matrix A A† as a 3x3 complex array,
-    from a Gaussian A (complex_gauss_matrix)."""
-    a = g.complex_gauss_matrix()
-    return a @ a.conj().T
+    from a Gaussian A (complex_gauss_matrix): _array of the rows whose
+    entry (i, j) is the _dot of rows i and j of A.  Entry (j, i) takes the
+    same products with their imaginary parts negated, so it is the
+    conjugate of entry (i, j) bit for bit (a zero imaginary part may
+    differ in sign), and the diagonal is exactly real."""
+    a = g._gauss_rows()
+    return _array([[_dot(x, y) for y in a] for x in a])

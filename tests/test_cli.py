@@ -151,11 +151,10 @@ def test_compose_golden(tmp_path):
         assert run_cli(["compose", "--params", str(path), "--core-only"]) == (0, core, "")
 
 
-# stdout of `gen --haar 3 --seed 7`, one document per entry.  These bytes are
-# bound to the host: the Box-Muller Gaussians go through numpy's log, sin and
-# cos, whose SIMD loops round differently on other CPUs, and the Haar QR is
-# LAPACK's.  So the recovery goldens below read these literals, and
-# test_gen_golden alone pins the sampler's output on this host.
+# stdout of `gen --haar 3 --seed 7` as an earlier sampler wrote it (numpy's
+# Box-Muller and LAPACK's QR), one document per entry, within 2.5e-16 of
+# what gen writes now (GEN_7).  They are the recover goldens' inputs, so they
+# stay verbatim and no recover golden moves with the sampler.
 HAAR_7 = [
     '{\n'
     '  "kind": "unitary",\n'
@@ -223,10 +222,42 @@ HAAR_7_FLIPPED = [
 ]
 
 
+# stdout of `gen --haar 3 --seed 7`.  The sampler runs on Python floats and
+# math's functions, so these bytes move only with the host libm's log, sin
+# and cos, and test_host_independence checks them under every setting.
+GEN_7 = (
+    '{\n'
+    '  "kind": "unitary",\n'
+    '  "re": [[0.72203238431420014, -0.4745769054036531, 0.22581907107845031],\n'
+    '         [-0.30712365881898429, -0.63670638154057935, 0.12179156335180713],\n'
+    '         [0.15109785392805114, -0.36131778284275151, -0.85904761723444201]],\n'
+    '  "im": [[0.076446586674182707, -0.30660323418837454, 0.3203156570750243],\n'
+    '         [0.57500728707835613, 0.37672660839991512, -0.11353651098105393],\n'
+    '         [-0.15822854333584796, -0.053876930808262044, -0.28410753961178259]]\n'
+    '}\n'
+    '{\n'
+    '  "kind": "unitary",\n'
+    '  "re": [[0.040729289255496466, -0.16357161787167718, -0.21144226920421494],\n'
+    '         [0.39691377652310905, -0.69888740265934401, 0.072292224260276677],\n'
+    '         [0.2063027450376588, 0.0355688991748557, -0.73731288467562073]],\n'
+    '  "im": [[-0.88469127709946127, -0.30006674653544407, -0.23272066832388158],\n'
+    '         [-0.10103600068819876, 0.29100147647924446, 0.5038844649059695],\n'
+    '         [0.073163017856637841, 0.55571005565217202, -0.3136514749812277]]\n'
+    '}\n'
+    '{\n'
+    '  "kind": "unitary",\n'
+    '  "re": [[0.76570405387968532, -0.012754511638002383, 0.44789033481070434],\n'
+    '         [0.47527048572667419, -0.30153444502743992, -0.11348765390872205],\n'
+    '         [-0.1316473261785612, -0.52401109164786741, -0.014053582439963417]],\n'
+    '  "im": [[-0.33029609091340717, -0.20989767395278963, 0.24449198572709469],\n'
+    '         [0.18287635410625944, 0.56078066480727329, -0.56779994835904457],\n'
+    '         [-0.16716752141342217, 0.52516158386957545, 0.63572335553504788]]\n'
+    '}\n'
+)
+
+
 def test_gen_golden():
-    # host-bound by design (see HAAR_7); a failure elsewhere means the
-    # sampler's numpy or LAPACK rounds differently, not that recovery moved
-    assert run_cli(["gen", "--haar", "3", "--seed", "7"]) == (0, "".join(HAAR_7), "")
+    assert run_cli(["gen", "--haar", "3", "--seed", "7"]) == (0, GEN_7, "")
 
 
 # stdout of `recover` and `roundtrip` for the three HAAR_7 documents, the
@@ -776,13 +807,13 @@ def test_option_prefix_and_repeat(tmp_path):
 
 
 def test_recovery_cli_never_loads_numpy(tmp_path):
-    # recover, roundtrip, chardecomp and compose run on Python scalars from
-    # document to output, success and error exits alike, and parse their
-    # arguments without argparse (nor the gettext and locale it loads).
-    # Nor do they load json, except to name the fault of malformed JSON, or
-    # a submodule they do not run: ``import unitary3`` loads none.  gen,
-    # run last in the same interpreter, shows that the probe sees numpy
-    # once it is loaded.
+    # recover, roundtrip, chardecomp, compose and gen run on Python scalars
+    # from document or seed to output, success and error exits alike, and
+    # parse their arguments without argparse (nor the gettext and locale it
+    # loads).  Nor do they load json, except to name the fault of malformed
+    # JSON, or a submodule they do not run: ``import unitary3`` loads none.
+    # A public array call, made last in the same interpreter, shows that the
+    # probe sees numpy once it is loaded.
     _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
     (tmp_path / "u.json").write_text(gen_out, encoding="utf-8")
     (tmp_path / "big.json").write_text(serialize_matrix(2.0 * np.eye(3)), encoding="utf-8")
@@ -813,10 +844,11 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
                            "--core-only"], 0), (["compose", "--params", "mu.json"], 2),
                            (["compose", "--params", "absent.json"], 1),
                            (["chardecomp", "--matrix", "r.json"], 0), (["chardecomp", "--matrix", "nh.json"], 2),
-                           (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1)):
+                           (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1),
+                           (["gen", "--haar", "2", "--seed", "3"], 0), (["gen", "--haar", "2", "--out-dir", "haar"], 0),
+                           (["gen", "--haar", "1", "--out-dir", "u.json"], 2)):
             assert main(argv) == code, argv
-            if argv[0] == "chardecomp":
-                unused.discard("unitary3.characteristic")
+            unused.discard({"chardecomp": "unitary3.characteristic", "gen": "unitary3.sampling"}.get(argv[0]))
             loaded = set(sys.modules) - before
             assert "numpy" not in sys.modules, argv
             assert not {"argparse", "cmath", "gettext", "locale"} & loaded, argv
@@ -826,8 +858,8 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
         # Malformed JSON loads json, whose JSONDecodeError names the fault.
         assert main(["recover", "--matrix", "notjson.json"]) == 1
         assert "json" in sys.modules, "malformed JSON"
-        assert main(["gen", "--haar", "1"]) == 0
-        assert "numpy" in sys.modules, "gen"
+        unitary3.parse_matrix(open("u.json", encoding="utf-8").read())
+        assert "numpy" in sys.modules, "parse_matrix"
         print("ok")
     """
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=package_env(),
@@ -840,6 +872,7 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
     assert "error: precondition violated: mu must lie in [0, pi/2]" in proc.stderr
     assert ("error: malformed input: not valid JSON (line 1): Expecting property name enclosed in double quotes"
             in proc.stderr)
+    assert sorted(os.listdir(tmp_path / "haar")) == ["haar_0_0000.json", "haar_0_0001.json"]
 
 
 def test_chardecomp(tmp_path):

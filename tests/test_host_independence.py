@@ -1,12 +1,13 @@
-"""Recovery, composition and coherency give the same bytes whatever SIMD
-targets numpy dispatches to and whatever kernels OpenBLAS selects.
+"""Recovery, composition, coherency and `gen` give the same bytes whatever
+SIMD targets numpy dispatches to and whatever kernels OpenBLAS selects.
 
 Each setting is an environment variable that one subprocess reads when it
 starts (NPY_DISABLE_CPU_FEATURES, OPENBLAS_CORETYPE); nothing outside that
 subprocess changes.  The input documents are made once, in this process,
-and fed to every subprocess over stdin, so the host-bound sampler does not
-enter the comparison.  glibc's choice of libm variant is not varied here:
-it is the one dependence the arithmetic keeps (README, Arithmetic).
+and fed to every subprocess over stdin; `gen --haar 3 --seed 7` runs in a
+subprocess of its own under each setting.  glibc's choice of libm variant
+is not varied here: it is the one dependence the arithmetic keeps (README,
+Arithmetic).
 """
 import functools
 import inspect
@@ -22,7 +23,7 @@ from unitary3 import (compose_unitary, generate_haar_unitary, parse_matrix, rand
                       recover_params, serialize_matrix)
 from unitary3.sampling import SeededGenerator
 
-from test_cli import CHARDECOMP_GOLDEN, HAAR_7, HAAR_7_FLIPPED, RECOVER_FACE_PARAMS, package_env
+from test_cli import CHARDECOMP_GOLDEN, GEN_7, HAAR_7, HAAR_7_FLIPPED, RECOVER_FACE_PARAMS, package_env
 from test_linalg import chardecomp_pool
 from test_parametrization import _FACES
 
@@ -99,6 +100,9 @@ def test_same_bytes_under_setting(setting):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == want
+    proc = subprocess.run([sys.executable, "-m", "unitary3.cli", "gen", "--haar", "3", "--seed", "7"],
+                          env=package_env(**setting), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, GEN_7, "")
 
 
 def test_recovered_alpha1_in_range():

@@ -393,13 +393,10 @@ def numpy_importers(path) -> set:
 
 def test_numpy_is_imported_only_at_the_array_boundary():
     # The import rule of the linalg docstring: no module imports numpy when
-    # it is imported; in linalg only the array boundary does, and besides
-    # linalg only the sampler's Box-Muller and Haar QR.
+    # it is imported, and only linalg's array boundary imports it at all.
     package = os.path.dirname(unitary3.linalg.__file__)
     importers = {name[:-3]: numpy_importers(os.path.join(package, name))
                  for name in sorted(os.listdir(package)) if name.endswith(".py")}
     importers = {module: functions for module, functions in importers.items() if functions}
-    assert set(importers) <= {"linalg", "sampling"}, importers
-    assert importers["linalg"] <= {"as_matrix3", "_array", "_eigen"}, importers["linalg"]
-    assert importers["sampling"] <= {"gauss", "generate_haar_unitary"}, importers["sampling"]
-    assert all(None not in functions for functions in importers.values()), importers
+    assert set(importers) == {"linalg"}, importers
+    assert importers["linalg"] == {"as_matrix3", "_array", "_eigen"}, importers["linalg"]
