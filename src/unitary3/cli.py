@@ -19,10 +19,11 @@ help or the selftest report is bound for) is an output that cannot be
 written, exit 2.  A closed or unwritable stderr loses the error or usage
 line and nothing else: the exit code stays the documented one.
 ``recover``, ``roundtrip``, ``chardecomp``, ``compose`` and ``gen`` run on
-Python scalars from document or seed to output and load neither numpy,
-nor typing, nor pathlib, nor json but to name the fault of malformed JSON
-(the import rule in unitary3.linalg): the writers are templates and the
-reader json's C scanner.  A process loads only the modules its command
+Python scalars from document or seed to output, and ``selftest`` on the
+same kernels' rows; no subcommand loads numpy, typing, pathlib, or json
+but to name the fault of malformed JSON (the import rule in
+unitary3.linalg): the writers are templates and the reader json's C
+scanner.  A process loads only the modules its command
 runs: this module imports characteristic, sampling and selftest inside
 the handlers that run them, and help reads sampling's ALGORITHM where it
 prints it.

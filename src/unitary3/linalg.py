@@ -35,18 +35,19 @@ The array boundary is three functions here, the only ones in the package
 that import numpy, each inside itself: as_matrix3 turns an array into
 rows, _array turns a kernel's rows into an array, and _eigen turns a
 record's lists into arrays.  Every other module reaches numpy through
-them; selftest takes its norms (_fsum_norm) and maxima in Python floats.
-So ``import unitary3`` does not load numpy, and the first call that
-builds or reads an array does.  The CLI's ``recover``, ``roundtrip``,
-``chardecomp``, ``compose`` and ``gen`` stay on Python scalars from the
-document or seed to the output (documents._parse_rows, then
+them, and only the public array functions call them.  So ``import
+unitary3`` does not load numpy, and the first call that builds or reads
+an array does; no CLI subcommand loads it.  The CLI's ``recover``,
+``roundtrip``, ``chardecomp``, ``compose`` and ``gen`` stay on Python
+scalars from the document or seed to the output (documents._parse_rows, then
 parametrization._recover_rows or characteristic._regularity and that
 command's writer in documents; documents.parse_params, then
 parametrization._unitary_rows and documents._matrix_text; or
 sampling._haar_rows and documents._matrix_text) and load neither numpy,
 nor cmath, nor typing, nor pathlib, nor json, on success and on every
 error exit but malformed JSON (unless a ``site`` hook has loaded them
-first); ``selftest`` loads numpy through the public arrays it checks.
+first); ``selftest`` reads the same kernels' rows and takes its norms
+(_fsum_norm) and maxima in Python floats.
 A public operation is its kernel on ``as_matrix3(m)``: the kernel
 returns the operation's record with lists of Python scalars in its array
 fields.  The coherency operations build their records of arrays with

@@ -142,10 +142,15 @@ def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
 
 def random_psd_hermitian(g: SeededGenerator):
     """Hermitian positive semidefinite matrix A A† as a 3x3 complex array,
-    from a Gaussian A (complex_gauss_matrix): _array of the rows whose
-    entry (i, j) is the _dot of rows i and j of A.  Entry (j, i) takes the
-    same products with their imaginary parts negated, so it is the
-    conjugate of entry (i, j) bit for bit (a zero imaginary part may
-    differ in sign), and the diagonal is exactly real."""
+    from a Gaussian A (complex_gauss_matrix): _array of _psd_rows."""
+    return _array(_psd_rows(g))
+
+
+def _psd_rows(g: SeededGenerator) -> list:
+    """A A† as three rows of three Python complex: entry (i, j) is the
+    _dot of rows i and j of A.  Entry (j, i) takes the same products with
+    their imaginary parts negated, so it is the conjugate of entry (i, j)
+    bit for bit (a zero imaginary part may differ in sign), and the
+    diagonal is exactly real."""
     a = g._gauss_rows()
-    return _array([[_dot(x, y) for y in a] for x in a])
+    return [[_dot(x, y) for y in a] for x in a]

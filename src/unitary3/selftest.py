@@ -5,25 +5,23 @@ returning the worst gap over ``n`` draws from ``g``; it holds no bound.
 ``CHECKS`` runs each measure at the selftest's seed, size and bound; the
 acceptance tests call the same measures at their own.
 
-The measures take their norms and maxima in Python floats, as the library
-does: a Frobenius norm is linalg._fsum_norm of the real and imaginary
-parts (_norm), and the worst gap is a max that keeps NaN (_worst).  This
-module imports no array library; the arrays it reads are the sampler's
-and the public operations'.
+The measures read the rows of the kernels the CLI runs (sampling._haar_rows
+and _psd_rows, parametrization._recover_rows, characteristic._decompose
+and _regularity, ...), not the public arrays, and take their norms and
+maxima in Python floats, as the library does: a Frobenius gap is
+linalg._fsum_norm of the real and imaginary parts of A - B (_gap), and the
+worst gap is a max that keeps NaN (_worst).  So the selftest loads no
+numpy; the tests hold each public array function to its kernel.
 """
 import math
 import time
 
-from .characteristic import (
-    characteristic_decomposition,
-    intrinsic_middle,
-    middle_component,
-    regularity_report,
-)
-from .linalg import _fsum_norm, eig_hermitian3, unitarity_distance
-from .parametrization import compose_core, compose_unitary, params_distance, recover_params
-from .rotations import compose_rotation, extract_rotation_angles
-from .sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
+from .characteristic import _decompose, _middle, _regularity
+from .linalg import _eig, _fsum_norm, _unitarity_distance
+from .parametrization import (RECOVERY_TOL, _basis_rows, _core_rows, _recover_rows, _unitary_rows,
+                              params_distance)
+from .rotations import _rotation_angles, _rotation_rows
+from .sampling import SeededGenerator, _haar_rows, _psd_rows, random_params
 
 # Middle ellipticity angles, regular to maximally nonregular, of regularity_spectrum.
 REGULARITY_CHI_VALUES = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
@@ -36,21 +34,22 @@ def _worst(gaps) -> float:
     return math.nan if any(map(math.isnan, gaps)) else float(max(gaps))
 
 
-def _norm(m) -> float:
-    """Frobenius norm of a 3x3 array: _fsum_norm of the real and imaginary
-    parts of its entries, read with tolist() unvalidated, so a NaN entry
-    gives NaN."""
-    return _fsum_norm([x for row in m.tolist() for z in row for x in (z.real, z.imag)])
+def _gap(a, b) -> float:
+    """Frobenius norm of A - B, two 3x3 matrices as rows of Python scalars:
+    _fsum_norm of the real and imaginary parts of each entry's difference,
+    so a NaN part of either gives NaN."""
+    d = [y - z for row_a, row_b in zip(a, b) for y, z in zip(row_a, row_b)]
+    return _fsum_norm([x for z in d for x in (z.real, z.imag)])
 
 
 def composition_unitarity(g: SeededGenerator, n: int) -> float:
     """Unitarity distance of matrices composed from random parameters."""
-    return _worst(unitarity_distance(compose_unitary(random_params(g))) for _ in range(n))
+    return _worst(_unitarity_distance(_unitary_rows(random_params(g))) for _ in range(n))
 
 
 def haar_roundtrip(g: SeededGenerator, n: int) -> float:
     """Recomposition residual of the recovery of Haar unitaries."""
-    return _worst(recover_params(generate_haar_unitary(g)).residual for _ in range(n))
+    return _worst(_recover_rows(_haar_rows(g), RECOVERY_TOL).residual for _ in range(n))
 
 
 def param_roundtrip(g: SeededGenerator, n: int) -> float:
@@ -58,7 +57,7 @@ def param_roundtrip(g: SeededGenerator, n: int) -> float:
 
     def gap():
         p = random_params(g, margin=1e-3)
-        return params_distance(p, recover_params(compose_unitary(p)).params)
+        return params_distance(p, _recover_rows(_unitary_rows(p), RECOVERY_TOL).params)
 
     return _worst(gap() for _ in range(n))
 
@@ -68,19 +67,21 @@ def rotation_roundtrip(g: SeededGenerator, n: int) -> float:
     random_params."""
 
     def gap():
-        q = compose_rotation(random_params(g).rotation)
-        return _norm(compose_rotation(extract_rotation_angles(q)[0]) - q)
+        q = _rotation_rows(random_params(g).rotation)
+        return _gap(_rotation_rows(_rotation_angles(q)[0]), q)
 
     return _worst(gap() for _ in range(n))
 
 
 def eigensolver_residual(g: SeededGenerator, n: int) -> float:
-    """Frobenius norm of R V - V diag(values) on random PSD matrices."""
+    """Frobenius norm of R V - V diag(values) on random PSD matrices, each
+    entry of R V summed left to right."""
 
     def gap():
-        r = random_psd_hermitian(g)
-        e = eig_hermitian3(r)
-        return _norm(r @ e.vectors - e.vectors * e.values)
+        r = _psd_rows(g)
+        e = _eig(r)
+        rv = [[x * a + y * b + z * c for a, b, c in e.vectors] for x, y, z in r]
+        return _gap(rv, [[z * v for z, v in zip(row, e.values)] for row in zip(*e.vectors)])
 
     return _worst(gap() for _ in range(n))
 
@@ -91,10 +92,10 @@ def characteristic_reconstruction(g: SeededGenerator, n: int) -> float:
 
     def gaps():
         for _ in range(n):
-            r = random_psd_hermitian(g)
-            c = characteristic_decomposition(r)
-            p = c.purity
-            yield from (_norm(c.reconstruct() - r) / c.traceR, -p.P1, p.P1 - p.P2, p.P2 - 1.0)
+            r = _psd_rows(g)
+            t, rp, rm, ru, p, (c1, c2, c3), _ = _decompose(r)
+            rec = [[t * (c1 * x + c2 * y + c3 * z) for x, y, z in zip(*rows)] for rows in zip(rp, rm, ru)]
+            yield from (_gap(rec, r) / t, -p.P1, p.P1 - p.P2, p.P2 - 1.0)
 
     return _worst(gaps())
 
@@ -104,21 +105,21 @@ def middle_spectrum(g: SeededGenerator, n: int) -> float:
 
     def gaps():
         for _ in range(n):
-            values = eig_hermitian3(middle_component(generate_haar_unitary(g))).values.tolist()
-            yield from (abs(v - t) for v, t in zip(values, (0.5, 0.5, 0.0)))
+            u1, u2, _ = zip(*_haar_rows(g))
+            yield from (abs(v - t) for v, t in zip(_eig(_middle(u1, u2)).values, (0.5, 0.5, 0.0)))
 
     return _worst(gaps())
 
 
 def chi_only_dependence(g: SeededGenerator, n: int) -> float:
-    """Gap of middle_component(V1 with columns (v2, v3, n1)) from its chi-only
-    form, over n draws of (mu, alpha2, alpha3, beta2) from random_params at
-    chi = 0.1, -0.3, 0.7, with alpha1 = 0."""
+    """Gap of the middle component of V1 with columns (v2, v3, n1) from its
+    chi-only form, over n draws of (mu, alpha2, alpha3, beta2) from
+    random_params at chi = 0.1, -0.3, 0.7, with alpha1 = 0."""
 
     def gap(chi):
         p = random_params(g)
-        u = compose_core(chi, p.mu, 0.0, p.alpha2, p.alpha3, p.beta2)[:, [1, 2, 0]]
-        return _norm(middle_component(u) - intrinsic_middle(chi))
+        _, v2, v3 = zip(*_core_rows(chi, p.mu, 0.0, p.alpha2, p.alpha3, p.beta2))
+        return _gap(_middle(v2, v3), _middle(*_basis_rows(chi)[1:]))
 
     return _worst(gap(chi) for chi in (0.1, -0.3, 0.7) for _ in range(n))
 
@@ -128,7 +129,7 @@ def regularity_spectrum(g: SeededGenerator, n: int) -> float:
     REGULARITY_CHI_VALUES; inf if a regular flag is wrong.  Ignores g and n."""
     gaps = []
     for chi in REGULARITY_CHI_VALUES:
-        rep = regularity_report(intrinsic_middle(chi))
+        rep = _regularity(_middle(*_basis_rows(chi)[1:]))
         if rep.regular != (chi == 0.0):
             return math.inf
         want = (0.5, math.cos(chi) ** 2 / 2, math.sin(chi) ** 2 / 2)
@@ -138,21 +139,21 @@ def regularity_spectrum(g: SeededGenerator, n: int) -> float:
 
 def _haar_mean_gap(g: SeededGenerator, n: int, statistic, exact: float) -> float:
     """|mean statistic(U) - exact| over n Haar unitaries drawn from g, as a
-    Python float.  The sampler is this module's generate_haar_unitary,
-    looked up at each call."""
-    return float(abs(sum(statistic(generate_haar_unitary(g)) for _ in range(n)) / n - exact))
+    Python float.  The sampler is this module's _haar_rows, looked up at
+    each call."""
+    return float(abs(sum(statistic(_haar_rows(g)) for _ in range(n)) / n - exact))
 
 
 def haar_moment(g: SeededGenerator, n: int) -> float:
     """|mean |u11|^2 - 1/3| over Haar unitaries (the exact mean is 1/3)."""
-    return _haar_mean_gap(g, n, lambda u: abs(u[0, 0]) ** 2, 1.0 / 3.0)
+    return _haar_mean_gap(g, n, lambda u: abs(u[0][0]) ** 2, 1.0 / 3.0)
 
 
 def haar_trace(g: SeededGenerator, n: int) -> float:
     """|mean |tr U|^2 - 1| over Haar unitaries (the exact mean is 1,
     Diaconis and Shahshahani).  It sees the phases that haar_moment cannot:
     QR without Mezzadri's phase fix gives a mean of about 1.6."""
-    return _haar_mean_gap(g, n, lambda u: abs(u[0, 0] + u[1, 1] + u[2, 2]) ** 2, 1.0)
+    return _haar_mean_gap(g, n, lambda u: abs(u[0][0] + u[1][1] + u[2][2]) ** 2, 1.0)
 
 
 def haar_coe(g: SeededGenerator, n: int) -> float:
@@ -160,7 +161,7 @@ def haar_coe(g: SeededGenerator, n: int) -> float:
     in the circular orthogonal ensemble (Dyson), where the exact mean is
     3/2.  tr U^T U is the sum of the squared entries, so it sees right
     phases, which |tr U|^2 does not."""
-    return _haar_mean_gap(g, n, lambda u: abs(sum(z * z for z in u.flat)) ** 2, 1.5)
+    return _haar_mean_gap(g, n, lambda u: abs(sum(z * z for row in u for z in row)) ** 2, 1.5)
 
 
 # (name, measure, seed, sample size, bound)

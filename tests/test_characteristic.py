@@ -10,6 +10,7 @@ from unitary3.characteristic import (
     NotPositiveSemidefiniteError,
     ZeroTraceError,
     _decompose,
+    _middle,
     _regularity,
     characteristic_decomposition,
     intrinsic_middle,
@@ -17,10 +18,14 @@ from unitary3.characteristic import (
     purity_indices,
     regularity_report,
 )
-from unitary3.linalg import FloatRangeError, _eig, as_matrix3, eig_hermitian3
-from unitary3.parametrization import NotUnitaryError, compose_core, compose_unitary
-from unitary3.rotations import RotationAngles, compose_rotation
-from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params, random_psd_hermitian
+from unitary3.linalg import (FloatRangeError, _eig, _unitarity_distance, as_matrix3, eig_hermitian3,
+                             unitarity_distance)
+from unitary3.parametrization import (RECOVERY_TOL, NotUnitaryError, _basis_rows, _core_rows, _recover_rows,
+                                      _unitary_rows, compose_core, compose_unitary, recover_params)
+from unitary3.rotations import (RotationAngles, _rotation_angles, _rotation_rows, compose_rotation,
+                                extract_rotation_angles)
+from unitary3.sampling import (SeededGenerator, _haar_rows, _psd_rows, generate_haar_unitary, random_params,
+                               random_psd_hermitian)
 from unitary3.selftest import middle_spectrum
 
 from oracles import lapack_eigenvalues
@@ -257,6 +262,18 @@ def test_regularity_verdict_at_gate():
             assert abs(abs(rep.chi_m) - chi_m) <= 1e-6 * chi_m
 
 
+def test_regularity_gate_pinned():
+    # R = 0.6 Q M(chi) Q^T + 0.1 I, M = intrinsic_middle, has chi_m = chi;
+    # at 0.7 and 1.5 times the gate's value, 1e-8 (written out, so that a
+    # changed REGULARITY_GATE fails), it is regular and then not.
+    q = compose_rotation(RotationAngles(0.3, 0.5, -0.7))
+    for factor, regular in ((0.7, True), (1.5, False)):
+        chi = factor * 1e-8
+        rep = regularity_report(0.6 * q @ intrinsic_middle(chi) @ q.T + 0.1 * np.eye(3))
+        assert rep.regular is regular, factor
+        assert abs(rep.chi_m - chi) <= 1e-15 * chi, (factor, rep.chi_m)
+
+
 def test_regularity_gate_is_inclusive(monkeypatch):
     # A matrix whose |chi_m| equals REGULARITY_GATE is regular, and it is
     # not one float below.
@@ -341,3 +358,31 @@ def test_public_records_are_their_kernels():
                 target[...] = 7.0
                 for other, a in before.items():
                     assert repr(fields[other].tolist()) == repr(a.tolist()), (name, other)
+
+
+def _assert_array_is_rows(array, rows):
+    """The array holds the kernel's rows bit for bit, signed zeros included."""
+    assert repr(array.tolist()) == repr([list(row) for row in rows])
+
+
+def test_public_arrays_are_their_kernels():
+    # The selftest measures the kernels' rows; each public array function
+    # is its kernel bit for bit, so every property the selftest and the
+    # acceptance suite check binds the public array API too.
+    for seed in range(100):
+        u_rows, u = _haar_rows(SeededGenerator(seed)), generate_haar_unitary(SeededGenerator(seed))
+        _assert_array_is_rows(u, u_rows)
+        _assert_array_is_rows(random_psd_hermitian(SeededGenerator(seed)), _psd_rows(SeededGenerator(seed)))
+        p = random_params(SeededGenerator(seed))
+        v_rows, v = _unitary_rows(p), compose_unitary(p)
+        _assert_array_is_rows(v, v_rows)
+        _assert_array_is_rows(compose_core(*p[1:]), _core_rows(*p[1:]))
+        q_rows, q = _rotation_rows(p.rotation), compose_rotation(p.rotation)
+        _assert_array_is_rows(q, q_rows)
+        assert repr(extract_rotation_angles(q)) == repr(_rotation_angles(q_rows))
+        for m, rows in ((u, u_rows), (v, v_rows)):
+            assert repr(recover_params(m)) == repr(_recover_rows(rows, RECOVERY_TOL))
+            assert repr(unitarity_distance(m)) == repr(_unitarity_distance(rows))
+            c1, c2, _ = zip(*rows)
+            _assert_array_is_rows(middle_component(m), _middle(c1, c2))
+        _assert_array_is_rows(intrinsic_middle(p.chi), _middle(*_basis_rows(p.chi)[1:]))

@@ -809,11 +809,12 @@ def test_option_prefix_and_repeat(tmp_path):
 def test_recovery_cli_never_loads_numpy(tmp_path):
     # recover, roundtrip, chardecomp, compose and gen run on Python scalars
     # from document or seed to output, success and error exits alike, and
-    # parse their arguments without argparse (nor the gettext and locale it
-    # loads).  Nor do they load json, except to name the fault of malformed
-    # JSON, or a submodule they do not run: ``import unitary3`` loads none.
-    # A public array call, made last in the same interpreter, shows that the
-    # probe sees numpy once it is loaded.
+    # selftest on the kernels' rows; all parse their arguments without
+    # argparse (nor the gettext and locale it loads).  Nor do they load
+    # json, except to name the fault of malformed JSON, or a submodule they
+    # do not run: ``import unitary3`` loads none.  A public array call, made
+    # last in the same interpreter, shows that the probe sees numpy once it
+    # is loaded.
     _, gen_out, _ = run_cli(["gen", "--haar", "1", "--seed", "3"])
     (tmp_path / "u.json").write_text(gen_out, encoding="utf-8")
     (tmp_path / "big.json").write_text(serialize_matrix(2.0 * np.eye(3)), encoding="utf-8")
@@ -836,6 +837,8 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
         from unitary3.cli import main
         assert "numpy" not in sys.modules, "import unitary3"
         unused = {"json", "unitary3.characteristic", "unitary3.sampling", "unitary3.selftest"}
+        runs = {"chardecomp": {"unitary3.characteristic"}, "gen": {"unitary3.sampling"},
+                "selftest": {"unitary3.characteristic", "unitary3.sampling", "unitary3.selftest"}}
         for argv, code in ((["recover", "--matrix", "u.json"], 0), (["roundtrip", "--matrix", "u.json"], 0),
                            (["recover", "--matrix", "big.json"], 2), (["roundtrip", "--matrix", "u.json",
                            "--tolerance", "1e-30"], 3), (["recover", "--matrix", "absent.json"], 1),
@@ -846,9 +849,9 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
                            (["chardecomp", "--matrix", "r.json"], 0), (["chardecomp", "--matrix", "nh.json"], 2),
                            (["chardecomp", "--matrix", "huge.json"], 2), (["chardecomp", "--matrix", "bad.json"], 1),
                            (["gen", "--haar", "2", "--seed", "3"], 0), (["gen", "--haar", "2", "--out-dir", "haar"], 0),
-                           (["gen", "--haar", "1", "--out-dir", "u.json"], 2)):
+                           (["gen", "--haar", "1", "--out-dir", "u.json"], 2), (["selftest"], 0)):
             assert main(argv) == code, argv
-            unused.discard({"chardecomp": "unitary3.characteristic", "gen": "unitary3.sampling"}.get(argv[0]))
+            unused -= runs.get(argv[0], set())
             loaded = set(sys.modules) - before
             assert "numpy" not in sys.modules, argv
             assert not {"argparse", "cmath", "gettext", "locale"} & loaded, argv

@@ -88,6 +88,22 @@ def test_eig_rejects_non_hermitian():
             eig_hermitian3(r)
 
 
+def test_hermiticity_gate_pinned():
+    # A skew of 0.7 and 1.5 times the gate's value, 1e-12 (written out, so
+    # that a changed HERMITICITY_TOL fails), times max|R|, at three scales:
+    # the first is solved and the second raises.
+    h = np.array([[1.0, 0.3 + 0.2j, 0.1], [0.3 - 0.2j, 0.5, 0.2j], [0.1, -0.2j, 0.25]])
+    for scale in (1e-200, 1.0, 1e200):
+        for factor, hermitian in ((0.7, True), (1.5, False)):
+            r = h * scale
+            r[0, 1] += factor * 1e-12 * scale
+            if hermitian:
+                eig_hermitian3(r)
+            else:
+                with pytest.raises(NotHermitianError):
+                    eig_hermitian3(r)
+
+
 def test_eig_residual_and_orthonormality():
     g = SeededGenerator(11)
     for _ in range(300):

@@ -102,15 +102,16 @@ def test_haar_moment():
 
 def qr_without_phase_fix(g):
     """Mezzadri's pitfall: the Q of a Gaussian matrix, its law bent by the
-    QR convention.  E|u11|^2 is still 1/3, but E|tr U|^2 is about 1.6."""
-    return np.linalg.qr(g.complex_gauss_matrix())[0]
+    QR convention, as rows.  E|u11|^2 is still 1/3, but E|tr U|^2 is about
+    1.6."""
+    return np.linalg.qr(g.complex_gauss_matrix())[0].tolist()
 
 
 def haar_with_real_row0(g):
-    """A Haar unitary times the right phases that make its row 0 real:
-    E|tr U|^2 stays 1, but E|tr U^T U|^2 is about 2.3."""
+    """A Haar unitary times the right phases that make its row 0 real, as
+    rows: E|tr U|^2 stays 1, but E|tr U^T U|^2 is about 2.3."""
     u = generate_haar_unitary(g)
-    return u * (u[0].conj() / abs(u[0]))
+    return (u * (u[0].conj() / abs(u[0]))).tolist()
 
 
 @pytest.mark.parametrize("name, sampler", [("haar-trace", qr_without_phase_fix),
@@ -118,9 +119,9 @@ def haar_with_real_row0(g):
 def test_haar_measure_fails_on_wrong_sampler(monkeypatch, name, sampler):
     # Each selftest measure of the Haar law, at its own seed and size, reads
     # far above its bound on the sampler it is there to catch (haar-moment
-    # passes both).
+    # passes both).  The measures read the sampler kernel's rows.
     measure, seed, n, bound = {check[0]: check[1:] for check in CHECKS}[name]
-    monkeypatch.setattr(unitary3.selftest, "generate_haar_unitary", sampler)
+    monkeypatch.setattr(unitary3.selftest, "_haar_rows", sampler)
     assert measure(SeededGenerator(seed), n) > 5 * bound
 
 

@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from unitary3.rotations import compose_rotation
+from unitary3.rotations import _rotation_rows
 from unitary3.sampling import SeededGenerator, random_params
-from unitary3.selftest import _norm, _worst
+from unitary3.selftest import _gap, _worst
 
 NAN, INF = math.nan, math.inf
 
@@ -29,34 +29,42 @@ def test_worst_of_floats():
     assert worst == 2e-15 and type(worst) is float
 
 
-def mp_frobenius(m) -> float:
-    """Frobenius norm of an array, each square and the sum at 60 digits."""
+def mp_frobenius(rows) -> float:
+    """Frobenius norm of a matrix given as rows, each square and the sum at
+    60 digits."""
     with mpmath.workdps(60):
-        return float(mpmath.sqrt(mpmath.fsum(mpmath.mpf(x.real) ** 2 + mpmath.mpf(x.imag) ** 2
-                                             for x in m.ravel().tolist())))
+        return float(mpmath.sqrt(mpmath.fsum(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+                                             for row in rows for z in row)))
 
 
-def test_norm_matches_mpmath():
+ZERO = [[0j, 0j, 0j]] * 3
+
+
+def test_gap_matches_mpmath():
     # _fsum_norm rounds the exact sum of squares once and then its square
-    # root, so it is within 2 ulp of the exact norm, on complex arrays and
-    # on real ones
+    # root, so the gap from a zero B is within 2 ulp of the exact norm, on
+    # complex rows and on real ones
     g = SeededGenerator(41)
     for _ in range(200):
-        for m in (g.complex_gauss_matrix(), compose_rotation(random_params(g).rotation)):
+        for m in (g._gauss_rows(), _rotation_rows(random_params(g).rotation)):
             want = mp_frobenius(m)
-            assert abs(_norm(m) - want) <= 2 * math.ulp(want), m
+            assert abs(_gap(m, ZERO) - want) <= 2 * math.ulp(want), m
+            assert _gap(ZERO, m) == _gap(m, ZERO)
 
 
-def nan_at(m, i, j, entry):
-    m[i, j] = entry
-    return m
+def identity_with(i, j, entry):
+    """Rows of the identity, of the type of ``entry``, with ``entry`` at (i, j)."""
+    rows = [[type(entry)(k == l) for l in range(3)] for k in range(3)]
+    rows[i][j] = entry
+    return rows
 
 
-@pytest.mark.parametrize("m", [
-    nan_at(np.eye(3, dtype=complex), 1, 2, complex(NAN, 0.0)),
-    nan_at(np.eye(3, dtype=complex), 0, 0, complex(0.0, NAN)),
-    nan_at(np.eye(3, dtype=complex), 2, 1, complex(INF, NAN)),
-    nan_at(np.eye(3), 0, 1, NAN),
-], ids=["real-part", "imaginary-part", "beside-inf", "real-array"])
-def test_norm_of_nan_entry_is_nan(m):
-    assert math.isnan(_norm(m))
+@pytest.mark.parametrize("entry", [complex(NAN, 0.0), complex(0.0, NAN), complex(INF, NAN), NAN],
+                         ids=["real-part", "imaginary-part", "beside-inf", "real-rows"])
+def test_gap_of_nan_entry_is_nan(entry):
+    # A NaN anywhere in A or in B fails every bound.
+    for i in range(3):
+        for j in range(3):
+            m, eye = identity_with(i, j, entry), identity_with(i, j, type(entry)(i == j))
+            assert math.isnan(_gap(m, eye)), (i, j)
+            assert math.isnan(_gap(eye, m)), (i, j)
