@@ -221,6 +221,8 @@ def _regularity(rows) -> RegularityReport:
     c = _decompose(rows)
     chi_m = _ellipticity(_normalize_global_phase(c.eigen.vectors[2])[0])[0]
     cm, sm = math.cos(chi_m), math.sin(chi_m)
-    im_norm = _fsum_norm([z.imag for row in c.Rm_hat for z in row])
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = c.Rm_hat
+    im_norm = _fsum_norm((m00.imag, m01.imag, m02.imag, m10.imag, m11.imag, m12.imag,
+                          m20.imag, m21.imag, m22.imag))
     return RegularityReport(0.5, cm * cm / 2, sm * sm / 2, chi_m, abs(chi_m) <= REGULARITY_GATE,
                             im_norm, c)

@@ -146,10 +146,14 @@ def _check_grid(doc: dict, field: str) -> list:
     grid = doc[field]
     if not (isinstance(grid, list) and len(grid) == 3):
         raise MalformedDocumentError(f"field '{field}' must be a 3x3 array (3 rows)")
-    for i, row in enumerate(grid):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise MalformedDocumentError(f"field '{field}' row {i} must have 3 entries")
-    values = grid[0] + grid[1] + grid[2]
+    r0, r1, r2 = grid
+    # Three lists of three, what serialize_matrix writes, pass one test;
+    # otherwise the loop names the first bad row.
+    if not (type(r0) is type(r1) is type(r2) is list and len(r0) == len(r1) == len(r2) == 3):
+        for i, row in enumerate(grid):
+            if not (isinstance(row, list) and len(row) == 3):
+                raise MalformedDocumentError(f"field '{field}' row {i} must have 3 entries")
+    values = r0 + r1 + r2
     # Nine finite floats, what serialize_matrix writes, pass in two C-level
     # maps.  _SCAN gives no int, so only a bool, which math.isfinite
     # takes as a number, needs the type test.  Otherwise the per-entry pass

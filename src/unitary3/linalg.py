@@ -51,7 +51,7 @@ first); ``selftest`` reads the same kernels' rows and takes its norms
 A public operation is its kernel on ``as_matrix3(m)``: the kernel
 returns the operation's record with lists of Python scalars in its array
 fields.  The coherency operations build their records of arrays with
-_eigen, one np.array call over all the record's complex entries and one
+_eigen, one np.fromiter call over all the record's complex entries and one
 over its floats, so each array field is a writeable view of one buffer
 per dtype; a public function that returns one matrix returns _array of
 its kernel's rows.
@@ -73,7 +73,10 @@ bit.  A vector or Frobenius norm squares each real and imaginary part
 (one map of operator.mul), sums the squares with math.fsum (exact,
 rounded once) and takes math.sqrt; every 3x3 product is written out with
 each sum taken left to right, and the eigensolver uses + - * /,
-math.hypot and abs of a complex only.  A complex times a real or
+math.hypot, abs of a complex and abs of a float (exact) only: the
+Hermiticity gate's skew of a diagonal entry is the float
+abs(Im r_jj + Im r_jj), exactly |r_jj - conj(r_jj)|, and _jacobi keeps
+|d_p| of each diagonal entry until a rotation moves d_p.  A complex times a real or
 a purely imaginary factor is written as two float products, or as a
 product with complex(x, 0.0), so Python's promotion of a float operand
 (which Python 3.14 no longer does) decides no sign of zero.  One
@@ -100,6 +103,7 @@ _TINY = sys.float_info.min
 # The largest frexp exponent of max|R| solved unscaled: above it R + R' or
 # the largest eigenvalue (at most 3 max|R|) of a Hermitian R could overflow.
 _MAX_EXPONENT = 1022
+_SCALED = 2.0 ** _MAX_EXPONENT  # the least max|R| whose frexp exponent exceeds it
 # Sweeps of the Jacobi eigensolver before it gives up.  It converges
 # quadratically: on the coherency matrices sampled in the tests no solve
 # takes more than 6, convergence check included.
@@ -254,7 +258,8 @@ def eig_hermitian3(r) -> EigenDecomposition:
 
     Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
     max|R|, a gate that holds at any scale (moduli are abs of a complex,
-    the C library's hypot, so no square overflows).  Where the frexp
+    the C library's hypot, so no square overflows; a diagonal entry's skew
+    is the float |Im r_jj + Im r_jj|).  Where the frexp
     exponent of max|R| exceeds _MAX_EXPONENT = 1022, R is multiplied by
     the power of two that puts max|R| in [2**1021, 2**1022) before the
     solve, and the eigenvalues by its inverse after, so no finite input
@@ -272,18 +277,20 @@ def _eigen(e: EigenDecomposition, *grids) -> tuple:
     """The _eig result ``e`` as an EigenDecomposition of arrays, and the
     complex array of shape (1 + len(grids), 3, 3) whose entry 0 is its
     ``vectors`` and entry ``i`` the ``i``-th of ``grids`` (rows of three
-    Python complex).  One np.array call makes that array and one more the
+    Python complex).  One np.fromiter call makes that array and one more the
     float buffer of ``values`` and ``normalized``, so each array field of
     a record is a writeable view of one buffer per dtype and shares no
     element with another field."""
     import numpy as np
 
-    x, y, z = e.vectors
-    entries = [x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2]]
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = e.vectors
+    entries = [x0, y0, z0, x1, y1, z1, x2, y2, z2]
     for row0, row1, row2 in grids:
-        entries += (*row0, *row1, *row2)
-    arrays = np.array(entries, dtype=complex).reshape(-1, 3, 3)
-    reals = np.array(e.values + e.normalized, dtype=float)
+        entries += row0
+        entries += row1
+        entries += row2
+    arrays = np.fromiter(entries, complex, len(entries)).reshape(-1, 3, 3)
+    reals = np.fromiter(e.values + e.normalized, float, 6)
     return EigenDecomposition(reals[:3], reals[3:], arrays[0], e.trace), arrays
 
 
@@ -296,9 +303,12 @@ def _eig(rows) -> EigenDecomposition:
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     try:
         scale = max(map(abs, (r00, r01, r02, r10, r11, r12, r20, r21, r22)))
+        # A diagonal entry's r_jj - conj(r_jj) is 2i Im r_jj, so its modulus is
+        # the float |Im r_jj + Im r_jj|, exact, and inf where the sum overflows.
+        i00, i11, i22 = r00.imag, r11.imag, r22.imag
         skew = max(
-            abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()), abs(r02 - r20.conjugate()),
-            abs(r11 - r11.conjugate()), abs(r12 - r21.conjugate()), abs(r22 - r22.conjugate()),
+            abs(i00 + i00), abs(r01 - r10.conjugate()), abs(r02 - r20.conjugate()),
+            abs(i11 + i11), abs(r12 - r21.conjugate()), abs(i22 + i22),
         )
     except OverflowError:
         raise FloatRangeError("an entry of R or R - R' has a modulus beyond the largest float") from None
@@ -309,11 +319,13 @@ def _eig(rows) -> EigenDecomposition:
     trace = r00.real + r11.real + r22.real
     if math.isinf(trace):
         raise FloatRangeError("trace is beyond the largest float")
-    # Above _MAX_EXPONENT R is scaled exactly to max|R| in [2**1021, 2**1022).
-    # The solve scales exactly with a power of two (_jacobi), so this moves
-    # no bit of a result that would not otherwise overflow.
-    k = max(math.frexp(scale)[1] - _MAX_EXPONENT, 0)
-    if k:
+    # Above _MAX_EXPONENT (max|R| at least 2**1022) R is scaled exactly to
+    # max|R| in [2**1021, 2**1022).  The solve scales exactly with a power of
+    # two (_jacobi), so this moves no bit of a result that would not
+    # otherwise overflow.
+    k = 0
+    if scale >= _SCALED:
+        k = math.frexp(scale)[1] - _MAX_EXPONENT
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (
             [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in row] for row in rows
         )
@@ -330,15 +342,15 @@ def _eig(rows) -> EigenDecomposition:
         order = (0, 1, 2) if d1 >= d2 else (0, 2, 1) if d0 >= d2 else (2, 0, 1)
     else:
         order = (1, 0, 2) if d0 >= d2 else (1, 2, 0) if d1 >= d2 else (2, 1, 0)
+    o0, o1, o2 = order
+    l0, l1, l2 = diagonal[o0], diagonal[o1], diagonal[o2]
     if k:
         try:
-            values = [math.ldexp(diagonal[i], k) for i in order]
+            l0, l1, l2 = math.ldexp(l0, k), math.ldexp(l1, k), math.ldexp(l2, k)
         except OverflowError:
             raise FloatRangeError("an eigenvalue is beyond the largest float") from None
-    else:
-        values = [diagonal[i] for i in order]
     if abs(trace) > _TINY:
-        normalized = [x / trace for x in values]
+        normalized = [l0 / trace, l1 / trace, l2 / trace]
     else:
         normalized = [0.0, 0.0, 0.0]
     vectors = []
@@ -356,7 +368,7 @@ def _eig(rows) -> EigenDecomposition:
             z, m = x2, m2
         phase = complex(z.real / m, -z.imag / m)
         vectors.append((x0 * phase, x1 * phase, x2 * phase))
-    return EigenDecomposition(values, normalized, vectors, trace)
+    return EigenDecomposition([l0, l1, l2], normalized, vectors, trace)
 
 
 def _unit(z: complex, h: float) -> complex:
@@ -394,7 +406,11 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     finds Jacobi the most accurate of the 3x3 methods he compares.
 
     Arithmetic: + - * / on floats, math.hypot, abs of a complex (the C
-    library's hypot of its parts) and products and sums of two complex;
+    library's hypot of its parts), abs of a float (exact: of each b_pq, and
+    of each d_p, kept as m_p and recomputed for the two entries a rotation
+    moves) and products and sums of two complex; t is 1/(theta +
+    hypot(1, theta)), or -1/(hypot(1, theta) - theta) for a negative theta,
+    the same float as sgn(theta)/(|theta| + hypot(1, theta));
     the complex rotation's cosine enters as complex(c, 0.0), and a complex
     times a real is written as two float products, so no float operand is
     promoted to complex.  Every product is an entry times a coefficient of
@@ -411,9 +427,10 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     h = abs(a01)
     if h:
         theta = (0.5 * d1 - 0.5 * d0) / h
-        t = 1.0 / (abs(theta) + hypot(1.0, theta))
         if theta < 0.0:
-            t = -t
+            t = -1.0 / (hypot(1.0, theta) - theta)
+        else:
+            t = 1.0 / (theta + hypot(1.0, theta))
         wc = 1.0 / hypot(1.0, t)
         s = t * wc
         u = _unit(a01, h)
@@ -427,54 +444,58 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     u12 = _unit(a12, b12) if b12 else 1 + 0j
     v00 = v11 = v22 = 1.0
     v01 = v02 = v10 = v12 = v20 = v21 = 0.0
+    m0, m1, m2 = abs(d0), abs(d1), abs(d2)  # |d_p|, recomputed where a rotation moves d_p
     # The three pairs are written out: one rotation in a loop over
     # relabelled indices took about 20 % more time per solve.
     for _ in range(_MAX_SWEEPS):
         rotated = False
-        h = abs(b01)
-        g = 100.0 * h
-        if abs(d0) + g != abs(d0) or abs(d1) + g != abs(d1):
+        g = 100.0 * abs(b01)
+        if m0 + g != m0 or m1 + g != m1:
             rotated = True
             theta = (0.5 * d1 - 0.5 * d0) / b01
-            t = 1.0 / (abs(theta) + hypot(1.0, theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (hypot(1.0, theta) - theta)
+            else:
+                t = 1.0 / (theta + hypot(1.0, theta))
             c = 1.0 / hypot(1.0, t)
             s = t * c
             th = t * b01
             d0, d1, b01 = d0 - th, d1 + th, 0.0
+            m0, m1 = abs(d0), abs(d1)
             b02, b12 = c * b02 - s * b12, c * b12 + s * b02
             v00, v01 = c * v00 - s * v01, c * v01 + s * v00
             v10, v11 = c * v10 - s * v11, c * v11 + s * v10
             v20, v21 = c * v20 - s * v21, c * v21 + s * v20
-        h = abs(b02)
-        g = 100.0 * h
-        if abs(d0) + g != abs(d0) or abs(d2) + g != abs(d2):
+        g = 100.0 * abs(b02)
+        if m0 + g != m0 or m2 + g != m2:
             rotated = True
             theta = (0.5 * d2 - 0.5 * d0) / b02
-            t = 1.0 / (abs(theta) + hypot(1.0, theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (hypot(1.0, theta) - theta)
+            else:
+                t = 1.0 / (theta + hypot(1.0, theta))
             c = 1.0 / hypot(1.0, t)
             s = t * c
             th = t * b02
             d0, d2, b02 = d0 - th, d2 + th, 0.0
+            m0, m2 = abs(d0), abs(d2)
             b01, b12 = c * b01 - s * b12, c * b12 + s * b01
             v00, v02 = c * v00 - s * v02, c * v02 + s * v00
             v10, v12 = c * v10 - s * v12, c * v12 + s * v10
             v20, v22 = c * v20 - s * v22, c * v22 + s * v20
-        h = abs(b12)
-        g = 100.0 * h
-        if abs(d1) + g != abs(d1) or abs(d2) + g != abs(d2):
+        g = 100.0 * abs(b12)
+        if m1 + g != m1 or m2 + g != m2:
             rotated = True
             theta = (0.5 * d2 - 0.5 * d1) / b12
-            t = 1.0 / (abs(theta) + hypot(1.0, theta))
             if theta < 0.0:
-                t = -t
+                t = -1.0 / (hypot(1.0, theta) - theta)
+            else:
+                t = 1.0 / (theta + hypot(1.0, theta))
             c = 1.0 / hypot(1.0, t)
             s = t * c
             th = t * b12
             d1, d2, b12 = d1 - th, d2 + th, 0.0
+            m1, m2 = abs(d1), abs(d2)
             b01, b02 = c * b01 - s * b02, c * b02 + s * b01
             v01, v02 = c * v01 - s * v02, c * v02 + s * v01
             v11, v12 = c * v11 - s * v12, c * v12 + s * v11

@@ -98,6 +98,39 @@ def test_matrix_row_of_three_entries(rows):
         parse_matrix(json.dumps(doc))
 
 
+GRID_ROW = "[1, 0, 0]"
+BAD_ROWS = {"string": '"abc"', "object": '{"a": 1, "b": 2, "c": 3}', "number": "1", "null": "null",
+            "two": "[1, 0]"}
+
+
+@pytest.mark.parametrize("field", ["re", "im"])
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize("bad", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_matrix_bad_row_named(field, i, bad):
+    # A row that is not a list of three entries is named by its index, the
+    # first of two bad ones
+    rows = [GRID_ROW] * 3
+    rows[i] = bad
+    if i < 2:
+        rows[2] = "[]"
+    grids = {"re": "[%s]" % ", ".join(rows), "im": "[%s]" % ", ".join([GRID_ROW] * 3)}
+    if field == "im":
+        grids["re"], grids["im"] = grids["im"], grids["re"]
+    text = '{"kind": "general", "re": %(re)s, "im": %(im)s}' % grids
+    with pytest.raises(MalformedDocumentError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == f"field '{field}' row {i} must have 3 entries"
+
+
+@pytest.mark.parametrize("grid", ['"abc"', '{"a": 1, "b": 2, "c": 3}', "3", "null",
+                                  "[[1, 0, 0], [0, 1, 0]]"])
+def test_matrix_grid_not_three_rows(grid):
+    text = '{"kind": "general", "re": %s, "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}' % grid
+    with pytest.raises(MalformedDocumentError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == "field 're' must be a 3x3 array (3 rows)"
+
+
 def test_matrix_missing_field():
     with pytest.raises(MalformedDocumentError, match="missing field 'im'"):
         parse_matrix(json.dumps({"kind": "general", "re": [[0] * 3] * 3}))

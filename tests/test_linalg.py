@@ -91,17 +91,30 @@ def test_eig_rejects_non_hermitian():
 def test_hermiticity_gate_pinned():
     # A skew of 0.7 and 1.5 times the gate's value, 1e-12 (written out, so
     # that a changed HERMITICITY_TOL fails), times max|R|, at three scales:
-    # the first is solved and the second raises.
+    # the first is solved and the second raises.  The skew is |r01 - conj(r10)|
+    # above the diagonal and |r_jj - conj(r_jj)| = 2 |Im r_jj| on it; max|R|
+    # is r00 = scale, which an imaginary part that small leaves in place.
     h = np.array([[1.0, 0.3 + 0.2j, 0.1], [0.3 - 0.2j, 0.5, 0.2j], [0.1, -0.2j, 0.25]])
-    for scale in (1e-200, 1.0, 1e200):
-        for factor, hermitian in ((0.7, True), (1.5, False)):
-            r = h * scale
-            r[0, 1] += factor * 1e-12 * scale
-            if hermitian:
-                eig_hermitian3(r)
-            else:
-                with pytest.raises(NotHermitianError):
+    for entry, unit in (((0, 1), 1.0), ((0, 0), 0.5j), ((1, 1), 0.5j), ((2, 2), 0.5j)):
+        for scale in (1e-200, 1.0, 1e200):
+            for factor, hermitian in ((0.7, True), (1.5, False)):
+                r = h * scale
+                r[entry] += unit * factor * 1e-12 * scale
+                if hermitian:
                     eig_hermitian3(r)
+                else:
+                    with pytest.raises(NotHermitianError):
+                        eig_hermitian3(r)
+
+
+def test_hermiticity_gate_diagonal_skew_overflow():
+    # Im r00 = 1e308 is finite, but its skew 2e308 is not: NotHermitianError
+    # names the skew inf, where a skew taken as a complex modulus could
+    # raise FloatRangeError instead
+    r = np.eye(3, dtype=complex)
+    r[0, 0] = complex(1.0, 1e308)
+    with pytest.raises(NotHermitianError, match=r"max\|R - R'\| = inf, max\|R\| = 1\.000e\+308$"):
+        eig_hermitian3(r)
 
 
 def test_eig_residual_and_orthonormality():

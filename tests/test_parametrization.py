@@ -212,6 +212,10 @@ def test_ellipticity_gate_and_sign_at_their_edges():
     # it is not; where the invariant a1*b2 - a2*b1 is exactly 0, chi is +
     assert _ellipticity(column([1.0 + FOLD_GATE * 1j, 0.0, 0.0]))[0] == 0.0
     assert _ellipticity(column([1.0 + math.nextafter(FOLD_GATE, 1.0) * 1j, 0.0, 0.0]))[0] > 0.0
+    # |b| at 0.7 and 1.5 times the gate's value, 1e-12, written out, so that
+    # a changed FOLD_GATE fails
+    assert _ellipticity(column([complex(1.0, 0.7e-12), 0.0, 0.0]))[0] == 0.0
+    assert _ellipticity(column([complex(1.0, 1.5e-12), 0.0, 0.0]))[0] > 0.0
     for col in ([math.cos(0.3), 0.0, math.sin(0.3) * 1j], [math.sin(0.3) * 1j, 0.0, math.cos(0.3)]):
         chi, _, _ = _ellipticity(column(col))
         assert chi == pytest.approx(0.3, abs=1e-15), col
@@ -230,6 +234,11 @@ def test_branch_gates_at_their_edges():
     assert label(complex(gate, gate)) == "b2"
     assert label(complex(gate, 0.5)) == "c" and label(complex(above, 0.5)) == "a"
     assert label(complex(0.5, gate)) == "d2" and label(complex(0.5, above)) == "a"
+    # |u1.u1|, |a3| and |b3| at 0.7 and 1.5 times the gate's value, 1e-10,
+    # written out, so that a changed DEGENERACY_GATE fails
+    assert label(0.5 + 0.5j, 0.7e-10 + 0j) == "circular-fallback" and label(0.5 + 0.5j, 1.5e-10 + 0j) == "a"
+    assert label(complex(0.7e-10, 0.5)) == "c" and label(complex(1.5e-10, 0.5)) == "a"
+    assert label(complex(0.5, 0.7e-10)) == "d2" and label(complex(0.5, 1.5e-10)) == "a"
 
 
 # Largest |theta| a recovery may report: pi/2 plus one rounding of the
