@@ -41,7 +41,7 @@ _STAGES = {
                          "rotations._rotation_angles"),
         "branch": ("parametrization._branch",),
         "core_extraction": ("parametrization._extract_core_params",),
-        "residual": ("parametrization._core_rows", "parametrization._residual"),
+        "residual": ("parametrization._core_parts", "parametrization._residual"),
     },
     "coherency": {
         "eigensolve": ("linalg._eig", "linalg._jacobi"),

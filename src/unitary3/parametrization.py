@@ -58,9 +58,11 @@ PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alph
 # constants bound from it below.
 _RANGES = {"theta": (-math.pi / 2, math.pi / 2), "varphi": (0.0, math.pi),
            "chi": (-math.pi / 4, math.pi / 4), "mu": (0.0, math.pi / 2)}
-# _ellipticity's cap on |chi| and _core_rows' gate on mu.
+# _ellipticity's cap on |chi| and _core_parts' gate on mu.
 _CHI_CAP = _RANGES["chi"][1]
 _MU_LOW, _MU_HIGH = _RANGES["mu"][0] - FOLD_GATE, _RANGES["mu"][1] + FOLD_GATE
+# The one atan2 result outside (-pi, pi]; _extract_core_params folds it to pi.
+_MINUS_PI = -math.pi
 
 
 class ParameterRangeError(Unitary3Error, ValueError):
@@ -132,7 +134,21 @@ def compose_core(
 
 
 def _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2) -> list:
-    """Rows of V1 as Python complex, in linalg's arithmetic.
+    """Rows of V1 as Python complex, for compose_core, the CLI's compose
+    --core-only and the selftest: the pairs of _core_parts, so V1's
+    arithmetic and range checks are written once."""
+    r00, i00, r01, i01, r02, i02, r10, i10, r11, i11, r12, i12, r20, i20, r21, i21, r22, i22 = _core_parts(
+        chi, mu, alpha1, alpha2, alpha3, beta2)
+    return [
+        [complex(r00, i00), complex(r01, i01), complex(r02, i02)],
+        [complex(r10, i10), complex(r11, i11), complex(r12, i12)],
+        [complex(r20, i20), complex(r21, i21), complex(r22, i22)],
+    ]
+
+
+def _core_parts(chi, mu, alpha1, alpha2, alpha3, beta2) -> tuple:
+    """The 18 real and imaginary parts of V1, row by row, each entry's real
+    part before its imaginary part, in linalg's arithmetic.
 
     Its columns are e^{i a1} n1, W11 n2 + W21 n3 and W12 n2 + W22 n3; each
     entry is one factor of W (or e^{i a1}) times cos chi, i sin chi, 1 or
@@ -153,22 +169,16 @@ def _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2) -> list:
     x1, y1 = math.cos(alpha1), math.sin(alpha1)
     x2, y2 = cm * math.cos(alpha2), cm * math.sin(alpha2)
     x3, y3 = sm * math.cos(alpha3), sm * math.sin(alpha3)
-    return [
-        [complex(x1 * c, y1 * c), complex(-y2 * s, x2 * s), complex(-y3 * s, x3 * s)],
-        [complex(-y1 * s, x1 * s), complex(x2 * c, y2 * c), complex(x3 * c, y3 * c)],
-        [0j, complex(sm * math.cos(beta2), sm * math.sin(beta2)),
-         complex(-cm * math.cos(delta), -cm * math.sin(delta))],
-    ]
+    return (x1 * c, y1 * c, -y2 * s, x2 * s, -y3 * s, x3 * s,
+            -y1 * s, x1 * s, x2 * c, y2 * c, x3 * c, y3 * c,
+            0.0, 0.0, sm * math.cos(beta2), sm * math.sin(beta2), -cm * math.cos(delta), -cm * math.sin(delta))
 
 
 def _rotate(q, v) -> list:
-    """Rows of Q V for a real Q and a complex V, both given as rows of Python
-    scalars: the real and the imaginary part of each entry summed left to
-    right in floats."""
-    (v0, v1, v2), (w0, w1, w2), (u0, u1, u2) = v
-    a0, a1, a2, d0, d1, d2 = v0.real, v1.real, v2.real, v0.imag, v1.imag, v2.imag
-    b0, b1, b2, e0, e1, e2 = w0.real, w1.real, w2.real, w0.imag, w1.imag, w2.imag
-    c0, c1, c2, f0, f1, f2 = u0.real, u1.real, u2.real, u0.imag, u1.imag, u2.imag
+    """Rows of Q V as Python complex, for a real Q given as rows of floats
+    and a complex V as its 18 parts in _core_parts' order: the real and the
+    imaginary part of each entry summed left to right in floats."""
+    a0, d0, a1, d1, a2, d2, b0, e0, b1, e1, b2, e2, c0, f0, c1, f1, c2, f2 = v
     return [
         [complex(x * a0 + y * b0 + z * c0, x * d0 + y * e0 + z * f0),
          complex(x * a1 + y * b1 + z * c1, x * d1 + y * e1 + z * f1),
@@ -180,7 +190,7 @@ def _rotate(q, v) -> list:
 def _unitary_rows(p: UnitaryParams) -> list:
     """Rows of U = Q V1 as Python complex: the one composition order, for
     compose_unitary and the CLI's compose."""
-    return _rotate(_rotation_rows(p.rotation), _core_rows(*p[1:]))
+    return _rotate(_rotation_rows(p.rotation), _core_parts(*p[1:]))
 
 
 def compose_unitary(p: UnitaryParams):
@@ -320,17 +330,20 @@ def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
     V1 = Q.T U, for Q and U given as rows of Python scalars.
 
     Only the five entries read here are formed (v11, v22, v23, v32, v33),
-    each as a float pair summed left to right as _rotate(zip(*q), u) sums
-    it, and the phase of each is math.atan2(im, re).  alpha2 is the phase
-    of v22 and alpha3 that of v23, each folded to 0 when that entry's
-    modulus is below FOLD_GATE (mu = pi/2 and mu = 0).  Every phase but
-    alpha1 is wrapped into (-pi, pi] (wrap_angle).  beta2 is read from
-    the larger of the two entries that carry it: v32 when sin mu >= cos mu,
-    else -v33 = cos mu e^{i delta}, as delta + alpha2 - alpha3, so the
-    (3,3) entry is reproduced exactly.  The structure of V1 (the zero at (3,1),
-    |v23| = sin mu cos chi) is not re-checked here: compose_core puts an
-    exact zero at (3,1), so the recomposition residual in recover_params
-    bounds |v31| and every other departure from that structure.
+    each as a float pair summed left to right as _rotate sums Q.T U, and
+    the phase of each is math.atan2(im, re).  alpha2 is the phase of v22
+    and alpha3 that of v23, each folded to 0 when that entry's modulus is
+    below FOLD_GATE (mu = pi/2 and mu = 0).  beta2 is read from the larger
+    of the two entries that carry it: v32 when sin mu >= cos mu, else
+    -v33 = cos mu e^{i delta}, as delta + alpha2 - alpha3, so the (3,3)
+    entry is reproduced exactly.  Every phase but alpha1 lies in (-pi, pi]:
+    alpha2, alpha3 and beta2 read off v32 are atan2 results in [-pi, pi],
+    whose -pi is folded to pi here, the float wrap_angle gives; beta2 read
+    off -v33 is a sum, and wrap_angle wraps it.  The structure of V1 (the
+    zero at (3,1), |v23| = sin mu cos chi) is not re-checked here:
+    compose_core puts an exact zero at (3,1), so the recomposition
+    residual in recover_params bounds |v31| and every other departure from
+    that structure.
     """
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = q
     (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = u
@@ -349,29 +362,40 @@ def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
     sm = math.hypot(r32, i32)
     cm = math.hypot(r33, i33)
     mu = math.atan2(sm, cm)
-    alpha2 = wrap_angle(math.atan2(i22, r22)) if math.hypot(r22, i22) >= FOLD_GATE else 0.0
-    alpha3 = wrap_angle(math.atan2(i23, r23)) if math.hypot(r23, i23) >= FOLD_GATE else 0.0
+    alpha2 = math.atan2(i22, r22) if math.hypot(r22, i22) >= FOLD_GATE else 0.0
+    if alpha2 == _MINUS_PI:
+        alpha2 = math.pi
+    alpha3 = math.atan2(i23, r23) if math.hypot(r23, i23) >= FOLD_GATE else 0.0
+    if alpha3 == _MINUS_PI:
+        alpha3 = math.pi
     if sm >= cm:
-        beta2 = wrap_angle(math.atan2(i32, r32))
+        beta2 = math.atan2(i32, r32)
+        if beta2 == _MINUS_PI:
+            beta2 = math.pi
     else:
         beta2 = wrap_angle(math.atan2(-i33, -r33) + alpha2 - alpha3)
     return mu, alpha1, alpha2, alpha3, beta2
 
 
 def _residual(q, v, u) -> float:
-    """Frobenius norm of Q V - U for Q, V and U given as rows of Python
-    scalars: the _fsum_norm of its 18 real and imaginary parts, each entry
-    of Q V formed as _rotate forms it, so no complex entry is built."""
-    (v0, v1, v2), (w0, w1, w2), (t0, t1, t2) = v
-    a0, a1, a2, d0, d1, d2 = v0.real, v1.real, v2.real, v0.imag, v1.imag, v2.imag
-    b0, b1, b2, e0, e1, e2 = w0.real, w1.real, w2.real, w0.imag, w1.imag, w2.imag
-    c0, c1, c2, f0, f1, f2 = t0.real, t1.real, t2.real, t0.imag, t1.imag, t2.imag
-    parts = []
-    for (x, y, z), (u0, u1, u2) in zip(q, u):
-        parts += (x * a0 + y * b0 + z * c0 - u0.real, x * d0 + y * e0 + z * f0 - u0.imag,
-                  x * a1 + y * b1 + z * c1 - u1.real, x * d1 + y * e1 + z * f1 - u1.imag,
-                  x * a2 + y * b2 + z * c2 - u2.real, x * d2 + y * e2 + z * f2 - u2.imag)
-    return _fsum_norm(parts)
+    """Frobenius norm of Q V - U, for Q and U given as rows of Python
+    scalars and V as its 18 parts in _core_parts' order: the _fsum_norm of
+    the 18 real and imaginary parts of Q V - U, each entry of Q V summed
+    left to right as _rotate sums it, so no complex entry is built."""
+    a0, d0, a1, d1, a2, d2, b0, e0, b1, e1, b2, e2, c0, f0, c1, f1, c2, f2 = v
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = q
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = u
+    return _fsum_norm((
+        x0 * a0 + x1 * b0 + x2 * c0 - u00.real, x0 * d0 + x1 * e0 + x2 * f0 - u00.imag,
+        x0 * a1 + x1 * b1 + x2 * c1 - u01.real, x0 * d1 + x1 * e1 + x2 * f1 - u01.imag,
+        x0 * a2 + x1 * b2 + x2 * c2 - u02.real, x0 * d2 + x1 * e2 + x2 * f2 - u02.imag,
+        y0 * a0 + y1 * b0 + y2 * c0 - u10.real, y0 * d0 + y1 * e0 + y2 * f0 - u10.imag,
+        y0 * a1 + y1 * b1 + y2 * c1 - u11.real, y0 * d1 + y1 * e1 + y2 * f1 - u11.imag,
+        y0 * a2 + y1 * b2 + y2 * c2 - u12.real, y0 * d2 + y1 * e2 + y2 * f2 - u12.imag,
+        z0 * a0 + z1 * b0 + z2 * c0 - u20.real, z0 * d0 + z1 * e0 + z2 * f0 - u20.imag,
+        z0 * a1 + z1 * b1 + z2 * c1 - u21.real, z0 * d1 + z1 * e1 + z2 * f1 - u21.imag,
+        z0 * a2 + z1 * b2 + z2 * c2 - u22.real, z0 * d2 + z1 * e2 + z2 * f2 - u22.imag,
+    ))
 
 
 def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
@@ -391,9 +415,10 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
     """recover_params on a finite matrix given as rows of Python complex.
 
     Neither V1 nor the recomposition Q V1' is built as complex entries:
-    _extract_core_params forms the five entries of V1 it reads and
-    _residual the parts of Q V1' - U, both in floats, each sum as _rotate,
-    the product of composition, takes it."""
+    _extract_core_params forms the five entries of V1 it reads, and
+    _residual the parts of Q V1' - U from V1' as the 18 floats of
+    _core_parts, both in floats, each sum as _rotate, the product of
+    composition, takes it."""
     _check_unitary(rows)
     (u0, _, _), (u1, _, _), (u2, _, _) = rows
     eps, w = _normalize_global_phase((u0, u1, u2))
@@ -401,7 +426,7 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
     branch = _branch(eps, w, chi)
     q = _rotation_rows(rot)
     mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(q, rows)
-    residual = _residual(q, _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2), rows)
+    residual = _residual(q, _core_parts(chi, mu, alpha1, alpha2, alpha3, beta2), rows)
     if not residual <= tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "

@@ -16,6 +16,7 @@ from unitary3.parametrization import (
     ParameterRangeError,
     UnitaryParams,
     _branch,
+    _core_parts,
     _ellipticity,
     _extract_core_params,
     _normalize_global_phase,
@@ -33,7 +34,7 @@ from unitary3.parametrization import (
 from unitary3.characteristic import intrinsic_middle, middle_component
 from unitary3.rotations import (NotOrthogonalError, RotationAngles, _rotation_rows, compose_rotation,
                                extract_rotation_angles, wrap_angle)
-from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
+from unitary3.sampling import SeededGenerator, _haar_rows, generate_haar_unitary, random_params
 from unitary3.selftest import haar_roundtrip, param_roundtrip
 
 from oracles import BRANCH_CASES, first_column_oracle
@@ -385,6 +386,22 @@ def test_extract_core_params_gates_at_their_edges():
     assert core(1 + 0j, 1 + 0j, 0.5 + 0j, 0.5j)[4] == 0.0
 
 
+def test_extract_core_params_folds_minus_pi():
+    # alpha2, alpha3 and beta2 read off v32 (sin mu >= cos mu) are atan2
+    # results, -pi for a negative real entry with a -0.0 imaginary part;
+    # each is folded to pi, the float wrap_angle gives.  Every other entry
+    # is complex(0.0, -0.0), so the sums over Q = I keep the -0.0.
+    neg, zero = complex(-1.0, -0.0), complex(0.0, -0.0)
+
+    def core(v22=zero, v23=zero, v32=zero):
+        return _extract_core_params(_IDENTITY, [[1 + 0j, zero, zero], [zero, v22, v23], [zero, v32, zero]])
+
+    assert core(v22=neg)[2] == math.pi
+    assert core(v23=neg)[3] == math.pi
+    assert core(v32=neg)[4] == math.pi
+    assert wrap_angle(math.atan2(-0.0, -1.0)) == math.pi
+
+
 def test_extract_core_params_roundtrip():
     # With Q = I the core read is _read_core of V1 itself, and within
     # rounding of the composed parameters.
@@ -397,17 +414,38 @@ def test_extract_core_params_roundtrip():
 def test_fused_kernels_match_composition():
     # Recovery reads V1 = Q.T U and forms Q V1' - U in floats, without
     # complex temporaries; on Haar, flipped and face inputs both give the
-    # bits of the complex products that composition uses (_rotate).
+    # bits of the complex products that composition uses (_rotate).  On
+    # 1,000 Haar unitaries and on random_params draws placed 1e-2, 1e-6 and
+    # 1e-12 from each chart face, the residual is composition's bit for
+    # bit, and compose_core is the complex pairs of _core_parts.
     from test_host_independence import documents
 
     for text in documents()[0]:
         u = _parse_rows(text)
         rep = _recover_rows(u, RECOVERY_TOL)
-        d = [x - y for w_row, u_row in zip(_unitary_rows(rep.params), u) for x, y in zip(w_row, u_row)]
-        assert rep.residual == _fsum_norm([z.real for z in d] + [z.imag for z in d]), text
+        assert rep.residual == _composition_residual(rep.params, u), text
         q = _rotation_rows(rep.params.rotation)
-        got, want = _extract_core_params(q, u), _read_core(_rotate(zip(*q), u))
+        u_parts = [x for row in u for z in row for x in (z.real, z.imag)]
+        got, want = _extract_core_params(q, u), _read_core(_rotate(zip(*q), u_parts))
         assert struct.pack("5d", *got) == struct.pack("5d", *want), text
+    g = SeededGenerator(44)
+    inputs = [_haar_rows(g) for _ in range(1000)]
+    for margin in (1e-2, 1e-6, 1e-12):
+        for i in range(6):
+            inputs += [_unitary_rows(place(random_params(g, margin), (-1) ** i, margin)) for place in _FACES.values()]
+    for u in inputs:
+        rep = _recover_rows(u, RECOVERY_TOL)
+        assert struct.pack("d", rep.residual) == struct.pack("d", _composition_residual(rep.params, u)), u
+        parts = _core_parts(*rep.params[1:])
+        pairs = [complex(parts[k], parts[k + 1]) for k in range(0, 18, 2)]
+        assert compose_core(*rep.params[1:]).ravel().tobytes() == np.array(pairs).tobytes(), rep.params
+
+
+def _composition_residual(p: UnitaryParams, u) -> float:
+    """Frobenius norm of the composed rows of p minus u, through complex
+    entries: the reference for _residual."""
+    d = [x - y for w_row, u_row in zip(_unitary_rows(p), u) for x, y in zip(w_row, u_row)]
+    return _fsum_norm([z.real for z in d] + [z.imag for z in d])
 
 
 def test_recover_params_identity():
