@@ -30,6 +30,7 @@ from .linalg import (
     _eig,
     _eigen,
     _fsum_norm,
+    _new,
     as_matrix3,
 )
 from .parametrization import _basis_rows, _ellipticity, _normalize_global_phase
@@ -164,8 +165,8 @@ def _decompose(rows) -> CharacteristicComponents:
     if smallest < -_PSD_TOL * trace:
         raise NotPositiveSemidefiniteError(f"smallest eigenvalue {smallest:.3e} is negative")
     p1, p2 = _purity(e.normalized)
-    return CharacteristicComponents(trace, _projector(vectors[0]), _middle(vectors[0], vectors[1]),
-                                    _RU_HAT, PurityIndices(p1, p2), (p1, p2 - p1, 1.0 - p2), e)
+    return _new(CharacteristicComponents, (trace, _projector(vectors[0]), _middle(vectors[0], vectors[1]),
+                                           _RU_HAT, _new(PurityIndices, (p1, p2)), (p1, p2 - p1, 1.0 - p2), e))
 
 
 def _components(c: CharacteristicComponents) -> CharacteristicComponents:
@@ -173,8 +174,8 @@ def _components(c: CharacteristicComponents) -> CharacteristicComponents:
     eigenvectors and the three hatted components are writeable views of
     one complex buffer, ``values`` and ``normalized`` of one float one."""
     eigen, arrays = _eigen(c.eigen, c.Rp_hat, c.Rm_hat, c.Ru_hat)
-    return CharacteristicComponents(c.traceR, arrays[1], arrays[2], arrays[3], c.purity,
-                                    c.coefficients, eigen)
+    return _new(CharacteristicComponents, (c.traceR, arrays[1], arrays[2], arrays[3], c.purity,
+                                           c.coefficients, eigen))
 
 
 def middle_component(u):
@@ -212,7 +213,7 @@ def regularity_report(r) -> RegularityReport:
     |chi_m| <= pi/4.
     """
     m1, m2, m3, chi_m, regular, im_norm, c = _regularity(as_matrix3(r))
-    return RegularityReport(m1, m2, m3, chi_m, regular, im_norm, _components(c))
+    return _new(RegularityReport, (m1, m2, m3, chi_m, regular, im_norm, _components(c)))
 
 
 def _regularity(rows) -> RegularityReport:
@@ -224,5 +225,5 @@ def _regularity(rows) -> RegularityReport:
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = c.Rm_hat
     im_norm = _fsum_norm((m00.imag, m01.imag, m02.imag, m10.imag, m11.imag, m12.imag,
                           m20.imag, m21.imag, m22.imag))
-    return RegularityReport(0.5, cm * cm / 2, sm * sm / 2, chi_m, abs(chi_m) <= REGULARITY_GATE,
-                            im_norm, c)
+    return _new(RegularityReport, (0.5, cm * cm / 2, sm * sm / 2, chi_m, abs(chi_m) <= REGULARITY_GATE,
+                                   im_norm, c))

@@ -22,7 +22,9 @@ residual.
 
 Import rule: no module of the package imports numpy when it is imported,
 none imports typing or pathlib at all (the records are
-collections.namedtuple subclasses, and cli reads and writes with open),
+collections.namedtuple subclasses, and cli reads and writes with open;
+the chain kernels build their records with tuple.__new__, _new here, which
+namedtuple's own __new__ calls),
 and none has a future statement: every annotation evaluates where its
 function is defined, so none names numpy, and a function that returns an
 array says so in its docstring.
@@ -108,6 +110,9 @@ _SCALED = 2.0 ** _MAX_EXPONENT  # the least max|R| whose frexp exponent exceeds 
 # quadratically: on the coherency matrices sampled in the tests no solve
 # takes more than 6, convergence check included.
 _MAX_SWEEPS = 20
+# What namedtuple's __new__ calls: _new(Record, fields) builds the record in
+# one C call, without the arity check of its Python-level __new__.
+_new = tuple.__new__
 
 class Unitary3Error(Exception):
     """Base of every library error: the CLI prints ``kind`` and exits with
@@ -291,7 +296,7 @@ def _eigen(e: EigenDecomposition, *grids) -> tuple:
         entries += row2
     arrays = np.fromiter(entries, complex, len(entries)).reshape(-1, 3, 3)
     reals = np.fromiter(e.values + e.normalized, float, 6)
-    return EigenDecomposition(reals[:3], reals[3:], arrays[0], e.trace), arrays
+    return _new(EigenDecomposition, (reals[:3], reals[3:], arrays[0], e.trace)), arrays
 
 
 def _eig(rows) -> EigenDecomposition:
@@ -368,7 +373,7 @@ def _eig(rows) -> EigenDecomposition:
             z, m = x2, m2
         phase = complex(z.real / m, -z.imag / m)
         vectors.append((x0 * phase, x1 * phase, x2 * phase))
-    return EigenDecomposition([l0, l1, l2], normalized, vectors, trace)
+    return _new(EigenDecomposition, ([l0, l1, l2], normalized, vectors, trace))
 
 
 def _unit(z: complex, h: float) -> complex:

@@ -44,7 +44,7 @@ from collections import namedtuple
 
 # NotUnitaryError stays importable from here, the module whose recovery raises it.
 from .linalg import (FOLD_GATE, NotUnitaryError, Unitary3Error, _array, _check_finite, _check_unitary,
-                     _fsum_norm, as_matrix3)
+                     _fsum_norm, _new, as_matrix3)
 from .rotations import RotationAngles, _rotation_angles, _rotation_rows, wrap_angle
 
 RECOVERY_TOL = 1e-10
@@ -327,7 +327,8 @@ def _recover_first_column(eps) -> tuple[float, RotationAngles]:
 
 def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
     """Read (mu, alpha1, alpha2, alpha3, beta2) off the core matrix
-    V1 = Q.T U, for Q and U given as rows of Python scalars.
+    V1 = Q.T U, for Q given as rows of floats and U as its 18 parts in
+    _core_parts' order (row by row, real part before imaginary).
 
     Only the five entries read here are formed (v11, v22, v23, v32, v33),
     each as a float pair summed left to right as _rotate sums Q.T U, and
@@ -346,18 +347,19 @@ def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
     that structure.
     """
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = q
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = u
-    # Entry (i, j) of Q.T U is column i of Q, (xi, yi, zi), dotted with column j of U.
-    r11 = x0 * u00.real + y0 * u10.real + z0 * u20.real
-    i11 = x0 * u00.imag + y0 * u10.imag + z0 * u20.imag
-    r22 = x1 * u01.real + y1 * u11.real + z1 * u21.real
-    i22 = x1 * u01.imag + y1 * u11.imag + z1 * u21.imag
-    r23 = x1 * u02.real + y1 * u12.real + z1 * u22.real
-    i23 = x1 * u02.imag + y1 * u12.imag + z1 * u22.imag
-    r32 = x2 * u01.real + y2 * u11.real + z2 * u21.real
-    i32 = x2 * u01.imag + y2 * u11.imag + z2 * u21.imag
-    r33 = x2 * u02.real + y2 * u12.real + z2 * u22.real
-    i33 = x2 * u02.imag + y2 * u12.imag + z2 * u22.imag
+    a0, d0, a1, d1, a2, d2, b0, e0, b1, e1, b2, e2, c0, f0, c1, f1, c2, f2 = u
+    # Entry (i, j) of Q.T U is column i of Q, (xi, yi, zi), dotted with
+    # column j of U, whose real parts are (aj, bj, cj) and imaginary (dj, ej, fj).
+    r11 = x0 * a0 + y0 * b0 + z0 * c0
+    i11 = x0 * d0 + y0 * e0 + z0 * f0
+    r22 = x1 * a1 + y1 * b1 + z1 * c1
+    i22 = x1 * d1 + y1 * e1 + z1 * f1
+    r23 = x1 * a2 + y1 * b2 + z1 * c2
+    i23 = x1 * d2 + y1 * e2 + z1 * f2
+    r32 = x2 * a1 + y2 * b1 + z2 * c1
+    i32 = x2 * d1 + y2 * e1 + z2 * f1
+    r33 = x2 * a2 + y2 * b2 + z2 * c2
+    i33 = x2 * d2 + y2 * e2 + z2 * f2
     alpha1 = math.atan2(i11, r11)
     sm = math.hypot(r32, i32)
     cm = math.hypot(r33, i33)
@@ -378,23 +380,23 @@ def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
 
 
 def _residual(q, v, u) -> float:
-    """Frobenius norm of Q V - U, for Q and U given as rows of Python
-    scalars and V as its 18 parts in _core_parts' order: the _fsum_norm of
-    the 18 real and imaginary parts of Q V - U, each entry of Q V summed
-    left to right as _rotate sums it, so no complex entry is built."""
+    """Frobenius norm of Q V - U, for Q given as rows of floats and V and
+    U each as its 18 parts in _core_parts' order: the _fsum_norm of the 18
+    real and imaginary parts of Q V - U, each entry of Q V summed left to
+    right as _rotate sums it, so no complex entry is built."""
     a0, d0, a1, d1, a2, d2, b0, e0, b1, e1, b2, e2, c0, f0, c1, f1, c2, f2 = v
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = q
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = u
+    r00, i00, r01, i01, r02, i02, r10, i10, r11, i11, r12, i12, r20, i20, r21, i21, r22, i22 = u
     return _fsum_norm((
-        x0 * a0 + x1 * b0 + x2 * c0 - u00.real, x0 * d0 + x1 * e0 + x2 * f0 - u00.imag,
-        x0 * a1 + x1 * b1 + x2 * c1 - u01.real, x0 * d1 + x1 * e1 + x2 * f1 - u01.imag,
-        x0 * a2 + x1 * b2 + x2 * c2 - u02.real, x0 * d2 + x1 * e2 + x2 * f2 - u02.imag,
-        y0 * a0 + y1 * b0 + y2 * c0 - u10.real, y0 * d0 + y1 * e0 + y2 * f0 - u10.imag,
-        y0 * a1 + y1 * b1 + y2 * c1 - u11.real, y0 * d1 + y1 * e1 + y2 * f1 - u11.imag,
-        y0 * a2 + y1 * b2 + y2 * c2 - u12.real, y0 * d2 + y1 * e2 + y2 * f2 - u12.imag,
-        z0 * a0 + z1 * b0 + z2 * c0 - u20.real, z0 * d0 + z1 * e0 + z2 * f0 - u20.imag,
-        z0 * a1 + z1 * b1 + z2 * c1 - u21.real, z0 * d1 + z1 * e1 + z2 * f1 - u21.imag,
-        z0 * a2 + z1 * b2 + z2 * c2 - u22.real, z0 * d2 + z1 * e2 + z2 * f2 - u22.imag,
+        x0 * a0 + x1 * b0 + x2 * c0 - r00, x0 * d0 + x1 * e0 + x2 * f0 - i00,
+        x0 * a1 + x1 * b1 + x2 * c1 - r01, x0 * d1 + x1 * e1 + x2 * f1 - i01,
+        x0 * a2 + x1 * b2 + x2 * c2 - r02, x0 * d2 + x1 * e2 + x2 * f2 - i02,
+        y0 * a0 + y1 * b0 + y2 * c0 - r10, y0 * d0 + y1 * e0 + y2 * f0 - i10,
+        y0 * a1 + y1 * b1 + y2 * c1 - r11, y0 * d1 + y1 * e1 + y2 * f1 - i11,
+        y0 * a2 + y1 * b2 + y2 * c2 - r12, y0 * d2 + y1 * e2 + y2 * f2 - i12,
+        z0 * a0 + z1 * b0 + z2 * c0 - r20, z0 * d0 + z1 * e0 + z2 * f0 - i20,
+        z0 * a1 + z1 * b1 + z2 * c1 - r21, z0 * d1 + z1 * e1 + z2 * f1 - i21,
+        z0 * a2 + z1 * b2 + z2 * c2 - r22, z0 * d2 + z1 * e2 + z2 * f2 - i22,
     ))
 
 
@@ -414,26 +416,31 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
 def _recover_rows(rows, tolerance: float) -> RecoveryReport:
     """recover_params on a finite matrix given as rows of Python complex.
 
-    Neither V1 nor the recomposition Q V1' is built as complex entries:
+    Once the unitarity gate has passed, U's 18 real and imaginary parts are
+    read once, in _core_parts' order, and both float products read them:
+    neither V1 nor the recomposition Q V1' is built as complex entries.
     _extract_core_params forms the five entries of V1 it reads, and
     _residual the parts of Q V1' - U from V1' as the 18 floats of
     _core_parts, both in floats, each sum as _rotate, the product of
-    composition, takes it."""
+    composition, takes it.  The records are built with linalg._new."""
     _check_unitary(rows)
-    (u0, _, _), (u1, _, _), (u2, _, _) = rows
-    eps, w = _normalize_global_phase((u0, u1, u2))
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = rows
+    u = (u00.real, u00.imag, u01.real, u01.imag, u02.real, u02.imag,
+         u10.real, u10.imag, u11.real, u11.imag, u12.real, u12.imag,
+         u20.real, u20.imag, u21.real, u21.imag, u22.real, u22.imag)
+    eps, w = _normalize_global_phase((u00, u10, u20))
     chi, rot = _recover_first_column(eps)
     branch = _branch(eps, w, chi)
     q = _rotation_rows(rot)
-    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(q, rows)
-    residual = _residual(q, _core_parts(chi, mu, alpha1, alpha2, alpha3, beta2), rows)
+    mu, alpha1, alpha2, alpha3, beta2 = _extract_core_params(q, u)
+    residual = _residual(q, _core_parts(chi, mu, alpha1, alpha2, alpha3, beta2), u)
     if not residual <= tolerance:
         raise RecoveryToleranceError(
             f"recomposition residual {residual:.3e} exceeds {tolerance} "
             f"(branch {branch})"
         )
-    params = UnitaryParams(rot, chi, mu, alpha1, alpha2, alpha3, beta2)
-    return RecoveryReport(params, residual, branch, branch == "circular-fallback")
+    params = _new(UnitaryParams, (rot, chi, mu, alpha1, alpha2, alpha3, beta2))
+    return _new(RecoveryReport, (params, residual, branch, branch == "circular-fallback"))
 
 
 def flip_equivalent(p: UnitaryParams) -> UnitaryParams:

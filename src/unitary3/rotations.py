@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .linalg import (FOLD_GATE, NonFiniteError, NotUnitaryError, Unitary3Error, _array, _check_finite,
-                     _check_unitary, as_matrix3)
+                     _check_unitary, _new, as_matrix3)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -60,12 +60,17 @@ class RotationAngles(namedtuple("RotationAngles", "phi theta varphi")):
         NonFiniteError for a NaN or infinite angle.  phi and varphi are
         wrapped; theta is only negated by the fold, never wrapped, so a theta
         outside [-pi/2, pi/2] stays outside it:
-        RotationAngles(1e300, 1e300, 1e300).canonical() has theta = -1e300."""
+        RotationAngles(1e300, 1e300, 1e300).canonical() has theta = -1e300.
+        Each angle is read with float() first, so the fold runs on Python
+        floats whatever the angles' type (a numpy float32 included) and the
+        result holds three Python floats."""
         _check_finite(self)
-        return _canonical(self.phi, self.theta, self.varphi)
+        phi, theta, varphi = self
+        return _canonical(float(phi), float(theta), float(varphi))
 
 
 def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
+    """RotationAngles.canonical on three finite Python floats."""
     varphi = varphi % _TWO_PI
     # Twice when % rounds a tiny negative varphi up to 2 pi itself, so that
     # varphi = pi never comes out; two folds cancel, so phi and theta move
@@ -77,7 +82,7 @@ def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
     if folds % 2:
         theta = -theta
         phi = phi + math.pi
-    return RotationAngles(wrap_angle(phi), float(theta), float(varphi))
+    return _new(RotationAngles, (wrap_angle(phi), theta, varphi))
 
 
 def compose_rotation(angles: RotationAngles):

@@ -1300,15 +1300,43 @@ _LAYOUTS = {
 }
 
 
+def _kernel_records() -> dict:
+    """By record name, the records the chain kernels build with
+    tuple.__new__ (linalg._new), which checks no arity: the kernels' own
+    results and the records nested in the public operations' results."""
+    from unitary3.characteristic import _decompose, _regularity
+    from unitary3.linalg import _eig, as_matrix3
+    from unitary3.parametrization import RECOVERY_TOL, _recover_rows
+
+    u = generate_haar_unitary(SeededGenerator(5))
+    report, kernel = recover_params(u), _recover_rows(as_matrix3(u), RECOVERY_TOL)
+    rows = as_matrix3(_R)
+    components, regularity, decomposed = characteristic_decomposition(_R), regularity_report(_R), _decompose(rows)
+    return {
+        "RotationAngles": [RotationAngles(0.3, 1.0, 4.0).canonical(), report.params.rotation,
+                           kernel.params.rotation],
+        "UnitaryParams": [report.params, kernel.params],
+        "RecoveryReport": [report, kernel],
+        "EigenDecomposition": [components.eigen, regularity.components.eigen, _eig(rows)],
+        "PurityIndices": [components.purity, decomposed.purity],
+        "CharacteristicComponents": [components, regularity.components, decomposed],
+        "RegularityReport": [regularity, _regularity(rows)],
+    }
+
+
 @pytest.mark.parametrize("name", sorted(_RECORDS))
 def test_record_is_a_named_tuple(name):
     # A record keeps its name, module and field order, prints as
     # Name(field=value, ...), equals the tuple of its fields and pickles
-    # back to its own type.
+    # back to its own type.  Each record of that type a chain kernel
+    # builds has every field: tuple.__new__ would build a short one.
     rec = _RECORDS[name][0]()
     cls = type(rec)
     module, fields = _LAYOUTS[name]
     assert (cls.__name__, cls.__module__, cls._fields) == (name, module, fields)
+    assert len(rec) == len(fields)
+    for built in _kernel_records()[name]:
+        assert type(built) is cls and len(built) == len(fields), built
     assert cls.__doc__.strip()
     assert repr(rec) == f"{name}(" + ", ".join(f"{k}={v!r}" for k, v in zip(fields, rec)) + ")"
     assert rec == tuple(rec) and rec._asdict() == dict(zip(fields, rec))

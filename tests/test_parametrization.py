@@ -83,6 +83,12 @@ def column(v) -> list:
     return np.asarray(v, dtype=complex).tolist()
 
 
+def matrix_parts(rows) -> tuple:
+    """U as _recover_rows passes it to the core kernels: its 18 real and
+    imaginary parts, row by row, real part before imaginary."""
+    return tuple(x for row in rows for z in row for x in (z.real, z.imag))
+
+
 def first_column_stages(u1) -> tuple:
     """(chi, rotation, branch) of a unit first column u1, through
     recovery's stages: phase, first column, label."""
@@ -367,7 +373,7 @@ _IDENTITY = np.eye(3).tolist()
 
 
 def test_extract_core_params_identity():
-    assert _extract_core_params(_IDENTITY, column(np.eye(3))) == (0.0, 0.0, 0.0, 0.0, math.pi)
+    assert _extract_core_params(_IDENTITY, matrix_parts(column(np.eye(3)))) == (0.0, 0.0, 0.0, 0.0, math.pi)
 
 
 def test_extract_core_params_gates_at_their_edges():
@@ -377,7 +383,7 @@ def test_extract_core_params_gates_at_their_edges():
     below = math.nextafter(FOLD_GATE, 0.0)
 
     def core(v22, v23, v32=0.6 + 0j, v33=-0.8 + 0j):
-        return _extract_core_params(_IDENTITY, [[1 + 0j, 0j, 0j], [0j, v22, v23], [0j, v32, v33]])
+        return _extract_core_params(_IDENTITY, matrix_parts([[1 + 0j, 0j, 0j], [0j, v22, v23], [0j, v32, v33]]))
 
     assert core(FOLD_GATE * 1j, 1 + 0j)[2] == math.pi / 2
     assert core(below * 1j, 1 + 0j)[2] == 0.0
@@ -394,7 +400,7 @@ def test_extract_core_params_folds_minus_pi():
     neg, zero = complex(-1.0, -0.0), complex(0.0, -0.0)
 
     def core(v22=zero, v23=zero, v32=zero):
-        return _extract_core_params(_IDENTITY, [[1 + 0j, zero, zero], [zero, v22, v23], [zero, v32, zero]])
+        return _extract_core_params(_IDENTITY, matrix_parts([[1 + 0j, zero, zero], [zero, v22, v23], [zero, v32, zero]]))
 
     assert core(v22=neg)[2] == math.pi
     assert core(v23=neg)[3] == math.pi
@@ -406,7 +412,7 @@ def test_extract_core_params_roundtrip():
     # With Q = I the core read is _read_core of V1 itself, and within
     # rounding of the composed parameters.
     v = compose_core(0.2, 0.8, 0.1, -0.4, 0.9, 1.3).tolist()
-    got = _extract_core_params(_IDENTITY, v)
+    got = _extract_core_params(_IDENTITY, matrix_parts(v))
     assert got == _read_core(v)
     assert got == pytest.approx((0.8, 0.1, -0.4, 0.9, 1.3), abs=1e-15)
 
@@ -417,17 +423,15 @@ def test_fused_kernels_match_composition():
     # bits of the complex products that composition uses (_rotate).  On
     # 1,000 Haar unitaries and on random_params draws placed 1e-2, 1e-6 and
     # 1e-12 from each chart face, the residual is composition's bit for
-    # bit, and compose_core is the complex pairs of _core_parts.
+    # bit, the core read off U's parts is the read of the full Q.T U, and
+    # compose_core is the complex pairs of _core_parts.
     from test_host_independence import documents
 
     for text in documents()[0]:
         u = _parse_rows(text)
         rep = _recover_rows(u, RECOVERY_TOL)
         assert rep.residual == _composition_residual(rep.params, u), text
-        q = _rotation_rows(rep.params.rotation)
-        u_parts = [x for row in u for z in row for x in (z.real, z.imag)]
-        got, want = _extract_core_params(q, u), _read_core(_rotate(zip(*q), u_parts))
-        assert struct.pack("5d", *got) == struct.pack("5d", *want), text
+        assert _core_read_matches(rep.params.rotation, u), text
     g = SeededGenerator(44)
     inputs = [_haar_rows(g) for _ in range(1000)]
     for margin in (1e-2, 1e-6, 1e-12):
@@ -436,9 +440,19 @@ def test_fused_kernels_match_composition():
     for u in inputs:
         rep = _recover_rows(u, RECOVERY_TOL)
         assert struct.pack("d", rep.residual) == struct.pack("d", _composition_residual(rep.params, u)), u
+        assert _core_read_matches(rep.params.rotation, u), u
         parts = _core_parts(*rep.params[1:])
         pairs = [complex(parts[k], parts[k + 1]) for k in range(0, 18, 2)]
         assert compose_core(*rep.params[1:]).ravel().tobytes() == np.array(pairs).tobytes(), rep.params
+
+
+def _core_read_matches(rotation: RotationAngles, u) -> bool:
+    """Whether _extract_core_params on U's parts gives, bit for bit, the
+    core _read_core reads off the full V1 = Q.T U that _rotate builds."""
+    q = _rotation_rows(rotation)
+    u_parts = matrix_parts(u)
+    got, want = _extract_core_params(q, u_parts), _read_core(_rotate(zip(*q), u_parts))
+    return struct.pack("5d", *got) == struct.pack("5d", *want)
 
 
 def _composition_residual(p: UnitaryParams, u) -> float:
