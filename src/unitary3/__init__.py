@@ -5,9 +5,10 @@ angles, four phases), recover the parameters from any unitary, and analyze
 coherency matrices via the characteristic decomposition and its regularity
 spectrum.
 
-``import unitary3`` loads no submodule: each public name below, and each
-submodule, is imported on first access (PEP 562) and then kept here, so a
-program loads only the modules it uses.
+Each public name below, and each submodule that _EXPORTS lists, is
+imported on first access (PEP 562) and then kept here, so a program loads
+only the modules it uses.
+README, Conventions: Imports and the array boundary.
 """
 # The public names of each submodule.
 _EXPORTS = {

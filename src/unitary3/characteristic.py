@@ -7,15 +7,11 @@ A positive semidefinite Hermitian R with positive trace splits as
 where Rp_hat is the pure projector onto the top eigenvector, Rm_hat is the
 half-projector onto the top-two eigenspace, Ru_hat = I/3, and the purity
 indices are P1 = l1 - l2, P2 = l1 + l2 - 2*l3 in terms of the normalized
-eigenvalues.  R is regular when Rm_hat is a real matrix, which happens
-exactly when the ellipticity angle chi_m of its intrinsic form vanishes.
-
-characteristic_decomposition diagonalizes R once, and regularity_report
-reuses that solve and returns the components with its verdict.  The kernel
-of Rm_hat is the third eigenvector of R, so chi_m is read off that
-eigenvector, and the spectrum of Re(Rm_hat) follows in closed form as
-(1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), because Rm_hat =
-Q intrinsic_middle(chi_m) Q^T with Q a real rotation.
+eigenvalues.  characteristic_decomposition diagonalizes R once, and
+regularity_report reuses that solve and returns the components with its
+verdict.
+README, Conventions: Purity.
+README, Conventions: Regularity.
 """
 import math
 from collections import namedtuple
@@ -47,10 +43,8 @@ _RU_HAT = (
 
 
 class ZeroTraceError(Unitary3Error, ValueError):
-    """Coherency matrix has (numerically) zero trace: nothing to decompose.
-
-    A trace at or below 2**-1022, the smallest normal float, counts as zero
-    and raises: its solve would run on subnormal floats.
+    """Coherency matrix whose trace is at most 2**-1022, the smallest normal
+    float: nothing to decompose.  README, Conventions: Float range.
     """
 
 
@@ -59,11 +53,8 @@ class NotPositiveSemidefiniteError(Unitary3Error, ValueError):
 
 
 class PurityIndices(namedtuple("PurityIndices", "P1 P2")):
-    """Indices of polarimetric purity, 0 <= P1 <= P2 <= 1.
-
-    P2 = 1 - 3 l3 exceeds 1 where the smallest normalized eigenvalue l3 is
-    negative, which the PSD gate admits down to -_PSD_TOL: P2 - 1 is at
-    most 3 * _PSD_TOL plus rounding.
+    """Indices of polarimetric purity P1 and P2, two floats.
+    README, Conventions: Purity.
     """
 
     __slots__ = ()
@@ -75,10 +66,9 @@ class CharacteristicComponents(namedtuple("CharacteristicComponents",
 
     ``Rp_hat``, ``Rm_hat`` and ``Ru_hat`` are complex 3x3 arrays and
     ``purity`` a PurityIndices.  ``coefficients`` is the tuple of three
-    floats (P1, P2 - P1, 1 - P2); the convex combination of the three
-    hatted components scaled by ``traceR`` reassembles the input.  It is
-    convex up to the PSD gate: 1 - P2 may be negative, down to
-    -3 * _PSD_TOL plus rounding (see PurityIndices).  ``eigen`` is the
+    floats (P1, P2 - P1, 1 - P2); the combination of the three hatted
+    components scaled by ``traceR`` reassembles the input, convex up to the
+    PSD gate (README, Conventions: Purity).  ``eigen`` is the
     EigenDecomposition of the input the components are built from.
     """
 
@@ -101,7 +91,9 @@ class RegularityReport(namedtuple("RegularityReport",
 
 
 def purity_indices(e: EigenDecomposition) -> PurityIndices:
-    """P1 and P2 from a normalized, nonincreasing eigenvalue triple."""
+    """The PurityIndices of an EigenDecomposition ``e`` (arrays, as
+    eig_hermitian3 returns it), from its normalized, nonincreasing
+    eigenvalues; it raises no error of its own."""
     return PurityIndices(*_purity(e.normalized.tolist()))
 
 
@@ -111,9 +103,8 @@ def _purity(normalized) -> tuple[float, float]:
 
 
 def _projector(x) -> list:
-    """Rows of x x† for a column x of three Python complex.  Each entry
-    above the diagonal is formed once and conjugated below it; complex
-    multiplication makes each x_j conj(x_j) exactly real."""
+    """Rows of x x† for a column x of three Python complex, a Hermitian
+    product (README, Conventions: Arithmetic)."""
     x0, x1, x2 = x
     c0, c1, c2 = x0.conjugate(), x1.conjugate(), x2.conjugate()
     p01, p02, p12 = x0 * c1, x0 * c2, x1 * c2
@@ -147,7 +138,8 @@ def characteristic_decomposition(r) -> CharacteristicComponents:
     """Split a Hermitian PSD matrix into pure, middle and unpolarized parts.
 
     Raises NotHermitianError, ZeroTraceError or
-    NotPositiveSemidefiniteError when the preconditions fail.
+    NotPositiveSemidefiniteError when the preconditions fail, and
+    eig_hermitian3's FloatRangeError or ConvergenceError.
     """
     return _components(_decompose(as_matrix3(r)))
 
@@ -203,14 +195,11 @@ def intrinsic_middle(chi: float):
 
 
 def regularity_report(r) -> RegularityReport:
-    """Regularity analysis of the middle component of a coherency matrix.
-
-    The kernel of Rm_hat is the rotated intrinsic state (cos chi_m,
-    i sin chi_m, 0), and it is the third eigenvector of R, so _ellipticity
-    reads chi_m, sign included, straight off the decomposition's single
-    eigensolve.  The spectrum of Re(Rm_hat) is its closed form
-    (1/2, cos^2 chi_m / 2, sin^2 chi_m / 2), nonincreasing since
-    |chi_m| <= pi/4.
+    """Regularity analysis of the middle component of a coherency matrix:
+    the spectrum of Re(Rm_hat), chi_m and the verdict, with the
+    characteristic decomposition they are read from.  Raises what
+    characteristic_decomposition raises.
+    README, Conventions: Regularity.
     """
     m1, m2, m3, chi_m, regular, im_norm, c = _regularity(as_matrix3(r))
     return _new(RegularityReport, (m1, m2, m3, chi_m, regular, im_norm, _components(c)))

@@ -3,39 +3,11 @@
 Subcommands: compose, recover, roundtrip, chardecomp, gen, selftest.  A
 handler reads its input document, runs one library kernel and passes what
 the kernel returns to a writer of unitary3.documents, which owns every
-document format; the composition order is parametrization's.
-Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, else the Unitary3Error class's (1 malformed input, 2 precondition
-violated or an output that cannot be written, 3 tolerance failure); any other
-exception is a bug and propagates.  The options of each subcommand are in
-the table COMMANDS, read by parse_args: a usage error exits 2 with the
-usage line and ``unitary3 <cmd>: error: <message>`` on stderr, and -h or
---help prints the usage line and help to stdout and exits 0.  Help leaves
-as a document does: it is written through the same writer and flushed
-before the exit.  A reader that closes stdout early (as ``| head -1``
-does) chose to stop, so that exits 0 with nothing on stderr; any other
-failure of stdout (a full device, or a closed stdout that a document,
-help or the selftest report is bound for) is an output that cannot be
-written, exit 2.  A closed or unwritable stderr loses the error or usage
-line and nothing else: the exit code stays the documented one.
-``recover``, ``roundtrip``, ``chardecomp``, ``compose`` and ``gen`` run on
-Python scalars from document or seed to output, and ``selftest`` on the
-same kernels' rows; no subcommand loads numpy, typing, pathlib, or json
-but to name the fault of malformed JSON (the import rule in
-unitary3.linalg): the writers are templates and the reader json's C
-scanner.  A process loads only the modules its command
-runs: this module imports characteristic, sampling and selftest inside
-the handlers that run them, and help reads sampling's ALGORITHM where it
-prints it.
-
-``python -m unitary3.cli`` and the ``unitary3`` console script run ``run``,
-which ends the process in this order: main(), the atexit handlers, a flush
-of stdout and stderr, then ``os._exit`` with main's exit code.  That skips
-only the interpreter's finalization of modules and objects: about a sixth
-of a bare ``python -c pass`` where the ``site`` hook imports about a
-hundred modules, well under 1 ms without it.  A usage error or help
-that was written (SystemExit), an exception that is a bug and a final
-flush that fails leave through the interpreter's own exit.
+document format.  The options of each subcommand are in the table
+COMMANDS, read by parse_args.  Help leaves as a document does: it is
+written through the same writer and flushed before the exit.
+README, Conventions: Exit codes and process end.
+README, Conventions: Imports and the array boundary.
 """
 import atexit
 import math
@@ -299,7 +271,7 @@ def main(argv=None) -> int:
 
 
 def run():
-    """The program: main(), then the process ends as the module docstring says."""
+    """The program: main(), then the process ends (README, Conventions: Exit codes and process end)."""
     code = main()
     atexit._run_exitfuncs()
     try:

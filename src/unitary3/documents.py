@@ -29,9 +29,8 @@ template, laid out as json.dumps(indent=2) lays out the same object
   coefficients, the re/im grids of Rp_hat, Rm_hat and Ru_hat, and the
   regularity object, indented by 2.
 
-No module here imports json.  The reader runs the C scanner that
-json.JSONDecoder runs (_json.make_scanner), and json is imported only
-to name the fault of malformed JSON (_load_json).
+The reader runs the C scanner that json.JSONDecoder runs
+(_json.make_scanner).  README, Conventions: Imports and the array boundary.
 """
 import math
 from types import SimpleNamespace

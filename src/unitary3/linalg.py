@@ -1,92 +1,16 @@
-"""Fixed-size complex linear algebra: 3x3 Hermitian eigensolver and helpers.
+"""Fixed-size complex linear algebra: the input validator, the unitarity
+gate, the 3x3 Hermitian eigensolver and the array boundary.
 
-Public functions take and return plain numpy arrays (shape (3,) complex
-vectors and (3, 3) complex matrices); their kernels take a matrix as rows
-of Python scalars.  All functions are pure; nothing here mutates its
+Its public functions take a 3x3 matrix in any form numpy reads as one:
+as_matrix3 returns it as rows of Python complex, unitarity_distance a
+float and eig_hermitian3 a record of arrays.  Nothing here mutates its
 inputs.  The eigensolver is a Jacobi method in Python floats (_jacobi)
 behind a fixed contract: nonincreasing eigenvalues and a deterministic
 eigenvector phase.
-
-Validation rule of both pipelines: public operations validate once; stages
-are private kernels.  Each public operation (recover_params,
-regularity_report, characteristic_decomposition, middle_component,
-eig_hermitian3, unitarity_distance, extract_rotation_angles) checks its
-input once (as_matrix3: shape, complex dtype and finite parts, read into
-rows of Python complex and checked with one map of cmath.isfinite,
-imported inside the function as numpy is) and runs private ``_kernels``
-on those rows, so one recovery or one coherency report validates its
-matrix once.
-Kernels re-check nothing the operation's gate (such as the unitarity gate
-_check_unitary) already holds; recovery's exit gate is its recomposition
-residual.
-
-Import rule: no module of the package imports numpy when it is imported,
-none imports typing or pathlib at all (the records are
-collections.namedtuple subclasses, and cli reads and writes with open;
-the chain kernels build their records with tuple.__new__, _new here, which
-namedtuple's own __new__ calls),
-and none has a future statement: every annotation evaluates where its
-function is defined, so none names numpy, and a function that returns an
-array says so in its docstring.
-json is imported only where a document is malformed JSON (documents
-reads with json's C scanner and writes with % templates).  ``import
-unitary3`` loads no submodule: the package resolves each public name on
-first access, and cli imports characteristic, sampling and selftest in
-the handlers that run them.
-The array boundary is three functions here, the only ones in the package
-that import numpy, each inside itself: as_matrix3 turns an array into
-rows, _array turns a kernel's rows into an array, and _eigen turns a
-record's lists into arrays.  Every other module reaches numpy through
-them, and only the public array functions call them.  So ``import
-unitary3`` does not load numpy, and the first call that builds or reads
-an array does; no CLI subcommand loads it.  The CLI's ``recover``,
-``roundtrip``, ``chardecomp``, ``compose`` and ``gen`` stay on Python
-scalars from the document or seed to the output (documents._parse_rows, then
-parametrization._recover_rows or characteristic._regularity and that
-command's writer in documents; documents.parse_params, then
-parametrization._unitary_rows and documents._matrix_text; or
-sampling._haar_rows and documents._matrix_text) and load neither numpy,
-nor cmath, nor typing, nor pathlib, nor json, on success and on every
-error exit but malformed JSON (unless a ``site`` hook has loaded them
-first); ``selftest`` reads the same kernels' rows and takes its norms
-(_fsum_norm) and maxima in Python floats.
-A public operation is its kernel on ``as_matrix3(m)``: the kernel
-returns the operation's record with lists of Python scalars in its array
-fields.  The coherency operations build their records of arrays with
-_eigen, one np.fromiter call over all the record's complex entries and one
-over its floats, so each array field is a writeable view of one buffer
-per dtype; a public function that returns one matrix returns _array of
-its kernel's rows.
-
-Arithmetic rule: recovery, composition (compose_core, compose_rotation,
-compose_unitary), the unitarity gate (_check_unitary,
-unitarity_distance), coherency (the eigensolver, the characteristic
-decomposition and the regularity report) and sampling (Box-Muller, the
-Haar Gram-Schmidt and A A†) run on Python floats and complex, one code
-path with no numpy arithmetic, so their bytes do not depend on numpy's
-SIMD targets or on the BLAS kernels of the host.  A
-matrix is read with one ``tolist()``; elementary functions are math's
-(cos, sin, atan2, and log in Box-Muller), and the phase of re + i im is math.atan2(im, re),
-bit for bit cmath.phase.  A modulus is math.hypot(re, im) in recovery
-and the unitarity gate, and abs(z) of a Python complex in the
-eigensolver; abs(z) is the C library's hypot of its parts, and
-math.hypot has its own algorithm, so the two can differ in the last
-bit.  A vector or Frobenius norm squares each real and imaginary part
-(one map of operator.mul), sums the squares with math.fsum (exact,
-rounded once) and takes math.sqrt; every 3x3 product is written out with
-each sum taken left to right, and the eigensolver uses + - * /,
-math.hypot, abs of a complex and abs of a float (exact) only: the
-Hermiticity gate's skew of a diagonal entry is the float
-abs(Im r_jj + Im r_jj), exactly |r_jj - conj(r_jj)|, and _jacobi keeps
-|d_p| of each diagonal entry until a rotation moves d_p.  A complex times a real or
-a purely imaginary factor is written as two float products, or as a
-product with complex(x, 0.0), so Python's promotion of a float operand
-(which Python 3.14 no longer does) decides no sign of zero.  One
-dependence remains, the only one of any byte the package writes: glibc
-picks an FMA variant of atan2, sin, cos, exp and log by CPU, and those
-can differ in the last bit between hosts; math.hypot,
-fsum, sqrt and + - * / cannot, and abs of a complex gives what the host
-C library's hypot gives.
+README, Conventions: Validation.
+README, Conventions: Imports and the array boundary.
+README, Conventions: Arithmetic.
+README, Conventions: Float range.
 """
 import math
 import operator
@@ -94,9 +18,8 @@ import sys
 from collections import namedtuple
 
 # The gates defined here.  UNITARITY_TOL and HERMITICITY_TOL are the input
-# gates.  FOLD_GATE is the one gate of every fold, in every module: below it
-# a quantity is rounding noise and a convention decides (linear column and
-# pole, rotation gimbal, mu = 0 and mu = pi/2).
+# gates.  FOLD_GATE is the one gate of every fold, in every module:
+# README, Conventions: Degenerate folds.
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 FOLD_GATE = 1e-12
@@ -106,17 +29,17 @@ _TINY = sys.float_info.min
 # the largest eigenvalue (at most 3 max|R|) of a Hermitian R could overflow.
 _MAX_EXPONENT = 1022
 _SCALED = 2.0 ** _MAX_EXPONENT  # the least max|R| whose frexp exponent exceeds it
-# Sweeps of the Jacobi eigensolver before it gives up.  It converges
-# quadratically: on the coherency matrices sampled in the tests no solve
-# takes more than 6, convergence check included.
+# Sweeps of the Jacobi eigensolver before it gives up, far more than any
+# sampled input takes: README, Conventions: Arithmetic.
 _MAX_SWEEPS = 20
 # What namedtuple's __new__ calls: _new(Record, fields) builds the record in
 # one C call, without the arity check of its Python-level __new__.
 _new = tuple.__new__
 
 class Unitary3Error(Exception):
-    """Base of every library error: the CLI prints ``kind`` and exits with
-    ``exit_code``.  Each subclass also keeps a ValueError or RuntimeError parent."""
+    """Base of every library error, with the class attributes ``exit_code``
+    and ``kind`` that the CLI reports.
+    README, Conventions: Exit codes and process end."""
 
     exit_code = 2
     kind = "precondition violated"
@@ -182,10 +105,10 @@ def _check_finite(values):
 
 
 def _fsum_norm(parts) -> float:
-    """Euclidean norm of a sequence of real numbers (the real and imaginary
-    parts of a complex vector or matrix): math.sqrt of the math.fsum of
-    their squares x * x, a sum that is exact and rounded once.  A square
-    beyond the float range gives inf, a sum beyond it OverflowError."""
+    """Euclidean norm of a sequence of real numbers, such as the real and
+    imaginary parts of a complex vector or matrix (README, Conventions: Arithmetic).
+    A square beyond the float range gives inf, a sum beyond it
+    OverflowError."""
     return math.sqrt(math.fsum(map(operator.mul, parts, parts)))
 
 
@@ -262,18 +185,10 @@ def eig_hermitian3(r) -> EigenDecomposition:
     equal ones).
 
     Raises NotHermitianError if max|R - R†| exceeds HERMITICITY_TOL times
-    max|R|, a gate that holds at any scale (moduli are abs of a complex,
-    the C library's hypot, so no square overflows; a diagonal entry's skew
-    is the float |Im r_jj + Im r_jj|).  Where the frexp
-    exponent of max|R| exceeds _MAX_EXPONENT = 1022, R is multiplied by
-    the power of two that puts max|R| in [2**1021, 2**1022) before the
-    solve, and the eigenvalues by its inverse after, so no finite input
-    overflows inside; a trace or eigenvalue beyond the largest float
-    raises FloatRangeError.  Any other R, subnormal
-    entries included, is solved as it is (each phase through _unit).
-    The solve runs at most _MAX_SWEEPS sweeps and raises ConvergenceError
-    (exit 3) if the last of them still rotates; no input is known to come
-    near that cap.
+    max|R|, a gate that holds at any scale; FloatRangeError for an entry
+    modulus, trace or eigenvalue beyond the largest float
+    (README, Conventions: Float range); and ConvergenceError if the
+    _MAX_SWEEPS-th sweep still rotates.
     """
     return _eigen(_eig(as_matrix3(r)))[0]
 
@@ -282,10 +197,8 @@ def _eigen(e: EigenDecomposition, *grids) -> tuple:
     """The _eig result ``e`` as an EigenDecomposition of arrays, and the
     complex array of shape (1 + len(grids), 3, 3) whose entry 0 is its
     ``vectors`` and entry ``i`` the ``i``-th of ``grids`` (rows of three
-    Python complex).  One np.fromiter call makes that array and one more the
-    float buffer of ``values`` and ``normalized``, so each array field of
-    a record is a writeable view of one buffer per dtype and shares no
-    element with another field."""
+    Python complex), each array field a view of one buffer per dtype:
+    README, Conventions: Imports and the array boundary."""
     import numpy as np
 
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = e.vectors
@@ -401,27 +314,22 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     entry zero, the diagonal unitary D = diag(u02, u12, 1) of the phases
     of the other two makes D†AD real, and cyclic real Jacobi rotations of
     the pairs (0, 1), (0, 2), (1, 2) diagonalize it: V = W D V_real.  Real
-    rotations take fewer Python operations than complex ones: on the
-    benchmark's coherency pool the solve takes about 28 % less time than
-    with complex rotations throughout.  An entry is skipped
-    while 100 |a_pq| is below the last bit of both diagonal entries (the
-    test of Numerical Recipes' jacobi); a sweep of three skips is
-    convergence, and a sweep that still rotates as the _MAX_SWEEPS-th
-    raises ConvergenceError.  Kopp (Int. J. Mod. Phys. C 19, 523, 2008)
-    finds Jacobi the most accurate of the 3x3 methods he compares.
+    rotations take fewer Python operations than complex ones, so the solve
+    takes less time than with complex rotations throughout.  An entry is
+    skipped while 100 |a_pq| is below the last bit of both diagonal
+    entries (the test of Numerical Recipes' jacobi); a sweep of three
+    skips is convergence, and a sweep that still rotates as the
+    _MAX_SWEEPS-th raises ConvergenceError.  Kopp (Int. J. Mod. Phys. C 19,
+    523, 2008) finds Jacobi the most accurate of the 3x3 methods he compares.
 
-    Arithmetic: + - * / on floats, math.hypot, abs of a complex (the C
-    library's hypot of its parts), abs of a float (exact: of each b_pq, and
-    of each d_p, kept as m_p and recomputed for the two entries a rotation
-    moves) and products and sums of two complex; t is 1/(theta +
-    hypot(1, theta)), or -1/(hypot(1, theta) - theta) for a negative theta,
-    the same float as sgn(theta)/(|theta| + hypot(1, theta));
-    the complex rotation's cosine enters as complex(c, 0.0), and a complex
-    times a real is written as two float products, so no float operand is
-    promoted to complex.  Every product is an entry times a coefficient of
-    modulus at most 1, and theta is formed from halves, so nothing
-    overflows below 2**1022 and nothing underflows above the subnormals:
-    the result scales exactly with a power of two.  A theta beyond the
+    README, Conventions: Arithmetic.
+    t is 1/(theta + hypot(1, theta)), or -1/(hypot(1, theta) - theta) for a
+    negative theta, the same float as sgn(theta)/(|theta| + hypot(1, theta)),
+    and the complex rotation's cosine enters as complex(c, 0.0).  Every
+    product is an entry times a coefficient of modulus at most 1, and theta
+    is formed from halves, so nothing overflows below 2**1022 and nothing
+    underflows above the subnormals: the result scales exactly with a power
+    of two.  A theta beyond the
     float range gives t = 0, a rotation smaller than any float could hold.
     u, u02 and u12 come from _unit, so W and D are unitary even where an
     entry is subnormal, in A or formed in the solve (s a12, with all of A
@@ -451,7 +359,7 @@ def _jacobi(d0, d1, d2, a01, a02, a12) -> tuple[tuple, tuple]:
     v01 = v02 = v10 = v12 = v20 = v21 = 0.0
     m0, m1, m2 = abs(d0), abs(d1), abs(d2)  # |d_p|, recomputed where a rotation moves d_p
     # The three pairs are written out: one rotation in a loop over
-    # relabelled indices took about 20 % more time per solve.
+    # relabelled indices took more time per solve.
     for _ in range(_MAX_SWEEPS):
         rotated = False
         g = 100.0 * abs(b01)

@@ -4,40 +4,18 @@ Composition: canonical_basis(chi) is the unitary N(chi) whose columns are
 the paper's orthonormal Jones vectors in the intrinsic frame of the first:
 n1 = (cos chi, i sin chi, 0) the intrinsic state, n2 = (i sin chi,
 cos chi, 0) the coplanar state of opposite ellipticity and n3 = (0, 0, 1)
-linear along the normal of the polarization plane.  The core matrix is
+linear along the normal of the polarization plane.  compose_core builds
+the core matrix V1 from them, and compose_unitary U = Q V1.
+README, Conventions: Composition order.
 
-    V1 = N(chi) diag(e^{i a1}, W),  W = [[ cm e^{i a2},  sm e^{i a3} ],
-                                         [ sm e^{i b2}, -cm e^{i d}  ]]
-
-with cm = cos mu, sm = sin mu, d = beta2 - alpha2 + alpha3: its columns
-are e^{i a1} n1 and the two combinations of n2 and n3 that W sets.
-
-A general unitary is obtained by re-expressing those three column vectors
-in an arbitrary frame through the composed rotation Q(phi, theta, varphi):
-
-    U = Q @ V1
-
-(each column of U is Q applied to the matching column of V1, so the first
-column of U is the rotated intrinsic state and the recovery below inverts
-that relation; see the conventions note in the README).  Five sibling
-parametrizations exist by reordering the columns of V1; only this ordering
-is implemented.
-
-Recovery: the first column u1 determines alpha1, chi and the rotation; the
-core parameters then come from five entries of V1 = Q.T @ U.  _ellipticity
-holds every rule of chi: its magnitude and its sign.  The sign has one rule
-and no convention, at the gimbal too: the rotation stays inside the chart,
-Q[2,2] = cos theta >= 0, which is sign(a1*b2 - a2*b1) >= 0 on the real and
-imaginary parts of the phase-normalized first column.  _branch holds every
-rule of the reported label, the paper's zero-pattern branches (a, b1, b2,
-c, d1, d2) in one table and circular-fallback, and the label decides
-nothing.  Each stage has one rule and every fold one gate,
-linalg.FOLD_GATE: below it chi is 0 (linear column, whose frame takes
-varphi = 0), the rotation gimbal takes its convention, and alpha2
-(mu = pi/2) or alpha3 (mu = 0) is 0.  Every
-recovered angle lies in the chart's ranges: _RANGES, the one home of the
-bounded ones (theta, varphi, chi, mu), and the phases in (-pi, pi]
-(rotations.wrap_angle); _ellipticity caps |chi| at chi's end.
+Recovery (recover_params): the first column u1 determines alpha1, chi and
+the rotation; the core parameters then come from five entries of
+V1 = Q.T @ U, and the recomposition residual is the exit gate.  Each stage
+is a private kernel with one rule, and every fold has one gate.
+README, Conventions: Angle ranges.
+README, Conventions: Two representatives.
+README, Conventions: Degenerate folds.
+README, Conventions: Chi, its sign and the branch.
 """
 import math
 from collections import namedtuple
@@ -51,11 +29,8 @@ RECOVERY_TOL = 1e-10
 # The nine parameter names in their one order: the rotation triple, then
 # the core.  UnitaryParams.as_dict and every ParamsDocument use it.
 PARAM_FIELDS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")
-# The chart's range [low, high] of each bounded field, the one place each
-# is written; every other field is a phase on the whole circle
-# (rotations.wrap_angle).  varphi's high end is open (rotations._canonical
-# folds it).  random_params draws from it; recovery reads the two
-# constants bound from it below.
+# The chart's range [low, high] of each bounded field; varphi's high end
+# is open (rotations._canonical folds it).  README, Conventions: Angle ranges.
 _RANGES = {"theta": (-math.pi / 2, math.pi / 2), "varphi": (0.0, math.pi),
            "chi": (-math.pi / 4, math.pi / 4), "mu": (0.0, math.pi / 2)}
 # _ellipticity's cap on |chi| and _core_parts' gate on mu.
@@ -148,16 +123,14 @@ def _core_rows(chi, mu, alpha1, alpha2, alpha3, beta2) -> list:
 
 def _core_parts(chi, mu, alpha1, alpha2, alpha3, beta2) -> tuple:
     """The 18 real and imaginary parts of V1, row by row, each entry's real
-    part before its imaginary part, in linalg's arithmetic.
+    part before its imaginary part, from finite parameters.
 
     Its columns are e^{i a1} n1, W11 n2 + W21 n3 and W12 n2 + W22 n3; each
     entry is one factor of W (or e^{i a1}) times cos chi, i sin chi, 1 or
-    exactly 0, so it is written as two float products.  The parameters
-    must be finite.  delta = beta2 - alpha2 + alpha3 is rounded, and its
-    rounding error, which grows with the phases, puts V1 off unitary by as
-    much; so a phase of modulus above 2**8 is rejected.  Up to that bound V1
-    stays within 1e-13 of unitary (the selftest's composition bound); the
-    chart's phase range (-pi, pi] lies well inside it.
+    exactly 0, so it is written as two float products.  Raises
+    ParameterRangeError for mu outside [0, pi/2] or a phase of modulus
+    above 2**8, whose rounding in delta would put V1 off unitary:
+    README, Conventions: Validation.
     """
     if not _MU_LOW <= mu <= _MU_HIGH:
         raise ParameterRangeError("mu must lie in [0, pi/2]")
@@ -205,15 +178,11 @@ def _normalize_global_phase(u1) -> tuple[tuple, complex]:
     """Phase-normalize a unit column, three Python complex: eps = e^{-i alpha1} u1.
 
     alpha1 is half the argument of the unconjugated self-product u1.u1,
-    which is invariant under frame rotations and equals e^{2i alpha1}
-    cos(2 chi).  That product fixes alpha1 only modulo pi; the range of
-    math.atan2 picks the representative, alpha1 in [-pi/2, pi/2] (-pi/2
-    only when u1.u1 is a negative real with a -0.0 imaginary part), and
-    flip_equivalent gives the other.  Returns eps and u1.u1, which _branch
-    reads for the circular label; no gate applies here.  The column must
-    be unit: recover_params and regularity_report pass columns that are
-    unit by their own gates.  Recovery reads alpha1 itself off V1[0, 0],
-    so alpha1 is not returned.
+    in [-pi/2, pi/2]: README, Conventions: Two representatives.
+    Returns eps and u1.u1, which _branch reads for the circular label; no
+    gate applies here.  The column must be unit: recover_params and
+    regularity_report pass columns that are unit by their own gates.
+    Recovery reads alpha1 itself off V1[0, 0], so alpha1 is not returned.
     """
     x, y, z = u1
     w = x * x + y * y + z * z
@@ -223,26 +192,12 @@ def _normalize_global_phase(u1) -> tuple[tuple, complex]:
 
 
 def _ellipticity(eps) -> tuple[float, float, float]:
-    """Ellipticity angle chi and the norms |a|, |b| of a normalized column.
-
-    Takes the phase-normalized column eps = a + i b (three Python complex),
-    which is cos(chi) q1 + i sin(chi) q2 with q1, q2 real orthonormal, so
-    |chi| = arctan2(|b|, |a|), capped at pi/4, the high end of chi's
-    range in _RANGES (on a circular column rounding can leave |b| above
-    |a|, and arctan2 an ulp above pi/4);
-    _recover_first_column reuses the two norms for q1 and q2.  Like every
-    kernel it trusts the operation's gate and re-checks nothing:
+    """Ellipticity angle chi and the norms |a|, |b| of the phase-normalized
+    column eps = a + i b, three Python complex; _recover_first_column
+    reuses the two norms for q1 and q2.  It trusts the operation's gate:
     recover_params passes the first column of a matrix that passed the
-    unitarity gate, _regularity a Jacobi eigenvector, and the recomposition
-    residual is recovery's exit gate.  Every rule of chi lives here:
-
-    - Linear polarization, |b| <= FOLD_GATE: chi = 0.
-    - Otherwise chi takes the sign of the invariant
-      a1*b2 - a2*b1 = cos(chi) sin(chi) cos(theta), + when it is 0.  That
-      is the chart's own condition Q[2,2] = cos(theta) >= 0: the third
-      rotation column q1 x q2 has z component
-      sign(chi) (a1*b2 - a2*b1)/(|a| |b|), so no gate or table is needed
-      at the gimbal.
+    unitarity gate, _regularity a Jacobi eigenvector.
+    README, Conventions: Chi, its sign and the branch.
     """
     e1, e2, e3 = eps
     a1, a2, b1, b2 = e1.real, e2.real, e1.imag, e2.imag
@@ -256,29 +211,17 @@ def _ellipticity(eps) -> tuple[float, float, float]:
     return (chi if a1 * b2 - a2 * b1 >= 0.0 else -chi), ca, sb
 
 
-# The gate and the table of _branch, which states their rules.
+# The gate and the table of _branch: README, Conventions: Chi, its sign and the branch.
 DEGENERACY_GATE = 1e-10
 _BRANCHES = {(True, True, True): "b1", (True, False, True): "d1", (False, True, True): "b2",
              (False, True, False): "c", (False, False, True): "d2", (False, False, False): "a"}
 
 
 def _branch(eps, w, chi: float) -> str:
-    """The sign-determination branch recovery reports for its first column.
-
-    Takes the phase-normalized column eps = a + i b, its self-product
-    w = u1.u1 and its chi, as the stages above return them.  Every label
-    rule lives here, and no label decides anything; DEGENERACY_GATE only
-    labels and folds nothing:
-
-    - circular-fallback when |w| = cos(2 chi) < DEGENERACY_GATE
-      (chi = +-pi/4, where any alpha1 is valid); the report's
-      global_phase_alpha1_degenerate is this label.
-    - Otherwise the paper's zero-pattern branch, _BRANCHES keyed by
-      (linear, a3 = 0, b3 = 0): linear is chi = 0 (|b| <= FOLD_GATE on a
-      unit column), and a3 = 0 and b3 = 0 each mean a modulus at most
-      DEGENERACY_GATE.  A linear column has |b3| <= |b| <= FOLD_GATE, so
-      its b3 is 0 and six keys cover every column: b1 (linear, a3 = 0), d1
-      (linear), b2 (a3 = b3 = 0), c (a3 = 0), d2 (b3 = 0) and a.
+    """The sign-determination branch recovery reports for its first column,
+    from the phase-normalized column eps = a + i b, its self-product
+    w = u1.u1 and its chi, as the stages above return them.
+    README, Conventions: Chi, its sign and the branch.
     """
     if math.hypot(w.real, w.imag) < DEGENERACY_GATE:
         return "circular-fallback"
@@ -290,11 +233,9 @@ def _recover_first_column(eps) -> tuple[float, RotationAngles]:
     """Recover (chi, rotation) from a phase-normalized unit column.
 
     chi comes from _ellipticity; the rotation has columns
-    q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2.  A linear column
-    (chi = 0) fixes q1 only; the frame takes the varphi = 0 representative
-    q2 = e_z x q1 / |e_z x q1|, or where that norm is below FOLD_GATE (the
-    poles q1 = +-e_z) e_y projected off q1, negated where x1 < 0.  Every
-    column so gets a rotation inside the chart, cos(theta) = q3_z >= 0:
+    q1 = a/|a|, q2 = sign(chi) b/|b| and q3 = q1 x q2, and on a linear
+    column the frame of README, Conventions: Degenerate folds.
+    Every column so gets a rotation inside the chart, cos(theta) = q3_z >= 0:
     off the poles q3_z = |e_z x q1|, at them |x1|, and with chi nonzero
     _ellipticity's sign rule holds it.
     """
@@ -331,20 +272,11 @@ def _extract_core_params(q, u) -> tuple[float, float, float, float, float]:
     _core_parts' order (row by row, real part before imaginary).
 
     Only the five entries read here are formed (v11, v22, v23, v32, v33),
-    each as a float pair summed left to right as _rotate sums Q.T U, and
-    the phase of each is math.atan2(im, re).  alpha2 is the phase of v22
-    and alpha3 that of v23, each folded to 0 when that entry's modulus is
-    below FOLD_GATE (mu = pi/2 and mu = 0).  beta2 is read from the larger
-    of the two entries that carry it: v32 when sin mu >= cos mu, else
-    -v33 = cos mu e^{i delta}, as delta + alpha2 - alpha3, so the (3,3)
-    entry is reproduced exactly.  Every phase but alpha1 lies in (-pi, pi]:
-    alpha2, alpha3 and beta2 read off v32 are atan2 results in [-pi, pi],
-    whose -pi is folded to pi here, the float wrap_angle gives; beta2 read
-    off -v33 is a sum, and wrap_angle wraps it.  The structure of V1 (the
-    zero at (3,1), |v23| = sin mu cos chi) is not re-checked here:
-    compose_core puts an exact zero at (3,1), so the recomposition
-    residual in recover_params bounds |v31| and every other departure from
-    that structure.
+    each as a float pair summed left to right as _rotate sums Q.T U.  The
+    structure of V1 (the zero at (3,1), |v23| = sin mu cos chi) is not
+    re-checked: the recomposition residual bounds it.
+    README, Conventions: Degenerate folds.
+    README, Conventions: Angle ranges.
     """
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = q
     a0, d0, a1, d1, a2, d2, b0, e0, b1, e1, b2, e2, c0, f0, c1, f1, c2, f2 = u
@@ -408,7 +340,8 @@ def recover_params(u, tolerance: float = RECOVERY_TOL) -> RecoveryReport:
     The report carries the Frobenius residual of the recomposition and the
     sign-determination branch that fired.
 
-    Raises NotUnitaryError where the input fails linalg's unitarity gate.
+    Raises NotUnitaryError where the input fails linalg's unitarity gate,
+    and RecoveryToleranceError where the residual exceeds ``tolerance``.
     """
     return _recover_rows(as_matrix3(u), tolerance)
 
@@ -417,12 +350,10 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
     """recover_params on a finite matrix given as rows of Python complex.
 
     Once the unitarity gate has passed, U's 18 real and imaginary parts are
-    read once, in _core_parts' order, and both float products read them:
-    neither V1 nor the recomposition Q V1' is built as complex entries.
-    _extract_core_params forms the five entries of V1 it reads, and
-    _residual the parts of Q V1' - U from V1' as the 18 floats of
-    _core_parts, both in floats, each sum as _rotate, the product of
-    composition, takes it.  The records are built with linalg._new."""
+    read once, in _core_parts' order, for both float products
+    (_extract_core_params and _residual), so neither V1 nor the
+    recomposition Q V1' is built as complex entries.  The records are built
+    with linalg._new."""
     _check_unitary(rows)
     (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = rows
     u = (u00.real, u00.imag, u01.real, u01.imag, u02.real, u02.imag,
@@ -444,13 +375,11 @@ def _recover_rows(rows, tolerance: float) -> RecoveryReport:
 
 
 def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
-    """The other parameter tuple composing to the same unitary.
+    """The flip of ``p``: the tuple with Q diag(-1, -1, 1) and alpha1,
+    alpha2, alpha3 advanced by pi, which composes to the same unitary.
 
-    Negating the first two rotation columns (Q -> Q diag(-1, -1, 1)) is
-    undone by advancing alpha1, alpha2, alpha3 by pi, so each generic
-    unitary has exactly two representatives; recovery returns the one
-    with alpha1 in [-pi/2, pi/2] (see _normalize_global_phase).  Each
-    advanced phase is correctly rounded (_half_turn), so flipping twice
+    README, Conventions: Two representatives.
+    Each advanced phase is correctly rounded (_half_turn), so flipping twice
     gives the wrapped tuple back wherever a -+ pi is exact, as it is for
     |a| >= pi/2.  Raises NonFiniteError for a NaN or infinite field.
     """

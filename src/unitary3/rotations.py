@@ -12,6 +12,7 @@ of elementary factors this equals a rotation about Z by -phi, times a
 rotation about Y by -theta (with -sin in the (1,3) slot), times a rotation
 about Z by varphi; note the sign flips on the two leftmost factors relative
 to the naive product reading.
+README, Conventions: Angle ranges.
 """
 import math
 from collections import namedtuple
@@ -27,10 +28,8 @@ class NotOrthogonalError(Unitary3Error, ValueError):
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle into (-pi, pi]: math.remainder(x, 2 pi), which is exact
-    and the identity on (-pi, pi], with -pi folded to pi (math.atan2 gives
-    -pi for a negative real with a -0.0 imaginary part).  A NaN or
-    infinite x raises NonFiniteError, which is a ValueError."""
+    """Wrap an angle into (-pi, pi], exactly: README, Conventions: Angle ranges.
+    A NaN or infinite x raises NonFiniteError, which is a ValueError."""
     try:
         r = math.remainder(x, _TWO_PI)
     except ValueError:  # x is infinite
@@ -44,12 +43,7 @@ def wrap_angle(x: float) -> float:
 
 class RotationAngles(namedtuple("RotationAngles", "phi theta varphi")):
     """Rotation triple (phi, theta, varphi), all radians.
-
-    Canonical ranges are phi in (-pi, pi], theta in [-pi/2, pi/2] and
-    varphi in [0, pi); parametrization._RANGES is the one home of theta's
-    and varphi's.  The chart with those ranges reaches exactly the
-    rotations with Q[2,2] >= 0; extraction from an arbitrary proper
-    orthogonal matrix may therefore report |theta| > pi/2.
+    README, Conventions: Angle ranges.
     """
 
     __slots__ = ()
@@ -109,15 +103,14 @@ def extract_rotation_angles(q) -> tuple[RotationAngles, bool]:
     """Invert compose_rotation.
 
     Returns (angles, gimbal_degenerate).  theta is read from Q[2,2],
-    varphi from row 3 and phi from column 3.  At gimbal lock
-    (|sin theta| <= FOLD_GATE) the in-plane rotation is absorbed into phi
-    and varphi is set to 0; the flag reports that convention fired.
+    varphi from row 3 and phi from column 3.  gimbal_degenerate is true at
+    the gimbal, |sin theta| <= FOLD_GATE, whose fold is
+    README, Conventions: Degenerate folds.
 
-    The input is read into rows of Python complex as every public
-    operation reads it (as_matrix3); an entry with a nonzero imaginary part
-    raises NotOrthogonalError.  A real matrix is orthogonal exactly when it
-    is unitary, so the real parts pass linalg's unitarity gate;
-    NotOrthogonalError carries the gate's message.
+    Raises NotOrthogonalError for an entry with a nonzero imaginary part,
+    for a matrix that fails linalg's unitarity gate (a real matrix is
+    orthogonal exactly when it is unitary; the error carries the gate's
+    message), and for det < 0.
     """
     rows = as_matrix3(q)
     if any(z.imag for row in rows for z in row):

@@ -3,12 +3,9 @@
 The generator is a plain SplitMix64 counter PRNG (64-bit state, golden-ratio
 increment) feeding Box-Muller for standard normals.  The algorithm is
 frozen, and the integer stream and its uniforms (so random_params) are
-exact on every platform.  The rest follows the arithmetic rule in
-unitary3.linalg: Box-Muller calls math's sqrt, log, sin and cos, and the
-Haar unitary (Gram-Schmidt) and A A† are written out in Python floats and
-complex.  So a seed fixes every sample, and `gen --haar` bytes, on every
-host whose libm gives the same log, sin and cos.  Each public sampler
-returns _array of its kernel's rows.
+exact on every platform; the Gaussians and what is built from them follow
+README, Conventions: Arithmetic.
+Each public sampler of a matrix returns _array of its kernel's rows.
 """
 import math
 import operator
@@ -111,13 +108,12 @@ def _haar_rows(g: SeededGenerator) -> list:
 def random_params(g: SeededGenerator, margin: float = 0.0) -> UnitaryParams:
     """Parameter tuple drawn uniformly from the chart.
 
-    Each field in parametrization._RANGES, the one home of the chart's
-    ranges, is drawn from its range shrunk by ``margin`` at both ends,
-    away from its degeneracy boundaries (theta = +-pi/2, varphi = 0 and
-    pi, chi = +-pi/4, mu = 0 and pi/2), and chi also keeps ``margin``
-    clear of 0: it is one uniform x on [-(pi/4 - 2 margin), pi/4 -
-    2 margin] moved ``margin`` away from 0, x + copysign(margin, x)
-    capped in modulus at pi/4 - margin.  Every other field is a phase
+    Each field in parametrization._RANGES is drawn from its range shrunk
+    by ``margin`` at both ends, away from its degeneracy boundaries
+    (theta = +-pi/2, varphi = 0 and pi, chi = +-pi/4, mu = 0 and pi/2),
+    and chi also keeps ``margin`` clear of 0: it is one uniform x on
+    [-(pi/4 - 2 margin), pi/4 - 2 margin] moved ``margin`` away from 0,
+    x + copysign(margin, x) capped in modulus at pi/4 - margin.  Every other field is a phase
     drawn from [-pi, pi).  The fields are drawn in PARAM_FIELDS order,
     one uniform each.  ``margin`` must lie in [0, pi/8), where chi keeps
     a range to draw from; any other raises ValueError before a draw.

@@ -5,13 +5,9 @@ returning the worst gap over ``n`` draws from ``g``; it holds no bound.
 ``CHECKS`` runs each measure at the selftest's seed, size and bound; the
 acceptance tests call the same measures at their own.
 
-The measures read the rows of the kernels the CLI runs (sampling._haar_rows
-and _psd_rows, parametrization._recover_rows, characteristic._decompose
-and _regularity, ...), not the public arrays, and take their norms and
-maxima in Python floats, as the library does: a Frobenius gap is
-linalg._fsum_norm of the real and imaginary parts of A - B (_gap), and the
-worst gap is a max that keeps NaN (_worst).  So the selftest loads no
-numpy; the tests hold each public array function to its kernel.
+The measures read the rows of the kernels the CLI runs, not the public
+arrays, and take their norms (_gap) and maxima (_worst) in Python floats.
+README, Conventions: Imports and the array boundary.
 """
 import math
 import time

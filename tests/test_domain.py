@@ -22,6 +22,11 @@ chart draws with |chi| down to 1e-8, where the bound grows as 1/|chi|.  The
 fourth representative of a unitary, outside the chart's theta range,
 composes to it, and recovery of that unitary returns the chart's own.
 
+Invariants: over Haar unitaries and random_params draws at margins 1e-2 to
+1e-8, each composed by the oracle, the recovered core gives V1^T V1 = U^T U and
+S00 = e^{2i alpha1} cos 2chi within 1e-14, and the spins of U's columns
+close a triangle whose first side is sin 2chi times Q's third column.
+
 Documents: the parsers, on arbitrary JSON values and arbitrary text, return
 a result or raise MalformedDocumentError.
 
@@ -44,6 +49,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import Verbosity, assume, given, settings
@@ -55,7 +61,7 @@ from unitary3.documents import (MATRIX_KINDS, MalformedDocumentError, _matrix_te
 from unitary3.linalg import Unitary3Error, unitarity_distance
 from unitary3.parametrization import (ParameterRangeError, RecoveryReport, UnitaryParams, _core_rows, _unitary_rows,
                                       compose_core, compose_unitary, params_distance, recover_params)
-from unitary3.rotations import RotationAngles, wrap_angle
+from unitary3.rotations import RotationAngles, compose_rotation, wrap_angle
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 
 from oracles import mp_compose, rotation_product
@@ -335,6 +341,51 @@ def test_right_phases_near_linear_face(case, gammas):
     expected = p._replace(alpha1=p.alpha1 + g1, alpha2=p.alpha2 + g2, alpha3=p.alpha3 + g3, beta2=p.beta2 + g2)
     assert_composes_to(expected, v, (p, gammas))
     assert params_distance(recover_params(v).params, expected) <= chi_bound(p.chi), (p, gammas)
+
+
+def draw_sets(seed: int, n: int):
+    """``n`` Haar unitaries, then ``n`` random_params draws at each margin
+    from 1e-2 to 1e-8 composed by the oracle, each set from its own
+    SeededGenerator(seed): (origin, U as a complex array, U as mpmath rows)."""
+    g = SeededGenerator(seed)
+    for _ in range(n):
+        u = generate_haar_unitary(g)
+        yield "haar", u, [[mpmath.mpc(z) for z in row] for row in u.tolist()]
+    for margin in (1e-2, 1e-4, 1e-6, 1e-8):
+        g = SeededGenerator(seed)
+        for _ in range(n):
+            p = random_params(g, margin)
+            rows = mp_compose(p.as_dict())
+            yield p, np.array(rows, dtype=complex), rows
+
+
+def test_core_is_a_chart_of_s():
+    # S = U^T U = V1^T V1: the recovered core composes to the S of U, formed
+    # in mpmath, which does not pass through recovery's Q; and
+    # S00 = e^{2i alpha1} cos 2chi.
+    for origin, u, rows in draw_sets(25, 100):
+        p = recover_params(u).params
+        v = compose_core(*p[1:])
+        vtv = v.T @ v
+        with mpmath.workdps(60):
+            s = [[mpmath.fsum(rows[k][i] * rows[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+            gap = max(abs(s[i][j] - mpmath.mpc(vtv[i, j])) for i in range(3) for j in range(3))
+            s00_gap = abs(s[0][0] - mpmath.expj(2 * p.alpha1) * mpmath.cos(2 * p.chi))
+        assert gap <= 1e-14, ("V1^T V1", float(gap), origin)
+        assert s00_gap <= 1e-14, ("S00", float(s00_gap), origin)
+
+
+def test_spin_triangle():
+    # The spins s_k = Im(conj(u_k) x u_k) of U's columns, from U alone, close
+    # a triangle, and s_1 = sin 2chi Q e_z with chi and Q as recovered: an
+    # oracle for chi's sign and Q's third column.
+    for origin, u, _ in draw_sets(28, 200):
+        spins = [np.cross(col.conj(), col).imag for col in u.T]
+        closure = np.abs(sum(spins)).max()
+        p = recover_params(u).params
+        first = np.abs(spins[0] - math.sin(2 * p.chi) * compose_rotation(p.rotation)[:, 2]).max()
+        assert closure <= 1e-14, ("closure", closure, origin)
+        assert first <= 1e-14, ("s_1", first, origin)
 
 
 # V diag(l) V† for a Haar V and a nonzero l, the exponent k of each entry
