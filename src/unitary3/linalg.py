@@ -70,15 +70,25 @@ class ConvergenceError(Unitary3Error, RuntimeError):
     kind = "tolerance failure"
 
 
+def _numpy():
+    """The numpy module, imported here and nowhere else in the package;
+    where numpy cannot be imported, ImportError naming the extra that
+    installs it."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError("unitary3's array functions need numpy: pip install 'unitary3[array]'",
+                          name="numpy") from exc
+    return numpy
+
+
 def as_matrix3(m) -> list:
     """The validator of every public operation: a 3x3 matrix as three rows
     of three Python complex; ValueError for any shape but (3, 3) and
     NonFiniteError for a NaN or infinite part."""
     import cmath
 
-    import numpy as np
-
-    arr = np.asarray(m, dtype=complex)
+    arr = _numpy().asarray(m, dtype=complex)
     if arr.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
     rows = arr.tolist()
@@ -91,11 +101,9 @@ def as_matrix3(m) -> list:
 def _array(entries):
     """The 3x3 array of a kernel's result, three rows or nine entries
     row-major, with the dtype numpy infers from them."""
-    import numpy as np
-
     # A caller that has the nine entries flat passes them so: numpy reads a
     # flat list and a reshape faster than nested rows.
-    return np.array(entries).reshape(3, 3)
+    return _numpy().array(entries).reshape(3, 3)
 
 
 def _check_finite(values):
@@ -199,8 +207,7 @@ def _eigen(e: EigenDecomposition, *grids) -> tuple:
     ``vectors`` and entry ``i`` the ``i``-th of ``grids`` (rows of three
     Python complex), each array field a view of one buffer per dtype:
     README, Conventions: Imports and the array boundary."""
-    import numpy as np
-
+    np = _numpy()
     (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = e.vectors
     entries = [x0, y0, z0, x1, y1, z1, x2, y2, z2]
     for row0, row1, row2 in grids:

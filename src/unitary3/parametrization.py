@@ -168,8 +168,13 @@ def _unitary_rows(p: UnitaryParams) -> list:
 
 def compose_unitary(p: UnitaryParams):
     """Unitary U = Q V1 as a 3x3 complex array, with columns Q n1, Q v2,
-    Q v3; raises NonFiniteError for a NaN or infinite field, else as
-    compose_core."""
+    Q v3; raises TypeError unless ``p`` is a UnitaryParams whose rotation
+    is a RotationAngles, NonFiniteError for a NaN or infinite field, else
+    as compose_core."""
+    if not isinstance(p, UnitaryParams):
+        raise TypeError(f"compose_unitary takes a UnitaryParams, not {type(p).__name__}")
+    if not isinstance(p.rotation, RotationAngles):
+        raise TypeError(f"compose_unitary takes a RotationAngles rotation, not {type(p.rotation).__name__}")
     _check_finite(_values(p))
     return _array(_unitary_rows(p))
 

@@ -81,7 +81,10 @@ def _canonical(phi: float, theta: float, varphi: float) -> RotationAngles:
 
 def compose_rotation(angles: RotationAngles):
     """Composed rotation Q as a 3x3 real array, from the closed-form
-    entries above; raises NonFiniteError for a NaN or infinite angle."""
+    entries above; raises TypeError unless ``angles`` is a RotationAngles,
+    and NonFiniteError for a NaN or infinite angle."""
+    if not isinstance(angles, RotationAngles):
+        raise TypeError(f"compose_rotation takes a RotationAngles, not {type(angles).__name__}")
     _check_finite(angles)
     return _array(_rotation_rows(angles))
 

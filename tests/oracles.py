@@ -3,7 +3,8 @@
 Everything here is computed by a different route than the library under
 test: eigenvalues come from the characteristic cubic in closed form, from
 LAPACK or from mpmath's 50-digit eighe, the composed rotation from an
-explicit product of elementary factors built locally.
+explicit product of elementary factors built locally, and the chart's
+Jacobian from central differences of the mpmath composition.
 """
 import numpy as np
 
@@ -91,8 +92,9 @@ BRANCH_CASES = _branch_cases()
 def mp_compose(p, dps=60):
     """U = Q V1 in mpmath at ``dps`` digits from a dict of the nine fields,
     as rows of mpc: Q = Rz(-phi) Ry(-theta) Rz(varphi) from its elementary
-    factors, V1 = N(chi) diag(e^{i alpha1}, W) as that product.  Shares no
-    code or arithmetic with the library."""
+    factors, V1 = N(chi) diag(e^{i alpha1}, W) as that product, each
+    entry of a product one mpmath.fdot, as an mpmath.matrix product forms
+    it.  Shares no code or arithmetic with the library."""
     import mpmath
 
     with mpmath.workdps(dps):
@@ -100,23 +102,54 @@ def mp_compose(p, dps=60):
         c, s = mpmath.cos(f["chi"]), mpmath.sin(f["chi"])
         cm, sm = mpmath.cos(f["mu"]), mpmath.sin(f["mu"])
         delta = f["beta2"] - f["alpha2"] + f["alpha3"]
-        e = lambda a: mpmath.expj(a)  # noqa: E731
-        basis = mpmath.matrix([[c, 1j * s, 0], [1j * s, c, 0], [0, 0, 1]])
-        core = mpmath.matrix([
-            [e(f["alpha1"]), 0, 0],
-            [0, cm * e(f["alpha2"]), sm * e(f["alpha3"])],
-            [0, sm * e(f["beta2"]), -cm * e(delta)],
-        ])
+        e = mpmath.expj
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)
+        basis = [[c, 1j * s, zero], [1j * s, c, zero], [zero, zero, one]]
+        core = [
+            [e(f["alpha1"]), zero, zero],
+            [zero, cm * e(f["alpha2"]), sm * e(f["alpha3"])],
+            [zero, sm * e(f["beta2"]), -cm * e(delta)],
+        ]
 
         def rz(a):
-            return mpmath.matrix([[mpmath.cos(a), -mpmath.sin(a), 0], [mpmath.sin(a), mpmath.cos(a), 0], [0, 0, 1]])
+            ca, sa = mpmath.cos(a), mpmath.sin(a)
+            return [[ca, -sa, zero], [sa, ca, zero], [zero, zero, one]]
 
         def ry(a):
-            return mpmath.matrix([[mpmath.cos(a), 0, -mpmath.sin(a)], [0, 1, 0], [mpmath.sin(a), 0, mpmath.cos(a)]])
+            ca, sa = mpmath.cos(a), mpmath.sin(a)
+            return [[ca, zero, -sa], [zero, one, zero], [sa, zero, ca]]
 
-        q = rz(-f.get("phi", 0)) * ry(-f.get("theta", 0)) * rz(f.get("varphi", 0))
-        u = q * basis * core
-        return [[u[i, j] for j in range(3)] for i in range(3)]
+        def mul(a, b):
+            columns = list(zip(*b))
+            return [[mpmath.fdot(row, col) for col in columns] for row in a]
+
+        q = mul(mul(rz(-f.get("phi", 0)), ry(-f.get("theta", 0))), rz(f.get("varphi", 0)))
+        return mul(mul(q, basis), core)
+
+
+PARAMS = ("phi", "theta", "varphi", "chi", "mu", "alpha1", "alpha2", "alpha3", "beta2")
+
+
+def mp_jacobian(p, fields=PARAMS, h=1e-10, dps=30):
+    """The Jacobian of the fields ``fields`` of the dict ``p`` to U =
+    mp_compose(p), in the nine real coordinates of the anti-Hermitian
+    U†dU: Im of its three diagonal entries, then Re and Im of its (0, 1),
+    (0, 2) and (1, 2) entries.  An mpmath matrix with one row per
+    coordinate and one column per field, by central differences of step
+    ``h`` at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        u = mp_compose(p, dps)
+        columns = []
+        for field in fields:
+            x = mpmath.mpf(p[field])
+            plus, minus = mp_compose({**p, field: x + h}, dps), mp_compose({**p, field: x - h}, dps)
+            a = [[mpmath.fsum(mpmath.conj(u[i][j]) * (plus[i][k] - minus[i][k]) for i in range(3)) / (2 * h)
+                  for k in range(3)] for j in range(3)]
+            columns.append([a[0][0].imag, a[1][1].imag, a[2][2].imag, a[0][1].real, a[0][1].imag,
+                            a[0][2].real, a[0][2].imag, a[1][2].real, a[1][2].imag])
+        return mpmath.matrix(columns).T
 
 
 def mp_eigh(h, dps=50):

@@ -878,6 +878,148 @@ def test_recovery_cli_never_loads_numpy(tmp_path):
     assert sorted(os.listdir(tmp_path / "haar")) == ["haar_0_0000.json", "haar_0_0001.json"]
 
 
+# What an array function raises where numpy cannot be imported.
+NO_NUMPY_MESSAGE = "unitary3's array functions need numpy: pip install 'unitary3[array]'"
+# First on the meta path of a child interpreter: numpy and its submodules
+# cannot be imported, as where numpy is not installed.
+REFUSE_NUMPY = """if True:
+    import sys
+
+    class RefuseNumpy:
+        @staticmethod
+        def find_spec(name, path=None, target=None):
+            if name.partition(".")[0] == "numpy":
+                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+    for name in [name for name in sys.modules if name.partition(".")[0] == "numpy"]:
+        del sys.modules[name]  # loaded by a site hook
+    sys.meta_path.insert(0, RefuseNumpy)
+"""
+# Runs each command line of argv[1] through cli.main, then every public
+# scalar function, then every public array function, and prints what each
+# gave as JSON: (exit code, stdout, stderr), repr of the result, and "ok" or
+# the exception an array function raised.
+LIBRARY_PROBE = """if True:
+    import contextlib, io, json, sys
+    from unitary3 import *
+    from unitary3.cli import main
+    from unitary3.linalg import as_matrix3
+
+    cli = []
+    for argv in json.loads(sys.argv[1]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # help
+                code = exc.code
+        cli.append([code, out.getvalue(), err.getvalue()])
+    p = random_params(SeededGenerator(5), 1e-2)
+    scalars = {
+        "wrap_angle": wrap_angle(4.0),
+        "RotationAngles.canonical": RotationAngles(0.1, 0.2, 4.0).canonical(),
+        "random_params": p,
+        "flip_equivalent": flip_equivalent(p),
+        "params_distance": params_distance(p, flip_equivalent(p)),
+        "serialize_params": serialize_params(p),
+        "parse_params": parse_params(serialize_params(p)),
+        "UnitaryParams.as_dict": p.as_dict(),
+    }
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    text = json.dumps({"kind": "unitary", "re": eye, "im": [[0] * 3] * 3})
+    calls = {
+        "as_matrix3": lambda: as_matrix3(eye),
+        "unitarity_distance": lambda: unitarity_distance(eye),
+        "eig_hermitian3": lambda: eig_hermitian3(eye),
+        "compose_rotation": lambda: compose_rotation(p.rotation),
+        "extract_rotation_angles": lambda: extract_rotation_angles(eye),
+        "canonical_basis": lambda: canonical_basis(0.1),
+        "compose_core": lambda: compose_core(*p[1:]),
+        "compose_unitary": lambda: compose_unitary(p),
+        "recover_params": lambda: recover_params(eye),
+        "characteristic_decomposition": lambda: characteristic_decomposition(eye),
+        "regularity_report": lambda: regularity_report(eye),
+        "middle_component": lambda: middle_component(eye),
+        "intrinsic_middle": lambda: intrinsic_middle(0.1),
+        "parse_matrix": lambda: parse_matrix(text),
+        "serialize_matrix": lambda: serialize_matrix(eye),
+        "generate_haar_unitary": lambda: generate_haar_unitary(SeededGenerator(1)),
+        "random_psd_hermitian": lambda: random_psd_hermitian(SeededGenerator(1)),
+        "SeededGenerator.complex_gauss_matrix": lambda: SeededGenerator(1).complex_gauss_matrix(),
+    }
+    arrays = {}
+    for name, call in calls.items():
+        try:
+            call()
+            arrays[name] = "ok"
+        except Exception as exc:
+            arrays[name] = f"{type(exc).__name__}: {exc}"
+    print(json.dumps({"cli": cli, "scalars": {name: repr(v) for name, v in scalars.items()},
+                      "arrays": arrays}))
+"""
+
+
+def test_every_subcommand_runs_without_numpy(tmp_path):
+    # README, Conventions: Imports and the array boundary.  A child that
+    # cannot import numpy gives an ordinary child's exit code, stdout and
+    # stderr for every command line of test_recovery_cli_never_loads_numpy,
+    # help and malformed JSON (selftest's lines without their timings; its
+    # exit code 0 shows that run_selftest returned), and its scalar
+    # functions return the same values; each public array function raises
+    # the ImportError that names the array extra instead.  purity_indices is
+    # neither: its argument is eig_hermitian3's record.
+    argvs = [["recover", "--matrix", "u.json"], ["roundtrip", "--matrix", "u.json"],
+             ["recover", "--matrix", "big.json"], ["roundtrip", "--matrix", "u.json", "--tolerance", "1e-30"],
+             ["recover", "--matrix", "absent.json"], ["recover", "--matrix", "bad.json"],
+             ["recover", "--matrix", "notjson.json"],
+             ["compose", "--params", "p.json"], ["compose", "--params", "p.json", "--core-only"],
+             ["compose", "--params", "mu.json"], ["compose", "--params", "absent.json"],
+             ["chardecomp", "--matrix", "r.json"], ["chardecomp", "--matrix", "nh.json"],
+             ["chardecomp", "--matrix", "huge.json"], ["chardecomp", "--matrix", "bad.json"],
+             ["gen", "--haar", "2", "--seed", "3"], ["gen", "--haar", "2", "--out-dir", "haar"],
+             ["gen", "--haar", "1", "--out-dir", "u.json"], ["selftest"], ["--help"], ["gen", "--help"]]
+    not_hermitian = np.eye(3)
+    not_hermitian[0, 1] = 1.0
+    inputs = {"u.json": run_cli(["gen", "--haar", "1", "--seed", "3"])[1],
+              "big.json": serialize_matrix(2.0 * np.eye(3)),
+              "r.json": serialize_matrix(np.diag([0.5, 0.3, 0.2]), kind="hermitian"),
+              "nh.json": serialize_matrix(not_hermitian),
+              "huge.json": serialize_matrix(np.diag([1e308, 1e308, 1.0])),
+              "bad.json": '{"kind": "hermitian", "re": [[1, 0, 0]]}',
+              "notjson.json": "{not json"}
+    children = []
+    for name, prefix in (("ordinary", ""), ("no-numpy", REFUSE_NUMPY)):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        for file, text in inputs.items():
+            (cwd / file).write_text(text, encoding="utf-8")
+        write_params(cwd)
+        write_params(cwd, "mu.json", mu=2.0)
+        children.append(subprocess.Popen([sys.executable, "-c", prefix + LIBRARY_PROBE, json.dumps(argvs)],
+                                         cwd=cwd, env=package_env(), stdout=subprocess.PIPE,
+                                         stderr=subprocess.PIPE, text=True))
+    results = []
+    for child in children:
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        results.append(json.loads(out))
+    ordinary, bare = results
+    for run in (ordinary, bare):
+        code, out, err = run["cli"][argvs.index(["selftest"])]
+        assert (code, err) == (0, ""), out
+        run["cli"][argvs.index(["selftest"])][1] = re.sub(r" in \S+s$", "", out, flags=re.M)
+    for argv, want, got in zip(argvs, ordinary["cli"], bare["cli"]):
+        assert got == want, argv
+    assert [code for code, _, _ in bare["cli"]] == [0, 0, 2, 3, 1, 1, 1, 0, 0, 2, 1, 0, 2, 2, 1, 0, 0, 2, 0, 0, 0]
+    assert bare["scalars"] == ordinary["scalars"]
+    assert set(ordinary["arrays"].values()) == {"ok"}, ordinary["arrays"]
+    assert bare["arrays"] == {name: f"ImportError: {NO_NUMPY_MESSAGE}" for name in ordinary["arrays"]}
+    # Every public function, and the validator, is probed above.
+    functions = {name for name in unitary3.__all__ if inspect.isfunction(getattr(unitary3, name))}
+    probed = {name for name in [*bare["scalars"], *bare["arrays"]] if "." not in name}
+    assert functions | {"as_matrix3"} == probed | {"purity_indices", "run_selftest"}
+
+
 def test_chardecomp(tmp_path):
     mpath = tmp_path / "r.json"
     mpath.write_text(serialize_matrix(np.diag([0.5, 0.5, 0.0]), kind="hermitian"))

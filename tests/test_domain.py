@@ -25,7 +25,10 @@ composes to it, and recovery of that unitary returns the chart's own.
 Invariants: over Haar unitaries and random_params draws at margins 1e-2 to
 1e-8, each composed by the oracle, the recovered core gives V1^T V1 = U^T U and
 S00 = e^{2i alpha1} cos 2chi within 1e-14, and the spins of U's columns
-close a triangle whose first side is sin 2chi times Q's third column.
+close a triangle whose first side is sin 2chi times Q's third column, turn
+with a rotation on the left and keep under phases on the columns.  The
+chart's Jacobian, by central differences of the oracle, has the
+determinant of the README's Haar density.
 
 Documents: the parsers, on arbitrary JSON values and arbitrary text, return
 a result or raise MalformedDocumentError.
@@ -64,7 +67,7 @@ from unitary3.parametrization import (ParameterRangeError, RecoveryReport, Unita
 from unitary3.rotations import RotationAngles, compose_rotation, wrap_angle
 from unitary3.sampling import SeededGenerator, generate_haar_unitary, random_params
 
-from oracles import mp_compose, rotation_product
+from oracles import mp_compose, mp_jacobian, rotation_product
 from test_cli import run_cli
 from test_documents import params_bits
 from test_parametrization import THETA_MAX
@@ -375,17 +378,73 @@ def test_core_is_a_chart_of_s():
         assert s00_gap <= 1e-14, ("S00", float(s00_gap), origin)
 
 
-def test_spin_triangle():
-    # The spins s_k = Im(conj(u_k) x u_k) of U's columns, from U alone, close
-    # a triangle, and s_1 = sin 2chi Q e_z with chi and Q as recovered: an
-    # oracle for chi's sign and Q's third column.
-    for origin, u, _ in draw_sets(28, 200):
-        spins = [np.cross(col.conj(), col).imag for col in u.T]
-        closure = np.abs(sum(spins)).max()
+@pytest.fixture(scope="module")
+def spin_draws() -> list:
+    """The draw sets of the spin tests, drawn once for both."""
+    return list(draw_sets(28, 200))
+
+
+def spins(u) -> np.ndarray:
+    """The spins s_k = Im(conj(u_k) x u_k) of the columns u_k of U, as rows."""
+    return np.cross(u.T.conj(), u.T).imag
+
+
+def test_spin_triangle(spin_draws):
+    # The spins of U's columns, from U alone, close a triangle, and
+    # s_1 = sin 2chi Q e_z with chi and Q as recovered: an oracle for chi's
+    # sign and Q's third column.
+    for origin, u, _ in spin_draws:
+        s = spins(u)
+        closure = np.abs(s.sum(axis=0)).max()
         p = recover_params(u).params
-        first = np.abs(spins[0] - math.sin(2 * p.chi) * compose_rotation(p.rotation)[:, 2]).max()
+        first = np.abs(s[0] - math.sin(2 * p.chi) * compose_rotation(p.rotation)[:, 2]).max()
         assert closure <= 1e-14, ("closure", closure, origin)
         assert first <= 1e-14, ("s_1", first, origin)
+
+
+def test_spin_invariances(spin_draws):
+    # A real rotation P on the left rotates each spin, s_k(P U) = P s_k(U),
+    # and a phase on each column leaves it, s_k(U D) = s_k(U), for a P and a
+    # diagonal D of unit phases drawn anew for each U.
+    g = SeededGenerator(29)
+    for origin, u, _ in spin_draws:
+        rotation = rotation_product(*(2 * PI * g.uniform() - PI for _ in range(3)))
+        d = np.exp(1j * np.array([2 * PI * g.uniform() - PI for _ in range(3)]))
+        s = spins(u)
+        rotated = np.abs(spins(rotation @ u) - s @ rotation.T).max()
+        phased = np.abs(spins(u * d) - s).max()
+        assert rotated <= 1e-14, ("P U", rotated, origin)
+        assert phased <= 1e-14, ("U D", phased, origin)
+
+
+def test_chart_jacobian():
+    # The Jacobian J of the nine fields to the nine real coordinates of U†dU,
+    # by central differences of the oracle's composition, has
+    # |det J| = (1/8)|sin theta||sin 4chi| sin 2mu: 20 draws 1e-2 clear of
+    # every face, where the gap is 3.9e-20 (the step's h^2 error), and one
+    # draw on each face, where both vanish.  Of it, |sin theta| is the
+    # rotation's own: with the core at the identity (V1 = I, so U = Q), J's
+    # rotation columns have that determinant in the coordinates of Q^T dQ,
+    # the Re of its entries above the diagonal.
+    g = SeededGenerator(9)
+    for _ in range(20):
+        p = random_params(g, 1e-2).as_dict()
+        with mpmath.workdps(30):
+            density = abs(mpmath.sin(p["theta"]) * mpmath.sin(4 * p["chi"])) * mpmath.sin(2 * p["mu"]) / 8
+            gap = abs(abs(mpmath.det(mp_jacobian(p))) / density - 1)
+        assert gap <= 1e-15, (float(gap), p)
+    interior = dict(phi=0.3, theta=0.4, varphi=0.5, chi=0.2, mu=0.7, alpha1=0.1, alpha2=0.2, alpha3=0.3, beta2=0.4)
+    for field, face in (("theta", 0.0), ("chi", 0.0), ("chi", PI / 4), ("chi", -PI / 4), ("mu", 0.0),
+                        ("mu", PI / 2)):
+        with mpmath.workdps(30):
+            det = abs(mpmath.det(mp_jacobian({**interior, field: face})))
+        assert det <= 1e-16, (field, face, det)  # sin 4chi at the float pi/4 gives 5.9e-18
+    core = dict(chi=0.0, mu=0.0, alpha1=0.0, alpha2=0.0, alpha3=0.0, beta2=PI)
+    for theta in (0.4, -1.2, 1.5):
+        j = mp_jacobian({**core, "phi": 0.3, "theta": theta, "varphi": 2.5}, fields=("phi", "theta", "varphi"))
+        with mpmath.workdps(30):
+            det = mpmath.det(mpmath.matrix([[j[row, col] for col in range(3)] for row in (3, 5, 7)]))
+        assert abs(abs(det) - abs(math.sin(theta))) <= 1e-14, (theta, det)
 
 
 # V diag(l) V† for a Haar V and a nonzero l, the exponent k of each entry

@@ -421,11 +421,12 @@ def numpy_importers(path) -> set:
 
 
 def test_numpy_is_imported_only_at_the_array_boundary():
-    # The import rule of the linalg docstring: no module imports numpy when
-    # it is imported, and only linalg's array boundary imports it at all.
+    # README, Conventions: Imports and the array boundary.  No module imports
+    # numpy when it is imported, and one function of linalg imports it at
+    # all: the array boundary reaches numpy only through _numpy.
     package = os.path.dirname(unitary3.linalg.__file__)
     importers = {name[:-3]: numpy_importers(os.path.join(package, name))
                  for name in sorted(os.listdir(package)) if name.endswith(".py")}
     importers = {module: functions for module, functions in importers.items() if functions}
     assert set(importers) == {"linalg"}, importers
-    assert importers["linalg"] == {"as_matrix3", "_array", "_eigen"}, importers["linalg"]
+    assert importers["linalg"] == {"_numpy"}, importers["linalg"]

@@ -327,6 +327,22 @@ def test_compose_rejects_non_finite():
                 compose_rotation(RotationAngles(*angles))
 
 
+def test_compose_takes_only_its_record():
+    # compose_rotation and compose_unitary raise TypeError naming their
+    # record for any other argument: a plain tuple or list of the fields, a
+    # dict, None, the other record, and a UnitaryParams whose rotation is a
+    # plain tuple.
+    angles = RotationAngles(0.1, 0.2, 0.3)
+    p = make_params(chi=0.1, mu=0.3)
+    for fn, record, other in ((compose_rotation, "RotationAngles", p), (compose_unitary, "UnitaryParams", angles)):
+        own = p if fn is compose_unitary else angles
+        for bad in (tuple(own), list(own), own._asdict(), None, other):
+            with pytest.raises(TypeError, match=f"^{fn.__name__} takes a {record}, not {type(bad).__name__}$"):
+                fn(bad)
+    with pytest.raises(TypeError, match="^compose_unitary takes a RotationAngles rotation, not tuple$"):
+        compose_unitary(p._replace(rotation=tuple(angles)))
+
+
 def test_compose_delta_overflow():
     # A phase of modulus above 2**8 raises ParameterRangeError: finite phases
     # whose delta = beta2 - alpha2 + alpha3 leaves the float range, and a
