@@ -1,22 +1,28 @@
 #!/usr/bin/env bash
-# The installed unitary3 console script against python -m unitary3.cli on
-# fourteen argument lists: the same exit code (the first word of each list),
-# stdout bytes and stderr bytes.  Run from the repository root, with the
-# python and unitary3 of the environment under test first on PATH; it works
-# in a new temporary directory.
+# The installed unitary3 console script and python -m unitary3.cli on every
+# row of tests/cli_cases.py: each gives the row's exit code, stdout (through
+# cli_cases.stable) and stderr, and leaves the row's files, so the two
+# match.  Run from the repository root, with the python and unitary3 of the
+# environment under test first on PATH; each run has a new temporary
+# directory holding the row's documents.  The rows are read in Python, as
+# bash word splitting would lose an empty argument such as --out ''.
 set -eu
-chardecomp=$PWD/tests/chardecomp_full.json
-cd "$(mktemp -d)"
-printf '{not json' > bad.json && python -m unitary3.cli gen --haar 1 --seed 1 > m.json
-printf '{"kind": "unitary", "re": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}\n' > eye.json
-for argv in "0 gen --haar 1 --seed 1" "0 recover --matrix m.json" "0 recover --matrix m.json --out r.json" \
-    "0 roundtrip --matrix m.json" "0 compose --params r.json" "0 compose --params r.json --core-only" \
-    "0 recover --matrix eye.json" "0 roundtrip --matrix eye.json" \
-    "0 chardecomp --matrix $chardecomp" \
-    "1 recover --matrix bad.json" "2 gen --haar -1" "3 roundtrip --matrix m.json --tolerance 1e-30" "0 --help" \
-    "0 gen --help"; do
-  set -- $argv; want=$1; shift
-  got=0; unitary3 "$@" > s.out 2> s.err || got=$?
-  ref=0; python -m unitary3.cli "$@" > m.out 2> m.err || ref=$?
-  [ "$got $ref" = "$want $want" ] && cmp s.out m.out && cmp s.err m.err || { echo "differs: $argv"; exit 1; }
-done
+python - "$PWD/tests" <<'EOF'
+import subprocess, sys, tempfile
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from cli_cases import CASES, stable
+
+for case in CASES:
+    for command in (["unitary3"], [sys.executable, "-m", "unitary3.cli"]):
+        with tempfile.TemporaryDirectory() as directory:
+            for name, data in case.files.items():
+                Path(directory, name).write_bytes(data)
+            run = subprocess.run(command + case.argv, cwd=directory, capture_output=True)
+            left = {path.relative_to(directory).as_posix(): path.read_bytes()
+                    for path in Path(directory).rglob("*") if path.is_file()}
+        if ((run.returncode, stable(run.stdout.decode()), run.stderr.decode(), left)
+                != (case.code, case.stdout, case.stderr, {**case.files, **case.writes})):
+            sys.exit(f"differs: {command[0]} {case.argv}")
+EOF

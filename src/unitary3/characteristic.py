@@ -93,7 +93,9 @@ class RegularityReport(namedtuple("RegularityReport",
 def purity_indices(e: EigenDecomposition) -> PurityIndices:
     """The PurityIndices of an EigenDecomposition ``e`` (arrays, as
     eig_hermitian3 returns it), from its normalized, nonincreasing
-    eigenvalues; it raises no error of its own."""
+    eigenvalues; raises TypeError for any other argument."""
+    if not isinstance(e, EigenDecomposition):
+        raise TypeError(f"purity_indices takes an EigenDecomposition, not {type(e).__name__}")
     return PurityIndices(*_purity(e.normalized.tolist()))
 
 

@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from _json import make_scanner
 
 from .linalg import Unitary3Error, _array, _check_finite, as_matrix3
-from .parametrization import PARAM_FIELDS, UnitaryParams, _values
+from .parametrization import PARAM_FIELDS, UnitaryParams, _check_params, _values
 from .rotations import RotationAngles
 
 MATRIX_KINDS = ("unitary", "hermitian", "general")
@@ -236,8 +236,10 @@ def parse_params(text: str) -> UnitaryParams:
 
 def serialize_params(p: UnitaryParams) -> str:
     """Serialize a parameter tuple; round-trips bit-exactly.  Raises
-    NonFiniteError for a NaN or infinite field, which JSON cannot hold."""
-    values = _values(p)
+    TypeError unless ``p`` is a UnitaryParams whose rotation is a
+    RotationAngles, and NonFiniteError for a NaN or infinite field, which
+    JSON cannot hold."""
+    values = _check_params(p, "serialize_params")
     _check_finite(values)
     return _PARAMS_TEMPLATE % values
 

@@ -68,6 +68,17 @@ def _values(p: UnitaryParams) -> tuple:
     return (*p.rotation, *p[1:])
 
 
+def _check_params(p, caller: str) -> tuple:
+    """The nine fields of ``p`` in PARAM_FIELDS order; raises TypeError
+    naming ``caller`` unless ``p`` is a UnitaryParams whose rotation is a
+    RotationAngles.  README, Conventions: Validation."""
+    if not isinstance(p, UnitaryParams):
+        raise TypeError(f"{caller} takes a UnitaryParams, not {type(p).__name__}")
+    if not isinstance(p.rotation, RotationAngles):
+        raise TypeError(f"{caller} takes a RotationAngles rotation, not {type(p.rotation).__name__}")
+    return _values(p)
+
+
 class RecoveryReport(namedtuple("RecoveryReport", "params residual branch global_phase_alpha1_degenerate")):
     """What recover_params returns: the recovered UnitaryParams, the
     Frobenius residual of their recomposition, the branch label (a str)
@@ -171,11 +182,7 @@ def compose_unitary(p: UnitaryParams):
     Q v3; raises TypeError unless ``p`` is a UnitaryParams whose rotation
     is a RotationAngles, NonFiniteError for a NaN or infinite field, else
     as compose_core."""
-    if not isinstance(p, UnitaryParams):
-        raise TypeError(f"compose_unitary takes a UnitaryParams, not {type(p).__name__}")
-    if not isinstance(p.rotation, RotationAngles):
-        raise TypeError(f"compose_unitary takes a RotationAngles rotation, not {type(p.rotation).__name__}")
-    _check_finite(_values(p))
+    _check_finite(_check_params(p, "compose_unitary"))
     return _array(_unitary_rows(p))
 
 
@@ -386,9 +393,11 @@ def flip_equivalent(p: UnitaryParams) -> UnitaryParams:
     README, Conventions: Two representatives.
     Each advanced phase is correctly rounded (_half_turn), so flipping twice
     gives the wrapped tuple back wherever a -+ pi is exact, as it is for
-    |a| >= pi/2.  Raises NonFiniteError for a NaN or infinite field.
+    |a| >= pi/2.  Raises TypeError unless ``p`` is a UnitaryParams whose
+    rotation is a RotationAngles, and NonFiniteError for a NaN or infinite
+    field.
     """
-    _check_finite(_values(p))
+    _check_finite(_check_params(p, "flip_equivalent"))
     return UnitaryParams(
         rotation=RotationAngles(_half_turn(p.rotation.phi), -p.rotation.theta, p.rotation.varphi),
         chi=p.chi,
@@ -423,9 +432,11 @@ def params_distance(p: UnitaryParams, q: UnitaryParams) -> float:
     difference so that no finite pair overflows; theta, chi and mu
     directly.  Zero (up to float noise) iff the tuples compose to the same
     unitary through the same branch conventions; NaN if any field of either
-    is NaN or infinite, so such a tuple never passes a bound.
+    is NaN or infinite, so such a tuple never passes a bound.  Raises
+    TypeError unless each is a UnitaryParams whose rotation is a
+    RotationAngles.
     """
-    if not all(map(math.isfinite, _values(p) + _values(q))):
+    if not all(map(math.isfinite, _check_params(p, "params_distance") + _check_params(q, "params_distance"))):
         return math.nan
 
     def gaps(x: UnitaryParams) -> list:

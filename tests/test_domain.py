@@ -417,6 +417,26 @@ def test_spin_invariances(spin_draws):
         assert phased <= 1e-14, ("U D", phased, origin)
 
 
+def test_spin_norms_closed_form(spin_draws):
+    # With D = beta2 - alpha2, |s_2|^2 = sin^2 2mu (cos^2 chi sin^2 D +
+    # sin^2 chi cos^2 D) + sin^2 2chi cos^4 mu, and |s_3|^2 the same with
+    # sin^4 mu: sympy gives both from the columns of _core_parts,
+    # v2 = cos mu e^{i alpha2} n2 + sin mu e^{i beta2} n3 and
+    # v3 = sin mu e^{i alpha3} n2 - cos mu e^{i delta} n3, whose spins Q
+    # only turns.  The fields are the drawn ones, or those recovered from a
+    # Haar unitary.
+    for origin, u, _ in spin_draws:
+        p = recover_params(u).params if origin == "haar" else origin
+        d = p.beta2 - p.alpha2
+        common = math.sin(2 * p.mu) ** 2 * (math.cos(p.chi) ** 2 * math.sin(d) ** 2
+                                            + math.sin(p.chi) ** 2 * math.cos(d) ** 2)
+        twice_chi = math.sin(2 * p.chi) ** 2
+        norms = (spins(u) ** 2).sum(axis=1)
+        gap = max(abs(norms[1] - common - twice_chi * math.cos(p.mu) ** 4),
+                  abs(norms[2] - common - twice_chi * math.sin(p.mu) ** 4))
+        assert gap <= 1e-14, ("|s_2|, |s_3|", gap, origin)
+
+
 def test_chart_jacobian():
     # The Jacobian J of the nine fields to the nine real coordinates of U†dU,
     # by central differences of the oracle's composition, has

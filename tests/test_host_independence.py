@@ -23,7 +23,8 @@ from unitary3 import (compose_unitary, generate_haar_unitary, parse_matrix, rand
                       recover_params, serialize_matrix)
 from unitary3.sampling import SeededGenerator
 
-from test_cli import CHARDECOMP_GOLDEN, GEN_7, HAAR_7, HAAR_7_FLIPPED, RECOVER_FACE_PARAMS, package_env
+from cli_cases import GEN_7, HAAR_7, HAAR_7_FLIPPED, RECOVER_FACE_PARAMS
+from test_cli import CHARDECOMP_GOLDEN, package_env
 from test_linalg import chardecomp_pool
 from test_parametrization import _FACES
 

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from unitary3.documents import _parse_rows
-from unitary3.linalg import FOLD_GATE, FloatRangeError, NonFiniteError, _fsum_norm, unitarity_distance
+from unitary3.documents import _parse_rows, serialize_params
+from unitary3.linalg import (FOLD_GATE, FloatRangeError, NonFiniteError, _fsum_norm, eig_hermitian3,
+                             unitarity_distance)
 from unitary3.parametrization import (
     DEGENERACY_GATE,
     PARAM_FIELDS,
@@ -31,7 +32,7 @@ from unitary3.parametrization import (
     params_distance,
     recover_params,
 )
-from unitary3.characteristic import intrinsic_middle, middle_component
+from unitary3.characteristic import intrinsic_middle, middle_component, purity_indices
 from unitary3.rotations import (NotOrthogonalError, RotationAngles, _rotation_rows, compose_rotation,
                                extract_rotation_angles, wrap_angle)
 from unitary3.sampling import SeededGenerator, _haar_rows, generate_haar_unitary, random_params
@@ -341,6 +342,26 @@ def test_compose_takes_only_its_record():
                 fn(bad)
     with pytest.raises(TypeError, match="^compose_unitary takes a RotationAngles rotation, not tuple$"):
         compose_unitary(p._replace(rotation=tuple(angles)))
+
+
+def test_record_functions_take_only_their_record():
+    # flip_equivalent, params_distance (either argument) and serialize_params
+    # raise compose_unitary's TypeError, naming themselves, and
+    # purity_indices one naming EigenDecomposition, for any other argument:
+    # a plain tuple, a dict, None, a str, and for the first three a
+    # UnitaryParams whose rotation is a plain tuple.
+    p = make_params(chi=0.1, mu=0.3)
+    for name, call in (("flip_equivalent", flip_equivalent), ("params_distance", lambda x: params_distance(x, p)),
+                       ("params_distance", lambda x: params_distance(p, x)), ("serialize_params", serialize_params)):
+        for bad in (tuple(p), p._asdict(), None, "p"):
+            with pytest.raises(TypeError, match=f"^{name} takes a UnitaryParams, not {type(bad).__name__}$"):
+                call(bad)
+        with pytest.raises(TypeError, match=f"^{name} takes a RotationAngles rotation, not tuple$"):
+            call(p._replace(rotation=tuple(p.rotation)))
+    e = eig_hermitian3(np.eye(3))
+    for bad in (tuple(e), e._asdict(), None, "e"):
+        with pytest.raises(TypeError, match=f"^purity_indices takes an EigenDecomposition, not {type(bad).__name__}$"):
+            purity_indices(bad)
 
 
 def test_compose_delta_overflow():
